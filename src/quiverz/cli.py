@@ -85,23 +85,19 @@ def _cmd_dimvec(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # Unset sizes fall back to each driver's own default.
+    sizes = {k: v for k, v in (("max_last", args.max_last), ("trials", args.trials)) if v is not None}
     if args.statement == "ab-step":
         report = verify.ab_step_report(args.n, args.a, p=args.p, budget=args.budget)
     elif args.statement == "theta-image":
-        report = verify.theta_image_report(
-            max_last=args.max_last,
-            p=args.p,
-            seed=args.seed,
-            trials=args.trials,
-            jobs=args.jobs,
-        )
+        report = verify.theta_image_report(p=args.p, seed=args.seed, jobs=args.jobs, **sizes)
     elif args.statement == "stability":
         report = verify.stability_report(budget=args.budget)
     elif args.statement == "reducible":
         report = verify.reducible_report(p=args.p, seed=args.seed)
     else:  # all
         suite = verify.suite_report(
-            seed=args.seed, jobs=args.jobs, budget=args.budget, p=args.p
+            seed=args.seed, jobs=args.jobs, budget=args.budget, p=args.p, **sizes
         )
         _emit(suite)
         for rep in suite["reports"]:
@@ -110,6 +106,19 @@ def _cmd_verify(args) -> int:
     _emit(report.to_json_dict())
     _note(args, f"{report.statement}: {'PASS' if report.passed else 'FAIL'} (size {report.size})")
     return 0 if report.passed else 1
+
+
+def _at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # named in argparse's "invalid integer value" message
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,10 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--a", type=int, default=1, help="dimension increase for ab-step")
     ver.add_argument("--p", type=int, default=None, help="field modulus")
     ver.add_argument("--seed", type=int, default=0, help="master seed")
-    ver.add_argument("--trials", type=int, default=3, help="randomized trials per instance")
-    ver.add_argument("--budget", type=int, default=verify.DEFAULT_BUDGET, help="enumeration budget")
-    ver.add_argument("--jobs", type=int, default=1, help="worker threads")
-    ver.add_argument("--max-last", type=int, default=8, help="largest last dimension for theta-image")
+    ver.add_argument(
+        "--trials", type=_at_least(0), help="randomized trials per instance (default 3; 2 for all)"
+    )
+    ver.add_argument("--budget", type=_at_least(0), default=verify.DEFAULT_BUDGET, help="enumeration budget")
+    ver.add_argument("--jobs", type=_at_least(1), default=1, help="worker threads")
+    ver.add_argument(
+        "--max-last", type=_at_least(0), help="largest last dimension for theta-image (default 8; 6 for all)"
+    )
     ver.set_defaults(func=_cmd_verify)
 
     return parser

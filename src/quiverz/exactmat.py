@@ -31,12 +31,15 @@ def _is_prime(p: int) -> bool:
 
 
 class FieldSpec:
-    """A prime field F_p, p prime (default 32003)."""
+    """A prime field F_p, p prime below 2^31 (default 32003)."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int = DEFAULT_PRIME):
         p = int(p)
+        # The bound keeps the trial division in _is_prime under 2^15 steps.
+        if p >= 1 << 31:
+            raise ValueError(f"modulus must be below 2^31, got {p}")
         if not _is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
         self.p = p
@@ -154,14 +157,9 @@ def identity(n: int, field: FieldSpec) -> ExactMatrix:
     return ExactMatrix(n, n, e, field)
 
 
-def mul(X: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
-    """Exact product mod p."""
-    _require_same_field(X, Y)
-    if X.cols != Y.rows:
-        raise ValueError(f"shape mismatch: {X.shape} times {Y.shape}")
-    p = X.field.p
-    n, m, k = X.rows, X.cols, Y.cols
-    xe, ye = X.entries, Y.entries
+def _mul_flat(xe: Sequence[int], ye: Sequence[int], n: int, m: int, k: int, p: int) -> List[int]:
+    """Row-major entries of the n x k product of the flat n x m matrix xe and
+    the flat m x k matrix ye, reduced mod p."""
     out = [0] * (n * k)
     for i in range(n):
         xi = i * m
@@ -175,7 +173,16 @@ def mul(X: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
         oi = i * k
         for j in range(k):
             out[oi + j] = acc[j] % p
-    return ExactMatrix(n, k, out, X.field)
+    return out
+
+
+def mul(X: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
+    """Exact product mod p."""
+    _require_same_field(X, Y)
+    if X.cols != Y.rows:
+        raise ValueError(f"shape mismatch: {X.shape} times {Y.shape}")
+    out = _mul_flat(X.entries, Y.entries, X.rows, X.cols, Y.cols, X.field.p)
+    return ExactMatrix(X.rows, Y.cols, out, X.field)
 
 
 def mat_pow(M: ExactMatrix, k: int) -> ExactMatrix:
@@ -335,67 +342,44 @@ def canonical_nilpotent(eta: Partition, field: FieldSpec) -> ExactMatrix:
     return ExactMatrix(n, n, out, field)
 
 
+def _jordan_flat(entries: Sequence[int], n: int, p: int) -> Optional[Partition]:
+    """Jordan type of the flat n x n matrix N, or None if N is not nilpotent.
+
+    An RREF basis of rowspace(N^k) times N spans rowspace(N^{k+1}), so each
+    power costs one elimination of ever fewer rows.  The ranks reach 0 exactly
+    when N is nilpotent; a rank that stalls above 0 means it is not.  The
+    rank drops are the kernel-dimension increments, whose dual is the type."""
+    drops = []
+    prev = n
+    rows = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
+    while prev:
+        r = len(_rref(rows, p))
+        if r == prev:
+            return None
+        drops.append(prev - r)
+        prev = r
+        if r:
+            out = _mul_flat([v for row in rows[:r] for v in row], entries, r, n, n, p)
+            rows = [out[i * n : (i + 1) * n] for i in range(r)]
+    return dual(Partition(drops))
+
+
 def is_nilpotent(M: ExactMatrix) -> bool:
-    """Nilpotency by repeated squaring up to the dimension."""
+    """True iff the ranks of the powers of M reach 0."""
     if not M.is_square():
         raise ValueError("nilpotency of a non-square matrix")
-    if M.rows == 0:
-        return True
-    P = M
-    k = 1
-    while k < M.rows:
-        P = mul(P, P)
-        k <<= 1
-    return P.is_zero()
+    return _jordan_flat(M.entries, M.rows, M.field.p) is not None
 
 
 def jordan_type(N: ExactMatrix) -> Partition:
     """Jordan type of a nilpotent matrix: dual of the kernel-dimension
     increments of its powers."""
-    if not is_nilpotent(N):
+    if not N.is_square():
+        raise ValueError("nilpotency of a non-square matrix")
+    typ = _jordan_flat(N.entries, N.rows, N.field.p)
+    if typ is None:
         raise ValueError("not nilpotent")
-    n = N.rows
-    if n == 0:
-        return Partition()
-    increments = []
-    P = N
-    prev = 0
-    while True:
-        k = n - rank(P)
-        increments.append(k - prev)
-        prev = k
-        if k == n:
-            break
-        P = mul(P, N)
-    return dual(Partition(increments))
-
-
-class _EchelonTracker:
-    """Incrementally tracked row space for independence tests."""
-
-    def __init__(self, width: int, p: int):
-        self.width = width
-        self.p = p
-        self.pivot_rows: dict = {}
-
-    def _reduce(self, vec: Sequence[int]) -> List[int]:
-        v = [x % self.p for x in vec]
-        for j in range(self.width):
-            if v[j] and j in self.pivot_rows:
-                f = v[j]
-                row = self.pivot_rows[j]
-                v = [(a - f * b) % self.p for a, b in zip(v, row)]
-        return v
-
-    def add(self, vec: Sequence[int]) -> bool:
-        """Insert vec; True iff it enlarged the span."""
-        v = self._reduce(vec)
-        lead = next((j for j in range(self.width) if v[j]), None)
-        if lead is None:
-            return False
-        inv = pow(v[lead], self.p - 2, self.p)
-        self.pivot_rows[lead] = [(x * inv) % self.p for x in v]
-        return True
+    return typ
 
 
 def jordan_basis(N: ExactMatrix) -> ExactMatrix:
@@ -415,24 +399,26 @@ def jordan_basis(N: ExactMatrix) -> ExactMatrix:
     for _ in range(depth):
         kernels.append(kernel_basis(P))
         P = mul(P, N)
-    chains: List[List[tuple]] = []  # chain[i] = N^i applied to the top
+    p = field.p
+    chains: List[list] = []  # chain[i] = N^i applied to the top
     for j in range(depth, 0, -1):
-        span = _EchelonTracker(n, field.p)
+        # New tops are the level columns that are pivot columns of
+        # [ker N^{j-1} | longer chains at height j | ker N^j]: the greedy
+        # left-to-right choice of vectors outside the span so far.
+        span = [chain[len(chain) - j] for chain in chains]
         if j >= 2:
             lower = kernels[j - 2]
-            for c in range(lower.cols):
-                span.add(lower.column(c))
-        for chain in chains:
-            span.add(chain[len(chain) - j])
+            span = [lower.column(c) for c in range(lower.cols)] + span
         level = kernels[j - 1]
-        for c in range(level.cols):
-            vec = level.column(c)
-            if span.add(vec):
-                chain = [vec]
+        cands = span + [level.column(c) for c in range(level.cols)]
+        pivots = _rref([[v[i] for v in cands] for i in range(n)], p)
+        for c in pivots:
+            if c >= len(span):
+                chain = [cands[c]]
                 for _ in range(j - 1):
-                    chain.append(_apply(N, chain[-1]))
+                    chain.append(_mul_flat(N.entries, chain[-1], n, n, 1, p))
                 chains.append(chain)
-    columns: List[tuple] = []
+    columns: list = []
     for chain in chains:  # built longest first
         columns.extend(reversed(chain))
     out = [0] * (n * n)
@@ -440,16 +426,9 @@ def jordan_basis(N: ExactMatrix) -> ExactMatrix:
         for i in range(n):
             out[i * n + j] = col[i]
     g = ExactMatrix(n, n, out, field)
-    assert mul(mul(inverse(g), N), g) == canonical_nilpotent(typ, field)
+    if mul(mul(inverse(g), N), g) != canonical_nilpotent(typ, field):
+        raise ArithmeticError(f"jordan_basis: g^-1 N g is not the canonical form of type {typ}")
     return g
-
-
-def _apply(M: ExactMatrix, vec: Sequence[int]) -> tuple:
-    p = M.field.p
-    return tuple(
-        sum(M.entries[i * M.cols + j] * vec[j] for j in range(M.cols)) % p
-        for i in range(M.rows)
-    )
 
 
 def conjugator(N1: ExactMatrix, N2: ExactMatrix) -> ExactMatrix:

@@ -18,7 +18,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from quiverz.exactmat import DEFAULT_PRIME, ExactMatrix, FieldSpec, is_injective
+from quiverz.exactmat import (
+    DEFAULT_PRIME,
+    ExactMatrix,
+    FieldSpec,
+    _jordan_flat,
+    _mul_flat,
+    is_injective,
+)
 from quiverz.exactmat import jordan_type as exact_jordan_type
 from quiverz.partitions import (
     Partition,
@@ -72,6 +79,14 @@ class BudgetExceeded(ValueError):
     """Requested enumeration is larger than the configured budget."""
 
 
+def _map_jobs(fn, items, jobs: int) -> list:
+    """[fn(x) for x in items], on a pool of jobs threads when jobs > 1."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def derive_rng(seed: int, *key) -> random.Random:
     """Deterministic per-instance stream: hash the master seed with the
     instance key so results do not depend on scheduling."""
@@ -80,73 +95,30 @@ def derive_rng(seed: int, *key) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-# ---------------------------------------------------------------------------
-# Raw mod-p helpers for the exhaustive pair enumeration (kept free of the
-# ExactMatrix wrapper for speed; payloads are rebuilt as matrices on demand).
-
-
-def _raw_mul(X, Y, p):
-    n, m, k = len(X), len(Y), len(Y[0]) if Y else 0
-    return [
-        [sum(X[i][l] * Y[l][j] for l in range(m)) % p for j in range(k)]
-        for i in range(n)
-    ]
-
-
-def _raw_rank(M, p):
-    rows = [list(r) for r in M]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] % p), None)
-        if pivot is None:
+def _pair_types(n: int, a: int, p: int, budget: int) -> Dict[Tuple[Partition, Partition], tuple]:
+    """Enumerate every pair A: F_p^n -> F_p^{n+a}, B the other way, with BA
+    nilpotent: map each (BA-type, AB-type) to the flat entries of A then B of
+    the first pair that has it."""
+    if n < 0 or a < 0:
+        raise ValueError("sizes must be nonnegative")
+    FieldSpec(p)  # validates the modulus
+    m = n + a
+    size = p ** (2 * n * m)
+    if size > budget:
+        raise BudgetExceeded(f"{size} pairs exceed the budget of {budget}")
+    boff = m * n
+    types: Dict[Tuple[Partition, Partition], tuple] = {}
+    for entries in itertools.product(range(p), repeat=2 * boff):
+        A, B = entries[:boff], entries[boff:]
+        ta = _jordan_flat(_mul_flat(B, A, n, m, n, p), n, p)
+        if ta is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(r + 1, nrows):
-            if rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def _dual_tuple(parts: Tuple[int, ...]) -> Tuple[int, ...]:
-    if not parts:
-        return ()
-    return tuple(sum(1 for q in parts if q >= i) for i in range(1, parts[0] + 1))
-
-
-def _raw_type(M, p) -> Optional[Tuple[int, ...]]:
-    """Jordan type of M as a tuple, or None if M is not nilpotent."""
-    n = len(M)
-    if n == 0:
-        return ()
-    increments = []
-    P = M
-    prev = 0
-    for _ in range(n):
-        k = n - _raw_rank(P, p)
-        increments.append(k - prev)
-        prev = k
-        if k == n:
-            return _dual_tuple(tuple(increments))
-        P = _raw_mul(P, M, p)
-    return None
-
-
-def _dom_tuple(x: Tuple[int, ...], y: Tuple[int, ...]) -> bool:
-    sx = sy = 0
-    for i in range(max(len(x), len(y))):
-        sx += x[i] if i < len(x) else 0
-        sy += y[i] if i < len(y) else 0
-        if sx < sy:
-            return False
-    return True
+        tb = _jordan_flat(_mul_flat(A, B, m, n, m, p), m, p)
+        if tb is None:
+            raise ArithmeticError(f"AB is not nilpotent although BA is: {entries}")
+        if (ta, tb) not in types:
+            types[(ta, tb)] = entries
+    return types
 
 
 def ab_step_report(
@@ -155,95 +127,61 @@ def ab_step_report(
     """Enumerate every pair A: F_p^n -> F_p^{n+a}, B the other way, and check
     that for each partition eta of n the maximal AB-type over pairs with
     BA-type dominated by eta is exactly add(eta, a), dominating all others."""
-    if n < 0 or a < 0:
-        raise ValueError("sizes must be nonnegative")
-    FieldSpec(p)  # validates primality
-    cells = 2 * n * (n + a)
-    size = p**cells
-    if size > budget:
-        raise BudgetExceeded(f"{size} pairs exceed the budget of {budget}")
+    witness = _pair_types(n, a, p, budget)
     m = n + a
-    seen: Dict[Tuple[tuple, tuple], int] = {}
-    witness: Dict[Tuple[tuple, tuple], tuple] = {}
-    for entries in itertools.product(range(p), repeat=cells):
-        A = [list(entries[r * n : (r + 1) * n]) for r in range(m)]
-        boff = m * n
-        B = [list(entries[boff + r * m : boff + (r + 1) * m]) for r in range(n)]
-        ta = _raw_type(_raw_mul(B, A, p), p)
-        if ta is None:
-            continue
-        tb = _raw_type(_raw_mul(A, B, p), p)
-        assert tb is not None  # AB is nilpotent whenever BA is
-        key = (ta, tb)
-        seen[key] = seen.get(key, 0) + 1
-        if key not in witness:
-            witness[key] = entries
     instances = []
     counterexample = None
-    passed = True
     for eta in partitions_of_weight(n):
-        expected = add(eta, a).parts
+        expected = add(eta, a)
         reachable = sorted(
-            {tb for (ta, tb) in seen if _dom_tuple(eta.parts, ta)}, reverse=True
+            {tb for (ta, tb) in witness if dominates(eta, ta)},
+            key=lambda tb: tb.parts,
+            reverse=True,
         )
-        ok = expected in reachable and all(_dom_tuple(expected, tb) for tb in reachable)
+        ok = expected in reachable and all(dominates(expected, tb) for tb in reachable)
         instances.append(
             {
-                "eta": list(eta.parts),
-                "expected_max": list(expected),
-                "reachable": [list(tb) for tb in reachable],
+                "eta": eta.to_list(),
+                "expected_max": expected.to_list(),
+                "reachable": [tb.to_list() for tb in reachable],
                 "ok": ok,
             }
         )
         if not ok and counterexample is None:
-            passed = False
-            bad = next(
-                (tb for tb in reachable if not _dom_tuple(expected, tb)), None
-            )
-            payload = {"eta": list(eta.parts), "expected_max": list(expected)}
+            bad = next((tb for tb in reachable if not dominates(expected, tb)), None)
+            payload = {"eta": eta.to_list(), "expected_max": expected.to_list()}
             if bad is None:
-                payload["missing"] = list(expected)
+                payload["missing"] = expected.to_list()
             else:
-                payload["undominated_b_type"] = list(bad)
+                payload["undominated_b_type"] = bad.to_list()
                 ta_bad, entries = next(
                     (k[0], witness[k])
                     for k in witness
-                    if k[1] == bad and _dom_tuple(eta.parts, k[0])
+                    if k[1] == bad and dominates(eta, k[0])
                 )
                 payload["pair"] = {
-                    "a_type": list(ta_bad),
+                    "a_type": ta_bad.to_list(),
                     "A_entries": list(entries[: m * n]),
                     "B_entries": list(entries[m * n :]),
                 }
             counterexample = payload
-    passed = passed and all(inst["ok"] for inst in instances)
     return VerifyReport(
         statement="ab-step",
         params={"n": n, "a": a, "p": p},
-        size=size,
-        passed=passed,
+        size=p ** (2 * n * m),
+        passed=all(inst["ok"] for inst in instances),
         instances=instances,
         counterexample=counterexample,
     )
 
 
 def pair_type_table(n: int, a: int, p: int = 2, budget: int = DEFAULT_BUDGET) -> Dict[tuple, set]:
-    """Exhaustive map BA-type -> set of AB-types over all pairs; the matrix
-    side of the placement enumeration, used as an independent oracle."""
-    cells = 2 * n * (n + a)
-    if p**cells > budget:
-        raise BudgetExceeded(f"{p ** cells} pairs exceed the budget of {budget}")
-    m = n + a
+    """Exhaustive map BA-type -> set of AB-types over all pairs, as tuples of
+    parts; the matrix side of the placement enumeration, used as an
+    independent oracle."""
     table: Dict[tuple, set] = {}
-    for entries in itertools.product(range(p), repeat=cells):
-        A = [list(entries[r * n : (r + 1) * n]) for r in range(m)]
-        boff = m * n
-        B = [list(entries[boff + r * m : boff + (r + 1) * m]) for r in range(n)]
-        ta = _raw_type(_raw_mul(B, A, p), p)
-        if ta is None:
-            continue
-        tb = _raw_type(_raw_mul(A, B, p), p)
-        table.setdefault(ta, set()).add(tb)
+    for ta, tb in _pair_types(n, a, p, budget):
+        table.setdefault(ta.parts, set()).add(tb.parts)
     return table
 
 
@@ -297,13 +235,7 @@ def theta_image_report(
     realizes the image type exactly, random chains stay dominated by it, and
     stable samples stay dominated by the flag bound."""
     vectors = strictly_monotone_vectors(max_last)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            instances = list(
-                pool.map(lambda d: _theta_image_instance(d, p, seed, trials), vectors)
-            )
-    else:
-        instances = [_theta_image_instance(d, p, seed, trials) for d in vectors]
+    instances = _map_jobs(lambda d: _theta_image_instance(d, p, seed, trials), vectors, jobs)
     bad = next((inst for inst in instances if not inst["ok"]), None)
     return VerifyReport(
         statement="theta-image",
@@ -325,34 +257,24 @@ def _enumerate_z_points(dims: tuple, field: FieldSpec) -> List[QuiverRep]:
         shapes.append((dims[i + 1], dims[i]))
     for i in range(t - 1):
         shapes.append((dims[i], dims[i + 1]))
-    sizes = [r * c for r, c in shapes]
-    total = sum(sizes)
+    offsets = [0]
+    for r, c in shapes:
+        offsets.append(offsets[-1] + r * c)
     points = []
-    for entries in itertools.product(range(p), repeat=total):
-        mats = []
-        off = 0
-        for (r, c), sz in zip(shapes, sizes):
-            mats.append([list(entries[off + i * c : off + (i + 1) * c]) for i in range(r)])
-            off += sz
-        A_raw = mats[: t - 1]
-        B_raw = mats[t - 1 :]
-        ok = True
-        prev = None
+    for entries in itertools.product(range(p), repeat=offsets[-1]):
+        mats = [entries[offsets[k] : offsets[k + 1]] for k in range(len(shapes))]
+        A_flat = mats[: t - 1]
+        B_flat = mats[t - 1 :]
+        prev = [0] * (dims[0] * dims[0])  # B_1 A_1 = 0
         for i in range(t - 1):
-            ba = _raw_mul(B_raw[i], A_raw[i], p)
-            if i == 0:
-                if any(any(row) for row in ba):
-                    ok = False
-                    break
-            elif ba != prev:
-                ok = False
+            lo, hi = dims[i], dims[i + 1]
+            if _mul_flat(B_flat[i], A_flat[i], lo, hi, lo, p) != prev:
                 break
-            prev = _raw_mul(A_raw[i], B_raw[i], p)
-        if not ok:
-            continue
-        A = [ExactMatrix(r, c, [v for row in m for v in row], field) for (r, c), m in zip(shapes[: t - 1], A_raw)]
-        B = [ExactMatrix(r, c, [v for row in m for v in row], field) for (r, c), m in zip(shapes[t - 1 :], B_raw)]
-        points.append(QuiverRep(dims, A, B, field))
+            prev = _mul_flat(A_flat[i], B_flat[i], hi, lo, hi, p)
+        else:
+            A = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[: t - 1], A_flat)]
+            B = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[t - 1 :], B_flat)]
+            points.append(QuiverRep(dims, A, B, field))
     return points
 
 
@@ -471,11 +393,7 @@ def suite_report(
     tasks.append(lambda: theta_image_report(max_last=max_last, p=p, seed=seed, trials=trials, jobs=1))
     tasks.append(lambda: stability_report(budget=budget))
     tasks.append(lambda: reducible_report(p=p, seed=seed))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda f: f(), tasks))
-    else:
-        reports = [f() for f in tasks]
+    reports = _map_jobs(lambda f: f(), tasks, jobs)
     return {
         "seed": seed,
         "pass": all(r.passed for r in reports),

@@ -104,6 +104,33 @@ def test_verify_all_deterministic(capsys):
     assert out1 == out2 == out3
 
 
+def test_verify_all_honours_sizes(capsys):
+    """--max-last and --trials reach the suite's theta-image report; without
+    them the suite keeps its own sizes."""
+    for extra, max_last, trials in ((["--max-last", "4", "--trials", "1"], 4, 1), ([], 6, 2)):
+        code, payload = run_json(capsys, "--json", "verify", "all", "--seed", "2", *extra)
+        assert code == 0
+        (theta,) = [r for r in payload["reports"] if r["statement"] == "theta-image"]
+        assert theta["params"] == {"max_last": max_last, "p": 32003, "seed": 2, "trials": trials}
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--trials", "-1"), ("--budget", "-1"), ("--max-last", "-1"), ("--jobs", "0")],
+)
+def test_verify_rejects_out_of_range_sizes(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", "verify", "theta-image", flag, value])
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_huge_modulus_exit_code(capsys):
+    code = main(["--json", "dimvec", "verdict", "1,4,5", "--p", "1000000000000000003"])
+    assert code == 2
+    assert "below 2^31" in capsys.readouterr().err
+
+
 def test_json_flag_silences_stderr(capsys):
     main(["--json", "verify", "reducible"])
     captured = capsys.readouterr()

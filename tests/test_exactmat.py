@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -27,7 +31,7 @@ from quiverz.exactmat import (
     transpose,
     zeros,
 )
-from quiverz.partitions import Partition, partitions_up_to_weight
+from quiverz.partitions import Partition, dual, partitions_up_to_weight
 
 F = FieldSpec()
 F2 = FieldSpec(2)
@@ -85,6 +89,10 @@ def test_field_validation():
     for bad in (0, 1, 4, 32001):
         with pytest.raises(ValueError):
             FieldSpec(bad)
+    assert FieldSpec(2**31 - 1).p == 2**31 - 1
+    for big in (2**31, 1000000000000000003):  # the latter is prime
+        with pytest.raises(ValueError, match="below 2\\^31"):
+            FieldSpec(big)
 
 
 def test_matrix_construction():
@@ -267,6 +275,79 @@ def test_jordan_type_examples():
     assert jordan_type(canonical_nilpotent(Partition((3, 2)), F)) == Partition((3, 2))
     with pytest.raises(ValueError, match="not nilpotent"):
         jordan_type(identity(3, F))
+
+
+def _power_oracle(m):
+    """Nilpotency and Jordan type from the ranks of M^0, ..., M^n."""
+    n = m.rows
+    ranks = [rank(mat_pow(m, k)) for k in range(n + 1)]
+    nilpotent = mat_pow(m, n).is_zero()
+    increments = [ranks[k - 1] - ranks[k] for k in range(1, n + 1) if ranks[k - 1] > ranks[k]]
+    return nilpotent, dual(Partition(increments)) if nilpotent else None
+
+
+def _check_against_power_oracle(m):
+    nilpotent, typ = _power_oracle(m)
+    assert is_nilpotent(m) == nilpotent, m.entries
+    if nilpotent:
+        assert jordan_type(m) == typ, m.entries
+    else:
+        with pytest.raises(ValueError, match="not nilpotent"):
+            jordan_type(m)
+
+
+def test_jordan_type_matches_power_oracle_all_3x3_over_f2():
+    kinds = {True: 0, False: 0}
+    for entries in itertools.product(range(2), repeat=9):
+        m = ExactMatrix(3, 3, entries, F2)
+        _check_against_power_oracle(m)
+        kinds[is_nilpotent(m)] += 1
+    assert kinds[True] == 2 ** 6  # nilpotent 3x3 matrices over F_q number q^(n^2 - n)
+
+
+def test_jordan_type_matches_power_oracle_4x4_over_f3():
+    rng = random.Random(13)
+    cases = [random_matrix(4, 4, F3, rng) for _ in range(150)]
+    for eta in partitions_up_to_weight(4):
+        if eta.weight == 4:
+            h = random_invertible(4, F3, rng)
+            cases.append(mul(mul(h, canonical_nilpotent(eta, F3)), inverse(h)))
+    for r in range(1, 4):
+        # Idempotents of rank r: the ranks of their powers stall at r.
+        d = ExactMatrix(4, 4, [int(i == j and i < r) for i in range(4) for j in range(4)], F3)
+        h = random_invertible(4, F3, rng)
+        cases.append(mul(mul(h, d), inverse(h)))
+    # Nilpotent plus idempotent on complementary blocks: ranks drop, then stall.
+    cases.append(M([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]], F3))
+    for m in cases:
+        _check_against_power_oracle(m)
+    assert sum(is_nilpotent(m) for m in cases) >= 5
+    assert sum(not is_nilpotent(m) for m in cases) >= 100
+
+
+def test_jordan_basis_recheck_survives_optimisation():
+    """Under python -O a wrong canonical form must still make jordan_basis
+    raise: the re-check is not an assert."""
+    script = textwrap.dedent(
+        """
+        from quiverz import exactmat
+        from quiverz.partitions import Partition
+        F = exactmat.FieldSpec()
+        N = exactmat.canonical_nilpotent(Partition((2, 1)), F)
+        exactmat.canonical_nilpotent = lambda eta, field: exactmat.zeros(eta.weight, eta.weight, field)
+        try:
+            exactmat.jordan_basis(N)
+        except ArithmeticError as exc:
+            print("raised", type(exc).__name__)
+        """
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "raised ArithmeticError"
 
 
 def test_jordan_type_round_trip():

@@ -2,10 +2,13 @@ import json
 
 import pytest
 
+from quiverz.partitions import Partition, dominates, partitions_of_weight
+
 from quiverz.verify import (
     BudgetExceeded,
     ab_step_report,
     derive_rng,
+    pair_type_table,
     reducible_report,
     stability_report,
     strictly_monotone_vectors,
@@ -45,6 +48,21 @@ def test_ab_step_all_acceptance_instances():
         report = ab_step_report(n, a, p=2)
         assert report.passed, (n, a)
         assert report.size <= 10**4
+
+
+def test_pair_type_table_agrees_with_ab_step():
+    """Both drivers read one pair enumeration: the AB-types reachable from
+    BA-types dominated by eta are the same in the table and in the report."""
+    for n, a, p in ((1, 2, 2), (2, 0, 3)):
+        table = pair_type_table(n, a, p=p)
+        report = ab_step_report(n, a, p=p)
+        assert report.passed
+        for eta, inst in zip(partitions_of_weight(n), report.instances):
+            reachable = set()
+            for ta, tbs in table.items():
+                if dominates(eta, Partition(ta)):
+                    reachable |= tbs
+            assert sorted(reachable, reverse=True) == [tuple(tb) for tb in inst["reachable"]]
 
 
 def test_ab_step_budget_guard():
