@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Set, Tuple
 
-from quiverz.exactmat import ExactMatrix, FieldSpec
+from quiverz.exactmat import CertificateError, ExactMatrix, FieldSpec
 from quiverz.partitions import Partition, add, dominates
 
 
@@ -126,12 +126,17 @@ def _base_b_counts(parts: tuple) -> tuple:
     return tuple(sorted((k, tuple(sorted(v))) for k, v in used.items()))
 
 
-def _row_with_extra(a_count: int, extra: int, lead_first: bool = True) -> ABRow:
-    if extra == 0:
-        return ABRow(a_count)
-    if extra == 1:
-        return ABRow(a_count, leading_b=lead_first, trailing_b=not lead_first)
-    return ABRow(a_count, leading_b=True, trailing_b=True)
+def _placement(eta: Partition, a: int, jvec: Sequence[int], leads: Sequence[bool] = ()) -> ABDiagram:
+    """The diagram whose i-th row has eta's i-th part and jvec[i] end b's (a
+    single one leading unless leads[i] is False), plus singleton-b rows for
+    the rest of the len(eta) + a extra b's."""
+    leads = leads or [True] * len(jvec)
+    rows = [
+        ABRow(p, j == 2 or (j == 1 and lead), j == 2 or (j == 1 and not lead))
+        for p, j, lead in zip(eta.parts, jvec, leads)
+    ]
+    rows.extend(ABRow(0, True, False) for _ in range(len(eta) + a - sum(jvec)))
+    return ABDiagram(rows)
 
 
 def enumerate_b_parts(eta: Partition, a: int, witnesses: bool = False):
@@ -153,13 +158,9 @@ def enumerate_b_parts(eta: Partition, a: int, witnesses: bool = False):
         return out
     found: Dict[Partition, ABDiagram] = {}
     for jvec in itertools.product((0, 1, 2), repeat=s):
-        used = sum(jvec)
-        if used > budget:
-            continue
-        rows = [_row_with_extra(p, j) for p, j in zip(eta.parts, jvec)]
-        rows.extend(ABRow(0, True, False) for _ in range(budget - used))
-        delta = ABDiagram(rows)
-        found.setdefault(delta.b_part, delta)
+        if sum(jvec) <= budget:
+            delta = _placement(eta, a, jvec)
+            found.setdefault(delta.b_part, delta)
     return found
 
 
@@ -169,19 +170,11 @@ def max_diagram(eta: Partition, a: int) -> ABDiagram:
     if a < 0:
         raise ValueError(f"extra b-count must be nonnegative: {a}")
     s = len(eta)
-    if a >= s:
-        rows = [_row_with_extra(p, 2) for p in eta.parts]
-        rows.extend(ABRow(0, True, False) for _ in range(a - s))
-    else:
-        half = (s + a) // 2
-        rows = [_row_with_extra(p, 2) for p in eta.parts[:half]]
-        if (s + a) % 2:
-            rows.append(_row_with_extra(eta.parts[half], 1))
-            rows.extend(ABRow(p) for p in eta.parts[half + 1 :])
-        else:
-            rows.extend(ABRow(p) for p in eta.parts[half:])
-    delta = ABDiagram(rows)
-    assert delta.b_part == add(eta, a)
+    twos = min(s, (s + a) // 2)
+    ones = int(a < s and (s + a) % 2)
+    delta = _placement(eta, a, [2] * twos + [1] * ones + [0] * (s - twos - ones))
+    if delta.b_part != add(eta, a):
+        raise CertificateError(f"max_diagram: b-part {delta.b_part} differs from add({eta}, {a})")
     return delta
 
 
@@ -189,14 +182,11 @@ def random_diagram(eta: Partition, a: int, rng) -> ABDiagram:
     """A uniformly random end-placement of the extra b's (rejection on the
     in-row budget), for sampling arbitrary points of the pair variety."""
     s = len(eta)
-    budget = s + a
     while True:
         jvec = [rng.randrange(3) for _ in range(s)]
-        if sum(jvec) <= budget:
+        if sum(jvec) <= s + a:
             break
-    rows = [_row_with_extra(p, j, lead_first=bool(rng.randrange(2))) for p, j in zip(eta.parts, jvec)]
-    rows.extend(ABRow(0, True, False) for _ in range(budget - sum(jvec)))
-    return ABDiagram(rows)
+    return _placement(eta, a, jvec, [bool(rng.randrange(2)) for _ in range(s)])
 
 
 def max_b_part(eta: Partition, a: int) -> Partition:
@@ -208,10 +198,8 @@ def max_b_part(eta: Partition, a: int) -> Partition:
     maxima = [
         x for x in candidates if all(dominates(x, y) for y in candidates)
     ]
-    assert len(maxima) == 1, f"dominance maximum not unique for {eta}, {a}: {maxima}"
-    assert maxima[0] == add(eta, a), (
-        f"enumerated maximum {maxima[0]} differs from add({eta}, {a}) = {add(eta, a)}"
-    )
+    if len(maxima) != 1 or maxima[0] != add(eta, a):
+        raise CertificateError(f"max_b_part: dominance maxima {maxima} differ from add({eta}, {a})")
     return maxima[0]
 
 

@@ -85,19 +85,24 @@ def _cmd_dimvec(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # Unset sizes fall back to each driver's own default.
-    sizes = {k: v for k, v in (("max_last", args.max_last), ("trials", args.trials)) if v is not None}
     if args.statement == "ab-step":
         report = verify.ab_step_report(args.n, args.a, p=args.p, budget=args.budget)
     elif args.statement == "theta-image":
-        report = verify.theta_image_report(p=args.p, seed=args.seed, jobs=args.jobs, **sizes)
+        report = verify.theta_image_report(
+            max_last=args.max_last, p=args.p, seed=args.seed, trials=args.trials, jobs=args.jobs
+        )
     elif args.statement == "stability":
-        report = verify.stability_report(budget=args.budget)
+        report = verify.stability_report(p=args.p, budget=args.budget)
     elif args.statement == "reducible":
         report = verify.reducible_report(p=args.p, seed=args.seed)
     else:  # all
         suite = verify.suite_report(
-            seed=args.seed, jobs=args.jobs, budget=args.budget, p=args.p, **sizes
+            seed=args.seed,
+            jobs=args.jobs,
+            budget=args.budget,
+            p=args.p,
+            max_last=args.max_last,
+            trials=args.trials,
         )
         _emit(suite)
         for rep in suite["reports"]:
@@ -121,15 +126,44 @@ def _at_least(low: int):
     return parse
 
 
+# The flags a verify statement may read: argparse type and help text.
+_VERIFY_FLAGS = {
+    "n": (int, "source dimension"),
+    "a": (int, "dimension increase"),
+    "p": (int, "field modulus"),
+    "seed": (int, "master seed"),
+    "trials": (_at_least(0), "randomized trials per instance"),
+    "budget": (_at_least(0), "enumeration budget"),
+    "jobs": (_at_least(1), "worker threads"),
+    "max_last": (_at_least(0), "largest last dimension of the swept vectors"),
+}
+
+# Each verify statement takes exactly the flags its driver reads.
+_VERIFY_STATEMENTS = (
+    ("ab-step", {"n": 2, "a": 1, "p": 2, "budget": verify.DEFAULT_BUDGET}),
+    ("theta-image", {"max_last": 8, "trials": 3, "p": DEFAULT_PRIME, "seed": 0, "jobs": 1}),
+    ("stability", {"p": 2, "budget": verify.DEFAULT_BUDGET}),
+    ("reducible", {"p": DEFAULT_PRIME, "seed": 0}),
+    (
+        "all",
+        {"max_last": 6, "trials": 2, "p": DEFAULT_PRIME, "seed": 0, "jobs": 1, "budget": verify.DEFAULT_BUDGET},
+    ),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quiverz",
         description="Exact partition and quiver-variety calculations with verification drivers.",
     )
     parser.add_argument("--json", action="store_true", help="machine output only")
+    # Every subcommand accepts --json too; SUPPRESS keeps a flag given before
+    # the subcommand from being reset by the subparser's default.
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help="machine output only")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    part = sub.add_parser("part", help="partition operations")
+    part = sub.add_parser("part", parents=[json_flag], help="partition operations")
     part_sub = part.add_subparsers(dest="op", required=True)
     for name, extra in (
         ("dual", ()),
@@ -138,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("nvec", ()),
         ("young", ()),
     ):
-        sp = part_sub.add_parser(name)
+        sp = part_sub.add_parser(name, parents=[json_flag])
         sp.add_argument("partition", help='comma-separated parts, e.g. "5,3,3,1"')
         for field_name in extra:
             if field_name == "boxes":
@@ -147,34 +181,26 @@ def build_parser() -> argparse.ArgumentParser:
                 sp.add_argument("other", help="second partition")
         sp.set_defaults(func=_cmd_part)
 
-    dimvec = sub.add_parser("dimvec", help="dimension-vector operations")
+    dimvec = sub.add_parser("dimvec", parents=[json_flag], help="dimension-vector operations")
     dim_sub = dimvec.add_subparsers(dest="op", required=True)
     for name in ("classify", "mu", "lambda", "slack", "obstruction", "verdict"):
-        sp = dim_sub.add_parser(name)
+        sp = dim_sub.add_parser(name, parents=[json_flag])
         sp.add_argument("dims", help='comma-separated dimensions, e.g. "1,4,5"')
         if name == "verdict":
             sp.add_argument("--p", type=int, default=DEFAULT_PRIME, help="field modulus")
             sp.add_argument("--seed", type=int, default=0, help="master seed")
         sp.set_defaults(func=_cmd_dimvec)
 
-    ver = sub.add_parser("verify", help="verification drivers")
-    ver.add_argument(
-        "statement",
-        choices=["ab-step", "theta-image", "stability", "reducible", "all"],
-    )
-    ver.add_argument("--n", type=int, default=2, help="source dimension for ab-step")
-    ver.add_argument("--a", type=int, default=1, help="dimension increase for ab-step")
-    ver.add_argument("--p", type=int, default=None, help="field modulus")
-    ver.add_argument("--seed", type=int, default=0, help="master seed")
-    ver.add_argument(
-        "--trials", type=_at_least(0), help="randomized trials per instance (default 3; 2 for all)"
-    )
-    ver.add_argument("--budget", type=_at_least(0), default=verify.DEFAULT_BUDGET, help="enumeration budget")
-    ver.add_argument("--jobs", type=_at_least(1), default=1, help="worker threads")
-    ver.add_argument(
-        "--max-last", type=_at_least(0), help="largest last dimension for theta-image (default 8; 6 for all)"
-    )
-    ver.set_defaults(func=_cmd_verify)
+    ver = sub.add_parser("verify", parents=[json_flag], help="verification drivers")
+    ver_sub = ver.add_subparsers(dest="statement", required=True)
+    for statement, defaults in _VERIFY_STATEMENTS:
+        sp = ver_sub.add_parser(statement, parents=[json_flag])
+        for name, default in defaults.items():
+            kind, text = _VERIFY_FLAGS[name]
+            sp.add_argument(
+                "--" + name.replace("_", "-"), type=kind, default=default, help=f"{text} (default {default})"
+            )
+        sp.set_defaults(func=_cmd_verify)
 
     return parser
 
@@ -182,16 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "p", None) is None and hasattr(args, "p"):
-        # Exhaustive statements default to the tiny field, randomized ones to
-        # the large one.
-        args.p = 2 if getattr(args, "statement", "") in ("ab-step", "stability") else DEFAULT_PRIME
     try:
         return args.func(args)
-    except verify.BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # includes verify.BudgetExceeded
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,6 +30,11 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+class CertificateError(ArithmeticError):
+    """A re-check of a computed certificate failed: an internal fault, never
+    bad input.  Raised by code that stays on under python -O."""
+
+
 class FieldSpec:
     """A prime field F_p, p prime below 2^31 (default 32003)."""
 
@@ -251,25 +256,31 @@ def is_injective(M: ExactMatrix) -> bool:
     return rank(M) == M.cols
 
 
+def _null_vectors(rows: List[List[int]], pivots: List[int], width: int, p: int) -> List[List[int]]:
+    """Basis of {x : R x = 0} for R in RREF with the given pivot columns,
+    reading only its first width columns: one vector per free column."""
+    pivot_set = set(pivots)
+    vectors = []
+    for f in range(width):
+        if f not in pivot_set:
+            v = [0] * width
+            v[f] = 1
+            for r, c in enumerate(pivots):
+                v[c] = (-rows[r][f]) % p
+            vectors.append(v)
+    return vectors
+
+
+def _from_columns(vectors: Sequence[Sequence[int]], rows: int, field: FieldSpec) -> ExactMatrix:
+    """The rows x len(vectors) matrix with the given columns."""
+    return ExactMatrix(rows, len(vectors), [v[i] for i in range(rows) for v in vectors], field)
+
+
 def kernel_basis(M: ExactMatrix) -> ExactMatrix:
     """Matrix whose columns form a basis of {x : Mx = 0}; cols - rank of them."""
-    p = M.field.p
     R = M.to_rows()
-    pivots = _rref(R, p)
-    pivot_set = set(pivots)
-    free = [j for j in range(M.cols) if j not in pivot_set]
-    vectors = []
-    for f in free:
-        v = [0] * M.cols
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-R[r][f]) % p
-        vectors.append(v)
-    out = [0] * (M.cols * len(free))
-    for j, v in enumerate(vectors):
-        for i in range(M.cols):
-            out[i * len(free) + j] = v[i]
-    return ExactMatrix(M.cols, len(free), out, M.field)
+    pivots = _rref(R, M.field.p)
+    return _from_columns(_null_vectors(R, pivots, M.cols, M.field.p), M.cols, M.field)
 
 
 def inverse(M: ExactMatrix) -> ExactMatrix:
@@ -307,13 +318,13 @@ def solve(M: ExactMatrix, C: ExactMatrix, rng=None) -> ExactMatrix:
         for j in range(nx):
             sol[j][c] = aug[r][M.rows + j]
     if rng is not None:
-        hom = kernel_basis(Mt)  # columns span {y : M^T y = 0}
+        hom = _null_vectors(aug, pivots, M.rows, p)  # aug's left block is the RREF of M^T
         for j in range(nx):
-            for k in range(hom.cols):
+            for v in hom:
                 coeff = rng.randrange(p)
                 if coeff:
                     for i in range(M.rows):
-                        sol[j][i] = (sol[j][i] + coeff * hom.at(i, k)) % p
+                        sol[j][i] = (sol[j][i] + coeff * v[i]) % p
     return ExactMatrix(nx, M.rows, [v for row in sol for v in row], M.field)
 
 
@@ -342,20 +353,29 @@ def canonical_nilpotent(eta: Partition, field: FieldSpec) -> ExactMatrix:
     return ExactMatrix(n, n, out, field)
 
 
-def _jordan_flat(entries: Sequence[int], n: int, p: int) -> Optional[Partition]:
+def _jordan_flat(
+    entries: Sequence[int], n: int, p: int, kernels: Optional[list] = None
+) -> Optional[Partition]:
     """Jordan type of the flat n x n matrix N, or None if N is not nilpotent.
 
     An RREF basis of rowspace(N^k) times N spans rowspace(N^{k+1}), so each
     power costs one elimination of ever fewer rows.  The ranks reach 0 exactly
     when N is nilpotent; a rank that stalls above 0 means it is not.  The
-    rank drops are the kernel-dimension increments, whose dual is the type."""
+    rank drops are the kernel-dimension increments, whose dual is the type.
+
+    Given a list kernels, the null vectors of the k-th RREF, a basis of
+    ker N^k, are appended to it for k = 1, 2, ...  The RREF of a row space is
+    unique, so these are the columns kernel_basis(N^k) returns."""
     drops = []
     prev = n
     rows = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
     while prev:
-        r = len(_rref(rows, p))
+        pivots = _rref(rows, p)
+        r = len(pivots)
         if r == prev:
             return None
+        if kernels is not None:
+            kernels.append(_null_vectors(rows, pivots, n, p))
         drops.append(prev - r)
         prev = r
         if r:
@@ -387,30 +407,26 @@ def jordan_basis(N: ExactMatrix) -> ExactMatrix:
 
     Chains are grown from the top height down: at height j, new chain tops
     complete ker N^{j-1} plus the images of the longer chains to a basis of
-    ker N^j.  The conjugation identity is re-checked before returning."""
-    typ = jordan_type(N)
+    ker N^j.  The kernels come from the Jordan-type pass.  The conjugation
+    identity is re-checked before returning."""
+    if not N.is_square():
+        raise ValueError("nilpotency of a non-square matrix")
     n = N.rows
     field = N.field
-    if n == 0:
-        return identity(0, field)
-    depth = typ.parts[0]
-    kernels = []  # kernels[j] spans ker N^{j+1}
-    P = N
-    for _ in range(depth):
-        kernels.append(kernel_basis(P))
-        P = mul(P, N)
     p = field.p
+    kernels: List[List[List[int]]] = []  # kernels[j] spans ker N^{j+1}
+    typ = _jordan_flat(N.entries, n, p, kernels)
+    if typ is None:
+        raise ValueError("not nilpotent")
     chains: List[list] = []  # chain[i] = N^i applied to the top
-    for j in range(depth, 0, -1):
-        # New tops are the level columns that are pivot columns of
+    for j in range(len(kernels), 0, -1):
+        # New tops are the level vectors that are pivot columns of
         # [ker N^{j-1} | longer chains at height j | ker N^j]: the greedy
         # left-to-right choice of vectors outside the span so far.
         span = [chain[len(chain) - j] for chain in chains]
         if j >= 2:
-            lower = kernels[j - 2]
-            span = [lower.column(c) for c in range(lower.cols)] + span
-        level = kernels[j - 1]
-        cands = span + [level.column(c) for c in range(level.cols)]
+            span = kernels[j - 2] + span
+        cands = span + kernels[j - 1]
         pivots = _rref([[v[i] for v in cands] for i in range(n)], p)
         for c in pivots:
             if c >= len(span):
@@ -421,13 +437,9 @@ def jordan_basis(N: ExactMatrix) -> ExactMatrix:
     columns: list = []
     for chain in chains:  # built longest first
         columns.extend(reversed(chain))
-    out = [0] * (n * n)
-    for j, col in enumerate(columns):
-        for i in range(n):
-            out[i * n + j] = col[i]
-    g = ExactMatrix(n, n, out, field)
+    g = _from_columns(columns, n, field)
     if mul(mul(inverse(g), N), g) != canonical_nilpotent(typ, field):
-        raise ArithmeticError(f"jordan_basis: g^-1 N g is not the canonical form of type {typ}")
+        raise CertificateError(f"jordan_basis: g^-1 N g is not the canonical form of type {typ}")
     return g
 
 
@@ -439,7 +451,8 @@ def conjugator(N1: ExactMatrix, N2: ExactMatrix) -> ExactMatrix:
     if t1 != t2:
         raise ValueError(f"jordan types differ: {t1} vs {t2}")
     g = mul(jordan_basis(N1), inverse(jordan_basis(N2)))
-    assert mul(mul(g, N2), inverse(g)) == N1
+    if mul(g, N2) != mul(N1, g):
+        raise CertificateError("conjugator: g N2 differs from N1 g")
     return g
 
 

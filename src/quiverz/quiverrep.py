@@ -18,6 +18,7 @@ import itertools
 
 from quiverz.abdiagrams import ABDiagram, build_pair, max_diagram, random_diagram
 from quiverz.exactmat import (
+    CertificateError,
     ExactMatrix,
     FieldSpec,
     all_subspaces,
@@ -242,7 +243,8 @@ def sample_stable(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
         block = [endo.at(r, c) for r in range(dims[i]) for c in range(dims[i + 1])]
         B.append(ExactMatrix(dims[i], dims[i + 1], block, field))
     z = act(random_group_element(dims, field, rng), QuiverRep(dims, A, B, field))
-    assert check_relations(z) and is_stable(z)
+    if not (check_relations(z) and is_stable(z)):
+        raise CertificateError(f"sample_stable: the sample for {dims} is not a stable point")
     return z
 
 
@@ -366,40 +368,36 @@ def from_flag_point(x: FlagPoint, field: Optional[FieldSpec] = None) -> QuiverRe
     A = [_solve_unique(basis[i + 1], basis[i]) for i in range(t - 1)]
     B = [_solve_unique(basis[i], mul(x.endo, basis[i + 1])) for i in range(t - 1)]
     z = QuiverRep(x.dims, A, B, field)
-    assert check_relations(z) and is_stable(z)
-    assert theta(z) == x.endo
+    if not (check_relations(z) and is_stable(z) and theta(z) == x.endo):
+        raise CertificateError("from_flag_point: the result is not a stable point over the flag")
     return z
+
+
+def _walk_chain(dims: Sequence[int], place) -> List[ABDiagram]:
+    """Placements place(eta, step) along the difference sequence, each eta
+    the b-part of the previous placement."""
+    dims = as_dim_vector(dims)
+    eta = Partition((1,) * dims[0])
+    chain = []
+    for i in range(len(dims) - 1):
+        step = dims[i + 1] - dims[i]
+        if step < 0:
+            raise ValueError(f"decreasing step at position {i + 1}: {dims}")
+        delta = place(eta, step)
+        chain.append(delta)
+        eta = delta.b_part
+    return chain
 
 
 def greedy_chain(dims: Sequence[int]) -> List[ABDiagram]:
     """The chain of top placements along the difference sequence; its final
     b-part is theta_image(dims)."""
-    dims = as_dim_vector(dims)
-    eta = Partition((1,) * dims[0])
-    chain = []
-    for i in range(len(dims) - 1):
-        step = dims[i + 1] - dims[i]
-        if step < 0:
-            raise ValueError(f"decreasing step at position {i + 1}: {dims}")
-        delta = max_diagram(eta, step)
-        chain.append(delta)
-        eta = delta.b_part
-    return chain
+    return _walk_chain(dims, max_diagram)
 
 
 def random_chain(dims: Sequence[int], rng) -> List[ABDiagram]:
     """A random compatible chain of placements along the difference sequence."""
-    dims = as_dim_vector(dims)
-    eta = Partition((1,) * dims[0])
-    chain = []
-    for i in range(len(dims) - 1):
-        step = dims[i + 1] - dims[i]
-        if step < 0:
-            raise ValueError(f"decreasing step at position {i + 1}: {dims}")
-        delta = random_diagram(eta, step, rng)
-        chain.append(delta)
-        eta = delta.b_part
-    return chain
+    return _walk_chain(dims, lambda eta, step: random_diagram(eta, step, rng))
 
 
 def build_from_chain(deltas: Sequence[ABDiagram], field: FieldSpec) -> QuiverRep:
@@ -438,8 +436,8 @@ def build_from_chain(deltas: Sequence[ABDiagram], field: FieldSpec) -> QuiverRep
         A.append(mul(Ai, ginv))
         B.append(mul(g, Bi))
     z = QuiverRep(tuple(dims), A, B, field)
-    assert check_relations(z)
-    assert jordan_type(theta(z)) == deltas[-1].b_part
+    if not check_relations(z) or jordan_type(theta(z)) != deltas[-1].b_part:
+        raise CertificateError(f"build_from_chain: the point glued for {dims} fails its re-check")
     return z
 
 
@@ -489,10 +487,9 @@ def witness_reducible(dims: Sequence[int], field: FieldSpec, rng) -> Reducibilit
     z2 = sample_stable(dims, field, rng)
     w1 = _witness_payload("chain", z1)
     w2 = _witness_payload("stable", z2)
-    assert w1["relations"] and w2["relations"]
-    assert Partition(w1["theta_type"]) == lam
-    assert dominates(mu, Partition(w2["theta_type"]))
-    assert w2["stable"]
+    ok = w1["relations"] and w2["relations"] and w2["stable"]
+    if not ok or Partition(w1["theta_type"]) != lam or not dominates(mu, Partition(w2["theta_type"])):
+        raise CertificateError(f"witness_reducible: the witnesses for {dims} fail their re-check")
     return ReducibilityReport(dims, lam, mu, "reducible", [w1, w2])
 
 

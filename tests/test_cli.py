@@ -119,8 +119,9 @@ def test_verify_all_honours_sizes(capsys):
     [("--trials", "-1"), ("--budget", "-1"), ("--max-last", "-1"), ("--jobs", "0")],
 )
 def test_verify_rejects_out_of_range_sizes(capsys, flag, value):
+    statement = "ab-step" if flag == "--budget" else "theta-image"  # a statement that reads the flag
     with pytest.raises(SystemExit) as exc:
-        main(["--json", "verify", "theta-image", flag, value])
+        main(["--json", "verify", statement, flag, value])
     assert exc.value.code == 2
     assert "must be at least" in capsys.readouterr().err
 
@@ -138,3 +139,43 @@ def test_json_flag_silences_stderr(capsys):
     main(["verify", "reducible"])
     captured = capsys.readouterr()
     assert "reducible" in captured.err
+
+
+def test_verify_rejects_unread_flag(capsys):
+    """A statement refuses a flag its driver would ignore."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", "verify", "theta-image", "--budget", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+
+
+def test_verify_stability_reads_modulus(capsys):
+    """stability runs over the given field: a composite modulus is refused,
+    and F_3 makes the (1,2,3) enumeration exceed the default budget."""
+    assert main(["--json", "verify", "stability", "--p", "4"]) == 2
+    assert "must be prime" in capsys.readouterr().err
+    assert main(["--json", "verify", "stability", "--p", "3"]) == 2
+    assert "exceed the budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--json", "verify", "reducible"],
+        ["verify", "reducible", "--json"],
+        ["verify", "--json", "reducible"],
+    ],
+)
+def test_json_flag_in_either_position(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["pass"] is True
+
+
+def test_json_flag_after_part_and_dimvec(capsys):
+    assert run(capsys, "part", "young", "2,1", "--json") == (0, '"[][]\\n[]"')
+    code = main(["dimvec", "verdict", "1,4,5", "--json"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["verdict"] == "reducible"

@@ -347,7 +347,7 @@ def test_jordan_basis_recheck_survives_optimisation():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "raised ArithmeticError"
+    assert done.stdout.strip() == "raised CertificateError"
 
 
 def test_jordan_type_round_trip():
@@ -394,6 +394,76 @@ def test_jordan_basis_small_fields():
             n = mul(mul(h, canonical_nilpotent(eta, field)), inverse(h))
             g = jordan_basis(n)
             assert mul(mul(inverse(g), n), g) == canonical_nilpotent(eta, field)
+
+
+def _jordan_basis_reference(N):
+    """jordan_basis as first written, as an oracle: a kernel_basis of every
+    power N^k, and chain tops chosen greedily by rank from
+    [ker N^{j-1} | longer chains at height j | ker N^j]."""
+    typ = jordan_type(N)
+    n, field = N.rows, N.field
+    if n == 0:
+        return identity(0, field)
+    kernels = []  # kernels[j] spans ker N^{j+1}
+    P = N
+    for _ in range(typ.parts[0]):
+        K = kernel_basis(P)
+        kernels.append([K.column(c) for c in range(K.cols)])
+        P = mul(P, N)
+    chains = []
+    for j in range(len(kernels), 0, -1):
+        picked = [chain[len(chain) - j] for chain in chains]
+        if j >= 2:
+            picked = kernels[j - 2] + picked
+        for v in kernels[j - 1]:
+            before = rank(ExactMatrix.from_rows(picked, field, cols=n))
+            if rank(ExactMatrix.from_rows(picked + [v], field)) > before:
+                picked.append(v)
+                chain = [v]
+                for _ in range(j - 1):
+                    chain.append(mul(N, ExactMatrix(n, 1, chain[-1], field)).entries)
+                chains.append(chain)
+    columns = [col for chain in chains for col in reversed(chain)]
+    return transpose(ExactMatrix.from_rows(columns, field))
+
+
+def test_jordan_basis_matches_power_loop_oracle():
+    """The kernels read from the Jordan-type pass give the same g, byte for
+    byte, as a kernel_basis of every power."""
+    rng = random.Random(15)
+    cases = []
+    for field in (F2, F3, F):
+        cases += [zeros(0, 0, field), zeros(4, 4, field)]
+        for eta in partitions_up_to_weight(7):
+            h = random_invertible(eta.weight, field, rng)
+            cases.append(mul(mul(h, canonical_nilpotent(eta, field)), inverse(h)))
+    for n in cases:
+        assert jordan_basis(n) == _jordan_basis_reference(n)
+
+
+def _solve_reference(M, C, rng):
+    """solve with its homogeneous part taken from kernel_basis(transpose(M))."""
+    p = M.field.p
+    X = solve(M, C).to_rows()
+    hom = kernel_basis(transpose(M))
+    for row in X:
+        for k in range(hom.cols):
+            coeff = rng.randrange(p)
+            if coeff:
+                for i in range(M.rows):
+                    row[i] = (row[i] + coeff * hom.at(i, k)) % p
+    return ExactMatrix.from_rows(X, M.field, cols=M.rows)
+
+
+def test_solve_matches_kernel_basis_oracle():
+    rng = random.Random(16)
+    for field in (F2, F3, F):
+        for seed in range(40):
+            r, c = rng.randint(1, 5), rng.randint(1, 5)
+            k = rng.randint(0, min(r, c) - 1)  # rank at most k < min(r, c)
+            M = mul(random_matrix(r, k, field, rng), random_matrix(k, c, field, rng))
+            C = mul(random_matrix(rng.randint(1, 3), r, field, rng), M)
+            assert solve(M, C, random.Random(seed)) == _solve_reference(M, C, random.Random(seed))
 
 
 def test_conjugator():

@@ -1,0 +1,105 @@
+"""Byte-identity contract: sha256 digests of CLI and API outputs.
+
+The digests were recorded before the kernel and driver routines were
+consolidated; a refactor that changes any certificate, report, table, Jordan
+basis or placement diagram by a single byte fails here.  To see what a case
+prints, call its builder, e.g. ``_cli("verify", "all", ...)``.
+"""
+
+import hashlib
+import io
+import json
+import random
+from contextlib import redirect_stdout
+
+import pytest
+
+from quiverz.abdiagrams import enumerate_b_parts, max_diagram, random_diagram
+from quiverz.cli import main
+from quiverz.exactmat import FieldSpec, canonical_nilpotent, inverse, jordan_basis, mul, random_invertible
+from quiverz.partitions import partitions_up_to_weight
+from quiverz.verify import pair_type_table
+
+
+def _cli(*argv) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["--json", *argv])
+    return f"{code}\n{buf.getvalue()}"
+
+
+def _pair_table() -> str:
+    table = pair_type_table(2, 1, p=2)
+    return json.dumps(sorted((list(k), sorted(map(list, v))) for k, v in table.items()))
+
+
+def _jordan_bases() -> str:
+    """g for seeded conjugates of canonical nilpotents over F_2, F_3 and
+    F_32003, including n = 0 and the zero matrix."""
+    rng = random.Random(2024)
+    out = []
+    for p in (2, 3, 32003):
+        field = FieldSpec(p)
+        for eta in partitions_up_to_weight(7):
+            N = canonical_nilpotent(eta, field)
+            h = random_invertible(eta.weight, field, rng)
+            out.append(list(jordan_basis(mul(mul(h, N), inverse(h))).entries))
+    return json.dumps(out)
+
+
+def _placements() -> str:
+    rng = random.Random(6)
+    out = []
+    for eta in partitions_up_to_weight(6):
+        for a in range(5):
+            wit = enumerate_b_parts(eta, a, witnesses=True)
+            out.append(
+                [
+                    max_diagram(eta, a).to_strings(),
+                    random_diagram(eta, a, rng).to_strings(),
+                    [[b.to_list(), d.to_strings()] for b, d in wit.items()],
+                ]
+            )
+    return json.dumps(out)
+
+
+CASES = {
+    "verify-all": (
+        lambda: _cli("verify", "all", "--seed", "7", "--max-last", "4", "--trials", "1"),
+        "1f51dc7426a453830df31d261a1d0ecd7daa16631bb8e03d2f4782232dce913c",
+    ),
+    "verdict-1,4,5": (
+        lambda: _cli("dimvec", "verdict", "1,4,5"),
+        "89632bb43ed55ac0d29e511b4e5086c3f12dc0a8429e3314d7d4ab7f1fe02e2d",
+    ),
+    "verdict-4,11,16": (
+        lambda: _cli("dimvec", "verdict", "4,11,16"),
+        "f540a05e2c658973e8d21b1023e568f7dbaab15813a30e3f832e7439c0c81a37",
+    ),
+    "verdict-12,27,40": (
+        lambda: _cli("dimvec", "verdict", "12,27,40"),
+        "237f27649105cbb04fb027fb551ac5f8ae3c655a2e278de67477b946c123a0af",
+    ),
+    "verdict-4,7,13,16": (
+        lambda: _cli("dimvec", "verdict", "4,7,13,16"),
+        "17037b664fea10f1e097267aae38fa98d9abce90960946532e011fdc86df2278",
+    ),
+    "pair-table-2,1,2": (
+        _pair_table,
+        "c3dd5fd0a88080bb03cae76ee35c7968860ceede05a3687ebc9546e2ba5be240",
+    ),
+    "jordan-basis": (
+        _jordan_bases,
+        "c17bd1e4397b6b1adbe2d87dcb86ea8e29937f77adc1f9db340f6a417ba7730d",
+    ),
+    "placements": (
+        _placements,
+        "6fbcd8d9b00dac211e0370a96724640850ea4d15e9bc689d8c08382b15ff4157",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_digest(name):
+    build, digest = CASES[name]
+    assert hashlib.sha256(build().encode()).hexdigest() == digest

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -379,3 +383,43 @@ def test_witness_no_obstruction():
         assert rep.witnesses == []
     with pytest.raises(ValueError):
         witness_reducible((2, 2), F, random.Random(0))
+
+
+def test_certificate_checks_survive_optimisation():
+    """Under python -O a failing re-check still raises CertificateError: the
+    checks in build_from_chain, sample_stable and witness_reducible are not
+    asserts."""
+    script = textwrap.dedent(
+        """
+        import random
+        from quiverz import exactmat, quiverrep
+        from quiverz.partitions import Partition
+        F = exactmat.FieldSpec()
+
+        def attempt(call):
+            try:
+                call()
+                print("passed")
+            except exactmat.CertificateError as exc:
+                print("raised in", str(exc).split(":")[0])
+
+        real_check = quiverrep.check_relations
+        quiverrep.check_relations = lambda z: False  # no point satisfies the relations
+        attempt(lambda: quiverrep.build_from_chain(quiverrep.greedy_chain((1, 4, 5)), F))
+        attempt(lambda: quiverrep.sample_stable((1, 4, 5), F, random.Random(0)))
+        quiverrep.check_relations = real_check
+        quiverrep.mu_of = lambda d: Partition((1,) * d[-1])  # a bound no stable sample meets
+        attempt(lambda: quiverrep.witness_reducible((1, 4, 5), F, random.Random(0)))
+        """
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "raised in build_from_chain",
+        "raised in sample_stable",
+        "raised in witness_reducible",
+    ]
