@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from quiverz.exactmat import CertificateError, ExactMatrix, FieldSpec
 from quiverz.partitions import Partition, add, dominates
@@ -113,17 +113,18 @@ class ABDiagram:
 
 
 @lru_cache(maxsize=None)
-def _base_b_counts(parts: tuple) -> tuple:
-    """For each possible number of extra b's spent inside the rows, the set of
-    per-row b-count multisets: row i takes p_i - 1 interior b's and 0..2 end
-    b's.  One exhaustive 3^s pass, deduplicated."""
-    used: Dict[int, Set[tuple]] = {}
+def _placement_table(parts: tuple) -> tuple:
+    """The end-placements of one a-part, deduplicated: row i takes p_i - 1
+    interior b's and jvec[i] in 0..2 end b's.  One (used, counts, jvec) per
+    distinct pair of used = sum(jvec) and the decreasing nonzero per-row
+    b-counts, jvec the first placement giving it in the 3^s product order."""
+    table: Dict[tuple, tuple] = {}
     for jvec in itertools.product((0, 1, 2), repeat=len(parts)):
         counts = tuple(
             sorted((p - 1 + j for p, j in zip(parts, jvec) if p - 1 + j > 0), reverse=True)
         )
-        used.setdefault(sum(jvec), set()).add(counts)
-    return tuple(sorted((k, tuple(sorted(v))) for k, v in used.items()))
+        table.setdefault((sum(jvec), counts), jvec)
+    return tuple((used, counts, jvec) for (used, counts), jvec in table.items())
 
 
 def _placement(eta: Partition, a: int, jvec: Sequence[int], leads: Sequence[bool] = ()) -> ABDiagram:
@@ -142,26 +143,20 @@ def _placement(eta: Partition, a: int, jvec: Sequence[int], leads: Sequence[bool
 def enumerate_b_parts(eta: Partition, a: int, witnesses: bool = False):
     """All b-parts of diagrams with a-part exactly eta and weight(eta) + a
     total b's.  Returns a set of Partitions, or with witnesses=True a dict
-    mapping each b-part to one diagram realizing it."""
+    mapping each b-part to one diagram realizing it.
+
+    A b-part's first realizing placement is the first of its (used, counts)
+    entry, so the witnesses and their order follow the 3^s product."""
     if a < 0:
         raise ValueError(f"extra b-count must be nonnegative: {a}")
-    s = len(eta)
-    budget = s + a
+    budget = len(eta) + a
+    found: Dict[Partition, tuple] = {}
+    for used, counts, jvec in _placement_table(eta.parts):
+        if used <= budget:
+            found.setdefault(Partition(counts + (1,) * (budget - used)), jvec)
     if not witnesses:
-        out = set()
-        for used, countsets in _base_b_counts(eta.parts):
-            if used > budget:
-                continue
-            ones = (1,) * (budget - used)
-            for counts in countsets:
-                out.add(Partition(counts + ones))
-        return out
-    found: Dict[Partition, ABDiagram] = {}
-    for jvec in itertools.product((0, 1, 2), repeat=s):
-        if sum(jvec) <= budget:
-            delta = _placement(eta, a, jvec)
-            found.setdefault(delta.b_part, delta)
-    return found
+        return set(found)
+    return {b: _placement(eta, a, jvec) for b, jvec in found.items()}
 
 
 def max_diagram(eta: Partition, a: int) -> ABDiagram:

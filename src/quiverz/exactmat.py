@@ -49,12 +49,6 @@ class FieldSpec:
             raise ValueError(f"modulus must be prime, got {p}")
         self.p = p
 
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FieldSpec) and self.p == other.p
 
@@ -402,8 +396,8 @@ def jordan_type(N: ExactMatrix) -> Partition:
     return typ
 
 
-def jordan_basis(N: ExactMatrix) -> ExactMatrix:
-    """Invertible g with g^-1 N g = canonical_nilpotent(jordan_type(N)).
+def _jordan_basis(N: ExactMatrix) -> tuple:
+    """(g, jordan_type(N), g^-1) with g^-1 N g the canonical nilpotent.
 
     Chains are grown from the top height down: at height j, new chain tops
     complete ker N^{j-1} plus the images of the longer chains to a basis of
@@ -438,19 +432,25 @@ def jordan_basis(N: ExactMatrix) -> ExactMatrix:
     for chain in chains:  # built longest first
         columns.extend(reversed(chain))
     g = _from_columns(columns, n, field)
-    if mul(mul(inverse(g), N), g) != canonical_nilpotent(typ, field):
+    ginv = inverse(g)
+    if mul(mul(ginv, N), g) != canonical_nilpotent(typ, field):
         raise CertificateError(f"jordan_basis: g^-1 N g is not the canonical form of type {typ}")
-    return g
+    return g, typ, ginv
+
+
+def jordan_basis(N: ExactMatrix) -> ExactMatrix:
+    """Invertible g with g^-1 N g = canonical_nilpotent(jordan_type(N))."""
+    return _jordan_basis(N)[0]
 
 
 def conjugator(N1: ExactMatrix, N2: ExactMatrix) -> ExactMatrix:
     """Invertible g with g N2 g^-1 = N1, for nilpotents of equal Jordan type."""
     _require_same_field(N1, N2)
-    t1 = jordan_type(N1)
-    t2 = jordan_type(N2)
+    g1, t1, _ = _jordan_basis(N1)
+    _, t2, g2inv = _jordan_basis(N2)
     if t1 != t2:
         raise ValueError(f"jordan types differ: {t1} vs {t2}")
-    g = mul(jordan_basis(N1), inverse(jordan_basis(N2)))
+    g = mul(g1, g2inv)
     if mul(g, N2) != mul(N1, g):
         raise CertificateError("conjugator: g N2 differs from N1 g")
     return g

@@ -12,7 +12,7 @@ ab-diagram pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import itertools
 
@@ -21,6 +21,7 @@ from quiverz.exactmat import (
     CertificateError,
     ExactMatrix,
     FieldSpec,
+    _mul_flat,
     all_subspaces,
     conjugator,
     hstack,
@@ -126,16 +127,20 @@ def zero_rep(dims: Sequence[int], field: FieldSpec) -> QuiverRep:
     return QuiverRep(dims, A, B, field)
 
 
-def check_relations(z: QuiverRep) -> bool:
-    """True iff B_1 A_1 = 0 and B_i A_i = A_{i-1} B_{i-1} exactly."""
-    for i in range(z.t - 1):
-        back_forward = mul(z.B[i], z.A[i])
-        if i == 0:
-            if not back_forward.is_zero():
-                return False
-        elif back_forward != mul(z.A[i - 1], z.B[i - 1]):
+def _relations_flat(dims: Sequence[int], A: Sequence, B: Sequence, p: int) -> bool:
+    """B_1 A_1 = 0 and B_i A_i = A_{i-1} B_{i-1} mod p, for the maps given as
+    flat row-major entries in the shapes dims sets."""
+    for i in range(len(dims) - 1):
+        lo, hi = dims[i], dims[i + 1]
+        prev = _mul_flat(A[i - 1], B[i - 1], lo, dims[i - 1], lo, p) if i else [0] * (lo * lo)
+        if _mul_flat(B[i], A[i], lo, hi, lo, p) != prev:
             return False
     return True
+
+
+def check_relations(z: QuiverRep) -> bool:
+    """True iff B_1 A_1 = 0 and B_i A_i = A_{i-1} B_{i-1} exactly."""
+    return _relations_flat(z.dims, [M.entries for M in z.A], [M.entries for M in z.B], z.field.p)
 
 
 def nilpotency_degrees(z: QuiverRep) -> bool:
@@ -143,12 +148,9 @@ def nilpotency_degrees(z: QuiverRep) -> bool:
     consequences of the relations, which must hold on input."""
     if not check_relations(z):
         raise ValueError("relations fail; nilpotency degrees are only meaningful on the variety")
-    for i in range(1, z.t):
-        ba = mul(z.B[i - 1], z.A[i - 1])
-        ab = mul(z.A[i - 1], z.B[i - 1])
-        if not mat_pow(ba, i).is_zero() or not mat_pow(ab, i + 1).is_zero():
-            return False
-    return True
+    # On the variety B_1 A_1 = 0 and B_{i+1} A_{i+1} = A_i B_i, so each
+    # (B_i A_i)^i = 0 is the condition (A_{i-1} B_{i-1})^i = 0 checked below.
+    return all(mat_pow(mul(z.A[i - 1], z.B[i - 1]), i + 1).is_zero() for i in range(1, z.t))
 
 
 def is_stable(z: QuiverRep) -> bool:
@@ -289,7 +291,7 @@ class FlagPoint:
             if prev is not None:
                 if prev.cols > basis.cols:
                     raise ValueError("flag dimensions must be weakly increasing")
-                if rank(hstack(basis, prev)) != basis.cols:
+                if not _contained(prev, basis):
                     raise ValueError(f"flag subspace {i} is not contained in subspace {i + 1}")
             prev = basis
         if self.flag and self.flag[-1].cols > nt:
@@ -300,10 +302,10 @@ class FlagPoint:
             if i == 0:
                 if not image.is_zero():
                     raise ValueError("endomorphism does not kill the smallest subspace")
-            elif rank(hstack(self.flag[i - 1], image)) != self.flag[i - 1].cols:
+            elif not _contained(image, self.flag[i - 1]):
                 raise ValueError(f"endomorphism does not lower subspace {i + 1} into subspace {i}")
         if self.flag:
-            if rank(hstack(self.flag[-1], self.endo)) != self.flag[-1].cols:
+            if not _contained(self.endo, self.flag[-1]):
                 raise ValueError("endomorphism does not map the full space into the top subspace")
         elif not self.endo.is_zero():
             raise ValueError("endomorphism of a length-one flag must vanish")
@@ -355,12 +357,10 @@ def _solve_unique(M: ExactMatrix, C: ExactMatrix) -> ExactMatrix:
     return transpose(Xt)
 
 
-def from_flag_point(x: FlagPoint, field: Optional[FieldSpec] = None) -> QuiverRep:
+def from_flag_point(x: FlagPoint) -> QuiverRep:
     """The stable point whose flag of images is x: forward maps express each
     basis inside the next, backward maps express the lowered endomorphism."""
     x.validate()
-    if field is not None and field != x.field:
-        raise ValueError(f"field mismatch: {field} vs {x.field}")
     field = x.field
     t = len(x.flag) + 1
     nt = x.endo.rows

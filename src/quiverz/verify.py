@@ -37,6 +37,7 @@ from quiverz.partitions import (
 )
 from quiverz.quiverrep import (
     QuiverRep,
+    _relations_flat,
     build_from_chain,
     check_relations,
     greedy_chain,
@@ -185,10 +186,10 @@ def pair_type_table(n: int, a: int, p: int = 2, budget: int = DEFAULT_BUDGET) ->
     return table
 
 
-def strictly_monotone_vectors(max_last: int, min_len: int = 2) -> List[tuple]:
-    """All strictly increasing dimension vectors with last entry <= max_last."""
+def strictly_monotone_vectors(max_last: int) -> List[tuple]:
+    """All strictly increasing vectors of length >= 2 with last entry <= max_last."""
     out = []
-    for r in range(min_len, max_last + 1):
+    for r in range(2, max_last + 1):
         out.extend(itertools.combinations(range(1, max_last + 1), r))
     return sorted(out)
 
@@ -265,13 +266,7 @@ def _enumerate_z_points(dims: tuple, field: FieldSpec) -> List[QuiverRep]:
         mats = [entries[offsets[k] : offsets[k + 1]] for k in range(len(shapes))]
         A_flat = mats[: t - 1]
         B_flat = mats[t - 1 :]
-        prev = [0] * (dims[0] * dims[0])  # B_1 A_1 = 0
-        for i in range(t - 1):
-            lo, hi = dims[i], dims[i + 1]
-            if _mul_flat(B_flat[i], A_flat[i], lo, hi, lo, p) != prev:
-                break
-            prev = _mul_flat(A_flat[i], B_flat[i], hi, lo, hi, p)
-        else:
+        if _relations_flat(dims, A_flat, B_flat, p):
             A = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[: t - 1], A_flat)]
             B = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[t - 1 :], B_flat)]
             points.append(QuiverRep(dims, A, B, field))

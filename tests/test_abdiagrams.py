@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -86,6 +87,29 @@ def test_enumerate_witnesses():
         assert delta.a_part == P(2, 1, 1)
         assert delta.b_part == b_part
         assert delta.total_b == P(2, 1, 1).weight + 1
+
+
+def _witnesses_by_product_loop(eta, a):
+    """The plain witness loop: every end-placement in 3^s product order, a
+    single end b leading, the first diagram of each b-part kept."""
+    found = {}
+    for jvec in itertools.product((0, 1, 2), repeat=len(eta)):
+        if sum(jvec) <= len(eta) + a:
+            rows = [ABRow(p, j > 0, j == 2) for p, j in zip(eta.parts, jvec)]
+            rows += [ABRow(0, True, False)] * (len(eta) + a - sum(jvec))
+            delta = ABDiagram(rows)
+            found.setdefault(delta.b_part, delta)
+    return found
+
+
+def test_enumerate_matches_product_loop_oracle():
+    """The placement table gives the witnesses of the plain loop, in its
+    order, and the set form is their key set."""
+    for eta in partitions_up_to_weight(8):
+        for a in range(5):
+            found = enumerate_b_parts(eta, a, witnesses=True)
+            assert list(found.items()) == list(_witnesses_by_product_loop(eta, a).items()), (eta, a)
+            assert enumerate_b_parts(eta, a) == set(found), (eta, a)
 
 
 def test_enumerate_against_exhaustive_pairs():

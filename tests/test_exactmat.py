@@ -478,6 +478,35 @@ def test_conjugator():
         conjugator(n, canonical_nilpotent(Partition((1, 1, 1)), F))
 
 
+def test_conjugator_runs_two_jordan_passes(monkeypatch):
+    """One Jordan-type pass per matrix: the bases carry the types and the
+    inverse the re-check computed.  g is the product of the two bases."""
+    from quiverz import exactmat
+
+    real = exactmat._jordan_flat
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    rng = random.Random(15)
+    n = canonical_nilpotent(Partition((4, 2, 2, 1)), F)
+    h = random_invertible(9, F, rng)
+    m = mul(mul(h, n), inverse(h))
+    expected = mul(jordan_basis(n), inverse(jordan_basis(m)))
+    monkeypatch.setattr(exactmat, "_jordan_flat", counting)
+    assert conjugator(n, m) == expected
+    assert calls == [9, 9]
+    calls.clear()
+    conjugator(m, m)
+    assert len(calls) == 2
+    with pytest.raises(ValueError, match="^not nilpotent$"):
+        conjugator(n, identity(9, F))
+    with pytest.raises(ValueError, match="^nilpotency of a non-square matrix$"):
+        conjugator(zeros(2, 3, F), n)
+
+
 def test_mat_pow():
     n = canonical_nilpotent(Partition((3,)), F)
     assert mat_pow(n, 0) == identity(3, F)

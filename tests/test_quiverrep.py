@@ -15,6 +15,9 @@ from quiverz.exactmat import (
     identity,
     is_injective,
     jordan_type,
+    mat_pow,
+    mul,
+    random_matrix,
     rank,
     zeros,
 )
@@ -39,6 +42,7 @@ from quiverz.quiverrep import (
     witness_reducible,
     zero_rep,
 )
+from quiverz.verify import _enumerate_z_points
 
 F = FieldSpec()
 F2 = FieldSpec(2)
@@ -96,6 +100,68 @@ def test_nilpotency_degrees():
     )
     with pytest.raises(ValueError, match="relations"):
         nilpotency_degrees(bad)
+
+
+def _relations_by_matrices(z):
+    """The relations checked on ExactMatrix products, map by map."""
+    for i in range(z.t - 1):
+        back_forward = mul(z.B[i], z.A[i])
+        if i == 0:
+            if not back_forward.is_zero():
+                return False
+        elif back_forward != mul(z.A[i - 1], z.B[i - 1]):
+            return False
+    return True
+
+
+def _perturbed(z, rng):
+    """z with one entry of one map raised by one."""
+    maps = list(z.A) + list(z.B)
+    k = rng.randrange(len(maps))
+    entries = list(maps[k].entries)
+    entries[rng.randrange(len(entries))] += 1
+    maps[k] = ExactMatrix(maps[k].rows, maps[k].cols, entries, z.field)
+    return QuiverRep(z.dims, maps[: z.t - 1], maps[z.t - 1 :], z.field)
+
+
+def test_check_relations_matches_matrix_oracle():
+    points = []
+    for e in itertools.product(range(2), repeat=4):  # every tuple on (1, 2) over F_2
+        A, B = ExactMatrix(2, 1, e[:2], F2), ExactMatrix(1, 2, e[2:], F2)
+        points.append(QuiverRep((1, 2), [A], [B], F2))
+    F3 = FieldSpec(3)
+    rng = random.Random(16)
+    for _ in range(300):
+        A = [random_matrix(2, 1, F3, rng), random_matrix(3, 2, F3, rng)]
+        B = [random_matrix(1, 2, F3, rng), random_matrix(2, 3, F3, rng)]
+        points.append(QuiverRep((1, 2, 3), A, B, F3))
+    for d in ((1, 2), (1, 4, 5), (2, 3, 5, 8), (1, 2, 5, 8, 12)):
+        for z in (
+            build_from_chain(greedy_chain(d), F),
+            build_from_chain(random_chain(d, rng), F),
+            sample_stable(d, F, rng),
+        ):
+            points += [z, _perturbed(z, rng)]
+    verdicts = [check_relations(z) for z in points]
+    assert verdicts == [_relations_by_matrices(z) for z in points]
+    assert sum(verdicts[:16]) == 10 and True in verdicts[16:316] and False in verdicts[316:]
+
+
+def _nilpotency_by_both_powers(z):
+    """(B_i A_i)^i = 0 and (A_i B_i)^{i+1} = 0, each power taken."""
+    for i in range(1, z.t):
+        ba = mul(z.B[i - 1], z.A[i - 1])
+        ab = mul(z.A[i - 1], z.B[i - 1])
+        if not mat_pow(ba, i).is_zero() or not mat_pow(ab, i + 1).is_zero():
+            return False
+    return True
+
+
+def test_nilpotency_degrees_matches_two_power_oracle():
+    points = _enumerate_z_points((1, 2, 3), F2)
+    assert points
+    for z in points:
+        assert nilpotency_degrees(z) == _nilpotency_by_both_powers(z)
 
 
 # --- stability ------------------------------------------------------------------
