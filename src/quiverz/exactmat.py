@@ -10,6 +10,7 @@ characteristic-zero ones, while p = 2 keeps exhaustive enumerations small.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence
 
 from quiverz.partitions import Partition, dual
@@ -456,10 +457,12 @@ def conjugator(N1: ExactMatrix, N2: ExactMatrix) -> ExactMatrix:
     return g
 
 
-def all_subspaces(n: int, field: FieldSpec) -> List[ExactMatrix]:
+@lru_cache(maxsize=32)
+def all_subspaces(n: int, field: FieldSpec) -> tuple:
     """Every subspace of F_p^n, as a matrix whose columns are an RREF basis.
 
-    Exponential in n and p; intended for tiny exhaustive cross-checks."""
+    Exponential in n and p; intended for tiny exhaustive cross-checks, which
+    ask for the same (n, p) once per point, so the tuple is cached."""
     p = field.p
     out = []
     for k in range(n + 1):
@@ -481,4 +484,4 @@ def all_subspaces(n: int, field: FieldSpec) -> List[ExactMatrix]:
                     for c in range(n):
                         cols[c * k + r] = rows[r][c]
                 out.append(ExactMatrix(n, k, cols, field))
-    return out
+    return tuple(out)

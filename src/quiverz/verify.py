@@ -3,7 +3,9 @@
 Each driver checks one statement about the chain variety at desk scale and
 returns a VerifyReport: the exhaustive pair-step check over a tiny field, the
 image sweep over small dimension vectors, the stability cross-check against
-the subspace definition, and the reducibility reproduction on (1,4,5).
+the subspace definition, and the reducibility reproduction on (1,4,5).  The
+two exhaustive checks visit one representative per base-change stratum, with
+one map in rank normal form, and count every tuple it stands for.
 Failures carry a re-checkable counterexample payload.  All randomness is
 derived per instance from a master seed, so reports are byte-stable across
 runs and across worker counts.
@@ -16,7 +18,7 @@ import itertools
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from quiverz.exactmat import (
     DEFAULT_PRIME,
@@ -96,10 +98,31 @@ def derive_rng(seed: int, *key) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+def _rank_normal_form(rows: int, cols: int, r: int) -> tuple:
+    """Flat row-major entries of the rows x cols matrix [[I_r, 0], [0, 0]]."""
+    return tuple(int(i == j < r) for i in range(rows) for j in range(cols))
+
+
+def _rank_count(rows: int, cols: int, r: int, q: int) -> int:
+    """Number of rows x cols matrices of rank r over F_q:
+    prod_{i<r} (q^rows - q^i)(q^cols - q^i) / (q^r - q^i)."""
+    num = den = 1
+    for i in range(r):
+        num *= (q**rows - q**i) * (q**cols - q**i)
+        den *= q**r - q**i
+    return num // den
+
+
 def _pair_types(n: int, a: int, p: int, budget: int) -> Dict[Tuple[Partition, Partition], tuple]:
-    """Enumerate every pair A: F_p^n -> F_p^{n+a}, B the other way, with BA
-    nilpotent: map each (BA-type, AB-type) to the flat entries of A then B of
-    the first pair that has it."""
+    """Map each (BA-type, AB-type) of the pairs A: F_p^n -> F_p^{n+a}, B the
+    other way, with BA nilpotent, to the flat entries of A then B of a pair
+    that has it.
+
+    Base change (A, B) -> (hAg^-1, gBh^-1) conjugates BA and AB, so it keeps
+    both types, and it takes every A of rank r to [[I_r, 0], [0, 0]].  So A
+    runs over these min(n, n+a) + 1 normal forms and B over every matrix:
+    (min(n, n+a) + 1) p^(n(n+a)) pairs meet every orbit of the p^(2n(n+a))
+    pairs, which the budget still counts."""
     if n < 0 or a < 0:
         raise ValueError("sizes must be nonnegative")
     FieldSpec(p)  # validates the modulus
@@ -107,27 +130,29 @@ def _pair_types(n: int, a: int, p: int, budget: int) -> Dict[Tuple[Partition, Pa
     size = p ** (2 * n * m)
     if size > budget:
         raise BudgetExceeded(f"{size} pairs exceed the budget of {budget}")
-    boff = m * n
     types: Dict[Tuple[Partition, Partition], tuple] = {}
-    for entries in itertools.product(range(p), repeat=2 * boff):
-        A, B = entries[:boff], entries[boff:]
-        ta = _jordan_flat(_mul_flat(B, A, n, m, n, p), n, p)
-        if ta is None:
-            continue
-        tb = _jordan_flat(_mul_flat(A, B, m, n, m, p), m, p)
-        if tb is None:
-            raise ArithmeticError(f"AB is not nilpotent although BA is: {entries}")
-        if (ta, tb) not in types:
-            types[(ta, tb)] = entries
+    for r in range(min(n, m) + 1):
+        A = _rank_normal_form(m, n, r)
+        for B in itertools.product(range(p), repeat=m * n):
+            ta = _jordan_flat(_mul_flat(B, A, n, m, n, p), n, p)
+            if ta is None:
+                continue
+            tb = _jordan_flat(_mul_flat(A, B, m, n, m, p), m, p)
+            if tb is None:
+                raise ArithmeticError(f"AB is not nilpotent although BA is: {A + B}")
+            if (ta, tb) not in types:
+                types[(ta, tb)] = A + B
     return types
 
 
 def ab_step_report(
     n: int, a: int, p: int = 2, budget: int = DEFAULT_BUDGET
 ) -> VerifyReport:
-    """Enumerate every pair A: F_p^n -> F_p^{n+a}, B the other way, and check
-    that for each partition eta of n the maximal AB-type over pairs with
-    BA-type dominated by eta is exactly add(eta, a), dominating all others."""
+    """Over every pair A: F_p^n -> F_p^{n+a}, B the other way, check that for
+    each partition eta of n the maximal AB-type over pairs with BA-type
+    dominated by eta is exactly add(eta, a), dominating all others.  The pairs
+    are met through one representative per orbit stratum (see _pair_types);
+    size counts all of them."""
     witness = _pair_types(n, a, p, budget)
     m = n + a
     instances = []
@@ -177,9 +202,9 @@ def ab_step_report(
 
 
 def pair_type_table(n: int, a: int, p: int = 2, budget: int = DEFAULT_BUDGET) -> Dict[tuple, set]:
-    """Exhaustive map BA-type -> set of AB-types over all pairs, as tuples of
-    parts; the matrix side of the placement enumeration, used as an
-    independent oracle."""
+    """Map BA-type -> set of AB-types over all pairs, as tuples of parts; the
+    matrix side of the placement enumeration, used as an independent
+    oracle."""
     table: Dict[tuple, set] = {}
     for ta, tb in _pair_types(n, a, p, budget):
         table.setdefault(ta.parts, set()).add(tb.parts)
@@ -248,29 +273,43 @@ def theta_image_report(
     )
 
 
-def _enumerate_z_points(dims: tuple, field: FieldSpec) -> List[QuiverRep]:
-    """All points of the relation variety over a tiny field, by exhausting
-    every matrix tuple and filtering the relations."""
+def _enumerate_z_points(dims: tuple, field: FieldSpec) -> Iterator[Tuple[int, QuiverRep]]:
+    """One (weight, point) per point of the relation variety over a tiny
+    field whose last forward map A_{t-1} is in rank normal form; the weight
+    is the number of variety points the point stands for.
+
+    Base change at the last two vertices takes A_{t-1} of rank r to
+    [[I_r, 0], [0, 0]] and carries the completions of one rank-r matrix by
+    the other maps onto those of any other, keeping the relations,
+    injectivity and the subspace criterion.  So each completion of the normal
+    form stands for _rank_count(d_t, d_{t-1}, r, p) points."""
     p = field.p
     t = len(dims)
+    if t < 2:
+        yield 1, QuiverRep(dims, [], [], field)
+        return
     shapes = []
     for i in range(t - 1):
         shapes.append((dims[i + 1], dims[i]))
     for i in range(t - 1):
         shapes.append((dims[i], dims[i + 1]))
+    free = shapes[: t - 2] + shapes[t - 1 :]  # every map but A_{t-1}
     offsets = [0]
-    for r, c in shapes:
+    for r, c in free:
         offsets.append(offsets[-1] + r * c)
-    points = []
-    for entries in itertools.product(range(p), repeat=offsets[-1]):
-        mats = [entries[offsets[k] : offsets[k + 1]] for k in range(len(shapes))]
-        A_flat = mats[: t - 1]
-        B_flat = mats[t - 1 :]
-        if _relations_flat(dims, A_flat, B_flat, p):
-            A = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[: t - 1], A_flat)]
-            B = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[t - 1 :], B_flat)]
-            points.append(QuiverRep(dims, A, B, field))
-    return points
+    rows, cols = shapes[t - 2]
+    for rank in range(min(rows, cols) + 1):
+        weight = _rank_count(rows, cols, rank, p)
+        normal = _rank_normal_form(rows, cols, rank)
+        for entries in itertools.product(range(p), repeat=offsets[-1]):
+            mats = [entries[offsets[k] : offsets[k + 1]] for k in range(len(free))]
+            mats.insert(t - 2, normal)
+            A_flat = mats[: t - 1]
+            B_flat = mats[t - 1 :]
+            if _relations_flat(dims, A_flat, B_flat, p):
+                A = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[: t - 1], A_flat)]
+                B = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[t - 1 :], B_flat)]
+                yield weight, QuiverRep(dims, A, B, field)
 
 
 def stability_report(
@@ -278,8 +317,10 @@ def stability_report(
     p: int = 2,
     budget: int = DEFAULT_BUDGET,
 ) -> VerifyReport:
-    """Exhaustively compare the injectivity criterion with the subspace
-    definition of stability on every variety point over a tiny field."""
+    """Compare the injectivity criterion with the subspace definition of
+    stability on every variety point over a tiny field, one rank-normal-form
+    representative at a time; the counts weigh each by the points it stands
+    for, and tuples counts every matrix tuple."""
     field = FieldSpec(p)
     instances = []
     counterexample = None
@@ -291,14 +332,14 @@ def stability_report(
         if size > budget:
             raise BudgetExceeded(f"{size} tuples for dims {dims} exceed the budget of {budget}")
         total += size
-        points = _enumerate_z_points(dims, field)
         mismatches = []
-        stable_count = 0
-        for z in points:
+        variety_count = stable_count = 0
+        for weight, z in _enumerate_z_points(dims, field):
             fast = is_stable(z)
             slow = is_stable_subspace_criterion(z)
+            variety_count += weight
             if fast:
-                stable_count += 1
+                stable_count += weight
             if fast != slow:
                 mismatches.append(z)
         ok = not mismatches
@@ -306,7 +347,7 @@ def stability_report(
             {
                 "dims": list(dims),
                 "tuples": size,
-                "variety_points": len(points),
+                "variety_points": variety_count,
                 "stable_points": stable_count,
                 "ok": ok,
             }

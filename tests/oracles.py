@@ -1,0 +1,52 @@
+"""Brute-force oracles for the exhaustive drivers in quiverz.verify.
+
+The drivers visit one rank-normal-form representative per base-change
+stratum; these loops visit every pair and every matrix tuple, as the drivers
+once did, so the tests can compare the two at the smallest sizes.
+"""
+
+import itertools
+from functools import lru_cache
+
+from quiverz.exactmat import ExactMatrix, _jordan_flat, _mul_flat
+from quiverz.quiverrep import QuiverRep, _relations_flat
+
+
+def pair_types_by_brute_force(n: int, a: int, p: int) -> dict:
+    """Every pair A: F_p^n -> F_p^{n+a}, B the other way, with BA nilpotent:
+    map each (BA-type, AB-type) to the flat entries of A then B of the first
+    pair that has it."""
+    m = n + a
+    boff = m * n
+    types = {}
+    for entries in itertools.product(range(p), repeat=2 * boff):
+        A, B = entries[:boff], entries[boff:]
+        ta = _jordan_flat(_mul_flat(B, A, n, m, n, p), n, p)
+        if ta is None:
+            continue
+        tb = _jordan_flat(_mul_flat(A, B, m, n, m, p), m, p)
+        types.setdefault((ta, tb), entries)
+    return types
+
+
+@lru_cache(maxsize=None)
+def z_points_by_brute_force(dims: tuple, field) -> tuple:
+    """All points of the relation variety over a tiny field, by exhausting
+    every matrix tuple and filtering the relations."""
+    p = field.p
+    t = len(dims)
+    shapes = [(dims[i + 1], dims[i]) for i in range(t - 1)]
+    shapes += [(dims[i], dims[i + 1]) for i in range(t - 1)]
+    offsets = [0]
+    for r, c in shapes:
+        offsets.append(offsets[-1] + r * c)
+    points = []
+    for entries in itertools.product(range(p), repeat=offsets[-1]):
+        mats = [entries[offsets[k] : offsets[k + 1]] for k in range(len(shapes))]
+        A_flat = mats[: t - 1]
+        B_flat = mats[t - 1 :]
+        if _relations_flat(dims, A_flat, B_flat, p):
+            A = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[: t - 1], A_flat)]
+            B = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[t - 1 :], B_flat)]
+            points.append(QuiverRep(dims, A, B, field))
+    return tuple(points)

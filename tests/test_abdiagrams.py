@@ -14,7 +14,7 @@ from quiverz.abdiagrams import (
 )
 from quiverz.exactmat import FieldSpec, jordan_type, mul
 from quiverz.partitions import Partition, add, dominates, partitions_up_to_weight
-from quiverz.verify import pair_type_table
+from quiverz.verify import ab_step_report, pair_type_table
 
 F = FieldSpec()
 
@@ -134,11 +134,34 @@ def test_pair_types_field_independent():
         assert {k: v for k, v in t2.items()} == {k: v for k, v in t3.items()}, (n, a)
 
 
-@pytest.mark.slow
 def test_pair_types_field_independent_largest_instance():
     t2 = pair_type_table(2, 1, p=2)
     t3 = pair_type_table(2, 1, p=3)
     assert {k: v for k, v in t2.items()} == {k: v for k, v in t3.items()}
+
+
+def _assert_table_matches_placements(n, a, p, budget):
+    table = pair_type_table(n, a, p=p, budget=budget)
+    assert set(table) == {eta.parts for eta in partitions_up_to_weight(n) if eta.weight == n}
+    for eta in partitions_up_to_weight(n):
+        if eta.weight == n:
+            expected = {q.parts for q in enumerate_b_parts(eta, a)}
+            assert table[eta.parts] == expected, (n, a, p, eta)
+
+
+def test_pair_types_match_placements_beyond_brute_force():
+    """Instances the rank-normal-form pair loop makes feasible: (3,1) over
+    F_2 stands for 2^24 pairs and (2,2) over F_3 for 3^16."""
+    for n, a, p in ((3, 1, 2), (2, 2, 3)):
+        budget = p ** (2 * n * (n + a))
+        _assert_table_matches_placements(n, a, p, budget)
+        assert ab_step_report(n, a, p=p, budget=budget).passed, (n, a, p)
+
+
+@pytest.mark.slow
+def test_pair_types_match_placements_largest_instance():
+    """(3,2) over F_2, standing for 2^30 pairs."""
+    _assert_table_matches_placements(3, 2, 2, 2**30)
 
 
 # --- maxima -----------------------------------------------------------------------

@@ -532,3 +532,13 @@ def test_all_subspaces_are_distinct_full_rank():
         for Y in spaces[i + 1 :]:
             if X.cols == Y.cols and X.cols > 0:
                 assert rank(hstack(X, Y)) > X.cols or X == Y
+
+
+def test_all_subspaces_cached_per_size_and_field():
+    """One shared, immutable tuple per (n, p), equal to an uncached build."""
+    first = all_subspaces(3, F2)
+    assert all_subspaces(3, FieldSpec(2)) is first
+    assert isinstance(first, tuple)
+    assert first == tuple(all_subspaces.__wrapped__(3, F2))
+    assert all_subspaces(3, F3) is not first
+    assert all_subspaces(3, F3) == tuple(all_subspaces.__wrapped__(3, F3))

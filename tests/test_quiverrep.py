@@ -42,7 +42,8 @@ from quiverz.quiverrep import (
     witness_reducible,
     zero_rep,
 )
-from quiverz.verify import _enumerate_z_points
+
+from oracles import z_points_by_brute_force as _enumerate_z_points
 
 F = FieldSpec()
 F2 = FieldSpec(2)

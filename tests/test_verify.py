@@ -1,11 +1,18 @@
+import itertools
 import json
 
 import pytest
 
+from quiverz import verify
+from quiverz.exactmat import ExactMatrix, FieldSpec, jordan_type, mul, rank
 from quiverz.partitions import Partition, dominates, partitions_of_weight
+from quiverz.quiverrep import is_stable
 
 from quiverz.verify import (
     BudgetExceeded,
+    _enumerate_z_points,
+    _pair_types,
+    _rank_count,
     ab_step_report,
     derive_rng,
     pair_type_table,
@@ -15,6 +22,8 @@ from quiverz.verify import (
     suite_report,
     theta_image_report,
 )
+
+from oracles import pair_types_by_brute_force, z_points_by_brute_force
 
 
 def test_derive_rng_is_stable():
@@ -114,3 +123,80 @@ def test_suite_deterministic_bytes():
     )
     assert one == two == jobs
     assert json.loads(one)["pass"]
+
+
+# --- quotient enumerations against brute force ----------------------------------------
+
+
+def _small_pair_instances():
+    """Every (n, a, p) with p^(2n(n+a)) <= 3^8, for n <= 3 and a <= 5."""
+    for p in (2, 3):
+        for n in range(4):
+            for a in range(6):
+                if p ** (2 * n * (n + a)) <= 3**8:
+                    yield n, a, p
+
+
+def test_pair_types_match_brute_force_oracle():
+    instances = list(_small_pair_instances())
+    assert (1, 5, 2) in instances and (2, 1, 2) in instances and (2, 0, 3) in instances
+    for n, a, p in instances:
+        quotient = _pair_types(n, a, p, budget=3**8)
+        assert set(quotient) == set(pair_types_by_brute_force(n, a, p)), (n, a, p)
+
+
+def test_pair_type_witnesses_rederive_their_keys():
+    """Each witness is a genuine pair of its own key, with A in rank normal
+    form [[I_r, 0], [0, 0]]."""
+    for n, a, p in _small_pair_instances():
+        field = FieldSpec(p)
+        m = n + a
+        for (ta, tb), entries in _pair_types(n, a, p, budget=3**8).items():
+            A = ExactMatrix(m, n, entries[: m * n], field)
+            B = ExactMatrix(n, m, entries[m * n :], field)
+            assert jordan_type(mul(B, A)) == ta and jordan_type(mul(A, B)) == tb
+            r = rank(A)
+            assert all(A.at(i, j) == int(i == j < r) for i in range(m) for j in range(n)), (n, a, p)
+
+
+def test_rank_count_matches_matrix_count():
+    """_rank_count against the ranks of every small matrix."""
+    for rows, cols, p in ((1, 3, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2), (3, 3, 2), (2, 2, 3), (1, 2, 3)):
+        field = FieldSpec(p)
+        counts = [0] * (min(rows, cols) + 1)
+        for entries in itertools.product(range(p), repeat=rows * cols):
+            counts[rank(ExactMatrix(rows, cols, entries, field))] += 1
+        assert counts == [_rank_count(rows, cols, r, p) for r in range(len(counts))], (rows, cols, p)
+
+
+def test_z_points_weighted_counts_match_brute_force():
+    """The weighted representatives count the variety and stable points of
+    every matrix tuple, and the weights of the normal forms times the
+    completions of each make up every tuple."""
+    for dims, p in (((1, 2), 2), ((1, 3), 2), ((2, 3), 2), ((1, 2, 3), 2), ((1, 2), 3)):
+        field = FieldSpec(p)
+        points = z_points_by_brute_force(dims, field)
+        weighted = list(_enumerate_z_points(dims, field))
+        assert sum(w for w, _ in weighted) == len(points), (dims, p)
+        assert sum(w for w, z in weighted if is_stable(z)) == sum(map(is_stable, points)), (dims, p)
+        rows, cols = dims[-1], dims[-2]
+        cells = sum(2 * x * y for x, y in zip(dims, dims[1:]))
+        completions = p ** (cells - rows * cols)
+        weights = [_rank_count(rows, cols, r, p) for r in range(min(rows, cols) + 1)]
+        assert sum(weights) * completions == p**cells, (dims, p)
+
+
+def test_failing_ab_step_counterexample_is_recheckable(monkeypatch):
+    """A wrong add makes ab-step fail; its counterexample pair, a normal-form
+    representative, re-derives the reported BA- and AB-types."""
+    monkeypatch.setattr(verify, "add", lambda eta, a: Partition((1,) * (eta.weight + a)))
+    report = ab_step_report(2, 1, p=2)
+    assert not report.passed
+    cex = report.counterexample
+    pair = cex["pair"]
+    field = FieldSpec(2)
+    A = ExactMatrix(3, 2, pair["A_entries"], field)
+    B = ExactMatrix(2, 3, pair["B_entries"], field)
+    assert jordan_type(mul(B, A)).to_list() == pair["a_type"]
+    assert jordan_type(mul(A, B)).to_list() == cex["undominated_b_type"]
+    assert dominates(Partition(cex["eta"]), Partition(pair["a_type"]))
