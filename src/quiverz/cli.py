@@ -165,20 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     part = sub.add_parser("part", parents=[json_flag], help="partition operations")
     part_sub = part.add_subparsers(dest="op", required=True)
-    for name, extra in (
-        ("dual", ()),
-        ("add", ("boxes",)),
-        ("dom", ("other",)),
-        ("nvec", ()),
-        ("young", ()),
-    ):
+    for name in ("dual", "add", "dom", "nvec", "young"):
         sp = part_sub.add_parser(name, parents=[json_flag])
         sp.add_argument("partition", help='comma-separated parts, e.g. "5,3,3,1"')
-        for field_name in extra:
-            if field_name == "boxes":
-                sp.add_argument("boxes", type=int, help="number of boxes to add")
-            else:
-                sp.add_argument("other", help="second partition")
+        if name == "add":
+            sp.add_argument("boxes", type=int, help="number of boxes to add")
+        elif name == "dom":
+            sp.add_argument("other", help="second partition")
         sp.set_defaults(func=_cmd_part)
 
     dimvec = sub.add_parser("dimvec", parents=[json_flag], help="dimension-vector operations")

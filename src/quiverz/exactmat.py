@@ -402,8 +402,8 @@ def _jordan_basis(N: ExactMatrix) -> tuple:
 
     Chains are grown from the top height down: at height j, new chain tops
     complete ker N^{j-1} plus the images of the longer chains to a basis of
-    ker N^j.  The kernels come from the Jordan-type pass.  The conjugation
-    identity is re-checked before returning."""
+    ker N^j.  The kernels come from the Jordan-type pass.  Unchecked: the
+    public callers re-check what they return."""
     if not N.is_square():
         raise ValueError("nilpotency of a non-square matrix")
     n = N.rows
@@ -433,15 +433,15 @@ def _jordan_basis(N: ExactMatrix) -> tuple:
     for chain in chains:  # built longest first
         columns.extend(reversed(chain))
     g = _from_columns(columns, n, field)
-    ginv = inverse(g)
-    if mul(mul(ginv, N), g) != canonical_nilpotent(typ, field):
-        raise CertificateError(f"jordan_basis: g^-1 N g is not the canonical form of type {typ}")
-    return g, typ, ginv
+    return g, typ, inverse(g)
 
 
 def jordan_basis(N: ExactMatrix) -> ExactMatrix:
     """Invertible g with g^-1 N g = canonical_nilpotent(jordan_type(N))."""
-    return _jordan_basis(N)[0]
+    g, typ, ginv = _jordan_basis(N)
+    if mul(mul(ginv, N), g) != canonical_nilpotent(typ, N.field):
+        raise CertificateError(f"jordan_basis: g^-1 N g is not the canonical form of type {typ}")
+    return g
 
 
 def conjugator(N1: ExactMatrix, N2: ExactMatrix) -> ExactMatrix:

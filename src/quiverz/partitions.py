@@ -251,11 +251,11 @@ def render_young(eta: Partition) -> str:
     return "\n".join("[]" * p for p in eta.parts)
 
 
-def partitions_of_weight(n: int, max_part: Optional[int] = None) -> Iterator[Partition]:
+def partitions_of_weight(n: int) -> Iterator[Partition]:
     """Yield all partitions of n (largest first part first)."""
     if n < 0:
         return
-    yield from (Partition(t) for t in _partition_tuples(n, max_part if max_part is not None else n))
+    yield from (Partition(t) for t in _partition_tuples(n, n))
 
 
 def _partition_tuples(n: int, max_part: int) -> Iterator[tuple]:

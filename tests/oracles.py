@@ -2,7 +2,8 @@
 
 The drivers visit one rank-normal-form representative per base-change
 stratum; these loops visit every pair and every matrix tuple, as the drivers
-once did, so the tests can compare the two at the smallest sizes.
+once did, so the tests can compare the two at the smallest sizes.  One more
+loop keeps the normal forms but runs B over every matrix.
 """
 
 import itertools
@@ -26,6 +27,23 @@ def pair_types_by_brute_force(n: int, a: int, p: int) -> dict:
             continue
         tb = _jordan_flat(_mul_flat(A, B, m, n, m, p), m, p)
         types.setdefault((ta, tb), entries)
+    return types
+
+
+def pair_types_over_every_b(n: int, a: int, p: int) -> dict:
+    """The pair loop with A in rank normal form [[I_r, 0], [0, 0]] and B
+    over every n x (n+a) matrix, including the block that enters neither BA
+    nor AB; the same map as quiverz.verify._pair_types, in the same order."""
+    m = n + a
+    types = {}
+    for r in range(min(n, m) + 1):
+        A = tuple(int(i == j < r) for i in range(m) for j in range(n))
+        for B in itertools.product(range(p), repeat=m * n):
+            ta = _jordan_flat(_mul_flat(B, A, n, m, n, p), n, p)
+            if ta is None:
+                continue
+            tb = _jordan_flat(_mul_flat(A, B, m, n, m, p), m, p)
+            types.setdefault((ta, tb), A + B)
     return types
 
 

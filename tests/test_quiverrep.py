@@ -455,7 +455,9 @@ def test_witness_no_obstruction():
 def test_certificate_checks_survive_optimisation():
     """Under python -O a failing re-check still raises CertificateError: the
     checks in build_from_chain, sample_stable and witness_reducible are not
-    asserts."""
+    asserts.  witness_reducible emits relations: true only after its
+    builders' re-checks, so with the relations failing it raises in
+    build_from_chain."""
     script = textwrap.dedent(
         """
         import random
@@ -474,6 +476,7 @@ def test_certificate_checks_survive_optimisation():
         quiverrep.check_relations = lambda z: False  # no point satisfies the relations
         attempt(lambda: quiverrep.build_from_chain(quiverrep.greedy_chain((1, 4, 5)), F))
         attempt(lambda: quiverrep.sample_stable((1, 4, 5), F, random.Random(0)))
+        attempt(lambda: quiverrep.witness_reducible((1, 4, 5), F, random.Random(0)))
         quiverrep.check_relations = real_check
         quiverrep.mu_of = lambda d: Partition((1,) * d[-1])  # a bound no stable sample meets
         attempt(lambda: quiverrep.witness_reducible((1, 4, 5), F, random.Random(0)))
@@ -488,5 +491,6 @@ def test_certificate_checks_survive_optimisation():
     assert done.stdout.splitlines() == [
         "raised in build_from_chain",
         "raised in sample_stable",
+        "raised in build_from_chain",
         "raised in witness_reducible",
     ]

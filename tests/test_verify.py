@@ -1,10 +1,22 @@
 import itertools
 import json
+import random
 
 import pytest
 
-from quiverz import verify
-from quiverz.exactmat import ExactMatrix, FieldSpec, jordan_type, mul, rank
+from quiverz import exactmat, quiverrep, verify
+from quiverz.exactmat import (
+    ExactMatrix,
+    FieldSpec,
+    canonical_nilpotent,
+    conjugator,
+    inverse,
+    jordan_basis,
+    jordan_type,
+    mul,
+    random_invertible,
+    rank,
+)
 from quiverz.partitions import Partition, dominates, partitions_of_weight
 from quiverz.quiverrep import is_stable
 
@@ -23,7 +35,7 @@ from quiverz.verify import (
     theta_image_report,
 )
 
-from oracles import pair_types_by_brute_force, z_points_by_brute_force
+from oracles import pair_types_by_brute_force, pair_types_over_every_b, z_points_by_brute_force
 
 
 def test_derive_rng_is_stable():
@@ -145,6 +157,23 @@ def test_pair_types_match_brute_force_oracle():
         assert set(quotient) == set(pair_types_by_brute_force(n, a, p)), (n, a, p)
 
 
+def test_pair_types_match_every_b_oracle():
+    """Fixing B's block outside BA and AB to 0 keeps every witness and the
+    order of the map, on each instance whose every-B loop visits at most
+    3^8 pairs."""
+    instances = [
+        (n, a, p)
+        for p in (2, 3)
+        for n in range(4)
+        for a in range(11)
+        if (n + 1) * p ** (n * (n + a)) <= 3**8
+    ]
+    assert (3, 0, 2) in instances and (2, 1, 3) in instances and (1, 10, 2) in instances
+    for n, a, p in instances:
+        fast = list(_pair_types(n, a, p, budget=p ** (2 * n * (n + a))).items())
+        assert fast == list(pair_types_over_every_b(n, a, p).items()), (n, a, p)
+
+
 def test_pair_type_witnesses_rederive_their_keys():
     """Each witness is a genuine pair of its own key, with A in rank normal
     form [[I_r, 0], [0, 0]]."""
@@ -200,3 +229,45 @@ def test_failing_ab_step_counterexample_is_recheckable(monkeypatch):
     assert jordan_type(mul(B, A)).to_list() == pair["a_type"]
     assert jordan_type(mul(A, B)).to_list() == cex["undominated_b_type"]
     assert dominates(Partition(cex["eta"]), Partition(pair["a_type"]))
+
+
+def test_each_certificate_is_rechecked_once(monkeypatch):
+    """The builders re-check each point once and the callers read their
+    results.  What remains per point of (1, 4, 5) over F_32003: one relation
+    check in its builder, one in nilpotency_degrees (its input check), the
+    Jordan passes of build_from_chain (two for the conjugator, one for the
+    type) and one jordan_type per stable sample."""
+    counts = {"relations": 0, "jordan": 0, "canonical": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(quiverrep, "_relations_flat", counting("relations", quiverrep._relations_flat))
+    monkeypatch.setattr(exactmat, "_jordan_flat", counting("jordan", exactmat._jordan_flat))
+    monkeypatch.setattr(exactmat, "canonical_nilpotent", counting("canonical", canonical_nilpotent))
+
+    inst = verify._theta_image_instance((1, 4, 5), 32003, 0, 1)
+    assert inst["ok"]
+    assert counts == {"relations": 6, "jordan": 7, "canonical": 0}
+
+    counts.update(relations=0, jordan=0)
+    report = quiverrep.witness_reducible((1, 4, 5), FieldSpec(), random.Random(0))
+    assert [w["relations"] for w in report.witnesses] == [True, True]
+    assert counts == {"relations": 2, "jordan": 4, "canonical": 0}
+
+    # conjugator re-checks only its own g N2 == N1 g; jordan_basis re-checks
+    # against the canonical form.
+    field = FieldSpec()
+    n = canonical_nilpotent(Partition((3, 2, 2)), field)
+    h = random_invertible(7, field, random.Random(3))
+    m = mul(mul(h, n), inverse(h))
+    counts.update(relations=0, jordan=0)
+    conjugator(n, m)
+    assert counts == {"relations": 0, "jordan": 2, "canonical": 0}
+    counts.update(jordan=0)
+    jordan_basis(m)
+    assert counts == {"relations": 0, "jordan": 1, "canonical": 1}
