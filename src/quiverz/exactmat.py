@@ -5,11 +5,22 @@ of residues in [0, p).  Everything is computed with Python integers, so all
 results are exact; the default modulus 32003 is large enough that the
 desk-scale rank and Jordan-type computations used here behave like the
 characteristic-zero ones, while p = 2 keeps exhaustive enumerations small.
+
+The one product, _mul_flat, picks its loop from its left operand.  A dense
+one (inner dimension at least 8, at most half of its entries zero) takes one
+C-level dot product per output entry over precomputed columns; any other
+skips zero entries row by row, which suits the monomial and tiny matrices of
+the chain points and the exhaustive drivers.  Both give the same residues.
+
+Kernel results are wrapped by ExactMatrix._reduced, which skips the checks
+and the reduction of the public constructor.  Its precondition: exactly
+rows * cols Python ints, each already in [0, p).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence
 
@@ -79,6 +90,17 @@ class ExactMatrix:
         self.cols = cols
         self.field = field
         self.entries = entries
+
+    @classmethod
+    def _reduced(cls, rows: int, cols: int, entries: Iterable[int], field: FieldSpec) -> "ExactMatrix":
+        """A matrix of kernel results: rows * cols ints already in [0, p),
+        taken without the checks and the reduction of the constructor."""
+        M = cls.__new__(cls)
+        M.rows = rows
+        M.cols = cols
+        M.field = field
+        M.entries = tuple(entries)
+        return M
 
     @classmethod
     def from_rows(
@@ -159,7 +181,15 @@ def identity(n: int, field: FieldSpec) -> ExactMatrix:
 
 def _mul_flat(xe: Sequence[int], ye: Sequence[int], n: int, m: int, k: int, p: int) -> List[int]:
     """Row-major entries of the n x k product of the flat n x m matrix xe and
-    the flat m x k matrix ye, reduced mod p."""
+    the flat m x k matrix ye, reduced mod p.
+
+    A dense xe (m >= 8, at most half of it zero) takes one dot product per
+    entry over the columns of ye; otherwise each row accumulates only its
+    nonzero entries times the matching rows of ye."""
+    if m >= 8 and 2 * xe.count(0) <= len(xe):
+        rows = [xe[i * m : (i + 1) * m] for i in range(n)]
+        cols = [ye[j::k] for j in range(k)]
+        return [sum(map(operator.mul, row, col)) % p for row in rows for col in cols]
     out = [0] * (n * k)
     for i in range(n):
         xi = i * m
@@ -182,7 +212,7 @@ def mul(X: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
     if X.cols != Y.rows:
         raise ValueError(f"shape mismatch: {X.shape} times {Y.shape}")
     out = _mul_flat(X.entries, Y.entries, X.rows, X.cols, Y.cols, X.field.p)
-    return ExactMatrix(X.rows, Y.cols, out, X.field)
+    return ExactMatrix._reduced(X.rows, Y.cols, out, X.field)
 
 
 def mat_pow(M: ExactMatrix, k: int) -> ExactMatrix:
@@ -199,7 +229,7 @@ def transpose(M: ExactMatrix) -> ExactMatrix:
     for i in range(M.rows):
         for j in range(M.cols):
             out[j * M.rows + i] = M.entries[i * M.cols + j]
-    return ExactMatrix(M.cols, M.rows, out, M.field)
+    return ExactMatrix._reduced(M.cols, M.rows, out, M.field)
 
 
 def hstack(X: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
@@ -268,7 +298,7 @@ def _null_vectors(rows: List[List[int]], pivots: List[int], width: int, p: int) 
 
 def _from_columns(vectors: Sequence[Sequence[int]], rows: int, field: FieldSpec) -> ExactMatrix:
     """The rows x len(vectors) matrix with the given columns."""
-    return ExactMatrix(rows, len(vectors), [v[i] for i in range(rows) for v in vectors], field)
+    return ExactMatrix._reduced(rows, len(vectors), [v[i] for i in range(rows) for v in vectors], field)
 
 
 def kernel_basis(M: ExactMatrix) -> ExactMatrix:
@@ -278,16 +308,22 @@ def kernel_basis(M: ExactMatrix) -> ExactMatrix:
     return _from_columns(_null_vectors(R, pivots, M.cols, M.field.p), M.cols, M.field)
 
 
+def _inverse_flat(entries: Sequence[int], n: int, p: int) -> Optional[List[int]]:
+    """Flat entries of the inverse of the flat n x n matrix, or None if it is
+    singular: one RREF of [M | I] both tests M and inverts it."""
+    aug = [list(entries[i * n : (i + 1) * n]) + [int(j == i) for j in range(n)] for i in range(n)]
+    if len(_rref(aug, p, pivot_cols=n)) != n:
+        return None
+    return [v for row in aug for v in row[n:]]
+
+
 def inverse(M: ExactMatrix) -> ExactMatrix:
     if not M.is_square():
         raise ValueError("inverse of a non-square matrix")
-    n = M.rows
-    p = M.field.p
-    aug = [list(M.row(i)) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    pivots = _rref(aug, p, pivot_cols=n)
-    if len(pivots) != n:
+    out = _inverse_flat(M.entries, M.rows, M.field.p)
+    if out is None:
         raise ValueError("matrix is singular")
-    return ExactMatrix(n, n, [aug[i][n + j] for i in range(n) for j in range(n)], M.field)
+    return ExactMatrix._reduced(M.rows, M.rows, out, M.field)
 
 
 def solve(M: ExactMatrix, C: ExactMatrix, rng=None) -> ExactMatrix:
@@ -327,11 +363,18 @@ def random_matrix(rows: int, cols: int, field: FieldSpec, rng) -> ExactMatrix:
     return ExactMatrix(rows, cols, [rng.randrange(field.p) for _ in range(rows * cols)], field)
 
 
-def random_invertible(n: int, field: FieldSpec, rng) -> ExactMatrix:
+def _random_invertible_pair(n: int, field: FieldSpec, rng) -> tuple:
+    """(g, g^-1) for a uniformly random invertible g: draws as random_matrix
+    until the RREF of [g | I] has n pivots, which also gives g^-1."""
     while True:
-        M = random_matrix(n, n, field, rng)
-        if rank(M) == n:
-            return M
+        g = random_matrix(n, n, field, rng)
+        ginv = _inverse_flat(g.entries, n, field.p)
+        if ginv is not None:
+            return g, ExactMatrix._reduced(n, n, ginv, field)
+
+
+def random_invertible(n: int, field: FieldSpec, rng) -> ExactMatrix:
+    return _random_invertible_pair(n, field, rng)[0]
 
 
 def canonical_nilpotent(eta: Partition, field: FieldSpec) -> ExactMatrix:

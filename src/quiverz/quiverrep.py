@@ -21,7 +21,9 @@ from quiverz.exactmat import (
     CertificateError,
     ExactMatrix,
     FieldSpec,
+    _jordan_flat,
     _mul_flat,
+    _random_invertible_pair,
     all_subspaces,
     conjugator,
     hstack,
@@ -29,7 +31,6 @@ from quiverz.exactmat import (
     inverse,
     is_injective,
     jordan_type,
-    mat_pow,
     mul,
     random_invertible,
     rank,
@@ -150,7 +151,14 @@ def nilpotency_degrees(z: QuiverRep) -> bool:
         raise ValueError("relations fail; nilpotency degrees are only meaningful on the variety")
     # On the variety B_1 A_1 = 0 and B_{i+1} A_{i+1} = A_i B_i, so each
     # (B_i A_i)^i = 0 is the condition (A_{i-1} B_{i-1})^i = 0 checked below.
-    return all(mat_pow(mul(z.A[i - 1], z.B[i - 1]), i + 1).is_zero() for i in range(1, z.t))
+    # (A_i B_i)^{i+1} = 0 holds exactly when A_i B_i is nilpotent with no
+    # Jordan block longer than i + 1.
+    for i in range(1, z.t):
+        ab = mul(z.A[i - 1], z.B[i - 1])
+        typ = _jordan_flat(ab.entries, ab.rows, z.field.p)
+        if typ is None or max(typ.parts, default=0) > i + 1:
+            return False
+    return True
 
 
 def is_stable(z: QuiverRep) -> bool:
@@ -204,13 +212,6 @@ def random_group_element(
     return g
 
 
-def _inclusion(rows: int, cols: int, field: FieldSpec) -> ExactMatrix:
-    entries = [0] * (rows * cols)
-    for i in range(cols):
-        entries[i * cols + i] = 1
-    return ExactMatrix(rows, cols, entries, field)
-
-
 def _lowering_endo(dims: Sequence[int], field: FieldSpec, rng) -> ExactMatrix:
     """Random endomorphism of the last space mapping the span of the first
     n_i coordinates into the span of the first n_{i-1} (n_0 = 0)."""
@@ -231,20 +232,30 @@ def _lowering_endo(dims: Sequence[int], field: FieldSpec, rng) -> ExactMatrix:
 def sample_stable(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
     """Random stable point: coordinate flag, random flag-lowering endomorphism
     (forward maps are inclusions, backward maps its restrictions), then a
-    random base change at every vertex for genericity."""
+    random base change at every vertex for genericity.
+
+    The base change is act(random_group_element(dims, field, rng), .) on
+    that point, computed with one elimination per group element."""
     dims = as_dim_vector(dims)
     if not is_strictly_monotone(dims):
         raise ValueError(f"stable sampling needs a strictly increasing dimension vector: {dims}")
-    t = len(dims)
-    endo = _lowering_endo(dims, field, rng)
-    A = [_inclusion(dims[i + 1], dims[i], field) for i in range(t - 1)]
+    nt = dims[-1]
+    endo = _lowering_endo(dims, field, rng).entries
+    g = [_random_invertible_pair(n, field, rng) for n in dims]
+    A = []
     B = []
-    for i in range(t - 1):
+    for i in range(len(dims) - 1):
+        lo, hi = dims[i], dims[i + 1]
+        (h, hinv), (h_next, h_next_inv) = g[i], g[i + 1]
+        # h_{i+1} times the inclusion of the first n_i coordinates: the first
+        # n_i columns of h_{i+1}.
+        head = [h_next.entries[r * hi + c] for r in range(hi) for c in range(lo)]
+        A.append(mul(ExactMatrix._reduced(hi, lo, head, field), hinv))
         # Restriction of endo to the (i+1)-th coordinate subspace, landing in
         # the i-th: the top-left n_i x n_{i+1} block.
-        block = [endo.at(r, c) for r in range(dims[i]) for c in range(dims[i + 1])]
-        B.append(ExactMatrix(dims[i], dims[i + 1], block, field))
-    z = act(random_group_element(dims, field, rng), QuiverRep(dims, A, B, field))
+        block = [endo[r * nt + c] for r in range(lo) for c in range(hi)]
+        B.append(mul(mul(h, ExactMatrix._reduced(lo, hi, block, field)), h_next_inv))
+    z = QuiverRep(dims, A, B, field)
     if not (check_relations(z) and is_stable(z)):
         raise CertificateError(f"sample_stable: the sample for {dims} is not a stable point")
     return z
@@ -318,9 +329,9 @@ def sample_flag_point(dims: Sequence[int], field: FieldSpec, rng) -> FlagPoint:
     if not is_strictly_monotone(dims):
         raise ValueError(f"flag sampling needs a strictly increasing dimension vector: {dims}")
     nt = dims[-1]
-    g = random_invertible(nt, field, rng)
+    g, ginv = _random_invertible_pair(nt, field, rng)
     lowering = _lowering_endo(dims, field, rng)
-    endo = mul(mul(g, lowering), inverse(g))
+    endo = mul(mul(g, lowering), ginv)
     flag = []
     for n in dims[:-1]:
         cols = [0] * (nt * n)
@@ -508,6 +519,11 @@ def is_stable_subspace_criterion(z: QuiverRep) -> bool:
     in field size and dimensions; a tiny-field oracle for is_stable."""
     if not check_relations(z):
         raise ValueError("subspace criterion is only meaningful on the relation variety")
+    return _subspace_criterion(z)
+
+
+def _subspace_criterion(z: QuiverRep) -> bool:
+    """is_stable_subspace_criterion for a point known to be on the variety."""
     if z.t < 2:
         return True
     spaces = [all_subspaces(n, z.field) for n in z.dims[:-1]]

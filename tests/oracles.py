@@ -1,16 +1,44 @@
-"""Brute-force oracles for the exhaustive drivers in quiverz.verify.
+"""Slow oracles for the fast paths of quiverz.
 
-The drivers visit one rank-normal-form representative per base-change
-stratum; these loops visit every pair and every matrix tuple, as the drivers
-once did, so the tests can compare the two at the smallest sizes.  One more
-loop keeps the normal forms but runs B over every matrix.
+The exhaustive drivers in quiverz.verify visit one rank-normal-form
+representative per base-change stratum; the brute-force loops here visit
+every pair and every matrix tuple, as the drivers once did, so the tests can
+compare the two at the smallest sizes.  One more loop keeps the normal forms
+but runs B over every matrix.  mul_by_rows is the product loop that
+exactmat._mul_flat keeps for sparse operands, and nilpotency_by_powers the
+power loop that quiverrep.nilpotency_degrees replaced.
 """
 
 import itertools
 from functools import lru_cache
 
-from quiverz.exactmat import ExactMatrix, _jordan_flat, _mul_flat
+from quiverz.exactmat import ExactMatrix, _jordan_flat, _mul_flat, mat_pow, mul
 from quiverz.quiverrep import QuiverRep, _relations_flat
+
+
+def mul_by_rows(xe, ye, n: int, m: int, k: int, p: int) -> list:
+    """Row-major entries of the n x k product of the flat n x m matrix xe and
+    the flat m x k matrix ye, reduced mod p: each row accumulates its nonzero
+    entries times the matching rows of ye."""
+    out = [0] * (n * k)
+    for i in range(n):
+        xi = i * m
+        acc = [0] * k
+        for l in range(m):
+            c = xe[xi + l]
+            if c:
+                yl = l * k
+                for j in range(k):
+                    acc[j] += c * ye[yl + j]
+        oi = i * k
+        for j in range(k):
+            out[oi + j] = acc[j] % p
+    return out
+
+
+def nilpotency_by_powers(z) -> bool:
+    """(A_i B_i)^{i+1} = 0 for every i, each power taken; no input check."""
+    return all(mat_pow(mul(z.A[i - 1], z.B[i - 1]), i + 1).is_zero() for i in range(1, z.t))
 
 
 def pair_types_by_brute_force(n: int, a: int, p: int) -> dict:

@@ -11,6 +11,8 @@ from quiverz.exactmat import (
     DEFAULT_PRIME,
     ExactMatrix,
     FieldSpec,
+    _mul_flat,
+    _random_invertible_pair,
     all_subspaces,
     canonical_nilpotent,
     conjugator,
@@ -32,6 +34,9 @@ from quiverz.exactmat import (
     zeros,
 )
 from quiverz.partitions import Partition, dual, partitions_up_to_weight
+from quiverz.quiverrep import sample_stable
+
+from oracles import mul_by_rows
 
 F = FieldSpec()
 F2 = FieldSpec(2)
@@ -145,6 +150,36 @@ def test_mul_associative():
         assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
 
+def _with_zeros(size, zeros_wanted, p, rng):
+    """size entries, exactly zeros_wanted of them 0, the rest in [1, p)."""
+    out = [rng.randrange(1, p) for _ in range(size)]
+    for i in rng.sample(range(size), zeros_wanted):
+        out[i] = 0
+    return out
+
+
+def test_mul_flat_matches_row_loop_oracle():
+    """Both sides of the dense switch (m >= 8 and at most half of xe zero):
+    inner dimension 7 and 8, zero counts around one half, mat-vecs (k = 1),
+    every zero dimension, and p = 2 and 32003."""
+    rng = random.Random(31)
+    shapes = [
+        (4, 7, 3), (4, 8, 3), (5, 8, 1), (3, 9, 1), (7, 7, 1), (6, 16, 5), (1, 8, 8),
+        (0, 8, 3), (3, 0, 4), (4, 8, 0), (0, 0, 0), (0, 9, 0), (1, 1, 1),
+    ]
+    sides = set()
+    for p in (2, 32003):
+        for n, m, k in shapes:
+            size = n * m
+            for z in sorted({0, size // 2 - 1, size // 2, size // 2 + 1, size} & set(range(size + 1))):
+                xe = _with_zeros(size, z, p, rng)
+                ye = [rng.randrange(p) for _ in range(m * k)]
+                sides.add((m, m >= 8 and 2 * z <= size))
+                assert _mul_flat(xe, ye, n, m, k, p) == mul_by_rows(xe, ye, n, m, k, p), (p, n, m, k, z)
+                assert _mul_flat(tuple(xe), tuple(ye), n, m, k, p) == mul_by_rows(xe, ye, n, m, k, p)
+    assert {(7, False), (8, False), (8, True), (16, False), (16, True)} <= sides
+
+
 # --- rank / kernel / injectivity ----------------------------------------------
 
 
@@ -250,6 +285,34 @@ def test_inverse():
     assert mul(m, inverse(m)) == identity(5, F)
     with pytest.raises(ValueError, match="singular"):
         inverse(zeros(3, 3, F))
+
+
+class CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
+def test_random_invertible_pair_matches_random_invertible():
+    """The pair's g is random_invertible's draw from the same rng state, it
+    leaves the rng in the same state, and its second element is g^-1.  Over
+    F_2 singular draws are common, so the redraw loop runs."""
+    redrawn = False
+    for field in (F2, F3, F):
+        for n in (0, 1, 2, 3, 5, 12):
+            for seed in range(6):
+                rng_pair, rng_one = CountingRandom(seed), random.Random(seed)
+                g, ginv = _random_invertible_pair(n, field, rng_pair)
+                assert g == random_invertible(n, field, rng_one)
+                assert rng_pair.getstate() == rng_one.getstate()
+                assert mul(g, ginv) == identity(n, field) == mul(ginv, g)
+                assert ginv == inverse(g)
+                redrawn |= rng_pair.draws > n * n
+    assert redrawn
 
 
 # --- nilpotents ----------------------------------------------------------------
@@ -542,3 +605,40 @@ def test_all_subspaces_cached_per_size_and_field():
     assert first == tuple(all_subspaces.__wrapped__(3, F2))
     assert all_subspaces(3, F3) is not first
     assert all_subspaces(3, F3) == tuple(all_subspaces.__wrapped__(3, F3))
+
+
+# --- the trusted constructor ------------------------------------------------------
+
+
+def _assert_matches_checked(R):
+    """R holds a tuple of ints and equals itself built again through the
+    public constructor, which reduces mod p."""
+    assert type(R.entries) is tuple and all(type(e) is int for e in R.entries)
+    assert R == ExactMatrix(R.rows, R.cols, R.entries, R.field)
+
+
+def test_trusted_results_match_checked_constructor():
+    """Every result the kernel wraps without the constructor's reduction
+    equals the same matrix built the checked way, on inputs given as
+    negative and >= p integers."""
+    rng = random.Random(41)
+    for field in (F2, F3, F):
+        p = field.p
+        for n in (0, 1, 3, 8, 11):
+
+            def unreduced(rows, cols):
+                return ExactMatrix(rows, cols, [rng.randint(-3 * p, 3 * p) for _ in range(rows * cols)], field)
+
+            X, Y = unreduced(n, n + 2), unreduced(n + 2, 3)
+            h = random_invertible(n, field, rng)
+            results = [mul(X, Y), transpose(X), inverse(h), kernel_basis(X), kernel_basis(transpose(X))]
+            # A conjugated nilpotent, its entries shifted by multiples of p.
+            N = mul(mul(h, canonical_nilpotent(Partition((n,)) if n else Partition(), field)), inverse(h))
+            N = ExactMatrix(n, n, [e + p * rng.randint(-2, 2) for e in N.entries], field)
+            results.append(jordan_basis(N))
+            for R in results:
+                _assert_matches_checked(R)
+        for d in ((1, 2), (1, 4, 5), (2, 5, 9, 11)):
+            z = sample_stable(d, field, rng)
+            for R in z.A + z.B:
+                _assert_matches_checked(R)

@@ -7,6 +7,7 @@ import textwrap
 
 import pytest
 
+from quiverz import quiverrep
 from quiverz.abdiagrams import ABDiagram
 from quiverz.exactmat import (
     ExactMatrix,
@@ -25,6 +26,7 @@ from quiverz.partitions import Partition, dominates, mu_of, theta_image
 from quiverz.quiverrep import (
     FlagPoint,
     QuiverRep,
+    _lowering_endo,
     act,
     alpha,
     build_from_chain,
@@ -43,6 +45,7 @@ from quiverz.quiverrep import (
     zero_rep,
 )
 
+from oracles import nilpotency_by_powers
 from oracles import z_points_by_brute_force as _enumerate_z_points
 
 F = FieldSpec()
@@ -165,6 +168,30 @@ def test_nilpotency_degrees_matches_two_power_oracle():
         assert nilpotency_degrees(z) == _nilpotency_by_both_powers(z)
 
 
+def test_nilpotency_degrees_matches_power_loop_oracle(monkeypatch):
+    """The one Jordan pass per A_i B_i against the mat_pow loop: chain and
+    stable points over F_32003 pass both; with the input check patched away,
+    a non-nilpotent A_1 B_1 and a nilpotent one with a block longer than 2
+    fail both."""
+    rng = random.Random(17)
+    for d in ((1, 2), (1, 4, 5), (2, 3, 5, 8), (1, 2, 5, 8, 12), (3, 7, 12, 20)):
+        for z in (
+            build_from_chain(greedy_chain(d), F),
+            build_from_chain(random_chain(d, rng), F),
+            sample_stable(d, F, rng),
+        ):
+            assert nilpotency_degrees(z) is True
+            assert nilpotency_by_powers(z) is True
+    rows = ExactMatrix.from_rows
+    idempotent = QuiverRep((1, 2), [rows([[1], [0]], F)], [rows([[1, 0]], F)], F)  # A_1 B_1 = e_11
+    shift = QuiverRep((2, 3), [rows([[1, 0], [0, 1], [0, 0]], F)], [rows([[0, 1, 0], [0, 0, 1]], F)], F)
+    assert jordan_type(mul(shift.A[0], shift.B[0])) == P(3)
+    monkeypatch.setattr(quiverrep, "check_relations", lambda z: True)
+    for z in (idempotent, shift):
+        assert nilpotency_degrees(z) is False
+        assert nilpotency_by_powers(z) is False
+
+
 # --- stability ------------------------------------------------------------------
 
 
@@ -277,6 +304,29 @@ def test_sample_stable_bounded_by_mu():
         for k in range(10):
             z = sample_stable(d, F, random.Random(200 + k))
             assert dominates(mu_of(d), jordan_type(theta(z)))
+
+
+def test_sample_stable_matches_act_oracle():
+    """sample_stable equals act(random_group_element(...), z0) on the point
+    z0 of inclusions and restrictions of the same lowering endomorphism, from
+    the same rng state, and leaves the rng in the same state."""
+    for field in (F2, FieldSpec(3), F):
+        for d in ((1, 2), (1, 4, 5), (2, 3, 5, 8), (1, 2, 5, 8, 12)):
+            for seed in range(3):
+                rng_fast, rng_slow = random.Random(seed), random.Random(seed)
+                z = sample_stable(d, field, rng_fast)
+                endo = _lowering_endo(d, field, rng_slow)
+                A = [
+                    ExactMatrix(d[i + 1], d[i], [int(r == c) for r in range(d[i + 1]) for c in range(d[i])], field)
+                    for i in range(len(d) - 1)
+                ]
+                B = [
+                    ExactMatrix(d[i], d[i + 1], [endo.at(r, c) for r in range(d[i]) for c in range(d[i + 1])], field)
+                    for i in range(len(d) - 1)
+                ]
+                z0 = QuiverRep(d, A, B, field)
+                assert z == act(random_group_element(d, field, rng_slow), z0)
+                assert rng_fast.getstate() == rng_slow.getstate()
 
 
 def test_sample_stable_rejects_non_monotone():

@@ -271,3 +271,22 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     counts.update(jordan=0)
     jordan_basis(m)
     assert counts == {"relations": 0, "jordan": 1, "canonical": 1}
+
+
+def test_stability_report_checks_relations_once(monkeypatch):
+    """_enumerate_z_points keeps only the tuples that pass _relations_flat,
+    so the subspace criterion takes its representatives without checking the
+    relations again: 3080 checks, one per enumerated tuple, where repeating
+    the check for each of the 622 representatives made 3702."""
+    calls = []
+    real = quiverrep._relations_flat
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(quiverrep, "_relations_flat", counting)
+    monkeypatch.setattr(verify, "_relations_flat", counting)
+    report = stability_report()
+    assert report.passed
+    assert len(calls) == 3080
