@@ -6,11 +6,28 @@ results are exact; the default modulus 32003 is large enough that the
 desk-scale rank and Jordan-type computations used here behave like the
 characteristic-zero ones, while p = 2 keeps exhaustive enumerations small.
 
-The one product, _mul_flat, picks its loop from its left operand.  A dense
-one (inner dimension at least 8, at most half of its entries zero) takes one
-C-level dot product per output entry over precomputed columns; any other
-skips zero entries row by row, which suits the monomial and tiny matrices of
-the chain points and the exhaustive drivers.  Both give the same residues.
+The dense kernels work on packed rows: one Python int per row, entry j in
+the 64-bit slot at bits 64j to 64j + 63 (_pack and _unpack hold the
+format), so a row operation is one C-level multiply-add of big ints.  Slots
+only ever grow between reductions, so every slot has to stay below 2^64.
+One gate decides for both kernels: at least 8 rows to combine,
+(p - 1)^2 * (rows + 1) + p < 2^64 (_packs; it holds for p = 32003 and fails
+for p near 2^31), and at most half of the entries that select the work
+zero.
+
+_mul_flat, the one product, packs the rows of its right operand; the gate
+counts the m rows of ye and the zeros of xe.  Each output row is the sum of
+its entries of xe times those packed rows, at most m (p - 1)^2 per slot,
+unpacked and reduced once.  _rref, the one elimination, counts its rows and
+the zeros of the columns it searches for pivots, so an augmented [M | I]
+is judged by M.  It reduces the entries as it packs them; then row i +=
+(p - f) * pivot row adds at most (p - 1)^2 per slot for each pivot, a row is
+reduced again only when it becomes the pivot row, and every row once at
+the end, when the lists are written back.  Inputs that fail the gate keep
+the list loops: the row loop of _mul_flat skips zero entries, which suits
+the monomial and tiny matrices of the chain points and the exhaustive
+drivers, and the list loop of _rref skips rows with a zero in the pivot
+column.  Both paths give the same residues and the same RREF.
 
 Kernel results are wrapped by ExactMatrix._reduced, which skips the checks
 and the reduction of the public constructor.  Its precondition: exactly
@@ -21,12 +38,16 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
+from array import array
 from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence
 
 from quiverz.partitions import Partition, dual
 
 DEFAULT_PRIME = 32003
+_SLOT_LIMIT = 1 << 64
+_SLOT_MASK = _SLOT_LIMIT - 1
 
 
 def _is_prime(p: int) -> bool:
@@ -179,17 +200,38 @@ def identity(n: int, field: FieldSpec) -> ExactMatrix:
     return ExactMatrix(n, n, e, field)
 
 
+def _packs(count: int, p: int) -> bool:
+    """The gate of the packed loops, before their zero counts: at least 8
+    rows to combine, and count + 1 products of residues plus a residue fit
+    in a 64-bit slot."""
+    return count >= 8 and (p - 1) ** 2 * (count + 1) + p < _SLOT_LIMIT
+
+
+def _pack(row: Sequence[int]) -> int:
+    """One int holding the entries of row, each in [0, 2^64): entry j in the
+    bits 64j to 64j + 63."""
+    return int.from_bytes(array("Q", row).tobytes(), sys.byteorder)
+
+
+def _unpack(packed: int, width: int) -> array:
+    """The width slots of a packed row; every slot must be below 2^64."""
+    return array("Q", packed.to_bytes(8 * width, sys.byteorder))
+
+
 def _mul_flat(xe: Sequence[int], ye: Sequence[int], n: int, m: int, k: int, p: int) -> List[int]:
     """Row-major entries of the n x k product of the flat n x m matrix xe and
-    the flat m x k matrix ye, reduced mod p.
+    the flat m x k matrix ye, both with entries in [0, p), reduced mod p.
 
-    A dense xe (m >= 8, at most half of it zero) takes one dot product per
-    entry over the columns of ye; otherwise each row accumulates only its
-    nonzero entries times the matching rows of ye."""
-    if m >= 8 and 2 * xe.count(0) <= len(xe):
-        rows = [xe[i * m : (i + 1) * m] for i in range(n)]
-        cols = [ye[j::k] for j in range(k)]
-        return [sum(map(operator.mul, row, col)) % p for row in rows for col in cols]
+    Past the _packs gate for the m rows of ye, with at most half of xe zero,
+    each output row is the sum of its entries times the packed rows of ye,
+    unpacked once; otherwise each row accumulates only its nonzero entries
+    times the matching rows of ye."""
+    if _packs(m, p) and 2 * xe.count(0) <= len(xe):
+        packed = [_pack(ye[l * k : (l + 1) * k]) for l in range(m)]
+        out = []
+        for i in range(n):
+            out.extend(v % p for v in _unpack(sum(map(operator.mul, xe[i * m : (i + 1) * m], packed)), k))
+        return out
     out = [0] * (n * k)
     for i in range(n):
         xi = i * m
@@ -247,11 +289,17 @@ def _rref(rows: List[List[int]], p: int, pivot_cols: Optional[int] = None) -> Li
     """In-place reduced row echelon form; returns the pivot column list.
 
     Pivots are searched only in the first pivot_cols columns; row operations
-    always span the full width, so augmented columns ride along."""
+    always span the full width, so augmented columns ride along.  Past the
+    _packs gate for its rows, with at most half of the first pivot_cols
+    columns zero, the rows are eliminated packed (_rref_packed); otherwise
+    in lists, reading entries mod p and skipping rows with a zero in the
+    pivot column."""
     nrows = len(rows)
     width = len(rows[0]) if nrows else 0
     if pivot_cols is None:
         pivot_cols = width
+    if _packs(nrows, p) and 2 * sum(row[:pivot_cols].count(0) for row in rows) <= nrows * pivot_cols:
+        return _rref_packed(rows, p, pivot_cols)
     pivots: List[int] = []
     r = 0
     for c in range(pivot_cols):
@@ -270,6 +318,39 @@ def _rref(rows: List[List[int]], p: int, pivot_cols: Optional[int] = None) -> Li
         r += 1
         if r == nrows:
             break
+    return pivots
+
+
+def _rref_packed(rows: List[List[int]], p: int, pivot_cols: int) -> List[int]:
+    """_rref on packed rows, for inputs that pass the _packs gate.
+
+    Rows are reduced when packed, when they become the pivot row and once
+    at the end; between, row i += (p - f) * pivot row only adds, at most
+    (p - 1)^2 per slot and pivot, so no slot reaches 2^64."""
+    nrows = len(rows)
+    width = len(rows[0])
+    packed = [_pack([v % p for v in row]) for row in rows]
+    pivots: List[int] = []
+    r = 0
+    for c in range(pivot_cols):
+        shift = 64 * c
+        pivot = next((i for i in range(r, nrows) if (packed[i] >> shift & _SLOT_MASK) % p), None)
+        if pivot is None:
+            continue
+        row = _unpack(packed[pivot], width)
+        packed[pivot] = packed[r]
+        inv = pow(row[c] % p, p - 2, p)
+        pivot_row = packed[r] = _pack([v * inv % p for v in row])
+        for i in range(nrows):
+            if i != r:
+                f = (packed[i] >> shift & _SLOT_MASK) % p
+                if f:
+                    packed[i] += (p - f) * pivot_row
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    rows[:] = [[v % p for v in _unpack(x, width)] for x in packed]
     return pivots
 
 
@@ -440,6 +521,22 @@ def jordan_type(N: ExactMatrix) -> Partition:
     return typ
 
 
+def _echelon_add(basis: list, v: Sequence[int], p: int) -> bool:
+    """Insert v into basis, a list of (c, b) with b[c] = 1 and b zero at the
+    c of every pair before it: append the remainder of v, unless v lies in
+    the span.  True if v was appended."""
+    for c, b in basis:
+        f = v[c]
+        if f:
+            v = [(x - f * y) % p for x, y in zip(v, b)]
+    c = next((i for i in range(len(v) - 1, -1, -1) if v[i]), None)
+    if c is None:
+        return False
+    inv = pow(v[c], p - 2, p)
+    basis.append((c, [x * inv % p for x in v]))
+    return True
+
+
 def _jordan_basis(N: ExactMatrix) -> tuple:
     """(g, jordan_type(N), g^-1) with g^-1 N g the canonical nilpotent.
 
@@ -458,20 +555,25 @@ def _jordan_basis(N: ExactMatrix) -> tuple:
         raise ValueError("not nilpotent")
     chains: List[list] = []  # chain[i] = N^i applied to the top
     for j in range(len(kernels), 0, -1):
-        # New tops are the level vectors that are pivot columns of
-        # [ker N^{j-1} | longer chains at height j | ker N^j]: the greedy
-        # left-to-right choice of vectors outside the span so far.
-        span = [chain[len(chain) - j] for chain in chains]
-        if j >= 2:
-            span = kernels[j - 2] + span
-        cands = span + kernels[j - 1]
-        pivots = _rref([[v[i] for v in cands] for i in range(n)], p)
-        for c in pivots:
-            if c >= len(span):
-                chain = [cands[c]]
-                for _ in range(j - 1):
-                    chain.append(_mul_flat(N.entries, chain[-1], n, n, 1, p))
-                chains.append(chain)
+        if chains:  # the longer chains, one height down: one product
+            k = len(chains)
+            out = _mul_flat(N.entries, [chain[-1][i] for i in range(n) for chain in chains], n, n, k, p)
+            for t, chain in enumerate(chains):
+                chain.append(out[t::k])
+        # New tops are the vectors of ker N^j, in order, that lie outside
+        # the span of ker N^{j-1}, the longer chains at height j and the
+        # tops before them: each is inserted into one echelon basis, and
+        # there are as many as parts of size j.
+        basis: list = []
+        for v in (kernels[j - 2] if j >= 2 else []) + [chain[-1] for chain in chains]:
+            _echelon_add(basis, v, p)
+        new = typ.parts.count(j)
+        for v in kernels[j - 1]:
+            if not new:
+                break
+            if _echelon_add(basis, v, p):
+                chains.append([v])
+                new -= 1
     columns: list = []
     for chain in chains:  # built longest first
         columns.extend(reversed(chain))
@@ -487,14 +589,21 @@ def jordan_basis(N: ExactMatrix) -> ExactMatrix:
     return g
 
 
-def conjugator(N1: ExactMatrix, N2: ExactMatrix) -> ExactMatrix:
-    """Invertible g with g N2 g^-1 = N1, for nilpotents of equal Jordan type."""
+def _conjugator_pair(N1: ExactMatrix, N2: ExactMatrix) -> tuple:
+    """(g, g^-1) with g N2 g^-1 = N1, for nilpotents of equal Jordan type:
+    g = g1 g2^-1 from their Jordan bases, so g^-1 = g2 g1^-1 needs no
+    elimination of its own.  Unchecked, as _jordan_basis."""
     _require_same_field(N1, N2)
-    g1, t1, _ = _jordan_basis(N1)
-    _, t2, g2inv = _jordan_basis(N2)
+    g1, t1, g1inv = _jordan_basis(N1)
+    g2, t2, g2inv = _jordan_basis(N2)
     if t1 != t2:
         raise ValueError(f"jordan types differ: {t1} vs {t2}")
-    g = mul(g1, g2inv)
+    return mul(g1, g2inv), mul(g2, g1inv)
+
+
+def conjugator(N1: ExactMatrix, N2: ExactMatrix) -> ExactMatrix:
+    """Invertible g with g N2 g^-1 = N1, for nilpotents of equal Jordan type."""
+    g = _conjugator_pair(N1, N2)[0]
     if mul(g, N2) != mul(N1, g):
         raise CertificateError("conjugator: g N2 differs from N1 g")
     return g

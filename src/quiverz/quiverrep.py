@@ -21,11 +21,11 @@ from quiverz.exactmat import (
     CertificateError,
     ExactMatrix,
     FieldSpec,
+    _conjugator_pair,
     _jordan_flat,
     _mul_flat,
     _random_invertible_pair,
     all_subspaces,
-    conjugator,
     hstack,
     identity,
     inverse,
@@ -442,8 +442,7 @@ def build_from_chain(deltas: Sequence[ABDiagram], field: FieldSpec) -> QuiverRep
     for i in range(1, len(deltas)):
         target = mul(A[i - 1], B[i - 1])
         Ai, Bi = pairs[i]
-        g = conjugator(target, mul(Bi, Ai))
-        ginv = inverse(g)
+        g, ginv = _conjugator_pair(target, mul(Bi, Ai))
         A.append(mul(Ai, ginv))
         B.append(mul(g, Bi))
     z = QuiverRep(tuple(dims), A, B, field)

@@ -4,9 +4,10 @@ The exhaustive drivers in quiverz.verify visit one rank-normal-form
 representative per base-change stratum; the brute-force loops here visit
 every pair and every matrix tuple, as the drivers once did, so the tests can
 compare the two at the smallest sizes.  One more loop keeps the normal forms
-but runs B over every matrix.  mul_by_rows is the product loop that
-exactmat._mul_flat keeps for sparse operands, and nilpotency_by_powers the
-power loop that quiverrep.nilpotency_degrees replaced.
+but runs B over every matrix.  mul_by_rows and rref_by_rows are the product
+and elimination loops that exactmat._mul_flat and exactmat._rref keep for
+sparse and small operands, and nilpotency_by_powers the power loop that
+quiverrep.nilpotency_degrees replaced.
 """
 
 import itertools
@@ -34,6 +35,35 @@ def mul_by_rows(xe, ye, n: int, m: int, k: int, p: int) -> list:
         for j in range(k):
             out[oi + j] = acc[j] % p
     return out
+
+
+def rref_by_rows(rows: list, p: int, pivot_cols=None) -> list:
+    """In-place reduced row echelon form on lists of ints, one list
+    comprehension per row operation; returns the pivot column list.  Rows
+    that no operation touches keep their entries unreduced."""
+    nrows = len(rows)
+    width = len(rows[0]) if nrows else 0
+    if pivot_cols is None:
+        pivot_cols = width
+    pivots = []
+    r = 0
+    for c in range(pivot_cols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c] % p), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c] % p, p - 2, p)
+        rows[r] = [(v * inv) % p for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] % p:
+                f = rows[i][c] % p
+                ri, rr = rows[i], rows[r]
+                rows[i] = [(ri[j] - f * rr[j]) % p for j in range(width)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
 
 
 def nilpotency_by_powers(z) -> bool:

@@ -7,12 +7,14 @@ import textwrap
 
 import pytest
 
+from quiverz import exactmat
 from quiverz.exactmat import (
     DEFAULT_PRIME,
     ExactMatrix,
     FieldSpec,
     _mul_flat,
     _random_invertible_pair,
+    _rref,
     all_subspaces,
     canonical_nilpotent,
     conjugator,
@@ -36,7 +38,7 @@ from quiverz.exactmat import (
 from quiverz.partitions import Partition, dual, partitions_up_to_weight
 from quiverz.quiverrep import sample_stable
 
-from oracles import mul_by_rows
+from oracles import mul_by_rows, rref_by_rows
 
 F = FieldSpec()
 F2 = FieldSpec(2)
@@ -158,26 +160,100 @@ def _with_zeros(size, zeros_wanted, p, rng):
     return out
 
 
-def test_mul_flat_matches_row_loop_oracle():
-    """Both sides of the dense switch (m >= 8 and at most half of xe zero):
-    inner dimension 7 and 8, zero counts around one half, mat-vecs (k = 1),
-    every zero dimension, and p = 2 and 32003."""
+def _counting(monkeypatch, name):
+    """Replace exactmat.<name> by a wrapper; returns the list of its calls."""
+    real = getattr(exactmat, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exactmat, name, counting)
+    return calls
+
+
+def test_mul_flat_matches_row_loop_oracle(monkeypatch):
+    """Both sides of the packed switch (m >= 8, at most half of xe zero, and
+    m + 1 products of residues within a 64-bit slot): inner dimension 7 and
+    8, zero counts around one half, mat-vecs (k = 1), dense products with
+    k >= 8, every zero dimension, and p = 2, 32003 and 2^31 - 1, whose
+    products are too wide to pack."""
+    packs = _counting(monkeypatch, "_pack")
     rng = random.Random(31)
     shapes = [
         (4, 7, 3), (4, 8, 3), (5, 8, 1), (3, 9, 1), (7, 7, 1), (6, 16, 5), (1, 8, 8),
+        (9, 8, 8), (8, 12, 10), (3, 20, 16),
         (0, 8, 3), (3, 0, 4), (4, 8, 0), (0, 0, 0), (0, 9, 0), (1, 1, 1),
     ]
     sides = set()
-    for p in (2, 32003):
+    for p in (2, 32003, 2**31 - 1):
         for n, m, k in shapes:
             size = n * m
             for z in sorted({0, size // 2 - 1, size // 2, size // 2 + 1, size} & set(range(size + 1))):
                 xe = _with_zeros(size, z, p, rng)
                 ye = [rng.randrange(p) for _ in range(m * k)]
-                sides.add((m, m >= 8 and 2 * z <= size))
+                before = len(packs)
                 assert _mul_flat(xe, ye, n, m, k, p) == mul_by_rows(xe, ye, n, m, k, p), (p, n, m, k, z)
+                sides.add((p, m, k >= 8, len(packs) > before))
                 assert _mul_flat(tuple(xe), tuple(ye), n, m, k, p) == mul_by_rows(xe, ye, n, m, k, p)
-    assert {(7, False), (8, False), (8, True), (16, False), (16, True)} <= sides
+    assert {(7, False), (8, False), (8, True), (16, False), (16, True)} <= {(m, packed) for p, m, _, packed in sides}
+    assert {(32003, True, True), (32003, True, False), (2**31 - 1, True, False)} <= {
+        (p, wide, packed) for p, _, wide, packed in sides
+    }
+    assert not any(packed for p, _, _, packed in sides if p == 2**31 - 1)
+
+
+def _rref_inputs(nrows, p, rng):
+    """(rows, pivot_cols) for _rref: pivot blocks of width nrows - 3, nrows
+    and nrows + 5, and [M | I] with pivot_cols = nrows; zero counts of the
+    pivot block one below, at and one above half; then, at half, a rank
+    deficient matrix, zero rows and entries that are negative or >= p."""
+    for cols, augment in ((nrows - 3, False), (nrows, False), (nrows + 5, False), (nrows, True)):
+        size = nrows * cols
+        for z in (size // 2 - 1, size // 2, size // 2 + 1, "deficient", "zero rows", "unreduced"):
+            block = _with_zeros(size, z if isinstance(z, int) else size // 2, p, rng)
+            rows = [block[i * cols : (i + 1) * cols] for i in range(nrows)]
+            if z == "deficient":  # the last third are combinations of rows 0 and 1
+                for i in range(2 * nrows // 3, nrows):
+                    a, b = rng.randrange(p), rng.randrange(p)
+                    rows[i] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+            elif z == "zero rows":
+                rows[1] = [0] * cols
+                rows[-1] = [0] * cols
+            elif z == "unreduced":
+                rows = [[v + p * rng.choice((-2, -1, 1, 2)) if v else v for v in row] for row in rows]
+            if augment:
+                rows = [row + [int(j == i) for j in range(nrows)] for i, row in enumerate(rows)]
+            yield rows, (cols if augment else None)
+
+
+def test_rref_matches_list_loop_oracle(monkeypatch):
+    """The packed elimination gives the pivots of the list loop it keeps for
+    inputs with fewer than 8 rows, more than half of the pivot block zero,
+    or p too wide for a 64-bit slot (2^31 - 1, where both sides run the list
+    loop, so its largest size is left out), and the same rows reduced mod p
+    (the list loop leaves rows that no operation touches unreduced)."""
+    packed_runs = _counting(monkeypatch, "_rref_packed")
+    rng = random.Random(37)
+    sides = set()
+    for p in (2, 3, 32003, 2**31 - 1):
+        cases = [([[] for _ in range(nrows)], None) for nrows in (0, 7, 8)]
+        for nrows in (7, 8, 9, 16, 40) if p < 1 << 16 else (7, 8, 9, 16):
+            cases += _rref_inputs(nrows, p, rng)
+        for rows, pivot_cols in cases:
+            expect = [row[:] for row in rows]
+            expect_pivots = rref_by_rows(expect, p, pivot_cols)
+            before = len(packed_runs)
+            pivots = _rref(rows, p, pivot_cols)
+            sides.add((p, len(rows), len(packed_runs) > before))
+            assert pivots == expect_pivots, (p, len(rows), pivot_cols)
+            assert [[v % p for v in row] for row in rows] == [[v % p for v in row] for row in expect]
+            if len(packed_runs) > before:
+                assert all(0 <= v < p for row in rows for v in row)
+    for p in (2, 3, 32003):
+        assert {(p, 7, False), (p, 8, False), (p, 8, True), (p, 40, False), (p, 40, True)} <= sides
+    assert not any(packed for p, _, packed in sides if p == 2**31 - 1)
 
 
 # --- rank / kernel / injectivity ----------------------------------------------

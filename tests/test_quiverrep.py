@@ -7,13 +7,16 @@ import textwrap
 
 import pytest
 
-from quiverz import quiverrep
+from quiverz import exactmat, quiverrep
 from quiverz.abdiagrams import ABDiagram
 from quiverz.exactmat import (
     ExactMatrix,
     FieldSpec,
+    _conjugator_pair,
+    conjugator,
     hstack,
     identity,
+    inverse,
     is_injective,
     jordan_type,
     mat_pow,
@@ -421,6 +424,38 @@ def test_build_from_chain_single_row():
     assert jordan_type(theta(z)) == P(2)
     zsplit = build_from_chain([ABDiagram.from_strings(["ab", "b"])], F)
     assert jordan_type(theta(zsplit)) == P(1, 1)
+
+
+def test_build_from_chain_takes_conjugator_inverse_from_bases(monkeypatch):
+    """Each chain interface eliminates once per Jordan basis, two in all:
+    g^-1 = g2 g1^-1 comes from the bases, and it is inverse(g)."""
+    real = exactmat._inverse_flat
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    for dims in ((1, 4, 5), (1, 2, 5, 8, 12), (2, 4, 6)):
+        chain = greedy_chain(dims)
+        expected = build_from_chain(chain, F)
+        monkeypatch.setattr(exactmat, "_inverse_flat", counting)
+        assert build_from_chain(chain, F) == expected
+        monkeypatch.setattr(exactmat, "_inverse_flat", real)
+        assert len(calls) == 2 * (len(chain) - 1)
+        calls.clear()
+    rng = random.Random(19)
+    for eta in (P(1), P(2, 1), P(4, 2, 2, 1), P(6, 3, 3, 2)):
+        n = exactmat.canonical_nilpotent(eta, F)
+        h1, h2 = (exactmat.random_invertible(eta.weight, F, rng) for _ in range(2))
+        n1, n2 = mul(mul(h1, n), inverse(h1)), mul(mul(h2, n), inverse(h2))
+        monkeypatch.setattr(exactmat, "_inverse_flat", counting)
+        g, ginv = _conjugator_pair(n1, n2)
+        monkeypatch.setattr(exactmat, "_inverse_flat", real)
+        assert calls == [eta.weight, eta.weight]
+        calls.clear()
+        assert g == conjugator(n1, n2)
+        assert ginv == inverse(g)
 
 
 def test_build_from_chain_interface_errors():

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "quiverz"
 
@@ -17,4 +18,23 @@ def test_package_has_no_assert():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_package_imports_only_stdlib():
+    """The package has no runtime dependencies: every import names a module
+    of the standard library, __future__ or quiverz itself."""
+    allowed = set(sys.stdlib_module_names) | {"__future__", "quiverz"}
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) >= 7
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else ["quiverz"]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}:{name}" for name in names if name.split(".")[0] not in allowed]
     assert found == []
