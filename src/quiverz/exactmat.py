@@ -589,21 +589,15 @@ def jordan_basis(N: ExactMatrix) -> ExactMatrix:
     return g
 
 
-def _conjugator_pair(N1: ExactMatrix, N2: ExactMatrix) -> tuple:
-    """(g, g^-1) with g N2 g^-1 = N1, for nilpotents of equal Jordan type:
-    g = g1 g2^-1 from their Jordan bases, so g^-1 = g2 g1^-1 needs no
-    elimination of its own.  Unchecked, as _jordan_basis."""
+def conjugator(N1: ExactMatrix, N2: ExactMatrix) -> ExactMatrix:
+    """Invertible g with g N2 g^-1 = N1, for nilpotents of equal Jordan type:
+    g = g1 g2^-1 from their Jordan bases."""
     _require_same_field(N1, N2)
-    g1, t1, g1inv = _jordan_basis(N1)
-    g2, t2, g2inv = _jordan_basis(N2)
+    g1, t1, _ = _jordan_basis(N1)
+    _, t2, g2inv = _jordan_basis(N2)
     if t1 != t2:
         raise ValueError(f"jordan types differ: {t1} vs {t2}")
-    return mul(g1, g2inv), mul(g2, g1inv)
-
-
-def conjugator(N1: ExactMatrix, N2: ExactMatrix) -> ExactMatrix:
-    """Invertible g with g N2 g^-1 = N1, for nilpotents of equal Jordan type."""
-    g = _conjugator_pair(N1, N2)[0]
+    g = mul(g1, g2inv)
     if mul(g, N2) != mul(N1, g):
         raise CertificateError("conjugator: g N2 differs from N1 g")
     return g

@@ -7,12 +7,19 @@ map theta sends a point to A_{t-1} B_{t-1}.  Stability is injectivity of all
 forward maps; stable points correspond to flags with a flag-lowering
 endomorphism, and arbitrary Jordan-type chains are realized by gluing
 ab-diagram pairs.
+
+The pairs of a chain are 0/1 partial-permutation matrices, so both
+compositions at an interface are nilpotent partial permutations whose
+Jordan bases are permutations read off their chains (_chain_order): the glue
+permutes columns and rows and eliminates nothing.  What certifies the glued
+point is the re-check that follows, on the general kernels: the relations
+and the Jordan type of theta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import itertools
 
@@ -21,7 +28,6 @@ from quiverz.exactmat import (
     CertificateError,
     ExactMatrix,
     FieldSpec,
-    _conjugator_pair,
     _jordan_flat,
     _mul_flat,
     _random_invertible_pair,
@@ -411,6 +417,36 @@ def random_chain(dims: Sequence[int], rng) -> List[ABDiagram]:
     return _walk_chain(dims, lambda eta, step: random_diagram(eta, step, rng))
 
 
+def _chain_order(entries: Sequence[int], n: int) -> Optional[List[int]]:
+    """The column order of the Jordan basis _jordan_basis picks for the flat
+    n x n matrix N when N is a nilpotent 0/1 partial permutation, else None.
+
+    Such an N sends each e_c to one e_r or to 0, so its Jordan chains are
+    unit vectors, and the greedy choice of _jordan_basis, run on unit
+    vectors, takes them longest first, equal lengths by increasing top
+    index, each written bottom to top."""
+    below = [-1] * n  # below[c] = r when N e_c = e_r
+    above = [-1] * n  # above[r] = c when N e_c = e_r
+    for idx, v in enumerate(entries):
+        if v:
+            r, c = divmod(idx, n)
+            if v != 1 or below[c] >= 0 or above[r] >= 0:
+                return None
+            below[c] = r
+            above[r] = c
+    chains = []
+    for top in range(n):
+        if above[top] < 0:
+            chain = [top]
+            while below[chain[-1]] >= 0:
+                chain.append(below[chain[-1]])
+            chains.append(chain)
+    if sum(map(len, chains)) != n:  # the rest lies on cycles: not nilpotent
+        return None
+    chains.sort(key=len, reverse=True)  # stable, so equal lengths keep top order
+    return [c for chain in chains for c in reversed(chain)]
+
+
 def build_from_chain(deltas: Sequence[ABDiagram], field: FieldSpec) -> QuiverRep:
     """Glue diagram pairs into a point of the relation variety.
 
@@ -418,7 +454,16 @@ def build_from_chain(deltas: Sequence[ABDiagram], field: FieldSpec) -> QuiverRep
     vanishes); consecutive diagrams must agree across each interface, where
     the later pair is conjugated onto the earlier one's composition.  The
     quotient-map value of the result has Jordan type b_part of the last
-    diagram."""
+    diagram.
+
+    The conjugation is a permutation.  A_{i-1} B_{i-1} is the raw product
+    A'_{i-1} B'_{i-1} of its pair, as the earlier conjugation cancels in it,
+    and g = g1 g2^-1 for the Jordan bases g1 of that product and g2 of
+    B'_i A'_i, both permutations with column orders o1 and o2.  So column
+    o1[k] of A_i = A'_i g^-1 is column o2[k] of A'_i, and row o1[k] of
+    B_i = g B'_i is row o2[k] of B'_i.  The relations and the Jordan type of
+    theta are then re-checked on the general kernels; that re-check is the
+    certificate."""
     deltas = list(deltas)
     if not deltas:
         raise ValueError("chain must contain at least one diagram")
@@ -436,15 +481,25 @@ def build_from_chain(deltas: Sequence[ABDiagram], field: FieldSpec) -> QuiverRep
                 f"chain mismatch at interface {i + 1}: b-part {deltas[i].b_part.to_list()} "
                 f"vs a-part {deltas[i + 1].a_part.to_list()}"
             )
+    p = field.p
     pairs = [build_pair(d, field) for d in deltas]
     A = [pairs[0][0]]
     B = [pairs[0][1]]
     for i in range(1, len(deltas)):
-        target = mul(A[i - 1], B[i - 1])
-        Ai, Bi = pairs[i]
-        g, ginv = _conjugator_pair(target, mul(Bi, Ai))
-        A.append(mul(Ai, ginv))
-        B.append(mul(g, Bi))
+        (A0, B0), (A1, B1) = pairs[i - 1], pairs[i]
+        lo, hi = A1.cols, A1.rows
+        o1 = _chain_order(_mul_flat(A0.entries, B0.entries, A0.rows, A0.cols, A0.rows, p), A0.rows)
+        o2 = _chain_order(_mul_flat(B1.entries, A1.entries, lo, hi, lo, p), lo)
+        if o1 is None or o2 is None or len(o1) != len(o2):
+            raise CertificateError(
+                f"build_from_chain: interface {i} of {dims} is not glued by a permutation"
+            )
+        src = [0] * lo  # column src[c] of A'_i is column c of A_i, likewise rows of B
+        for c1, c2 in zip(o1, o2):
+            src[c1] = c2
+        ae, be = A1.entries, B1.entries
+        A.append(ExactMatrix._reduced(hi, lo, [ae[r * lo + c] for r in range(hi) for c in src], field))
+        B.append(ExactMatrix._reduced(lo, hi, [v for c in src for v in be[c * hi : (c + 1) * hi]], field))
     z = QuiverRep(tuple(dims), A, B, field)
     if not check_relations(z) or jordan_type(theta(z)) != deltas[-1].b_part:
         raise CertificateError(f"build_from_chain: the point glued for {dims} fails its re-check")

@@ -7,13 +7,16 @@ compare the two at the smallest sizes.  One more loop keeps the normal forms
 but runs B over every matrix.  mul_by_rows and rref_by_rows are the product
 and elimination loops that exactmat._mul_flat and exactmat._rref keep for
 sparse and small operands, and nilpotency_by_powers the power loop that
-quiverrep.nilpotency_degrees replaced.
+quiverrep.nilpotency_degrees replaced.  build_from_chain_by_conjugators is
+the interface loop that quiverrep.build_from_chain replaced with
+permutations read off the chains.
 """
 
 import itertools
 from functools import lru_cache
 
-from quiverz.exactmat import ExactMatrix, _jordan_flat, _mul_flat, mat_pow, mul
+from quiverz.abdiagrams import build_pair
+from quiverz.exactmat import ExactMatrix, _jordan_basis, _jordan_flat, _mul_flat, mat_pow, mul
 from quiverz.quiverrep import QuiverRep, _relations_flat
 
 
@@ -69,6 +72,23 @@ def rref_by_rows(rows: list, p: int, pivot_cols=None) -> list:
 def nilpotency_by_powers(z) -> bool:
     """(A_i B_i)^{i+1} = 0 for every i, each power taken; no input check."""
     return all(mat_pow(mul(z.A[i - 1], z.B[i - 1]), i + 1).is_zero() for i in range(1, z.t))
+
+
+def build_from_chain_by_conjugators(deltas, field) -> QuiverRep:
+    """The diagram pairs of a compatible chain glued by conjugators: each
+    later pair (A', B') becomes (A' g^-1, g B') for g = g1 g2^-1, g1 and g2
+    the Jordan bases of A_{i-1} B_{i-1} and B' A', and g^-1 = g2 g1^-1.  No
+    input check and no re-check."""
+    pairs = [build_pair(d, field) for d in deltas]
+    A = [pairs[0][0]]
+    B = [pairs[0][1]]
+    for Ai, Bi in pairs[1:]:
+        g1, _, g1inv = _jordan_basis(mul(A[-1], B[-1]))
+        g2, _, g2inv = _jordan_basis(mul(Bi, Ai))
+        A.append(mul(Ai, mul(g2, g1inv)))
+        B.append(mul(mul(g1, g2inv), Bi))
+    dims = (deltas[0].total_a,) + tuple(d.total_b for d in deltas)
+    return QuiverRep(dims, A, B, field)
 
 
 def pair_types_by_brute_force(n: int, a: int, p: int) -> dict:

@@ -12,7 +12,7 @@ from quiverz.abdiagrams import ABDiagram
 from quiverz.exactmat import (
     ExactMatrix,
     FieldSpec,
-    _conjugator_pair,
+    _jordan_basis,
     conjugator,
     hstack,
     identity,
@@ -29,6 +29,7 @@ from quiverz.partitions import Partition, dominates, mu_of, theta_image
 from quiverz.quiverrep import (
     FlagPoint,
     QuiverRep,
+    _chain_order,
     _lowering_endo,
     act,
     alpha,
@@ -48,7 +49,7 @@ from quiverz.quiverrep import (
     zero_rep,
 )
 
-from oracles import nilpotency_by_powers
+from oracles import build_from_chain_by_conjugators, nilpotency_by_powers
 from oracles import z_points_by_brute_force as _enumerate_z_points
 
 F = FieldSpec()
@@ -427,35 +428,122 @@ def test_build_from_chain_single_row():
 
 
 def test_build_from_chain_takes_conjugator_inverse_from_bases(monkeypatch):
-    """Each chain interface eliminates once per Jordan basis, two in all:
-    g^-1 = g2 g1^-1 comes from the bases, and it is inverse(g)."""
-    real = exactmat._inverse_flat
-    calls = []
+    """build_from_chain eliminates nothing to glue: no inverse, and one
+    Jordan-type pass, the re-check of theta.  conjugator takes g = g1 g2^-1
+    from the Jordan bases, one inverse each, and g2 g1^-1, the g^-1 the
+    conjugator oracle of the chains glues with, is inverse(g)."""
+    counted = {"_inverse_flat": [], "_jordan_flat": []}
 
-    def counting(*args):
-        calls.append(args[1])
-        return real(*args)
+    def counting(name):
+        real = getattr(exactmat, name)
+
+        def wrapper(*args):
+            counted[name].append(args[1])
+            return real(*args)
+
+        return wrapper
 
     for dims in ((1, 4, 5), (1, 2, 5, 8, 12), (2, 4, 6)):
         chain = greedy_chain(dims)
         expected = build_from_chain(chain, F)
-        monkeypatch.setattr(exactmat, "_inverse_flat", counting)
-        assert build_from_chain(chain, F) == expected
-        monkeypatch.setattr(exactmat, "_inverse_flat", real)
-        assert len(calls) == 2 * (len(chain) - 1)
-        calls.clear()
+        with monkeypatch.context() as m:
+            for name in counted:
+                m.setattr(exactmat, name, counting(name))
+            assert build_from_chain(chain, F) == expected
+        assert counted == {"_inverse_flat": [], "_jordan_flat": [dims[-1]]}
+        counted["_jordan_flat"].clear()
     rng = random.Random(19)
     for eta in (P(1), P(2, 1), P(4, 2, 2, 1), P(6, 3, 3, 2)):
         n = exactmat.canonical_nilpotent(eta, F)
         h1, h2 = (exactmat.random_invertible(eta.weight, F, rng) for _ in range(2))
         n1, n2 = mul(mul(h1, n), inverse(h1)), mul(mul(h2, n), inverse(h2))
-        monkeypatch.setattr(exactmat, "_inverse_flat", counting)
-        g, ginv = _conjugator_pair(n1, n2)
-        monkeypatch.setattr(exactmat, "_inverse_flat", real)
-        assert calls == [eta.weight, eta.weight]
-        calls.clear()
-        assert g == conjugator(n1, n2)
-        assert ginv == inverse(g)
+        with monkeypatch.context() as m:
+            m.setattr(exactmat, "_inverse_flat", counting("_inverse_flat"))
+            g = conjugator(n1, n2)
+        assert counted["_inverse_flat"] == [eta.weight, eta.weight]
+        counted["_inverse_flat"].clear()
+        g1, _, g1inv = _jordan_basis(n1)
+        g2, _, g2inv = _jordan_basis(n2)
+        assert g == mul(g1, g2inv)
+        assert mul(g2, g1inv) == inverse(g)
+
+
+def _chains_to_compare():
+    """Per field, the greedy chain and three seeded random chains of every
+    strictly monotone vector with last entry at most 7, then the greedy and
+    one random chain of three larger vectors at p = 32003."""
+    for p in (2, 3, 32003):
+        field = FieldSpec(p)
+        rng = random.Random(p)
+        for r in range(2, 8):
+            for dims in itertools.combinations(range(1, 8), r):
+                yield dims, field, greedy_chain(dims)
+                for _ in range(3):
+                    yield dims, field, random_chain(dims, rng)
+    rng = random.Random(23)
+    for dims in ((4, 11, 16), (4, 7, 13, 16), (12, 27, 40)):
+        yield dims, F, greedy_chain(dims)
+        yield dims, F, random_chain(dims, rng)
+
+
+def test_build_from_chain_matches_conjugator_oracle():
+    """The permutation glue gives the conjugator glue entry for entry."""
+    count = 0
+    for dims, field, chain in _chains_to_compare():
+        z = build_from_chain(chain, field)
+        assert z.dims == dims
+        assert z == build_from_chain_by_conjugators(chain, field), (dims, field, chain)
+        count += 1
+    assert count == 3 * 4 * 120 + 6
+
+
+def _nilpotent_partial_permutations(n):
+    """Flat entries of every nilpotent 0/1 partial permutation of size n:
+    each injective partial map sigma gives the matrix with a 1 at
+    (sigma(c), c), kept when n steps of sigma leave its domain from every c."""
+    for k in range(n + 1):
+        for cols in itertools.combinations(range(n), k):
+            for rows in itertools.permutations(range(n), k):
+                sigma = dict(zip(cols, rows))
+                if all(_leaves_domain(sigma, c, n) for c in cols):
+                    entries = [0] * (n * n)
+                    for c, r in sigma.items():
+                        entries[r * n + c] = 1
+                    yield entries
+
+
+def _leaves_domain(sigma, c, steps):
+    for _ in range(steps):
+        if c not in sigma:
+            return True
+        c = sigma[c]
+    return c not in sigma
+
+
+def test_chain_order_matches_jordan_basis():
+    """On every nilpotent 0/1 partial permutation of size at most 6, the
+    Jordan basis _jordan_basis picks is the permutation _chain_order reads."""
+    counts = []
+    for n in range(7):
+        counts.append(0)
+        for entries in _nilpotent_partial_permutations(n):
+            order = _chain_order(entries, n)
+            g = _jordan_basis(ExactMatrix(n, n, entries, F))[0]
+            assert g.entries == tuple(int(r == order[k]) for r in range(n) for k in range(n)), entries
+            counts[-1] += 1
+    assert counts == [1, 1, 3, 13, 73, 501, 4051]  # sets of chains: sum_k n!/k! C(n-1, k-1)
+
+
+def test_chain_order_rejects_other_matrices():
+    F3 = FieldSpec(3)
+    three_cycle = ExactMatrix.from_rows([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]], F)
+    entry_two = ExactMatrix.from_rows([[0, 2, 0], [0, 0, 1], [0, 0, 0]], F3)
+    column_twice = ExactMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 1, 0]], F)
+    row_twice = ExactMatrix.from_rows([[0, 1, 1], [0, 0, 0], [0, 0, 0]], F)
+    for M in (three_cycle, entry_two, column_twice, row_twice):
+        assert _chain_order(M.entries, M.rows) is None
+    assert exactmat.jordan_type(entry_two) == P(3)  # nilpotent, but not 0/1
+    assert _chain_order((), 0) == []
 
 
 def test_build_from_chain_interface_errors():
@@ -542,7 +630,10 @@ def test_certificate_checks_survive_optimisation():
     checks in build_from_chain, sample_stable and witness_reducible are not
     asserts.  witness_reducible emits relations: true only after its
     builders' re-checks, so with the relations failing it raises in
-    build_from_chain."""
+    build_from_chain.  A chain order reversed on one side of each interface
+    (on both sides it would pair the same columns) glues a point off the
+    variety, and build_from_chain raises too, as it does when no order is
+    read off."""
     script = textwrap.dedent(
         """
         import random
@@ -565,6 +656,18 @@ def test_certificate_checks_survive_optimisation():
         quiverrep.check_relations = real_check
         quiverrep.mu_of = lambda d: Partition((1,) * d[-1])  # a bound no stable sample meets
         attempt(lambda: quiverrep.witness_reducible((1, 4, 5), F, random.Random(0)))
+        real_order = quiverrep._chain_order
+        calls = []
+
+        def one_side_reversed(entries, n):  # each interface: A_{i-1} B_{i-1}, then B'_i A'_i
+            calls.append(n)
+            order = real_order(entries, n)
+            return order[::-1] if len(calls) % 2 else order
+
+        quiverrep._chain_order = one_side_reversed
+        attempt(lambda: quiverrep.build_from_chain(quiverrep.greedy_chain((1, 4, 5)), F))
+        quiverrep._chain_order = lambda entries, n: None  # no permutation read off
+        attempt(lambda: quiverrep.build_from_chain(quiverrep.greedy_chain((1, 4, 5)), F))
         """
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -578,4 +681,6 @@ def test_certificate_checks_survive_optimisation():
         "raised in sample_stable",
         "raised in build_from_chain",
         "raised in witness_reducible",
+        "raised in build_from_chain",
+        "raised in build_from_chain",
     ]

@@ -235,8 +235,9 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     """The builders re-check each point once and the callers read their
     results.  What remains per point of (1, 4, 5) over F_32003: one relation
     check in its builder, one in nilpotency_degrees (its input check), the
-    Jordan passes of build_from_chain (two for the conjugator, one for the
-    type) and one jordan_type per stable sample."""
+    one Jordan pass of build_from_chain (its re-check of the type; the glue
+    is a permutation read off the chains) and one jordan_type per stable
+    sample."""
     counts = {"relations": 0, "jordan": 0, "canonical": 0}
 
     def counting(name, real):
@@ -252,12 +253,12 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
 
     inst = verify._theta_image_instance((1, 4, 5), 32003, 0, 1)
     assert inst["ok"]
-    assert counts == {"relations": 6, "jordan": 7, "canonical": 0}
+    assert counts == {"relations": 6, "jordan": 3, "canonical": 0}
 
     counts.update(relations=0, jordan=0)
     report = quiverrep.witness_reducible((1, 4, 5), FieldSpec(), random.Random(0))
     assert [w["relations"] for w in report.witnesses] == [True, True]
-    assert counts == {"relations": 2, "jordan": 4, "canonical": 0}
+    assert counts == {"relations": 2, "jordan": 2, "canonical": 0}
 
     # conjugator re-checks only its own g N2 == N1 g; jordan_basis re-checks
     # against the canonical form.
