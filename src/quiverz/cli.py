@@ -134,7 +134,7 @@ _VERIFY_FLAGS = {
     "seed": (int, "master seed"),
     "trials": (_at_least(0), "randomized trials per instance"),
     "budget": (_at_least(0), "enumeration budget"),
-    "jobs": (_at_least(1), "worker threads"),
+    "jobs": (_at_least(1), "worker processes"),
     "max_last": (_at_least(0), "largest last dimension of the swept vectors"),
 }
 

@@ -134,15 +134,25 @@ def zero_rep(dims: Sequence[int], field: FieldSpec) -> QuiverRep:
     return QuiverRep(dims, A, B, field)
 
 
+def _interface_products(dims: Sequence[int], A: Sequence, B: Sequence, p: int) -> Optional[List[list]]:
+    """The flat products A_i B_i at the inner vertices, i <= t - 2, if
+    B_1 A_1 = 0 and B_i A_i = A_{i-1} B_{i-1} mod p for the maps given as flat
+    row-major entries in the shapes dims sets; None if a relation fails."""
+    products: List[list] = []
+    for i in range(len(dims) - 1):
+        lo, hi = dims[i], dims[i + 1]
+        prev = products[-1] if i else [0] * (lo * lo)
+        if _mul_flat(B[i], A[i], lo, hi, lo, p) != prev:
+            return None
+        if i < len(dims) - 2:
+            products.append(_mul_flat(A[i], B[i], hi, lo, hi, p))
+    return products
+
+
 def _relations_flat(dims: Sequence[int], A: Sequence, B: Sequence, p: int) -> bool:
     """B_1 A_1 = 0 and B_i A_i = A_{i-1} B_{i-1} mod p, for the maps given as
     flat row-major entries in the shapes dims sets."""
-    for i in range(len(dims) - 1):
-        lo, hi = dims[i], dims[i + 1]
-        prev = _mul_flat(A[i - 1], B[i - 1], lo, dims[i - 1], lo, p) if i else [0] * (lo * lo)
-        if _mul_flat(B[i], A[i], lo, hi, lo, p) != prev:
-            return False
-    return True
+    return _interface_products(dims, A, B, p) is not None
 
 
 def check_relations(z: QuiverRep) -> bool:
@@ -153,15 +163,19 @@ def check_relations(z: QuiverRep) -> bool:
 def nilpotency_degrees(z: QuiverRep) -> bool:
     """Check (B_i A_i)^i = 0 and (A_i B_i)^{i+1} = 0 for all i; these are
     consequences of the relations, which must hold on input."""
-    if not check_relations(z):
+    p = z.field.p
+    products = _interface_products(z.dims, [M.entries for M in z.A], [M.entries for M in z.B], p)
+    if products is None:
         raise ValueError("relations fail; nilpotency degrees are only meaningful on the variety")
+    # The relations check formed every A_i B_i but theta = A_{t-1} B_{t-1}.
+    if z.t >= 2:
+        products.append(_mul_flat(z.A[-1].entries, z.B[-1].entries, z.dims[-1], z.dims[-2], z.dims[-1], p))
     # On the variety B_1 A_1 = 0 and B_{i+1} A_{i+1} = A_i B_i, so each
     # (B_i A_i)^i = 0 is the condition (A_{i-1} B_{i-1})^i = 0 checked below.
     # (A_i B_i)^{i+1} = 0 holds exactly when A_i B_i is nilpotent with no
     # Jordan block longer than i + 1.
-    for i in range(1, z.t):
-        ab = mul(z.A[i - 1], z.B[i - 1])
-        typ = _jordan_flat(ab.entries, ab.rows, z.field.p)
+    for i, ab in enumerate(products, start=1):
+        typ = _jordan_flat(ab, z.dims[i], p)
         if typ is None or max(typ.parts, default=0) > i + 1:
             return False
     return True

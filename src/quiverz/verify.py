@@ -8,17 +8,19 @@ two exhaustive checks visit one representative per base-change stratum, with
 one map in rank normal form, and count every tuple it stands for.
 Failures carry a re-checkable counterexample payload.  All randomness is
 derived per instance from a master seed, so reports are byte-stable across
-runs and across worker counts.
+runs and across worker counts: with jobs > 1 the independent tasks run on a
+pool of worker processes, and the results come back in task order.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
+import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from quiverz.exactmat import (
     DEFAULT_PRIME,
@@ -81,12 +83,25 @@ class BudgetExceeded(ValueError):
     """Requested enumeration is larger than the configured budget."""
 
 
-def _map_jobs(fn, items, jobs: int) -> list:
-    """[fn(x) for x in items], on a pool of jobs threads when jobs > 1."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+def _map_jobs(tasks: Sequence[Callable[[], object]], jobs: int) -> list:
+    """[task() for task in tasks], on a pool of worker processes when jobs,
+    the tasks and the cores all allow two or more.  The pool starts no more
+    workers than any of the three; each task must pickle, so it is a
+    functools.partial of a module-level function.  The serial path builds no
+    pool and imports no multiprocessing.  A task that raises stops the
+    tasks that have not started, as on the serial path."""
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers < 2:
+        return [task() for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(task) for task in tasks]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def derive_rng(seed: int, *key) -> random.Random:
@@ -254,6 +269,27 @@ def _theta_image_instance(d: tuple, p: int, seed: int, trials: int) -> dict:
     }
 
 
+def _theta_image_tasks(max_last: int, p: int, seed: int, trials: int) -> list:
+    """One task per swept vector of theta_image_report."""
+    return [
+        functools.partial(_theta_image_instance, d, p, seed, trials)
+        for d in strictly_monotone_vectors(max_last)
+    ]
+
+
+def _theta_image_from(instances: List[dict], max_last: int, p: int, seed: int, trials: int) -> VerifyReport:
+    """The theta-image report over the results of _theta_image_tasks."""
+    bad = next((inst for inst in instances if not inst["ok"]), None)
+    return VerifyReport(
+        statement="theta-image",
+        params={"max_last": max_last, "p": p, "seed": seed, "trials": trials},
+        size=len(instances) * (1 + 2 * trials),
+        passed=bad is None,
+        instances=instances,
+        counterexample=bad,
+    )
+
+
 def theta_image_report(
     max_last: int = 8,
     p: int = DEFAULT_PRIME,
@@ -264,17 +300,8 @@ def theta_image_report(
     """Sweep all strictly monotone vectors up to max_last: the greedy chain
     realizes the image type exactly, random chains stay dominated by it, and
     stable samples stay dominated by the flag bound."""
-    vectors = strictly_monotone_vectors(max_last)
-    instances = _map_jobs(lambda d: _theta_image_instance(d, p, seed, trials), vectors, jobs)
-    bad = next((inst for inst in instances if not inst["ok"]), None)
-    return VerifyReport(
-        statement="theta-image",
-        params={"max_last": max_last, "p": p, "seed": seed, "trials": trials},
-        size=len(vectors) * (1 + 2 * trials),
-        passed=bad is None,
-        instances=instances,
-        counterexample=bad,
-    )
+    instances = _map_jobs(_theta_image_tasks(max_last, p, seed, trials), jobs)
+    return _theta_image_from(instances, max_last, p, seed, trials)
 
 
 def _enumerate_z_points(dims: tuple, field: FieldSpec) -> Iterator[Tuple[int, QuiverRep]]:
@@ -423,15 +450,19 @@ def suite_report(
 ) -> dict:
     """Run the whole driver battery with deterministic per-instance seeds;
     the returned dict serializes byte-identically for a fixed master seed
-    regardless of worker count."""
-    tasks = [
-        lambda na=na: ab_step_report(na[0], na[1], p=2, budget=budget)
-        for na in SUITE_AB_STEP_INSTANCES
-    ]
-    tasks.append(lambda: theta_image_report(max_last=max_last, p=p, seed=seed, trials=trials, jobs=1))
-    tasks.append(lambda: stability_report(budget=budget))
-    tasks.append(lambda: reducible_report(p=p, seed=seed))
-    reports = _map_jobs(lambda f: f(), tasks, jobs)
+    regardless of worker count.
+
+    Every report and every theta-image instance is one task of one flat
+    list, the longest task, stability_report, first."""
+    k = len(SUITE_AB_STEP_INSTANCES)
+    tasks = [functools.partial(stability_report, budget=budget)]
+    tasks += [functools.partial(ab_step_report, n, a, p=2, budget=budget) for n, a in SUITE_AB_STEP_INSTANCES]
+    tasks.append(functools.partial(reducible_report, p=p, seed=seed))
+    tasks += _theta_image_tasks(max_last, p, seed, trials)
+    results = _map_jobs(tasks, jobs)
+    stability, ab_steps, reducible = results[0], results[1 : k + 1], results[k + 1]
+    theta = _theta_image_from(results[k + 2 :], max_last, p, seed, trials)
+    reports = [*ab_steps, theta, stability, reducible]
     return {
         "seed": seed,
         "pass": all(r.passed for r in reports),

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import quiverz
 from quiverz.cli import main
 
 
@@ -102,6 +106,22 @@ def test_verify_all_deterministic(capsys):
     code3, out3 = run(capsys, *args, "--jobs", "4")
     assert code1 == code2 == code3 == 0
     assert out1 == out2 == out3
+
+
+def test_serial_verify_imports_no_multiprocessing():
+    """--jobs 1 runs in-process: a fresh interpreter never imports the pool,
+    which keeps start-up short."""
+    script = (
+        "import sys\n"
+        "from quiverz import cli\n"
+        "code = cli.main(['--json', 'verify', 'all', '--max-last', '4', '--trials', '1', '--jobs', '1'])\n"
+        "print(code, sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(quiverz.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 def test_verify_all_honours_sizes(capsys):

@@ -98,6 +98,10 @@ def test_check_relations():
 
 def test_nilpotency_degrees():
     assert nilpotency_degrees(zero_rep((2, 3), F))
+    # One vertex: no relation and no product, which must not read as failure.
+    single = QuiverRep((3,), [], [], F)
+    assert check_relations(single) is True
+    assert nilpotency_degrees(single) is True
     z = sample_stable((1, 2, 5, 8, 12), F, random.Random(2))
     assert nilpotency_degrees(z)
     bad = QuiverRep(
@@ -190,7 +194,8 @@ def test_nilpotency_degrees_matches_power_loop_oracle(monkeypatch):
     idempotent = QuiverRep((1, 2), [rows([[1], [0]], F)], [rows([[1, 0]], F)], F)  # A_1 B_1 = e_11
     shift = QuiverRep((2, 3), [rows([[1, 0], [0, 1], [0, 0]], F)], [rows([[0, 1, 0], [0, 0, 1]], F)], F)
     assert jordan_type(mul(shift.A[0], shift.B[0])) == P(3)
-    monkeypatch.setattr(quiverrep, "check_relations", lambda z: True)
+    # On two vertices there is no inner A_i B_i for the check to hand on.
+    monkeypatch.setattr(quiverrep, "_interface_products", lambda dims, A, B, p: [])
     for z in (idempotent, shift):
         assert nilpotency_degrees(z) is False
         assert nilpotency_by_powers(z) is False

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "quiverz"
@@ -38,3 +39,18 @@ def test_package_imports_only_stdlib():
                 continue
             found += [f"{path.name}:{node.lineno}:{name}" for name in names if name.split(".")[0] not in allowed]
     assert found == []
+
+
+def test_package_runs_jobs_on_one_process_pool():
+    """--jobs runs on processes: threads stay behind the GIL, so src/ names
+    neither ThreadPoolExecutor nor threading, and builds one executor."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) >= 7
+    text = {path.name: path.read_text() for path in sources}
+    found = [
+        f"{name}:{match.group()}"
+        for name, body in text.items()
+        for match in re.finditer(r"\b(ThreadPoolExecutor|threading)\b", body)
+    ]
+    assert found == []
+    assert sum(len(re.findall(r"\bProcessPoolExecutor\(", body)) for body in text.values()) == 1

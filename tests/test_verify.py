@@ -1,11 +1,17 @@
+import concurrent.futures
+import functools
 import itertools
 import json
+import os
+import pickle
 import random
+import time
 
 import pytest
 
 from quiverz import exactmat, quiverrep, verify
 from quiverz.exactmat import (
+    CertificateError,
     ExactMatrix,
     FieldSpec,
     canonical_nilpotent,
@@ -21,6 +27,7 @@ from quiverz.partitions import Partition, dominates, partitions_of_weight
 from quiverz.quiverrep import is_stable
 
 from quiverz.verify import (
+    SUITE_AB_STEP_INSTANCES,
     BudgetExceeded,
     _enumerate_z_points,
     _pair_types,
@@ -137,6 +144,98 @@ def test_suite_deterministic_bytes():
     assert json.loads(one)["pass"]
 
 
+# --- the process pool of --jobs -------------------------------------------------------
+
+
+class FakeExecutor:
+    """Stands in for ProcessPoolExecutor and starts no process: it records
+    max_workers and each task, pickles the task as a real pool would, and runs
+    the copy in-process."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.tasks = []
+        FakeExecutor.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, task):
+        self.tasks.append(task)
+        future = concurrent.futures.Future()
+        future.set_result(pickle.loads(pickle.dumps(task))())
+        return future
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    FakeExecutor.made = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
+    return FakeExecutor.made
+
+
+@pytest.mark.parametrize(
+    "jobs, tasks, cores, workers",
+    [(100000, 5, 64, 5), (100000, 50, 3, 3), (2, 50, 64, 2), (4, 1, 64, None), (1, 50, 64, None), (4, 50, None, None)],
+)
+def test_pool_workers_bounded_by_jobs_tasks_and_cores(fake_pool, monkeypatch, jobs, tasks, cores, workers):
+    """min(jobs, tasks, cores) workers, and no pool at all below two."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    results = verify._map_jobs([functools.partial(abs, -k) for k in range(tasks)], jobs)
+    assert results == list(range(tasks))
+    assert [pool.max_workers for pool in fake_pool] == ([] if workers is None else [workers])
+
+
+def test_pool_tasks_pickle(fake_pool, monkeypatch):
+    """Every task suite_report and theta_image_report hand to the pool
+    survives pickle, and the pooled results give the serial bytes."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    suite = suite_report(seed=3, max_last=4, trials=1, jobs=2)
+    theta = theta_image_report(max_last=4, trials=1, seed=3, jobs=2)
+    assert [pool.max_workers for pool in fake_pool] == [2, 2]
+    vectors = len(strictly_monotone_vectors(4))
+    assert [len(pool.tasks) for pool in fake_pool] == [2 + len(SUITE_AB_STEP_INSTANCES) + vectors, vectors]
+    for task in fake_pool[0].tasks + fake_pool[1].tasks:
+        assert isinstance(task, functools.partial)
+        pickle.dumps(task)
+    assert suite == suite_report(seed=3, max_last=4, trials=1, jobs=1)
+    assert theta.to_json_dict() == theta_image_report(max_last=4, trials=1, seed=3).to_json_dict()
+
+
+def _raise_certificate_error(tag):
+    raise CertificateError(f"{tag} {os.getpid()}")
+
+
+def _mark_after(seconds, path):
+    time.sleep(seconds)
+    path.touch()
+
+
+def test_certificate_error_in_worker_reaches_caller(monkeypatch, tmp_path):
+    """The error keeps its type across the process boundary, and the tasks
+    that had not started when it arrived never run."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    tasks = [functools.partial(_raise_certificate_error, "raised in")]
+    tasks += [functools.partial(_mark_after, 0.1, tmp_path / str(k)) for k in range(20)]
+    with pytest.raises(CertificateError) as info:
+        verify._map_jobs(tasks, 2)
+    assert type(info.value) is CertificateError
+    tag, pid = str(info.value).rsplit(" ", 1)
+    assert tag == "raised in" and int(pid) != os.getpid()
+    assert len(list(tmp_path.iterdir())) < 10
+
+
+def test_suite_same_bytes_at_any_jobs():
+    reports = {jobs: json.dumps(suite_report(seed=7, jobs=jobs), sort_keys=True) for jobs in (1, 2, 4)}
+    assert reports[1] == reports[2] == reports[4]
+    assert json.loads(reports[1])["pass"]
+
+
 # --- quotient enumerations against brute force ----------------------------------------
 
 
@@ -237,7 +336,8 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     check in its builder, one in nilpotency_degrees (its input check), the
     one Jordan pass of build_from_chain (its re-check of the type; the glue
     is a permutation read off the chains) and one jordan_type per stable
-    sample."""
+    sample.  nilpotency_degrees forms 4 products per point, where forming
+    each A_i B_i again after its relation check made 5."""
     counts = {"relations": 0, "jordan": 0, "canonical": 0}
 
     def counting(name, real):
@@ -247,7 +347,7 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(quiverrep, "_relations_flat", counting("relations", quiverrep._relations_flat))
+    monkeypatch.setattr(quiverrep, "_interface_products", counting("relations", quiverrep._interface_products))
     monkeypatch.setattr(exactmat, "_jordan_flat", counting("jordan", exactmat._jordan_flat))
     monkeypatch.setattr(exactmat, "canonical_nilpotent", counting("canonical", canonical_nilpotent))
 
@@ -272,6 +372,15 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     counts.update(jordan=0)
     jordan_basis(m)
     assert counts == {"relations": 0, "jordan": 1, "canonical": 1}
+
+    # nilpotency_degrees reuses the products A_i B_i that its relation check
+    # formed and multiplies only theta anew.
+    z = quiverrep.build_from_chain(quiverrep.greedy_chain((1, 4, 5)), field)
+    counts.update(relations=0, jordan=0, canonical=0, products=0)
+    monkeypatch.setattr(quiverrep, "_mul_flat", counting("products", quiverrep._mul_flat))
+    monkeypatch.setattr(quiverrep, "mul", counting("products", quiverrep.mul))
+    assert quiverrep.nilpotency_degrees(z)
+    assert counts == {"relations": 1, "jordan": 0, "canonical": 0, "products": 4}
 
 
 def test_stability_report_checks_relations_once(monkeypatch):
