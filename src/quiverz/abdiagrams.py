@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from quiverz.exactmat import CertificateError, ExactMatrix, FieldSpec
-from quiverz.partitions import Partition, add, dominates
+from quiverz.partitions import Partition, add
 
 
 @dataclass(frozen=True)
@@ -182,20 +182,6 @@ def random_diagram(eta: Partition, a: int, rng) -> ABDiagram:
         if sum(jvec) <= s + a:
             break
     return _placement(eta, a, jvec, [bool(rng.randrange(2)) for _ in range(s)])
-
-
-def max_b_part(eta: Partition, a: int) -> Partition:
-    """Dominance-maximum of enumerate_b_parts(eta, a).
-
-    The maximum is located inside the enumerated set and checked against the
-    add formula; a failure of either check is an internal bug, not bad data."""
-    candidates = enumerate_b_parts(eta, a)
-    maxima = [
-        x for x in candidates if all(dominates(x, y) for y in candidates)
-    ]
-    if len(maxima) != 1 or maxima[0] != add(eta, a):
-        raise CertificateError(f"max_b_part: dominance maxima {maxima} differ from add({eta}, {a})")
-    return maxima[0]
 
 
 def build_pair(delta: ABDiagram, field: FieldSpec) -> Tuple[ExactMatrix, ExactMatrix]:

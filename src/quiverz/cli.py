@@ -85,32 +85,16 @@ def _cmd_dimvec(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.statement == "ab-step":
-        report = verify.ab_step_report(args.n, args.a, p=args.p, budget=args.budget)
-    elif args.statement == "theta-image":
-        report = verify.theta_image_report(
-            max_last=args.max_last, p=args.p, seed=args.seed, trials=args.trials, jobs=args.jobs
-        )
-    elif args.statement == "stability":
-        report = verify.stability_report(p=args.p, budget=args.budget)
-    elif args.statement == "reducible":
-        report = verify.reducible_report(p=args.p, seed=args.seed)
-    else:  # all
-        suite = verify.suite_report(
-            seed=args.seed,
-            jobs=args.jobs,
-            budget=args.budget,
-            p=args.p,
-            max_last=args.max_last,
-            trials=args.trials,
-        )
-        _emit(suite)
-        for rep in suite["reports"]:
-            _note(args, f"{rep['statement']}: {'PASS' if rep['pass'] else 'FAIL'}")
-        return 0 if suite["pass"] else 1
-    _emit(report.to_json_dict())
-    _note(args, f"{report.statement}: {'PASS' if report.passed else 'FAIL'} (size {report.size})")
-    return 0 if report.passed else 1
+    driver = getattr(verify, args.driver)
+    result = driver(**{flag: getattr(args, flag) for flag in args.flags})
+    if isinstance(result, verify.VerifyReport):
+        _emit(result.to_json_dict())
+        _note(args, f"{result.statement}: {'PASS' if result.passed else 'FAIL'} (size {result.size})")
+        return 0 if result.passed else 1
+    _emit(result)  # the suite: one document over every report
+    for rep in result["reports"]:
+        _note(args, f"{rep['statement']}: {'PASS' if rep['pass'] else 'FAIL'}")
+    return 0 if result["pass"] else 1
 
 
 def _at_least(low: int):
@@ -138,14 +122,21 @@ _VERIFY_FLAGS = {
     "max_last": (_at_least(0), "largest last dimension of the swept vectors"),
 }
 
-# Each verify statement takes exactly the flags its driver reads.
+# Each verify statement: the name of its driver in quiverz.verify, looked up
+# at each call, and the flags it takes with their defaults; every flag is
+# passed to the driver as the keyword argument of its name.
 _VERIFY_STATEMENTS = (
-    ("ab-step", {"n": 2, "a": 1, "p": 2, "budget": verify.DEFAULT_BUDGET}),
-    ("theta-image", {"max_last": 8, "trials": 3, "p": DEFAULT_PRIME, "seed": 0, "jobs": 1}),
-    ("stability", {"p": 2, "budget": verify.DEFAULT_BUDGET}),
-    ("reducible", {"p": DEFAULT_PRIME, "seed": 0}),
+    ("ab-step", "ab_step_report", {"n": 2, "a": 1, "p": 2, "budget": verify.DEFAULT_BUDGET}),
+    (
+        "theta-image",
+        "theta_image_report",
+        {"max_last": 8, "trials": 3, "p": DEFAULT_PRIME, "seed": 0, "jobs": 1},
+    ),
+    ("stability", "stability_report", {"p": 2, "budget": verify.DEFAULT_BUDGET}),
+    ("reducible", "reducible_report", {"p": DEFAULT_PRIME, "seed": 0}),
     (
         "all",
+        "suite_report",
         {"max_last": 6, "trials": 2, "p": DEFAULT_PRIME, "seed": 0, "jobs": 1, "budget": verify.DEFAULT_BUDGET},
     ),
 )
@@ -186,14 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", parents=[json_flag], help="verification drivers")
     ver_sub = ver.add_subparsers(dest="statement", required=True)
-    for statement, defaults in _VERIFY_STATEMENTS:
+    for statement, driver, defaults in _VERIFY_STATEMENTS:
         sp = ver_sub.add_parser(statement, parents=[json_flag])
         for name, default in defaults.items():
             kind, text = _VERIFY_FLAGS[name]
             sp.add_argument(
                 "--" + name.replace("_", "-"), type=kind, default=default, help=f"{text} (default {default})"
             )
-        sp.set_defaults(func=_cmd_verify)
+        sp.set_defaults(func=_cmd_verify, driver=driver, flags=tuple(defaults))
 
     return parser
 

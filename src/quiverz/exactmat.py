@@ -257,15 +257,6 @@ def mul(X: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
     return ExactMatrix._reduced(X.rows, Y.cols, out, X.field)
 
 
-def mat_pow(M: ExactMatrix, k: int) -> ExactMatrix:
-    if not M.is_square():
-        raise ValueError("power of a non-square matrix")
-    out = identity(M.rows, M.field)
-    for _ in range(k):
-        out = mul(out, M)
-    return out
-
-
 def transpose(M: ExactMatrix) -> ExactMatrix:
     out = [0] * (M.rows * M.cols)
     for i in range(M.rows):
@@ -454,10 +445,6 @@ def _random_invertible_pair(n: int, field: FieldSpec, rng) -> tuple:
             return g, ExactMatrix._reduced(n, n, ginv, field)
 
 
-def random_invertible(n: int, field: FieldSpec, rng) -> ExactMatrix:
-    return _random_invertible_pair(n, field, rng)[0]
-
-
 def canonical_nilpotent(eta: Partition, field: FieldSpec) -> ExactMatrix:
     """Block-diagonal nilpotent with one shift block per part of eta: basis
     vectors are the boxes of the Young diagram, each mapped to its left
@@ -503,13 +490,6 @@ def _jordan_flat(
     return dual(Partition(drops))
 
 
-def is_nilpotent(M: ExactMatrix) -> bool:
-    """True iff the ranks of the powers of M reach 0."""
-    if not M.is_square():
-        raise ValueError("nilpotency of a non-square matrix")
-    return _jordan_flat(M.entries, M.rows, M.field.p) is not None
-
-
 def jordan_type(N: ExactMatrix) -> Partition:
     """Jordan type of a nilpotent matrix: dual of the kernel-dimension
     increments of its powers."""
@@ -538,7 +518,7 @@ def _echelon_add(basis: list, v: Sequence[int], p: int) -> bool:
 
 
 def _jordan_basis(N: ExactMatrix) -> tuple:
-    """(g, jordan_type(N), g^-1) with g^-1 N g the canonical nilpotent.
+    """(g, jordan_type(N)) with g^-1 N g the canonical nilpotent.
 
     Chains are grown from the top height down: at height j, new chain tops
     complete ker N^{j-1} plus the images of the longer chains to a basis of
@@ -577,29 +557,33 @@ def _jordan_basis(N: ExactMatrix) -> tuple:
     columns: list = []
     for chain in chains:  # built longest first
         columns.extend(reversed(chain))
-    g = _from_columns(columns, n, field)
-    return g, typ, inverse(g)
+    return _from_columns(columns, n, field), typ
 
 
 def jordan_basis(N: ExactMatrix) -> ExactMatrix:
-    """Invertible g with g^-1 N g = canonical_nilpotent(jordan_type(N))."""
-    g, typ, ginv = _jordan_basis(N)
-    if mul(mul(ginv, N), g) != canonical_nilpotent(typ, N.field):
-        raise CertificateError(f"jordan_basis: g^-1 N g is not the canonical form of type {typ}")
+    """Invertible g with g^-1 N g = canonical_nilpotent(jordan_type(N)),
+    re-checked as rank(g) = n and N g = g canonical_nilpotent."""
+    g, typ = _jordan_basis(N)
+    if rank(g) != N.rows or mul(N, g) != mul(g, canonical_nilpotent(typ, N.field)):
+        raise CertificateError(f"jordan_basis: g is not an invertible Jordan basis of type {typ}")
     return g
 
 
 def conjugator(N1: ExactMatrix, N2: ExactMatrix) -> ExactMatrix:
     """Invertible g with g N2 g^-1 = N1, for nilpotents of equal Jordan type:
-    g = g1 g2^-1 from their Jordan bases."""
+    g = g1 g2^-1 from their Jordan bases, re-checked as rank(g) = n and
+    g N2 = N1 g."""
     _require_same_field(N1, N2)
-    g1, t1, _ = _jordan_basis(N1)
-    _, t2, g2inv = _jordan_basis(N2)
+    g1, t1 = _jordan_basis(N1)
+    g2, t2 = _jordan_basis(N2)
     if t1 != t2:
         raise ValueError(f"jordan types differ: {t1} vs {t2}")
-    g = mul(g1, g2inv)
-    if mul(g, N2) != mul(N1, g):
-        raise CertificateError("conjugator: g N2 differs from N1 g")
+    g2inv = _inverse_flat(g2.entries, g2.rows, g2.field.p)
+    if g2inv is None:
+        raise CertificateError("conjugator: the Jordan basis of N2 is singular")
+    g = mul(g1, ExactMatrix._reduced(g2.rows, g2.rows, g2inv, g2.field))
+    if rank(g) != g.rows or mul(g, N2) != mul(N1, g):
+        raise CertificateError("conjugator: g is singular or g N2 differs from N1 g")
     return g
 
 

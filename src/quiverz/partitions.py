@@ -265,9 +265,3 @@ def _partition_tuples(n: int, max_part: int) -> Iterator[tuple]:
     for first in range(min(n, max_part), 0, -1):
         for rest in _partition_tuples(n - first, first):
             yield (first,) + rest
-
-
-def partitions_up_to_weight(n: int) -> Iterator[Partition]:
-    """All partitions of weight 0, 1, ..., n."""
-    for w in range(n + 1):
-        yield from partitions_of_weight(w)

@@ -38,11 +38,9 @@ from quiverz.exactmat import (
     is_injective,
     jordan_type,
     mul,
-    random_invertible,
     rank,
     solve,
     transpose,
-    zeros,
 )
 from quiverz.partitions import (
     Partition,
@@ -125,13 +123,6 @@ class QuiverRep:
             [ExactMatrix.from_json_dict(m) for m in data["B"]],
             f,
         )
-
-
-def zero_rep(dims: Sequence[int], field: FieldSpec) -> QuiverRep:
-    dims = as_dim_vector(dims)
-    A = [zeros(dims[i + 1], dims[i], field) for i in range(len(dims) - 1)]
-    B = [zeros(dims[i], dims[i + 1], field) for i in range(len(dims) - 1)]
-    return QuiverRep(dims, A, B, field)
 
 
 def _interface_products(dims: Sequence[int], A: Sequence, B: Sequence, p: int) -> Optional[List[list]]:
@@ -221,17 +212,6 @@ def act(g: Sequence[ExactMatrix], z: QuiverRep) -> QuiverRep:
     return QuiverRep(z.dims, A, B, z.field)
 
 
-def random_group_element(
-    dims: Sequence[int], field: FieldSpec, rng, fix_last: bool = False
-) -> List[ExactMatrix]:
-    """Random invertible tuple; with fix_last the last component is the
-    identity, i.e. an element of the subgroup acted out by the quotient."""
-    dims = as_dim_vector(dims)
-    g = [random_invertible(n, field, rng) for n in dims[:-1]]
-    g.append(identity(dims[-1], field) if fix_last else random_invertible(dims[-1], field, rng))
-    return g
-
-
 def _lowering_endo(dims: Sequence[int], field: FieldSpec, rng) -> ExactMatrix:
     """Random endomorphism of the last space mapping the span of the first
     n_i coordinates into the span of the first n_{i-1} (n_0 = 0)."""
@@ -254,8 +234,9 @@ def sample_stable(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
     (forward maps are inclusions, backward maps its restrictions), then a
     random base change at every vertex for genericity.
 
-    The base change is act(random_group_element(dims, field, rng), .) on
-    that point, computed with one elimination per group element."""
+    The base change is act(g, .) on that point for g a random invertible
+    matrix at each vertex; _random_invertible_pair draws each with its
+    inverse from one elimination."""
     dims = as_dim_vector(dims)
     if not is_strictly_monotone(dims):
         raise ValueError(f"stable sampling needs a strictly increasing dimension vector: {dims}")
@@ -340,28 +321,6 @@ class FlagPoint:
                 raise ValueError("endomorphism does not map the full space into the top subspace")
         elif not self.endo.is_zero():
             raise ValueError("endomorphism of a length-one flag must vanish")
-
-
-def sample_flag_point(dims: Sequence[int], field: FieldSpec, rng) -> FlagPoint:
-    """Random flag of the given dimensions with a random lowering
-    endomorphism, in general position."""
-    dims = as_dim_vector(dims)
-    if not is_strictly_monotone(dims):
-        raise ValueError(f"flag sampling needs a strictly increasing dimension vector: {dims}")
-    nt = dims[-1]
-    g, ginv = _random_invertible_pair(nt, field, rng)
-    lowering = _lowering_endo(dims, field, rng)
-    endo = mul(mul(g, lowering), ginv)
-    flag = []
-    for n in dims[:-1]:
-        cols = [0] * (nt * n)
-        for r in range(nt):
-            for c in range(n):
-                cols[r * n + c] = g.at(r, c)
-        flag.append(ExactMatrix(nt, n, cols, field))
-    x = FlagPoint(tuple(flag), endo)
-    x.validate()
-    return x
 
 
 def alpha(z: QuiverRep) -> FlagPoint:

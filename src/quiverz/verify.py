@@ -83,6 +83,19 @@ class BudgetExceeded(ValueError):
     """Requested enumeration is larger than the configured budget."""
 
 
+def _budgeted(p: int, e: int, budget: int, what: str) -> int:
+    """p^e, the number of what an enumeration stands for, if it is at most
+    budget; else BudgetExceeded naming the size as the power p^e.  p is
+    multiplied up only until it passes the budget, so a huge e costs no
+    more than a small one."""
+    size = 1
+    for _ in range(e):
+        size *= p
+        if size > budget:
+            raise BudgetExceeded(f"{p}^{e} {what} exceed the budget of {budget}")
+    return size
+
+
 def _map_jobs(tasks: Sequence[Callable[[], object]], jobs: int) -> list:
     """[task() for task in tasks], on a pool of worker processes when jobs,
     the tasks and the cores all allow two or more.  The pool starts no more
@@ -142,9 +155,7 @@ def _pair_types(n: int, a: int, p: int, budget: int) -> Dict[Tuple[Partition, Pa
         raise ValueError("sizes must be nonnegative")
     FieldSpec(p)  # validates the modulus
     m = n + a
-    size = p ** (2 * n * m)
-    if size > budget:
-        raise BudgetExceeded(f"{size} pairs exceed the budget of {budget}")
+    _budgeted(p, 2 * n * m, budget, "pairs")
     types: Dict[Tuple[Partition, Partition], tuple] = {}
     for r in range(min(n, m) + 1):
         A = _rank_normal_form(m, n, r)
@@ -359,9 +370,7 @@ def stability_report(
     for dims in dims_list:
         dims = tuple(dims)
         cells = sum(2 * dims[i] * dims[i + 1] for i in range(len(dims) - 1))
-        size = p**cells
-        if size > budget:
-            raise BudgetExceeded(f"{size} tuples for dims {dims} exceed the budget of {budget}")
+        size = _budgeted(p, cells, budget, f"tuples for dims {dims}")
         total += size
         mismatches = []
         variety_count = stable_count = 0

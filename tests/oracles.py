@@ -10,14 +10,34 @@ sparse and small operands, and nilpotency_by_powers the power loop that
 quiverrep.nilpotency_degrees replaced.  build_from_chain_by_conjugators is
 the interface loop that quiverrep.build_from_chain replaced with
 permutations read off the chains.
+
+The helpers at the end were public names of the package that only tests
+called: mat_pow, is_nilpotent and random_invertible (once in
+quiverz.exactmat), zero_rep, random_group_element and sample_flag_point
+(quiverrep), max_b_part (abdiagrams) and partitions_up_to_weight
+(partitions).  They draw from the rng exactly as they did there.
 """
 
 import itertools
 from functools import lru_cache
+from typing import Iterator, List, Sequence
 
-from quiverz.abdiagrams import build_pair
-from quiverz.exactmat import ExactMatrix, _jordan_basis, _jordan_flat, _mul_flat, mat_pow, mul
-from quiverz.quiverrep import QuiverRep, _relations_flat
+from quiverz.abdiagrams import build_pair, enumerate_b_parts
+from quiverz.exactmat import (
+    CertificateError,
+    ExactMatrix,
+    FieldSpec,
+    _jordan_basis,
+    _jordan_flat,
+    _mul_flat,
+    _random_invertible_pair,
+    identity,
+    inverse,
+    mul,
+    zeros,
+)
+from quiverz.partitions import Partition, add, as_dim_vector, dominates, is_strictly_monotone, partitions_of_weight
+from quiverz.quiverrep import FlagPoint, QuiverRep, _lowering_endo, _relations_flat
 
 
 def mul_by_rows(xe, ye, n: int, m: int, k: int, p: int) -> list:
@@ -83,10 +103,10 @@ def build_from_chain_by_conjugators(deltas, field) -> QuiverRep:
     A = [pairs[0][0]]
     B = [pairs[0][1]]
     for Ai, Bi in pairs[1:]:
-        g1, _, g1inv = _jordan_basis(mul(A[-1], B[-1]))
-        g2, _, g2inv = _jordan_basis(mul(Bi, Ai))
-        A.append(mul(Ai, mul(g2, g1inv)))
-        B.append(mul(mul(g1, g2inv), Bi))
+        g1, _ = _jordan_basis(mul(A[-1], B[-1]))
+        g2, _ = _jordan_basis(mul(Bi, Ai))
+        A.append(mul(Ai, mul(g2, inverse(g1))))
+        B.append(mul(mul(g1, inverse(g2)), Bi))
     dims = (deltas[0].total_a,) + tuple(d.total_b for d in deltas)
     return QuiverRep(dims, A, B, field)
 
@@ -146,3 +166,83 @@ def z_points_by_brute_force(dims: tuple, field) -> tuple:
             B = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[t - 1 :], B_flat)]
             points.append(QuiverRep(dims, A, B, field))
     return tuple(points)
+
+
+def mat_pow(M: ExactMatrix, k: int) -> ExactMatrix:
+    if not M.is_square():
+        raise ValueError("power of a non-square matrix")
+    out = identity(M.rows, M.field)
+    for _ in range(k):
+        out = mul(out, M)
+    return out
+
+
+def is_nilpotent(M: ExactMatrix) -> bool:
+    """True iff the ranks of the powers of M reach 0."""
+    if not M.is_square():
+        raise ValueError("nilpotency of a non-square matrix")
+    return _jordan_flat(M.entries, M.rows, M.field.p) is not None
+
+
+def random_invertible(n: int, field: FieldSpec, rng) -> ExactMatrix:
+    return _random_invertible_pair(n, field, rng)[0]
+
+
+def zero_rep(dims: Sequence[int], field: FieldSpec) -> QuiverRep:
+    dims = as_dim_vector(dims)
+    A = [zeros(dims[i + 1], dims[i], field) for i in range(len(dims) - 1)]
+    B = [zeros(dims[i], dims[i + 1], field) for i in range(len(dims) - 1)]
+    return QuiverRep(dims, A, B, field)
+
+
+def random_group_element(
+    dims: Sequence[int], field: FieldSpec, rng, fix_last: bool = False
+) -> List[ExactMatrix]:
+    """Random invertible tuple; with fix_last the last component is the
+    identity, i.e. an element of the subgroup acted out by the quotient."""
+    dims = as_dim_vector(dims)
+    g = [random_invertible(n, field, rng) for n in dims[:-1]]
+    g.append(identity(dims[-1], field) if fix_last else random_invertible(dims[-1], field, rng))
+    return g
+
+
+def sample_flag_point(dims: Sequence[int], field: FieldSpec, rng) -> FlagPoint:
+    """Random flag of the given dimensions with a random lowering
+    endomorphism, in general position."""
+    dims = as_dim_vector(dims)
+    if not is_strictly_monotone(dims):
+        raise ValueError(f"flag sampling needs a strictly increasing dimension vector: {dims}")
+    nt = dims[-1]
+    g, ginv = _random_invertible_pair(nt, field, rng)
+    lowering = _lowering_endo(dims, field, rng)
+    endo = mul(mul(g, lowering), ginv)
+    flag = []
+    for n in dims[:-1]:
+        cols = [0] * (nt * n)
+        for r in range(nt):
+            for c in range(n):
+                cols[r * n + c] = g.at(r, c)
+        flag.append(ExactMatrix(nt, n, cols, field))
+    x = FlagPoint(tuple(flag), endo)
+    x.validate()
+    return x
+
+
+def max_b_part(eta: Partition, a: int) -> Partition:
+    """Dominance-maximum of enumerate_b_parts(eta, a).
+
+    The maximum is located inside the enumerated set and checked against the
+    add formula; a failure of either check is an internal bug, not bad data."""
+    candidates = enumerate_b_parts(eta, a)
+    maxima = [
+        x for x in candidates if all(dominates(x, y) for y in candidates)
+    ]
+    if len(maxima) != 1 or maxima[0] != add(eta, a):
+        raise CertificateError(f"max_b_part: dominance maxima {maxima} differ from add({eta}, {a})")
+    return maxima[0]
+
+
+def partitions_up_to_weight(n: int) -> Iterator[Partition]:
+    """All partitions of weight 0, 1, ..., n."""
+    for w in range(n + 1):
+        yield from partitions_of_weight(w)

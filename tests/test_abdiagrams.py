@@ -8,13 +8,14 @@ from quiverz.abdiagrams import (
     ABRow,
     build_pair,
     enumerate_b_parts,
-    max_b_part,
     max_diagram,
     random_diagram,
 )
 from quiverz.exactmat import FieldSpec, jordan_type, mul
-from quiverz.partitions import Partition, add, dominates, partitions_up_to_weight
+from quiverz.partitions import Partition, add, dominates
 from quiverz.verify import ab_step_report, pair_type_table
+
+from oracles import max_b_part, partitions_up_to_weight
 
 F = FieldSpec()
 

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from quiverz.abdiagrams import enumerate_b_parts, max_b_part
+from quiverz.abdiagrams import enumerate_b_parts
 from quiverz.cli import main as cli_main
 from quiverz.exactmat import FieldSpec, is_injective, jordan_type
 from quiverz.partitions import (
@@ -31,7 +31,6 @@ from quiverz.partitions import (
     mu_of,
     n_vector,
     partitions_of_weight,
-    partitions_up_to_weight,
     theta_image,
     zss_density_obstruction,
 )
@@ -47,13 +46,13 @@ from quiverz.quiverrep import (
     is_stable_subspace_criterion,
     nilpotency_degrees,
     random_chain,
-    random_group_element,
-    sample_flag_point,
     sample_stable,
     theta,
     witness_reducible,
 )
 from quiverz.verify import ab_step_report, derive_rng
+
+from oracles import max_b_part, partitions_up_to_weight, random_group_element, sample_flag_point
 
 FIELD = FieldSpec(32003)
 

@@ -1,11 +1,14 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import quiverz
+from quiverz import cli, verify
 from quiverz.cli import main
 
 
@@ -91,6 +94,40 @@ def test_verify_ab_step(capsys):
 def test_verify_budget_exit_code(capsys):
     code = main(["--json", "verify", "ab-step", "--n", "3", "--a", "3", "--budget", "10"])
     assert code == 2
+
+
+def test_verify_budget_refuses_huge_sizes_at_once(capsys):
+    """The budget guard never forms p^(2n(n+a)): the refusal names the size
+    as a power, and a size of 3^18000000 is refused as fast as a small one."""
+    assert main(["--json", "verify", "ab-step", "--n", "200", "--a", "0", "--p", "3"]) == 2
+    assert capsys.readouterr().err == "error: 3^80000 pairs exceed the budget of 10000000\n"
+    start = time.perf_counter()
+    assert main(["--json", "verify", "ab-step", "--n", "3000", "--a", "0", "--p", "3"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert "exceed the budget" in capsys.readouterr().err
+
+
+# Small sizes for a run of each verify statement.
+_SMALL = {
+    "ab-step": ["--n", "1", "--a", "1"],
+    "theta-image": ["--max-last", "3", "--trials", "1"],
+    "stability": [],
+    "reducible": [],
+    "all": ["--max-last", "3", "--trials", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "statement, driver, defaults", cli._VERIFY_STATEMENTS, ids=[row[0] for row in cli._VERIFY_STATEMENTS]
+)
+def test_verify_statement_table(capsys, statement, driver, defaults):
+    """Each flag of a statement is a parameter of its driver, which a run at
+    small sizes reaches: it exits 0 with a passing report."""
+    params = inspect.signature(getattr(verify, driver)).parameters
+    assert set(defaults) <= set(params)
+    code, payload = run_json(capsys, "--json", "verify", statement, *_SMALL[statement])
+    assert code == 0
+    assert payload["pass"] is True
 
 
 def test_verify_reducible(capsys):

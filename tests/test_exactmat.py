@@ -10,6 +10,7 @@ import pytest
 from quiverz import exactmat
 from quiverz.exactmat import (
     DEFAULT_PRIME,
+    CertificateError,
     ExactMatrix,
     FieldSpec,
     _mul_flat,
@@ -22,23 +23,20 @@ from quiverz.exactmat import (
     identity,
     inverse,
     is_injective,
-    is_nilpotent,
     jordan_basis,
     jordan_type,
     kernel_basis,
-    mat_pow,
     mul,
-    random_invertible,
     random_matrix,
     rank,
     solve,
     transpose,
     zeros,
 )
-from quiverz.partitions import Partition, dual, partitions_up_to_weight
+from quiverz.partitions import Partition, dual
 from quiverz.quiverrep import sample_stable
 
-from oracles import mul_by_rows, rref_by_rows
+from oracles import is_nilpotent, mat_pow, mul_by_rows, partitions_up_to_weight, random_invertible, rref_by_rows
 
 F = FieldSpec()
 F2 = FieldSpec(2)
@@ -617,9 +615,36 @@ def test_conjugator():
         conjugator(n, canonical_nilpotent(Partition((1, 1, 1)), F))
 
 
+def test_singular_jordan_basis_is_a_certificate_error(monkeypatch):
+    """A singular basis from _jordan_basis is an internal fault.  The zero
+    matrix meets N g = g C, so jordan_basis sees it only by its rank;
+    conjugator refuses a singular g2 when it inverts it, and a singular g1
+    by the rank of g, as g N2 = N1 g holds for g = 0."""
+    real = exactmat._jordan_basis
+    h = random_invertible(5, F, random.Random(16))
+    n = canonical_nilpotent(Partition((3, 2)), F)
+    m = mul(mul(h, n), inverse(h))
+    for singular, call in (
+        (0, lambda: jordan_basis(m)),
+        (0, lambda: conjugator(n, m)),
+        (1, lambda: conjugator(n, m)),
+    ):
+        calls = []
+
+        def patched(N):
+            g, typ = real(N)
+            calls.append(N)
+            return (zeros(N.rows, N.rows, N.field) if len(calls) - 1 == singular else g), typ
+
+        with monkeypatch.context() as mp:
+            mp.setattr(exactmat, "_jordan_basis", patched)
+            with pytest.raises(CertificateError):
+                call()
+
+
 def test_conjugator_runs_two_jordan_passes(monkeypatch):
-    """One Jordan-type pass per matrix: the bases carry the types and the
-    inverse the re-check computed.  g is the product of the two bases."""
+    """One Jordan-type pass per matrix: the bases carry the types.  g is
+    the product of the first basis and the inverse of the second."""
     from quiverz import exactmat
 
     real = exactmat._jordan_flat

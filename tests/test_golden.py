@@ -16,9 +16,10 @@ import pytest
 
 from quiverz.abdiagrams import enumerate_b_parts, max_diagram, random_diagram
 from quiverz.cli import main
-from quiverz.exactmat import FieldSpec, canonical_nilpotent, inverse, jordan_basis, mul, random_invertible
-from quiverz.partitions import partitions_up_to_weight
+from quiverz.exactmat import FieldSpec, canonical_nilpotent, inverse, jordan_basis, mul
 from quiverz.verify import pair_type_table
+
+from oracles import partitions_up_to_weight, random_invertible
 
 
 def _cli(*argv) -> str:

@@ -18,11 +18,12 @@ from quiverz.partitions import (
     n_vector,
     parse_dim_vector,
     partitions_of_weight,
-    partitions_up_to_weight,
     render_young,
     theta_image,
     zss_density_obstruction,
 )
+
+from oracles import partitions_up_to_weight
 
 
 def P(*parts):

@@ -54,3 +54,55 @@ def test_package_runs_jobs_on_one_process_pool():
     ]
     assert found == []
     assert sum(len(re.findall(r"\bProcessPoolExecutor\(", body)) for body in text.values()) == 1
+
+
+def _library_tour() -> set:
+    """The names listed in the contents column of README's Library tour."""
+    text = (PACKAGE.parent.parent / "README.md").read_text()
+    section = text.split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|") for line in section.splitlines() if line.startswith("| `quiverz.")]
+    return {name for row in rows for name in re.findall(r"`(\w+)`", row[2])}
+
+
+def test_every_public_name_has_a_caller_or_is_documented():
+    """Every public module-level function or class of the package is listed
+    in README's Library tour or reached from it, or from module-level code,
+    through references in package code: names loaded, attributes of a
+    package module, and strings naming a definition (the CLI's driver
+    table).  A helper that only tests call belongs in tests/oracles.py."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(trees) >= 7
+    defined = {
+        node.name: stem
+        for stem, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+    def references(node) -> set:
+        out = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id in trees:
+                out.add(sub.attr)
+            elif isinstance(sub, ast.Constant) and sub.value in defined:
+                out.add(sub.value)
+        return out
+
+    edges = {}
+    live = _library_tour()
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                edges[node.name] = references(node) - {node.name}
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                live |= references(node)
+    todo = list(live)
+    while todo:
+        for name in edges.get(todo.pop(), ()):
+            if name not in live:
+                live.add(name)
+                todo.append(name)
+    found = sorted(f"{stem}.{name}" for name, stem in defined.items() if not name.startswith("_") and name not in live)
+    assert not found, f"public names with no caller and no Library tour entry: {found}"

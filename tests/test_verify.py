@@ -20,7 +20,6 @@ from quiverz.exactmat import (
     jordan_basis,
     jordan_type,
     mul,
-    random_invertible,
     rank,
 )
 from quiverz.partitions import Partition, dominates, partitions_of_weight
@@ -42,7 +41,7 @@ from quiverz.verify import (
     theta_image_report,
 )
 
-from oracles import pair_types_by_brute_force, pair_types_over_every_b, z_points_by_brute_force
+from oracles import pair_types_by_brute_force, pair_types_over_every_b, random_invertible, z_points_by_brute_force
 
 
 def test_derive_rng_is_stable():
@@ -360,8 +359,8 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     assert [w["relations"] for w in report.witnesses] == [True, True]
     assert counts == {"relations": 2, "jordan": 2, "canonical": 0}
 
-    # conjugator re-checks only its own g N2 == N1 g; jordan_basis re-checks
-    # against the canonical form.
+    # conjugator re-checks only its own rank(g) and g N2 == N1 g;
+    # jordan_basis re-checks against the canonical form.
     field = FieldSpec()
     n = canonical_nilpotent(Partition((3, 2, 2)), field)
     h = random_invertible(7, field, random.Random(3))
