@@ -29,9 +29,18 @@ the monomial and tiny matrices of the chain points and the exhaustive
 drivers, and the list loop of _rref skips rows with a zero in the pivot
 column.  Both paths give the same residues and the same RREF.
 
+_jordan_flat, the one Jordan-type routine, reads a 0/1 partial permutation
+off its chains (_chains) and eliminates nothing: each chain is a Jordan
+block.  Any other input runs one elimination per power, and multiplies each
+reduced basis R = [I | R'] by N.  When R is more than half zero, which
+sends the full product to its row loop, and R' passes the _packs gate for
+its n - r columns, R N is N at the pivot rows plus one packed product of
+R' (_times_rowspace).
+
 Kernel results are wrapped by ExactMatrix._reduced, which skips the checks
 and the reduction of the public constructor.  Its precondition: exactly
-rows * cols Python ints, each already in [0, p).
+rows * cols Python ints, each already in [0, p).  random_matrix takes its
+entries from randrange(p), so they meet it too.
 """
 
 from __future__ import annotations
@@ -432,7 +441,9 @@ def solve(M: ExactMatrix, C: ExactMatrix, rng=None) -> ExactMatrix:
 
 
 def random_matrix(rows: int, cols: int, field: FieldSpec, rng) -> ExactMatrix:
-    return ExactMatrix(rows, cols, [rng.randrange(field.p) for _ in range(rows * cols)], field)
+    if rows < 0 or cols < 0:
+        raise ValueError(f"negative shape ({rows}, {cols})")
+    return ExactMatrix._reduced(rows, cols, [rng.randrange(field.p) for _ in range(rows * cols)], field)
 
 
 def _random_invertible_pair(n: int, field: FieldSpec, rng) -> tuple:
@@ -459,19 +470,83 @@ def canonical_nilpotent(eta: Partition, field: FieldSpec) -> ExactMatrix:
     return ExactMatrix(n, n, out, field)
 
 
+def _chains(entries: Sequence[int], n: int) -> Optional[List[List[int]]]:
+    """The chains of the flat n x n matrix N when N is a 0/1 partial
+    permutation, else None.
+
+    Such an N sends each e_c to one e_r or to 0.  A chain starts at an index
+    that no column maps onto and follows N down to the index N kills, so it
+    lists unit vectors top to bottom; the chains come by increasing top
+    index.  They cover all n indices exactly when N is nilpotent: the other
+    indices lie on cycles.  A dense input is turned away by its count of
+    zeros; the ones are found by index(), so the walk takes one step per
+    one."""
+    ones = len(entries) - entries.count(0)
+    if ones > n or max(entries, default=0) > 1:
+        return None
+    below = [-1] * n  # below[c] = r when N e_c = e_r
+    above = [-1] * n  # above[r] = c when N e_c = e_r
+    idx = -1
+    for _ in range(ones):
+        idx = entries.index(1, idx + 1)
+        r, c = divmod(idx, n)
+        if below[c] >= 0 or above[r] >= 0:
+            return None
+        below[c] = r
+        above[r] = c
+    chains = []
+    for top in range(n):
+        if above[top] < 0:
+            chain = [top]
+            while below[chain[-1]] >= 0:
+                chain.append(below[chain[-1]])
+            chains.append(chain)
+    return chains
+
+
+def _times_rowspace(rows: List[List[int]], pivots: List[int], entries: Sequence[int], n: int, p: int) -> List[int]:
+    """Flat entries of R N, for R the first len(pivots) rows of an RREF of
+    width n with these pivot columns and N the flat n x n matrix.
+
+    Up to column order R is [I | R'].  When R is more than half zero, which
+    sends the full product to its row loop, and R' passes the _packs gate
+    for its n - r columns, R N is N at the pivot rows plus R' times N at
+    the free rows: one packed product over the free columns.  Otherwise, as
+    for every n <= 8, the full product."""
+    r = len(pivots)
+    flat = [v for row in rows[:r] for v in row]
+    if not _packs(n - r, p) or 2 * flat.count(0) <= r * n:
+        return _mul_flat(flat, entries, r, n, n, p)
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
+    r_free = [row[c] for row in rows[:r] for c in free]
+    n_free = [v for c in free for v in entries[c * n : (c + 1) * n]]
+    tail = _mul_flat(r_free, n_free, r, len(free), n, p)
+    head = [v for c in pivots for v in entries[c * n : (c + 1) * n]]
+    return [(x + y) % p for x, y in zip(head, tail)]
+
+
 def _jordan_flat(
     entries: Sequence[int], n: int, p: int, kernels: Optional[list] = None
 ) -> Optional[Partition]:
     """Jordan type of the flat n x n matrix N, or None if N is not nilpotent.
 
-    An RREF basis of rowspace(N^k) times N spans rowspace(N^{k+1}), so each
-    power costs one elimination of ever fewer rows.  The ranks reach 0 exactly
-    when N is nilpotent; a rank that stalls above 0 means it is not.  The
-    rank drops are the kernel-dimension increments, whose dual is the type.
+    Without kernels, a 0/1 partial permutation N is read off its chains: their
+    lengths are the type, and an index left on a cycle means N is not
+    nilpotent.  Otherwise an RREF basis of rowspace(N^k) times N spans
+    rowspace(N^{k+1}), so each power costs one elimination of ever fewer rows.
+    The ranks reach 0 exactly when N is nilpotent; a rank that stalls above 0
+    means it is not.  The rank drops are the kernel-dimension increments,
+    whose dual is the type.
 
     Given a list kernels, the null vectors of the k-th RREF, a basis of
     ker N^k, are appended to it for k = 1, 2, ...  The RREF of a row space is
     unique, so these are the columns kernel_basis(N^k) returns."""
+    if kernels is None:
+        chains = _chains(entries, n)
+        if chains is not None:
+            lengths = sorted(map(len, chains), reverse=True)
+            return Partition(lengths) if sum(lengths) == n else None
     drops = []
     prev = n
     rows = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
@@ -485,7 +560,7 @@ def _jordan_flat(
         drops.append(prev - r)
         prev = r
         if r:
-            out = _mul_flat([v for row in rows[:r] for v in row], entries, r, n, n, p)
+            out = _times_rowspace(rows, pivots, entries, n, p)
             rows = [out[i * n : (i + 1) * n] for i in range(r)]
     return dual(Partition(drops))
 

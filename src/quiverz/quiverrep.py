@@ -12,8 +12,11 @@ The pairs of a chain are 0/1 partial-permutation matrices, so both
 compositions at an interface are nilpotent partial permutations whose
 Jordan bases are permutations read off their chains (_chain_order): the glue
 permutes columns and rows and eliminates nothing.  What certifies the glued
-point is the re-check that follows, on the general kernels: the relations
-and the Jordan type of theta.
+point is the re-check that follows: the relations, and the Jordan type of
+every A_i B_i, theta last (_interface_types).  On a glued point each A_i B_i
+is the product of its pair, again a partial permutation, so the one
+Jordan-type routine reads each type off its chains and this re-check
+eliminates nothing either.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from quiverz.exactmat import (
     CertificateError,
     ExactMatrix,
     FieldSpec,
+    _chains,
     _jordan_flat,
     _mul_flat,
     _random_invertible_pair,
@@ -151,25 +155,36 @@ def check_relations(z: QuiverRep) -> bool:
     return _relations_flat(z.dims, [M.entries for M in z.A], [M.entries for M in z.B], z.field.p)
 
 
-def nilpotency_degrees(z: QuiverRep) -> bool:
-    """Check (B_i A_i)^i = 0 and (A_i B_i)^{i+1} = 0 for all i; these are
-    consequences of the relations, which must hold on input."""
+def _interface_types(z: QuiverRep) -> Optional[List[Optional[Partition]]]:
+    """The Jordan types of A_i B_i for i = 1, ..., t - 1, theta last, each
+    None if that product is not nilpotent; None if a relation fails.  One
+    pass of _interface_products forms every A_i B_i but theta."""
     p = z.field.p
     products = _interface_products(z.dims, [M.entries for M in z.A], [M.entries for M in z.B], p)
     if products is None:
-        raise ValueError("relations fail; nilpotency degrees are only meaningful on the variety")
-    # The relations check formed every A_i B_i but theta = A_{t-1} B_{t-1}.
+        return None
     if z.t >= 2:
         products.append(_mul_flat(z.A[-1].entries, z.B[-1].entries, z.dims[-1], z.dims[-2], z.dims[-1], p))
-    # On the variety B_1 A_1 = 0 and B_{i+1} A_{i+1} = A_i B_i, so each
-    # (B_i A_i)^i = 0 is the condition (A_{i-1} B_{i-1})^i = 0 checked below.
-    # (A_i B_i)^{i+1} = 0 holds exactly when A_i B_i is nilpotent with no
-    # Jordan block longer than i + 1.
-    for i, ab in enumerate(products, start=1):
-        typ = _jordan_flat(ab, z.dims[i], p)
-        if typ is None or max(typ.parts, default=0) > i + 1:
-            return False
-    return True
+    return [_jordan_flat(ab, z.dims[i], p) for i, ab in enumerate(products, start=1)]
+
+
+def _degrees_bounded(types: Sequence[Optional[Partition]]) -> bool:
+    """(A_i B_i)^{i+1} = 0 for the types of _interface_types: each A_i B_i is
+    nilpotent with no Jordan block longer than i + 1."""
+    return all(typ is not None and max(typ.parts, default=0) <= i + 1 for i, typ in enumerate(types, start=1))
+
+
+def nilpotency_degrees(z: QuiverRep) -> bool:
+    """Check (B_i A_i)^i = 0 and (A_i B_i)^{i+1} = 0 for all i; these are
+    consequences of the relations, which must hold on input.
+
+    On the variety B_1 A_1 = 0 and B_{i+1} A_{i+1} = A_i B_i, so each
+    (B_i A_i)^i = 0 is the condition (A_{i-1} B_{i-1})^i = 0 on the types of
+    _interface_types."""
+    types = _interface_types(z)
+    if types is None:
+        raise ValueError("relations fail; nilpotency degrees are only meaningful on the variety")
+    return _degrees_bounded(types)
 
 
 def is_stable(z: QuiverRep) -> bool:
@@ -226,7 +241,7 @@ def _lowering_endo(dims: Sequence[int], field: FieldSpec, rng) -> ExactMatrix:
     for c in range(nt):
         for r in range(bound[c]):
             entries[r * nt + c] = rng.randrange(field.p)
-    return ExactMatrix(nt, nt, entries, field)
+    return ExactMatrix._reduced(nt, nt, entries, field)
 
 
 def sample_stable(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
@@ -394,27 +409,12 @@ def _chain_order(entries: Sequence[int], n: int) -> Optional[List[int]]:
     """The column order of the Jordan basis _jordan_basis picks for the flat
     n x n matrix N when N is a nilpotent 0/1 partial permutation, else None.
 
-    Such an N sends each e_c to one e_r or to 0, so its Jordan chains are
-    unit vectors, and the greedy choice of _jordan_basis, run on unit
-    vectors, takes them longest first, equal lengths by increasing top
-    index, each written bottom to top."""
-    below = [-1] * n  # below[c] = r when N e_c = e_r
-    above = [-1] * n  # above[r] = c when N e_c = e_r
-    for idx, v in enumerate(entries):
-        if v:
-            r, c = divmod(idx, n)
-            if v != 1 or below[c] >= 0 or above[r] >= 0:
-                return None
-            below[c] = r
-            above[r] = c
-    chains = []
-    for top in range(n):
-        if above[top] < 0:
-            chain = [top]
-            while below[chain[-1]] >= 0:
-                chain.append(below[chain[-1]])
-            chains.append(chain)
-    if sum(map(len, chains)) != n:  # the rest lies on cycles: not nilpotent
+    The Jordan chains of such an N are the unit vectors of its chains
+    (_chains), and the greedy choice of _jordan_basis, run on unit vectors,
+    takes them longest first, equal lengths by increasing top index, each
+    written bottom to top."""
+    chains = _chains(entries, n)
+    if chains is None or sum(map(len, chains)) != n:  # not nilpotent
         return None
     chains.sort(key=len, reverse=True)  # stable, so equal lengths keep top order
     return [c for chain in chains for c in reversed(chain)]
@@ -435,8 +435,9 @@ def build_from_chain(deltas: Sequence[ABDiagram], field: FieldSpec) -> QuiverRep
     B'_i A'_i, both permutations with column orders o1 and o2.  So column
     o1[k] of A_i = A'_i g^-1 is column o2[k] of A'_i, and row o1[k] of
     B_i = g B'_i is row o2[k] of B'_i.  The relations and the Jordan type of
-    theta are then re-checked on the general kernels; that re-check is the
-    certificate."""
+    every A_i B_i, theta last, are then re-checked (_interface_types): the
+    type at interface i must be the b-part of diagram i.  That re-check is
+    the certificate."""
     deltas = list(deltas)
     if not deltas:
         raise ValueError("chain must contain at least one diagram")
@@ -474,7 +475,7 @@ def build_from_chain(deltas: Sequence[ABDiagram], field: FieldSpec) -> QuiverRep
         A.append(ExactMatrix._reduced(hi, lo, [ae[r * lo + c] for r in range(hi) for c in src], field))
         B.append(ExactMatrix._reduced(lo, hi, [v for c in src for v in be[c * hi : (c + 1) * hi]], field))
     z = QuiverRep(tuple(dims), A, B, field)
-    if not check_relations(z) or jordan_type(theta(z)) != deltas[-1].b_part:
+    if _interface_types(z) != [delta.b_part for delta in deltas]:
         raise CertificateError(f"build_from_chain: the point glued for {dims} fails its re-check")
     return z
 

@@ -107,6 +107,17 @@ def test_verify_budget_refuses_huge_sizes_at_once(capsys):
     assert "exceed the budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("statement", ["theta-image", "all"])
+def test_verify_sweep_refuses_huge_max_last_at_once(capsys, statement):
+    """The swept vectors are subsets of 1..max_last: past 2^max_last >
+    DEFAULT_BUDGET the sweep is refused before any vector is built, where
+    --max-last 40 used to try to build 2^40 of them."""
+    start = time.perf_counter()
+    assert main(["--json", "verify", statement, "--max-last", "40"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == "error: 2^40 subsets of 1..40 to sweep exceed the budget of 10000000\n"
+
+
 # Small sizes for a run of each verify statement.
 _SMALL = {
     "ab-step": ["--n", "1", "--a", "1"],

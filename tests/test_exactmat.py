@@ -13,9 +13,13 @@ from quiverz.exactmat import (
     CertificateError,
     ExactMatrix,
     FieldSpec,
+    _chains,
+    _jordan_flat,
     _mul_flat,
+    _packs,
     _random_invertible_pair,
     _rref,
+    _times_rowspace,
     all_subspaces,
     canonical_nilpotent,
     conjugator,
@@ -34,7 +38,7 @@ from quiverz.exactmat import (
     zeros,
 )
 from quiverz.partitions import Partition, dual
-from quiverz.quiverrep import sample_stable
+from quiverz.quiverrep import _chain_order, sample_stable
 
 from oracles import is_nilpotent, mat_pow, mul_by_rows, partitions_up_to_weight, random_invertible, rref_by_rows
 
@@ -415,10 +419,14 @@ def test_jordan_type_examples():
 
 
 def _power_oracle(m):
-    """Nilpotency and Jordan type from the ranks of M^0, ..., M^n."""
+    """Nilpotency and Jordan type from the ranks of M^0, ..., M^n, each power
+    one product from the one before."""
     n = m.rows
-    ranks = [rank(mat_pow(m, k)) for k in range(n + 1)]
-    nilpotent = mat_pow(m, n).is_zero()
+    powers = [mat_pow(m, 0)]
+    for _ in range(n):
+        powers.append(mul(powers[-1], m))
+    ranks = [rank(x) for x in powers]
+    nilpotent = powers[n].is_zero()
     increments = [ranks[k - 1] - ranks[k] for k in range(1, n + 1) if ranks[k - 1] > ranks[k]]
     return nilpotent, dual(Partition(increments)) if nilpotent else None
 
@@ -460,6 +468,150 @@ def test_jordan_type_matches_power_oracle_4x4_over_f3():
         _check_against_power_oracle(m)
     assert sum(is_nilpotent(m) for m in cases) >= 5
     assert sum(not is_nilpotent(m) for m in cases) >= 100
+
+
+def _partial_permutation(n, pairs):
+    """Flat n x n 0/1 entries with N e_c = e_r for each (c, r) in pairs."""
+    entries = [0] * (n * n)
+    for c, r in pairs:
+        entries[r * n + c] = 1
+    return entries
+
+
+def _nilpotent_partial_permutations(n):
+    """Every nilpotent n x n 0/1 partial permutation, mapped to its type: a
+    set of chains that cover 0..n-1, cut from some order of them."""
+    found = {}
+    for order in itertools.permutations(range(n)):
+        for cuts in itertools.product((False, True), repeat=max(n - 1, 0)):
+            chains = [[order[0]]] if n else []
+            for cut, c in zip(cuts, order[1:]):
+                if cut:
+                    chains.append([])
+                chains[-1].append(c)
+            pairs = [(a, b) for chain in chains for a, b in zip(chain, chain[1:])]
+            found[tuple(_partial_permutation(n, pairs))] = Partition(sorted(map(len, chains), reverse=True))
+    return found
+
+
+def test_chain_branch_matches_power_oracle_on_all_small_01_matrices():
+    """Every 0/1 matrix of size at most 3 over F_2 and F_3: the partial
+    permutations among them are read off their chains, the others
+    eliminated, and both agree with the power oracle."""
+    for field in (F2, F3):
+        read = 0
+        for n in range(4):
+            for entries in itertools.product((0, 1), repeat=n * n):
+                _, typ = _power_oracle(ExactMatrix(n, n, entries, field))
+                assert _jordan_flat(entries, n, field.p) == typ, entries
+                read += _chains(entries, n) is not None
+        assert read == 1 + 2 + 7 + 34  # the partial permutations of sizes 0 to 3
+
+
+def test_chain_branch_matches_power_oracle_on_nilpotent_partial_permutations():
+    """Every nilpotent 0/1 partial permutation of size at most 6: its type is
+    its chain lengths, as the power oracle finds."""
+    counts = []
+    for n in range(7):
+        found = _nilpotent_partial_permutations(n)
+        counts.append(len(found))
+        for entries, typ in found.items():
+            assert _jordan_flat(entries, n, F.p) == typ, entries
+            assert _power_oracle(ExactMatrix(n, n, entries, F)) == (True, typ), entries
+    assert counts == [1, 1, 3, 13, 73, 501, 4051]  # sets of lists that cover n points
+
+
+def test_chain_branch_rejects_partial_permutations_with_cycles():
+    """A partial permutation with a cycle is not nilpotent: _jordan_flat
+    returns None, as the power oracle finds, and _chain_order reads no
+    order off it."""
+    cyclic = 0
+    for n in range(5):
+        for k in range(n + 1):
+            for cols in itertools.combinations(range(n), k):
+                for rows in itertools.permutations(range(n), k):
+                    entries = _partial_permutation(n, zip(cols, rows))
+                    nilpotent, typ = _power_oracle(ExactMatrix(n, n, entries, F))
+                    assert _jordan_flat(entries, n, F.p) == typ, entries
+                    assert (_chain_order(entries, n) is None) == (not nilpotent)
+                    cyclic += not nilpotent
+    # (1 + 2 + 7 + 34 + 209) partial permutations, (1 + 1 + 3 + 13 + 73) nilpotent
+    assert cyclic == 253 - 91
+    # At n = 40: chains of lengths 20 and 17 and a 3-cycle, then the cycle
+    # opened into a third chain.
+    order = list(range(40))
+    random.Random(40).shuffle(order)
+    pairs = list(zip(order[:19], order[1:20])) + list(zip(order[20:36], order[21:37]))
+    pairs += [(order[37], order[38]), (order[38], order[39]), (order[39], order[37])]
+    entries = _partial_permutation(40, pairs)
+    assert _chains(entries, 40) is not None
+    assert _jordan_flat(entries, 40, F.p) is None
+    assert _jordan_flat(entries, 40, F.p, kernels=[]) is None
+    entries = _partial_permutation(40, pairs[:-1])
+    assert _jordan_flat(entries, 40, F.p) == Partition((20, 17, 3))
+    assert _jordan_flat(entries, 40, F.p, kernels=[]) == Partition((20, 17, 3))
+
+
+def test_chain_branch_leaves_entries_of_two_to_elimination():
+    """A 2 in place of a 1 keeps the type of a chain but makes no partial
+    permutation: the elimination types it, as the power oracle does."""
+    for field in (F3, FieldSpec(5), F):
+        for n in range(1, 5):
+            for entries, typ in _nilpotent_partial_permutations(n).items():
+                for idx in [i for i, v in enumerate(entries) if v][:2]:
+                    twice = list(entries)
+                    twice[idx] = 2
+                    assert _chains(twice, n) is None
+                    assert _jordan_flat(twice, n, field.p) == typ, twice
+                    assert _power_oracle(ExactMatrix(n, n, twice, field)) == (True, typ), twice
+        # [[0, 2], [1, 0]] squares to 2 I: a 2-cycle, not nilpotent.
+        assert _jordan_flat([0, 2, 1, 0], 2, field.p) is None
+        assert _power_oracle(ExactMatrix(2, 2, [0, 2, 1, 0], field)) == (False, None)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_rowspace_product_matches_full_product(p):
+    """_times_rowspace equals the full product of R and N for ranks from 0
+    to n, whether it forms R N as N at the pivot rows plus R' times N at the
+    free rows (R' passes the _packs gate and R is more than half zero)
+    or as the full product.  Where p allows packing, n = 40 takes the split
+    path."""
+    field = FieldSpec(p)
+    rng = random.Random(p)
+    split = set()
+    for n in (7, 8, 9, 16, 40):
+        N = random_matrix(n, n, field, rng)
+        cases = [zeros(n, n, field), _random_invertible_pair(n, field, rng)[0]]
+        for r in (1, n // 3, n // 2, 3 * n // 4, n - 1):
+            cases.append(mul(random_matrix(n, r, field, rng), random_matrix(r, n, field, rng)))
+        ranks = set()
+        for M in cases:
+            rows = M.to_rows()
+            pivots = _rref(rows, p)
+            r = len(pivots)
+            ranks.add(r)
+            flat = [v for row in rows[:r] for v in row]
+            if _packs(n - r, p) and 2 * flat.count(0) > r * n:
+                split.add(n)
+            full = _mul_flat(flat, N.entries, r, n, n, p)
+            assert _times_rowspace(rows, pivots, N.entries, n, p) == full, (n, r)
+        assert {0, n} <= ranks
+    assert (40 in split) == _packs(8, p)
+
+
+def test_random_matrix_matches_checked_constructor():
+    """random_matrix skips the checks of the constructor but draws the same
+    stream and gives the same matrix, of ints in [0, p)."""
+    for p in (2, 3, 32003, 2**31 - 1):
+        field = FieldSpec(p)
+        for rows, cols in ((0, 0), (0, 3), (3, 0), (1, 1), (4, 7)):
+            rng, twin = random.Random(p + rows), random.Random(p + rows)
+            M = random_matrix(rows, cols, field, rng)
+            assert M == ExactMatrix(rows, cols, [twin.randrange(p) for _ in range(rows * cols)], field)
+            assert rng.getstate() == twin.getstate()
+            assert all(type(v) is int and 0 <= v < p for v in M.entries)
+    with pytest.raises(ValueError, match="negative shape"):
+        random_matrix(-1, -1, F, random.Random(0))
 
 
 def test_jordan_basis_recheck_survives_optimisation():

@@ -8,8 +8,9 @@ import textwrap
 import pytest
 
 from quiverz import exactmat, quiverrep
-from quiverz.abdiagrams import ABDiagram
+from quiverz.abdiagrams import ABDiagram, enumerate_b_parts
 from quiverz.exactmat import (
+    CertificateError,
     ExactMatrix,
     FieldSpec,
     _jordan_basis,
@@ -437,11 +438,12 @@ def test_build_from_chain_single_row():
 
 
 def test_build_from_chain_takes_conjugator_inverse_from_bases(monkeypatch):
-    """build_from_chain eliminates nothing to glue: no inverse, and one
-    Jordan-type pass, the re-check of theta.  conjugator takes g = g1 g2^-1
-    from the Jordan bases with one inverse, of g2, and g2 g1^-1, the g^-1 the
-    conjugator oracle of the chains glues with, is inverse(g)."""
-    counted = {"_inverse_flat": [], "_jordan_flat": []}
+    """build_from_chain eliminates nothing: no inverse and no RREF, neither
+    to glue nor in its re-check, which reads the type of every interface off
+    its chains.  conjugator takes g = g1 g2^-1 from the Jordan bases with one
+    inverse, of g2, and g2 g1^-1, the g^-1 the conjugator oracle of the
+    chains glues with, is inverse(g)."""
+    counted = {"_inverse_flat": [], "_rref": []}
 
     def counting(name):
         real = getattr(exactmat, name)
@@ -459,8 +461,7 @@ def test_build_from_chain_takes_conjugator_inverse_from_bases(monkeypatch):
             for name in counted:
                 m.setattr(exactmat, name, counting(name))
             assert build_from_chain(chain, F) == expected
-        assert counted == {"_inverse_flat": [], "_jordan_flat": [dims[-1]]}
-        counted["_jordan_flat"].clear()
+        assert counted == {"_inverse_flat": [], "_rref": []}
     rng = random.Random(19)
     for eta in (P(1), P(2, 1), P(4, 2, 2, 1), P(6, 3, 3, 2)):
         n = exactmat.canonical_nilpotent(eta, F)
@@ -475,6 +476,41 @@ def test_build_from_chain_takes_conjugator_inverse_from_bases(monkeypatch):
         g2, _ = _jordan_basis(n2)
         assert g == mul(g1, inverse(g2))
         assert mul(g2, inverse(g1)) == inverse(g)
+
+
+def test_build_from_chain_certifies_every_interface(monkeypatch):
+    """Glued from the pairs of another chain with the same last b-part, a
+    point of (1, 3, 4) meets the relations and theta has the claimed type,
+    which was all the re-check read before; but A_1 B_1 has type (2, 1), not
+    the (1, 1, 1) its chain claims, and build_from_chain raises."""
+    first = enumerate_b_parts(P(1), 2, witnesses=True)
+    right = [first[P(1, 1, 1)], enumerate_b_parts(P(1, 1, 1), 1, witnesses=True)[P(2, 2)]]
+    wrong = [first[P(2, 1)], enumerate_b_parts(P(2, 1), 1, witnesses=True)[P(2, 2)]]
+    z = build_from_chain(wrong, F)
+    assert check_relations(z) and jordan_type(theta(z)) == right[-1].b_part
+    swap = {id(good): bad for good, bad in zip(right, wrong)}
+    real = quiverrep.build_pair
+    monkeypatch.setattr(quiverrep, "build_pair", lambda delta, field: real(swap[id(delta)], field))
+    with pytest.raises(CertificateError, match="build_from_chain"):
+        build_from_chain(right, F)
+
+
+def test_lowering_endo_matches_checked_constructor():
+    """_lowering_endo skips the checks of the constructor but draws the same
+    stream, column by column, and gives the same matrix."""
+    for p in (2, 32003):
+        field = FieldSpec(p)
+        for dims in ((3,), (1, 2), (1, 4, 5), (2, 3, 7, 9)):
+            rng, twin = random.Random(p), random.Random(p)
+            endo = _lowering_endo(dims, field, rng)
+            nt = dims[-1]
+            entries = [0] * (nt * nt)
+            for lower, n in zip((0,) + dims, dims):
+                for c in range(lower, n):
+                    for r in range(lower):
+                        entries[r * nt + c] = twin.randrange(p)
+            assert endo == ExactMatrix(nt, nt, entries, field)
+            assert rng.getstate() == twin.getstate()
 
 
 def _chains_to_compare():
@@ -637,12 +673,13 @@ def test_witness_no_obstruction():
 def test_certificate_checks_survive_optimisation():
     """Under python -O a failing re-check still raises CertificateError: the
     checks in build_from_chain, sample_stable and witness_reducible are not
-    asserts.  witness_reducible emits relations: true only after its
-    builders' re-checks, so with the relations failing it raises in
-    build_from_chain.  A chain order reversed on one side of each interface
-    (on both sides it would pair the same columns) glues a point off the
-    variety, and build_from_chain raises too, as it does when no order is
-    read off."""
+    asserts.  The relations fail when _interface_products, which every
+    relations check runs, reports them failed.  witness_reducible emits
+    relations: true only after its builders' re-checks, so with the
+    relations failing it raises in build_from_chain.  A chain order reversed
+    on one side of each interface (on both sides it would pair the same
+    columns) glues a point off the variety, and build_from_chain raises too,
+    as it does when no order is read off."""
     script = textwrap.dedent(
         """
         import random
@@ -657,12 +694,12 @@ def test_certificate_checks_survive_optimisation():
             except exactmat.CertificateError as exc:
                 print("raised in", str(exc).split(":")[0])
 
-        real_check = quiverrep.check_relations
-        quiverrep.check_relations = lambda z: False  # no point satisfies the relations
+        real_products = quiverrep._interface_products
+        quiverrep._interface_products = lambda *args: None  # no point satisfies the relations
         attempt(lambda: quiverrep.build_from_chain(quiverrep.greedy_chain((1, 4, 5)), F))
         attempt(lambda: quiverrep.sample_stable((1, 4, 5), F, random.Random(0)))
         attempt(lambda: quiverrep.witness_reducible((1, 4, 5), F, random.Random(0)))
-        quiverrep.check_relations = real_check
+        quiverrep._interface_products = real_products
         quiverrep.mu_of = lambda d: Partition((1,) * d[-1])  # a bound no stable sample meets
         attempt(lambda: quiverrep.witness_reducible((1, 4, 5), F, random.Random(0)))
         real_order = quiverrep._chain_order

@@ -331,13 +331,19 @@ def test_failing_ab_step_counterexample_is_recheckable(monkeypatch):
 
 def test_each_certificate_is_rechecked_once(monkeypatch):
     """The builders re-check each point once and the callers read their
-    results.  What remains per point of (1, 4, 5) over F_32003: one relation
-    check in its builder, one in nilpotency_degrees (its input check), the
-    one Jordan pass of build_from_chain (its re-check of the type; the glue
-    is a permutation read off the chains) and one jordan_type per stable
-    sample.  nilpotency_degrees forms 4 products per point, where forming
-    each A_i B_i again after its relation check made 5."""
-    counts = {"relations": 0, "jordan": 0, "canonical": 0}
+    results.  Per instance of (1, 4, 5) over F_32003 with one trial:
+    - relations: one check in each of the two build_from_chain calls, one in
+      sample_stable and one in the pass of _interface_types that types the
+      stable sample, where re-checking every point in nilpotency_degrees
+      made 6;
+    - Jordan types: two per point, A_1 B_1 and theta, from one
+      _interface_types pass each; a chain point's nilpotency check reads the
+      b-parts its builder certified;
+    - eliminations: none on a chain point, whose types are read off its
+      chains.  The stable sample takes 5 in sample_stable (three inversions
+      of [g | I], two ranks for is_stable) and 5 to type A_1 B_1 (2) and
+      theta (3), once each; before, theta was typed twice."""
+    counts = {"relations": 0, "jordan": 0, "eliminations": 0, "canonical": 0}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -347,39 +353,49 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(quiverrep, "_interface_products", counting("relations", quiverrep._interface_products))
-    monkeypatch.setattr(exactmat, "_jordan_flat", counting("jordan", exactmat._jordan_flat))
+    jordan = counting("jordan", exactmat._jordan_flat)
+    monkeypatch.setattr(exactmat, "_jordan_flat", jordan)
+    monkeypatch.setattr(quiverrep, "_jordan_flat", jordan)
+    monkeypatch.setattr(exactmat, "_rref", counting("eliminations", exactmat._rref))
     monkeypatch.setattr(exactmat, "canonical_nilpotent", counting("canonical", canonical_nilpotent))
 
     inst = verify._theta_image_instance((1, 4, 5), 32003, 0, 1)
     assert inst["ok"]
-    assert counts == {"relations": 6, "jordan": 3, "canonical": 0}
+    assert counts == {"relations": 4, "jordan": 6, "eliminations": 10, "canonical": 0}
 
-    counts.update(relations=0, jordan=0)
+    # The chain witness: one relations check and two types read off its
+    # chains; its is_stable takes two ranks.  The stable witness: one
+    # relations check, 5 eliminations in sample_stable, and jordan_type of
+    # its theta (3).
+    counts.update(relations=0, jordan=0, eliminations=0)
     report = quiverrep.witness_reducible((1, 4, 5), FieldSpec(), random.Random(0))
     assert [w["relations"] for w in report.witnesses] == [True, True]
-    assert counts == {"relations": 2, "jordan": 2, "canonical": 0}
+    assert counts == {"relations": 2, "jordan": 3, "eliminations": 10, "canonical": 0}
 
     # conjugator re-checks only its own rank(g) and g N2 == N1 g;
-    # jordan_basis re-checks against the canonical form.
+    # jordan_basis re-checks against the canonical form.  Each Jordan basis
+    # of type (3, 2, 2) takes one elimination per power (3), conjugator one
+    # more for g2^-1, and each rank(g) one.
     field = FieldSpec()
     n = canonical_nilpotent(Partition((3, 2, 2)), field)
     h = random_invertible(7, field, random.Random(3))
     m = mul(mul(h, n), inverse(h))
-    counts.update(relations=0, jordan=0)
+    counts.update(relations=0, jordan=0, eliminations=0)
     conjugator(n, m)
-    assert counts == {"relations": 0, "jordan": 2, "canonical": 0}
-    counts.update(jordan=0)
+    assert counts == {"relations": 0, "jordan": 2, "eliminations": 8, "canonical": 0}
+    counts.update(jordan=0, eliminations=0)
     jordan_basis(m)
-    assert counts == {"relations": 0, "jordan": 1, "canonical": 1}
+    assert counts == {"relations": 0, "jordan": 1, "eliminations": 4, "canonical": 1}
 
     # nilpotency_degrees reuses the products A_i B_i that its relation check
-    # formed and multiplies only theta anew.
+    # formed and multiplies only theta anew; on a chain point it eliminates
+    # nothing.
     z = quiverrep.build_from_chain(quiverrep.greedy_chain((1, 4, 5)), field)
-    counts.update(relations=0, jordan=0, canonical=0, products=0)
+    counts.update(relations=0, jordan=0, eliminations=0, canonical=0, products=0)
     monkeypatch.setattr(quiverrep, "_mul_flat", counting("products", quiverrep._mul_flat))
     monkeypatch.setattr(quiverrep, "mul", counting("products", quiverrep.mul))
     assert quiverrep.nilpotency_degrees(z)
-    assert counts == {"relations": 1, "jordan": 0, "canonical": 0, "products": 4}
+    assert counts == {"relations": 1, "jordan": 2, "eliminations": 0, "canonical": 0, "products": 4}
 
 
 def test_stability_report_checks_relations_once(monkeypatch):
