@@ -211,6 +211,4 @@ def build_pair(delta: ABDiagram, field: FieldSpec) -> Tuple[ExactMatrix, ExactMa
                 else:
                     b_entries[idx * nb + pidx] = 1
             prev = (ch, idx)
-    A = ExactMatrix(nb, n, a_entries, field)
-    B = ExactMatrix(n, nb, b_entries, field)
-    return A, B
+    return ExactMatrix._reduced(nb, n, a_entries, field), ExactMatrix._reduced(n, nb, b_entries, field)

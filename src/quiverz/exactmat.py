@@ -10,7 +10,7 @@ The dense kernels work on packed rows: one Python int per row, entry j in
 the 64-bit slot at bits 64j to 64j + 63 (_pack and _unpack hold the
 format), so a row operation is one C-level multiply-add of big ints.  Slots
 only ever grow between reductions, so every slot has to stay below 2^64.
-One gate decides for both kernels: at least 8 rows to combine,
+One gate decides for all three kernels: at least 8 rows to combine,
 (p - 1)^2 * (rows + 1) + p < 2^64 (_packs; it holds for p = 32003 and fails
 for p near 2^31), and at most half of the entries that select the work
 zero.
@@ -18,16 +18,22 @@ zero.
 _mul_flat, the one product, packs the rows of its right operand; the gate
 counts the m rows of ye and the zeros of xe.  Each output row is the sum of
 its entries of xe times those packed rows, at most m (p - 1)^2 per slot,
-unpacked and reduced once.  _rref, the one elimination, counts its rows and
-the zeros of the columns it searches for pivots, so an augmented [M | I]
-is judged by M.  It reduces the entries as it packs them; then row i +=
-(p - f) * pivot row adds at most (p - 1)^2 per slot for each pivot, a row is
-reduced again only when it becomes the pivot row, and every row once at
-the end, when the lists are written back.  Inputs that fail the gate keep
-the list loops: the row loop of _mul_flat skips zero entries, which suits
-the monomial and tiny matrices of the chain points and the exhaustive
-drivers, and the list loop of _rref skips rows with a zero in the pivot
-column.  Both paths give the same residues and the same RREF.
+unpacked and reduced once.  Below the gate, two 0/1 partial permutations
+with m >= 8 are composed as index maps (_partial_permutation reads them,
+and _chains too), and the rest takes the row loop.  _rref, the one
+elimination of rank, kernels, solve and the Jordan type, counts its rows
+and the zeros of the columns it searches for pivots, so an augmented
+system is judged by its left block.  It reduces the entries as it packs
+them; then row i += (p - f) * pivot row adds at most (p - 1)^2 per slot for
+each pivot, a row is reduced again only when it becomes the pivot row, and
+every row once at the end, when the lists are written back.  _inverse_flat
+inverts in place on n-wide rows, not by an RREF of [M | I]: the elimination
+row carries inv + 1 in its pivot slot, so each row step stays one
+multiply-add.  Inputs that fail the gate keep the list loops: the row loop
+of _mul_flat skips zero entries, which suits the small chain points and
+the tiny matrices of the exhaustive drivers, and the list loops of _rref
+and _inverse_flat skip rows with a zero in the pivot column.  Both paths
+give the same residues and the same RREF.
 
 _jordan_flat, the one Jordan-type routine, reads a 0/1 partial permutation
 off its chains (_chains) and eliminates nothing: each chain is a Jordan
@@ -233,8 +239,10 @@ def _mul_flat(xe: Sequence[int], ye: Sequence[int], n: int, m: int, k: int, p: i
 
     Past the _packs gate for the m rows of ye, with at most half of xe zero,
     each output row is the sum of its entries times the packed rows of ye,
-    unpacked once; otherwise each row accumulates only its nonzero entries
-    times the matching rows of ye."""
+    unpacked once.  Otherwise, when m >= 8 and both are 0/1 partial
+    permutations, the product is their composition as index maps: y sends
+    e_j to e_l, and x sends e_l on.  Otherwise each row accumulates only its
+    nonzero entries times the matching rows of ye."""
     if _packs(m, p) and 2 * xe.count(0) <= len(xe):
         packed = [_pack(ye[l * k : (l + 1) * k]) for l in range(m)]
         out = []
@@ -242,6 +250,14 @@ def _mul_flat(xe: Sequence[int], ye: Sequence[int], n: int, m: int, k: int, p: i
             out.extend(v % p for v in _unpack(sum(map(operator.mul, xe[i * m : (i + 1) * m], packed)), k))
         return out
     out = [0] * (n * k)
+    if m >= 8:
+        xmap = _partial_permutation(xe, n, m)
+        ymap = None if xmap is None else _partial_permutation(ye, m, k)
+        if ymap is not None:
+            for j, l in enumerate(ymap):
+                if l >= 0 and xmap[l] >= 0:
+                    out[xmap[l] * k + j] = 1
+            return out
     for i in range(n):
         xi = i * m
         acc = [0] * k
@@ -390,12 +406,55 @@ def kernel_basis(M: ExactMatrix) -> ExactMatrix:
 
 
 def _inverse_flat(entries: Sequence[int], n: int, p: int) -> Optional[List[int]]:
-    """Flat entries of the inverse of the flat n x n matrix, or None if it is
-    singular: one RREF of [M | I] both tests M and inverts it."""
-    aug = [list(entries[i * n : (i + 1) * n]) + [int(j == i) for j in range(n)] for i in range(n)]
-    if len(_rref(aug, p, pivot_cols=n)) != n:
-        return None
-    return [v for row in aug for v in row[n:]]
+    """Flat entries of the inverse of the flat n x n matrix, entries in
+    [0, p), or None if it is singular: Gauss-Jordan in place on n-wide rows.
+
+    Step c swaps a pivot into row c, or finds the matrix singular when column
+    c has none from row c down, and scales that row by inv = 1 / pivot with
+    inv in the pivot slot.  Every other row takes f times the elimination
+    row, the pivot row with inv + 1 in the pivot slot, where f is its entry
+    in column c: that slot becomes f - f (inv + 1) = -f inv, the entry the
+    inverse needs there, so a row step is one multiply-add.  The row swaps
+    come back as column swaps at the end, the last first.  Past the _packs
+    gate for the n rows, with at most half of the entries zero, the rows are
+    packed, reduced when they become the pivot row and once at the end, and
+    row i += (p - f) * elimination row adds at most (p - 1)^2 per slot and
+    step, (p - 1) p at the one step with inv + 1; otherwise they are lists,
+    reduced at every step."""
+    packed = _packs(n, p) and 2 * entries.count(0) <= len(entries)
+    rows = [entries[i * n : (i + 1) * n] for i in range(n)]
+    rows = [_pack(row) for row in rows] if packed else [list(row) for row in rows]
+    swaps = []
+    for c in range(n):
+        shift = 64 * c
+        col = [(x >> shift & _SLOT_MASK) % p for x in rows] if packed else [row[c] for row in rows]
+        pivot = next((i for i in range(c, n) if col[i]), None)
+        if pivot is None:
+            return None
+        swaps.append(pivot)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        col[c], col[pivot] = col[pivot], col[c]
+        inv = pow(col[c], p - 2, p)
+        row = [v * inv % p for v in (_unpack(rows[c], n) if packed else rows[c])]
+        row[c] = inv
+        if packed:
+            rows[c] = _pack(row)
+            elim = rows[c] + (1 << shift)
+            for i, f in enumerate(col):
+                if f and i != c:
+                    rows[i] += (p - f) * elim
+        else:
+            rows[c] = row
+            elim = row[:c] + [inv + 1] + row[c + 1 :]
+            for i, f in enumerate(col):
+                if f and i != c:
+                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], elim)]
+    if packed:
+        rows = [[v % p for v in _unpack(x, n)] for x in rows]
+    order = list(range(n))
+    for c in range(n - 1, -1, -1):
+        order[c], order[swaps[c]] = order[swaps[c]], order[c]
+    return [row[j] for row in rows for j in order]
 
 
 def inverse(M: ExactMatrix) -> ExactMatrix:
@@ -448,7 +507,8 @@ def random_matrix(rows: int, cols: int, field: FieldSpec, rng) -> ExactMatrix:
 
 def _random_invertible_pair(n: int, field: FieldSpec, rng) -> tuple:
     """(g, g^-1) for a uniformly random invertible g: draws as random_matrix
-    until the RREF of [g | I] has n pivots, which also gives g^-1."""
+    until the in-place inversion finds a pivot in every column, which also
+    gives g^-1."""
     while True:
         g = random_matrix(n, n, field, rng)
         ginv = _inverse_flat(g.entries, n, field.p)
@@ -470,33 +530,42 @@ def canonical_nilpotent(eta: Partition, field: FieldSpec) -> ExactMatrix:
     return ExactMatrix(n, n, out, field)
 
 
-def _chains(entries: Sequence[int], n: int) -> Optional[List[List[int]]]:
-    """The chains of the flat n x n matrix N when N is a 0/1 partial
-    permutation, else None.
-
-    Such an N sends each e_c to one e_r or to 0.  A chain starts at an index
-    that no column maps onto and follows N down to the index N kills, so it
-    lists unit vectors top to bottom; the chains come by increasing top
-    index.  They cover all n indices exactly when N is nilpotent: the other
-    indices lie on cycles.  A dense input is turned away by its count of
-    zeros; the ones are found by index(), so the walk takes one step per
-    one."""
+def _partial_permutation(entries: Sequence[int], rows: int, cols: int) -> Optional[List[int]]:
+    """The index map of the flat rows x cols matrix when it is a 0/1 partial
+    permutation, else None: entry c is r when it sends e_c to e_r, -1 when it
+    kills e_c.  A dense input is turned away by its count of zeros; the ones
+    are found by index(), one step per one."""
     ones = len(entries) - entries.count(0)
-    if ones > n or max(entries, default=0) > 1:
+    if ones > min(rows, cols) or max(entries, default=0) > 1:
         return None
-    below = [-1] * n  # below[c] = r when N e_c = e_r
-    above = [-1] * n  # above[r] = c when N e_c = e_r
+    image = [-1] * cols
+    hit = [False] * rows
     idx = -1
     for _ in range(ones):
         idx = entries.index(1, idx + 1)
-        r, c = divmod(idx, n)
-        if below[c] >= 0 or above[r] >= 0:
+        r, c = divmod(idx, cols)
+        if image[c] >= 0 or hit[r]:
             return None
-        below[c] = r
-        above[r] = c
+        image[c] = r
+        hit[r] = True
+    return image
+
+
+def _chains(entries: Sequence[int], n: int) -> Optional[List[List[int]]]:
+    """The chains of the flat n x n matrix N when N is a 0/1 partial
+    permutation (_partial_permutation), else None.
+
+    A chain starts at an index that no column maps onto and follows N down
+    to the index N kills, so it lists unit vectors top to bottom; the chains
+    come by increasing top index.  They cover all n indices exactly when N
+    is nilpotent: the other indices lie on cycles."""
+    below = _partial_permutation(entries, n, n)
+    if below is None:
+        return None
+    targets = set(below)
     chains = []
     for top in range(n):
-        if above[top] < 0:
+        if top not in targets:
             chain = [top]
             while below[chain[-1]] >= 0:
                 chain.append(below[chain[-1]])

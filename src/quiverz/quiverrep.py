@@ -40,7 +40,6 @@ from quiverz.exactmat import (
     identity,
     inverse,
     is_injective,
-    jordan_type,
     mul,
     rank,
     solve,
@@ -155,17 +154,23 @@ def check_relations(z: QuiverRep) -> bool:
     return _relations_flat(z.dims, [M.entries for M in z.A], [M.entries for M in z.B], z.field.p)
 
 
-def _interface_types(z: QuiverRep) -> Optional[List[Optional[Partition]]]:
-    """The Jordan types of A_i B_i for i = 1, ..., t - 1, theta last, each
-    None if that product is not nilpotent; None if a relation fails.  One
-    pass of _interface_products forms every A_i B_i but theta."""
+def _point_products(z: QuiverRep) -> Optional[List[list]]:
+    """The flat A_i B_i for i = 1, ..., t - 1, theta last, from one pass of
+    _interface_products; None if a relation fails."""
     p = z.field.p
     products = _interface_products(z.dims, [M.entries for M in z.A], [M.entries for M in z.B], p)
+    if products is not None and z.t >= 2:
+        products.append(_mul_flat(z.A[-1].entries, z.B[-1].entries, z.dims[-1], z.dims[-2], z.dims[-1], p))
+    return products
+
+
+def _interface_types(z: QuiverRep) -> Optional[List[Optional[Partition]]]:
+    """The Jordan types of A_i B_i for i = 1, ..., t - 1, theta last, each
+    None if that product is not nilpotent; None if a relation fails."""
+    products = _point_products(z)
     if products is None:
         return None
-    if z.t >= 2:
-        products.append(_mul_flat(z.A[-1].entries, z.B[-1].entries, z.dims[-1], z.dims[-2], z.dims[-1], p))
-    return [_jordan_flat(ab, z.dims[i], p) for i, ab in enumerate(products, start=1)]
+    return [_jordan_flat(ab, z.dims[i], z.field.p) for i, ab in enumerate(products, start=1)]
 
 
 def _degrees_bounded(types: Sequence[Optional[Partition]]) -> bool:
@@ -251,7 +256,15 @@ def sample_stable(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
 
     The base change is act(g, .) on that point for g a random invertible
     matrix at each vertex; _random_invertible_pair draws each with its
-    inverse from one elimination."""
+    inverse from one in-place inversion.  The sample is re-checked by one
+    relations pass and the ranks of its forward maps."""
+    return _sample_stable(dims, field, rng)[0]
+
+
+def _sample_stable(dims: Sequence[int], field: FieldSpec, rng) -> tuple:
+    """(sample_stable's point, the flat A_i B_i of its relations pass, theta
+    last): callers type the point from these products, without a second
+    relations pass."""
     dims = as_dim_vector(dims)
     if not is_strictly_monotone(dims):
         raise ValueError(f"stable sampling needs a strictly increasing dimension vector: {dims}")
@@ -272,9 +285,10 @@ def sample_stable(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
         block = [endo[r * nt + c] for r in range(lo) for c in range(hi)]
         B.append(mul(mul(h, ExactMatrix._reduced(lo, hi, block, field)), h_next_inv))
     z = QuiverRep(dims, A, B, field)
-    if not (check_relations(z) and is_stable(z)):
+    products = _point_products(z)
+    if products is None or not is_stable(z):
         raise CertificateError(f"sample_stable: the sample for {dims} is not a stable point")
-    return z
+    return z, products
 
 
 @dataclass
@@ -504,7 +518,8 @@ def witness_reducible(dims: Sequence[int], field: FieldSpec, rng) -> Reducibilit
     """Compare the full-variety image type with the stable one; when they
     differ, produce a two-witness certificate: a chain-built point realizing
     the former and a stable sample bounded by the latter.  The relations
-    fields and the chain type record the re-checks of the builders."""
+    fields and the chain type record the re-checks of the builders; the
+    stable sample's theta is typed from the products of its re-check."""
     dims = as_dim_vector(dims)
     if not is_strictly_monotone(dims):
         raise ValueError(f"obstruction needs a strictly increasing dimension vector: {dims}")
@@ -513,9 +528,9 @@ def witness_reducible(dims: Sequence[int], field: FieldSpec, rng) -> Reducibilit
     if lam == mu:
         return ReducibilityReport(dims, lam, mu, "no_obstruction")
     z1 = build_from_chain(greedy_chain(dims), field)
-    z2 = sample_stable(dims, field, rng)
-    t2 = jordan_type(theta(z2))
-    if not dominates(mu, t2):
+    z2, products = _sample_stable(dims, field, rng)
+    t2 = _jordan_flat(products[-1], dims[-1], field.p)
+    if t2 is None or not dominates(mu, t2):
         raise CertificateError(f"witness_reducible: the witnesses for {dims} fail their re-check")
     witnesses = [
         {

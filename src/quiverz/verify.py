@@ -41,14 +41,13 @@ from quiverz.partitions import (
 from quiverz.quiverrep import (
     QuiverRep,
     _degrees_bounded,
-    _interface_types,
     _relations_flat,
+    _sample_stable,
     _subspace_criterion,
     build_from_chain,
     greedy_chain,
     is_stable,
     random_chain,
-    sample_stable,
     witness_reducible,
 )
 
@@ -255,9 +254,9 @@ def _theta_image_instance(d: tuple, p: int, seed: int, trials: int) -> dict:
     mu = mu_of(d)
     # The builders certify the relations, a chain point's type at every
     # interface (the b-parts of its chain, theta's last) and a stable
-    # sample's stability; the checks read them.  A stable sample is typed by
-    # one pass of _interface_types, whose entries are None where a product
-    # is not nilpotent: that fails the check.
+    # sample's stability; the checks read them.  A stable sample is typed
+    # from the products of its re-check, each None where a product is not
+    # nilpotent: that fails the check.
     checks = [("lambda_dominates_mu", dominates(lam, mu))]
     chain = greedy_chain(d)
     build_from_chain(chain, field)
@@ -269,10 +268,10 @@ def _theta_image_instance(d: tuple, p: int, seed: int, trials: int) -> dict:
         checks.append((f"chain{k}_bounded_by_lambda", dominates(lam, chain[-1].b_part)))
         checks.append((f"chain{k}_nilpotency", _degrees_bounded([delta.b_part for delta in chain])))
     for k in range(trials):
-        types = _interface_types(sample_stable(d, field, rng))
-        last = types[-1] if types else None
-        checks.append((f"stable{k}_bounded_by_mu", last is not None and dominates(mu, last)))
-        checks.append((f"stable{k}_nilpotency", types is not None and _degrees_bounded(types)))
+        _, products = _sample_stable(d, field, rng)
+        types = [_jordan_flat(ab, d[i], p) for i, ab in enumerate(products, start=1)]
+        checks.append((f"stable{k}_bounded_by_mu", types[-1] is not None and dominates(mu, types[-1])))
+        checks.append((f"stable{k}_nilpotency", _degrees_bounded(types)))
     failed = sorted(name for name, ok in checks if not ok)
     return {
         "d": list(d),

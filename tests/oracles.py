@@ -6,8 +6,10 @@ every pair and every matrix tuple, as the drivers once did, so the tests can
 compare the two at the smallest sizes.  One more loop keeps the normal forms
 but runs B over every matrix.  mul_by_rows and rref_by_rows are the product
 and elimination loops that exactmat._mul_flat and exactmat._rref keep for
-sparse and small operands, and nilpotency_by_powers the power loop that
-quiverrep.nilpotency_degrees replaced.  build_from_chain_by_conjugators is
+sparse and small operands, inverse_by_augmenting the elimination of [M | I]
+that exactmat._inverse_flat replaced with an inversion in place, and
+nilpotency_by_powers the power loop that quiverrep.nilpotency_degrees
+replaced.  build_from_chain_by_conjugators is
 the interface loop that quiverrep.build_from_chain replaced with
 permutations read off the chains.
 
@@ -31,6 +33,7 @@ from quiverz.exactmat import (
     _jordan_flat,
     _mul_flat,
     _random_invertible_pair,
+    _rref,
     identity,
     inverse,
     mul,
@@ -87,6 +90,15 @@ def rref_by_rows(rows: list, p: int, pivot_cols=None) -> list:
         if r == nrows:
             break
     return pivots
+
+
+def inverse_by_augmenting(entries, n: int, p: int):
+    """Flat entries of the inverse of the flat n x n matrix, or None if it is
+    singular: one RREF of [M | I] both tests M and inverts it."""
+    aug = [list(entries[i * n : (i + 1) * n]) + [int(j == i) for j in range(n)] for i in range(n)]
+    if len(_rref(aug, p, pivot_cols=n)) != n:
+        return None
+    return [v for row in aug for v in row[n:]]
 
 
 def nilpotency_by_powers(z) -> bool:

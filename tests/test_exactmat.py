@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -9,14 +10,18 @@ import pytest
 
 from quiverz import exactmat
 from quiverz.exactmat import (
+    _SLOT_LIMIT,
     DEFAULT_PRIME,
     CertificateError,
     ExactMatrix,
     FieldSpec,
     _chains,
     _jordan_flat,
+    _inverse_flat,
+    _is_prime,
     _mul_flat,
     _packs,
+    _partial_permutation,
     _random_invertible_pair,
     _rref,
     _times_rowspace,
@@ -40,7 +45,15 @@ from quiverz.exactmat import (
 from quiverz.partitions import Partition, dual
 from quiverz.quiverrep import _chain_order, sample_stable
 
-from oracles import is_nilpotent, mat_pow, mul_by_rows, partitions_up_to_weight, random_invertible, rref_by_rows
+from oracles import (
+    inverse_by_augmenting,
+    is_nilpotent,
+    mat_pow,
+    mul_by_rows,
+    partitions_up_to_weight,
+    random_invertible,
+    rref_by_rows,
+)
 
 F = FieldSpec()
 F2 = FieldSpec(2)
@@ -258,6 +271,64 @@ def test_rref_matches_list_loop_oracle(monkeypatch):
     assert not any(packed for p, _, packed in sides if p == 2**31 - 1)
 
 
+def _random_partial_permutation(rows, cols, rng, kills):
+    """A 0/1 rows x cols partial permutation: min(rows, cols) columns sent to
+    distinct rows, then `kills` of them sent to 0 instead."""
+    entries = [0] * (rows * cols)
+    size = min(rows, cols)
+    pairs = list(zip(rng.sample(range(rows), size), rng.sample(range(cols), size)))
+    for r, c in pairs[kills:]:
+        entries[r * cols + c] = 1
+    return entries
+
+
+def test_partial_permutation_products_match_row_loop(monkeypatch):
+    """From inner dimension 8 on, two 0/1 partial permutations are composed
+    as index maps: square and rectangular shapes, with and without killed
+    columns, at m = 8, 9 and 40, give the row loop's entries.  At m = 7 the
+    reader is not called."""
+    reads = _counting(monkeypatch, "_partial_permutation")
+    rng = random.Random(41)
+    for p in (2, 3, 32003):
+        for m in (7, 8, 9, 40):
+            for n, k in ((m, m), (m - 3, m), (m, m + 5), (m + 2, m - 1), (1, m), (m, 1)):
+                for kills in (0, 1, 3):
+                    xe = _random_partial_permutation(n, m, rng, kills)
+                    ye = _random_partial_permutation(m, k, rng, (kills + 1) % 3)
+                    reads.clear()
+                    assert _mul_flat(xe, ye, n, m, k, p) == mul_by_rows(xe, ye, n, m, k, p), (p, n, m, k)
+                    if m < 8:
+                        assert reads == []
+                    else:  # both operands read, so the index maps made the product
+                        assert len(reads) == 2 and _partial_permutation(ye, m, k) is not None
+
+
+def test_partial_permutation_near_misses_fall_through():
+    """Matrices one step from a 0/1 partial permutation are not read as one,
+    and their products with a partial permutation, on either side, are the
+    row loop's: an entry 2, two ones in a row, two ones in a column, and a
+    dense matrix with few zeros."""
+    rng = random.Random(43)
+    for m in (8, 9, 40):
+        base = _random_partial_permutation(m, m, rng, 2)
+        ones = [i for i, v in enumerate(base) if v]
+        free_col = next(c for c in range(m) if not any(base[r * m + c] for r in range(m)))
+        free_row = next(r for r in range(m) if not any(base[r * m : (r + 1) * m]))
+        two = base[:]
+        two[ones[0]] = 2
+        row_twice = base[:]  # a second one in the row of an existing one, in an unused column
+        row_twice[(ones[0] // m) * m + free_col] = 1
+        col_twice = base[:]  # a second one in the column of an existing one, in an unused row
+        col_twice[free_row * m + ones[0] % m] = 1
+        for p in (3, 5, 32003):
+            dense = _with_zeros(m * m, m // 2, p, rng)
+            for bad in (two, row_twice, col_twice, dense):
+                assert _partial_permutation(bad, m, m) is None
+                assert _mul_flat(bad, base, m, m, m, p) == mul_by_rows(bad, base, m, m, m, p)
+                assert _mul_flat(base, bad, m, m, m, p) == mul_by_rows(base, bad, m, m, m, p)
+        assert _partial_permutation(base, m, m) is not None
+
+
 # --- rank / kernel / injectivity ----------------------------------------------
 
 
@@ -393,6 +464,73 @@ def test_random_invertible_pair_matches_random_invertible():
     assert redrawn
 
 
+def _slot_edge_prime(rows):
+    """The largest prime that passes the _packs gate for this many rows."""
+    p = math.isqrt((_SLOT_LIMIT - 1) // (rows + 1)) + 2
+    while not (_packs(rows, p) and _is_prime(p)):
+        p -= 1
+    return p
+
+
+def _inverse_inputs(n, p, rng):
+    """(kind, flat n x n entries) for _inverse_flat: dense, half zero, a
+    reversed upper-triangular matrix whose every column has its pivot on
+    another row, and singular ones: a zero row, column 1 a multiple of
+    column 0 (no pivot in column 1), and the last column a combination of
+    the others (no pivot in the last column)."""
+    size = n * n
+    yield "dense", [rng.randrange(p) for _ in range(size)]
+    yield "half zero", _with_zeros(size, size // 2, p, rng)
+    upper = [rng.randrange(1, p) if j >= i else 0 for i in range(n) for j in range(n)]
+    yield "row swapping", [v for i in reversed(range(n)) for v in upper[i * n : (i + 1) * n]]
+    if not n:
+        return
+    dense = [rng.randrange(p) for _ in range(size)]
+    zero_row = dense[:]
+    zero_row[(n // 2) * n : (n // 2 + 1) * n] = [0] * n
+    yield "zero row", zero_row
+    if n >= 2:
+        twice = dense[:]
+        for i in range(n):
+            twice[i * n + 1] = 3 * twice[i * n] % p
+        yield "no pivot in column 1", twice
+    last = dense[:]
+    coeffs = [rng.randrange(p) for _ in range(n - 1)]
+    for i in range(n):
+        last[i * n + n - 1] = sum(c * last[i * n + j] for j, c in enumerate(coeffs)) % p
+    yield "no pivot in the last column", last
+
+
+def test_inverse_matches_augmented_elimination_oracle(monkeypatch):
+    """The in-place inversion against the RREF of [M | I] it replaced, on
+    every input of _inverse_inputs for n in {0, 1, 2, 3, 7, 8, 9, 16, 40}
+    and p in {2, 3, 5, 32003, 2^31 - 1} and the largest prime that packs 8
+    rows (the slot-bound edge, packed at n = 8 and in lists from n = 9):
+    the same entries, or None exactly when the oracle finds M singular."""
+    packs = _counting(monkeypatch, "_pack")
+    rng = random.Random(47)
+    edge = _slot_edge_prime(8)
+    assert not _packs(8, next(q for q in itertools.count(edge + 1) if _is_prime(q))) and not _packs(9, edge)
+    sides = set()
+    for p in (2, 3, 5, 32003, 2**31 - 1, edge):
+        for n in (0, 1, 2, 3, 7, 8, 9, 16, 40):
+            for kind, entries in _inverse_inputs(n, p, rng):
+                expect = inverse_by_augmenting(entries, n, p)
+                before = len(packs)
+                got = _inverse_flat(entries, n, p)
+                sides.add((p, n, len(packs) > before))
+                assert got == expect, (p, n, kind)
+                assert _inverse_flat(tuple(entries), n, p) == expect
+                if kind.startswith("no pivot") or kind == "zero row":
+                    assert got is None, (p, n, kind)
+                elif kind == "row swapping":
+                    assert got is not None
+                if got is not None:
+                    assert all(0 <= v < p for v in got)
+    assert {(32003, 8, True), (32003, 40, True), (32003, 7, False), (edge, 8, True), (edge, 9, False)} <= sides
+    assert not any(packed for p, _, packed in sides if p == 2**31 - 1)
+
+
 # --- nilpotents ----------------------------------------------------------------
 
 
@@ -470,7 +608,7 @@ def test_jordan_type_matches_power_oracle_4x4_over_f3():
     assert sum(not is_nilpotent(m) for m in cases) >= 100
 
 
-def _partial_permutation(n, pairs):
+def _from_pairs(n, pairs):
     """Flat n x n 0/1 entries with N e_c = e_r for each (c, r) in pairs."""
     entries = [0] * (n * n)
     for c, r in pairs:
@@ -490,7 +628,7 @@ def _nilpotent_partial_permutations(n):
                     chains.append([])
                 chains[-1].append(c)
             pairs = [(a, b) for chain in chains for a, b in zip(chain, chain[1:])]
-            found[tuple(_partial_permutation(n, pairs))] = Partition(sorted(map(len, chains), reverse=True))
+            found[tuple(_from_pairs(n, pairs))] = Partition(sorted(map(len, chains), reverse=True))
     return found
 
 
@@ -530,7 +668,7 @@ def test_chain_branch_rejects_partial_permutations_with_cycles():
         for k in range(n + 1):
             for cols in itertools.combinations(range(n), k):
                 for rows in itertools.permutations(range(n), k):
-                    entries = _partial_permutation(n, zip(cols, rows))
+                    entries = _from_pairs(n, zip(cols, rows))
                     nilpotent, typ = _power_oracle(ExactMatrix(n, n, entries, F))
                     assert _jordan_flat(entries, n, F.p) == typ, entries
                     assert (_chain_order(entries, n) is None) == (not nilpotent)
@@ -543,11 +681,11 @@ def test_chain_branch_rejects_partial_permutations_with_cycles():
     random.Random(40).shuffle(order)
     pairs = list(zip(order[:19], order[1:20])) + list(zip(order[20:36], order[21:37]))
     pairs += [(order[37], order[38]), (order[38], order[39]), (order[39], order[37])]
-    entries = _partial_permutation(40, pairs)
+    entries = _from_pairs(40, pairs)
     assert _chains(entries, 40) is not None
     assert _jordan_flat(entries, 40, F.p) is None
     assert _jordan_flat(entries, 40, F.p, kernels=[]) is None
-    entries = _partial_permutation(40, pairs[:-1])
+    entries = _from_pairs(40, pairs[:-1])
     assert _jordan_flat(entries, 40, F.p) == Partition((20, 17, 3))
     assert _jordan_flat(entries, 40, F.p, kernels=[]) == Partition((20, 17, 3))
 

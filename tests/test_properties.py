@@ -1,12 +1,14 @@
 """Property tests on random inputs drawn by hypothesis (see conftest.py for
 the profile they run under)."""
 
+import random
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from quiverz.exactmat import _chains, _jordan_flat
+from quiverz.exactmat import ExactMatrix, FieldSpec, _chains, _jordan_flat, _random_invertible_pair, identity, jordan_type, mul
 from quiverz.partitions import Partition
 from quiverz.quiverrep import _chain_order
 
@@ -46,3 +48,26 @@ def test_chain_branch_matches_elimination_on_partial_permutations(case, p):
     assert (order is None) == (typ is None)
     if order is not None:
         assert sorted(order) == list(range(n))
+
+
+@st.composite
+def conjugation_cases(draw):
+    """(field, g and g^-1 from _random_invertible_pair, a nilpotent N): N is
+    strictly upper triangular with entries drawn over F_p, so its type
+    ranges from the zero matrix's to one Jordan block."""
+    n = draw(st.integers(0, 20))
+    field = FieldSpec(draw(st.sampled_from([2, 3, 32003])))
+    g, ginv = _random_invertible_pair(n, field, random.Random(draw(st.integers(0, 2**32 - 1))))
+    entries = draw(st.lists(st.integers(0, field.p - 1), min_size=n * n, max_size=n * n))
+    for i in range(n):
+        entries[i * n : i * n + i + 1] = [0] * (i + 1)
+    return field, g, ginv, ExactMatrix(n, n, entries, field)
+
+
+@hypothesis.given(conjugation_cases())
+def test_random_invertible_pair_inverts_and_conjugates(case):
+    """The pair's second matrix, from the in-place inversion, is g^-1 on both
+    sides, and conjugating a nilpotent N by it keeps the Jordan type."""
+    field, g, ginv, N = case
+    assert mul(g, ginv) == identity(g.rows, field) == mul(ginv, g)
+    assert jordan_type(mul(mul(g, N), ginv)) == jordan_type(N)

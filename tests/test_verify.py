@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from quiverz import exactmat, quiverrep, verify
+from quiverz import abdiagrams, cli, exactmat, partitions, quiverrep, verify
 from quiverz.exactmat import (
     CertificateError,
     ExactMatrix,
@@ -331,19 +331,23 @@ def test_failing_ab_step_counterexample_is_recheckable(monkeypatch):
 
 def test_each_certificate_is_rechecked_once(monkeypatch):
     """The builders re-check each point once and the callers read their
-    results.  Per instance of (1, 4, 5) over F_32003 with one trial:
-    - relations: one check in each of the two build_from_chain calls, one in
-      sample_stable and one in the pass of _interface_types that types the
-      stable sample, where re-checking every point in nilpotency_degrees
-      made 6;
-    - Jordan types: two per point, A_1 B_1 and theta, from one
-      _interface_types pass each; a chain point's nilpotency check reads the
-      b-parts its builder certified;
-    - eliminations: none on a chain point, whose types are read off its
-      chains.  The stable sample takes 5 in sample_stable (three inversions
-      of [g | I], two ranks for is_stable) and 5 to type A_1 B_1 (2) and
-      theta (3), once each; before, theta was typed twice."""
-    counts = {"relations": 0, "jordan": 0, "eliminations": 0, "canonical": 0}
+    results.  _jordan_flat is counted in every quiverz module that imports
+    it, and the in-place inversions apart from the eliminations (_rref).
+    Per instance of (1, 4, 5) over F_32003 with one trial:
+    - relations: 3, one check in each of the two build_from_chain calls and
+      one in sample_stable, whose pass forms every A_i B_i, theta last, and
+      hands them on to type the sample; when the sample was typed by a pass
+      of its own this was 4, and re-checking every point in
+      nilpotency_degrees made 6;
+    - Jordan types: 6, two per point, A_1 B_1 and theta, from the one
+      relations pass of each point; a chain point's nilpotency check reads
+      the b-parts its builder certified;
+    - eliminations: 7, none on a chain point, whose types are read off its
+      chains.  The stable sample takes 2 ranks for is_stable and 5 to type
+      A_1 B_1 (2) and theta (3);
+    - inversions: 3, one per random base change of the stable sample, which
+      were 3 eliminations of [g | I]."""
+    counts = {"relations": 0, "jordan": 0, "eliminations": 0, "inversions": 0, "canonical": 0}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -354,48 +358,50 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
 
     monkeypatch.setattr(quiverrep, "_interface_products", counting("relations", quiverrep._interface_products))
     jordan = counting("jordan", exactmat._jordan_flat)
-    monkeypatch.setattr(exactmat, "_jordan_flat", jordan)
-    monkeypatch.setattr(quiverrep, "_jordan_flat", jordan)
+    for module in (exactmat, quiverrep, verify, abdiagrams, partitions, cli):
+        if hasattr(module, "_jordan_flat"):
+            monkeypatch.setattr(module, "_jordan_flat", jordan)
     monkeypatch.setattr(exactmat, "_rref", counting("eliminations", exactmat._rref))
+    monkeypatch.setattr(exactmat, "_inverse_flat", counting("inversions", exactmat._inverse_flat))
     monkeypatch.setattr(exactmat, "canonical_nilpotent", counting("canonical", canonical_nilpotent))
 
     inst = verify._theta_image_instance((1, 4, 5), 32003, 0, 1)
     assert inst["ok"]
-    assert counts == {"relations": 4, "jordan": 6, "eliminations": 10, "canonical": 0}
+    assert counts == {"relations": 3, "jordan": 6, "eliminations": 7, "inversions": 3, "canonical": 0}
 
     # The chain witness: one relations check and two types read off its
     # chains; its is_stable takes two ranks.  The stable witness: one
-    # relations check, 5 eliminations in sample_stable, and jordan_type of
-    # its theta (3).
-    counts.update(relations=0, jordan=0, eliminations=0)
+    # relations check, 2 ranks and 3 inversions in sample_stable, and the
+    # type of its theta (3 eliminations) from the products of that check.
+    counts.update(relations=0, jordan=0, eliminations=0, inversions=0)
     report = quiverrep.witness_reducible((1, 4, 5), FieldSpec(), random.Random(0))
     assert [w["relations"] for w in report.witnesses] == [True, True]
-    assert counts == {"relations": 2, "jordan": 3, "eliminations": 10, "canonical": 0}
+    assert counts == {"relations": 2, "jordan": 3, "eliminations": 7, "inversions": 3, "canonical": 0}
 
     # conjugator re-checks only its own rank(g) and g N2 == N1 g;
     # jordan_basis re-checks against the canonical form.  Each Jordan basis
     # of type (3, 2, 2) takes one elimination per power (3), conjugator one
-    # more for g2^-1, and each rank(g) one.
+    # inversion for g2^-1, and each rank(g) one elimination.
     field = FieldSpec()
     n = canonical_nilpotent(Partition((3, 2, 2)), field)
     h = random_invertible(7, field, random.Random(3))
     m = mul(mul(h, n), inverse(h))
-    counts.update(relations=0, jordan=0, eliminations=0)
+    counts.update(relations=0, jordan=0, eliminations=0, inversions=0)
     conjugator(n, m)
-    assert counts == {"relations": 0, "jordan": 2, "eliminations": 8, "canonical": 0}
-    counts.update(jordan=0, eliminations=0)
+    assert counts == {"relations": 0, "jordan": 2, "eliminations": 7, "inversions": 1, "canonical": 0}
+    counts.update(jordan=0, eliminations=0, inversions=0)
     jordan_basis(m)
-    assert counts == {"relations": 0, "jordan": 1, "eliminations": 4, "canonical": 1}
+    assert counts == {"relations": 0, "jordan": 1, "eliminations": 4, "inversions": 0, "canonical": 1}
 
     # nilpotency_degrees reuses the products A_i B_i that its relation check
     # formed and multiplies only theta anew; on a chain point it eliminates
     # nothing.
     z = quiverrep.build_from_chain(quiverrep.greedy_chain((1, 4, 5)), field)
-    counts.update(relations=0, jordan=0, eliminations=0, canonical=0, products=0)
+    counts.update(relations=0, jordan=0, eliminations=0, inversions=0, canonical=0, products=0)
     monkeypatch.setattr(quiverrep, "_mul_flat", counting("products", quiverrep._mul_flat))
     monkeypatch.setattr(quiverrep, "mul", counting("products", quiverrep.mul))
     assert quiverrep.nilpotency_degrees(z)
-    assert counts == {"relations": 1, "jordan": 2, "eliminations": 0, "canonical": 0, "products": 4}
+    assert counts == {"relations": 1, "jordan": 2, "eliminations": 0, "inversions": 0, "canonical": 0, "products": 4}
 
 
 def test_stability_report_checks_relations_once(monkeypatch):
