@@ -119,7 +119,7 @@ _VERIFY_FLAGS = {
     "trials": (_at_least(0), "randomized trials per instance"),
     "budget": (_at_least(0), "enumeration budget"),
     "jobs": (_at_least(1), "worker processes"),
-    "max_last": (_at_least(0), "largest last dimension of the swept vectors"),
+    "max_last": (_at_least(2), "largest last dimension of the swept vectors"),
 }
 
 # Each verify statement: the name of its driver in quiverz.verify, looked up

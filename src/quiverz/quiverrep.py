@@ -254,10 +254,11 @@ def sample_stable(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
     (forward maps are inclusions, backward maps its restrictions), then a
     random base change at every vertex for genericity.
 
-    The base change is act(g, .) on that point for g a random invertible
-    matrix at each vertex; _random_invertible_pair draws each with its
-    inverse from one in-place inversion.  The sample is re-checked by one
-    relations pass and the ranks of its forward maps."""
+    The flag point is _flag_point's; the base change is act(g, .) on it for
+    g a random invertible matrix at each vertex, drawn after the
+    endomorphism, and _random_invertible_pair draws each with its inverse
+    from one in-place inversion.  The base-changed point is re-checked by
+    one relations pass and the ranks of its forward maps (_certified)."""
     return _sample_stable(dims, field, rng)[0]
 
 
@@ -265,29 +266,55 @@ def _sample_stable(dims: Sequence[int], field: FieldSpec, rng) -> tuple:
     """(sample_stable's point, the flat A_i B_i of its relations pass, theta
     last): callers type the point from these products, without a second
     relations pass."""
-    dims = as_dim_vector(dims)
-    if not is_strictly_monotone(dims):
-        raise ValueError(f"stable sampling needs a strictly increasing dimension vector: {dims}")
-    nt = dims[-1]
-    endo = _lowering_endo(dims, field, rng).entries
+    z0 = _flag_point(dims, field, rng)
+    dims = z0.dims
     g = [_random_invertible_pair(n, field, rng) for n in dims]
     A = []
     B = []
     for i in range(len(dims) - 1):
         lo, hi = dims[i], dims[i + 1]
         (h, hinv), (h_next, h_next_inv) = g[i], g[i + 1]
-        # h_{i+1} times the inclusion of the first n_i coordinates: the first
-        # n_i columns of h_{i+1}.
+        # h_{i+1} times the inclusion A_i of the first n_i coordinates: the
+        # first n_i columns of h_{i+1}.
         head = [h_next.entries[r * hi + c] for r in range(hi) for c in range(lo)]
         A.append(mul(ExactMatrix._reduced(hi, lo, head, field), hinv))
-        # Restriction of endo to the (i+1)-th coordinate subspace, landing in
-        # the i-th: the top-left n_i x n_{i+1} block.
-        block = [endo[r * nt + c] for r in range(lo) for c in range(hi)]
-        B.append(mul(mul(h, ExactMatrix._reduced(lo, hi, block, field)), h_next_inv))
-    z = QuiverRep(dims, A, B, field)
+        B.append(mul(mul(h, z0.B[i]), h_next_inv))
+    return _certified(QuiverRep(dims, A, B, field))
+
+
+def _flag_point(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
+    """The coordinate-flag point of a drawn _lowering_endo, unchecked: A_i is
+    the inclusion of the first n_i coordinates and B_i the top-left
+    n_i x n_{i+1} block of the endomorphism, its restriction to the
+    (i+1)-th coordinate subspace landing in the i-th.  So A_i B_i is the
+    leading n_{i+1} x n_{i+1} block of the endomorphism, theta all of it.
+
+    sample_stable's point for the same endomorphism lies in the base-change
+    orbit of this one, so a caller whose checks are orbit invariants (the
+    relations, stability, the type of every A_i B_i) can re-check this point
+    with _certified and skip the base change."""
+    dims = as_dim_vector(dims)
+    if not is_strictly_monotone(dims):
+        raise ValueError(f"stable sampling needs a strictly increasing dimension vector: {dims}")
+    nt = dims[-1]
+    endo = _lowering_endo(dims, field, rng).entries
+    A = []
+    B = []
+    for i in range(len(dims) - 1):
+        lo, hi = dims[i], dims[i + 1]
+        inclusion = [0] * (hi * lo)
+        inclusion[: lo * (lo + 1) : lo + 1] = [1] * lo  # entry (c, c) for c < n_i
+        A.append(ExactMatrix._reduced(hi, lo, inclusion, field))
+        B.append(ExactMatrix._reduced(lo, hi, [endo[r * nt + c] for r in range(lo) for c in range(hi)], field))
+    return QuiverRep(dims, A, B, field)
+
+
+def _certified(z: QuiverRep) -> tuple:
+    """(z, its flat A_i B_i, theta last) if z is a stable point of the
+    variety, else CertificateError: the one re-check of a stable sample."""
     products = _point_products(z)
     if products is None or not is_stable(z):
-        raise CertificateError(f"sample_stable: the sample for {dims} is not a stable point")
+        raise CertificateError(f"sample_stable: the sample for {z.dims} is not a stable point")
     return z, products
 
 

@@ -5,11 +5,14 @@ returns a VerifyReport: the exhaustive pair-step check over a tiny field, the
 image sweep over small dimension vectors, the stability cross-check against
 the subspace definition, and the reducibility reproduction on (1,4,5).  The
 two exhaustive checks visit one representative per base-change stratum, with
-one map in rank normal form, and count every tuple it stands for.
-Failures carry a re-checkable counterexample payload.  All randomness is
-derived per instance from a master seed, so reports are byte-stable across
-runs and across worker counts: with jobs > 1 the independent tasks run on a
-pool of worker processes, and the results come back in task order.
+one map in rank normal form, and count every tuple it stands for.  In the
+same way the image sweep checks each stable sample at its coordinate-flag
+point, without the random base change: every check it makes is invariant
+under base change.  Failures carry a re-checkable counterexample payload.
+All randomness is derived per instance from a master seed, so reports are
+byte-stable across runs and across worker counts: with jobs > 1 the
+independent tasks run on a pool of worker processes, and the results come
+back in task order.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ from quiverz.partitions import (
 )
 from quiverz.quiverrep import (
     QuiverRep,
+    _certified,
     _degrees_bounded,
+    _flag_point,
     _relations_flat,
-    _sample_stable,
     _subspace_criterion,
     build_from_chain,
     greedy_chain,
@@ -254,8 +258,11 @@ def _theta_image_instance(d: tuple, p: int, seed: int, trials: int) -> dict:
     mu = mu_of(d)
     # The builders certify the relations, a chain point's type at every
     # interface (the b-parts of its chain, theta's last) and a stable
-    # sample's stability; the checks read them.  A stable sample is typed
-    # from the products of its re-check, each None where a product is not
+    # sample's stability; the checks read them.  A stable sample is the
+    # coordinate-flag point of its endomorphism, without sample_stable's
+    # random base change: that would move it inside its orbit, which keeps
+    # every check below.  It is typed from the products of its re-check, the
+    # leading blocks of the endomorphism, each None where a product is not
     # nilpotent: that fails the check.
     checks = [("lambda_dominates_mu", dominates(lam, mu))]
     chain = greedy_chain(d)
@@ -268,7 +275,7 @@ def _theta_image_instance(d: tuple, p: int, seed: int, trials: int) -> dict:
         checks.append((f"chain{k}_bounded_by_lambda", dominates(lam, chain[-1].b_part)))
         checks.append((f"chain{k}_nilpotency", _degrees_bounded([delta.b_part for delta in chain])))
     for k in range(trials):
-        _, products = _sample_stable(d, field, rng)
+        _, products = _certified(_flag_point(d, field, rng))
         types = [_jordan_flat(ab, d[i], p) for i, ab in enumerate(products, start=1)]
         checks.append((f"stable{k}_bounded_by_mu", types[-1] is not None and dominates(mu, types[-1])))
         checks.append((f"stable{k}_nilpotency", _degrees_bounded(types)))
@@ -285,7 +292,10 @@ def _theta_image_instance(d: tuple, p: int, seed: int, trials: int) -> dict:
 def _theta_image_tasks(max_last: int, p: int, seed: int, trials: int) -> list:
     """One task per swept vector of theta_image_report.  The vectors are
     subsets of 1..max_last, so 2^max_last bounds their number; past the
-    default budget the sweep is refused before any is built."""
+    default budget the sweep is refused before any is built.  Below 2 there
+    is no vector to sweep, and an empty sweep is refused, not passed."""
+    if max_last < 2:
+        raise ValueError(f"max_last must be at least 2 for a nonempty sweep, got {max_last}")
     _budgeted(2, max_last, DEFAULT_BUDGET, f"subsets of 1..{max_last} to sweep")
     return [
         functools.partial(_theta_image_instance, d, p, seed, trials)

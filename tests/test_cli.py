@@ -194,6 +194,18 @@ def test_verify_rejects_out_of_range_sizes(capsys, flag, value):
     assert "must be at least" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("statement", ["theta-image", "all"])
+@pytest.mark.parametrize("value", ["1", "0"])
+def test_verify_refuses_empty_sweep(capsys, statement, value):
+    """--max-last below 2 sweeps no vector: exit 2 with argparse's message,
+    where an empty sweep used to exit 0 as a pass."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", "verify", statement, "--max-last", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"quiverz verify {statement}: error: argument --max-last: must be at least 2, got {value}"
+
+
 def test_huge_modulus_exit_code(capsys):
     code = main(["--json", "dimvec", "verdict", "1,4,5", "--p", "1000000000000000003"])
     assert code == 2

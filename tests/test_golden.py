@@ -73,6 +73,16 @@ CASES = {
         lambda: _cli("dimvec", "verdict", "1,4,5"),
         "89632bb43ed55ac0d29e511b4e5086c3f12dc0a8429e3314d7d4ab7f1fe02e2d",
     ),
+    # Over F_2 the most g are redrawn, so a change in the draws shows most
+    # there; recorded before theta-image sampled flag points.
+    "theta-image-p2": (
+        lambda: _cli("verify", "theta-image", "--max-last", "6", "--p", "2", "--seed", "3"),
+        "fcd96da347d1aef9b95d5026ec207e9138d4152c81fbca6501351bb6a04fce26",
+    ),
+    "verdict-1,4,5-p2": (
+        lambda: _cli("dimvec", "verdict", "1,4,5", "--p", "2"),
+        "0fe6ac518401ebc259b087e6b347e0396046e302f92eb923249da7a43e10fec8",
+    ),
     "verdict-4,11,16": (
         lambda: _cli("dimvec", "verdict", "4,11,16"),
         "f540a05e2c658973e8d21b1023e568f7dbaab15813a30e3f832e7439c0c81a37",

@@ -14,6 +14,7 @@ from quiverz.exactmat import (
     ExactMatrix,
     FieldSpec,
     _jordan_basis,
+    _jordan_flat,
     conjugator,
     hstack,
     identity,
@@ -29,8 +30,12 @@ from quiverz.partitions import Partition, dominates, mu_of, theta_image
 from quiverz.quiverrep import (
     FlagPoint,
     QuiverRep,
+    _certified,
     _chain_order,
+    _flag_point,
+    _interface_types,
     _lowering_endo,
+    _sample_stable,
     act,
     alpha,
     build_from_chain,
@@ -346,6 +351,92 @@ def test_sample_stable_matches_act_oracle():
 def test_sample_stable_rejects_non_monotone():
     with pytest.raises(ValueError):
         sample_stable((2, 2), F, random.Random(0))
+
+
+def test_flag_sample_base_changes_to_sample_stable():
+    """The re-checked flag point, base-changed by act (the generic base
+    change) with the group element drawn after it from the same stream, is
+    _sample_stable's point, for every strictly monotone vector with last
+    entry at most 6.  Both points have the same interface types, which the
+    products of the flag point's re-check give: theta-image checks the flag
+    point, and sample_stable keeps its draws and its bytes."""
+    for p in (2, 3, 32003):
+        field = FieldSpec(p)
+        for r in range(2, 7):
+            for d in itertools.combinations(range(1, 7), r):
+                for seed in range(2):
+                    rng_flag, rng_stable = random.Random(seed), random.Random(seed)
+                    z0, products = _certified(_flag_point(d, field, rng_flag))
+                    z, _ = _sample_stable(d, field, rng_stable)
+                    assert act(random_group_element(d, field, rng_flag), z0) == z
+                    assert rng_flag.getstate() == rng_stable.getstate()
+                    types = _interface_types(z0)
+                    assert types == _interface_types(z)
+                    assert types == [_jordan_flat(ab, n, p) for ab, n in zip(products, d[1:])]
+
+
+def _endo_with_one_at(r, c):
+    """_lowering_endo with entry (r, c) set to 1."""
+    real = _lowering_endo
+
+    def patched(dims, field, rng):
+        endo = real(dims, field, rng)
+        entries = list(endo.entries)
+        entries[r * endo.cols + c] = 1
+        return ExactMatrix(endo.rows, endo.cols, entries, field)
+
+    return patched
+
+
+def test_flag_sample_rejects_endo_outside_lowering_pattern(monkeypatch):
+    """The flag point reads the top n_{t-1} rows of the endomorphism.  An
+    entry outside the lowering pattern there breaks a relation, so the flag
+    sample raises CertificateError; each such position is tried, and an entry
+    inside the pattern passes.  The last n_t - n_{t-1} rows enter no map.
+    Under python -O the flag sample, and the theta-image instance that draws
+    it, still raise."""
+    for d in ((1, 2), (1, 4, 5), (2, 3, 5), (1, 2, 4, 6)):
+        bound = [low for low, n in zip((0,) + d, d) for _ in range(low, n)]
+        for r in range(d[-2]):
+            for c in range(d[-1]):
+                monkeypatch.setattr(quiverrep, "_lowering_endo", _endo_with_one_at(r, c))
+                if r < bound[c]:
+                    _certified(_flag_point(d, F, random.Random(r)))
+                else:
+                    with pytest.raises(CertificateError, match="sample_stable"):
+                        _certified(_flag_point(d, F, random.Random(r)))
+    script = textwrap.dedent(
+        """
+        import random
+        from quiverz import exactmat, quiverrep, verify
+        F = exactmat.FieldSpec()
+        real = quiverrep._lowering_endo
+
+        def patched(dims, field, rng):  # entry (0, 0), outside the pattern
+            endo = real(dims, field, rng)
+            entries = list(endo.entries)
+            entries[0] = 1
+            return exactmat.ExactMatrix(endo.rows, endo.cols, entries, field)
+
+        quiverrep._lowering_endo = patched
+        for call in (
+            lambda: quiverrep._certified(quiverrep._flag_point((1, 4, 5), F, random.Random(0))),
+            lambda: verify._theta_image_instance((1, 4, 5), F.p, 0, 1),
+        ):
+            try:
+                call()
+                print("passed")
+            except exactmat.CertificateError as exc:
+                print("raised in", str(exc).split(":")[0])
+        """
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["raised in sample_stable", "raised in sample_stable"]
 
 
 # --- flags -----------------------------------------------------------------------

@@ -104,6 +104,20 @@ def test_theta_image_sweep_small():
     assert report.counterexample is None
 
 
+@pytest.mark.parametrize("max_last", [1, 0, -3])
+def test_theta_image_refuses_empty_sweep(max_last):
+    """Below 2 no strictly monotone vector of length >= 2 is swept; such a
+    sweep is refused, in the report and in the suite, where it used to pass
+    with size 0."""
+    message = f"max_last must be at least 2 for a nonempty sweep, got {max_last}"
+    with pytest.raises(ValueError) as exc:
+        theta_image_report(max_last=max_last)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        suite_report(max_last=max_last)
+    assert str(exc.value) == message
+
+
 def test_theta_image_jobs_do_not_change_output():
     one = theta_image_report(max_last=4, trials=2, seed=5, jobs=1)
     four = theta_image_report(max_last=4, trials=2, seed=5, jobs=4)
@@ -344,9 +358,11 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
       the b-parts its builder certified;
     - eliminations: 7, none on a chain point, whose types are read off its
       chains.  The stable sample takes 2 ranks for is_stable and 5 to type
-      A_1 B_1 (2) and theta (3);
-    - inversions: 3, one per random base change of the stable sample, which
-      were 3 eliminations of [g | I]."""
+      A_1 B_1 (2) and theta (3), the leading blocks of its endomorphism;
+    - inversions: 0.  The stable sample is the coordinate-flag point of its
+      endomorphism, without the random base change, which keeps every check
+      of the instance; sampled with it, it took 3 inversions, one per
+      vertex, and before those 3 eliminations of [g | I]."""
     counts = {"relations": 0, "jordan": 0, "eliminations": 0, "inversions": 0, "canonical": 0}
 
     def counting(name, real):
@@ -367,7 +383,7 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
 
     inst = verify._theta_image_instance((1, 4, 5), 32003, 0, 1)
     assert inst["ok"]
-    assert counts == {"relations": 3, "jordan": 6, "eliminations": 7, "inversions": 3, "canonical": 0}
+    assert counts == {"relations": 3, "jordan": 6, "eliminations": 7, "inversions": 0, "canonical": 0}
 
     # The chain witness: one relations check and two types read off its
     # chains; its is_stable takes two ranks.  The stable witness: one
