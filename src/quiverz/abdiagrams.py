@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from quiverz.exactmat import CertificateError, ExactMatrix, FieldSpec
 from quiverz.partitions import Partition, add
@@ -72,12 +72,20 @@ def _row_sort_key(row: ABRow) -> tuple:
 
 
 class ABDiagram:
-    """Multiset of ABRows, kept in a canonical order (longest first)."""
+    """Multiset of ABRows, kept in a canonical order (longest first).  The
+    a-part, the b-part and the letter totals are computed once, when the
+    diagram is made."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "a_part", "b_part", "total_a", "total_b")
 
     def __init__(self, rows: Sequence[ABRow]):
         self.rows = tuple(sorted(rows, key=_row_sort_key))
+        a_counts = [r.a_count for r in self.rows]
+        b_counts = [r.b_count for r in self.rows]
+        self.a_part = Partition(sorted(filter(None, a_counts), reverse=True))
+        self.b_part = Partition(sorted(filter(None, b_counts), reverse=True))
+        self.total_a = sum(a_counts)
+        self.total_b = sum(b_counts)
 
     @classmethod
     def from_strings(cls, words: Sequence[str]) -> "ABDiagram":
@@ -85,22 +93,6 @@ class ABDiagram:
 
     def to_strings(self) -> List[str]:
         return [row.to_string() for row in self.rows]
-
-    @property
-    def a_part(self) -> Partition:
-        return Partition(sorted((r.a_count for r in self.rows if r.a_count), reverse=True))
-
-    @property
-    def b_part(self) -> Partition:
-        return Partition(sorted((r.b_count for r in self.rows if r.b_count), reverse=True))
-
-    @property
-    def total_a(self) -> int:
-        return sum(r.a_count for r in self.rows)
-
-    @property
-    def total_b(self) -> int:
-        return sum(r.b_count for r in self.rows)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ABDiagram) and self.rows == other.rows
@@ -187,28 +179,51 @@ def random_diagram(eta: Partition, a: int, rng) -> ABDiagram:
 def build_pair(delta: ABDiagram, field: FieldSpec) -> Tuple[ExactMatrix, ExactMatrix]:
     """Matrices (A, B) of the representation encoded by delta.
 
-    Basis vectors are the letters; every letter maps to the next letter of
-    its row (zero at the end).  A collects the a -> b images, B the b -> a
-    images, so type(BA) = a_part and type(AB) = b_part."""
-    n = delta.total_a
-    nb = delta.total_b
-    a_entries = [0] * (nb * n)
-    b_entries = [0] * (n * nb)
+    Basis vectors are the letters, each kind numbered in reading order, row
+    after row; every letter maps to the next letter of its row (zero at the
+    end).  A collects the a -> b images, B the b -> a images, so
+    type(BA) = a_part and type(AB) = b_part."""
+    A, B, _ = _numbered_pair(delta, field)
+    return A, B
+
+
+def _numbered_pair(delta: ABDiagram, field: FieldSpec, b_before: Optional[Sequence[range]] = None) -> tuple:
+    """(A, B, the b-letter numbers of each row) for delta's letters numbered
+    as build_pair numbers them, but with b_before, the b-letter numbers of
+    the diagram glued before it, its a-letters numbered by the matching.
+
+    The matching pairs the k-th longest row of b_before with the k-th
+    longest row of a-letters of delta, equal lengths in row order, and each
+    a-letter takes the number of the b-letter at its place in the matched
+    row.  The letters of one kind in a row are a chain of the composition
+    on that kind, so B A of the renumbered pair moves the b-letter numbers
+    as A B of the diagram before does; the rows are taken in the order a
+    Jordan basis takes chains.  b_before must have delta's a-part as its row
+    lengths."""
+    a_rows: List[range] = []
+    b_rows: List[range] = []
     ai = bi = 0
     for row in delta.rows:
-        prev = None
-        for ch in row.to_string():
-            if ch == "a":
-                idx = ai
-                ai += 1
-            else:
-                idx = bi
-                bi += 1
-            if prev is not None:
-                pch, pidx = prev
-                if pch == "a":
-                    a_entries[idx * n + pidx] = 1
-                else:
-                    b_entries[idx * nb + pidx] = 1
-            prev = (ch, idx)
-    return ExactMatrix._reduced(nb, n, a_entries, field), ExactMatrix._reduced(n, nb, b_entries, field)
+        a_rows.append(range(ai, ai + row.a_count))
+        b_rows.append(range(bi, bi + row.b_count))
+        ai += row.a_count
+        bi += row.b_count
+    if b_before is not None:
+        for ra, rb in zip(_longest_first(a_rows), _longest_first(b_before)):
+            a_rows[ra] = b_before[rb]
+    n, nb = ai, bi
+    a_entries = [0] * (nb * n)
+    b_entries = [0] * (n * nb)
+    for row, a_idx, b_idx in zip(delta.rows, a_rows, b_rows):
+        lead = int(row.leading_b)  # a-letter j is followed by b-letter j + lead
+        for a, b in zip(a_idx, b_idx[lead:]):
+            a_entries[b * n + a] = 1
+        for b, a in zip(b_idx, a_idx[1 - lead :]):
+            b_entries[a * nb + b] = 1
+    return ExactMatrix._reduced(nb, n, a_entries, field), ExactMatrix._reduced(n, nb, b_entries, field), b_rows
+
+
+def _longest_first(rows: Sequence[range]) -> List[int]:
+    """The indices of the nonempty rows, longest first, equal lengths in
+    row order."""
+    return sorted((r for r in range(len(rows)) if rows[r]), key=lambda r: -len(rows[r]))

@@ -33,7 +33,9 @@ multiply-add.  Inputs that fail the gate keep the list loops: the row loop
 of _mul_flat skips zero entries, which suits the small chain points and
 the tiny matrices of the exhaustive drivers, and the list loops of _rref
 and _inverse_flat skip rows with a zero in the pivot column.  Both paths
-give the same residues and the same RREF.
+give the same residues and the same RREF.  rank needs no elimination of a
+0/1 partial permutation: _partial_permutation reads it, and its rank is its
+count of ones.
 
 _jordan_flat, the one Jordan-type routine, reads a 0/1 partial permutation
 off its chains (_chains) and eliminates nothing: each chain is a Jordan
@@ -371,6 +373,11 @@ def _rref_packed(rows: List[List[int]], p: int, pivot_cols: int) -> List[int]:
 
 
 def rank(M: ExactMatrix) -> int:
+    """The rank: the count of ones of a 0/1 partial permutation
+    (_partial_permutation), one elimination (_rref) of anything else."""
+    image = _partial_permutation(M.entries, M.rows, M.cols)
+    if image is not None:
+        return M.cols - image.count(-1)
     return len(_rref(M.to_rows(), M.field.p))
 
 

@@ -223,9 +223,16 @@ def mu_of(d: Sequence[int]) -> Partition:
 
 
 def theta_image(d: Sequence[int]) -> Partition:
-    """Jordan type whose orbit closure is the image of the quotient map on the
-    whole relation variety: iterate add along the difference sequence,
-    starting from the all-ones partition of n_1."""
+    """The theta-type of the greedy chain of d (quiverrep.greedy_chain):
+    iterate add along the difference sequence, starting from the all-ones
+    partition of n_1.
+
+    It is not in general the largest type in the image of theta.  add is
+    dominance-monotone only where it adds a whole column, which every step
+    does when the differences of d weakly increase (the Kraft-Procesi
+    class); elsewhere another chain can end higher.  A glued point of
+    (4, 8, 9) has theta-type (3, 3, 3), which strictly dominates
+    theta_image((4, 8, 9)) = (3, 3, 2, 1)."""
     d = as_dim_vector(d)
     eta = Partition((1,) * d[0])
     for i in range(len(d) - 1):
@@ -237,9 +244,11 @@ def theta_image(d: Sequence[int]) -> Partition:
 
 
 def zss_density_obstruction(d: Sequence[int]) -> str:
-    """"reducible" when the full-variety image type differs from the stable
-    one (a sound reducibility certificate for the relation variety);
-    "no_obstruction" otherwise.  The latter does not assert irreducibility."""
+    """"reducible" when the greedy chain's type theta_image(d) differs from
+    the stable bound mu_of(d) (a sound reducibility certificate for the
+    relation variety: a point of that type lies outside the closure of the
+    stable locus); "no_obstruction" otherwise.  The latter does not assert
+    irreducibility."""
     d = as_dim_vector(d)
     if not is_strictly_monotone(d):
         raise ValueError(f"dimension vector must be strictly increasing: {d}")

@@ -8,15 +8,16 @@ forward maps; stable points correspond to flags with a flag-lowering
 endomorphism, and arbitrary Jordan-type chains are realized by gluing
 ab-diagram pairs.
 
-The pairs of a chain are 0/1 partial-permutation matrices, so both
-compositions at an interface are nilpotent partial permutations whose
-Jordan bases are permutations read off their chains (_chain_order): the glue
-permutes columns and rows and eliminates nothing.  What certifies the glued
-point is the re-check that follows: the relations, and the Jordan type of
-every A_i B_i, theta last (_interface_types).  On a glued point each A_i B_i
-is the product of its pair, again a partial permutation, so the one
-Jordan-type routine reads each type off its chains and this re-check
-eliminates nothing either.
+The pair of each diagram has the diagram's letters as basis, and the glue
+numbers those letters (_numbered_pair): at each interface the a-letters of
+the later diagram take the numbers of the b-letters they meet, row by row,
+the k-th longest row meeting the k-th longest.  So B_i A_i is A_{i-1}
+B_{i-1} by construction, and no product, chain or permutation is formed to
+glue.  What certifies the glued point is the re-check that follows: the
+relations, and the Jordan type of every A_i B_i, theta last
+(_interface_types).  On a glued point each A_i B_i is a 0/1 partial
+permutation, so the one Jordan-type routine reads each type off its chains
+and this re-check eliminates nothing either.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import itertools
 
-from quiverz.abdiagrams import ABDiagram, build_pair, max_diagram, random_diagram
+from quiverz.abdiagrams import ABDiagram, _numbered_pair, max_diagram, random_diagram
 from quiverz.exactmat import (
     CertificateError,
     ExactMatrix,
     FieldSpec,
-    _chains,
     _jordan_flat,
     _mul_flat,
     _random_invertible_pair,
@@ -446,39 +446,26 @@ def random_chain(dims: Sequence[int], rng) -> List[ABDiagram]:
     return _walk_chain(dims, lambda eta, step: random_diagram(eta, step, rng))
 
 
-def _chain_order(entries: Sequence[int], n: int) -> Optional[List[int]]:
-    """The column order of the Jordan basis _jordan_basis picks for the flat
-    n x n matrix N when N is a nilpotent 0/1 partial permutation, else None.
-
-    The Jordan chains of such an N are the unit vectors of its chains
-    (_chains), and the greedy choice of _jordan_basis, run on unit vectors,
-    takes them longest first, equal lengths by increasing top index, each
-    written bottom to top."""
-    chains = _chains(entries, n)
-    if chains is None or sum(map(len, chains)) != n:  # not nilpotent
-        return None
-    chains.sort(key=len, reverse=True)  # stable, so equal lengths keep top order
-    return [c for chain in chains for c in reversed(chain)]
-
-
 def build_from_chain(deltas: Sequence[ABDiagram], field: FieldSpec) -> QuiverRep:
     """Glue diagram pairs into a point of the relation variety.
 
     The first diagram must have an all-ones a-part (so the first composition
     vanishes); consecutive diagrams must agree across each interface, where
-    the later pair is conjugated onto the earlier one's composition.  The
+    the later pair is renumbered onto the earlier one's composition.  The
     quotient-map value of the result has Jordan type b_part of the last
     diagram.
 
-    The conjugation is a permutation.  A_{i-1} B_{i-1} is the raw product
-    A'_{i-1} B'_{i-1} of its pair, as the earlier conjugation cancels in it,
-    and g = g1 g2^-1 for the Jordan bases g1 of that product and g2 of
-    B'_i A'_i, both permutations with column orders o1 and o2.  So column
-    o1[k] of A_i = A'_i g^-1 is column o2[k] of A'_i, and row o1[k] of
-    B_i = g B'_i is row o2[k] of B'_i.  The relations and the Jordan type of
-    every A_i B_i, theta last, are then re-checked (_interface_types): the
-    type at interface i must be the b-part of diagram i.  That re-check is
-    the certificate."""
+    The glue numbers letters: the pair of each diagram has its letters as
+    basis (build_pair), b-letters numbered row after row, and the a-letters
+    of a later diagram take the numbers of the b-letters they meet across
+    the interface (_numbered_pair): the k-th longest b-row of diagram i - 1
+    meets the k-th longest a-row of diagram i, equal lengths in row order.
+    So B_i A_i, which sends each a-letter to the next one in its row, is
+    A_{i-1} B_{i-1}, which sends each b-letter to the next one in its row,
+    and no product, chain or permutation is formed.  The relations and the
+    Jordan type of every A_i B_i, theta last, are then re-checked
+    (_interface_types): the type at interface i must be the b-part of
+    diagram i.  That re-check is the certificate."""
     deltas = list(deltas)
     if not deltas:
         raise ValueError("chain must contain at least one diagram")
@@ -496,25 +483,13 @@ def build_from_chain(deltas: Sequence[ABDiagram], field: FieldSpec) -> QuiverRep
                 f"chain mismatch at interface {i + 1}: b-part {deltas[i].b_part.to_list()} "
                 f"vs a-part {deltas[i + 1].a_part.to_list()}"
             )
-    p = field.p
-    pairs = [build_pair(d, field) for d in deltas]
-    A = [pairs[0][0]]
-    B = [pairs[0][1]]
-    for i in range(1, len(deltas)):
-        (A0, B0), (A1, B1) = pairs[i - 1], pairs[i]
-        lo, hi = A1.cols, A1.rows
-        o1 = _chain_order(_mul_flat(A0.entries, B0.entries, A0.rows, A0.cols, A0.rows, p), A0.rows)
-        o2 = _chain_order(_mul_flat(B1.entries, A1.entries, lo, hi, lo, p), lo)
-        if o1 is None or o2 is None or len(o1) != len(o2):
-            raise CertificateError(
-                f"build_from_chain: interface {i} of {dims} is not glued by a permutation"
-            )
-        src = [0] * lo  # column src[c] of A'_i is column c of A_i, likewise rows of B
-        for c1, c2 in zip(o1, o2):
-            src[c1] = c2
-        ae, be = A1.entries, B1.entries
-        A.append(ExactMatrix._reduced(hi, lo, [ae[r * lo + c] for r in range(hi) for c in src], field))
-        B.append(ExactMatrix._reduced(lo, hi, [v for c in src for v in be[c * hi : (c + 1) * hi]], field))
+    A = []
+    B = []
+    b_rows = None
+    for delta in deltas:
+        Ai, Bi, b_rows = _numbered_pair(delta, field, b_rows)
+        A.append(Ai)
+        B.append(Bi)
     z = QuiverRep(tuple(dims), A, B, field)
     if _interface_types(z) != [delta.b_part for delta in deltas]:
         raise CertificateError(f"build_from_chain: the point glued for {dims} fails its re-check")
@@ -542,11 +517,14 @@ class ReducibilityReport:
 
 
 def witness_reducible(dims: Sequence[int], field: FieldSpec, rng) -> ReducibilityReport:
-    """Compare the full-variety image type with the stable one; when they
-    differ, produce a two-witness certificate: a chain-built point realizing
-    the former and a stable sample bounded by the latter.  The relations
-    fields and the chain type record the re-checks of the builders; the
-    stable sample's theta is typed from the products of its re-check."""
+    """Compare the greedy chain's type lambda = theta_image(dims) with the
+    stable bound mu; when they differ, produce a two-witness certificate: a
+    chain-built point realizing lambda and a stable sample bounded by mu.
+    lambda is the type of a point of the variety, not in general the largest
+    type in the image of theta (see theta_image); lambda != mu is what the
+    certificate needs.  The relations fields and the chain type record the
+    re-checks of the builders; the stable sample's theta is typed from the
+    products of its re-check."""
     dims = as_dim_vector(dims)
     if not is_strictly_monotone(dims):
         raise ValueError(f"obstruction needs a strictly increasing dimension vector: {dims}")

@@ -324,8 +324,11 @@ def theta_image_report(
     jobs: int = 1,
 ) -> VerifyReport:
     """Sweep all strictly monotone vectors up to max_last: the greedy chain
-    realizes the image type exactly, random chains stay dominated by it, and
-    stable samples stay dominated by the flag bound."""
+    realizes its type lambda = theta_image(d) exactly, random chains stay
+    dominated by lambda, and stable samples stay dominated by the flag
+    bound.  lambda is not in general the largest type in the image of theta
+    (see theta_image); the random chains seldom leave the greedy path, so
+    passing does not show that it is."""
     instances = _map_jobs(_theta_image_tasks(max_last, p, seed, trials), jobs)
     return _theta_image_from(instances, max_last, p, seed, trials)
 
@@ -426,9 +429,9 @@ def stability_report(
 
 
 def reducible_report(p: int = DEFAULT_PRIME, seed: int = 0) -> VerifyReport:
-    """Reproduce the reducibility certificate on (1,4,5): image type (3,2)
-    against stable type (3,1,1), with a non-injective middle forward map on
-    the chain witness and an exactly generic stable witness."""
+    """Reproduce the reducibility certificate on (1,4,5): greedy chain type
+    (3,2) against stable type (3,1,1), with a non-injective middle forward
+    map on the chain witness and an exactly generic stable witness."""
     field = FieldSpec(p)
     rng = derive_rng(seed, "reducible", (1, 4, 5))
     # The builders certify the relations and the stable witness's stability.

@@ -9,9 +9,10 @@ and elimination loops that exactmat._mul_flat and exactmat._rref keep for
 sparse and small operands, inverse_by_augmenting the elimination of [M | I]
 that exactmat._inverse_flat replaced with an inversion in place, and
 nilpotency_by_powers the power loop that quiverrep.nilpotency_degrees
-replaced.  build_from_chain_by_conjugators is
-the interface loop that quiverrep.build_from_chain replaced with
-permutations read off the chains.
+replaced.  build_from_chain_by_conjugators is the interface loop that
+quiverrep.build_from_chain replaced with permutations read off the chains
+(build_from_chain_by_chain_order, with _chain_order), and that loop the one
+it replaced with letters numbered across each interface.
 
 The helpers at the end were public names of the package that only tests
 called: mat_pow, is_nilpotent and random_invertible (once in
@@ -22,13 +23,14 @@ quiverz.exactmat), zero_rep, random_group_element and sample_flag_point
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from quiverz.abdiagrams import build_pair, enumerate_b_parts
 from quiverz.exactmat import (
     CertificateError,
     ExactMatrix,
     FieldSpec,
+    _chains,
     _jordan_basis,
     _jordan_flat,
     _mul_flat,
@@ -120,6 +122,49 @@ def build_from_chain_by_conjugators(deltas, field) -> QuiverRep:
         A.append(mul(Ai, mul(g2, inverse(g1))))
         B.append(mul(mul(g1, inverse(g2)), Bi))
     dims = (deltas[0].total_a,) + tuple(d.total_b for d in deltas)
+    return QuiverRep(dims, A, B, field)
+
+
+def _chain_order(entries: Sequence[int], n: int) -> Optional[List[int]]:
+    """The column order of the Jordan basis _jordan_basis picks for the flat
+    n x n matrix N when N is a nilpotent 0/1 partial permutation, else None.
+
+    The Jordan chains of such an N are the unit vectors of its chains
+    (_chains), and the greedy choice of _jordan_basis, run on unit vectors,
+    takes them longest first, equal lengths by increasing top index, each
+    written bottom to top."""
+    chains = _chains(entries, n)
+    if chains is None or sum(map(len, chains)) != n:  # not nilpotent
+        return None
+    chains.sort(key=len, reverse=True)  # stable, so equal lengths keep top order
+    return [c for chain in chains for c in reversed(chain)]
+
+
+def build_from_chain_by_chain_order(deltas, field) -> QuiverRep:
+    """The diagram pairs of a compatible chain glued by permutations: column
+    o1[k] of A_i is column o2[k] of A'_i, and row o1[k] of B_i is row o2[k]
+    of B'_i, for o1 and o2 the _chain_order of A'_{i-1} B'_{i-1} and of
+    B'_i A'_i.  No input check and no re-check."""
+    dims = (deltas[0].total_a,) + tuple(d.total_b for d in deltas)
+    p = field.p
+    pairs = [build_pair(d, field) for d in deltas]
+    A = [pairs[0][0]]
+    B = [pairs[0][1]]
+    for i in range(1, len(deltas)):
+        (A0, B0), (A1, B1) = pairs[i - 1], pairs[i]
+        lo, hi = A1.cols, A1.rows
+        o1 = _chain_order(_mul_flat(A0.entries, B0.entries, A0.rows, A0.cols, A0.rows, p), A0.rows)
+        o2 = _chain_order(_mul_flat(B1.entries, A1.entries, lo, hi, lo, p), lo)
+        if o1 is None or o2 is None or len(o1) != len(o2):
+            raise CertificateError(
+                f"build_from_chain: interface {i} of {dims} is not glued by a permutation"
+            )
+        src = [0] * lo  # column src[c] of A'_i is column c of A_i, likewise rows of B
+        for c1, c2 in zip(o1, o2):
+            src[c1] = c2
+        ae, be = A1.entries, B1.entries
+        A.append(ExactMatrix._reduced(hi, lo, [ae[r * lo + c] for r in range(hi) for c in src], field))
+        B.append(ExactMatrix._reduced(lo, hi, [v for c in src for v in be[c * hi : (c + 1) * hi]], field))
     return QuiverRep(dims, A, B, field)
 
 

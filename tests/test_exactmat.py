@@ -43,9 +43,10 @@ from quiverz.exactmat import (
     zeros,
 )
 from quiverz.partitions import Partition, dual
-from quiverz.quiverrep import _chain_order, sample_stable
+from quiverz.quiverrep import sample_stable
 
 from oracles import (
+    _chain_order,
     inverse_by_augmenting,
     is_nilpotent,
     mat_pow,

@@ -2,15 +2,30 @@
 the profile they run under)."""
 
 import random
+from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from quiverz.exactmat import ExactMatrix, FieldSpec, _chains, _jordan_flat, _random_invertible_pair, identity, jordan_type, mul
-from quiverz.partitions import Partition
-from quiverz.quiverrep import _chain_order
+from quiverz import exactmat
+from quiverz.exactmat import (
+    ExactMatrix,
+    FieldSpec,
+    _chains,
+    _jordan_flat,
+    _random_invertible_pair,
+    _rref,
+    identity,
+    jordan_type,
+    kernel_basis,
+    mul,
+    rank,
+)
+from quiverz.partitions import Partition, add, dominates, dual, partitions_of_weight
+
+from oracles import _chain_order, rref_by_rows
 
 
 @st.composite
@@ -71,3 +86,112 @@ def test_random_invertible_pair_inverts_and_conjugates(case):
     field, g, ginv, N = case
     assert mul(g, ginv) == identity(g.rows, field) == mul(ginv, g)
     assert jordan_type(mul(mul(g, N), ginv)) == jordan_type(N)
+
+
+@st.composite
+def rectangular_partial_permutations(draw):
+    """(field, rows, cols, flat rows x cols 0/1 partial permutation, its
+    count of ones): the k ones pair the first k of a shuffle of the rows
+    with the first k of a shuffle of the columns."""
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    k = draw(st.integers(0, min(rows, cols)))
+    rs = draw(st.permutations(range(rows)))[:k]
+    cs = draw(st.permutations(range(cols)))[:k]
+    entries = [0] * (rows * cols)
+    for r, c in zip(rs, cs):
+        entries[r * cols + c] = 1
+    return FieldSpec(draw(st.sampled_from([2, 3, 32003]))), rows, cols, entries, k
+
+
+@hypothesis.given(rectangular_partial_permutations())
+def test_rank_of_partial_permutation_counts_ones(case):
+    """rank reads a 0/1 partial permutation, square or not, as its count of
+    ones without eliminating, and that is the rank _rref finds."""
+    field, rows, cols, entries, ones = case
+    M = ExactMatrix(rows, cols, entries, field)
+    with mock.patch.object(exactmat, "_rref", wraps=exactmat._rref) as spy:
+        assert rank(M) == ones
+    assert spy.call_count == 0
+    assert len(_rref(M.to_rows(), field.p)) == ones
+
+
+@st.composite
+def near_misses(draw):
+    """A 0/1 partial permutation with at least one one, spoiled: one of its
+    ones made 2 (over F_3 or F_32003), or a second one put in the row or in
+    the column of one of its ones."""
+    field, rows, cols, entries, ones = draw(rectangular_partial_permutations().filter(lambda c: c[4]))
+    at = draw(st.sampled_from([i for i, v in enumerate(entries) if v]))
+    r, c = divmod(at, cols)
+    kind = draw(st.sampled_from(["two", "row", "column"]))
+    if kind == "two":
+        field = FieldSpec(draw(st.sampled_from([3, 32003])))
+        entries[at] = 2
+    elif kind == "row":
+        hypothesis.assume(cols > 1)
+        entries[r * cols + draw(st.sampled_from([j for j in range(cols) if j != c]))] = 1
+    else:
+        hypothesis.assume(rows > 1)
+        entries[draw(st.sampled_from([i for i in range(rows) if i != r])) * cols + c] = 1
+    return ExactMatrix(rows, cols, entries, field)
+
+
+@hypothesis.given(near_misses())
+def test_rank_of_near_miss_eliminates(M):
+    """A matrix that is not a 0/1 partial permutation by one entry falls
+    through to one elimination and gets the rank of the list-loop oracle."""
+    assert exactmat._partial_permutation(M.entries, M.rows, M.cols) is None
+    with mock.patch.object(exactmat, "_rref", wraps=exactmat._rref) as spy:
+        got = rank(M)
+    assert spy.call_count == 1
+    assert got == len(rref_by_rows(M.to_rows(), M.field.p))
+
+
+@st.composite
+def small_matrices(draw):
+    """A matrix of up to 8 x 8 entries over F_2, F_3 or F_32003, its entries
+    drawn from {0, 1, 2} or from the whole field."""
+    field = FieldSpec(draw(st.sampled_from([2, 3, 32003])))
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    top = draw(st.sampled_from([min(2, field.p - 1), field.p - 1]))
+    entries = draw(st.lists(st.integers(0, top), min_size=rows * cols, max_size=rows * cols))
+    return ExactMatrix(rows, cols, entries, field)
+
+
+@hypothesis.given(st.one_of(small_matrices(), rectangular_partial_permutations().map(
+    lambda c: ExactMatrix(c[1], c[2], c[3], c[0]))))
+def test_rank_plus_nullity_is_column_count(M):
+    """rank and the columns of kernel_basis add up to the column count, and
+    the kernel basis is killed by M and independent."""
+    K = kernel_basis(M)
+    assert rank(M) + K.cols == M.cols
+    assert mul(M, K).is_zero()
+    assert rank(K) == K.cols
+
+
+@st.composite
+def partition_pairs(draw):
+    """Two partitions of one weight up to 12."""
+    n = draw(st.integers(0, 12))
+    both = list(partitions_of_weight(n))
+    return draw(st.sampled_from(both)), draw(st.sampled_from(both))
+
+
+@hypothesis.given(partition_pairs())
+def test_dual_is_an_involution_reversing_dominance(pair):
+    x, y = pair
+    assert dual(dual(x)) == x
+    assert dual(x).weight == x.weight
+    assert dominates(x, y) == dominates(dual(y), dual(x))
+
+
+@hypothesis.given(partition_pairs(), st.integers(0, 4))
+def test_add_is_monotone_when_it_adds_a_column(pair, extra):
+    """add(., a) keeps x dominating y when a is at least len(x), the row
+    count of the larger one: then it adds a whole column of height a."""
+    x, y = pair
+    hypothesis.assume(dominates(x, y) or dominates(y, x))
+    if not dominates(x, y):
+        x, y = y, x
+    a = len(x) + extra
+    assert dominates(add(x, a), add(y, a))

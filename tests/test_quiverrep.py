@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from quiverz import exactmat, quiverrep
+from quiverz import abdiagrams, exactmat, quiverrep
 from quiverz.abdiagrams import ABDiagram, enumerate_b_parts
 from quiverz.exactmat import (
     CertificateError,
@@ -31,7 +31,6 @@ from quiverz.quiverrep import (
     FlagPoint,
     QuiverRep,
     _certified,
-    _chain_order,
     _flag_point,
     _interface_types,
     _lowering_endo,
@@ -50,8 +49,11 @@ from quiverz.quiverrep import (
     theta,
     witness_reducible,
 )
+from quiverz.verify import strictly_monotone_vectors
 
 from oracles import (
+    _chain_order,
+    build_from_chain_by_chain_order,
     build_from_chain_by_conjugators,
     mat_pow,
     nilpotency_by_powers,
@@ -569,19 +571,62 @@ def test_build_from_chain_takes_conjugator_inverse_from_bases(monkeypatch):
         assert mul(g2, inverse(g1)) == inverse(g)
 
 
+def test_build_from_chain_computes_nothing_before_its_recheck(monkeypatch):
+    """The glue forms no product, reads no chain and builds no pair with
+    build_pair: every _mul_flat and _chains call that build_from_chain makes
+    comes from inside its one _interface_types pass, which forms the t - 1
+    products of the relations and theta and types each A_i B_i off its
+    chains."""
+    calls = []
+    depth = [0]
+
+    def recording(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append((name, depth[0]))
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    def rechecking(z):
+        calls.append(("_interface_types", depth[0]))
+        depth[0] += 1
+        try:
+            return real_types(z)
+        finally:
+            depth[0] -= 1
+
+    real_types = quiverrep._interface_types
+    monkeypatch.setattr(quiverrep, "_interface_types", rechecking)
+    monkeypatch.setattr(quiverrep, "_mul_flat", recording("_mul_flat", quiverrep._mul_flat))
+    monkeypatch.setattr(exactmat, "_mul_flat", recording("_mul_flat", exactmat._mul_flat))
+    monkeypatch.setattr(exactmat, "_chains", recording("_chains", exactmat._chains))
+    monkeypatch.setattr(abdiagrams, "build_pair", recording("build_pair", abdiagrams.build_pair))
+    rng = random.Random(31)
+    for dims in ((1, 4, 5), (1, 2, 5, 8, 12), (4, 8, 9), (12, 27, 40)):
+        for chain in (greedy_chain(dims), random_chain(dims, rng)):
+            calls.clear()
+            build_from_chain(chain, F)
+            t = len(dims)
+            assert calls[0] == ("_interface_types", 0)
+            assert sorted(calls[1:]) == [("_chains", 1)] * (t - 1) + [("_mul_flat", 1)] * (2 * (t - 1))
+
+
 def test_build_from_chain_certifies_every_interface(monkeypatch):
     """Glued from the pairs of another chain with the same last b-part, a
     point of (1, 3, 4) meets the relations and theta has the claimed type,
     which was all the re-check read before; but A_1 B_1 has type (2, 1), not
-    the (1, 1, 1) its chain claims, and build_from_chain raises."""
+    the (1, 1, 1) its chain claims, and build_from_chain raises.  The pairs
+    are swapped where the glue numbers the letters of each diagram."""
     first = enumerate_b_parts(P(1), 2, witnesses=True)
     right = [first[P(1, 1, 1)], enumerate_b_parts(P(1, 1, 1), 1, witnesses=True)[P(2, 2)]]
     wrong = [first[P(2, 1)], enumerate_b_parts(P(2, 1), 1, witnesses=True)[P(2, 2)]]
     z = build_from_chain(wrong, F)
     assert check_relations(z) and jordan_type(theta(z)) == right[-1].b_part
     swap = {id(good): bad for good, bad in zip(right, wrong)}
-    real = quiverrep.build_pair
-    monkeypatch.setattr(quiverrep, "build_pair", lambda delta, field: real(swap[id(delta)], field))
+    real = quiverrep._numbered_pair
+    monkeypatch.setattr(
+        quiverrep, "_numbered_pair", lambda delta, field, b_before=None: real(swap[id(delta)], field, b_before)
+    )
     with pytest.raises(CertificateError, match="build_from_chain"):
         build_from_chain(right, F)
 
@@ -623,7 +668,7 @@ def _chains_to_compare():
 
 
 def test_build_from_chain_matches_conjugator_oracle():
-    """The permutation glue gives the conjugator glue entry for entry."""
+    """The letter-numbering glue gives the conjugator glue entry for entry."""
     count = 0
     for dims, field, chain in _chains_to_compare():
         z = build_from_chain(chain, field)
@@ -631,6 +676,40 @@ def test_build_from_chain_matches_conjugator_oracle():
         assert z == build_from_chain_by_conjugators(chain, field), (dims, field, chain)
         count += 1
     assert count == 3 * 4 * 120 + 6
+
+
+def test_build_from_chain_matches_chain_order_oracle():
+    """The letter-numbering glue gives the permutation glue, whose columns
+    and rows it read off the chains of both compositions at each interface,
+    entry for entry: on the chains of _chains_to_compare, on the greedy and
+    three random chains of every strictly monotone vector with last entry at
+    most 8 over F_2 and F_3, and on random chains of vectors whose chain
+    ends go beyond the greedy type, with the chain of (4, 8, 9) that ends in
+    (3, 3, 3)."""
+    def cases():
+        yield from _chains_to_compare()
+        for p in (2, 3):
+            field = FieldSpec(p)
+            rng = random.Random(p + 8)
+            for dims in strictly_monotone_vectors(8):
+                yield dims, field, greedy_chain(dims)
+                for _ in range(3):
+                    yield dims, field, random_chain(dims, rng)
+        rng = random.Random(29)
+        for dims in ((4, 8, 9), (1, 5, 9, 10), (12, 27, 40)):
+            for _ in range(20):
+                yield dims, F, random_chain(dims, rng)
+        d1 = ABDiagram.from_strings(["bab", "bab", "bab", "ba", "b"])
+        d2 = ABDiagram.from_strings(["babab", "babab", "babab", "a", "a"])
+        yield (4, 8, 9), F, [d1, d2]
+
+    count = 0
+    for dims, field, chain in cases():
+        z = build_from_chain(chain, field)
+        assert z.dims == dims
+        assert z == build_from_chain_by_chain_order(chain, field), (dims, field, chain)
+        count += 1
+    assert count == 3 * 4 * 120 + 6 + 2 * 4 * 247 + 3 * 20 + 1
 
 
 def _nilpotent_partial_permutations(n):
@@ -767,10 +846,11 @@ def test_certificate_checks_survive_optimisation():
     asserts.  The relations fail when _interface_products, which every
     relations check runs, reports them failed.  witness_reducible emits
     relations: true only after its builders' re-checks, so with the
-    relations failing it raises in build_from_chain.  A chain order reversed
-    on one side of each interface (on both sides it would pair the same
-    columns) glues a point off the variety, and build_from_chain raises too,
-    as it does when no order is read off."""
+    relations failing it raises in build_from_chain.  The matching of one
+    interface reversed, each a-letter numbered by the b-letter at the
+    mirrored place of its matched row, glues a point off the variety, and
+    build_from_chain raises too: at the one interface of (1, 4, 5), and at
+    the second of the three of (1, 2, 5, 8, 12), the others glued right."""
     script = textwrap.dedent(
         """
         import random
@@ -793,18 +873,25 @@ def test_certificate_checks_survive_optimisation():
         quiverrep._interface_products = real_products
         quiverrep.mu_of = lambda d: Partition((1,) * d[-1])  # a bound no stable sample meets
         attempt(lambda: quiverrep.witness_reducible((1, 4, 5), F, random.Random(0)))
-        real_order = quiverrep._chain_order
-        calls = []
+        real_pair = quiverrep._numbered_pair
 
-        def one_side_reversed(entries, n):  # each interface: A_{i-1} B_{i-1}, then B'_i A'_i
-            calls.append(n)
-            order = real_order(entries, n)
-            return order[::-1] if len(calls) % 2 else order
+        def reversing(interface):
+            calls = []
 
-        quiverrep._chain_order = one_side_reversed
+            def numbered_pair(delta, field, b_before=None):  # b_before is None for the first diagram
+                calls.append(delta)
+                if len(calls) == interface + 1:
+                    b_before = [rows[::-1] for rows in b_before]
+                return real_pair(delta, field, b_before)
+
+            return numbered_pair
+
+        quiverrep._numbered_pair = reversing(1)
         attempt(lambda: quiverrep.build_from_chain(quiverrep.greedy_chain((1, 4, 5)), F))
-        quiverrep._chain_order = lambda entries, n: None  # no permutation read off
-        attempt(lambda: quiverrep.build_from_chain(quiverrep.greedy_chain((1, 4, 5)), F))
+        quiverrep._numbered_pair = reversing(2)
+        attempt(lambda: quiverrep.build_from_chain(quiverrep.greedy_chain((1, 2, 5, 8, 12)), F))
+        quiverrep._numbered_pair = real_pair
+        attempt(lambda: quiverrep.build_from_chain(quiverrep.greedy_chain((1, 2, 5, 8, 12)), F))
         """
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -820,4 +907,5 @@ def test_certificate_checks_survive_optimisation():
         "raised in witness_reducible",
         "raised in build_from_chain",
         "raised in build_from_chain",
+        "passed",
     ]

@@ -106,3 +106,29 @@ def test_every_public_name_has_a_caller_or_is_documented():
                 todo.append(name)
     found = sorted(f"{stem}.{name}" for name, stem in defined.items() if not name.startswith("_") and name not in live)
     assert not found, f"public names with no caller and no Library tour entry: {found}"
+
+
+def test_package_has_no_unused_imports():
+    """Every name a module of the package imports at module level is read in
+    that module, or listed in __all__ of __init__.py, which imports the
+    submodules for the package's users; __future__ imports bind nothing to
+    read."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) >= 7
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported |= set(ast.literal_eval(node.value))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read and name not in exported:
+                        found.append(f"{path.name}:{node.lineno}:{name}")
+    assert found == []

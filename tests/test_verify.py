@@ -356,9 +356,12 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     - Jordan types: 6, two per point, A_1 B_1 and theta, from the one
       relations pass of each point; a chain point's nilpotency check reads
       the b-parts its builder certified;
-    - eliminations: 7, none on a chain point, whose types are read off its
-      chains.  The stable sample takes 2 ranks for is_stable and 5 to type
-      A_1 B_1 (2) and theta (3), the leading blocks of its endomorphism;
+    - eliminations: 5, none on a chain point, whose types are read off its
+      chains.  The stable sample takes 5 to type A_1 B_1 (2) and theta (3),
+      the leading blocks of its endomorphism.  Its is_stable ranks the
+      forward maps, inclusions of coordinates and so 0/1 partial
+      permutations, by counting their ones; when rank eliminated every
+      matrix, that took 2 more;
     - inversions: 0.  The stable sample is the coordinate-flag point of its
       endomorphism, without the random base change, which keeps every check
       of the instance; sampled with it, it took 3 inversions, one per
@@ -383,16 +386,18 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
 
     inst = verify._theta_image_instance((1, 4, 5), 32003, 0, 1)
     assert inst["ok"]
-    assert counts == {"relations": 3, "jordan": 6, "eliminations": 7, "inversions": 0, "canonical": 0}
+    assert counts == {"relations": 3, "jordan": 6, "eliminations": 5, "inversions": 0, "canonical": 0}
 
     # The chain witness: one relations check and two types read off its
-    # chains; its is_stable takes two ranks.  The stable witness: one
-    # relations check, 2 ranks and 3 inversions in sample_stable, and the
-    # type of its theta (3 eliminations) from the products of that check.
+    # chains; its is_stable ranks 0/1 partial permutations by counting their
+    # ones, where eliminating them took 2.  The stable witness: one
+    # relations check, 2 ranks of its base-changed forward maps and 3
+    # inversions in sample_stable, and the type of its theta (3
+    # eliminations) from the products of that check.
     counts.update(relations=0, jordan=0, eliminations=0, inversions=0)
     report = quiverrep.witness_reducible((1, 4, 5), FieldSpec(), random.Random(0))
     assert [w["relations"] for w in report.witnesses] == [True, True]
-    assert counts == {"relations": 2, "jordan": 3, "eliminations": 7, "inversions": 3, "canonical": 0}
+    assert counts == {"relations": 2, "jordan": 3, "eliminations": 5, "inversions": 3, "canonical": 0}
 
     # conjugator re-checks only its own rank(g) and g N2 == N1 g;
     # jordan_basis re-checks against the canonical form.  Each Jordan basis
