@@ -10,32 +10,34 @@ The dense kernels work on packed rows: one Python int per row, entry j in
 the 64-bit slot at bits 64j to 64j + 63 (_pack and _unpack hold the
 format), so a row operation is one C-level multiply-add of big ints.  Slots
 only ever grow between reductions, so every slot has to stay below 2^64.
-One gate decides for all three kernels: at least 8 rows to combine,
-(p - 1)^2 * (rows + 1) + p < 2^64 (_packs; it holds for p = 32003 and fails
-for p near 2^31), and at most half of the entries that select the work
-zero.
+One gate decides for the three packed loops, of _mul_flat, _rref and
+_inverse_flat: at least 8 rows to combine, (p - 1)^2 * (rows + 1) + p <
+2^64 (_packs; it holds for p = 32003 and fails for p near 2^31), and at
+most half of the entries that select the work zero.
 
 _mul_flat, the one product, packs the rows of its right operand; the gate
 counts the m rows of ye and the zeros of xe.  Each output row is the sum of
 its entries of xe times those packed rows, at most m (p - 1)^2 per slot,
 unpacked and reduced once.  Below the gate, two 0/1 partial permutations
 with m >= 8 are composed as index maps (_partial_permutation reads them,
-and _chains too), and the rest takes the row loop.  _rref, the one
-elimination of rank, kernels, solve and the Jordan type, counts its rows
-and the zeros of the columns it searches for pivots, so an augmented
-system is judged by its left block.  It reduces the entries as it packs
-them; then row i += (p - f) * pivot row adds at most (p - 1)^2 per slot for
-each pivot, a row is reduced again only when it becomes the pivot row, and
-every row once at the end, when the lists are written back.  _inverse_flat
-inverts in place on n-wide rows, not by an RREF of [M | I]: the elimination
-row carries inv + 1 in its pivot slot, so each row step stays one
-multiply-add.  Inputs that fail the gate keep the list loops: the row loop
-of _mul_flat skips zero entries, which suits the small chain points and
-the tiny matrices of the exhaustive drivers, and the list loops of _rref
-and _inverse_flat skip rows with a zero in the pivot column.  Both paths
-give the same residues and the same RREF.  rank needs no elimination of a
-0/1 partial permutation: _partial_permutation reads it, and its rank is its
-count of ones.
+and _chains too), and the rest takes the row loop, which skips zero entries
+and suits the small chain points and the tiny matrices of the exhaustive
+drivers.  rank needs no elimination of a 0/1 partial permutation:
+_partial_permutation reads it, and its rank is its count of ones.
+
+_rref is the one list-form elimination: rank, kernel_basis, solve, the
+Jordan type, the Jordan basis and every inverse below the gate run on it.
+It counts its rows and the zeros of the columns it searches for pivots, so
+an augmented system is judged by its left block.  Past the gate it reduces
+the entries as it packs them; then row i += (p - f) * pivot row adds at
+most (p - 1)^2 per slot for each pivot, a row is reduced again only when it
+becomes the pivot row, and every row once at the end, when the lists are
+written back.  Below it, the list loop skips rows with a zero in the pivot
+column.  Both give the same RREF.  _inverse_flat inverts a matrix past the
+gate in place on packed n-wide rows: the elimination row carries inv + 1 in
+its pivot slot, so each row step stays one multiply-add.  Below the gate it
+is one _rref of [M | I], which the same gate, on the left block, keeps in
+lists.
 
 _jordan_flat, the one Jordan-type routine, reads a 0/1 partial permutation
 off its chains (_chains) and eliminates nothing: each chain is a Jordan
@@ -43,7 +45,9 @@ block.  Any other input runs one elimination per power, and multiplies each
 reduced basis R = [I | R'] by N.  When R is more than half zero, which
 sends the full product to its row loop, and R' passes the _packs gate for
 its n - r columns, R N is N at the pivot rows plus one packed product of
-R' (_times_rowspace).
+R' (_times_rowspace).  _jordan_basis needs nothing more: its type comes
+from _jordan_flat, ker N^j from one _rref of N^j formed by _mul_flat, and
+the chain tops of each height from one more _rref.
 
 Kernel results are wrapped by ExactMatrix._reduced, which skips the checks
 and the reduction of the public constructor.  Its precondition: exactly
@@ -305,13 +309,16 @@ def hstack(X: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
 
 def _rref(rows: List[List[int]], p: int, pivot_cols: Optional[int] = None) -> List[int]:
     """In-place reduced row echelon form; returns the pivot column list.
+    The package's one list-form elimination.
 
     Pivots are searched only in the first pivot_cols columns; row operations
-    always span the full width, so augmented columns ride along.  Past the
-    _packs gate for its rows, with at most half of the first pivot_cols
-    columns zero, the rows are eliminated packed (_rref_packed); otherwise
-    in lists, reading entries mod p and skipping rows with a zero in the
-    pivot column."""
+    always span the full width, so augmented columns ride along, and a
+    column is a pivot exactly when it is not in the span of the columns
+    before it.  Past the _packs gate for its rows, with at most half of the
+    first pivot_cols columns zero, the rows are eliminated packed
+    (_rref_packed); otherwise in lists, reading entries mod p and skipping
+    rows with a zero in the pivot column, where a row that no step touches
+    keeps its entries as given."""
     nrows = len(rows)
     width = len(rows[0]) if nrows else 0
     if pivot_cols is None:
@@ -414,27 +421,31 @@ def kernel_basis(M: ExactMatrix) -> ExactMatrix:
 
 def _inverse_flat(entries: Sequence[int], n: int, p: int) -> Optional[List[int]]:
     """Flat entries of the inverse of the flat n x n matrix, entries in
-    [0, p), or None if it is singular: Gauss-Jordan in place on n-wide rows.
+    [0, p), or None if it is singular.
 
-    Step c swaps a pivot into row c, or finds the matrix singular when column
-    c has none from row c down, and scales that row by inv = 1 / pivot with
-    inv in the pivot slot.  Every other row takes f times the elimination
-    row, the pivot row with inv + 1 in the pivot slot, where f is its entry
-    in column c: that slot becomes f - f (inv + 1) = -f inv, the entry the
-    inverse needs there, so a row step is one multiply-add.  The row swaps
-    come back as column swaps at the end, the last first.  Past the _packs
-    gate for the n rows, with at most half of the entries zero, the rows are
-    packed, reduced when they become the pivot row and once at the end, and
-    row i += (p - f) * elimination row adds at most (p - 1)^2 per slot and
-    step, (p - 1) p at the one step with inv + 1; otherwise they are lists,
-    reduced at every step."""
-    packed = _packs(n, p) and 2 * entries.count(0) <= len(entries)
-    rows = [entries[i * n : (i + 1) * n] for i in range(n)]
-    rows = [_pack(row) for row in rows] if packed else [list(row) for row in rows]
+    Below the _packs gate for the n rows, or with more than half of the
+    entries zero, one _rref of [M | I] both tests M and inverts it.
+    Otherwise Gauss-Jordan runs in place on packed n-wide rows.  Step c swaps
+    a pivot into row c, or finds the matrix singular when column c has none
+    from row c down, and scales that row by inv = 1 / pivot with inv in the
+    pivot slot.  Every other row takes f times the elimination row, the
+    pivot row with inv + 1 in the pivot slot, where f is its entry in column
+    c: that slot becomes f - f (inv + 1) = -f inv, the entry the inverse
+    needs there, so a row step is one multiply-add.  Rows are reduced when
+    they become the pivot row and once at the end, and row i += (p - f) *
+    elimination row adds at most (p - 1)^2 per slot and step, (p - 1) p at
+    the one step with inv + 1.  The row swaps come back as column swaps at
+    the end, the last first."""
+    if not _packs(n, p) or 2 * entries.count(0) > len(entries):
+        aug = [list(entries[i * n : (i + 1) * n]) + [int(j == i) for j in range(n)] for i in range(n)]
+        if len(_rref(aug, p, pivot_cols=n)) != n:
+            return None
+        return [v for row in aug for v in row[n:]]
+    rows = [_pack(entries[i * n : (i + 1) * n]) for i in range(n)]
     swaps = []
     for c in range(n):
         shift = 64 * c
-        col = [(x >> shift & _SLOT_MASK) % p for x in rows] if packed else [row[c] for row in rows]
+        col = [(x >> shift & _SLOT_MASK) % p for x in rows]
         pivot = next((i for i in range(c, n) if col[i]), None)
         if pivot is None:
             return None
@@ -442,22 +453,14 @@ def _inverse_flat(entries: Sequence[int], n: int, p: int) -> Optional[List[int]]
         rows[c], rows[pivot] = rows[pivot], rows[c]
         col[c], col[pivot] = col[pivot], col[c]
         inv = pow(col[c], p - 2, p)
-        row = [v * inv % p for v in (_unpack(rows[c], n) if packed else rows[c])]
+        row = [v * inv % p for v in _unpack(rows[c], n)]
         row[c] = inv
-        if packed:
-            rows[c] = _pack(row)
-            elim = rows[c] + (1 << shift)
-            for i, f in enumerate(col):
-                if f and i != c:
-                    rows[i] += (p - f) * elim
-        else:
-            rows[c] = row
-            elim = row[:c] + [inv + 1] + row[c + 1 :]
-            for i, f in enumerate(col):
-                if f and i != c:
-                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], elim)]
-    if packed:
-        rows = [[v % p for v in _unpack(x, n)] for x in rows]
+        rows[c] = _pack(row)
+        elim = rows[c] + (1 << shift)
+        for i, f in enumerate(col):
+            if f and i != c:
+                rows[i] += (p - f) * elim
+    rows = [[v % p for v in _unpack(x, n)] for x in rows]
     order = list(range(n))
     for c in range(n - 1, -1, -1):
         order[c], order[swaps[c]] = order[swaps[c]], order[c]
@@ -602,27 +605,20 @@ def _times_rowspace(rows: List[List[int]], pivots: List[int], entries: Sequence[
     return [(x + y) % p for x, y in zip(head, tail)]
 
 
-def _jordan_flat(
-    entries: Sequence[int], n: int, p: int, kernels: Optional[list] = None
-) -> Optional[Partition]:
+def _jordan_flat(entries: Sequence[int], n: int, p: int) -> Optional[Partition]:
     """Jordan type of the flat n x n matrix N, or None if N is not nilpotent.
 
-    Without kernels, a 0/1 partial permutation N is read off its chains: their
-    lengths are the type, and an index left on a cycle means N is not
-    nilpotent.  Otherwise an RREF basis of rowspace(N^k) times N spans
-    rowspace(N^{k+1}), so each power costs one elimination of ever fewer rows.
-    The ranks reach 0 exactly when N is nilpotent; a rank that stalls above 0
-    means it is not.  The rank drops are the kernel-dimension increments,
-    whose dual is the type.
-
-    Given a list kernels, the null vectors of the k-th RREF, a basis of
-    ker N^k, are appended to it for k = 1, 2, ...  The RREF of a row space is
-    unique, so these are the columns kernel_basis(N^k) returns."""
-    if kernels is None:
-        chains = _chains(entries, n)
-        if chains is not None:
-            lengths = sorted(map(len, chains), reverse=True)
-            return Partition(lengths) if sum(lengths) == n else None
+    A 0/1 partial permutation N is read off its chains: their lengths are
+    the type, and an index left on a cycle means N is not nilpotent.
+    Otherwise an RREF basis of rowspace(N^k) times N spans rowspace(N^{k+1}),
+    so each power costs one elimination of ever fewer rows.  The ranks reach
+    0 exactly when N is nilpotent; a rank that stalls above 0 means it is
+    not.  The rank drops are the kernel-dimension increments, whose dual is
+    the type."""
+    chains = _chains(entries, n)
+    if chains is not None:
+        lengths = sorted(map(len, chains), reverse=True)
+        return Partition(lengths) if sum(lengths) == n else None
     drops = []
     prev = n
     rows = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
@@ -631,8 +627,6 @@ def _jordan_flat(
         r = len(pivots)
         if r == prev:
             return None
-        if kernels is not None:
-            kernels.append(_null_vectors(rows, pivots, n, p))
         drops.append(prev - r)
         prev = r
         if r:
@@ -652,38 +646,31 @@ def jordan_type(N: ExactMatrix) -> Partition:
     return typ
 
 
-def _echelon_add(basis: list, v: Sequence[int], p: int) -> bool:
-    """Insert v into basis, a list of (c, b) with b[c] = 1 and b zero at the
-    c of every pair before it: append the remainder of v, unless v lies in
-    the span.  True if v was appended."""
-    for c, b in basis:
-        f = v[c]
-        if f:
-            v = [(x - f * y) % p for x, y in zip(v, b)]
-    c = next((i for i in range(len(v) - 1, -1, -1) if v[i]), None)
-    if c is None:
-        return False
-    inv = pow(v[c], p - 2, p)
-    basis.append((c, [x * inv % p for x in v]))
-    return True
-
-
 def _jordan_basis(N: ExactMatrix) -> tuple:
     """(g, jordan_type(N)) with g^-1 N g the canonical nilpotent.
 
     Chains are grown from the top height down: at height j, new chain tops
     complete ker N^{j-1} plus the images of the longer chains to a basis of
-    ker N^j.  The kernels come from the Jordan-type pass.  Unchecked: the
-    public callers re-check what they return."""
+    ker N^j.  ker N^j is the null vectors of one _rref of N^j, whose RREF,
+    and so basis, is unique.  The tops are the pivot columns past the span
+    block of one _rref of [ker N^{j-1} | longer chains at height j | ker N^j]
+    with the vectors as columns: each vector of ker N^j, in order, outside
+    the span of those before it.  Unchecked: the public callers re-check
+    what they return."""
     if not N.is_square():
         raise ValueError("nilpotency of a non-square matrix")
     n = N.rows
-    field = N.field
-    p = field.p
-    kernels: List[List[List[int]]] = []  # kernels[j] spans ker N^{j+1}
-    typ = _jordan_flat(N.entries, n, p, kernels)
+    p = N.field.p
+    typ = _jordan_flat(N.entries, n, p)
     if typ is None:
         raise ValueError("not nilpotent")
+    kernels: List[List[List[int]]] = []  # kernels[j] spans ker N^{j+1}
+    power = N.entries
+    for j in range(typ.parts[0] if typ else 0):
+        if j:
+            power = _mul_flat(power, N.entries, n, n, n, p)
+        rows = [list(power[i * n : (i + 1) * n]) for i in range(n)]
+        kernels.append(_null_vectors(rows, _rref(rows, p), n, p))
     chains: List[list] = []  # chain[i] = N^i applied to the top
     for j in range(len(kernels), 0, -1):
         if chains:  # the longer chains, one height down: one product
@@ -691,24 +678,14 @@ def _jordan_basis(N: ExactMatrix) -> tuple:
             out = _mul_flat(N.entries, [chain[-1][i] for i in range(n) for chain in chains], n, n, k, p)
             for t, chain in enumerate(chains):
                 chain.append(out[t::k])
-        # New tops are the vectors of ker N^j, in order, that lie outside
-        # the span of ker N^{j-1}, the longer chains at height j and the
-        # tops before them: each is inserted into one echelon basis, and
-        # there are as many as parts of size j.
-        basis: list = []
-        for v in (kernels[j - 2] if j >= 2 else []) + [chain[-1] for chain in chains]:
-            _echelon_add(basis, v, p)
-        new = typ.parts.count(j)
-        for v in kernels[j - 1]:
-            if not new:
-                break
-            if _echelon_add(basis, v, p):
-                chains.append([v])
-                new -= 1
+        span = (kernels[j - 2] if j >= 2 else []) + [chain[-1] for chain in chains]
+        block = span + kernels[j - 1]
+        rows = [[v[i] for v in block] for i in range(n)]
+        chains.extend([block[c]] for c in _rref(rows, p) if c >= len(span))
     columns: list = []
     for chain in chains:  # built longest first
         columns.extend(reversed(chain))
-    return _from_columns(columns, n, field), typ
+    return _from_columns(columns, n, N.field), typ
 
 
 def jordan_basis(N: ExactMatrix) -> ExactMatrix:

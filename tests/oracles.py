@@ -7,12 +7,15 @@ compare the two at the smallest sizes.  One more loop keeps the normal forms
 but runs B over every matrix.  mul_by_rows and rref_by_rows are the product
 and elimination loops that exactmat._mul_flat and exactmat._rref keep for
 sparse and small operands, inverse_by_augmenting the elimination of [M | I]
-that exactmat._inverse_flat replaced with an inversion in place, and
-nilpotency_by_powers the power loop that quiverrep.nilpotency_degrees
-replaced.  build_from_chain_by_conjugators is the interface loop that
-quiverrep.build_from_chain replaced with permutations read off the chains
-(build_from_chain_by_chain_order, with _chain_order), and that loop the one
-it replaced with letters numbered across each interface.
+that exactmat._inverse_flat runs below the packing gate and replaced with an
+inversion in place above it, jordan_type_by_power_ranks the Jordan type from
+the ranks of every power, which exactmat._jordan_flat reads off chains or
+eliminations of ever fewer rows, and nilpotency_by_powers the power loop
+that quiverrep.nilpotency_degrees replaced.  build_from_chain_by_conjugators
+is the interface loop that quiverrep.build_from_chain replaced with
+permutations read off the chains (build_from_chain_by_chain_order, with
+_chain_order), and that loop the one it replaced with letters numbered
+across each interface.
 
 The helpers at the end were public names of the package that only tests
 called: mat_pow, is_nilpotent and random_invertible (once in
@@ -39,9 +42,18 @@ from quiverz.exactmat import (
     identity,
     inverse,
     mul,
+    rank,
     zeros,
 )
-from quiverz.partitions import Partition, add, as_dim_vector, dominates, is_strictly_monotone, partitions_of_weight
+from quiverz.partitions import (
+    Partition,
+    add,
+    as_dim_vector,
+    dominates,
+    dual,
+    is_strictly_monotone,
+    partitions_of_weight,
+)
 from quiverz.quiverrep import FlagPoint, QuiverRep, _lowering_endo, _relations_flat
 
 
@@ -101,6 +113,19 @@ def inverse_by_augmenting(entries, n: int, p: int):
     if len(_rref(aug, p, pivot_cols=n)) != n:
         return None
     return [v for row in aug for v in row[n:]]
+
+
+def jordan_type_by_power_ranks(m: ExactMatrix) -> tuple:
+    """(nilpotent, Jordan type or None) of the square matrix m from the ranks
+    of m^0, ..., m^n, each power one product from the one before."""
+    n = m.rows
+    powers = [mat_pow(m, 0)]
+    for _ in range(n):
+        powers.append(mul(powers[-1], m))
+    ranks = [rank(x) for x in powers]
+    nilpotent = powers[n].is_zero()
+    increments = [ranks[k - 1] - ranks[k] for k in range(1, n + 1) if ranks[k - 1] > ranks[k]]
+    return nilpotent, dual(Partition(increments)) if nilpotent else None
 
 
 def nilpotency_by_powers(z) -> bool:

@@ -42,13 +42,14 @@ from quiverz.exactmat import (
     transpose,
     zeros,
 )
-from quiverz.partitions import Partition, dual
+from quiverz.partitions import Partition
 from quiverz.quiverrep import sample_stable
 
 from oracles import (
     _chain_order,
     inverse_by_augmenting,
     is_nilpotent,
+    jordan_type_by_power_ranks,
     mat_pow,
     mul_by_rows,
     partitions_up_to_weight,
@@ -503,7 +504,8 @@ def _inverse_inputs(n, p, rng):
 
 
 def test_inverse_matches_augmented_elimination_oracle(monkeypatch):
-    """The in-place inversion against the RREF of [M | I] it replaced, on
+    """_inverse_flat against the RREF of [M | I], which it runs itself below
+    the packing gate and replaced with an inversion in place above it, on
     every input of _inverse_inputs for n in {0, 1, 2, 3, 7, 8, 9, 16, 40}
     and p in {2, 3, 5, 32003, 2^31 - 1} and the largest prime that packs 8
     rows (the slot-bound edge, packed at n = 8 and in lists from n = 9):
@@ -557,21 +559,8 @@ def test_jordan_type_examples():
         jordan_type(identity(3, F))
 
 
-def _power_oracle(m):
-    """Nilpotency and Jordan type from the ranks of M^0, ..., M^n, each power
-    one product from the one before."""
-    n = m.rows
-    powers = [mat_pow(m, 0)]
-    for _ in range(n):
-        powers.append(mul(powers[-1], m))
-    ranks = [rank(x) for x in powers]
-    nilpotent = powers[n].is_zero()
-    increments = [ranks[k - 1] - ranks[k] for k in range(1, n + 1) if ranks[k - 1] > ranks[k]]
-    return nilpotent, dual(Partition(increments)) if nilpotent else None
-
-
 def _check_against_power_oracle(m):
-    nilpotent, typ = _power_oracle(m)
+    nilpotent, typ = jordan_type_by_power_ranks(m)
     assert is_nilpotent(m) == nilpotent, m.entries
     if nilpotent:
         assert jordan_type(m) == typ, m.entries
@@ -641,7 +630,7 @@ def test_chain_branch_matches_power_oracle_on_all_small_01_matrices():
         read = 0
         for n in range(4):
             for entries in itertools.product((0, 1), repeat=n * n):
-                _, typ = _power_oracle(ExactMatrix(n, n, entries, field))
+                _, typ = jordan_type_by_power_ranks(ExactMatrix(n, n, entries, field))
                 assert _jordan_flat(entries, n, field.p) == typ, entries
                 read += _chains(entries, n) is not None
         assert read == 1 + 2 + 7 + 34  # the partial permutations of sizes 0 to 3
@@ -656,7 +645,7 @@ def test_chain_branch_matches_power_oracle_on_nilpotent_partial_permutations():
         counts.append(len(found))
         for entries, typ in found.items():
             assert _jordan_flat(entries, n, F.p) == typ, entries
-            assert _power_oracle(ExactMatrix(n, n, entries, F)) == (True, typ), entries
+            assert jordan_type_by_power_ranks(ExactMatrix(n, n, entries, F)) == (True, typ), entries
     assert counts == [1, 1, 3, 13, 73, 501, 4051]  # sets of lists that cover n points
 
 
@@ -670,7 +659,7 @@ def test_chain_branch_rejects_partial_permutations_with_cycles():
             for cols in itertools.combinations(range(n), k):
                 for rows in itertools.permutations(range(n), k):
                     entries = _from_pairs(n, zip(cols, rows))
-                    nilpotent, typ = _power_oracle(ExactMatrix(n, n, entries, F))
+                    nilpotent, typ = jordan_type_by_power_ranks(ExactMatrix(n, n, entries, F))
                     assert _jordan_flat(entries, n, F.p) == typ, entries
                     assert (_chain_order(entries, n) is None) == (not nilpotent)
                     cyclic += not nilpotent
@@ -685,10 +674,10 @@ def test_chain_branch_rejects_partial_permutations_with_cycles():
     entries = _from_pairs(40, pairs)
     assert _chains(entries, 40) is not None
     assert _jordan_flat(entries, 40, F.p) is None
-    assert _jordan_flat(entries, 40, F.p, kernels=[]) is None
+    assert jordan_type_by_power_ranks(ExactMatrix(40, 40, entries, F)) == (False, None)
     entries = _from_pairs(40, pairs[:-1])
     assert _jordan_flat(entries, 40, F.p) == Partition((20, 17, 3))
-    assert _jordan_flat(entries, 40, F.p, kernels=[]) == Partition((20, 17, 3))
+    assert jordan_type_by_power_ranks(ExactMatrix(40, 40, entries, F)) == (True, Partition((20, 17, 3)))
 
 
 def test_chain_branch_leaves_entries_of_two_to_elimination():
@@ -702,10 +691,10 @@ def test_chain_branch_leaves_entries_of_two_to_elimination():
                     twice[idx] = 2
                     assert _chains(twice, n) is None
                     assert _jordan_flat(twice, n, field.p) == typ, twice
-                    assert _power_oracle(ExactMatrix(n, n, twice, field)) == (True, typ), twice
+                    assert jordan_type_by_power_ranks(ExactMatrix(n, n, twice, field)) == (True, typ), twice
         # [[0, 2], [1, 0]] squares to 2 I: a 2-cycle, not nilpotent.
         assert _jordan_flat([0, 2, 1, 0], 2, field.p) is None
-        assert _power_oracle(ExactMatrix(2, 2, [0, 2, 1, 0], field)) == (False, None)
+        assert jordan_type_by_power_ranks(ExactMatrix(2, 2, [0, 2, 1, 0], field)) == (False, None)
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
@@ -855,9 +844,14 @@ def _jordan_basis_reference(N):
     return transpose(ExactMatrix.from_rows(columns, field))
 
 
-def test_jordan_basis_matches_power_loop_oracle():
-    """The kernels read from the Jordan-type pass give the same g, byte for
-    byte, as a kernel_basis of every power."""
+def test_jordan_basis_matches_power_loop_oracle(monkeypatch):
+    """The kernels from one _rref of each power and the tops from one _rref
+    per height give the same g, byte for byte, as a kernel_basis of every
+    power and tops picked by rank.  The cases: conjugated nilpotents up to
+    size 7 over F_2, F_3 and F_32003 and of sizes 8, 12 and 16 over
+    F_32003, and every nilpotent 0/1 partial permutation up to size 5 over
+    F_2 and F_32003, whose types are read off their chains.  Between them
+    the powers and the tops are each eliminated both packed and in lists."""
     rng = random.Random(15)
     cases = []
     for field in (F2, F3, F):
@@ -865,8 +859,50 @@ def test_jordan_basis_matches_power_loop_oracle():
         for eta in partitions_up_to_weight(7):
             h = random_invertible(eta.weight, field, rng)
             cases.append(mul(mul(h, canonical_nilpotent(eta, field)), inverse(h)))
+    for n in (8, 12, 16):
+        for eta in (Partition((n,)), Partition((3,) * (n // 3) + (n % 3,) * (n % 3 > 0)), Partition((2,) * (n // 2))):
+            h = random_invertible(n, F, rng)
+            cases.append(mul(mul(h, canonical_nilpotent(eta, F)), inverse(h)))
+    for field in (F2, F):
+        for n in range(6):
+            cases += [ExactMatrix(n, n, entries, field) for entries in _nilpotent_partial_permutations(n)]
+    # Each _rref call outside the type pass, as [stage, packed]: a power's
+    # RREF goes on to _null_vectors, a height's tops do not.
+    calls, in_type = [], []
+    rref, rref_packed, null_vectors, jordan_flat = (
+        exactmat._rref, exactmat._rref_packed, exactmat._null_vectors, exactmat._jordan_flat
+    )
+
+    def spy_rref(*args):
+        if not in_type:
+            calls.append(["tops", False])
+        return rref(*args)
+
+    def spy_rref_packed(*args):
+        if not in_type:
+            calls[-1][1] = True
+        return rref_packed(*args)
+
+    def spy_null_vectors(*args):
+        calls[-1][0] = "power"
+        return null_vectors(*args)
+
+    def spy_jordan_flat(*args):
+        in_type.append(1)
+        try:
+            return jordan_flat(*args)
+        finally:
+            in_type.pop()
+
+    spies = {"_rref": spy_rref, "_rref_packed": spy_rref_packed,
+             "_null_vectors": spy_null_vectors, "_jordan_flat": spy_jordan_flat}
     for n in cases:
-        assert jordan_basis(n) == _jordan_basis_reference(n)
+        with monkeypatch.context() as m:
+            for name, spy in spies.items():
+                m.setattr(exactmat, name, spy)
+            g, _ = exactmat._jordan_basis(n)
+        assert jordan_basis(n) == g == _jordan_basis_reference(n)
+    assert {tuple(call) for call in calls} == {(stage, packed) for stage in ("power", "tops") for packed in (True, False)}
 
 
 def _solve_reference(M, C, rng):

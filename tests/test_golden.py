@@ -9,7 +9,10 @@ prints, call its builder, e.g. ``_cli("verify", "all", ...)``.
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -114,3 +117,26 @@ CASES = {
 def test_output_digest(name):
     build, digest = CASES[name]
     assert hashlib.sha256(build().encode()).hexdigest() == digest
+
+
+def test_output_digests_under_optimisation():
+    """python -O strips assert statements, so every case is built again in
+    one python -O process and must give the same digest."""
+    script = (
+        "import hashlib, sys\n"
+        "import test_golden\n"
+        "if not sys.flags.optimize:\n"
+        "    raise SystemExit('not optimised')\n"
+        "for name, (build, digest) in sorted(test_golden.CASES.items()):\n"
+        "    if hashlib.sha256(build().encode()).hexdigest() != digest:\n"
+        "        print(name)\n"
+    )
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(here, os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ""

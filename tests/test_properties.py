@@ -25,7 +25,7 @@ from quiverz.exactmat import (
 )
 from quiverz.partitions import Partition, add, dominates, dual, partitions_of_weight
 
-from oracles import _chain_order, rref_by_rows
+from oracles import _chain_order, jordan_type_by_power_ranks, rref_by_rows
 
 
 @st.composite
@@ -52,13 +52,13 @@ def partial_permutations(draw):
 @hypothesis.given(partial_permutations(), st.sampled_from([2, 3, 32003]))
 def test_chain_branch_matches_elimination_on_partial_permutations(case, p):
     """The chain branch of _jordan_flat gives the type the partial
-    permutation was built with, or None with a cycle, as the elimination
-    (the branch with kernels) does; _chain_order orders every index exactly
-    when there is no cycle."""
+    permutation was built with, or None with a cycle, as the ranks of its
+    powers do; _chain_order orders every index exactly when there is no
+    cycle."""
     n, entries, typ = case
     assert _chains(entries, n) is not None
     assert _jordan_flat(entries, n, p) == typ
-    assert _jordan_flat(entries, n, p, kernels=[]) == typ
+    assert jordan_type_by_power_ranks(ExactMatrix(n, n, entries, FieldSpec(p))) == (typ is not None, typ)
     order = _chain_order(entries, n)
     assert (order is None) == (typ is None)
     if order is not None:

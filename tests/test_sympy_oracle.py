@@ -1,0 +1,112 @@
+"""rank, kernel_basis and inverse against sympy's DomainMatrix over GF(p), an
+elimination written apart from this package, on matrices up to 12 x 12 over
+F_2, F_3, F_32003 and F_(2^31 - 1), drawn by hypothesis under the profile of
+conftest.py.  Without sympy or hypothesis these tests skip themselves."""
+
+import random
+from unittest import mock
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+pytest.importorskip("sympy")
+
+from sympy.polys.domains import GF
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
+
+from quiverz import exactmat
+from quiverz.exactmat import ExactMatrix, FieldSpec, inverse, kernel_basis, rank
+
+PRIMES = (2, 3, 32003, 2**31 - 1)
+
+
+def _matrix(rows: int, cols: int, p: int, kind: str, seed: int) -> ExactMatrix:
+    """A rows x cols matrix over F_p drawn from random.Random(seed): every
+    entry uniform ("dense"), about three in four zero ("sparse"), an upper
+    triangle of nonzero entries with its rows reversed, so that every
+    column's pivot lies on another row ("swapping"), or a product of random
+    rows x k and k x cols factors with k < min(rows, cols) ("low rank"),
+    singular when square."""
+    rng = random.Random(seed)
+    if kind == "dense":
+        entries = [rng.randrange(p) for _ in range(rows * cols)]
+    elif kind == "swapping":
+        entries = [rng.randrange(1, p) if j >= rows - 1 - i else 0 for i in range(rows) for j in range(cols)]
+    elif kind == "sparse":
+        entries = [rng.randrange(1, p) if rng.random() < 0.25 else 0 for _ in range(rows * cols)]
+    else:
+        k = rng.randrange(max(min(rows, cols), 1))
+        x = [[rng.randrange(p) for _ in range(k)] for _ in range(rows)]
+        y = [[rng.randrange(p) for _ in range(cols)] for _ in range(k)]
+        entries = [sum(x[i][l] * y[l][j] for l in range(k)) % p for i in range(rows) for j in range(cols)]
+    return ExactMatrix(rows, cols, entries, FieldSpec(p))
+
+
+def _domain(M: ExactMatrix) -> DomainMatrix:
+    K = GF(M.field.p)
+    return DomainMatrix([[K(v) for v in M.row(i)] for i in range(M.rows)], M.shape, K)
+
+
+KINDS = st.sampled_from(["dense", "sparse", "swapping", "low rank"])
+SEEDS = st.integers(0, 2**32 - 1)
+matrices = st.builds(_matrix, st.integers(0, 12), st.integers(0, 12), st.sampled_from(PRIMES), KINDS, SEEDS)
+square_matrices = st.integers(0, 12).flatmap(
+    lambda n: st.builds(_matrix, st.just(n), st.just(n), st.sampled_from(PRIMES), KINDS, SEEDS)
+)
+
+
+@hypothesis.given(matrices)
+def test_rank_matches_sympy(M):
+    assert rank(M) == _domain(M).rank()
+
+
+@hypothesis.given(matrices)
+def test_kernel_basis_matches_sympy(M):
+    """kernel_basis has as many columns as sympy's nullspace has vectors,
+    and sympy finds M K = 0 and K of full column rank."""
+    D = _domain(M)
+    K = kernel_basis(M)
+    assert K.cols == D.nullspace().shape[0] == M.cols - D.rank()
+    DK = _domain(K)
+    assert (D * DK).is_zero_matrix
+    assert DK.rank() == K.cols
+
+
+# Both sides of the _packs gate for sure: 12 x 12 over F_32003, dense,
+# swapping and singular, pass it; a dense one over F_(2^31 - 1) and a
+# sparse one over F_3 do not.
+@hypothesis.example(_matrix(12, 12, 32003, "dense", 0))
+@hypothesis.example(_matrix(12, 12, 32003, "swapping", 0))
+@hypothesis.example(_matrix(12, 12, 32003, "low rank", 0))
+@hypothesis.example(_matrix(12, 12, 2**31 - 1, "dense", 0))
+@hypothesis.example(_matrix(12, 12, 3, "sparse", 0))
+@hypothesis.given(square_matrices)
+def test_inverse_matches_sympy(M):
+    """inverse gives sympy's inverse entry for entry, or refuses M as
+    singular exactly when sympy does."""
+    p = M.field.p
+    try:
+        expect = [int(v) % p for row in _domain(M).inv().to_list() for v in row]
+    except DMNonInvertibleMatrixError:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(M)
+        return
+    assert list(inverse(M).entries) == expect
+
+
+def test_inverse_examples_straddle_the_gate():
+    """The explicit examples of test_inverse_matches_sympy fall on the sides
+    of the _packs gate that its comment gives them: the inversion packs rows
+    exactly for the three over F_32003."""
+    for M, packs in (
+        (_matrix(12, 12, 32003, "dense", 0), True),
+        (_matrix(12, 12, 32003, "swapping", 0), True),
+        (_matrix(12, 12, 32003, "low rank", 0), True),
+        (_matrix(12, 12, 2**31 - 1, "dense", 0), False),
+        (_matrix(12, 12, 3, "sparse", 0), False),
+    ):
+        with mock.patch.object(exactmat, "_pack", wraps=exactmat._pack) as spy:
+            exactmat._inverse_flat(M.entries, M.rows, M.field.p)
+        assert spy.called == packs

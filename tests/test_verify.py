@@ -346,7 +346,8 @@ def test_failing_ab_step_counterexample_is_recheckable(monkeypatch):
 def test_each_certificate_is_rechecked_once(monkeypatch):
     """The builders re-check each point once and the callers read their
     results.  _jordan_flat is counted in every quiverz module that imports
-    it, and the in-place inversions apart from the eliminations (_rref).
+    it, and the inversions apart from the eliminations (_rref), though an
+    inversion below the packing gate is one elimination of [g | I] too.
     Per instance of (1, 4, 5) over F_32003 with one trial:
     - relations: 3, one check in each of the two build_from_chain calls and
       one in sample_stable, whose pass forms every A_i B_i, theta last, and
@@ -393,26 +394,34 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     # ones, where eliminating them took 2.  The stable witness: one
     # relations check, 2 ranks of its base-changed forward maps and 3
     # inversions in sample_stable, and the type of its theta (3
-    # eliminations) from the products of that check.
+    # eliminations) from the products of that check.  The inversions are
+    # of sizes 1, 4 and 5, below the packing gate, so each is also one
+    # elimination of [g | I]: 8 in all, where the inversion's own list loop
+    # made 5.
     counts.update(relations=0, jordan=0, eliminations=0, inversions=0)
     report = quiverrep.witness_reducible((1, 4, 5), FieldSpec(), random.Random(0))
     assert [w["relations"] for w in report.witnesses] == [True, True]
-    assert counts == {"relations": 2, "jordan": 3, "eliminations": 5, "inversions": 3, "canonical": 0}
+    assert counts == {"relations": 2, "jordan": 3, "eliminations": 8, "inversions": 3, "canonical": 0}
 
     # conjugator re-checks only its own rank(g) and g N2 == N1 g;
-    # jordan_basis re-checks against the canonical form.  Each Jordan basis
-    # of type (3, 2, 2) takes one elimination per power (3), conjugator one
-    # inversion for g2^-1, and each rank(g) one elimination.
+    # jordan_basis re-checks against the canonical form.  A Jordan basis of
+    # type (3, 2, 2) takes its type from _jordan_flat, one elimination per
+    # power of the conjugated m (3) and none for the partial permutation n,
+    # then one elimination per power for ker N^j (3) and one per height for
+    # the chain tops (3); when the kernels came from the type pass, each
+    # basis took 3.  conjugator adds one inversion for g2^-1, of size 7 and
+    # so one elimination of [g2 | I], and each rank(g) one elimination:
+    # 6 + 9 + 1 + 1 and 9 + 1, where they took 7 and 4.
     field = FieldSpec()
     n = canonical_nilpotent(Partition((3, 2, 2)), field)
     h = random_invertible(7, field, random.Random(3))
     m = mul(mul(h, n), inverse(h))
     counts.update(relations=0, jordan=0, eliminations=0, inversions=0)
     conjugator(n, m)
-    assert counts == {"relations": 0, "jordan": 2, "eliminations": 7, "inversions": 1, "canonical": 0}
+    assert counts == {"relations": 0, "jordan": 2, "eliminations": 17, "inversions": 1, "canonical": 0}
     counts.update(jordan=0, eliminations=0, inversions=0)
     jordan_basis(m)
-    assert counts == {"relations": 0, "jordan": 1, "eliminations": 4, "inversions": 0, "canonical": 1}
+    assert counts == {"relations": 0, "jordan": 1, "eliminations": 10, "inversions": 0, "canonical": 1}
 
     # nilpotency_degrees reuses the products A_i B_i that its relation check
     # formed and multiplies only theta anew; on a chain point it eliminates
