@@ -82,8 +82,8 @@ class ABDiagram:
         self.rows = tuple(sorted(rows, key=_row_sort_key))
         a_counts = [r.a_count for r in self.rows]
         b_counts = [r.b_count for r in self.rows]
-        self.a_part = Partition(sorted(filter(None, a_counts), reverse=True))
-        self.b_part = Partition(sorted(filter(None, b_counts), reverse=True))
+        self.a_part = Partition._sorted(tuple(sorted(filter(None, a_counts), reverse=True)))
+        self.b_part = Partition._sorted(tuple(sorted(filter(None, b_counts), reverse=True)))
         self.total_a = sum(a_counts)
         self.total_b = sum(b_counts)
 

@@ -15,15 +15,18 @@ _inverse_flat: at least 8 rows to combine, (p - 1)^2 * (rows + 1) + p <
 2^64 (_packs; it holds for p = 32003 and fails for p near 2^31), and at
 most half of the entries that select the work zero.
 
-_mul_flat, the one product, packs the rows of its right operand; the gate
-counts the m rows of ye and the zeros of xe.  Each output row is the sum of
-its entries of xe times those packed rows, at most m (p - 1)^2 per slot,
-unpacked and reduced once.  Below the gate, two 0/1 partial permutations
-with m >= 8 are composed as index maps (_partial_permutation reads them,
-and _chains too), and the rest takes the row loop, which skips zero entries
-and suits the small chain points and the tiny matrices of the exhaustive
-drivers.  rank needs no elimination of a 0/1 partial permutation:
-_partial_permutation reads it, and its rank is its count of ones.
+_mul_flat, the one product, has three paths.  When either factor is a 0/1
+partial permutation (_partial_permutation reads it, and _chains too), the
+product is a gather of rows or columns of the other factor, at any size and
+ahead of the gate: so are both products of every glued chain point and of
+every flag point, whose forward maps are such matrices.  Otherwise it packs
+the rows of its right operand; the gate counts the m rows of ye and the
+zeros of xe.  Each output row is the sum of its entries of xe times those
+packed rows, at most m (p - 1)^2 per slot, unpacked and reduced once.  Below
+the gate the row loop skips zero entries and suits the tiny dense matrices
+of the exhaustive drivers.  rank needs no elimination of a 0/1 partial
+permutation: _partial_permutation reads it, and its rank is its count of
+ones.
 
 _rref is the one list-form elimination: rank, kernel_basis, solve, the
 Jordan type, the Jordan basis and every inverse below the gate run on it.
@@ -45,7 +48,11 @@ block.  Any other input runs one elimination per power, and multiplies each
 reduced basis R = [I | R'] by N.  When R is more than half zero, which
 sends the full product to its row loop, and R' passes the _packs gate for
 its n - r columns, R N is N at the pivot rows plus one packed product of
-R' (_times_rowspace).  _jordan_basis needs nothing more: its type comes
+R' (_times_rowspace).  The same pass types N on every coordinate prefix E_k
+it keeps, the span of the first k coordinates: rank((N|E_k)^j) is the count
+of pivots below k of the RREF of N^j, and a chain meets E_k in its indices
+below k.  So theta alone types every interface of a flag point.
+_jordan_basis needs nothing more: its type comes
 from _jordan_flat, ker N^j from one _rref of N^j formed by _mul_flat, and
 the chain tops of each height from one more _rref.
 
@@ -62,7 +69,7 @@ import operator
 import sys
 from array import array
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Union
 
 from quiverz.partitions import Partition, dual
 
@@ -243,12 +250,23 @@ def _mul_flat(xe: Sequence[int], ye: Sequence[int], n: int, m: int, k: int, p: i
     """Row-major entries of the n x k product of the flat n x m matrix xe and
     the flat m x k matrix ye, both with entries in [0, p), reduced mod p.
 
-    Past the _packs gate for the m rows of ye, with at most half of xe zero,
-    each output row is the sum of its entries times the packed rows of ye,
-    unpacked once.  Otherwise, when m >= 8 and both are 0/1 partial
-    permutations, the product is their composition as index maps: y sends
-    e_j to e_l, and x sends e_l on.  Otherwise each row accumulates only its
-    nonzero entries times the matching rows of ye."""
+    When either factor is a 0/1 partial permutation (_partial_permutation),
+    the product is a gather, at any size: for x, row x(l) of the product is
+    row l of ye; for y, column j is column y(j) of xe; the rows and columns
+    they miss are zero.  Otherwise, past the _packs gate for the m rows of
+    ye, with at most half of xe zero, each output row is the sum of its
+    entries times the packed rows of ye, unpacked once.  Otherwise each row
+    accumulates only its nonzero entries times the matching rows of ye."""
+    xmap = _partial_permutation(xe, n, m)
+    if xmap is not None:
+        out = [0] * (n * k)
+        for l, i in enumerate(xmap):
+            if i >= 0:
+                out[i * k : (i + 1) * k] = ye[l * k : (l + 1) * k]
+        return out
+    ymap = _partial_permutation(ye, m, k)
+    if ymap is not None:
+        return [xe[i + l] if l >= 0 else 0 for i in range(0, n * m, m) for l in ymap]
     if _packs(m, p) and 2 * xe.count(0) <= len(xe):
         packed = [_pack(ye[l * k : (l + 1) * k]) for l in range(m)]
         out = []
@@ -256,14 +274,6 @@ def _mul_flat(xe: Sequence[int], ye: Sequence[int], n: int, m: int, k: int, p: i
             out.extend(v % p for v in _unpack(sum(map(operator.mul, xe[i * m : (i + 1) * m], packed)), k))
         return out
     out = [0] * (n * k)
-    if m >= 8:
-        xmap = _partial_permutation(xe, n, m)
-        ymap = None if xmap is None else _partial_permutation(ye, m, k)
-        if ymap is not None:
-            for j, l in enumerate(ymap):
-                if l >= 0 and xmap[l] >= 0:
-                    out[xmap[l] * k + j] = 1
-            return out
     for i in range(n):
         xi = i * m
         acc = [0] * k
@@ -543,21 +553,25 @@ def canonical_nilpotent(eta: Partition, field: FieldSpec) -> ExactMatrix:
 def _partial_permutation(entries: Sequence[int], rows: int, cols: int) -> Optional[List[int]]:
     """The index map of the flat rows x cols matrix when it is a 0/1 partial
     permutation, else None: entry c is r when it sends e_c to e_r, -1 when it
-    kills e_c.  A dense input is turned away by its count of zeros; the ones
-    are found by index(), one step per one."""
+    kills e_c.  A dense input is turned away by two nonzero entries in its
+    first row, at the cost of that row, or else by its counts of zeros and
+    of ones; the ones are found by index(), one step per one."""
+    if rows and entries[:cols].count(0) < cols - 1:
+        return None
     ones = len(entries) - entries.count(0)
-    if ones > min(rows, cols) or max(entries, default=0) > 1:
+    if ones > rows or ones > cols or entries.count(1) != ones:
         return None
     image = [-1] * cols
-    hit = [False] * rows
+    hit = bytearray(rows)
     idx = -1
     for _ in range(ones):
         idx = entries.index(1, idx + 1)
-        r, c = divmod(idx, cols)
+        r = idx // cols
+        c = idx - r * cols
         if image[c] >= 0 or hit[r]:
             return None
         image[c] = r
-        hit[r] = True
+        hit[r] = 1
     return image
 
 
@@ -605,21 +619,40 @@ def _times_rowspace(rows: List[List[int]], pivots: List[int], entries: Sequence[
     return [(x + y) % p for x, y in zip(head, tail)]
 
 
-def _jordan_flat(entries: Sequence[int], n: int, p: int) -> Optional[Partition]:
+def _jordan_flat(
+    entries: Sequence[int], n: int, p: int, prefixes: Optional[Sequence[int]] = None
+) -> Union[Partition, List[Partition], None]:
     """Jordan type of the flat n x n matrix N, or None if N is not nilpotent.
 
     A 0/1 partial permutation N is read off its chains: their lengths are
     the type, and an index left on a cycle means N is not nilpotent.
-    Otherwise an RREF basis of rowspace(N^k) times N spans rowspace(N^{k+1}),
+    Otherwise an RREF basis of rowspace(N^j) times N spans rowspace(N^{j+1}),
     so each power costs one elimination of ever fewer rows.  The ranks reach
     0 exactly when N is nilpotent; a rank that stalls above 0 means it is
     not.  The rank drops are the kernel-dimension increments, whose dual is
-    the type."""
+    the type.
+
+    With prefixes, the list of the types of N restricted to E_k, the span
+    of the first k coordinates, for each k in prefixes, from the same pass;
+    None if N is not nilpotent.  N must keep each E_k: an N with a nonzero
+    entry in a row >= k of a column < k raises ValueError.  Then
+    rank((N|E_k)^j) is the rank of the first k columns of N^j, the number
+    of pivots below k of its RREF, and the chain of a partial permutation
+    meets E_k in its indices below k, a tail of the chain."""
+    ks = (n,) if prefixes is None else tuple(prefixes)
+    if prefixes is not None:
+        for k in ks:
+            if not 0 <= k <= n or any(any(entries[r * n : r * n + k]) for r in range(k, n)):
+                raise ValueError(f"N does not keep the span of the first {k} of {n} coordinates")
     chains = _chains(entries, n)
     if chains is not None:
-        lengths = sorted(map(len, chains), reverse=True)
-        return Partition(lengths) if sum(lengths) == n else None
-    drops = []
+        if sum(map(len, chains)) != n:
+            return None
+        if prefixes is None:
+            return Partition._sorted(tuple(sorted(map(len, chains), reverse=True)))
+        meets = ([sum(i < k for i in chain) for chain in chains] for k in ks)
+        return [Partition._sorted(tuple(sorted(filter(None, counts), reverse=True))) for counts in meets]
+    powers = []  # the pivot columns of the RREF of each power N^j
     prev = n
     rows = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
     while prev:
@@ -627,12 +660,23 @@ def _jordan_flat(entries: Sequence[int], n: int, p: int) -> Optional[Partition]:
         r = len(pivots)
         if r == prev:
             return None
-        drops.append(prev - r)
+        powers.append(pivots)
         prev = r
         if r:
             out = _times_rowspace(rows, pivots, entries, n, p)
             rows = [out[i * n : (i + 1) * n] for i in range(r)]
-    return dual(Partition(drops))
+    types = []
+    for k in ks:
+        drops = []
+        prev = k
+        for pivots in powers:
+            if not prev:
+                break
+            r = sum(c < k for c in pivots)
+            drops.append(prev - r)
+            prev = r
+        types.append(dual(Partition(drops)))
+    return types if prefixes is not None else types[0]
 
 
 def jordan_type(N: ExactMatrix) -> Partition:

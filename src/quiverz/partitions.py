@@ -32,6 +32,14 @@ class Partition:
                 raise ValueError(f"partition parts must be weakly decreasing: {parts}")
         self.parts = parts
 
+    @classmethod
+    def _sorted(cls, parts: tuple) -> "Partition":
+        """The partition of a tuple of ints that its caller built positive and
+        weakly decreasing, taken without the checks of the constructor."""
+        eta = cls.__new__(cls)
+        eta.parts = parts
+        return eta
+
     @property
     def weight(self) -> int:
         return sum(self.parts)
@@ -75,11 +83,8 @@ class Partition:
 
 def dual(eta: Partition) -> Partition:
     """Conjugate partition: column lengths of the Young diagram of eta."""
-    if not eta.parts:
-        return Partition()
-    return Partition(
-        sum(1 for p in eta.parts if p >= i) for i in range(1, eta.parts[0] + 1)
-    )
+    first = eta.parts[0] if eta.parts else 0
+    return Partition._sorted(tuple(sum(1 for p in eta.parts if p >= i) for i in range(1, first + 1)))
 
 
 def dominates(eta: Partition, nu: Partition) -> bool:

@@ -15,9 +15,10 @@ the k-th longest row meeting the k-th longest.  So B_i A_i is A_{i-1}
 B_{i-1} by construction, and no product, chain or permutation is formed to
 glue.  What certifies the glued point is the re-check that follows: the
 relations, and the Jordan type of every A_i B_i, theta last
-(_interface_types).  On a glued point each A_i B_i is a 0/1 partial
-permutation, so the one Jordan-type routine reads each type off its chains
-and this re-check eliminates nothing either.
+(_interface_types).  On a glued point every map is a 0/1 partial
+permutation, so each product of the relations pass is a gather, each A_i
+B_i is a 0/1 partial permutation too, the one Jordan-type routine reads
+each type off its chains, and this re-check eliminates nothing either.
 """
 
 from __future__ import annotations

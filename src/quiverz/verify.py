@@ -8,7 +8,11 @@ two exhaustive checks visit one representative per base-change stratum, with
 one map in rank normal form, and count every tuple it stands for.  In the
 same way the image sweep checks each stable sample at its coordinate-flag
 point, without the random base change: every check it makes is invariant
-under base change.  Failures carry a re-checkable counterexample payload.
+under base change.  There the forward maps are coordinate inclusions,
+checked off the matrices, and by the relations they carry each A_i B_i to
+theta restricted to the span of the first n_{i+1} coordinates (the flag
+correspondence of Kraft and Procesi), so one pass over theta types every
+interface.  Failures carry a re-checkable counterexample payload.
 All randomness is derived per instance from a master seed, so reports are
 byte-stable across runs and across worker counts: with jobs > 1 the
 independent tasks run on a pool of worker processes, and the results come
@@ -27,10 +31,12 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from quiverz.exactmat import (
     DEFAULT_PRIME,
+    CertificateError,
     ExactMatrix,
     FieldSpec,
     _jordan_flat,
     _mul_flat,
+    _partial_permutation,
     is_injective,
 )
 from quiverz.partitions import (
@@ -261,9 +267,14 @@ def _theta_image_instance(d: tuple, p: int, seed: int, trials: int) -> dict:
     # sample's stability; the checks read them.  A stable sample is the
     # coordinate-flag point of its endomorphism, without sample_stable's
     # random base change: that would move it inside its orbit, which keeps
-    # every check below.  It is typed from the products of its re-check, the
-    # leading blocks of the endomorphism, each None where a product is not
-    # nilpotent: that fails the check.
+    # every check below.  Its types are read off theta alone.  The forward
+    # maps A_{t-1} ... A_{i+1} embed V_{i+1} as the flag space E_{i+1}, and
+    # by the relations A_{i+1} (A_i B_i) = (A_{i+1} B_{i+1}) A_{i+1}, so they
+    # carry A_i B_i to theta restricted to E_{i+1}.  With every forward map
+    # the inclusion of the first coordinates, checked here off the
+    # matrices, E_{i+1} is the span of the first n_{i+1} coordinates, and
+    # one pass over theta types every interface.  A theta that is not
+    # nilpotent types none, which fails the checks.
     checks = [("lambda_dominates_mu", dominates(lam, mu))]
     chain = greedy_chain(d)
     build_from_chain(chain, field)
@@ -275,10 +286,14 @@ def _theta_image_instance(d: tuple, p: int, seed: int, trials: int) -> dict:
         checks.append((f"chain{k}_bounded_by_lambda", dominates(lam, chain[-1].b_part)))
         checks.append((f"chain{k}_nilpotency", _degrees_bounded([delta.b_part for delta in chain])))
     for k in range(trials):
-        _, products = _certified(_flag_point(d, field, rng))
-        types = [_jordan_flat(ab, d[i], p) for i, ab in enumerate(products, start=1)]
-        checks.append((f"stable{k}_bounded_by_mu", types[-1] is not None and dominates(mu, types[-1])))
-        checks.append((f"stable{k}_nilpotency", _degrees_bounded(types)))
+        z, products = _certified(_flag_point(d, field, rng))
+        if any(_partial_permutation(A.entries, A.rows, A.cols) != list(range(A.cols)) for A in z.A):
+            raise CertificateError(
+                f"theta-image: a forward map of the flag point for {d} is not a coordinate inclusion"
+            )
+        types = _jordan_flat(products[-1], d[-1], p, d[1:])
+        checks.append((f"stable{k}_bounded_by_mu", types is not None and dominates(mu, types[-1])))
+        checks.append((f"stable{k}_nilpotency", types is not None and _degrees_bounded(types)))
     failed = sorted(name for name, ok in checks if not ok)
     return {
         "d": list(d),

@@ -43,7 +43,8 @@ from quiverz.exactmat import (
     zeros,
 )
 from quiverz.partitions import Partition
-from quiverz.quiverrep import sample_stable
+from quiverz.quiverrep import _flag_point, sample_stable, theta
+from quiverz.verify import strictly_monotone_vectors
 
 from oracles import (
     _chain_order,
@@ -285,10 +286,11 @@ def _random_partial_permutation(rows, cols, rng, kills):
 
 
 def test_partial_permutation_products_match_row_loop(monkeypatch):
-    """From inner dimension 8 on, two 0/1 partial permutations are composed
-    as index maps: square and rectangular shapes, with and without killed
-    columns, at m = 8, 9 and 40, give the row loop's entries.  At m = 7 the
-    reader is not called."""
+    """Two 0/1 partial permutations multiply as a gather at every inner
+    dimension: square and rectangular shapes, with and without killed
+    columns, at m = 7, 8, 9 and 40, give the row loop's entries.  The
+    reader is called once, on the left factor, whose index map makes the
+    product."""
     reads = _counting(monkeypatch, "_partial_permutation")
     rng = random.Random(41)
     for p in (2, 3, 32003):
@@ -299,10 +301,42 @@ def test_partial_permutation_products_match_row_loop(monkeypatch):
                     ye = _random_partial_permutation(m, k, rng, (kills + 1) % 3)
                     reads.clear()
                     assert _mul_flat(xe, ye, n, m, k, p) == mul_by_rows(xe, ye, n, m, k, p), (p, n, m, k)
-                    if m < 8:
-                        assert reads == []
-                    else:  # both operands read, so the index maps made the product
-                        assert len(reads) == 2 and _partial_permutation(ye, m, k) is not None
+                    assert reads == [(xe, n, m)]
+
+
+def test_gather_products_match_row_loop(monkeypatch):
+    """Either factor a 0/1 partial permutation, the other drawn over F_p
+    with and without zeros: square and rectangular shapes and killed
+    columns, m = 1 to 9 and 40, p = 2, 3, 32003 and 2^31 - 1.  The product
+    is the row loop's, made by a gather: the last read of the reader found
+    a partial permutation, and no row was packed."""
+    results = []
+    real = exactmat._partial_permutation
+
+    def reading(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(exactmat, "_partial_permutation", reading)
+    packs = _counting(monkeypatch, "_pack")
+    rng = random.Random(47)
+    sides = set()
+    for p in (2, 3, 32003, 2**31 - 1):
+        for m in (*range(1, 10), 40):
+            for n, k in ((m, m), (max(m - 3, 1), m), (m, m + 5), (m + 2, max(m - 1, 1)), (1, m), (m, 1)):
+                for kills in (0, 1, min(m, 3)):
+                    for half in (False, True):
+                        x_perm = _random_partial_permutation(n, m, rng, kills)
+                        y_perm = _random_partial_permutation(m, k, rng, kills)
+                        x_other = _with_zeros(n * m, (n * m) // 2 if half else 0, p, rng)
+                        y_other = _with_zeros(m * k, (m * k) // 2 if half else 0, p, rng)
+                        for left, xe, ye in ((True, x_perm, y_other), (False, x_other, y_perm)):
+                            results.clear()
+                            assert _mul_flat(xe, ye, n, m, k, p) == mul_by_rows(xe, ye, n, m, k, p), (p, n, m, k)
+                            assert len(results) <= 2 and results[-1] is not None
+                            sides.add((left, len(results)))
+    assert packs == []
+    assert {(True, 1), (False, 2)} <= sides
 
 
 def test_partial_permutation_near_misses_fall_through():
@@ -678,6 +712,50 @@ def test_chain_branch_rejects_partial_permutations_with_cycles():
     entries = _from_pairs(40, pairs[:-1])
     assert _jordan_flat(entries, 40, F.p) == Partition((20, 17, 3))
     assert jordan_type_by_power_ranks(ExactMatrix(40, 40, entries, F)) == (True, Partition((20, 17, 3)))
+
+
+def test_prefix_types_match_leading_blocks():
+    """Theta of every flag point drawn for each strictly monotone d with
+    last entry at most 6, over F_2, F_3 and F_32003: typed at every
+    coordinate prefix in one call, it gives the type _jordan_flat finds for
+    each leading block on its own.  A lowering endomorphism is strictly
+    upper triangular, so it keeps every prefix.  Some F_2 draws are 0/1
+    partial permutations other than 0, read off their chains."""
+    chain_reads = 0
+    for p in (2, 3, 32003):
+        field = FieldSpec(p)
+        rng = random.Random(53 + p)
+        for d in strictly_monotone_vectors(6):
+            for _ in range(3):
+                entries = theta(_flag_point(d, field, rng)).entries
+                n = d[-1]
+                types = _jordan_flat(entries, n, p, range(n + 1))
+                blocks = [[entries[r * n + c] for r in range(k) for c in range(k)] for k in range(n + 1)]
+                assert types == [_jordan_flat(block, k, p) for k, block in enumerate(blocks)], (p, d, entries)
+                assert _jordan_flat(entries, n, p, d) == [types[k] for k in d]
+                chain_reads += any(entries) and _chains(entries, n) is not None
+        if p == 2:
+            assert chain_reads > 0
+
+
+def test_prefix_types_refuse_what_they_cannot_read():
+    """A requested prefix that N does not keep, or one outside 0..n, raises
+    ValueError, for a partial permutation and for a matrix the elimination
+    would type; a non-nilpotent N that keeps every requested prefix gives
+    None."""
+    for p in (2, 3, 32003):
+        down = [0, 0, 1, 0]  # e_0 -> e_1: the first coordinate is not kept
+        assert _jordan_flat(down, 2, p, [2]) == [Partition((2,))]
+        with pytest.raises(ValueError):
+            _jordan_flat(down, 2, p, [1])
+        with pytest.raises(ValueError):
+            _jordan_flat([0, 0, 1, 1], 2, p, [0, 1])  # two ones in a row: no partial permutation
+        with pytest.raises(ValueError):
+            _jordan_flat([0, 1, 0, 0], 2, p, [3])
+        assert _jordan_flat([0, 1, 0, 0], 2, p, [0, 1, 2]) == [Partition(), Partition((1,)), Partition((2,))]
+        assert _jordan_flat([1, 0, 0, 0], 2, p, [1, 2]) is None  # a 0/1 partial permutation with a fixed point
+        assert _jordan_flat([1, 1, 0, 0], 2, p, [1, 2]) is None  # eliminated: rank 1 at every power
+        assert _jordan_flat([0, 1, 0, 0], 2, p, []) == []
 
 
 def test_chain_branch_leaves_entries_of_two_to_elimination():

@@ -82,6 +82,13 @@ CASES = {
         lambda: _cli("verify", "theta-image", "--max-last", "6", "--p", "2", "--seed", "3"),
         "fcd96da347d1aef9b95d5026ec207e9138d4152c81fbca6501351bb6a04fce26",
     ),
+    # Over F_3 the stable samples mix entries 1 and 2, so most of them are
+    # typed by elimination; recorded before theta-image typed every
+    # interface of a sample off its theta alone.
+    "theta-image-p3": (
+        lambda: _cli("verify", "theta-image", "--max-last", "6", "--p", "3", "--seed", "3"),
+        "743b33925bfe21a31fde66573023bbbbea74bb135d9351ac2350963989d9949e",
+    ),
     "verdict-1,4,5-p2": (
         lambda: _cli("dimvec", "verdict", "1,4,5", "--p", "2"),
         "0fe6ac518401ebc259b087e6b347e0396046e302f92eb923249da7a43e10fec8",

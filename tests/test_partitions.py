@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from quiverz.abdiagrams import ABDiagram
 from quiverz.partitions import (
     KRAFT_PROCESI,
     MONOTONE_ONLY,
@@ -89,6 +90,25 @@ def test_partition_parse_and_repr():
     with pytest.raises(ValueError):
         Partition.parse("2,x")
     assert P(2, 1).to_list() == [2, 1]
+
+
+def test_checked_constructors_still_refuse_what_sorted_trusts():
+    """Partition._sorted takes its callers' sorted positive tuples
+    unchecked; Partition(...) and Partition.parse still refuse unsorted,
+    zero and negative parts, and the unchecked partitions of dual and of
+    ABDiagram equal checked ones."""
+    for bad in ((1, 2), (2, 1, 3), (3, 0), (0,), (-1,), (2, -1)):
+        with pytest.raises(ValueError):
+            Partition(bad)
+        with pytest.raises(ValueError):
+            Partition.parse(",".join(map(str, bad)))
+    assert Partition._sorted((3, 1, 1)) == Partition((3, 1, 1))
+    for eta in partitions_up_to_weight(7):
+        assert dual(eta) == Partition(dual(eta).parts)
+        assert type(dual(eta).parts) is tuple
+    delta = ABDiagram.from_strings(["abab", "ba", "b", "a"])
+    assert (delta.a_part, delta.b_part) == (Partition((2, 1, 1)), Partition((2, 1, 1)))
+    assert type(delta.a_part.parts) is type(delta.b_part.parts) is tuple
 
 
 def test_partition_counts():

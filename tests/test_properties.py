@@ -18,6 +18,7 @@ from quiverz.exactmat import (
     _random_invertible_pair,
     _rref,
     identity,
+    inverse,
     jordan_type,
     kernel_basis,
     mul,
@@ -167,6 +168,54 @@ def test_rank_plus_nullity_is_column_count(M):
     assert rank(M) + K.cols == M.cols
     assert mul(M, K).is_zero()
     assert rank(K) == K.cols
+
+
+@st.composite
+def prefix_keeping_nilpotents(draw):
+    """(p, n, flat n x n nilpotent N, prefixes): N is g T g^-1 for T strictly
+    upper triangular, its entries drawn from {0, 1} or from the whole field,
+    and g block upper triangular along the prefixes, invertible diagonal
+    blocks from _random_invertible_pair, or g = 1.  So N keeps the span of
+    the first k coordinates for each k in prefixes, and with g = 1 it keeps
+    every prefix and may be a 0/1 partial permutation."""
+    p = draw(st.sampled_from([2, 3, 32003]))
+    field = FieldSpec(p)
+    n = draw(st.integers(0, 10))
+    prefixes = sorted(set(draw(st.lists(st.integers(0, n), max_size=4))) | {n})
+    top = draw(st.sampled_from([1, p - 1]))
+    T = [0] * (n * n)
+    for r in range(n):
+        for c in range(r + 1, n):
+            T[r * n + c] = draw(st.integers(0, top))
+    T = ExactMatrix(n, n, T, field)
+    if not draw(st.booleans()):
+        return p, n, list(T.entries), range(n + 1)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    g = [0] * (n * n)
+    lo = 0
+    for hi in prefixes:
+        block, _ = _random_invertible_pair(hi - lo, field, rng)
+        for r in range(lo, hi):
+            g[r * n + lo : r * n + hi] = block.entries[(r - lo) * (hi - lo) : (r - lo + 1) * (hi - lo)]
+            g[r * n + hi : r * n + n] = [rng.randrange(p) for _ in range(n - hi)]
+        lo = hi
+    g = ExactMatrix(n, n, g, field)
+    return p, n, list(mul(mul(g, T), inverse(g)).entries), prefixes
+
+
+@hypothesis.given(prefix_keeping_nilpotents())
+def test_prefix_types_match_power_ranks_of_leading_blocks(case):
+    """One pass of _jordan_flat with prefixes types N restricted to each kept
+    prefix as the ranks of the powers of its leading block do."""
+    p, n, entries, prefixes = case
+    field = FieldSpec(p)
+    expect = []
+    for k in prefixes:
+        block = ExactMatrix(k, k, [entries[r * n + c] for r in range(k) for c in range(k)], field)
+        nilpotent, typ = jordan_type_by_power_ranks(block)
+        assert nilpotent
+        expect.append(typ)
+    assert _jordan_flat(entries, n, p, prefixes) == expect
 
 
 @st.composite

@@ -5,6 +5,9 @@ import json
 import os
 import pickle
 import random
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -354,12 +357,17 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
       hands them on to type the sample; when the sample was typed by a pass
       of its own this was 4, and re-checking every point in
       nilpotency_degrees made 6;
-    - Jordan types: 6, two per point, A_1 B_1 and theta, from the one
-      relations pass of each point; a chain point's nilpotency check reads
-      the b-parts its builder certified;
-    - eliminations: 5, none on a chain point, whose types are read off its
-      chains.  The stable sample takes 5 to type A_1 B_1 (2) and theta (3),
-      the leading blocks of its endomorphism.  Its is_stable ranks the
+    - Jordan types: 5, two per chain point, A_1 B_1 and theta, from the
+      one relations pass of each point, and one for the stable sample; a
+      chain point's nilpotency check reads the b-parts its builder
+      certified.  The stable sample's forward maps are checked to be
+      coordinate inclusions, so A_1 B_1 is theta restricted to the first 4
+      coordinates, and one call types both off theta's powers; typed one
+      product at a time, the sample took 2 calls;
+    - eliminations: 3, none on a chain point, whose types are read off its
+      chains.  The stable sample takes 3, one per power of theta (type
+      (3, 1, 1)), whose RREFs give A_1 B_1's ranks as their pivots below 4;
+      eliminating A_1 B_1 on its own took 2 more.  Its is_stable ranks the
       forward maps, inclusions of coordinates and so 0/1 partial
       permutations, by counting their ones; when rank eliminated every
       matrix, that took 2 more;
@@ -387,7 +395,7 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
 
     inst = verify._theta_image_instance((1, 4, 5), 32003, 0, 1)
     assert inst["ok"]
-    assert counts == {"relations": 3, "jordan": 6, "eliminations": 5, "inversions": 0, "canonical": 0}
+    assert counts == {"relations": 3, "jordan": 5, "eliminations": 3, "inversions": 0, "canonical": 0}
 
     # The chain witness: one relations check and two types read off its
     # chains; its is_stable ranks 0/1 partial permutations by counting their
@@ -432,6 +440,45 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     monkeypatch.setattr(quiverrep, "mul", counting("products", quiverrep.mul))
     assert quiverrep.nilpotency_degrees(z)
     assert counts == {"relations": 1, "jordan": 2, "eliminations": 0, "inversions": 0, "canonical": 0, "products": 4}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_theta_image_refuses_flag_points_off_the_coordinate_flag(flags):
+    """A flag point whose vertex-2 coordinates are permuted by a cycle lies
+    in the orbit of the coordinate-flag point, so it passes the relations
+    and stability and its theta has the same prefix types; but A_1 and A_2
+    are no longer coordinate inclusions, so theta's leading blocks no longer
+    stand for the products A_i B_i, and the theta-image instance refuses it
+    with a CertificateError, also under python -O."""
+    script = textwrap.dedent(
+        """
+        from quiverz import quiverrep, verify
+        from quiverz.exactmat import CertificateError, ExactMatrix, identity
+
+        real = quiverrep._flag_point
+
+        def permuted(dims, field, rng):
+            z = real(dims, field, rng)
+            n = z.dims[1]
+            cycle = ExactMatrix(n, n, [int(j == (i + 1) % n) for i in range(n) for j in range(n)], field)
+            g = [identity(z.dims[0], field), cycle, identity(z.dims[2], field)]
+            moved = quiverrep.act(g, z)
+            print("relations", quiverrep.check_relations(moved), "stable", quiverrep.is_stable(moved))
+            return moved
+
+        verify._flag_point = permuted
+        try:
+            verify._theta_image_instance((1, 4, 5), 32003, 0, 1)
+            print("accepted")
+        except CertificateError as exc:
+            print("refused", "coordinate inclusion" in str(exc))
+        """
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["relations True stable True", "refused True"]
 
 
 def test_stability_report_checks_relations_once(monkeypatch):
