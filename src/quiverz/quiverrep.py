@@ -293,7 +293,7 @@ def _flag_point(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
     sample_stable's point for the same endomorphism lies in the base-change
     orbit of this one, so a caller whose checks are orbit invariants (the
     relations, stability, the type of every A_i B_i) can re-check this point
-    with _certified and skip the base change."""
+    and skip the base change."""
     dims = as_dim_vector(dims)
     if not is_strictly_monotone(dims):
         raise ValueError(f"stable sampling needs a strictly increasing dimension vector: {dims}")

@@ -8,15 +8,19 @@ two exhaustive checks visit one representative per base-change stratum, with
 one map in rank normal form, and count every tuple it stands for.  In the
 same way the image sweep checks each stable sample at its coordinate-flag
 point, without the random base change: every check it makes is invariant
-under base change.  There the forward maps are coordinate inclusions,
-checked off the matrices, and by the relations they carry each A_i B_i to
-theta restricted to the span of the first n_{i+1} coordinates (the flag
+under base change.  There the forward maps are coordinate inclusions, each
+read once off the matrices, which also certifies stability, since an
+inclusion is injective; by the relations they carry each A_i B_i to theta
+restricted to the span of the first n_{i+1} coordinates (the flag
 correspondence of Kraft and Procesi), so one pass over theta types every
-interface.  Failures carry a re-checkable counterexample payload.
+interface.  The stability check solves its last relation by lookup, listing
+every last backward map under its product with the normal form.  Failures
+carry a re-checkable counterexample payload.
 All randomness is derived per instance from a master seed, so reports are
 byte-stable across runs and across worker counts: with jobs > 1 the
-independent tasks run on a pool of worker processes, and the results come
-back in task order.
+independent tasks run on a pool of worker processes, in a few contiguous
+chunks with at most one per worker in flight, and the results come back in
+task order.
 """
 
 from __future__ import annotations
@@ -49,9 +53,9 @@ from quiverz.partitions import (
 )
 from quiverz.quiverrep import (
     QuiverRep,
-    _certified,
     _degrees_bounded,
     _flag_point,
+    _point_products,
     _relations_flat,
     _subspace_criterion,
     build_from_chain,
@@ -104,25 +108,45 @@ def _budgeted(p: int, e: int, budget: int, what: str) -> int:
     return size
 
 
+def _run_chunk(tasks: Sequence[Callable[[], object]]) -> list:
+    """[task() for task in tasks]: one call of the pool runs a chunk."""
+    return [task() for task in tasks]
+
+
 def _map_jobs(tasks: Sequence[Callable[[], object]], jobs: int) -> list:
     """[task() for task in tasks], on a pool of worker processes when jobs,
     the tasks and the cores all allow two or more.  The pool starts no more
     workers than any of the three; each task must pickle, so it is a
     functools.partial of a module-level function.  The serial path builds no
-    pool and imports no multiprocessing.  A task that raises stops the
-    tasks that have not started, as on the serial path."""
+    pool and imports no multiprocessing.
+
+    The pool runs the tasks in about 4 contiguous chunks per worker, each
+    one call of _run_chunk, and keeps at most one chunk per worker
+    submitted: the next is submitted when one finishes, and the results are
+    joined in task order.  A submitted call cannot be cancelled once a
+    worker has queued it, so the cap is what makes a task that raises stop
+    the tasks after it, as on the serial path: the rest of its chunk never
+    runs, the chunks already running finish, and no later chunk is
+    submitted."""
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers < 2:
         return [task() for task in tasks]
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
+    size = -(-len(tasks) // (4 * workers))
+    chunks = [functools.partial(_run_chunk, tasks[i : i + size]) for i in range(0, len(tasks), size)]
+    results: list = [None] * len(chunks)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        try:
-            return [future.result() for future in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        running = {pool.submit(chunk): k for k, chunk in enumerate(chunks[:workers])}
+        following = workers
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in sorted(done, key=running.get):
+                results[running.pop(future)] = future.result()
+                if following < len(chunks):
+                    running[pool.submit(chunks[following])] = following
+                    following += 1
+    return [result for chunk in results for result in chunk]
 
 
 def derive_rng(seed: int, *key) -> random.Random:
@@ -262,19 +286,20 @@ def _theta_image_instance(d: tuple, p: int, seed: int, trials: int) -> dict:
     rng = derive_rng(seed, "theta-image", d)
     lam = theta_image(d)
     mu = mu_of(d)
-    # The builders certify the relations, a chain point's type at every
-    # interface (the b-parts of its chain, theta's last) and a stable
-    # sample's stability; the checks read them.  A stable sample is the
-    # coordinate-flag point of its endomorphism, without sample_stable's
-    # random base change: that would move it inside its orbit, which keeps
-    # every check below.  Its types are read off theta alone.  The forward
-    # maps A_{t-1} ... A_{i+1} embed V_{i+1} as the flag space E_{i+1}, and
-    # by the relations A_{i+1} (A_i B_i) = (A_{i+1} B_{i+1}) A_{i+1}, so they
-    # carry A_i B_i to theta restricted to E_{i+1}.  With every forward map
-    # the inclusion of the first coordinates, checked here off the
-    # matrices, E_{i+1} is the span of the first n_{i+1} coordinates, and
-    # one pass over theta types every interface.  A theta that is not
-    # nilpotent types none, which fails the checks.
+    # The builders certify the relations and a chain point's type at every
+    # interface (the b-parts of its chain, theta's last); the checks read
+    # them.  A stable sample is the coordinate-flag point of its
+    # endomorphism, without sample_stable's random base change: that would
+    # move it inside its orbit, which keeps every check below.  It is
+    # re-checked here, by one relations pass and one read of each forward
+    # map, which must be the inclusion of the first coordinates and so is
+    # injective: the point is stable.  Its types are read off theta alone.
+    # The forward maps A_{t-1} ... A_{i+1} embed V_{i+1} as the flag space
+    # E_{i+1}, and by the relations A_{i+1} (A_i B_i) = (A_{i+1} B_{i+1})
+    # A_{i+1}, so they carry A_i B_i to theta restricted to E_{i+1}, the
+    # span of the first n_{i+1} coordinates, and one pass over theta types
+    # every interface.  A theta that is not nilpotent types none, which
+    # fails the checks.
     checks = [("lambda_dominates_mu", dominates(lam, mu))]
     chain = greedy_chain(d)
     build_from_chain(chain, field)
@@ -286,7 +311,10 @@ def _theta_image_instance(d: tuple, p: int, seed: int, trials: int) -> dict:
         checks.append((f"chain{k}_bounded_by_lambda", dominates(lam, chain[-1].b_part)))
         checks.append((f"chain{k}_nilpotency", _degrees_bounded([delta.b_part for delta in chain])))
     for k in range(trials):
-        z, products = _certified(_flag_point(d, field, rng))
+        z = _flag_point(d, field, rng)
+        products = _point_products(z)
+        if products is None:
+            raise CertificateError(f"sample_stable: the flag sample for {d} is not a stable point")
         if any(_partial_permutation(A.entries, A.rows, A.cols) != list(range(A.cols)) for A in z.A):
             raise CertificateError(
                 f"theta-image: a forward map of the flag point for {d} is not a coordinate inclusion"
@@ -357,34 +385,48 @@ def _enumerate_z_points(dims: tuple, field: FieldSpec) -> Iterator[Tuple[int, Qu
     [[I_r, 0], [0, 0]] and carries the completions of one rank-r matrix by
     the other maps onto those of any other, keeping the relations,
     injectivity and the subspace criterion.  So each completion of the normal
-    form stands for _rank_count(d_t, d_{t-1}, r, p) points."""
+    form stands for _rank_count(d_t, d_{t-1}, r, p) points.
+
+    The last relation B_{t-1} A_{t-1} = A_{t-2} B_{t-2} (= 0 when t = 2) is
+    solved by lookup: for each normal form every B_{t-1} is listed, in
+    itertools.product order, under its product B_{t-1} A_{t-1}.  The loop
+    runs over the other maps only, checks their relations, and takes the
+    B_{t-1} listed under A_{t-2} B_{t-2}.  B_{t-1} is the last block of the
+    enumeration, so the points come in the order of a filter over every
+    completion."""
     p = field.p
     t = len(dims)
     if t < 2:
         yield 1, QuiverRep(dims, [], [], field)
         return
-    shapes = []
-    for i in range(t - 1):
-        shapes.append((dims[i + 1], dims[i]))
-    for i in range(t - 1):
-        shapes.append((dims[i], dims[i + 1]))
-    free = shapes[: t - 2] + shapes[t - 1 :]  # every map but A_{t-1}
+    a_shapes = [(dims[i + 1], dims[i]) for i in range(t - 1)]
+    b_shapes = [(dims[i], dims[i + 1]) for i in range(t - 1)]
+    outer = a_shapes[:-1] + b_shapes[:-1]  # every map but A_{t-1} and B_{t-1}
     offsets = [0]
-    for r, c in free:
+    for r, c in outer:
         offsets.append(offsets[-1] + r * c)
-    rows, cols = shapes[t - 2]
+    rows, cols = a_shapes[-1]
+    zero = (0,) * (cols * cols)
     for rank in range(min(rows, cols) + 1):
         weight = _rank_count(rows, cols, rank, p)
         normal = _rank_normal_form(rows, cols, rank)
+        A_last = ExactMatrix._reduced(rows, cols, normal, field)
+        solutions: Dict[tuple, List[ExactMatrix]] = {}
+        for entries in itertools.product(range(p), repeat=rows * cols):
+            key = tuple(_mul_flat(entries, normal, cols, rows, cols, p))
+            solutions.setdefault(key, []).append(ExactMatrix._reduced(cols, rows, entries, field))
         for entries in itertools.product(range(p), repeat=offsets[-1]):
-            mats = [entries[offsets[k] : offsets[k + 1]] for k in range(len(free))]
-            mats.insert(t - 2, normal)
-            A_flat = mats[: t - 1]
-            B_flat = mats[t - 1 :]
-            if _relations_flat(dims, A_flat, B_flat, p):
-                A = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[: t - 1], A_flat)]
-                B = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[t - 1 :], B_flat)]
-                yield weight, QuiverRep(dims, A, B, field)
+            mats = [entries[offsets[k] : offsets[k + 1]] for k in range(len(outer))]
+            A_flat, B_flat = mats[: t - 2], mats[t - 2 :]
+            if not _relations_flat(dims[:-1], A_flat, B_flat, p):
+                continue
+            key = tuple(_mul_flat(A_flat[-1], B_flat[-1], cols, dims[-3], cols, p)) if t > 2 else zero
+            listed = solutions.get(key)
+            if listed:
+                A = [ExactMatrix._reduced(r, c, m, field) for (r, c), m in zip(a_shapes, A_flat)] + [A_last]
+                B = [ExactMatrix._reduced(r, c, m, field) for (r, c), m in zip(b_shapes, B_flat)]
+                for B_last in listed:
+                    yield weight, QuiverRep(dims, A, B + [B_last], field)
 
 
 def stability_report(

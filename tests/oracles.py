@@ -4,7 +4,9 @@ The exhaustive drivers in quiverz.verify visit one rank-normal-form
 representative per base-change stratum; the brute-force loops here visit
 every pair and every matrix tuple, as the drivers once did, so the tests can
 compare the two at the smallest sizes.  One more loop keeps the normal forms
-but runs B over every matrix.  mul_by_rows and rref_by_rows are the product
+but runs B over every matrix, and z_points_by_filter keeps them but filters
+every completion by the relations, where the stability enumeration now
+solves its last relation by lookup.  mul_by_rows and rref_by_rows are the product
 and elimination loops that exactmat._mul_flat and exactmat._rref keep for
 sparse and small operands, inverse_by_augmenting the elimination of [M | I]
 that exactmat._inverse_flat runs below the packing gate and replaced with an
@@ -26,7 +28,7 @@ quiverz.exactmat), zero_rep, random_group_element and sample_flag_point
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from quiverz.abdiagrams import build_pair, enumerate_b_parts
 from quiverz.exactmat import (
@@ -55,6 +57,7 @@ from quiverz.partitions import (
     partitions_of_weight,
 )
 from quiverz.quiverrep import FlagPoint, QuiverRep, _lowering_endo, _relations_flat
+from quiverz.verify import _rank_count, _rank_normal_form
 
 
 def mul_by_rows(xe, ye, n: int, m: int, k: int, p: int) -> list:
@@ -248,6 +251,40 @@ def z_points_by_brute_force(dims: tuple, field) -> tuple:
             B = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[t - 1 :], B_flat)]
             points.append(QuiverRep(dims, A, B, field))
     return tuple(points)
+
+
+def z_points_by_filter(dims: tuple, field: FieldSpec) -> Iterator[Tuple[int, QuiverRep]]:
+    """quiverz.verify._enumerate_z_points as it was before it solved the last
+    relation by lookup: A_{t-1} in rank normal form, every other map over
+    every matrix, each candidate filtered by the relations; the same
+    (weight, point) sequence, in the same order."""
+    p = field.p
+    t = len(dims)
+    if t < 2:
+        yield 1, QuiverRep(dims, [], [], field)
+        return
+    shapes = []
+    for i in range(t - 1):
+        shapes.append((dims[i + 1], dims[i]))
+    for i in range(t - 1):
+        shapes.append((dims[i], dims[i + 1]))
+    free = shapes[: t - 2] + shapes[t - 1 :]  # every map but A_{t-1}
+    offsets = [0]
+    for r, c in free:
+        offsets.append(offsets[-1] + r * c)
+    rows, cols = shapes[t - 2]
+    for rank in range(min(rows, cols) + 1):
+        weight = _rank_count(rows, cols, rank, p)
+        normal = _rank_normal_form(rows, cols, rank)
+        for entries in itertools.product(range(p), repeat=offsets[-1]):
+            mats = [entries[offsets[k] : offsets[k + 1]] for k in range(len(free))]
+            mats.insert(t - 2, normal)
+            A_flat = mats[: t - 1]
+            B_flat = mats[t - 1 :]
+            if _relations_flat(dims, A_flat, B_flat, p):
+                A = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[: t - 1], A_flat)]
+                B = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[t - 1 :], B_flat)]
+                yield weight, QuiverRep(dims, A, B, field)
 
 
 def mat_pow(M: ExactMatrix, k: int) -> ExactMatrix:

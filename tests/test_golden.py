@@ -89,6 +89,13 @@ CASES = {
         lambda: _cli("verify", "theta-image", "--max-last", "6", "--p", "3", "--seed", "3"),
         "743b33925bfe21a31fde66573023bbbbea74bb135d9351ac2350963989d9949e",
     ),
+    # Over F_3 the (1,2,3) check stands for 3^16 tuples, so every weight and
+    # count of the stability enumeration shows; recorded before it solved
+    # its last relation by lookup.
+    "stability-p3": (
+        lambda: _cli("verify", "stability", "--p", "3", "--budget", "100000000"),
+        "3dd9fe70199627e71bbc2aa5dc799864d10dfffeae744418d179de4cbf4811b6",
+    ),
     "verdict-1,4,5-p2": (
         lambda: _cli("dimvec", "verdict", "1,4,5", "--p", "2"),
         "0fe6ac518401ebc259b087e6b347e0396046e302f92eb923249da7a43e10fec8",

@@ -44,7 +44,13 @@ from quiverz.verify import (
     theta_image_report,
 )
 
-from oracles import pair_types_by_brute_force, pair_types_over_every_b, random_invertible, z_points_by_brute_force
+from oracles import (
+    pair_types_by_brute_force,
+    pair_types_over_every_b,
+    random_invertible,
+    z_points_by_brute_force,
+    z_points_by_filter,
+)
 
 
 def test_derive_rng_is_stable():
@@ -209,18 +215,127 @@ def test_pool_workers_bounded_by_jobs_tasks_and_cores(fake_pool, monkeypatch, jo
 
 def test_pool_tasks_pickle(fake_pool, monkeypatch):
     """Every task suite_report and theta_image_report hand to the pool
-    survives pickle, and the pooled results give the serial bytes."""
+    survives pickle, inside the chunk the pool is handed, and the pooled
+    results give the serial bytes.  The pool is handed a few contiguous
+    chunks, each a functools.partial of one module-level runner, so the
+    tasks are read off the chunks, not counted as submissions."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     suite = suite_report(seed=3, max_last=4, trials=1, jobs=2)
     theta = theta_image_report(max_last=4, trials=1, seed=3, jobs=2)
     assert [pool.max_workers for pool in fake_pool] == [2, 2]
     vectors = len(strictly_monotone_vectors(4))
-    assert [len(pool.tasks) for pool in fake_pool] == [2 + len(SUITE_AB_STEP_INSTANCES) + vectors, vectors]
-    for task in fake_pool[0].tasks + fake_pool[1].tasks:
+    tasks = [[task for chunk in pool.tasks for task in chunk.args[0]] for pool in fake_pool]
+    assert [len(pool_tasks) for pool_tasks in tasks] == [2 + len(SUITE_AB_STEP_INSTANCES) + vectors, vectors]
+    for chunk in fake_pool[0].tasks + fake_pool[1].tasks:
+        assert isinstance(chunk, functools.partial) and chunk.func is verify._run_chunk
+        pickle.dumps(chunk)
+    for task in tasks[0] + tasks[1]:
         assert isinstance(task, functools.partial)
         pickle.dumps(task)
     assert suite == suite_report(seed=3, max_last=4, trials=1, jobs=1)
     assert theta.to_json_dict() == theta_image_report(max_last=4, trials=1, seed=3).to_json_dict()
+
+
+class LazyExecutor:
+    """Stands in for ProcessPoolExecutor with calls that run only when
+    _map_jobs waits for one: lazy_wait runs the newest pending call, so the
+    chunks in flight finish in reverse order of submission.  It records every
+    call submitted, the order they finished in, and the most that were ever
+    pending at once."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.calls = []
+        self.pending = []
+        self.finished = []
+        self.most_pending = 0
+        LazyExecutor.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, call):
+        future = concurrent.futures.Future()
+        self.calls.append(call)
+        self.pending.append((future, call))
+        self.most_pending = max(self.most_pending, len(self.pending))
+        return future
+
+    def run_newest(self):
+        future, call = self.pending.pop()
+        self.finished.append(self.calls.index(call))
+        try:
+            future.set_result(pickle.loads(pickle.dumps(call))())
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def lazy_wait(futures, return_when):
+    assert return_when == concurrent.futures.FIRST_COMPLETED
+    done = {LazyExecutor.made[-1].run_newest()}
+    assert done <= set(futures)
+    return done, set(futures) - done
+
+
+@pytest.fixture
+def lazy_pool(monkeypatch):
+    LazyExecutor.made = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LazyExecutor)
+    monkeypatch.setattr(concurrent.futures, "wait", lazy_wait)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return LazyExecutor.made
+
+
+RAN = []
+
+
+def _record(k, bad=None):
+    RAN.append(k)
+    if k == bad:
+        raise CertificateError(f"task {k}")
+    return k
+
+
+@pytest.mark.parametrize("tasks, workers", [(50, 4), (7, 2), (8, 4), (63, 2), (3, 3)])
+def test_pool_chunks_are_contiguous_and_bounded(lazy_pool, tasks, workers):
+    """The chunks are contiguous, about 4 per worker, and hand every task
+    over once, in order; no more than one chunk per worker is ever pending;
+    and the results come back in task order although the chunks in flight
+    finish in reverse."""
+    calls = [functools.partial(_record, k) for k in range(tasks)]
+    assert verify._map_jobs(calls, workers) == list(range(tasks))
+    (pool,) = lazy_pool
+    assert pool.max_workers == workers
+    chunks = [chunk.args[0] for chunk in pool.calls]
+    assert all(chunk.func is verify._run_chunk for chunk in pool.calls)
+    assert [task for chunk in chunks for task in chunk] == calls
+    size = -(-tasks // (4 * workers))
+    assert [len(chunk) for chunk in chunks[:-1]] == [size] * (len(chunks) - 1)
+    assert 0 < len(chunks[-1]) <= size
+    assert pool.most_pending == min(workers, len(chunks))
+    assert sorted(pool.finished) == list(range(len(chunks)))
+    assert pool.finished[0] == min(workers, len(chunks)) - 1
+
+
+def test_pool_submits_no_chunk_after_one_raises(lazy_pool):
+    """Task 26 raises in chunk 6 of 13 (chunks of 4, four workers): chunks
+    3, 4, 5 and 6 finish in turn, each letting one more in, and once chunk 6
+    raises, no later chunk is submitted and the rest of chunk 6 never runs.
+    The error reaches the caller with its type."""
+    RAN.clear()
+    calls = [functools.partial(_record, k, 26) for k in range(50)]
+    with pytest.raises(CertificateError, match="task 26"):
+        verify._map_jobs(calls, 4)
+    (pool,) = lazy_pool
+    assert len(pool.calls) == 7
+    assert pool.finished == [3, 4, 5, 6]
+    assert RAN == [12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26]
 
 
 def _raise_certificate_error(tag):
@@ -367,10 +482,11 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     - eliminations: 3, none on a chain point, whose types are read off its
       chains.  The stable sample takes 3, one per power of theta (type
       (3, 1, 1)), whose RREFs give A_1 B_1's ranks as their pivots below 4;
-      eliminating A_1 B_1 on its own took 2 more.  Its is_stable ranks the
-      forward maps, inclusions of coordinates and so 0/1 partial
-      permutations, by counting their ones; when rank eliminated every
-      matrix, that took 2 more;
+      eliminating A_1 B_1 on its own took 2 more.  Its forward maps are
+      read once each, as index maps that must be coordinate inclusions and
+      so injective, which also certifies stability; is_stable, which read
+      them again, ranked them by counting their ones, and when rank
+      eliminated every matrix, that took 2 more;
     - inversions: 0.  The stable sample is the coordinate-flag point of its
       endomorphism, without the random base change, which keeps every check
       of the instance; sampled with it, it took 3 inversions, one per
@@ -442,6 +558,32 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     assert counts == {"relations": 1, "jordan": 2, "eliminations": 0, "inversions": 0, "canonical": 0, "products": 4}
 
 
+def test_theta_image_reads_each_forward_map_once(monkeypatch):
+    """Each forward map of a flag sample is read once, as an index map that
+    must be a coordinate inclusion; an inclusion is injective, so that read
+    certifies stability too.  For (1, 4, 5) with two samples: 4 reads of the
+    2 forward maps of each, and no is_stable and no rank, where is_stable
+    ranked each map by a read of its own before the inclusion check."""
+    counts = {"reads": 0, "is_stable": 0, "rank": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(verify, "_partial_permutation", counting("reads", exactmat._partial_permutation))
+    stable = counting("is_stable", quiverrep.is_stable)
+    monkeypatch.setattr(quiverrep, "is_stable", stable)
+    monkeypatch.setattr(verify, "is_stable", stable)
+    ranked = counting("rank", exactmat.rank)
+    monkeypatch.setattr(exactmat, "rank", ranked)
+    monkeypatch.setattr(quiverrep, "rank", ranked)
+    assert verify._theta_image_instance((1, 4, 5), 32003, 0, 2)["ok"]
+    assert counts == {"reads": 4, "is_stable": 0, "rank": 0}
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_theta_image_refuses_flag_points_off_the_coordinate_flag(flags):
     """A flag point whose vertex-2 coordinates are permuted by a cycle lies
@@ -482,19 +624,61 @@ def test_theta_image_refuses_flag_points_off_the_coordinate_flag(flags):
 
 
 def test_stability_report_checks_relations_once(monkeypatch):
-    """_enumerate_z_points keeps only the tuples that pass _relations_flat,
-    so the subspace criterion takes its representatives without checking the
-    relations again: 3080 checks, one per enumerated tuple, where repeating
-    the check for each of the 622 representatives made 3702."""
+    """_enumerate_z_points solves the last relation by lookup: per rank of
+    the normal form it lists every B_{t-1} under its product B_{t-1} A_{t-1}
+    and checks the relations of the other maps once per tuple of them.  So
+    the default report makes 50 relations checks, one per outer tuple (2 for
+    (1, 2), whose outer tuple is empty, and 3 * 16 for (1, 2, 3)), where
+    filtering each of the 3080 candidate tuples made 3080.  It forms
+    2 * 4 + 3 * 64 products B_{t-1} A_{t-1}, one per B_{t-1} per rank, and
+    30 products A_1 B_1 to look up, one per outer tuple of (1, 2, 3) that
+    passes its relation.  The subspace criterion takes the representatives
+    without checking the relations again."""
     calls = []
+    products = []
     real = quiverrep._relations_flat
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
+    def multiplying(*args):
+        products.append(1)
+        return exactmat._mul_flat(*args)
+
     monkeypatch.setattr(quiverrep, "_relations_flat", counting)
     monkeypatch.setattr(verify, "_relations_flat", counting)
+    monkeypatch.setattr(verify, "_mul_flat", multiplying)
     report = stability_report()
     assert report.passed
-    assert len(calls) == 3080
+    assert len(calls) == 50
+    assert len(products) == 2 * 4 + 3 * 64 + 30
+
+
+Z_POINT_CASES = [
+    ((1, 2), 2),
+    ((1, 3), 2),
+    ((2, 2), 2),
+    ((2, 3), 2),
+    ((1, 1, 2), 2),
+    ((1, 2, 3), 2),
+    ((1, 2, 4), 2),
+    ((1, 2), 3),
+    ((2, 3), 3),
+    ((1, 1, 2, 4), 2),
+]
+
+
+@pytest.mark.parametrize("dims, p", Z_POINT_CASES)
+def test_z_points_lookup_matches_filter_oracle(dims, p):
+    """Solving the last relation by lookup yields the points of the filter
+    over every completion, in its order, with the same weights and every
+    entry of A and B the same."""
+    field = FieldSpec(p)
+
+    def spelled(points):
+        return [(w, z.dims, [M.entries for M in z.A], [M.entries for M in z.B]) for w, z in points]
+
+    fast = spelled(_enumerate_z_points(dims, field))
+    assert fast == spelled(z_points_by_filter(dims, field))
+    assert fast
