@@ -94,6 +94,20 @@ class QuiverRep:
         self.B = B
         self.field = field
 
+    @classmethod
+    def _unchecked(
+        cls, dims: tuple, A: Tuple[ExactMatrix, ...], B: Tuple[ExactMatrix, ...], field: FieldSpec
+    ) -> "QuiverRep":
+        """A point built from known shapes: dims a tuple of positive ints, A
+        and B tuples of t - 1 matrices over field with the shapes of dims,
+        taken without the checks of the constructor."""
+        z = cls.__new__(cls)
+        z.dims = dims
+        z.A = A
+        z.B = B
+        z.field = field
+        return z
+
     @property
     def t(self) -> int:
         return len(self.dims)

@@ -5,7 +5,10 @@ returns a VerifyReport: the exhaustive pair-step check over a tiny field, the
 image sweep over small dimension vectors, the stability cross-check against
 the subspace definition, and the reducibility reproduction on (1,4,5).  The
 two exhaustive checks visit one representative per base-change stratum, with
-one map in rank normal form, and count every tuple it stands for.  In the
+one map in rank normal form, and count every tuple it stands for.  Against
+A = [[I_r, 0], [0, 0]], BA is read off B's first r columns and AB off its
+first r rows, so the pair check types each of the two once per value of its
+own block and pairs the types that share the corner block.  In the
 same way the image sweep checks each stable sample at its coordinate-flag
 point, without the random base change: every check it makes is invariant
 under base change.  There the forward maps are coordinate inclusions, each
@@ -46,6 +49,7 @@ from quiverz.exactmat import (
 from quiverz.partitions import (
     Partition,
     add,
+    as_dim_vector,
     dominates,
     mu_of,
     partitions_of_weight,
@@ -172,6 +176,13 @@ def _rank_count(rows: int, cols: int, r: int, q: int) -> int:
     return num // den
 
 
+def _padded(entries: Sequence[int], rows: int, cols: int, width: int) -> tuple:
+    """Flat row-major entries of the rows x cols matrix entries with
+    width - cols zero columns appended."""
+    pad = (0,) * (width - cols)
+    return tuple(itertools.chain.from_iterable(tuple(entries[i * cols : (i + 1) * cols]) + pad for i in range(rows)))
+
+
 def _pair_types(n: int, a: int, p: int, budget: int) -> Dict[Tuple[Partition, Partition], tuple]:
     """Map each (BA-type, AB-type) of the pairs A: F_p^n -> F_p^{n+a}, B the
     other way, with BA nilpotent, to the flat entries of A then B of a pair
@@ -180,9 +191,26 @@ def _pair_types(n: int, a: int, p: int, budget: int) -> Dict[Tuple[Partition, Pa
     Base change (A, B) -> (hAg^-1, gBh^-1) conjugates BA and AB, so it keeps
     both types, and it takes every A of rank r to [[I_r, 0], [0, 0]].  So A
     runs over these min(n, n+a) + 1 normal forms, which meet every orbit of
-    the p^(2n(n+a)) pairs that the budget still counts.  B's block in rows
-    and columns >= r enters neither BA nor AB and stays 0; this keeps the
-    first witness, in lexicographic order, of each type pair."""
+    the p^(2n(n+a)) pairs that the budget still counts.  With B in blocks
+    [[B11, B12], [B21, B22]] after the first r rows and columns,
+    BA = [[B11, 0], [B21, 0]] and AB = [[B11, B12], [0, 0]]: B22 enters
+    neither and stays 0, the BA-type depends on (B11, B21) only, the AB-type
+    on (B11, B12) only, and both are nilpotent exactly when B11 is.  So the
+    loop runs once over B11 and types BA over every B21, stopping at the
+    first that is not nilpotent: then no completion of B11 counts.  For a
+    nilpotent B11 it types AB over every B12, and the type pairs of B11 are
+    every BA-type with every AB-type.  That is
+    (p^(r^2) - p^(r(r-1))) + p^(r(r-1)) (p^(r(n-r)) + p^(r(n+a-r))) typings
+    per rank, p^(r(r-1)) being the number of nilpotent r x r matrices
+    (Fine and Herstein), where a loop over every B makes one or two per B.
+
+    Each type pair keeps its first witness in the lexicographic order of
+    B's entries outside B22, row by row: B12's rows follow B11's, so they
+    interleave, and every B21 comes last.  Within one B11 that is the first
+    B12 of the AB-type and the first B21 of the BA-type, in product order;
+    over all B11 the least of these.  The pairs of each rank enter the map
+    in the order of their witnesses, after those of every lower rank, as the
+    loop over every B would enter them."""
     if n < 0 or a < 0:
         raise ValueError("sizes must be nonnegative")
     FieldSpec(p)  # validates the modulus
@@ -191,19 +219,34 @@ def _pair_types(n: int, a: int, p: int, budget: int) -> Dict[Tuple[Partition, Pa
     types: Dict[Tuple[Partition, Partition], tuple] = {}
     for r in range(min(n, m) + 1):
         A = _rank_normal_form(m, n, r)
-        free = [i * m + j for i in range(n) for j in range(m) if i < r or j < r]
-        B = [0] * (n * m)
-        for values in itertools.product(range(p), repeat=len(free)):
-            for k, v in zip(free, values):
-                B[k] = v
-            ta = _jordan_flat(_mul_flat(B, A, n, m, n, p), n, p)
-            if ta is None:
-                continue
-            tb = _jordan_flat(_mul_flat(A, B, m, n, m, p), m, p)
-            if tb is None:
-                raise ArithmeticError(f"AB is not nilpotent although BA is: {A + tuple(B)}")
-            if (ta, tb) not in types:
-                types[(ta, tb)] = A + tuple(B)
+        w = m - r  # the columns of B12
+        witnesses: Dict[Tuple[Partition, Partition], tuple] = {}
+        for b11 in itertools.product(range(p), repeat=r * r):
+            ba_first: Dict[Partition, tuple] = {}
+            for b21 in itertools.product(range(p), repeat=(n - r) * r):
+                ta = _jordan_flat(_padded(b11 + b21, n, r, n), n, p)  # BA: B's first r columns
+                if ta is None:
+                    break
+                ba_first.setdefault(ta, b21)
+            else:  # B11 is nilpotent
+                ab_first: Dict[Partition, tuple] = {}
+                for b12 in itertools.product(range(p), repeat=r * w):
+                    rows = (b11[i * r : (i + 1) * r] + b12[i * w : (i + 1) * w] for i in range(r))
+                    top = tuple(itertools.chain.from_iterable(rows))  # B's first r rows, also AB's
+                    tb = _jordan_flat(top + (0,) * (w * m), m, p)
+                    if tb is None:
+                        B = top + (0,) * ((n - r) * m)
+                        raise ArithmeticError(f"AB is not nilpotent although BA is: {A + B}")
+                    ab_first.setdefault(tb, top)
+                for tb, top in ab_first.items():
+                    for ta, b21 in ba_first.items():
+                        key = top + b21
+                        first = witnesses.get((ta, tb))
+                        if first is None or key < first:
+                            witnesses[(ta, tb)] = key
+        for pair, key in sorted(witnesses.items(), key=lambda item: item[1]):
+            if pair not in types:
+                types[pair] = A + key[: r * m] + _padded(key[r * m :], n - r, r, m)
     return types
 
 
@@ -395,6 +438,7 @@ def _enumerate_z_points(dims: tuple, field: FieldSpec) -> Iterator[Tuple[int, Qu
     enumeration, so the points come in the order of a filter over every
     completion."""
     p = field.p
+    dims = as_dim_vector(dims)  # validated once: each point is built unchecked
     t = len(dims)
     if t < 2:
         yield 1, QuiverRep(dims, [], [], field)
@@ -423,10 +467,10 @@ def _enumerate_z_points(dims: tuple, field: FieldSpec) -> Iterator[Tuple[int, Qu
             key = tuple(_mul_flat(A_flat[-1], B_flat[-1], cols, dims[-3], cols, p)) if t > 2 else zero
             listed = solutions.get(key)
             if listed:
-                A = [ExactMatrix._reduced(r, c, m, field) for (r, c), m in zip(a_shapes, A_flat)] + [A_last]
-                B = [ExactMatrix._reduced(r, c, m, field) for (r, c), m in zip(b_shapes, B_flat)]
+                A = tuple(ExactMatrix._reduced(r, c, m, field) for (r, c), m in zip(a_shapes, A_flat)) + (A_last,)
+                B = tuple(ExactMatrix._reduced(r, c, m, field) for (r, c), m in zip(b_shapes, B_flat))
                 for B_last in listed:
-                    yield weight, QuiverRep(dims, A, B + [B_last], field)
+                    yield weight, QuiverRep._unchecked(dims, A, B + (B_last,), field)
 
 
 def stability_report(

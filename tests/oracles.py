@@ -4,10 +4,12 @@ The exhaustive drivers in quiverz.verify visit one rank-normal-form
 representative per base-change stratum; the brute-force loops here visit
 every pair and every matrix tuple, as the drivers once did, so the tests can
 compare the two at the smallest sizes.  One more loop keeps the normal forms
-but runs B over every matrix, and z_points_by_filter keeps them but filters
-every completion by the relations, where the stability enumeration now
-solves its last relation by lookup.  mul_by_rows and rref_by_rows are the product
-and elimination loops that exactmat._mul_flat and exactmat._rref keep for
+but runs B over every matrix; pair_types_by_normal_form keeps them and fixes
+B's block outside BA and AB to 0 but types every value of the rest of B,
+where _pair_types types B's blocks apart; and z_points_by_filter keeps them
+but filters every completion by the relations, where the stability
+enumeration now solves its last relation by lookup.  mul_by_rows and
+rref_by_rows are the product and elimination loops that exactmat._mul_flat and exactmat._rref keep for
 sparse and small operands, inverse_by_augmenting the elimination of [M | I]
 that exactmat._inverse_flat runs below the packing gate and replaced with an
 inversion in place above it, jordan_type_by_power_ranks the Jordan type from
@@ -227,6 +229,31 @@ def pair_types_over_every_b(n: int, a: int, p: int) -> dict:
                 continue
             tb = _jordan_flat(_mul_flat(A, B, m, n, m, p), m, p)
             types.setdefault((ta, tb), A + B)
+    return types
+
+
+def pair_types_by_normal_form(n: int, a: int, p: int) -> dict:
+    """quiverz.verify._pair_types as it was before it typed B's blocks apart:
+    A in rank normal form [[I_r, 0], [0, 0]], B's block in rows and columns
+    >= r fixed to 0, and BA and AB typed for every value of the rest of B,
+    in lexicographic order; the same map, witnesses and order."""
+    m = n + a
+    types = {}
+    for r in range(min(n, m) + 1):
+        A = _rank_normal_form(m, n, r)
+        free = [i * m + j for i in range(n) for j in range(m) if i < r or j < r]
+        B = [0] * (n * m)
+        for values in itertools.product(range(p), repeat=len(free)):
+            for k, v in zip(free, values):
+                B[k] = v
+            ta = _jordan_flat(_mul_flat(B, A, n, m, n, p), n, p)
+            if ta is None:
+                continue
+            tb = _jordan_flat(_mul_flat(A, B, m, n, m, p), m, p)
+            if tb is None:
+                raise ArithmeticError(f"AB is not nilpotent although BA is: {A + tuple(B)}")
+            if (ta, tb) not in types:
+                types[(ta, tb)] = A + tuple(B)
     return types
 
 

@@ -112,6 +112,17 @@ CASES = {
         lambda: _cli("dimvec", "verdict", "4,7,13,16"),
         "17037b664fea10f1e097267aae38fa98d9abce90960946532e011fdc86df2278",
     ),
+    # The ab-step pair tables of (3,1) over F_2 and (2,2) over F_3 reach
+    # rank 2 and 3, where B's blocks interleave in the witness order;
+    # recorded before the pair loop typed B's blocks apart.
+    "ab-step-3,1,2": (
+        lambda: _cli("verify", "ab-step", "--n", "3", "--a", "1", "--p", "2", "--budget", "16777216"),
+        "b201cacbed8e0267fae05e05ad03eaa24c1a904913f2c87b2df49a7de55a3afe",
+    ),
+    "ab-step-2,2,3": (
+        lambda: _cli("verify", "ab-step", "--n", "2", "--a", "2", "--p", "3", "--budget", "43046721"),
+        "44ec54067916806c57740abbca84efeb77a834c132deac01fe5b62c046c046db",
+    ),
     "pair-table-2,1,2": (
         _pair_table,
         "c3dd5fd0a88080bb03cae76ee35c7968860ceede05a3687ebc9546e2ba5be240",

@@ -46,11 +46,13 @@ from quiverz.verify import (
 
 from oracles import (
     pair_types_by_brute_force,
+    pair_types_by_normal_form,
     pair_types_over_every_b,
     random_invertible,
     z_points_by_brute_force,
     z_points_by_filter,
 )
+import oracles
 
 
 def test_derive_rng_is_stable():
@@ -402,6 +404,68 @@ def test_pair_types_match_every_b_oracle():
     for n, a, p in instances:
         fast = list(_pair_types(n, a, p, budget=p ** (2 * n * (n + a))).items())
         assert fast == list(pair_types_over_every_b(n, a, p).items()), (n, a, p)
+
+
+def test_pair_types_match_normal_form_oracle():
+    """Typing B's blocks apart keeps every witness and the order of the map
+    of the loop that types every value of B outside its last block, on
+    every small instance and four larger ones."""
+    for n, a, p in [*_small_pair_instances(), (3, 0, 2), (3, 1, 2), (2, 2, 3), (1, 7, 3)]:
+        fast = list(_pair_types(n, a, p, budget=p ** (2 * n * (n + a))).items())
+        assert fast == list(pair_types_by_normal_form(n, a, p).items()), (n, a, p)
+
+
+def _block_typings(n: int, a: int, p: int) -> int:
+    """Per rank r: one BA typing for each of the p^(r^2) - p^(r(r-1)) B11
+    that are not nilpotent, and for each of the p^(r(r-1)) nilpotent ones
+    (Fine and Herstein) one BA typing per B21 and one AB typing per B12."""
+    total = 0
+    for r in range(min(n, n + a) + 1):
+        nilpotent = p ** (r * (r - 1))
+        total += p ** (r * r) - nilpotent + nilpotent * (p ** (r * (n - r)) + p ** (r * (n + a - r)))
+    return total
+
+
+@pytest.mark.parametrize("n, a, p, typings", [(3, 1, 2, 1131), (2, 2, 3, 844)])
+def test_pair_types_type_each_block_once(monkeypatch, n, a, p, typings):
+    """_pair_types makes one Jordan typing per B11 and B21 or B12, not one or
+    two per B: 1131 for (3,1) over F_2 and 844 for (2,2) over F_3, where the
+    loop over every B outside its last block makes 5986 and 7616."""
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return exactmat._jordan_flat(*args)
+
+    monkeypatch.setattr(verify, "_jordan_flat", counting)
+    _pair_types(n, a, p, budget=p ** (2 * n * (n + a)))
+    assert len(calls) == _block_typings(n, a, p) == typings
+
+
+def test_pair_types_refuse_ab_not_nilpotent_although_ba_is(monkeypatch):
+    """A Jordan typing that reads every nonzero AB as not nilpotent, but
+    types BA, makes _pair_types raise on the first such pair, with its
+    entries, as the loop over every B did."""
+    n, a, p = 2, 1, 2
+    m = n + a
+
+    def wrong(entries, size, p, *rest):
+        if size == m and any(entries):
+            return None
+        return exactmat._jordan_flat(entries, size, p, *rest)
+
+    monkeypatch.setattr(verify, "_jordan_flat", wrong)
+    with pytest.raises(ArithmeticError) as raised:
+        _pair_types(n, a, p, budget=p ** (2 * n * m))
+    entries = (1, 0, 0, 0, 0, 0) + (0, 0, 1, 0, 0, 0)
+    assert str(raised.value) == f"AB is not nilpotent although BA is: {entries}"
+    A = ExactMatrix(m, n, entries[: m * n], FieldSpec(p))
+    B = ExactMatrix(n, m, entries[m * n :], FieldSpec(p))
+    assert jordan_type(mul(B, A)) == Partition((1, 1)) and any(mul(A, B).entries)
+    monkeypatch.setattr(oracles, "_jordan_flat", wrong)
+    with pytest.raises(ArithmeticError) as slow:
+        pair_types_by_normal_form(n, a, p)
+    assert str(slow.value) == str(raised.value)
 
 
 def test_pair_type_witnesses_rederive_their_keys():
