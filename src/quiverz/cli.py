@@ -3,13 +3,16 @@ the verification drivers.
 
 Structured output is a single JSON document on stdout; human-readable notes
 go to stderr (suppressed by --json).  Exit codes: 0 success, 1 a verification
-found a counterexample, 2 usage or domain error.
+found a counterexample, 2 usage or domain error, 141 stdout closed by its
+reader before the output was written (128 + SIGPIPE, as a shell reports a
+process that SIGPIPE ends).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from quiverz import verify
@@ -193,7 +196,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone: the rest of stdout goes to devnull, so the
+        # flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ValueError as exc:  # includes verify.BudgetExceeded
         print(f"error: {exc}", file=sys.stderr)
         return 2

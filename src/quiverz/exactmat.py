@@ -761,10 +761,14 @@ def conjugator(N1: ExactMatrix, N2: ExactMatrix) -> ExactMatrix:
 
 @lru_cache(maxsize=32)
 def all_subspaces(n: int, field: FieldSpec) -> tuple:
-    """Every subspace of F_p^n, as a matrix whose columns are an RREF basis.
+    """Every subspace of F_p^n, as a matrix whose columns are an RREF basis,
+    by dimension, then pivot columns, then free entries in
+    itertools.product order.
 
-    Exponential in n and p; intended for tiny exhaustive cross-checks, which
-    ask for the same (n, p) once per point, so the tuple is cached."""
+    Exponential in n and p.  Two exhaustive drivers ask for the same (n, p)
+    again and again, so the tuple is cached: the stability check once per
+    point, and the pair check of verify once per rank, for the row spaces
+    and column spaces of the blocks beside its corner block."""
     p = field.p
     out = []
     for k in range(n + 1):

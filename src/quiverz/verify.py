@@ -7,8 +7,11 @@ the subspace definition, and the reducibility reproduction on (1,4,5).  The
 two exhaustive checks visit one representative per base-change stratum, with
 one map in rank normal form, and count every tuple it stands for.  Against
 A = [[I_r, 0], [0, 0]], BA is read off B's first r columns and AB off its
-first r rows, so the pair check types each of the two once per value of its
-own block and pairs the types that share the corner block.  In the
+first r rows, and the base changes that keep A conjugate the corner block
+B11 and act on the rest of those columns by row operations and of those
+rows by column operations.  So the pair check takes one canonical nilpotent
+B11 per Jordan type, types BA once per row space and AB once per column
+space beside it, and pairs the types that share the corner block.  In the
 same way the image sweep checks each stable sample at its coordinate-flag
 point, without the random base change: every check it makes is invariant
 under base change.  There the forward maps are coordinate inclusions, each
@@ -44,6 +47,8 @@ from quiverz.exactmat import (
     _jordan_flat,
     _mul_flat,
     _partial_permutation,
+    all_subspaces,
+    canonical_nilpotent,
     is_injective,
 )
 from quiverz.partitions import (
@@ -176,13 +181,6 @@ def _rank_count(rows: int, cols: int, r: int, q: int) -> int:
     return num // den
 
 
-def _padded(entries: Sequence[int], rows: int, cols: int, width: int) -> tuple:
-    """Flat row-major entries of the rows x cols matrix entries with
-    width - cols zero columns appended."""
-    pad = (0,) * (width - cols)
-    return tuple(itertools.chain.from_iterable(tuple(entries[i * cols : (i + 1) * cols]) + pad for i in range(rows)))
-
-
 def _pair_types(n: int, a: int, p: int, budget: int) -> Dict[Tuple[Partition, Partition], tuple]:
     """Map each (BA-type, AB-type) of the pairs A: F_p^n -> F_p^{n+a}, B the
     other way, with BA nilpotent, to the flat entries of A then B of a pair
@@ -194,59 +192,60 @@ def _pair_types(n: int, a: int, p: int, budget: int) -> Dict[Tuple[Partition, Pa
     the p^(2n(n+a)) pairs that the budget still counts.  With B in blocks
     [[B11, B12], [B21, B22]] after the first r rows and columns,
     BA = [[B11, 0], [B21, 0]] and AB = [[B11, B12], [0, 0]]: B22 enters
-    neither and stays 0, the BA-type depends on (B11, B21) only, the AB-type
-    on (B11, B12) only, and both are nilpotent exactly when B11 is.  So the
-    loop runs once over B11 and types BA over every B21, stopping at the
-    first that is not nilpotent: then no completion of B11 counts.  For a
-    nilpotent B11 it types AB over every B12, and the type pairs of B11 are
-    every BA-type with every AB-type.  That is
-    (p^(r^2) - p^(r(r-1))) + p^(r(r-1)) (p^(r(n-r)) + p^(r(n+a-r))) typings
-    per rank, p^(r(r-1)) being the number of nilpotent r x r matrices
-    (Fine and Herstein), where a loop over every B makes one or two per B.
+    neither, and both are nilpotent exactly when B11 is.  The base changes
+    diag(g1, h) and diag(g1, h') that keep A send B11 to g1 B11 g1^-1, B21
+    to h B21 g1^-1 and B12 to g1 B12 h'^-1.  So B11 runs over one
+    canonical_nilpotent x_eta per partition eta of r, and no typing is spent
+    on a B11 that is not nilpotent.  With g1 = 1, h row-reduces B21 and h'
+    column-reduces B12: the BA-type depends on B21 only through its row
+    space U in F_p^r, of dimension k <= n - r, and the AB-type on B12 only
+    through its column space V, of dimension l <= n + a - r.  BA is typed
+    once per U, as [[x_eta, 0], [U, 0]] at size r + k plus n - r - k parts
+    1, and AB once per V, as [[x_eta, V], [0, 0]] at size r + l plus
+    n + a - r - l parts 1, with U and V from all_subspaces(r).  The type
+    pairs of eta are every BA-type with every AB-type.
 
-    Each type pair keeps its first witness in the lexicographic order of
-    B's entries outside B22, row by row: B12's rows follow B11's, so they
-    interleave, and every B21 comes last.  Within one B11 that is the first
-    B12 of the AB-type and the first B21 of the BA-type, in product order;
-    over all B11 the least of these.  The pairs of each rank enter the map
-    in the order of their witnesses, after those of every lower rank, as the
-    loop over every B would enter them."""
+    The witness of a type pair is its first (r, eta, U, V) in the order of
+    the loops, partitions largest first part first and subspaces in the
+    order of all_subspaces: B11 = x_eta, B21 = U's RREF basis as its first
+    rows, B12 = V's RREF basis as its first columns, and zeros elsewhere.
+    The pairs enter the map in that order.  A BA or AB typed as not
+    nilpotent, which x_eta being nilpotent rules out, raises ArithmeticError
+    naming a pair that has it."""
     if n < 0 or a < 0:
         raise ValueError("sizes must be nonnegative")
-    FieldSpec(p)  # validates the modulus
+    field = FieldSpec(p)
     m = n + a
     _budgeted(p, 2 * n * m, budget, "pairs")
     types: Dict[Tuple[Partition, Partition], tuple] = {}
     for r in range(min(n, m) + 1):
         A = _rank_normal_form(m, n, r)
-        w = m - r  # the columns of B12
-        witnesses: Dict[Tuple[Partition, Partition], tuple] = {}
-        for b11 in itertools.product(range(p), repeat=r * r):
-            ba_first: Dict[Partition, tuple] = {}
-            for b21 in itertools.product(range(p), repeat=(n - r) * r):
-                ta = _jordan_flat(_padded(b11 + b21, n, r, n), n, p)  # BA: B's first r columns
-                if ta is None:
-                    break
-                ba_first.setdefault(ta, b21)
-            else:  # B11 is nilpotent
-                ab_first: Dict[Partition, tuple] = {}
-                for b12 in itertools.product(range(p), repeat=r * w):
-                    rows = (b11[i * r : (i + 1) * r] + b12[i * w : (i + 1) * w] for i in range(r))
-                    top = tuple(itertools.chain.from_iterable(rows))  # B's first r rows, also AB's
-                    tb = _jordan_flat(top + (0,) * (w * m), m, p)
+        spaces = [(S.cols, S.entries) for S in all_subspaces(r, field)]  # r x k, columns an RREF basis
+        for eta in partitions_of_weight(r):
+            x = canonical_nilpotent(eta, field).entries
+            x_rows = [x[i * r : (i + 1) * r] for i in range(r)]
+            ba_first: Dict[Partition, tuple] = {}  # BA-type -> B's last n - r rows
+            ab_first: Dict[Partition, tuple] = {}  # AB-type -> B's first r rows
+            for k, basis in spaces:
+                if k <= n - r:  # BA = [[x_eta, 0], [U, 0]], U's basis the first rows of B21
+                    u_rows = [basis[j::k] for j in range(k)]
+                    ta = _jordan_flat([e for row in x_rows + u_rows for e in row + (0,) * k], r + k, p)
+                    bottom = tuple(e for row in u_rows for e in row + (0,) * (m - r)) + (0,) * ((n - r - k) * m)
+                    if ta is None:
+                        B = tuple(e for row in x_rows for e in row + (0,) * (m - r)) + bottom
+                        raise ArithmeticError(f"BA is not nilpotent although B11 is: {A + B}")
+                    ba_first.setdefault(Partition._sorted(ta.parts + (1,) * (n - r - k)), bottom)
+                if k <= m - r:  # AB = [[x_eta, V], [0, 0]], V's basis the first columns of B12
+                    v_rows = [x_rows[i] + basis[i * k : (i + 1) * k] for i in range(r)]
+                    tb = _jordan_flat([e for row in v_rows for e in row] + [0] * (k * (r + k)), r + k, p)
+                    top = tuple(e for row in v_rows for e in row + (0,) * (m - r - k))
                     if tb is None:
                         B = top + (0,) * ((n - r) * m)
                         raise ArithmeticError(f"AB is not nilpotent although BA is: {A + B}")
-                    ab_first.setdefault(tb, top)
+                    ab_first.setdefault(Partition._sorted(tb.parts + (1,) * (m - r - k)), top)
+            for ta, bottom in ba_first.items():
                 for tb, top in ab_first.items():
-                    for ta, b21 in ba_first.items():
-                        key = top + b21
-                        first = witnesses.get((ta, tb))
-                        if first is None or key < first:
-                            witnesses[(ta, tb)] = key
-        for pair, key in sorted(witnesses.items(), key=lambda item: item[1]):
-            if pair not in types:
-                types[pair] = A + key[: r * m] + _padded(key[r * m :], n - r, r, m)
+                    types.setdefault((ta, tb), A + top + bottom)
     return types
 
 

@@ -6,7 +6,9 @@ every pair and every matrix tuple, as the drivers once did, so the tests can
 compare the two at the smallest sizes.  One more loop keeps the normal forms
 but runs B over every matrix; pair_types_by_normal_form keeps them and fixes
 B's block outside BA and AB to 0 but types every value of the rest of B,
-where _pair_types types B's blocks apart; and z_points_by_filter keeps them
+where _pair_types takes one canonical nilpotent corner block per class and
+types the blocks beside it once per row or column space; and
+z_points_by_filter keeps them
 but filters every completion by the relations, where the stability
 enumeration now solves its last relation by lookup.  mul_by_rows and
 rref_by_rows are the product and elimination loops that exactmat._mul_flat and exactmat._rref keep for
@@ -218,7 +220,8 @@ def pair_types_by_brute_force(n: int, a: int, p: int) -> dict:
 def pair_types_over_every_b(n: int, a: int, p: int) -> dict:
     """The pair loop with A in rank normal form [[I_r, 0], [0, 0]] and B
     over every n x (n+a) matrix, including the block that enters neither BA
-    nor AB; the same map as quiverz.verify._pair_types, in the same order."""
+    nor AB; the key set of quiverz.verify._pair_types, with the first
+    witness of each key in the order of the loop."""
     m = n + a
     types = {}
     for r in range(min(n, m) + 1):
@@ -233,10 +236,12 @@ def pair_types_over_every_b(n: int, a: int, p: int) -> dict:
 
 
 def pair_types_by_normal_form(n: int, a: int, p: int) -> dict:
-    """quiverz.verify._pair_types as it was before it typed B's blocks apart:
-    A in rank normal form [[I_r, 0], [0, 0]], B's block in rows and columns
-    >= r fixed to 0, and BA and AB typed for every value of the rest of B,
-    in lexicographic order; the same map, witnesses and order."""
+    """quiverz.verify._pair_types as it was before it typed B's blocks apart
+    or took one class per corner block: A in rank normal form
+    [[I_r, 0], [0, 0]], B's block in rows and columns >= r fixed to 0, and
+    BA and AB typed for every value of the rest of B, in lexicographic
+    order; the same key set, with the first witness of each key in that
+    order."""
     m = n + a
     types = {}
     for r in range(min(n, m) + 1):

@@ -151,15 +151,16 @@ def _assert_table_matches_placements(n, a, p, budget):
 
 
 def test_pair_types_match_placements_beyond_brute_force():
-    """Instances the rank-normal-form pair loop makes feasible: (3,1) over
-    F_2 stands for 2^24 pairs and (2,2) over F_3 for 3^16."""
-    for n, a, p in ((3, 1, 2), (2, 2, 3)):
+    """Kraft and Procesi's pair step, checked by matrices on instances the
+    class quotient makes feasible: (3,1) over F_2 stands for 2^24 pairs,
+    (2,2) over F_3 for 3^16, (3,1) over F_3 for 3^24 and (5,1) over F_2 for
+    2^60."""
+    for n, a, p in ((3, 1, 2), (2, 2, 3), (4, 1, 2), (3, 1, 3), (4, 2, 2), (5, 1, 2)):
         budget = p ** (2 * n * (n + a))
         _assert_table_matches_placements(n, a, p, budget)
         assert ab_step_report(n, a, p=p, budget=budget).passed, (n, a, p)
 
 
-@pytest.mark.slow
 def test_pair_types_match_placements_largest_instance():
     """(3,2) over F_2, standing for 2^30 pairs."""
     _assert_table_matches_placements(3, 2, 2, 2**30)

@@ -172,6 +172,26 @@ def test_serial_verify_imports_no_multiprocessing():
     assert done.stdout.splitlines()[-1] == "0 []"
 
 
+def test_closed_pipe_exits_141():
+    """A reader that closes stdout before the report is written, as
+    `quiverz dimvec verdict 1,4,5 --json | head -c 10` may, ends the CLI
+    with exit 141 and no traceback, not with exit 1, which means a
+    counterexample."""
+    src = os.path.dirname(os.path.dirname(quiverz.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "quiverz.cli", "dimvec", "verdict", "1,4,5", "--json"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 141
+    assert done.stderr == b""
+
+
 def test_verify_all_honours_sizes(capsys):
     """--max-last and --trials reach the suite's theta-image report; without
     them the suite keeps its own sizes."""

@@ -123,6 +123,17 @@ CASES = {
         lambda: _cli("verify", "ab-step", "--n", "2", "--a", "2", "--p", "3", "--budget", "43046721"),
         "44ec54067916806c57740abbca84efeb77a834c132deac01fe5b62c046c046db",
     ),
+    # (3,2) over F_2 and (3,1) over F_3 reach rank 3, where every class of
+    # the corner block shows; recorded before the pair loop took one class
+    # per corner block.
+    "ab-step-3,2,2": (
+        lambda: _cli("verify", "ab-step", "--n", "3", "--a", "2", "--p", "2", "--budget", "1073741824"),
+        "b4e576a4e85a4d9b8d85ee3af93fc6ae0823cf3bb01d4b822a3f0ca49b92a730",
+    ),
+    "ab-step-3,1,3": (
+        lambda: _cli("verify", "ab-step", "--n", "3", "--a", "1", "--p", "3", "--budget", "282429536481"),
+        "a94187ef5d3cde5283897fcc1a58dc45b163009f0a487762cfde95aef6f6d03d",
+    ),
     "pair-table-2,1,2": (
         _pair_table,
         "c3dd5fd0a88080bb03cae76ee35c7968860ceede05a3687ebc9546e2ba5be240",

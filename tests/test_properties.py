@@ -25,8 +25,9 @@ from quiverz.exactmat import (
     rank,
 )
 from quiverz.partitions import Partition, add, dominates, dual, partitions_of_weight
+from quiverz.verify import _pair_types
 
-from oracles import _chain_order, jordan_type_by_power_ranks, rref_by_rows
+from oracles import _chain_order, jordan_type_by_power_ranks, pair_types_by_normal_form, rref_by_rows
 
 
 @st.composite
@@ -244,3 +245,20 @@ def test_add_is_monotone_when_it_adds_a_column(pair, extra):
         x, y = y, x
     a = len(x) + extra
     assert dominates(add(x, a), add(y, a))
+
+
+def _normal_form_pairs(n: int, a: int, p: int) -> int:
+    """The pairs pair_types_by_normal_form visits: per rank r, every value of
+    B outside its last (n - r) x (n + a - r) block."""
+    m = n + a
+    return sum(p ** (n * m - (n - r) * (m - r)) for r in range(min(n, m) + 1))
+
+
+@hypothesis.settings(max_examples=30)
+@hypothesis.given(st.integers(0, 4), st.integers(0, 8), st.sampled_from([2, 3]))
+def test_pair_type_classes_match_normal_form_oracle(n, a, p):
+    """The class quotient of _pair_types reaches the key set of the loop
+    over every normal-form pair, on sizes whose loop visits at most 3^10
+    pairs."""
+    hypothesis.assume(_normal_form_pairs(n, a, p) <= 3**10)
+    assert set(_pair_types(n, a, p, budget=p ** (2 * n * (n + a)))) == set(pair_types_by_normal_form(n, a, p))

@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import functools
 import itertools
@@ -389,10 +390,38 @@ def test_pair_types_match_brute_force_oracle():
         assert set(quotient) == set(pair_types_by_brute_force(n, a, p)), (n, a, p)
 
 
+def _assert_witness_rule(n: int, a: int, p: int, types: dict) -> None:
+    """Each witness re-derives its key and follows the class rule: A is
+    [[I_r, 0], [0, 0]], B11 the canonical nilpotent of its own type, B21 an
+    RREF basis of its row space U as its first rows, B12 an RREF basis of
+    its column space V as its first columns, and B22 and every other row
+    and column of B21 and B12 zero."""
+    field = FieldSpec(p)
+    m = n + a
+    for (ta, tb), entries in types.items():
+        A = ExactMatrix(m, n, entries[: m * n], field)
+        B = ExactMatrix(n, m, entries[m * n :], field)
+        assert jordan_type(mul(B, A)) == ta and jordan_type(mul(A, B)) == tb, (n, a, p)
+        r = rank(A)
+        assert all(A.at(i, j) == int(i == j < r) for i in range(m) for j in range(n)), (n, a, p)
+        b11 = ExactMatrix(r, r, [B.at(i, j) for i in range(r) for j in range(r)], field)
+        assert b11 == canonical_nilpotent(jordan_type(b11), field), (n, a, p)
+        bases = {(S.cols, S.entries) for S in exactmat.all_subspaces(r, field)}
+        u = [[B.at(i, j) for j in range(r)] for i in range(r, n)]
+        k = sum(map(any, u))
+        assert not any(map(any, u[k:])), (n, a, p)
+        assert (k, tuple(u[j][c] for c in range(r) for j in range(k))) in bases, (n, a, p)
+        v = [[B.at(i, j) for i in range(r)] for j in range(r, m)]
+        l = sum(map(any, v))
+        assert not any(map(any, v[l:])), (n, a, p)
+        assert (l, tuple(v[j][c] for c in range(r) for j in range(l))) in bases, (n, a, p)
+        assert not any(B.at(i, j) for i in range(r, n) for j in range(r, m)), (n, a, p)
+
+
 def test_pair_types_match_every_b_oracle():
-    """Fixing B's block outside BA and AB to 0 keeps every witness and the
-    order of the map, on each instance whose every-B loop visits at most
-    3^8 pairs."""
+    """The class quotient reaches the key set of the loop over every B, on
+    each instance whose every-B loop visits at most 3^8 pairs, and each of
+    its witnesses follows the class rule."""
     instances = [
         (n, a, p)
         for p in (2, 3)
@@ -402,35 +431,48 @@ def test_pair_types_match_every_b_oracle():
     ]
     assert (3, 0, 2) in instances and (2, 1, 3) in instances and (1, 10, 2) in instances
     for n, a, p in instances:
-        fast = list(_pair_types(n, a, p, budget=p ** (2 * n * (n + a))).items())
-        assert fast == list(pair_types_over_every_b(n, a, p).items()), (n, a, p)
+        fast = _pair_types(n, a, p, budget=p ** (2 * n * (n + a)))
+        assert set(fast) == set(pair_types_over_every_b(n, a, p)), (n, a, p)
+        _assert_witness_rule(n, a, p, fast)
 
 
 def test_pair_types_match_normal_form_oracle():
-    """Typing B's blocks apart keeps every witness and the order of the map
-    of the loop that types every value of B outside its last block, on
-    every small instance and four larger ones."""
+    """The class quotient reaches the key set of the loop that types every
+    value of B outside its last block, on every small instance and four
+    larger ones, and each of its witnesses follows the class rule."""
     for n, a, p in [*_small_pair_instances(), (3, 0, 2), (3, 1, 2), (2, 2, 3), (1, 7, 3)]:
-        fast = list(_pair_types(n, a, p, budget=p ** (2 * n * (n + a))).items())
-        assert fast == list(pair_types_by_normal_form(n, a, p).items()), (n, a, p)
+        fast = _pair_types(n, a, p, budget=p ** (2 * n * (n + a)))
+        assert set(fast) == set(pair_types_by_normal_form(n, a, p)), (n, a, p)
+        _assert_witness_rule(n, a, p, fast)
 
 
-def _block_typings(n: int, a: int, p: int) -> int:
-    """Per rank r: one BA typing for each of the p^(r^2) - p^(r(r-1)) B11
-    that are not nilpotent, and for each of the p^(r(r-1)) nilpotent ones
-    (Fine and Herstein) one BA typing per B21 and one AB typing per B12."""
+def _gaussian_binomial(r: int, k: int, p: int) -> int:
+    """The number of k-dimensional subspaces of F_p^r."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (r - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def _class_typings(n: int, a: int, p: int) -> int:
+    """Per rank r and partition eta of r: one BA typing per subspace U of
+    F_p^r of dimension at most n - r, and one AB typing per subspace V of
+    dimension at most n + a - r."""
     total = 0
     for r in range(min(n, n + a) + 1):
-        nilpotent = p ** (r * (r - 1))
-        total += p ** (r * r) - nilpotent + nilpotent * (p ** (r * (n - r)) + p ** (r * (n + a - r)))
+        classes = sum(1 for _ in partitions_of_weight(r))
+        spaces = [_gaussian_binomial(r, k, p) for k in range(r + 1)]
+        total += classes * (sum(spaces[: n - r + 1]) + sum(spaces[: n + a - r + 1]))
     return total
 
 
-@pytest.mark.parametrize("n, a, p, typings", [(3, 1, 2, 1131), (2, 2, 3, 844)])
+@pytest.mark.parametrize("n, a, p, typings", [(3, 1, 2, 51), (2, 2, 3, 20)])
 def test_pair_types_type_each_block_once(monkeypatch, n, a, p, typings):
-    """_pair_types makes one Jordan typing per B11 and B21 or B12, not one or
-    two per B: 1131 for (3,1) over F_2 and 844 for (2,2) over F_3, where the
-    loop over every B outside its last block makes 5986 and 7616."""
+    """_pair_types makes one Jordan typing per class x_eta and row space of
+    B21 or column space of B12: 51 for (3,1) over F_2 and 20 for (2,2) over
+    F_3, where the loop over every B11 made 1131 and 844 and the loop over
+    every B outside its last block 5986 and 7616."""
     calls = []
 
     def counting(*args):
@@ -439,33 +481,58 @@ def test_pair_types_type_each_block_once(monkeypatch, n, a, p, typings):
 
     monkeypatch.setattr(verify, "_jordan_flat", counting)
     _pair_types(n, a, p, budget=p ** (2 * n * (n + a)))
-    assert len(calls) == _block_typings(n, a, p) == typings
+    assert len(calls) == _class_typings(n, a, p) == typings
+
+
+def _named_pair(error: ArithmeticError, n: int, m: int, p: int) -> tuple:
+    """The (A, B) whose flat entries end the message of error."""
+    entries = ast.literal_eval(str(error).rsplit(": ", 1)[1])
+    field = FieldSpec(p)
+    return ExactMatrix(m, n, entries[: m * n], field), ExactMatrix(n, m, entries[m * n :], field)
 
 
 def test_pair_types_refuse_ab_not_nilpotent_although_ba_is(monkeypatch):
-    """A Jordan typing that reads every nonzero AB as not nilpotent, but
-    types BA, makes _pair_types raise on the first such pair, with its
-    entries, as the loop over every B did."""
+    """A Jordan typing that reads every nonzero matrix larger than n x n as
+    not nilpotent types every BA but not every AB.  It makes _pair_types
+    raise, naming a pair whose BA it types and whose AB is nonzero and
+    larger; the normal-form loop raises on such a pair too."""
     n, a, p = 2, 1, 2
     m = n + a
 
     def wrong(entries, size, p, *rest):
-        if size == m and any(entries):
+        if size > n and any(entries):
             return None
         return exactmat._jordan_flat(entries, size, p, *rest)
 
     monkeypatch.setattr(verify, "_jordan_flat", wrong)
-    with pytest.raises(ArithmeticError) as raised:
-        _pair_types(n, a, p, budget=p ** (2 * n * m))
-    entries = (1, 0, 0, 0, 0, 0) + (0, 0, 1, 0, 0, 0)
-    assert str(raised.value) == f"AB is not nilpotent although BA is: {entries}"
-    A = ExactMatrix(m, n, entries[: m * n], FieldSpec(p))
-    B = ExactMatrix(n, m, entries[m * n :], FieldSpec(p))
-    assert jordan_type(mul(B, A)) == Partition((1, 1)) and any(mul(A, B).entries)
     monkeypatch.setattr(oracles, "_jordan_flat", wrong)
-    with pytest.raises(ArithmeticError) as slow:
-        pair_types_by_normal_form(n, a, p)
-    assert str(slow.value) == str(raised.value)
+    for build in (lambda: _pair_types(n, a, p, budget=p ** (2 * n * m)), lambda: pair_types_by_normal_form(n, a, p)):
+        with pytest.raises(ArithmeticError, match="^AB is not nilpotent although BA is: ") as raised:
+            build()
+        A, B = _named_pair(raised.value, n, m, p)
+        assert wrong(mul(B, A).entries, n, p) is not None and any(mul(A, B).entries)
+
+
+def test_pair_types_refuse_ba_not_nilpotent_although_b11_is(monkeypatch):
+    """A Jordan typing that reads every matrix with a nonzero entry below
+    the diagonal as not nilpotent refuses the first BA whose B21 is not
+    zero.  _pair_types raises, naming a pair whose corner block B11 it
+    types and whose BA has such an entry."""
+    n, a, p = 2, 1, 3
+    m = n + a
+
+    def wrong(entries, size, p, *rest):
+        if any(entries[i * size + j] for i in range(size) for j in range(i)):
+            return None
+        return exactmat._jordan_flat(entries, size, p, *rest)
+
+    monkeypatch.setattr(verify, "_jordan_flat", wrong)
+    with pytest.raises(ArithmeticError, match="^BA is not nilpotent although B11 is: ") as raised:
+        _pair_types(n, a, p, budget=p ** (2 * n * m))
+    A, B = _named_pair(raised.value, n, m, p)
+    r = rank(A)
+    b11 = [B.at(i, j) for i in range(r) for j in range(r)]
+    assert wrong(b11, r, p) is not None and wrong(mul(B, A).entries, n, p) is None
 
 
 def test_pair_type_witnesses_rederive_their_keys():
