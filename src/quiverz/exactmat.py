@@ -28,8 +28,9 @@ of the exhaustive drivers.  rank needs no elimination of a 0/1 partial
 permutation: _partial_permutation reads it, and its rank is its count of
 ones.
 
-_rref is the one list-form elimination: rank, kernel_basis, solve, the
-Jordan type, the Jordan basis and every inverse below the gate run on it.
+_rref is the one list-form elimination: rank, kernel_basis, the Jordan
+type, the Jordan basis and every inverse below the gate run on it, and
+solve, the unique X with M X = C, runs on one _rref of [M | C].
 It counts its rows and the zeros of the columns it searches for pivots, so
 an augmented system is judged by its left block.  Past the gate it reduces
 the entries as it packs them; then row i += (p - f) * pivot row adds at
@@ -130,7 +131,10 @@ class ExactMatrix:
         cols = int(cols)
         if rows < 0 or cols < 0:
             raise ValueError(f"negative shape ({rows}, {cols})")
-        entries = tuple(int(e) % field.p for e in entries)
+        try:
+            entries = tuple(operator.index(e) % field.p for e in entries)
+        except TypeError:
+            raise ValueError("matrix entries must be integers") from None
         if len(entries) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
@@ -158,6 +162,8 @@ class ExactMatrix:
         nrows = len(rows)
         if nrows:
             cols = len(rows[0])
+            if any(len(row) != cols for row in rows):
+                raise ValueError(f"ragged rows: lengths {[len(row) for row in rows]}")
         elif cols is None:
             cols = 0
         flat = [e for row in rows for e in row]
@@ -296,14 +302,6 @@ def mul(X: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
         raise ValueError(f"shape mismatch: {X.shape} times {Y.shape}")
     out = _mul_flat(X.entries, Y.entries, X.rows, X.cols, Y.cols, X.field.p)
     return ExactMatrix._reduced(X.rows, Y.cols, out, X.field)
-
-
-def transpose(M: ExactMatrix) -> ExactMatrix:
-    out = [0] * (M.rows * M.cols)
-    for i in range(M.rows):
-        for j in range(M.cols):
-            out[j * M.rows + i] = M.entries[i * M.cols + j]
-    return ExactMatrix._reduced(M.cols, M.rows, out, M.field)
 
 
 def hstack(X: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
@@ -486,37 +484,22 @@ def inverse(M: ExactMatrix) -> ExactMatrix:
     return ExactMatrix._reduced(M.rows, M.rows, out, M.field)
 
 
-def solve(M: ExactMatrix, C: ExactMatrix, rng=None) -> ExactMatrix:
-    """One solution X of X M = C: a particular solution plus, when rng is
-    given, a uniformly random combination of homogeneous solutions.
+def solve(M: ExactMatrix, C: ExactMatrix) -> ExactMatrix:
+    """The unique X with M X = C, from one elimination (_rref) of [M | C].
 
-    Raises ValueError("no solution") on an inconsistent system."""
+    Raises ValueError("no solution") on an inconsistent system and
+    ValueError("not unique") when M has a kernel."""
     _require_same_field(M, C)
-    if M.cols != C.cols:
-        raise ValueError(f"shape mismatch: solving X * {M.shape} = {C.shape}")
-    p = M.field.p
-    # Transposed system: M^T X^T = C^T, one RHS per row of X.
-    Mt = transpose(M)
-    Ct = transpose(C)
-    aug = [list(Mt.row(i)) + list(Ct.row(i)) for i in range(Mt.rows)]
-    pivots = _rref(aug, p, pivot_cols=M.rows)
-    for i in range(len(pivots), len(aug)):
-        if any(v % p for v in aug[i][M.rows :]):
-            raise ValueError("no solution")
-    nx = C.rows
-    sol = [[0] * M.rows for _ in range(nx)]
-    for r, c in enumerate(pivots):
-        for j in range(nx):
-            sol[j][c] = aug[r][M.rows + j]
-    if rng is not None:
-        hom = _null_vectors(aug, pivots, M.rows, p)  # aug's left block is the RREF of M^T
-        for j in range(nx):
-            for v in hom:
-                coeff = rng.randrange(p)
-                if coeff:
-                    for i in range(M.rows):
-                        sol[j][i] = (sol[j][i] + coeff * v[i]) % p
-    return ExactMatrix(nx, M.rows, [v for row in sol for v in row], M.field)
+    if M.rows != C.rows:
+        raise ValueError(f"shape mismatch: solving {M.shape} * X = {C.shape}")
+    n = M.cols
+    aug = [list(M.row(i)) + list(C.row(i)) for i in range(M.rows)]
+    pivots = _rref(aug, M.field.p, pivot_cols=n)
+    if any(any(row[n:]) for row in aug[len(pivots) :]):
+        raise ValueError("no solution")
+    if len(pivots) < n:
+        raise ValueError("not unique")
+    return ExactMatrix._reduced(n, C.cols, [v for row in aug[:n] for v in row[n:]], M.field)
 
 
 def random_matrix(rows: int, cols: int, field: FieldSpec, rng) -> ExactMatrix:

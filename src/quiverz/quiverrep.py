@@ -44,7 +44,6 @@ from quiverz.exactmat import (
     mul,
     rank,
     solve,
-    transpose,
 )
 from quiverz.partitions import (
     Partition,
@@ -75,20 +74,13 @@ class QuiverRep:
         B = tuple(B)
         if len(A) != t - 1 or len(B) != t - 1:
             raise ValueError(f"expected {t - 1} maps each way, got {len(A)} and {len(B)}")
-        for i, M in enumerate(A):
-            if M.shape != (dims[i + 1], dims[i]):
-                raise ValueError(
-                    f"forward map {i + 1} has shape {M.shape}, expected {(dims[i + 1], dims[i])}"
-                )
-            if M.field != field:
-                raise ValueError("field mismatch in forward maps")
-        for i, M in enumerate(B):
-            if M.shape != (dims[i], dims[i + 1]):
-                raise ValueError(
-                    f"backward map {i + 1} has shape {M.shape}, expected {(dims[i], dims[i + 1])}"
-                )
-            if M.field != field:
-                raise ValueError("field mismatch in backward maps")
+        for kind, maps, backward in (("forward", A, False), ("backward", B, True)):
+            for i, M in enumerate(maps):
+                shape = (dims[i], dims[i + 1]) if backward else (dims[i + 1], dims[i])
+                if M.shape != shape:
+                    raise ValueError(f"{kind} map {i + 1} has shape {M.shape}, expected {shape}")
+                if M.field != field:
+                    raise ValueError(f"field mismatch in {kind} maps")
         self.dims = dims
         self.A = A
         self.B = B
@@ -143,46 +135,35 @@ class QuiverRep:
         )
 
 
-def _interface_products(dims: Sequence[int], A: Sequence, B: Sequence, p: int) -> Optional[List[list]]:
-    """The flat products A_i B_i at the inner vertices, i <= t - 2, if
+def _point_products(dims: Sequence[int], A: Sequence, B: Sequence, p: int) -> Optional[List[list]]:
+    """The flat products A_i B_i for i = 1, ..., t - 1, theta last, if
     B_1 A_1 = 0 and B_i A_i = A_{i-1} B_{i-1} mod p for the maps given as flat
-    row-major entries in the shapes dims sets; None if a relation fails."""
+    row-major entries in the shapes dims sets; None if a relation fails.
+    The package's one relations pass."""
     products: List[list] = []
     for i in range(len(dims) - 1):
         lo, hi = dims[i], dims[i + 1]
         prev = products[-1] if i else [0] * (lo * lo)
         if _mul_flat(B[i], A[i], lo, hi, lo, p) != prev:
             return None
-        if i < len(dims) - 2:
-            products.append(_mul_flat(A[i], B[i], hi, lo, hi, p))
+        products.append(_mul_flat(A[i], B[i], hi, lo, hi, p))
     return products
 
 
-def _relations_flat(dims: Sequence[int], A: Sequence, B: Sequence, p: int) -> bool:
-    """B_1 A_1 = 0 and B_i A_i = A_{i-1} B_{i-1} mod p, for the maps given as
-    flat row-major entries in the shapes dims sets."""
-    return _interface_products(dims, A, B, p) is not None
+def _rep_products(z: QuiverRep) -> Optional[List[list]]:
+    """_point_products of the maps of z."""
+    return _point_products(z.dims, [M.entries for M in z.A], [M.entries for M in z.B], z.field.p)
 
 
 def check_relations(z: QuiverRep) -> bool:
     """True iff B_1 A_1 = 0 and B_i A_i = A_{i-1} B_{i-1} exactly."""
-    return _relations_flat(z.dims, [M.entries for M in z.A], [M.entries for M in z.B], z.field.p)
-
-
-def _point_products(z: QuiverRep) -> Optional[List[list]]:
-    """The flat A_i B_i for i = 1, ..., t - 1, theta last, from one pass of
-    _interface_products; None if a relation fails."""
-    p = z.field.p
-    products = _interface_products(z.dims, [M.entries for M in z.A], [M.entries for M in z.B], p)
-    if products is not None and z.t >= 2:
-        products.append(_mul_flat(z.A[-1].entries, z.B[-1].entries, z.dims[-1], z.dims[-2], z.dims[-1], p))
-    return products
+    return _rep_products(z) is not None
 
 
 def _interface_types(z: QuiverRep) -> Optional[List[Optional[Partition]]]:
     """The Jordan types of A_i B_i for i = 1, ..., t - 1, theta last, each
     None if that product is not nilpotent; None if a relation fails."""
-    products = _point_products(z)
+    products = _rep_products(z)
     if products is None:
         return None
     return [_jordan_flat(ab, z.dims[i], z.field.p) for i, ab in enumerate(products, start=1)]
@@ -220,7 +201,13 @@ def theta(z: QuiverRep) -> ExactMatrix:
     return mul(z.A[-1], z.B[-1])
 
 
-def _normalize_group_element(g: Sequence[ExactMatrix], z: QuiverRep) -> List[ExactMatrix]:
+def act(g: Sequence[ExactMatrix], z: QuiverRep) -> QuiverRep:
+    """Base change A_i -> h_{i+1} A_i h_i^-1, B_i -> h_i B_i h_{i+1}^-1.
+
+    Accepts t components, or t - 1 for the subgroup fixing the last vertex.
+    Preserves the relations and stability; fixes theta when h_t = 1.  act
+    checks and inverts g; the products are _moved's, which sample_stable
+    shares."""
     g = list(g)
     if len(g) == z.t - 1:
         g.append(identity(z.dims[-1], z.field))
@@ -229,19 +216,16 @@ def _normalize_group_element(g: Sequence[ExactMatrix], z: QuiverRep) -> List[Exa
     for i, h in enumerate(g):
         if h.shape != (z.dims[i], z.dims[i]):
             raise ValueError(f"component {i + 1} has shape {h.shape}, expected square of size {z.dims[i]}")
-    return g
-
-
-def act(g: Sequence[ExactMatrix], z: QuiverRep) -> QuiverRep:
-    """Base change A_i -> h_{i+1} A_i h_i^-1, B_i -> h_i B_i h_{i+1}^-1.
-
-    Accepts t components, or t - 1 for the subgroup fixing the last vertex.
-    Preserves the relations and stability; fixes theta when h_t = 1."""
-    g = _normalize_group_element(g, z)
     try:
         ginv = [inverse(h) for h in g]
     except ValueError:
         raise ValueError("group element components must be invertible") from None
+    return _moved(z, g, ginv)
+
+
+def _moved(z: QuiverRep, g: Sequence[ExactMatrix], ginv: Sequence[ExactMatrix]) -> QuiverRep:
+    """The one base change: A_i -> h_{i+1} A_i h_i^-1, B_i -> h_i B_i
+    h_{i+1}^-1, for g the t components h_i and ginv their inverses."""
     A = [mul(mul(g[i + 1], z.A[i]), ginv[i]) for i in range(z.t - 1)]
     B = [mul(mul(g[i], z.B[i]), ginv[i + 1]) for i in range(z.t - 1)]
     return QuiverRep(z.dims, A, B, z.field)
@@ -269,11 +253,12 @@ def sample_stable(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
     (forward maps are inclusions, backward maps its restrictions), then a
     random base change at every vertex for genericity.
 
-    The flag point is _flag_point's; the base change is act(g, .) on it for
+    The flag point is _flag_point's; the base change is act's, _moved, for
     g a random invertible matrix at each vertex, drawn after the
-    endomorphism, and _random_invertible_pair draws each with its inverse
-    from one in-place inversion.  The base-changed point is re-checked by
-    one relations pass and the ranks of its forward maps (_certified)."""
+    endomorphism with its inverse by _random_invertible_pair.  h_{i+1} times
+    the inclusion A_i is a gather (_mul_flat).  The base-changed point is
+    re-checked by one relations pass and the ranks of its forward maps
+    (_certified)."""
     return _sample_stable(dims, field, rng)[0]
 
 
@@ -282,19 +267,8 @@ def _sample_stable(dims: Sequence[int], field: FieldSpec, rng) -> tuple:
     last): callers type the point from these products, without a second
     relations pass."""
     z0 = _flag_point(dims, field, rng)
-    dims = z0.dims
-    g = [_random_invertible_pair(n, field, rng) for n in dims]
-    A = []
-    B = []
-    for i in range(len(dims) - 1):
-        lo, hi = dims[i], dims[i + 1]
-        (h, hinv), (h_next, h_next_inv) = g[i], g[i + 1]
-        # h_{i+1} times the inclusion A_i of the first n_i coordinates: the
-        # first n_i columns of h_{i+1}.
-        head = [h_next.entries[r * hi + c] for r in range(hi) for c in range(lo)]
-        A.append(mul(ExactMatrix._reduced(hi, lo, head, field), hinv))
-        B.append(mul(mul(h, z0.B[i]), h_next_inv))
-    return _certified(QuiverRep(dims, A, B, field))
+    g, ginv = zip(*(_random_invertible_pair(n, field, rng) for n in z0.dims))
+    return _certified(_moved(z0, g, ginv))
 
 
 def _flag_point(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
@@ -327,7 +301,7 @@ def _flag_point(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
 def _certified(z: QuiverRep) -> tuple:
     """(z, its flat A_i B_i, theta last) if z is a stable point of the
     variety, else CertificateError: the one re-check of a stable sample."""
-    products = _point_products(z)
+    products = _rep_products(z)
     if products is None or not is_stable(z):
         raise CertificateError(f"sample_stable: the sample for {z.dims} is not a stable point")
     return z, products
@@ -412,12 +386,6 @@ def alpha(z: QuiverRep) -> FlagPoint:
     return x
 
 
-def _solve_unique(M: ExactMatrix, C: ExactMatrix) -> ExactMatrix:
-    """The unique X with M X = C, for M of full column rank."""
-    Xt = solve(transpose(M), transpose(C))
-    return transpose(Xt)
-
-
 def from_flag_point(x: FlagPoint) -> QuiverRep:
     """The stable point whose flag of images is x: forward maps express each
     basis inside the next, backward maps express the lowered endomorphism."""
@@ -426,8 +394,8 @@ def from_flag_point(x: FlagPoint) -> QuiverRep:
     t = len(x.flag) + 1
     nt = x.endo.rows
     basis = list(x.flag) + [identity(nt, field)]
-    A = [_solve_unique(basis[i + 1], basis[i]) for i in range(t - 1)]
-    B = [_solve_unique(basis[i], mul(x.endo, basis[i + 1])) for i in range(t - 1)]
+    A = [solve(basis[i + 1], basis[i]) for i in range(t - 1)]
+    B = [solve(basis[i], mul(x.endo, basis[i + 1])) for i in range(t - 1)]
     z = QuiverRep(x.dims, A, B, field)
     if not (check_relations(z) and is_stable(z) and theta(z) == x.endo):
         raise CertificateError("from_flag_point: the result is not a stable point over the flag")

@@ -65,7 +65,7 @@ from quiverz.quiverrep import (
     _degrees_bounded,
     _flag_point,
     _point_products,
-    _relations_flat,
+    _rep_products,
     _subspace_criterion,
     build_from_chain,
     greedy_chain,
@@ -354,7 +354,7 @@ def _theta_image_instance(d: tuple, p: int, seed: int, trials: int) -> dict:
         checks.append((f"chain{k}_nilpotency", _degrees_bounded([delta.b_part for delta in chain])))
     for k in range(trials):
         z = _flag_point(d, field, rng)
-        products = _point_products(z)
+        products = _rep_products(z)
         if products is None:
             raise CertificateError(f"sample_stable: the flag sample for {d} is not a stable point")
         if any(_partial_permutation(A.entries, A.rows, A.cols) != list(range(A.cols)) for A in z.A):
@@ -432,10 +432,11 @@ def _enumerate_z_points(dims: tuple, field: FieldSpec) -> Iterator[Tuple[int, Qu
     The last relation B_{t-1} A_{t-1} = A_{t-2} B_{t-2} (= 0 when t = 2) is
     solved by lookup: for each normal form every B_{t-1} is listed, in
     itertools.product order, under its product B_{t-1} A_{t-1}.  The loop
-    runs over the other maps only, checks their relations, and takes the
-    B_{t-1} listed under A_{t-2} B_{t-2}.  B_{t-1} is the last block of the
-    enumeration, so the points come in the order of a filter over every
-    completion."""
+    runs over the other maps only: one relations pass on the first t - 1
+    vertices (_point_products) checks them and ends with A_{t-2} B_{t-2},
+    and the loop takes the B_{t-1} listed under that.  B_{t-1} is the last
+    block of the enumeration, so the points come in the order of a filter
+    over every completion."""
     p = field.p
     dims = as_dim_vector(dims)  # validated once: each point is built unchecked
     t = len(dims)
@@ -461,10 +462,10 @@ def _enumerate_z_points(dims: tuple, field: FieldSpec) -> Iterator[Tuple[int, Qu
         for entries in itertools.product(range(p), repeat=offsets[-1]):
             mats = [entries[offsets[k] : offsets[k + 1]] for k in range(len(outer))]
             A_flat, B_flat = mats[: t - 2], mats[t - 2 :]
-            if not _relations_flat(dims[:-1], A_flat, B_flat, p):
+            products = _point_products(dims[:-1], A_flat, B_flat, p)
+            if products is None:
                 continue
-            key = tuple(_mul_flat(A_flat[-1], B_flat[-1], cols, dims[-3], cols, p)) if t > 2 else zero
-            listed = solutions.get(key)
+            listed = solutions.get(tuple(products[-1]) if products else zero)
             if listed:
                 A = tuple(ExactMatrix._reduced(r, c, m, field) for (r, c), m in zip(a_shapes, A_flat)) + (A_last,)
                 B = tuple(ExactMatrix._reduced(r, c, m, field) for (r, c), m in zip(b_shapes, B_flat))

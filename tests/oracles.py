@@ -17,14 +17,16 @@ that exactmat._inverse_flat runs below the packing gate and replaced with an
 inversion in place above it, jordan_type_by_power_ranks the Jordan type from
 the ranks of every power, which exactmat._jordan_flat reads off chains or
 eliminations of ever fewer rows, and nilpotency_by_powers the power loop
-that quiverrep.nilpotency_degrees replaced.  build_from_chain_by_conjugators
+that quiverrep.nilpotency_degrees replaced.  solutions_by_search lists
+every X with M X = C, which exactmat.solve finds by one elimination when it
+is unique.  build_from_chain_by_conjugators
 is the interface loop that quiverrep.build_from_chain replaced with
 permutations read off the chains (build_from_chain_by_chain_order, with
 _chain_order), and that loop the one it replaced with letters numbered
 across each interface.
 
 The helpers at the end were public names of the package that only tests
-called: mat_pow, is_nilpotent and random_invertible (once in
+called: mat_pow, is_nilpotent, random_invertible and transpose (once in
 quiverz.exactmat), zero_rep, random_group_element and sample_flag_point
 (quiverrep), max_b_part (abdiagrams) and partitions_up_to_weight
 (partitions).  They draw from the rng exactly as they did there.
@@ -60,7 +62,7 @@ from quiverz.partitions import (
     is_strictly_monotone,
     partitions_of_weight,
 )
-from quiverz.quiverrep import FlagPoint, QuiverRep, _lowering_endo, _relations_flat
+from quiverz.quiverrep import FlagPoint, QuiverRep, _lowering_endo, _point_products
 from quiverz.verify import _rank_count, _rank_normal_form
 
 
@@ -138,6 +140,14 @@ def jordan_type_by_power_ranks(m: ExactMatrix) -> tuple:
 def nilpotency_by_powers(z) -> bool:
     """(A_i B_i)^{i+1} = 0 for every i, each power taken; no input check."""
     return all(mat_pow(mul(z.A[i - 1], z.B[i - 1]), i + 1).is_zero() for i in range(1, z.t))
+
+
+def solutions_by_search(M: ExactMatrix, C: ExactMatrix) -> List[ExactMatrix]:
+    """Every X with M X = C, over every matrix of X's shape in
+    itertools.product order: p^(cols(M) cols(C)) candidates."""
+    rows, cols = M.cols, C.cols
+    candidates = (ExactMatrix(rows, cols, e, M.field) for e in itertools.product(range(M.field.p), repeat=rows * cols))
+    return [X for X in candidates if mul(M, X) == C]
 
 
 def build_from_chain_by_conjugators(deltas, field) -> QuiverRep:
@@ -278,7 +288,7 @@ def z_points_by_brute_force(dims: tuple, field) -> tuple:
         mats = [entries[offsets[k] : offsets[k + 1]] for k in range(len(shapes))]
         A_flat = mats[: t - 1]
         B_flat = mats[t - 1 :]
-        if _relations_flat(dims, A_flat, B_flat, p):
+        if _point_products(dims, A_flat, B_flat, p) is not None:
             A = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[: t - 1], A_flat)]
             B = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[t - 1 :], B_flat)]
             points.append(QuiverRep(dims, A, B, field))
@@ -313,7 +323,7 @@ def z_points_by_filter(dims: tuple, field: FieldSpec) -> Iterator[Tuple[int, Qui
             mats.insert(t - 2, normal)
             A_flat = mats[: t - 1]
             B_flat = mats[t - 1 :]
-            if _relations_flat(dims, A_flat, B_flat, p):
+            if _point_products(dims, A_flat, B_flat, p) is not None:
                 A = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[: t - 1], A_flat)]
                 B = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[t - 1 :], B_flat)]
                 yield weight, QuiverRep(dims, A, B, field)
@@ -333,6 +343,14 @@ def is_nilpotent(M: ExactMatrix) -> bool:
     if not M.is_square():
         raise ValueError("nilpotency of a non-square matrix")
     return _jordan_flat(M.entries, M.rows, M.field.p) is not None
+
+
+def transpose(M: ExactMatrix) -> ExactMatrix:
+    out = [0] * (M.rows * M.cols)
+    for i in range(M.rows):
+        for j in range(M.cols):
+            out[j * M.rows + i] = M.entries[i * M.cols + j]
+    return ExactMatrix._reduced(M.cols, M.rows, out, M.field)
 
 
 def random_invertible(n: int, field: FieldSpec, rng) -> ExactMatrix:

@@ -39,11 +39,10 @@ from quiverz.exactmat import (
     random_matrix,
     rank,
     solve,
-    transpose,
     zeros,
 )
 from quiverz.partitions import Partition
-from quiverz.quiverrep import _flag_point, sample_stable, theta
+from quiverz.quiverrep import QuiverRep, _flag_point, sample_stable, theta
 from quiverz.verify import strictly_monotone_vectors
 
 from oracles import (
@@ -56,6 +55,8 @@ from oracles import (
     partitions_up_to_weight,
     random_invertible,
     rref_by_rows,
+    solutions_by_search,
+    transpose,
 )
 
 F = FieldSpec()
@@ -127,6 +128,31 @@ def test_matrix_construction():
         ExactMatrix(2, 2, [1, 2, 3], F)
     assert zeros(0, 3, F).shape == (0, 3)
     assert M([[1, 2], [3, 4]]).at(1, 0) == 3
+
+
+def test_from_rows_refuses_ragged_rows():
+    """Rows of unequal length are refused, not read as one flat list cut
+    into rows as long as the first."""
+    for rows in ([[1, 2], [3], [4, 5, 6]], [[1], [2, 3]], [[1, 2], []]):
+        with pytest.raises(ValueError, match="ragged"):
+            ExactMatrix.from_rows(rows, FieldSpec(5))
+    assert ExactMatrix.from_rows([[], []], F).shape == (2, 0)
+
+
+def test_constructor_refuses_non_integral_entries():
+    """Entries go through operator.index: ints, bools and other integral
+    types are taken mod p, and floats, strings and None raise ValueError
+    instead of being truncated or parsed.  A witness document read back by
+    QuiverRep.from_json_dict meets the same check."""
+    assert ExactMatrix(2, 2, [True, False, -1, 32005], F).entries == (1, 0, 32002, 2)
+    for bad in (2.7, 2.0, "2", None):
+        with pytest.raises(ValueError, match="integers"):
+            ExactMatrix(2, 2, [True, bad, 3, 4], F)
+    doc = sample_stable((1, 4, 5), F, random.Random(0)).to_json_dict()
+    assert QuiverRep.from_json_dict(doc).to_json_dict() == doc
+    doc["B"][1]["entries"][0] += 0.5
+    with pytest.raises(ValueError, match="integers"):
+        QuiverRep.from_json_dict(doc)
 
 
 def test_matrix_json_round_trip():
@@ -412,56 +438,96 @@ def test_is_injective():
 def test_solve_invertible_unique():
     rng = random.Random(6)
     m = random_invertible(4, F, rng)
-    c = random_matrix(2, 4, F, rng)
-    x = solve(m, c, rng)
-    assert mul(x, m) == c
-    assert x == mul(c, inverse(m))  # unique solution
-
-
-def test_solve_homogeneous():
-    rng = random.Random(7)
-    m = M([[1, 2], [2, 4], [3, 6]])  # rank 1, so left-kernel is 2-dimensional
-    c = zeros(2, 2, F)
-    x = solve(m, c, rng)
-    assert mul(x, m) == c
-    assert not x.is_zero()  # rng picks a nonzero homogeneous part w.h.p.
+    c = random_matrix(4, 2, F, rng)
+    x = solve(m, c)
+    assert mul(m, x) == c
+    assert x == mul(inverse(m), c)
 
 
 def test_solve_random_consistent_systems():
+    """M X = C with C = M X0 has the one solution X0 when M has full column
+    rank, and solve refuses it as not unique otherwise."""
     rng = random.Random(8)
-    for _ in range(100):
-        rows = rng.randrange(1, 6)
-        cols = rng.randrange(1, 6)
-        k = rng.randrange(1, 4)
-        m = random_matrix(rows, cols, F, rng)
-        x0 = random_matrix(k, rows, F, rng)
-        c = mul(x0, m)
-        x = solve(m, c, rng)
-        assert mul(x, m) == c
-
-
-def test_solve_randomizes_over_solution_space():
-    m = M([[1, 0], [0, 0]])  # X * m only constrains the first column of X
-    c = M([[5, 0]])
-    seen = {solve(m, c, random.Random(s)).entries for s in range(12)}
-    assert len(seen) > 1
-    for entries in seen:
-        assert entries[0] == 5
+    for field in (F2, F):
+        for _ in range(100):
+            rows = rng.randrange(1, 6)
+            cols = rng.randrange(1, 6)
+            m = random_matrix(rows, cols, field, rng)
+            x0 = random_matrix(cols, rng.randrange(1, 4), field, rng)
+            c = mul(m, x0)
+            if rank(m) == cols:
+                assert solve(m, c) == x0
+            else:
+                with pytest.raises(ValueError, match="not unique"):
+                    solve(m, c)
 
 
 def test_solve_inconsistent():
     m = M([[1, 0], [0, 0]])
-    c = M([[1, 1]])  # second column unreachable
+    c = M([[1], [1]])  # second row unreachable
     with pytest.raises(ValueError, match="no solution"):
         solve(m, c)
+    with pytest.raises(ValueError, match="no solution"):
+        solve(M([[1], [2]]), M([[1], [1]]))  # injective, but c is off its image
+    with pytest.raises(ValueError, match="no solution"):
+        solve(zeros(2, 0, F), M([[0], [1]]))
+
+
+def test_solve_not_unique():
+    """A consistent system with a kernel is refused, also with C = 0 and
+    with more unknowns than equations."""
+    for m, c in (
+        (M([[1, 2], [2, 4], [3, 6]]), zeros(3, 2, F)),
+        (M([[1, 0], [0, 0]]), M([[5], [0]])),
+        (M([[1, 2, 3]]), M([[4]])),
+        (zeros(0, 2, F), zeros(0, 1, F)),
+    ):
+        with pytest.raises(ValueError, match="not unique"):
+            solve(m, c)
+
+
+def test_solve_shapes():
+    assert solve(zeros(0, 0, F), zeros(0, 3, F)).shape == (0, 3)
+    assert solve(identity(2, F), zeros(2, 0, F)).shape == (2, 0)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        solve(identity(2, F), zeros(3, 1, F))
+    with pytest.raises(ValueError, match="field mismatch"):
+        solve(identity(2, F), zeros(2, 1, F2))
 
 
 def test_solve_injective_prescribed_on_image():
-    rng = random.Random(9)
     m = M([[1], [2]])  # 2x1, injective
-    c = M([[7]])
-    x = solve(m, c, rng)
-    assert mul(x, m) == c
+    c = M([[7], [14]])
+    x = solve(m, c)
+    assert x == M([[7]])
+    assert mul(m, x) == c
+
+
+def test_solve_matches_search_oracle():
+    """Over F_2 and F_3, for M of full column rank and C either M X0 or
+    drawn at random: solve returns the one X that a search over every
+    matrix finds, or raises no solution where the search finds none.  For M
+    with a kernel and a consistent C the search finds several and solve
+    refuses them."""
+    rng = random.Random(16)
+    outcomes = set()
+    for field in (F2, F3):
+        for _ in range(60):
+            rows, cols, k = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 2)
+            m = random_matrix(rows, cols, field, rng)
+            if rng.random() < 0.5:
+                c = mul(m, random_matrix(cols, k, field, rng))
+            else:
+                c = random_matrix(rows, k, field, rng)
+            found = solutions_by_search(m, c)
+            outcomes.add((field.p, rank(m) == cols, min(len(found), 2)))
+            if len(found) == 1:
+                assert solve(m, c) == found[0]
+            else:
+                with pytest.raises(ValueError, match="no solution" if not found else "not unique"):
+                    solve(m, c)
+    assert {(p, True, n) for p in (2, 3) for n in (0, 1)} <= outcomes
+    assert {(p, False, 2) for p in (2, 3)} <= outcomes
 
 
 def test_inverse():
@@ -981,31 +1047,6 @@ def test_jordan_basis_matches_power_loop_oracle(monkeypatch):
             g, _ = exactmat._jordan_basis(n)
         assert jordan_basis(n) == g == _jordan_basis_reference(n)
     assert {tuple(call) for call in calls} == {(stage, packed) for stage in ("power", "tops") for packed in (True, False)}
-
-
-def _solve_reference(M, C, rng):
-    """solve with its homogeneous part taken from kernel_basis(transpose(M))."""
-    p = M.field.p
-    X = solve(M, C).to_rows()
-    hom = kernel_basis(transpose(M))
-    for row in X:
-        for k in range(hom.cols):
-            coeff = rng.randrange(p)
-            if coeff:
-                for i in range(M.rows):
-                    row[i] = (row[i] + coeff * hom.at(i, k)) % p
-    return ExactMatrix.from_rows(X, M.field, cols=M.rows)
-
-
-def test_solve_matches_kernel_basis_oracle():
-    rng = random.Random(16)
-    for field in (F2, F3, F):
-        for seed in range(40):
-            r, c = rng.randint(1, 5), rng.randint(1, 5)
-            k = rng.randint(0, min(r, c) - 1)  # rank at most k < min(r, c)
-            M = mul(random_matrix(r, k, field, rng), random_matrix(k, c, field, rng))
-            C = mul(random_matrix(rng.randint(1, 3), r, field, rng), M)
-            assert solve(M, C, random.Random(seed)) == _solve_reference(M, C, random.Random(seed))
 
 
 def test_conjugator():

@@ -23,6 +23,7 @@ from quiverz.exactmat import (
     kernel_basis,
     mul,
     rank,
+    solve,
 )
 from quiverz.partitions import Partition, add, dominates, dual, partitions_of_weight
 from quiverz.verify import _pair_types
@@ -88,6 +89,25 @@ def test_random_invertible_pair_inverts_and_conjugates(case):
     field, g, ginv, N = case
     assert mul(g, ginv) == identity(g.rows, field) == mul(ginv, g)
     assert jordan_type(mul(mul(g, N), ginv)) == jordan_type(N)
+
+
+@st.composite
+def invertible_systems(draw):
+    """(g, C): g uniformly random invertible of size 0 to 20 over F_2, F_3
+    or F_32003, and C with g's rows and 0 to 4 columns of drawn entries."""
+    n = draw(st.integers(0, 20))
+    field = FieldSpec(draw(st.sampled_from([2, 3, 32003])))
+    g, _ = _random_invertible_pair(n, field, random.Random(draw(st.integers(0, 2**32 - 1))))
+    k = draw(st.integers(0, 4))
+    entries = draw(st.lists(st.integers(0, field.p - 1), min_size=n * k, max_size=n * k))
+    return g, ExactMatrix(n, k, entries, field)
+
+
+@hypothesis.given(invertible_systems())
+def test_solve_of_invertible_is_inverse_times_rhs(case):
+    """For invertible M, the unique X with M X = C is M^-1 C."""
+    g, C = case
+    assert solve(g, C) == mul(inverse(g), C)
 
 
 @st.composite

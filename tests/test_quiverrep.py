@@ -15,6 +15,7 @@ from quiverz.exactmat import (
     FieldSpec,
     _jordan_basis,
     _jordan_flat,
+    _mul_flat,
     conjugator,
     hstack,
     identity,
@@ -206,8 +207,11 @@ def test_nilpotency_degrees_matches_power_loop_oracle(monkeypatch):
     idempotent = QuiverRep((1, 2), [rows([[1], [0]], F)], [rows([[1, 0]], F)], F)  # A_1 B_1 = e_11
     shift = QuiverRep((2, 3), [rows([[1, 0], [0, 1], [0, 0]], F)], [rows([[0, 1, 0], [0, 0, 1]], F)], F)
     assert jordan_type(mul(shift.A[0], shift.B[0])) == P(3)
-    # On two vertices there is no inner A_i B_i for the check to hand on.
-    monkeypatch.setattr(quiverrep, "_interface_products", lambda dims, A, B, p: [])
+    # Both points fail B_1 A_1 = 0; the relations pass is patched to skip
+    # that check and hand on their one product, theta.
+    monkeypatch.setattr(
+        quiverrep, "_point_products", lambda dims, A, B, p: [_mul_flat(A[0], B[0], dims[1], dims[0], dims[1], p)]
+    )
     for z in (idempotent, shift):
         assert nilpotency_degrees(z) is False
         assert nilpotency_by_powers(z) is False
@@ -843,7 +847,7 @@ def test_witness_no_obstruction():
 def test_certificate_checks_survive_optimisation():
     """Under python -O a failing re-check still raises CertificateError: the
     checks in build_from_chain, sample_stable and witness_reducible are not
-    asserts.  The relations fail when _interface_products, which every
+    asserts.  The relations fail when _point_products, which every
     relations check runs, reports them failed.  witness_reducible emits
     relations: true only after its builders' re-checks, so with the
     relations failing it raises in build_from_chain.  The matching of one
@@ -865,12 +869,12 @@ def test_certificate_checks_survive_optimisation():
             except exactmat.CertificateError as exc:
                 print("raised in", str(exc).split(":")[0])
 
-        real_products = quiverrep._interface_products
-        quiverrep._interface_products = lambda *args: None  # no point satisfies the relations
+        real_products = quiverrep._point_products
+        quiverrep._point_products = lambda *args: None  # no point satisfies the relations
         attempt(lambda: quiverrep.build_from_chain(quiverrep.greedy_chain((1, 4, 5)), F))
         attempt(lambda: quiverrep.sample_stable((1, 4, 5), F, random.Random(0)))
         attempt(lambda: quiverrep.witness_reducible((1, 4, 5), F, random.Random(0)))
-        quiverrep._interface_products = real_products
+        quiverrep._point_products = real_products
         quiverrep.mu_of = lambda d: Partition((1,) * d[-1])  # a bound no stable sample meets
         attempt(lambda: quiverrep.witness_reducible((1, 4, 5), F, random.Random(0)))
         real_pair = quiverrep._numbered_pair

@@ -631,7 +631,7 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(quiverrep, "_interface_products", counting("relations", quiverrep._interface_products))
+    monkeypatch.setattr(quiverrep, "_point_products", counting("relations", quiverrep._point_products))
     jordan = counting("jordan", exactmat._jordan_flat)
     for module in (exactmat, quiverrep, verify, abdiagrams, partitions, cli):
         if hasattr(module, "_jordan_flat"):
@@ -758,32 +758,38 @@ def test_stability_report_checks_relations_once(monkeypatch):
     """_enumerate_z_points solves the last relation by lookup: per rank of
     the normal form it lists every B_{t-1} under its product B_{t-1} A_{t-1}
     and checks the relations of the other maps once per tuple of them.  So
-    the default report makes 50 relations checks, one per outer tuple (2 for
+    the default report makes 50 relations passes, one per outer tuple (2 for
     (1, 2), whose outer tuple is empty, and 3 * 16 for (1, 2, 3)), where
-    filtering each of the 3080 candidate tuples made 3080.  It forms
-    2 * 4 + 3 * 64 products B_{t-1} A_{t-1}, one per B_{t-1} per rank, and
-    30 products A_1 B_1 to look up, one per outer tuple of (1, 2, 3) that
-    passes its relation.  The subspace criterion takes the representatives
-    without checking the relations again."""
+    filtering each of the 3080 candidate tuples made 3080.  verify forms
+    2 * 4 + 3 * 64 products B_{t-1} A_{t-1}, one per B_{t-1} per rank.  The
+    relations passes form the rest: 48 products B_1 A_1 to check, and 30
+    products A_1 B_1 to look up, one per outer tuple of (1, 2, 3) that
+    passes its relation, as the pass's last product.  The subspace
+    criterion takes the representatives without checking the relations
+    again."""
     calls = []
-    products = []
-    real = quiverrep._relations_flat
+    products = {verify: 0, quiverrep: 0}
+    real = quiverrep._point_products
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    def multiplying(*args):
-        products.append(1)
-        return exactmat._mul_flat(*args)
+    def multiplying(module):
+        def wrapper(*args):
+            products[module] += 1
+            return exactmat._mul_flat(*args)
 
-    monkeypatch.setattr(quiverrep, "_relations_flat", counting)
-    monkeypatch.setattr(verify, "_relations_flat", counting)
-    monkeypatch.setattr(verify, "_mul_flat", multiplying)
+        return wrapper
+
+    monkeypatch.setattr(quiverrep, "_point_products", counting)
+    monkeypatch.setattr(verify, "_point_products", counting)
+    for module in products:
+        monkeypatch.setattr(module, "_mul_flat", multiplying(module))
     report = stability_report()
     assert report.passed
     assert len(calls) == 50
-    assert len(products) == 2 * 4 + 3 * 64 + 30
+    assert products == {verify: 2 * 4 + 3 * 64, quiverrep: 48 + 30}
 
 
 Z_POINT_CASES = [
