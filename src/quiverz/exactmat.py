@@ -103,7 +103,10 @@ class FieldSpec:
     __slots__ = ("p",)
 
     def __init__(self, p: int = DEFAULT_PRIME):
-        p = int(p)
+        try:
+            p = operator.index(p)
+        except TypeError:
+            raise ValueError(f"modulus must be an integer, got {p!r}") from None
         # The bound keeps the trial division in _is_prime under 2^15 steps.
         if p >= 1 << 31:
             raise ValueError(f"modulus must be below 2^31, got {p}")
@@ -127,8 +130,10 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "field", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int], field: FieldSpec):
-        rows = int(rows)
-        cols = int(cols)
+        try:
+            rows, cols = operator.index(rows), operator.index(cols)
+        except TypeError:
+            raise ValueError(f"matrix shape must be integers, got ({rows!r}, {cols!r})") from None
         if rows < 0 or cols < 0:
             raise ValueError(f"negative shape ({rows}, {cols})")
         try:

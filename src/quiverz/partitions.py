@@ -10,6 +10,7 @@ dominance-maximal way.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -24,7 +25,10 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
+        try:
+            parts = tuple(map(operator.index, parts))
+        except TypeError:
+            raise ValueError("partition parts must be integers") from None
         for i, p in enumerate(parts):
             if p <= 0:
                 raise ValueError(f"partition parts must be positive, got {p}")
@@ -140,7 +144,10 @@ def add(eta: Partition, a: int) -> Partition:
 
 def as_dim_vector(values: Sequence[int]) -> tuple:
     """Validate and normalize a dimension vector (n_1, ..., n_t), t >= 1."""
-    dims = tuple(int(v) for v in values)
+    try:
+        dims = tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"dimension vector entries must be integers: {values!r}") from None
     if not dims:
         raise ValueError("dimension vector must be nonempty")
     if any(v <= 0 for v in dims):

@@ -24,9 +24,9 @@ every last backward map under its product with the normal form.  Failures
 carry a re-checkable counterexample payload.
 All randomness is derived per instance from a master seed, so reports are
 byte-stable across runs and across worker counts: with jobs > 1 the
-independent tasks run on a pool of worker processes, in a few contiguous
-chunks with at most one per worker in flight, and the results come back in
-task order.
+independent tasks run on forked worker processes, which the parent feeds
+the indexes of a few contiguous chunks over pipes, at most one per worker
+in flight, and the results come back in task order.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import itertools
 import os
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NoReturn, Optional, Sequence, Tuple
 
 from quiverz.exactmat import (
     DEFAULT_PRIME,
@@ -117,44 +117,111 @@ def _budgeted(p: int, e: int, budget: int, what: str) -> int:
     return size
 
 
-def _run_chunk(tasks: Sequence[Callable[[], object]]) -> list:
-    """[task() for task in tasks]: one call of the pool runs a chunk."""
-    return [task() for task in tasks]
+def _serve(conn, others: list, tasks: Sequence[Callable[[], object]], size: int) -> NoReturn:
+    """The loop of a forked worker: close the pipe ends that are not its own,
+    then for each chunk index k read from conn run tasks[k * size : (k + 1)
+    * size] and send back (True, results), or (False, exception) at the
+    first task that raises.  An exception that does not pickle goes back as
+    a RuntimeError that names it, and so do results that do not.  On EOF, or
+    on anything else, the worker ends through os._exit: it never returns
+    into the caller's stack, and it flushes none of the caller's buffers."""
+    try:
+        for end in others:
+            end.close()
+        while True:
+            try:
+                k = conn.recv()
+            except EOFError:
+                os._exit(0)
+            try:
+                reply = (True, [task() for task in tasks[k * size : (k + 1) * size]])
+            except Exception as exc:
+                import pickle  # loaded with multiprocessing.connection already
+
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                    reply = (False, exc)
+                except Exception:
+                    reply = (False, RuntimeError(f"{type(exc).__qualname__} does not pickle: {exc}"))
+            try:
+                conn.send(reply)
+            except Exception as exc:
+                conn.send((False, RuntimeError(f"the results of chunk {k} do not pickle: {exc!r}")))
+    finally:
+        os._exit(1)
 
 
 def _map_jobs(tasks: Sequence[Callable[[], object]], jobs: int) -> list:
-    """[task() for task in tasks], on a pool of worker processes when jobs,
-    the tasks and the cores all allow two or more.  The pool starts no more
-    workers than any of the three; each task must pickle, so it is a
-    functools.partial of a module-level function.  The serial path builds no
-    pool and imports no multiprocessing.
+    """[task() for task in tasks], on forked worker processes when jobs, the
+    tasks and the cores all allow two or more and os.fork exists.  No more
+    workers start than any of the three.  Each worker holds the tasks
+    through the fork, so a task need not pickle; its result must.  The
+    serial path forks nothing and imports no multiprocessing.
 
-    The pool runs the tasks in about 4 contiguous chunks per worker, each
-    one call of _run_chunk, and keeps at most one chunk per worker
-    submitted: the next is submitted when one finishes, and the results are
-    joined in task order.  A submitted call cannot be cancelled once a
-    worker has queued it, so the cap is what makes a task that raises stop
-    the tasks after it, as on the serial path: the rest of its chunk never
-    runs, the chunks already running finish, and no later chunk is
-    submitted."""
+    The tasks run in about 4 contiguous chunks per worker.  The parent
+    holds one duplex Pipe per worker: it sends a chunk index, the worker
+    sends back its results (see _serve), and only then is that worker sent
+    the next index, so at most one chunk per worker is in flight.  The
+    results are joined in task order.  A task that raises ends its chunk;
+    the chunks already running finish, no later chunk is handed out, and
+    the first failure by chunk order is raised with its type.  A worker
+    that ends without a result raises RuntimeError, never EOFError or
+    BrokenPipeError.  Closing the parent's ends of the pipes stops the
+    workers, and every worker is reaped before _map_jobs returns or raises;
+    the parent starts no thread, and as with any fork, the caller should
+    run no other."""
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers < 2:
+    if workers < 2 or not hasattr(os, "fork"):
         return [task() for task in tasks]
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from multiprocessing.connection import Pipe, wait
 
     size = -(-len(tasks) // (4 * workers))
-    chunks = [functools.partial(_run_chunk, tasks[i : i + size]) for i in range(0, len(tasks), size)]
-    results: list = [None] * len(chunks)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        running = {pool.submit(chunk): k for k, chunk in enumerate(chunks[:workers])}
-        following = workers
-        while running:
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in sorted(done, key=running.get):
-                results[running.pop(future)] = future.result()
-                if following < len(chunks):
-                    running[pool.submit(chunks[following])] = following
+    chunks = -(-len(tasks) // size)
+    pipes = [Pipe() for _ in range(workers)]
+    pids: Dict[object, int] = {}  # the parent's end of each pipe -> its worker
+    results: list = [None] * chunks
+    failure: Optional[Tuple[int, BaseException]] = None  # the first by chunk order
+    try:
+        for mine, theirs in pipes:
+            pid = os.fork()
+            if pid == 0:
+                _serve(theirs, [end for pipe in pipes for end in pipe if end is not theirs], tasks, size)
+            pids[mine] = pid
+            theirs.close()
+        running = {}  # the parent's end -> the chunk its worker runs
+        idle = list(pids)
+        following = 0
+        while True:
+            for conn in idle:
+                if failure is None and following < chunks:
+                    running[conn] = following
                     following += 1
+                    try:
+                        conn.send(running[conn])
+                    except OSError:  # the worker is gone: its reply reads as EOF
+                        pass
+            if not running:
+                break
+            idle = wait(list(running))
+            for conn in idle:
+                k = running.pop(conn)
+                try:
+                    done, value = conn.recv()
+                except (EOFError, OSError):
+                    status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(conn), 0)[1])
+                    done, value = False, RuntimeError(f"a worker ended with status {status} while running chunk {k}")
+                if done:
+                    results[k] = value
+                elif failure is None or k < failure[0]:
+                    failure = (k, value)
+    finally:
+        for pipe in pipes:
+            for end in pipe:
+                end.close()
+        for pid in pids.values():
+            os.waitpid(pid, 0)
+    if failure is not None:
+        raise failure[1]
     return [result for chunk in results for result in chunk]
 
 

@@ -172,6 +172,32 @@ def test_serial_verify_imports_no_multiprocessing():
     assert done.stdout.splitlines()[-1] == "0 []"
 
 
+def test_forked_workers_write_nothing():
+    """With stdout and stderr piped, so block-buffered, `verify all --jobs 2`
+    writes its output once, byte-identical to --jobs 1, in JSON and in human
+    mode: a forked worker ends without flushing the caller's buffers.  A
+    line the caller left in its stdout buffer before the workers fork is
+    written once too."""
+    src = os.path.dirname(os.path.dirname(quiverz.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    sizes = ["verify", "all", "--max-last", "4", "--trials", "1", "--jobs"]
+
+    def run_cli(*argv):
+        done = subprocess.run([sys.executable, "-m", "quiverz.cli", *argv], capture_output=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout, done.stderr
+
+    for mode in (["--json"], []):
+        one, two = run_cli(*mode, *sizes, "1"), run_cli(*mode, *sizes, "2")
+        assert two == one
+        assert one[0].count(b"\n") == 1
+        assert one[1].count(b"PASS\n") == (0 if mode else 7)
+    script = "from quiverz import cli\nprint('pending')\ncli.main(['--json', *%r])\n" % (sizes + ["2"],)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == b"pending\n" + run_cli("--json", *sizes, "1")[0]
+
+
 def test_closed_pipe_exits_141():
     """A reader that closes stdout before the report is written, as
     `quiverz dimvec verdict 1,4,5 --json | head -c 10` may, ends the CLI

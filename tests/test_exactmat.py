@@ -155,6 +155,30 @@ def test_constructor_refuses_non_integral_entries():
         QuiverRep.from_json_dict(doc)
 
 
+def test_field_refuses_non_integral_modulus():
+    """The modulus goes through operator.index: an int or a bool is taken,
+    and a float or a string raises ValueError instead of being truncated
+    (5.9 was F_5) or parsed ('7' was F_7)."""
+    assert FieldSpec(5).p == 5 and FieldSpec(True + 2).p == 3
+    for bad in (5.9, 7.0, "7", None):
+        with pytest.raises(ValueError, match="integer"):
+            FieldSpec(bad)
+
+
+def test_constructor_refuses_non_integral_shape():
+    """rows and cols go through operator.index too, in the constructor and
+    in the JSON loader, which read 2.9 rows and "1" col as a 2 x 1 matrix."""
+    assert ExactMatrix(True, 2, [1, 2], F).shape == (1, 2)
+    for rows, cols in ((2.9, 1), (2, "1"), (2.0, 1.0), (None, 2)):
+        with pytest.raises(ValueError, match="integers"):
+            ExactMatrix(rows, cols, [1, 2], F)
+    doc = {"rows": 2.9, "cols": "1", "p": 5, "entries": [1, 2]}
+    for bad in (doc, dict(doc, rows=2), dict(doc, rows=2, cols=1, p=5.0)):
+        with pytest.raises(ValueError, match="integer"):
+            ExactMatrix.from_json_dict(bad)
+    assert ExactMatrix.from_json_dict(dict(doc, rows=2, cols=1)).shape == (2, 1)
+
+
 def test_matrix_json_round_trip():
     m = random_matrix(3, 4, F, random.Random(0))
     again = ExactMatrix.from_json_dict(m.to_json_dict())

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from quiverz.abdiagrams import ABDiagram
+from quiverz.exactmat import FieldSpec
 from quiverz.partitions import (
     KRAFT_PROCESI,
     MONOTONE_ONLY,
@@ -23,6 +25,7 @@ from quiverz.partitions import (
     theta_image,
     zss_density_obstruction,
 )
+from quiverz.quiverrep import QuiverRep, sample_stable
 
 from oracles import partitions_up_to_weight
 
@@ -81,6 +84,16 @@ def test_partition_validation():
         Partition((-1,))
     assert Partition().weight == 0
     assert P(5, 3, 3, 1).weight == 12
+
+
+def test_partition_refuses_non_integral_parts():
+    """Parts go through operator.index: ints and bools are taken, and a
+    float or a string raises ValueError instead of being truncated, as
+    Partition([2.7, 1]) was (2, 1)."""
+    assert Partition([True, 1]) == P(1, 1) and Partition([True]).to_list() == [1]
+    for bad in ([2.7, 1], [2.0, 1], ["2", 1], [2, None]):
+        with pytest.raises(ValueError, match="integers"):
+            Partition(bad)
 
 
 def test_partition_parse_and_repr():
@@ -322,6 +335,21 @@ def test_render_young():
     assert render_young(Partition()) == ""
     lines = render_young(P(5, 3, 3, 1)).split("\n")
     assert [len(line) // 2 for line in lines] == [5, 3, 3, 1]
+
+
+def test_dim_vector_refuses_non_integral_entries():
+    """as_dim_vector takes entries through operator.index, so a witness
+    document whose dims hold a float or a string is refused by
+    QuiverRep.from_json_dict, which read [1.9, ...] as [1, ...]."""
+    assert as_dim_vector([True, 2]) == (1, 2)
+    for bad in ([1.9, 4, 5], [1, "4", 5], [1, 4.0, 5]):
+        with pytest.raises(ValueError, match="integers"):
+            as_dim_vector(bad)
+    doc = sample_stable((1, 4, 5), FieldSpec(5), random.Random(0)).to_json_dict()
+    assert QuiverRep.from_json_dict(doc).to_json_dict() == doc
+    doc["dims"][0] = 1.9
+    with pytest.raises(ValueError, match="integers"):
+        QuiverRep.from_json_dict(doc)
 
 
 def test_dim_vector_helpers():

@@ -42,18 +42,19 @@ def test_package_imports_only_stdlib():
 
 
 def test_package_runs_jobs_on_one_process_pool():
-    """--jobs runs on processes: threads stay behind the GIL, so src/ names
-    neither ThreadPoolExecutor nor threading, and builds one executor."""
+    """--jobs runs on processes: threads stay behind the GIL.  The workers
+    are forked at one place, so src/ calls os.fork once and names neither
+    an executor, concurrent.futures nor threading."""
     sources = sorted(PACKAGE.glob("*.py"))
     assert len(sources) >= 7
     text = {path.name: path.read_text() for path in sources}
     found = [
         f"{name}:{match.group()}"
         for name, body in text.items()
-        for match in re.finditer(r"\b(ThreadPoolExecutor|threading)\b", body)
+        for match in re.finditer(r"\b(\w*PoolExecutor|concurrent\.futures|threading)\b", body)
     ]
     assert found == []
-    assert sum(len(re.findall(r"\bProcessPoolExecutor\(", body)) for body in text.values()) == 1
+    assert sum(len(re.findall(r"\bos\.fork\(", body)) for body in text.values()) == 1
 
 
 def _library_tour() -> set:

@@ -1,14 +1,15 @@
 import ast
-import concurrent.futures
 import functools
 import itertools
 import json
 import os
 import pickle
 import random
+import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import pytest
@@ -169,176 +170,182 @@ def test_suite_deterministic_bytes():
     assert json.loads(one)["pass"]
 
 
-# --- the process pool of --jobs -------------------------------------------------------
+# --- the forked workers of --jobs -----------------------------------------------------
 
 
-class FakeExecutor:
-    """Stands in for ProcessPoolExecutor and starts no process: it records
-    max_workers and each task, pickles the task as a real pool would, and runs
-    the copy in-process."""
-
-    made = []
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-        self.tasks = []
-        FakeExecutor.made.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, task):
-        self.tasks.append(task)
-        future = concurrent.futures.Future()
-        future.set_result(pickle.loads(pickle.dumps(task))())
-        return future
-
-
-@pytest.fixture
-def fake_pool(monkeypatch):
-    FakeExecutor.made = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
-    return FakeExecutor.made
+def _pid(k):
+    return k, os.getpid()
 
 
 @pytest.mark.parametrize(
     "jobs, tasks, cores, workers",
     [(100000, 5, 64, 5), (100000, 50, 3, 3), (2, 50, 64, 2), (4, 1, 64, None), (1, 50, 64, None), (4, 50, None, None)],
 )
-def test_pool_workers_bounded_by_jobs_tasks_and_cores(fake_pool, monkeypatch, jobs, tasks, cores, workers):
-    """min(jobs, tasks, cores) workers, and no pool at all below two."""
+def test_pool_workers_bounded_by_jobs_tasks_and_cores(monkeypatch, jobs, tasks, cores, workers):
+    """min(jobs, tasks, cores) workers, counted as the distinct pids that ran
+    a task, and below two none: the tasks run in the calling process."""
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    results = verify._map_jobs([functools.partial(abs, -k) for k in range(tasks)], jobs)
-    assert results == list(range(tasks))
-    assert [pool.max_workers for pool in fake_pool] == ([] if workers is None else [workers])
+    results = verify._map_jobs([functools.partial(_pid, k) for k in range(tasks)], jobs)
+    assert [k for k, _ in results] == list(range(tasks))
+    pids = {pid for _, pid in results}
+    if workers is None:
+        assert pids <= {os.getpid()}
+    else:
+        assert len(pids) == workers and os.getpid() not in pids
 
 
-def test_pool_tasks_pickle(fake_pool, monkeypatch):
-    """Every task suite_report and theta_image_report hand to the pool
-    survives pickle, inside the chunk the pool is handed, and the pooled
-    results give the serial bytes.  The pool is handed a few contiguous
-    chunks, each a functools.partial of one module-level runner, so the
-    tasks are read off the chunks, not counted as submissions."""
+def test_pool_tasks_pickle(monkeypatch):
+    """The workers hold the tasks through the fork, so only the results
+    cross a process boundary: every result of every task suite_report and
+    theta_image_report hand to _map_jobs survives pickle, and the pooled
+    reports give the serial bytes."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    handed = []
+    map_jobs = verify._map_jobs
+
+    def recording(tasks, jobs):
+        handed.append(tasks)
+        return map_jobs(tasks, jobs)
+
+    monkeypatch.setattr(verify, "_map_jobs", recording)
     suite = suite_report(seed=3, max_last=4, trials=1, jobs=2)
     theta = theta_image_report(max_last=4, trials=1, seed=3, jobs=2)
-    assert [pool.max_workers for pool in fake_pool] == [2, 2]
     vectors = len(strictly_monotone_vectors(4))
-    tasks = [[task for chunk in pool.tasks for task in chunk.args[0]] for pool in fake_pool]
-    assert [len(pool_tasks) for pool_tasks in tasks] == [2 + len(SUITE_AB_STEP_INSTANCES) + vectors, vectors]
-    for chunk in fake_pool[0].tasks + fake_pool[1].tasks:
-        assert isinstance(chunk, functools.partial) and chunk.func is verify._run_chunk
-        pickle.dumps(chunk)
-    for task in tasks[0] + tasks[1]:
-        assert isinstance(task, functools.partial)
-        pickle.dumps(task)
+    assert [len(tasks) for tasks in handed] == [2 + len(SUITE_AB_STEP_INSTANCES) + vectors, vectors]
+    for task in handed[0] + handed[1]:
+        result = task()
+        assert pickle.loads(pickle.dumps(result)) == result
     assert suite == suite_report(seed=3, max_last=4, trials=1, jobs=1)
     assert theta.to_json_dict() == theta_image_report(max_last=4, trials=1, seed=3).to_json_dict()
 
 
-class LazyExecutor:
-    """Stands in for ProcessPoolExecutor with calls that run only when
-    _map_jobs waits for one: lazy_wait runs the newest pending call, so the
-    chunks in flight finish in reverse order of submission.  It records every
-    call submitted, the order they finished in, and the most that were ever
-    pending at once."""
-
-    made = []
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-        self.calls = []
-        self.pending = []
-        self.finished = []
-        self.most_pending = 0
-        LazyExecutor.made.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, call):
-        future = concurrent.futures.Future()
-        self.calls.append(call)
-        self.pending.append((future, call))
-        self.most_pending = max(self.most_pending, len(self.pending))
-        return future
-
-    def run_newest(self):
-        future, call = self.pending.pop()
-        self.finished.append(self.calls.index(call))
-        try:
-            future.set_result(pickle.loads(pickle.dumps(call))())
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
+_RUN = itertools.count()
 
 
-def lazy_wait(futures, return_when):
-    assert return_when == concurrent.futures.FIRST_COMPLETED
-    done = {LazyExecutor.made[-1].run_newest()}
-    assert done <= set(futures)
-    return done, set(futures) - done
+def _pid_in_turn(k):
+    """(k, pid, n): the n-th task this process ran."""
+    return k, os.getpid(), next(_RUN)
 
 
-@pytest.fixture
-def lazy_pool(monkeypatch):
-    LazyExecutor.made = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LazyExecutor)
-    monkeypatch.setattr(concurrent.futures, "wait", lazy_wait)
+@pytest.mark.parametrize("tasks, workers", [(50, 4), (7, 2), (8, 4), (63, 2), (3, 3)])
+def test_pool_chunks_are_contiguous_and_bounded(monkeypatch, tasks, workers):
+    """The tasks run in contiguous chunks of ceil(tasks / (4 workers)):
+    every block of that size runs on one worker, and the first `workers`
+    blocks on `workers` different ones, which pins the size.  Each worker
+    runs its tasks in task order, as it would chunks handed out in order,
+    and the results come back in task order."""
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    return LazyExecutor.made
+    results = verify._map_jobs([functools.partial(_pid_in_turn, k) for k in range(tasks)], workers)
+    assert [k for k, _, _ in results] == list(range(tasks))
+    size = -(-tasks // (4 * workers))
+    blocks = [{pid for _, pid, _ in results[i : i + size]} for i in range(0, tasks, size)]
+    assert all(len(block) == 1 for block in blocks)
+    assert len(set.union(*blocks[:workers])) == workers
+    assert os.getpid() not in set.union(*blocks)
+    for pid in set.union(*blocks):
+        ran = sorted((n, k) for k, q, n in results if q == pid)
+        assert [k for _, k in ran] == sorted(k for _, k in ran)
 
 
-RAN = []
-
-
-def _record(k, bad=None):
-    RAN.append(k)
+def _record(k, where, bad=None, held=()):
+    """Record that task k ran, and in which process; hold the tasks in held
+    for half a second, and raise at bad."""
+    (where / str(k)).write_text(str(os.getpid()))
+    if k in held:
+        time.sleep(0.5)
     if k == bad:
         raise CertificateError(f"task {k}")
     return k
 
 
-@pytest.mark.parametrize("tasks, workers", [(50, 4), (7, 2), (8, 4), (63, 2), (3, 3)])
-def test_pool_chunks_are_contiguous_and_bounded(lazy_pool, tasks, workers):
-    """The chunks are contiguous, about 4 per worker, and hand every task
-    over once, in order; no more than one chunk per worker is ever pending;
-    and the results come back in task order although the chunks in flight
-    finish in reverse."""
-    calls = [functools.partial(_record, k) for k in range(tasks)]
-    assert verify._map_jobs(calls, workers) == list(range(tasks))
-    (pool,) = lazy_pool
-    assert pool.max_workers == workers
-    chunks = [chunk.args[0] for chunk in pool.calls]
-    assert all(chunk.func is verify._run_chunk for chunk in pool.calls)
-    assert [task for chunk in chunks for task in chunk] == calls
-    size = -(-tasks // (4 * workers))
-    assert [len(chunk) for chunk in chunks[:-1]] == [size] * (len(chunks) - 1)
-    assert 0 < len(chunks[-1]) <= size
-    assert pool.most_pending == min(workers, len(chunks))
-    assert sorted(pool.finished) == list(range(len(chunks)))
-    assert pool.finished[0] == min(workers, len(chunks)) - 1
-
-
-def test_pool_submits_no_chunk_after_one_raises(lazy_pool):
-    """Task 26 raises in chunk 6 of 13 (chunks of 4, four workers): chunks
-    3, 4, 5 and 6 finish in turn, each letting one more in, and once chunk 6
-    raises, no later chunk is submitted and the rest of chunk 6 never runs.
-    The error reaches the caller with its type."""
-    RAN.clear()
-    calls = [functools.partial(_record, k, 26) for k in range(50)]
-    with pytest.raises(CertificateError, match="task 26"):
+def test_pool_submits_no_chunk_after_one_raises(monkeypatch, tmp_path):
+    """Four workers take chunks of 4 of 50 tasks.  The first tasks of
+    chunks 1, 2 and 3 hold their workers for half a second, so chunk 0's
+    worker finishes first and alone is handed chunk 4, where task 18
+    raises: task 19, the rest of its chunk, never runs, chunks 1, 2 and 3
+    finish, and no later chunk starts.  The error reaches the caller with
+    its type, and no worker held up in a chunk is handed a second one."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    calls = [functools.partial(_record, k, tmp_path, 18, (4, 8, 12)) for k in range(50)]
+    with pytest.raises(CertificateError, match="task 18"):
         verify._map_jobs(calls, 4)
-    (pool,) = lazy_pool
-    assert len(pool.calls) == 7
-    assert pool.finished == [3, 4, 5, 6]
-    assert RAN == [12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26]
+    ran = {int(path.name): int(path.read_text()) for path in tmp_path.iterdir()}
+    assert sorted(ran) == list(range(19))
+    chunks = [{ran[k] for k in range(i, min(i + 4, 19))} for i in range(0, 19, 4)]
+    assert all(len(chunk) == 1 for chunk in chunks)
+    assert chunks[4] == chunks[0] and len(set.union(*chunks)) == 4
+
+
+def _exit_worker(k):
+    if k == 5:
+        os._exit(3)
+    return k
+
+
+class Unpicklable(Exception):
+    """Pickles, but does not load: its constructor wants two arguments."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} {second}")
+
+
+def _raise_unpicklable(k):
+    if k == 5:
+        raise Unpicklable("task", k)
+    return k
+
+
+def _raise_holding_a_lambda(k):
+    if k == 5:
+        raise CertificateError(lambda: k)
+    return k
+
+
+def _return_a_lambda(k):
+    return lambda: k
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pool_leaves_no_process_or_thread_behind(monkeypatch):
+    """Every worker is reaped whether _map_jobs returns or raises, also
+    when a task ends its worker, which raises RuntimeError, not EOFError or
+    BrokenPipeError, and does not hang.  An exception or a result that does
+    not pickle arrives as a RuntimeError that names it."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    threads = threading.active_count()
+
+    def hung(signum, frame):
+        raise TimeoutError("_map_jobs hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        assert verify._map_jobs([functools.partial(abs, -k) for k in range(9)], 2) == list(range(9))
+        _no_child_left()
+        tasks = [functools.partial(abs, -k) for k in range(9)]
+        with pytest.raises(CertificateError, match="raised in"):
+            verify._map_jobs(tasks[:3] + [functools.partial(_raise_certificate_error, "raised in")] + tasks[4:], 2)
+        _no_child_left()
+        with pytest.raises(RuntimeError, match="status 3") as info:
+            verify._map_jobs([functools.partial(_exit_worker, k) for k in range(9)], 2)
+        assert type(info.value) is RuntimeError
+        _no_child_left()
+        for task, name in ((_raise_unpicklable, "Unpicklable"), (_raise_holding_a_lambda, "CertificateError")):
+            with pytest.raises(RuntimeError, match=f"{name} does not pickle") as info:
+                verify._map_jobs([functools.partial(task, k) for k in range(9)], 2)
+            assert type(info.value) is RuntimeError
+            _no_child_left()
+        with pytest.raises(RuntimeError, match="do not pickle"):
+            verify._map_jobs([functools.partial(_return_a_lambda, k) for k in range(9)], 2)
+        _no_child_left()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert threading.active_count() == threads
 
 
 def _raise_certificate_error(tag):
