@@ -16,29 +16,28 @@ maximum is add(a_part, extra).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from quiverz.exactmat import CertificateError, ExactMatrix, FieldSpec
-from quiverz.partitions import Partition, add
+from quiverz.partitions import Partition, _FrozenRecord, add
 
 
-@dataclass(frozen=True)
-class ABRow:
+class ABRow(_FrozenRecord):
     """One alternating row: a_count letters a, a_count - 1 interior b's, plus
     optional leading/trailing b.  a_count = 0 encodes the singleton row "b"
     (leading_b True, trailing_b False by convention)."""
 
-    a_count: int
-    leading_b: bool = False
-    trailing_b: bool = False
+    __slots__ = ("a_count", "leading_b", "trailing_b")
 
-    def __post_init__(self):
-        if self.a_count < 0:
-            raise ValueError(f"a_count must be nonnegative: {self.a_count}")
-        if self.a_count == 0 and not (self.leading_b and not self.trailing_b):
+    def __init__(self, a_count: int, leading_b: bool = False, trailing_b: bool = False):
+        if a_count < 0:
+            raise ValueError(f"a_count must be nonnegative: {a_count}")
+        if a_count == 0 and not (leading_b and not trailing_b):
             raise ValueError("a singleton-b row is encoded as leading_b only")
+        object.__setattr__(self, "a_count", a_count)
+        object.__setattr__(self, "leading_b", leading_b)
+        object.__setattr__(self, "trailing_b", trailing_b)
 
     @property
     def b_count(self) -> int:

@@ -11,7 +11,6 @@ dominance-maximal way.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 NOT_MONOTONE = "not_monotone"
@@ -177,13 +176,58 @@ def n_vector(eta: Partition) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DimVecClass:
+class _Record:
+    """Base of the package's small value classes, written out so that no
+    module imports dataclasses (and through it inspect).  The fields are the
+    names in __slots__, in constructor order.  Records of the same class
+    with equal fields are equal, repr names the fields, and pickle rebuilds
+    a record through its constructor.  A _Record is mutable and unhashable,
+    as a plain dataclass is; _FrozenRecord is the frozen kind."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class _FrozenRecord(_Record):
+    """A _Record that refuses assignment once built, so it can hash its
+    fields; its constructor sets them through object.__setattr__."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__qualname__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__qualname__}")
+
+
+class DimVecClass(_FrozenRecord):
     """Classification of a dimension vector; eta is present only for the
     column-truncation vectors, where n_vector(eta) reproduces the input."""
 
-    tag: str
-    eta: Optional[Partition] = None
+    __slots__ = ("tag", "eta")
+
+    def __init__(self, tag: str, eta: Optional[Partition] = None):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "eta", eta)
 
 
 def is_strictly_monotone(d: Sequence[int]) -> bool:

@@ -23,7 +23,6 @@ each type off its chains, and this re-check eliminates nothing either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Sequence, Tuple
 
 import itertools
@@ -47,6 +46,7 @@ from quiverz.exactmat import (
 )
 from quiverz.partitions import (
     Partition,
+    _Record,
     as_dim_vector,
     dominates,
     is_strictly_monotone,
@@ -307,8 +307,7 @@ def _certified(z: QuiverRep) -> tuple:
     return z, products
 
 
-@dataclass
-class FlagPoint:
+class FlagPoint(_Record):
     """A nested flag in the last vertex space with a flag-lowering
     endomorphism.
 
@@ -317,11 +316,11 @@ class FlagPoint:
     endo is literally the quotient-map value of the representation the point
     corresponds to."""
 
-    flag: Tuple[ExactMatrix, ...]
-    endo: ExactMatrix
+    __slots__ = ("flag", "endo")
 
-    def __post_init__(self):
-        self.flag = tuple(self.flag)
+    def __init__(self, flag: Sequence[ExactMatrix], endo: ExactMatrix):
+        self.flag: Tuple[ExactMatrix, ...] = tuple(flag)
+        self.endo = endo
 
     @property
     def dims(self) -> tuple:
@@ -479,15 +478,19 @@ def build_from_chain(deltas: Sequence[ABDiagram], field: FieldSpec) -> QuiverRep
     return z
 
 
-@dataclass
-class ReducibilityReport:
+class ReducibilityReport(_Record):
     """Outcome of the reducibility obstruction with re-verified witnesses."""
 
-    dims: tuple
-    lam: Partition
-    mu: Partition
-    verdict: str
-    witnesses: List[dict] = dc_field(default_factory=list)
+    __slots__ = ("dims", "lam", "mu", "verdict", "witnesses")
+
+    def __init__(
+        self, dims: tuple, lam: Partition, mu: Partition, verdict: str, witnesses: Optional[List[dict]] = None
+    ):
+        self.dims = dims
+        self.lam = lam
+        self.mu = mu
+        self.verdict = verdict
+        self.witnesses = [] if witnesses is None else witnesses
 
     def to_json_dict(self) -> dict:
         return {

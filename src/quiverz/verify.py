@@ -32,12 +32,15 @@ in flight, and the results come back in task order.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import os
 import random
-from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, Iterator, List, NoReturn, Optional, Sequence, Tuple
+
+try:  # the builtin module up to 3.11, as random.py takes its sha512
+    from _sha256 import sha256
+except ImportError:  # 3.12 and later: hashlib, which loads OpenSSL
+    from hashlib import sha256
 
 from quiverz.exactmat import (
     DEFAULT_PRIME,
@@ -53,6 +56,7 @@ from quiverz.exactmat import (
 )
 from quiverz.partitions import (
     Partition,
+    _Record,
     add,
     as_dim_vector,
     dominates,
@@ -77,17 +81,27 @@ from quiverz.quiverrep import (
 DEFAULT_BUDGET = 10**7
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(_Record):
     """One verified statement: parameters, work size, verdict, and on failure
     an independently re-checkable counterexample."""
 
-    statement: str
-    params: dict
-    size: int
-    passed: bool
-    instances: List[dict] = dc_field(default_factory=list)
-    counterexample: Optional[dict] = None
+    __slots__ = ("statement", "params", "size", "passed", "instances", "counterexample")
+
+    def __init__(
+        self,
+        statement: str,
+        params: dict,
+        size: int,
+        passed: bool,
+        instances: Optional[List[dict]] = None,
+        counterexample: Optional[dict] = None,
+    ):
+        self.statement = statement
+        self.params = params
+        self.size = size
+        self.passed = passed
+        self.instances = [] if instances is None else instances
+        self.counterexample = counterexample
 
     def to_json_dict(self) -> dict:
         return {
@@ -117,14 +131,21 @@ def _budgeted(p: int, e: int, budget: int, what: str) -> int:
     return size
 
 
+class _WorkerTraceback(Exception):
+    """The traceback a forked worker formatted for the exception it sent
+    back; _map_jobs raises that exception with this one as its cause."""
+
+
 def _serve(conn, others: list, tasks: Sequence[Callable[[], object]], size: int) -> NoReturn:
     """The loop of a forked worker: close the pipe ends that are not its own,
     then for each chunk index k read from conn run tasks[k * size : (k + 1)
-    * size] and send back (True, results), or (False, exception) at the
-    first task that raises.  An exception that does not pickle goes back as
-    a RuntimeError that names it, and so do results that do not.  On EOF, or
-    on anything else, the worker ends through os._exit: it never returns
-    into the caller's stack, and it flushes none of the caller's buffers."""
+    * size] and send back (True, results), or (False, (exception, its
+    formatted traceback)) at the first task that raises.  An exception that
+    does not pickle goes back as a RuntimeError that names it, with the
+    traceback of the original, and results that do not pickle go back as a
+    RuntimeError with no traceback.  On EOF, or on anything else, the
+    worker ends through os._exit: it never returns into the caller's stack,
+    and it flushes none of the caller's buffers."""
     try:
         for end in others:
             end.close()
@@ -137,16 +158,18 @@ def _serve(conn, others: list, tasks: Sequence[Callable[[], object]], size: int)
                 reply = (True, [task() for task in tasks[k * size : (k + 1) * size]])
             except Exception as exc:
                 import pickle  # loaded with multiprocessing.connection already
+                import traceback
 
+                text = traceback.format_exc()
                 try:
                     pickle.loads(pickle.dumps(exc))
-                    reply = (False, exc)
+                    reply = (False, (exc, text))
                 except Exception:
-                    reply = (False, RuntimeError(f"{type(exc).__qualname__} does not pickle: {exc}"))
+                    reply = (False, (RuntimeError(f"{type(exc).__qualname__} does not pickle: {exc}"), text))
             try:
                 conn.send(reply)
             except Exception as exc:
-                conn.send((False, RuntimeError(f"the results of chunk {k} do not pickle: {exc!r}")))
+                conn.send((False, (RuntimeError(f"the results of chunk {k} do not pickle: {exc!r}"), None)))
     finally:
         os._exit(1)
 
@@ -164,7 +187,8 @@ def _map_jobs(tasks: Sequence[Callable[[], object]], jobs: int) -> list:
     the next index, so at most one chunk per worker is in flight.  The
     results are joined in task order.  A task that raises ends its chunk;
     the chunks already running finish, no later chunk is handed out, and
-    the first failure by chunk order is raised with its type.  A worker
+    the first failure by chunk order is raised with its type, chained to
+    the worker's formatted traceback as its cause.  A worker
     that ends without a result raises RuntimeError, never EOFError or
     BrokenPipeError.  Closing the parent's ends of the pipes stops the
     workers, and every worker is reaped before _map_jobs returns or raises;
@@ -180,7 +204,7 @@ def _map_jobs(tasks: Sequence[Callable[[], object]], jobs: int) -> list:
     pipes = [Pipe() for _ in range(workers)]
     pids: Dict[object, int] = {}  # the parent's end of each pipe -> its worker
     results: list = [None] * chunks
-    failure: Optional[Tuple[int, BaseException]] = None  # the first by chunk order
+    failure: Optional[Tuple[int, tuple]] = None  # the first by chunk order
     try:
         for mine, theirs in pipes:
             pid = os.fork()
@@ -209,7 +233,8 @@ def _map_jobs(tasks: Sequence[Callable[[], object]], jobs: int) -> list:
                     done, value = conn.recv()
                 except (EOFError, OSError):
                     status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(conn), 0)[1])
-                    done, value = False, RuntimeError(f"a worker ended with status {status} while running chunk {k}")
+                    lost = RuntimeError(f"a worker ended with status {status} while running chunk {k}")
+                    done, value = False, (lost, None)
                 if done:
                     results[k] = value
                 elif failure is None or k < failure[0]:
@@ -221,15 +246,22 @@ def _map_jobs(tasks: Sequence[Callable[[], object]], jobs: int) -> list:
         for pid in pids.values():
             os.waitpid(pid, 0)
     if failure is not None:
-        raise failure[1]
+        exc, text = failure[1]
+        if text is not None:
+            exc.__cause__ = _WorkerTraceback(text)
+        raise exc
     return [result for chunk in results for result in chunk]
 
 
 def derive_rng(seed: int, *key) -> random.Random:
     """Deterministic per-instance stream: hash the master seed with the
-    instance key so results do not depend on scheduling."""
+    instance key so results do not depend on scheduling.  The stream's seed
+    is the first 8 bytes, big-endian, of the SHA-256 of "seed|key...".
+    sha256 is the builtin _sha256 where it exists (up to 3.11), so that
+    importing quiverz loads no OpenSSL, and hashlib's from 3.12 on; the
+    digests, and so the streams, are the same."""
     tag = "|".join([str(seed)] + [str(k) for k in key])
-    digest = hashlib.sha256(tag.encode()).digest()
+    digest = sha256(tag.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 

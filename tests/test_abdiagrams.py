@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -48,6 +49,35 @@ def test_row_validation():
         ABRow(0, False, False)
     with pytest.raises(ValueError):
         ABRow(-1)
+    for bad in ((0,), (0, True, True), (0, False, True), (-2, True, False)):
+        with pytest.raises(ValueError):
+            ABRow(*bad)
+
+
+def test_row_value_semantics():
+    """ABRow is a frozen value: two rows are equal exactly when they are of
+    the same class with the same fields, equal rows hash alike, and a row
+    survives pickle and refuses assignment."""
+
+    class Subrow(ABRow):
+        __slots__ = ()
+
+    rows = [ABRow(0, True), ABRow(1), ABRow(1, True), ABRow(1, False, True), ABRow(2, True, True)]
+    for x, y in itertools.product(rows, repeat=2):
+        assert (x == y) == (x is y) and (x != y) == (x is not y)
+    for x in rows:
+        twin = ABRow(x.a_count, x.leading_b, x.trailing_b)
+        assert twin == x and hash(twin) == hash(x)
+        assert pickle.loads(pickle.dumps(x)) == x
+        assert Subrow(x.a_count, x.leading_b, x.trailing_b) != x
+        assert x != (x.a_count, x.leading_b, x.trailing_b)
+    assert len({ABRow(2), ABRow(2, False, False), ABRow(2, True)}) == 2
+    assert repr(ABRow(1, True)) == "ABRow(a_count=1, leading_b=True, trailing_b=False)"
+    with pytest.raises(AttributeError):
+        rows[1].a_count = 3
+    with pytest.raises(AttributeError):
+        del rows[1].leading_b
+    assert rows[1] == ABRow(1)
 
 
 # --- diagrams -------------------------------------------------------------------

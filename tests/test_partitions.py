@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from quiverz.partitions import (
     KRAFT_PROCESI,
     MONOTONE_ONLY,
     NOT_MONOTONE,
+    DimVecClass,
     Partition,
     add,
     as_dim_vector,
@@ -247,6 +249,30 @@ def test_classify_examples():
     assert classify((2, 2, 3)).tag == NOT_MONOTONE
     assert classify((5,)) == classify((5,))  # t = 1 is well-defined
     assert classify((5,)).eta == P(1, 1, 1, 1, 1)
+
+
+def test_dim_vec_class_value_semantics():
+    """DimVecClass is a frozen value: equal exactly when of the same class
+    with the same tag and eta, hashed alike when equal, and it survives
+    pickle and refuses assignment."""
+
+    class Subclass(DimVecClass):
+        __slots__ = ()
+
+    got = [classify(d) for d in ((1, 2, 5, 8, 12), (1, 2, 3), (1, 4, 5), (2, 2, 3))]
+    for x, y in itertools.product(got, repeat=2):
+        assert (x == y) == (x is y)
+    for x in got:
+        twin = DimVecClass(x.tag, x.eta)
+        assert twin == x and hash(twin) == hash(x)
+        assert pickle.loads(pickle.dumps(x)) == x
+        assert Subclass(x.tag, x.eta) != x and x != (x.tag, x.eta)
+    assert classify((1, 4, 5)) == DimVecClass(MONOTONE_ONLY) == DimVecClass(MONOTONE_ONLY, None)
+    assert DimVecClass(KRAFT_PROCESI, P(2, 1)) != DimVecClass(KRAFT_PROCESI, P(3))
+    assert len({classify((1, 4, 5)), classify((1, 5, 6)), classify((2, 2, 3))}) == 2
+    assert repr(got[0]) == "DimVecClass(tag='kraft_procesi', eta=Partition([5, 3, 3, 1]))"
+    with pytest.raises(AttributeError):
+        got[0].tag = NOT_MONOTONE
 
 
 def test_classify_round_trip():

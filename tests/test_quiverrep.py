@@ -1,5 +1,6 @@
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -454,6 +455,15 @@ def test_flag_point_validation():
     broken = FlagPoint(x.flag, identity(5, F))
     with pytest.raises(ValueError):
         broken.validate()
+
+
+def test_flag_point_keeps_flag_as_tuple_and_compares_by_fields():
+    x = sample_flag_point((1, 4, 5), F, random.Random(8))
+    listed = FlagPoint(list(x.flag), x.endo)
+    assert isinstance(listed.flag, tuple) and listed == x
+    assert pickle.loads(pickle.dumps(x)) == x
+    assert FlagPoint(x.flag, identity(5, F)) != x
+    assert FlagPoint(x.flag[:1], x.endo) != x
 
 
 def test_from_flag_point_zero_endo():

@@ -1,8 +1,11 @@
 """Source-level guards on the package."""
 
 import ast
+import importlib.util
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "quiverz"
@@ -39,6 +42,29 @@ def test_package_imports_only_stdlib():
                 continue
             found += [f"{path.name}:{node.lineno}:{name}" for name in names if name.split(".")[0] not in allowed]
     assert found == []
+
+
+def test_import_loads_no_dataclasses_or_openssl():
+    """Every CLI call pays for what import quiverz.cli loads.  Beside a bare
+    interpreter, it newly loads neither dataclasses nor inspect (which
+    dataclasses pulls in), and, wherever the builtin _sha256 exists, neither
+    hashlib nor OpenSSL's _hashlib."""
+    script = "import sys\n{}\nprint(' '.join(sorted(sys.modules)))\n"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    loaded = []
+    for body in ("", "import quiverz.cli"):
+        done = subprocess.run(
+            [sys.executable, "-c", script.format(body)],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        loaded.append(set(done.stdout.split()))
+    new = loaded[1] - loaded[0]
+    assert "quiverz.cli" in new
+    heavy = {"dataclasses", "inspect"}
+    if importlib.util.find_spec("_sha256") is not None:
+        heavy |= {"hashlib", "_hashlib"}
+    assert sorted(new & heavy) == []
 
 
 def test_package_runs_jobs_on_one_process_pool():

@@ -1,5 +1,6 @@
 import ast
 import functools
+import hashlib
 import itertools
 import json
 import os
@@ -11,6 +12,7 @@ import sys
 import textwrap
 import threading
 import time
+import traceback
 
 import pytest
 
@@ -63,6 +65,64 @@ def test_derive_rng_is_stable():
     c = derive_rng(7, "x", (1, 3)).random()
     assert a == b
     assert a != c
+
+
+DERIVE_KEYS = [(7, ()), (7, ("x", (1, 2))), (0, ("reducible", (1, 4, 5))), (-3, ("s", (1, 3, 6), 2)), (2**70, ("é",))]
+
+
+def _rng_by_hashlib(seed, *key):
+    tag = "|".join([str(seed)] + [str(k) for k in key])
+    return random.Random(int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "big"))
+
+
+def test_derive_rng_matches_hashlib_sha256():
+    """derive_rng seeds from the first 8 bytes of hashlib's SHA-256 of its
+    tag, whichever module its sha256 comes from: in-process, and in a
+    fresh interpreter where _sha256 cannot be imported, so the hashlib
+    fallback runs."""
+    for seed, key in DERIVE_KEYS:
+        assert derive_rng(seed, *key).getstate() == _rng_by_hashlib(seed, *key).getstate()
+    expected = [_rng_by_hashlib(seed, *key).getrandbits(64) for seed, key in DERIVE_KEYS]
+    script = textwrap.dedent(
+        f"""
+        import sys
+        sys.modules["_sha256"] = None
+        import hashlib
+        from quiverz import verify
+        print(verify.sha256 is hashlib.sha256)
+        print([verify.derive_rng(seed, *key).getrandbits(64) for seed, key in {DERIVE_KEYS!r}])
+        """
+    )
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["True", repr(expected)]
+
+
+def test_reports_compare_by_fields_and_pickle():
+    """VerifyReport and ReducibilityReport are equal exactly when of the same
+    class with equal fields, survive pickle, and stay unhashable and
+    mutable, as plain dataclasses are."""
+    field = FieldSpec(exactmat.DEFAULT_PRIME)
+    inner = quiverrep.witness_reducible((1, 4, 5), field, derive_rng(0, "reducible", (1, 4, 5)))
+    outer = reducible_report(seed=0)
+    for report in (inner, outer):
+        twin = pickle.loads(pickle.dumps(report))
+        assert twin == report and twin is not report
+        with pytest.raises(TypeError):
+            hash(report)
+    assert inner == quiverrep.witness_reducible((1, 4, 5), field, derive_rng(0, "reducible", (1, 4, 5)))
+    assert inner != quiverrep.witness_reducible((1, 4, 5), field, derive_rng(1, "reducible", (1, 4, 5)))
+    assert outer == reducible_report(seed=0) and outer != inner
+    twin = pickle.loads(pickle.dumps(outer))
+    twin.passed = not outer.passed
+    assert twin != outer
+    bare = verify.VerifyReport("s", {}, 0, True)
+    assert bare.instances == [] and bare.counterexample is None
+    assert bare == verify.VerifyReport(statement="s", params={}, size=0, passed=True, instances=[])
+    assert bare.instances is not verify.VerifyReport("s", {}, 0, True).instances
+    assert quiverrep.ReducibilityReport((1,), Partition(()), Partition(()), "x").witnesses == []
 
 
 def test_strictly_monotone_vectors():
@@ -350,6 +410,20 @@ def test_pool_leaves_no_process_or_thread_behind(monkeypatch):
 
 def _raise_certificate_error(tag):
     raise CertificateError(f"{tag} {os.getpid()}")
+
+
+def test_worker_traceback_is_the_cause(monkeypatch):
+    """A task's exception at jobs=2 is raised with the worker's formatted
+    traceback as its cause, so the printed traceback names the task that
+    raised it, also for an exception that does not pickle."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for task, raised in ((_raise_certificate_error, CertificateError), (_raise_unpicklable, RuntimeError)):
+        tasks = [functools.partial(abs, -k) for k in range(5)] + [functools.partial(task, 5)]
+        with pytest.raises(raised) as info:
+            verify._map_jobs(tasks, 2)
+        assert isinstance(info.value.__cause__, verify._WorkerTraceback)
+        text = "".join(traceback.format_exception(type(info.value), info.value, info.value.__traceback__))
+        assert f"in {task.__name__}" in text
 
 
 def _mark_after(seconds, path):
