@@ -20,7 +20,9 @@ inclusion is injective; by the relations they carry each A_i B_i to theta
 restricted to the span of the first n_{i+1} coordinates (the flag
 correspondence of Kraft and Procesi), so one pass over theta types every
 interface.  The stability check solves its last relation by lookup, listing
-every last backward map under its product with the normal form.  Failures
+every last backward map under its product with the normal form, and, since
+neither criterion reads that map, evaluates both once per run of points
+that differ in it alone.  Failures
 carry a re-checkable counterexample payload.
 All randomness is derived per instance from a master seed, so reports are
 byte-stable across runs and across worker counts: with jobs > 1 the
@@ -580,7 +582,16 @@ def stability_report(
     """Compare the injectivity criterion with the subspace definition of
     stability on every variety point over a tiny field, one rank-normal-form
     representative at a time; the counts weigh each by the points it stands
-    for, and tuples counts every matrix tuple."""
+    for, and tuples counts every matrix tuple.
+
+    Neither criterion reads B_{t-1}: injectivity reads the A_i, and the
+    subspace criterion takes subspaces W_i of the first t-1 spaces only, so
+    B_{t-1}, which maps out of the last space, enters none of its
+    conditions.  So both are evaluated once per fibre, a run of
+    consecutive points of _enumerate_z_points with the same A and
+    B_1..B_{t-2} (the B_{t-1} listed under one outer tuple), on its first
+    point, which is the point a mismatching fibre reports; each count adds
+    the weight times the fibre's size."""
     field = FieldSpec(p)
     instances = []
     counterexample = None
@@ -592,7 +603,10 @@ def stability_report(
         total += size
         mismatches = []
         variety_count = stable_count = 0
-        for weight, z in _enumerate_z_points(dims, field):
+        points = _enumerate_z_points(dims, field)
+        for _, fibre in itertools.groupby(points, key=lambda point: (point[1].A, point[1].B[:-1])):
+            weight, z = next(fibre)
+            weight *= 1 + sum(1 for _ in fibre)
             fast = is_stable(z)
             slow = _subspace_criterion(z)  # _enumerate_z_points checked the relations
             variety_count += weight

@@ -10,7 +10,10 @@ where _pair_types takes one canonical nilpotent corner block per class and
 types the blocks beside it once per row or column space; and
 z_points_by_filter keeps them
 but filters every completion by the relations, where the stability
-enumeration now solves its last relation by lookup.  mul_by_rows and
+enumeration now solves its last relation by lookup; stability_by_point
+evaluates both stability criteria on every point of that enumeration, where
+stability_report evaluates them once per run of points that differ in
+B_{t-1} alone.  mul_by_rows and
 rref_by_rows are the product and elimination loops that exactmat._mul_flat and exactmat._rref keep for
 sparse and small operands, inverse_by_augmenting the elimination of [M | I]
 that exactmat._inverse_flat runs below the packing gate and replaced with an
@@ -62,8 +65,15 @@ from quiverz.partitions import (
     is_strictly_monotone,
     partitions_of_weight,
 )
-from quiverz.quiverrep import FlagPoint, QuiverRep, _lowering_endo, _point_products
-from quiverz.verify import _rank_count, _rank_normal_form
+from quiverz.quiverrep import FlagPoint, QuiverRep, _lowering_endo, _point_products, _subspace_criterion, is_stable
+from quiverz.verify import (
+    DEFAULT_BUDGET,
+    VerifyReport,
+    _budgeted,
+    _enumerate_z_points,
+    _rank_count,
+    _rank_normal_form,
+)
 
 
 def mul_by_rows(xe, ye, n: int, m: int, k: int, p: int) -> list:
@@ -327,6 +337,61 @@ def z_points_by_filter(dims: tuple, field: FieldSpec) -> Iterator[Tuple[int, Qui
                 A = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[: t - 1], A_flat)]
                 B = [ExactMatrix(r, c, m, field) for (r, c), m in zip(shapes[t - 1 :], B_flat)]
                 yield weight, QuiverRep(dims, A, B, field)
+
+
+def stability_by_point(
+    dims_list: Sequence[Sequence[int]] = ((1, 2), (1, 2, 3)),
+    p: int = 2,
+    budget: int = DEFAULT_BUDGET,
+) -> VerifyReport:
+    """quiverz.verify.stability_report as it was before it evaluated the
+    criteria once per fibre: both are evaluated on every point of
+    _enumerate_z_points; the same report."""
+    field = FieldSpec(p)
+    instances = []
+    counterexample = None
+    total = 0
+    for dims in dims_list:
+        dims = tuple(dims)
+        cells = sum(2 * dims[i] * dims[i + 1] for i in range(len(dims) - 1))
+        size = _budgeted(p, cells, budget, f"tuples for dims {dims}")
+        total += size
+        mismatches = []
+        variety_count = stable_count = 0
+        for weight, z in _enumerate_z_points(dims, field):
+            fast = is_stable(z)
+            slow = _subspace_criterion(z)  # _enumerate_z_points checked the relations
+            variety_count += weight
+            if fast:
+                stable_count += weight
+            if fast != slow:
+                mismatches.append((z, fast, slow))
+        ok = not mismatches
+        instances.append(
+            {
+                "dims": list(dims),
+                "tuples": size,
+                "variety_points": variety_count,
+                "stable_points": stable_count,
+                "ok": ok,
+            }
+        )
+        if mismatches and counterexample is None:
+            z, fast, slow = mismatches[0]
+            counterexample = {
+                "dims": list(dims),
+                "injectivity_says": fast,
+                "subspace_says": slow,
+                "rep": z.to_json_dict(),
+            }
+    return VerifyReport(
+        statement="stability",
+        params={"dims": [list(d) for d in dims_list], "p": p},
+        size=total,
+        passed=counterexample is None and all(i["ok"] for i in instances),
+        instances=instances,
+        counterexample=counterexample,
+    )
 
 
 def mat_pow(M: ExactMatrix, k: int) -> ExactMatrix:

@@ -25,23 +25,73 @@ def test_package_has_no_assert():
     assert found == []
 
 
+def _imported(node) -> list:
+    """The top-level modules an import statement names; a relative import
+    names quiverz."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [(node.module or "").split(".")[0] if node.level == 0 else "quiverz"]
+    return []
+
+
+def _imports_outside_stdlib(source: str, filename: str) -> list:
+    """filename:line:module for every import of a module that is neither in
+    the standard library nor __future__ or quiverz.  A module missing from
+    the running interpreter's standard library is accepted only as a
+    statement of a try whose except ImportError handler imports standard
+    modules: a builtin that later versions drop, with its fallback."""
+    stdlib = set(sys.stdlib_module_names)
+    allowed = stdlib | {"__future__", "quiverz"}
+
+    def falls_back(handler) -> bool:
+        names = {name for stmt in handler.body for name in _imported(stmt)}
+        catches = isinstance(handler.type, ast.Name) and handler.type.id == "ImportError"
+        return catches and bool(names) and names <= stdlib
+
+    tree = ast.parse(source, filename=filename)
+    guarded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Try) and any(falls_back(handler) for handler in node.handlers):
+            guarded.update(id(stmt) for stmt in node.body)
+    return [
+        f"{filename}:{node.lineno}:{name}"
+        for node in ast.walk(tree)
+        if id(node) not in guarded
+        for name in _imported(node)
+        if name not in allowed
+    ]
+
+
 def test_package_imports_only_stdlib():
     """The package has no runtime dependencies: every import names a module
-    of the standard library, __future__ or quiverz itself."""
-    allowed = set(sys.stdlib_module_names) | {"__future__", "quiverz"}
+    of the standard library, __future__ or quiverz itself, or is a guarded
+    builtin with a standard fallback (verify's _sha256, gone in 3.12)."""
     sources = sorted(PACKAGE.glob("*.py"))
     assert len(sources) >= 7
-    found = []
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] if node.level == 0 else ["quiverz"]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno}:{name}" for name in names if name.split(".")[0] not in allowed]
+    found = [name for path in sources for name in _imports_outside_stdlib(path.read_text(), path.name)]
     assert found == []
+
+
+def test_stdlib_check_accepts_only_a_guarded_fallback():
+    """The check accepts a module outside the standard library only in a
+    try whose except ImportError handler imports a standard module."""
+    guarded = "try:\n    from _nonstd import f\nexcept ImportError:\n    from hashlib import {}\n"
+    assert _imports_outside_stdlib(guarded.format("sha256"), "ok.py") == []
+    assert _imports_outside_stdlib("import os\nfrom . import verify\nfrom __future__ import x\n", "ok.py") == []
+    refused = {
+        "unguarded": "import os\nimport _nonstd.sub\n",
+        "unguarded_from": "from _nonstd import f\n",
+        "fallback_outside_stdlib": "try:\n    import _nonstd\nexcept ImportError:\n    import _other\n",
+        "no_fallback_import": "try:\n    import _nonstd\nexcept ImportError:\n    _nonstd = None\n",
+        "other_exception": "try:\n    import _nonstd\nexcept ValueError:\n    import hashlib\n",
+        "bare_except": "try:\n    import _nonstd\nexcept:\n    import hashlib\n",
+        "in_handler": "try:\n    import os\nexcept ImportError:\n    import _nonstd\n",
+        "in_else": "try:\n    import os\nexcept ImportError:\n    import hashlib\nelse:\n    import _nonstd\n",
+        "nested": "try:\n    if True:\n        import _nonstd\nexcept ImportError:\n    import hashlib\n",
+    }
+    for name, source in refused.items():
+        assert any(found.endswith(":_nonstd") for found in _imports_outside_stdlib(source, name)), name
 
 
 def test_import_loads_no_dataclasses_or_openssl():

@@ -845,9 +845,9 @@ def test_stability_report_checks_relations_once(monkeypatch):
     2 * 4 + 3 * 64 products B_{t-1} A_{t-1}, one per B_{t-1} per rank.  The
     relations passes form the rest: 48 products B_1 A_1 to check, and 30
     products A_1 B_1 to look up, one per outer tuple of (1, 2, 3) that
-    passes its relation, as the pass's last product.  The subspace
-    criterion takes the representatives without checking the relations
-    again."""
+    passes its relation, as the pass's last product.  Neither stability
+    criterion checks the relations again, and each reads only the first
+    point of a fibre (test_stability_checks_each_fibre_once)."""
     calls = []
     products = {verify: 0, quiverrep: 0}
     real = quiverrep._point_products
@@ -871,6 +871,68 @@ def test_stability_report_checks_relations_once(monkeypatch):
     assert report.passed
     assert len(calls) == 50
     assert products == {verify: 2 * 4 + 3 * 64, quiverrep: 48 + 30}
+
+
+@pytest.mark.parametrize("kwargs, fibres", [({}, 27), ({"p": 3, "budget": 10**8}, 73)])
+def test_stability_checks_each_fibre_once(monkeypatch, kwargs, fibres):
+    """Neither criterion reads B_{t-1}, so stability_report evaluates each
+    once per fibre, a run of points of _enumerate_z_points that differ in
+    B_{t-1} alone: 27 times for the default report (2 fibres for (1, 2) and
+    25 for (1, 2, 3)) and 73 times over F_3, where evaluating them on every
+    point took 622 and 14403 calls each."""
+    calls = {"is_stable": 0, "_subspace_criterion": 0}
+    for name in calls:
+
+        def counting(z, name=name, real=getattr(verify, name)):
+            calls[name] += 1
+            return real(z)
+
+        monkeypatch.setattr(verify, name, counting)
+    assert stability_report(**kwargs).passed
+    assert calls == {"is_stable": fibres, "_subspace_criterion": fibres}
+
+
+STABILITY_CASES = [
+    ((1, 2), 2),
+    ((1, 3), 2),
+    ((2, 3), 2),
+    ((1, 1, 2), 2),
+    ((1, 2, 3), 2),
+    ((1, 2, 4), 2),
+    ((2, 2, 3), 2),
+    ((1, 2), 3),
+    ((2, 3), 3),
+    ((1, 2, 3), 3),
+]
+
+
+@pytest.mark.parametrize("dims, p", STABILITY_CASES)
+def test_stability_fibres_match_per_point_oracle(dims, p):
+    """Evaluating the criteria once per fibre gives the report of evaluating
+    them on every point: the same counts, flags and counterexample."""
+    kwargs = {"dims_list": (dims,), "p": p, "budget": 10**8}
+    report = stability_report(**kwargs).to_json_dict()
+    assert report == oracles.stability_by_point(**kwargs).to_json_dict()
+    assert report["pass"] and report["instances"][0]["variety_points"] > 0
+
+
+def test_stability_mismatch_matches_per_point_oracle(monkeypatch):
+    """A subspace criterion that reads A and B_1..B_{t-2} only, and
+    disagrees with injectivity wherever B_{t-2} has a nonzero first entry,
+    fails the same instances with the same counterexample: the first point
+    of the first mismatching fibre is the first mismatching point."""
+
+    def disagreeing(z):
+        return is_stable(z) != bool(z.B[:-1] and z.B[-2].entries[0])
+
+    monkeypatch.setattr(verify, "_subspace_criterion", disagreeing)
+    monkeypatch.setattr(oracles, "_subspace_criterion", disagreeing)
+    for dims_list, p in [(((1, 2), (1, 2, 3)), 2), (((2, 2, 3), (1, 1, 2)), 2), (((1, 2, 3),), 3)]:
+        kwargs = {"dims_list": dims_list, "p": p, "budget": 10**8}
+        report = stability_report(**kwargs).to_json_dict()
+        assert report == oracles.stability_by_point(**kwargs).to_json_dict()
+        assert report["counterexample"] is not None
+    assert [i["ok"] for i in stability_report().instances] == [True, False]
 
 
 Z_POINT_CASES = [
