@@ -19,7 +19,7 @@ import itertools
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from quiverz.exactmat import CertificateError, ExactMatrix, FieldSpec
+from quiverz.exactmat import CertificateError, ExactMatrix, FieldSpec, _index_matrix
 from quiverz.partitions import Partition, _FrozenRecord, add
 
 
@@ -182,14 +182,17 @@ def build_pair(delta: ABDiagram, field: FieldSpec) -> Tuple[ExactMatrix, ExactMa
     after row; every letter maps to the next letter of its row (zero at the
     end).  A collects the a -> b images, B the b -> a images, so
     type(BA) = a_part and type(AB) = b_part."""
-    A, B, _ = _numbered_pair(delta, field)
-    return A, B
+    a_map, b_map, _ = _numbered_pair(delta)
+    return _index_matrix(a_map, delta.total_b, field), _index_matrix(b_map, delta.total_a, field)
 
 
-def _numbered_pair(delta: ABDiagram, field: FieldSpec, b_before: Optional[Sequence[range]] = None) -> tuple:
+def _numbered_pair(delta: ABDiagram, b_before: Optional[Sequence[range]] = None) -> tuple:
     """(A, B, the b-letter numbers of each row) for delta's letters numbered
     as build_pair numbers them, but with b_before, the b-letter numbers of
     the diagram glued before it, its a-letters numbered by the matching.
+    A and B are index maps (_partial_permutation): A[a] is the number of the
+    b-letter after a-letter a in its row, B[b] that of the a-letter after
+    b-letter b, and -1 at the end of a row.
 
     The matching pairs the k-th longest row of b_before with the k-th
     longest row of a-letters of delta, equal lengths in row order, and each
@@ -210,16 +213,23 @@ def _numbered_pair(delta: ABDiagram, field: FieldSpec, b_before: Optional[Sequen
     if b_before is not None:
         for ra, rb in zip(_longest_first(a_rows), _longest_first(b_before)):
             a_rows[ra] = b_before[rb]
-    n, nb = ai, bi
-    a_entries = [0] * (nb * n)
-    b_entries = [0] * (n * nb)
+    a_map = [-1] * ai
+    b_map = [-1] * bi
     for row, a_idx, b_idx in zip(delta.rows, a_rows, b_rows):
-        lead = int(row.leading_b)  # a-letter j is followed by b-letter j + lead
-        for a, b in zip(a_idx, b_idx[lead:]):
-            a_entries[b * n + a] = 1
-        for b, a in zip(b_idx, a_idx[1 - lead :]):
-            b_entries[a * nb + b] = 1
-    return ExactMatrix._reduced(nb, n, a_entries, field), ExactMatrix._reduced(n, nb, b_entries, field), b_rows
+        # Each letter maps to the next one in its row: after a leading b,
+        # b-letter j to a-letter j and a-letter j to b-letter j + 1; else
+        # a-letter j to b-letter j and b-letter j to a-letter j + 1.
+        if row.leading_b:
+            for j, a in enumerate(a_idx):
+                b_map[b_idx[j]] = a
+                if j + 1 < len(b_idx):
+                    a_map[a] = b_idx[j + 1]
+        else:
+            for j, b in enumerate(b_idx):
+                a_map[a_idx[j]] = b
+                if j + 1 < len(a_idx):
+                    b_map[b] = a_idx[j + 1]
+    return a_map, b_map, b_rows
 
 
 def _longest_first(rows: Sequence[range]) -> List[int]:

@@ -44,8 +44,10 @@ is one _rref of [M | I], which the same gate, on the left block, keeps in
 lists.
 
 _jordan_flat, the one Jordan-type routine, reads a 0/1 partial permutation
-off its chains (_chains) and eliminates nothing: each chain is a Jordan
-block.  Any other input runs one elimination per power, and multiplies each
+off its chains and eliminates nothing: each chain is a Jordan block.
+_chains reads the index map (_partial_permutation) and walks it with
+_index_chains, the one chain reader, which also types the composed index
+maps of a glued chain point (quiverrep) without any matrix.  Any other input runs one elimination per power, and multiplies each
 reduced basis R = [I | R'] by N.  When R is more than half zero, which
 sends the full product to its row loop, and R' passes the _packs gate for
 its n - r columns, R N is N at the pivot rows plus one packed product of
@@ -563,26 +565,41 @@ def _partial_permutation(entries: Sequence[int], rows: int, cols: int) -> Option
     return image
 
 
-def _chains(entries: Sequence[int], n: int) -> Optional[List[List[int]]]:
-    """The chains of the flat n x n matrix N when N is a 0/1 partial
-    permutation (_partial_permutation), else None.
+def _index_matrix(image: Sequence[int], rows: int, field: FieldSpec) -> ExactMatrix:
+    """The 0/1 matrix with rows rows whose column c is e_{image[c]}, zero
+    where image[c] is -1: the matrix _partial_permutation reads as image."""
+    cols = len(image)
+    entries = [0] * (rows * cols)
+    for c, r in enumerate(image):
+        if r >= 0:
+            entries[r * cols + c] = 1
+    return ExactMatrix._reduced(rows, cols, entries, field)
 
-    A chain starts at an index that no column maps onto and follows N down
-    to the index N kills, so it lists unit vectors top to bottom; the chains
-    come by increasing top index.  They cover all n indices exactly when N
-    is nilpotent: the other indices lie on cycles."""
-    below = _partial_permutation(entries, n, n)
-    if below is None:
-        return None
+
+def _index_chains(below: Sequence[int]) -> List[List[int]]:
+    """The chains of the 0/1 partial permutation of size len(below) whose
+    index map (_partial_permutation) is below: the one chain reader.
+
+    A chain starts at an index that no column maps onto and follows the map
+    down to the index it kills, so it lists unit vectors top to bottom; the
+    chains come by increasing top index.  They cover all indices exactly
+    when the map is nilpotent: the other indices lie on cycles."""
     targets = set(below)
     chains = []
-    for top in range(n):
+    for top in range(len(below)):
         if top not in targets:
             chain = [top]
             while below[chain[-1]] >= 0:
                 chain.append(below[chain[-1]])
             chains.append(chain)
     return chains
+
+
+def _chains(entries: Sequence[int], n: int) -> Optional[List[List[int]]]:
+    """The chains (_index_chains) of the flat n x n matrix N when N is a 0/1
+    partial permutation (_partial_permutation), else None."""
+    below = _partial_permutation(entries, n, n)
+    return None if below is None else _index_chains(below)
 
 
 def _times_rowspace(rows: List[List[int]], pivots: List[int], entries: Sequence[int], n: int, p: int) -> List[int]:

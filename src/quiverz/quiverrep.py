@@ -13,12 +13,15 @@ numbers those letters (_numbered_pair): at each interface the a-letters of
 the later diagram take the numbers of the b-letters they meet, row by row,
 the k-th longest row meeting the k-th longest.  So B_i A_i is A_{i-1}
 B_{i-1} by construction, and no product, chain or permutation is formed to
-glue.  What certifies the glued point is the re-check that follows: the
-relations, and the Jordan type of every A_i B_i, theta last
-(_interface_types).  On a glued point every map is a 0/1 partial
-permutation, so each product of the relations pass is a gather, each A_i
-B_i is a 0/1 partial permutation too, the one Jordan-type routine reads
-each type off its chains, and this re-check eliminates nothing either.
+glue.  Every map of a glued point is a 0/1 partial permutation of the
+letters, and the glue gives each as its index map, the letter each letter
+goes to.  What certifies the glued point is the re-check that follows, on
+those maps (_map_recheck): composed, they must meet the relations, and the
+Jordan type of every A_i B_i, theta last, read off its chains, must be the
+b-part of its diagram.  It forms no matrix and eliminates nothing, so the
+image sweep re-checks its chains without building points.  build_from_chain
+then writes each map as its 0/1 matrix and reads it back
+(_partial_permutation) against the map that passed.
 """
 
 from __future__ import annotations
@@ -32,8 +35,11 @@ from quiverz.exactmat import (
     CertificateError,
     ExactMatrix,
     FieldSpec,
+    _index_chains,
+    _index_matrix,
     _jordan_flat,
     _mul_flat,
+    _partial_permutation,
     _random_invertible_pair,
     all_subspaces,
     hstack,
@@ -437,17 +443,33 @@ def build_from_chain(deltas: Sequence[ABDiagram], field: FieldSpec) -> QuiverRep
     quotient-map value of the result has Jordan type b_part of the last
     diagram.
 
-    The glue numbers letters: the pair of each diagram has its letters as
-    basis (build_pair), b-letters numbered row after row, and the a-letters
-    of a later diagram take the numbers of the b-letters they meet across
-    the interface (_numbered_pair): the k-th longest b-row of diagram i - 1
-    meets the k-th longest a-row of diagram i, equal lengths in row order.
-    So B_i A_i, which sends each a-letter to the next one in its row, is
-    A_{i-1} B_{i-1}, which sends each b-letter to the next one in its row,
-    and no product, chain or permutation is formed.  The relations and the
-    Jordan type of every A_i B_i, theta last, are then re-checked
-    (_interface_types): the type at interface i must be the b-part of
-    diagram i.  That re-check is the certificate."""
+    The glue numbers letters and gives index maps (_glued_maps): the pair
+    of each diagram has its letters as basis, b-letters numbered row after
+    row, and the a-letters of a later diagram take the numbers of the
+    b-letters they meet across the interface (_numbered_pair): the k-th
+    longest b-row of diagram i - 1 meets the k-th longest a-row of diagram
+    i, equal lengths in row order.  So B_i A_i, which sends each a-letter
+    to the next one in its row, is A_{i-1} B_{i-1}, which sends each
+    b-letter to the next one in its row, and no product, chain or
+    permutation is formed to glue.  The maps are then re-checked
+    (_map_recheck): composed, they must meet the relations, and the type of
+    every A_i B_i, theta last, read off its chains, must be the b-part of
+    diagram i.  That re-check is the certificate.  Each map becomes its
+    0/1 matrix, which must read back (_partial_permutation) as the map that
+    passed."""
+    dims, A, B = _glued_maps(deltas)
+    forward = tuple(_index_matrix(image, dims[i + 1], field) for i, image in enumerate(A))
+    backward = tuple(_index_matrix(image, dims[i], field) for i, image in enumerate(B))
+    for M, image in zip(forward + backward, A + B):
+        if _partial_permutation(M.entries, M.rows, M.cols) != image:
+            raise CertificateError(f"build_from_chain: a matrix of the point glued for {dims} is not its map")
+    return QuiverRep._unchecked(dims, forward, backward, field)
+
+
+def _glued_maps(deltas: Sequence[ABDiagram]) -> Tuple[tuple, List[List[int]], List[List[int]]]:
+    """(dims, A, B) for the point build_from_chain glues from deltas, A and
+    B the lists of its forward and backward maps as index maps, re-checked
+    by _map_recheck; ValueError on a chain that does not glue."""
     deltas = list(deltas)
     if not deltas:
         raise ValueError("chain must contain at least one diagram")
@@ -456,26 +478,61 @@ def build_from_chain(deltas: Sequence[ABDiagram], field: FieldSpec) -> QuiverRep
         raise ValueError(
             f"first diagram must have all-ones a-part, got {first_a.to_list()}"
         )
-    dims = [deltas[0].total_a]
-    for delta in deltas:
-        dims.append(delta.total_b)
     for i in range(len(deltas) - 1):
         if deltas[i + 1].a_part != deltas[i].b_part:
             raise ValueError(
                 f"chain mismatch at interface {i + 1}: b-part {deltas[i].b_part.to_list()} "
                 f"vs a-part {deltas[i + 1].a_part.to_list()}"
             )
+    dims = as_dim_vector([deltas[0].total_a] + [delta.total_b for delta in deltas])
     A = []
     B = []
     b_rows = None
     for delta in deltas:
-        Ai, Bi, b_rows = _numbered_pair(delta, field, b_rows)
-        A.append(Ai)
-        B.append(Bi)
-    z = QuiverRep(tuple(dims), A, B, field)
-    if _interface_types(z) != [delta.b_part for delta in deltas]:
-        raise CertificateError(f"build_from_chain: the point glued for {dims} fails its re-check")
-    return z
+        a_map, b_map, b_rows = _numbered_pair(delta, b_rows)
+        A.append(a_map)
+        B.append(b_map)
+    _map_recheck(deltas, A, B)
+    return dims, A, B
+
+
+def _map_recheck(deltas: Sequence[ABDiagram], A: Sequence[List[int]], B: Sequence[List[int]]) -> List[Partition]:
+    """The types of A_i B_i, theta last, of the point whose maps are the
+    index maps A_i and B_i (_partial_permutation) glued from deltas, else
+    CertificateError: the one re-check of a glued point.
+
+    Each map must be a partial permutation between the letters of its
+    shape.  Composed, B_1 A_1 must vanish and B_i A_i must be A_{i-1}
+    B_{i-1}; the composition of such maps is their matrix product.  The
+    type of each A_i B_i is read off its chains (_index_chains) and must be
+    the b-part of diagram i."""
+    dims = [deltas[0].total_a] + [delta.total_b for delta in deltas]
+    types: List[Partition] = []
+    ab = [-1] * dims[0]  # A_0 B_0 = 0
+    if len(A) == len(B) == len(deltas):
+        for i, delta in enumerate(deltas):
+            a, b = A[i], B[i]
+            if not (_is_index_map(a, dims[i], dims[i + 1]) and _is_index_map(b, dims[i + 1], dims[i])):
+                break
+            if [b[x] if x >= 0 else -1 for x in a] != ab:
+                break
+            ab = [a[y] if y >= 0 else -1 for y in b]
+            if tuple(sorted(map(len, _index_chains(ab)), reverse=True)) != delta.b_part.parts:
+                break
+            types.append(delta.b_part)
+    if len(types) != len(deltas):
+        raise CertificateError(f"build_from_chain: the point glued for {tuple(dims)} fails its re-check")
+    return types
+
+
+def _is_index_map(image: Sequence[int], cols: int, rows: int) -> bool:
+    """image is the index map of a rows x cols 0/1 partial permutation:
+    cols entries, each -1 or a distinct index below rows."""
+    hits = set(image)
+    hits.discard(-1)
+    if len(image) != cols or len(hits) != cols - image.count(-1):
+        return False
+    return not hits or 0 <= min(hits) and max(hits) < rows
 
 
 class ReducibilityReport(_Record):

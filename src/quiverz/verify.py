@@ -70,10 +70,10 @@ from quiverz.quiverrep import (
     QuiverRep,
     _degrees_bounded,
     _flag_point,
+    _glued_maps,
     _point_products,
     _rep_products,
     _subspace_criterion,
-    build_from_chain,
     greedy_chain,
     is_stable,
     random_chain,
@@ -429,9 +429,10 @@ def _theta_image_instance(d: tuple, p: int, seed: int, trials: int) -> dict:
     rng = derive_rng(seed, "theta-image", d)
     lam = theta_image(d)
     mu = mu_of(d)
-    # The builders certify the relations and a chain point's type at every
-    # interface (the b-parts of its chain, theta's last); the checks read
-    # them.  A stable sample is the coordinate-flag point of its
+    # The glue's re-check certifies the relations and a chain's type at
+    # every interface (the b-parts of its chain, theta's last) on its index
+    # maps, and no matrix is built for the chain; the checks read those
+    # types.  A stable sample is the coordinate-flag point of its
     # endomorphism, without sample_stable's random base change: that would
     # move it inside its orbit, which keeps every check below.  It is
     # re-checked here, by one relations pass and one read of each forward
@@ -445,12 +446,12 @@ def _theta_image_instance(d: tuple, p: int, seed: int, trials: int) -> dict:
     # fails the checks.
     checks = [("lambda_dominates_mu", dominates(lam, mu))]
     chain = greedy_chain(d)
-    build_from_chain(chain, field)
+    _glued_maps(chain)
     checks.append(("greedy_nilpotency", _degrees_bounded([delta.b_part for delta in chain])))
     checks.append(("greedy_type_is_lambda", chain[-1].b_part == lam))
     for k in range(trials):
         chain = random_chain(d, rng)
-        build_from_chain(chain, field)
+        _glued_maps(chain)
         checks.append((f"chain{k}_bounded_by_lambda", dominates(lam, chain[-1].b_part)))
         checks.append((f"chain{k}_nilpotency", _degrees_bounded([delta.b_part for delta in chain])))
     for k in range(trials):
@@ -642,15 +643,29 @@ def stability_report(
     )
 
 
+_REDUCIBLE_DRAWS = 64
+
+
 def reducible_report(p: int = DEFAULT_PRIME, seed: int = 0) -> VerifyReport:
     """Reproduce the reducibility certificate on (1,4,5): greedy chain type
     (3,2) against stable type (3,1,1), with a non-injective middle forward
-    map on the chain witness and an exactly generic stable witness."""
+    map on the chain witness and an exactly generic stable witness.
+
+    A stable sample is generic only with probability below 1 over a small
+    field: about half the samples over F_2 have a type below (3,1,1).  So
+    witness_reducible is drawn again, on the same derived stream, until the
+    stable witness has type (3,1,1), at most _REDUCIBLE_DRAWS times; the
+    report of the last draw is checked, and fails on stable_type if the cap
+    is reached.  Over F_32003 the first draw is generic on every seed from
+    0 to 199, so those reports are the single-draw reports."""
     field = FieldSpec(p)
     rng = derive_rng(seed, "reducible", (1, 4, 5))
     # The builders certify the relations and the stable witness's stability.
-    report = witness_reducible((1, 4, 5), field, rng)
-    chain, stable = report.witnesses[0], report.witnesses[1]
+    for _ in range(_REDUCIBLE_DRAWS):
+        report = witness_reducible((1, 4, 5), field, rng)
+        chain, stable = report.witnesses[0], report.witnesses[1]
+        if stable["theta_type"] == [3, 1, 1]:
+            break
     checks = {
         "verdict": report.verdict == "reducible",
         "lambda": report.lam == Partition((3, 2)),

@@ -26,7 +26,10 @@ is unique.  build_from_chain_by_conjugators
 is the interface loop that quiverrep.build_from_chain replaced with
 permutations read off the chains (build_from_chain_by_chain_order, with
 _chain_order), and that loop the one it replaced with letters numbered
-across each interface.
+across each interface.  build_from_chain_dense is that numbering as it was
+before the glue gave index maps: it fills each pair as dense 0/1 lists and
+re-checks the point by products and Jordan types, where build_from_chain
+re-checks the maps by composing them and reading their chains.
 
 The helpers at the end were public names of the package that only tests
 called: mat_pow, is_nilpotent, random_invertible and transpose (once in
@@ -39,7 +42,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from quiverz.abdiagrams import build_pair, enumerate_b_parts
+from quiverz.abdiagrams import _longest_first, build_pair, enumerate_b_parts
 from quiverz.exactmat import (
     CertificateError,
     ExactMatrix,
@@ -65,7 +68,15 @@ from quiverz.partitions import (
     is_strictly_monotone,
     partitions_of_weight,
 )
-from quiverz.quiverrep import FlagPoint, QuiverRep, _lowering_endo, _point_products, _subspace_criterion, is_stable
+from quiverz.quiverrep import (
+    FlagPoint,
+    QuiverRep,
+    _interface_types,
+    _lowering_endo,
+    _point_products,
+    _subspace_criterion,
+    is_stable,
+)
 from quiverz.verify import (
     DEFAULT_BUDGET,
     VerifyReport,
@@ -218,6 +229,69 @@ def build_from_chain_by_chain_order(deltas, field) -> QuiverRep:
         A.append(ExactMatrix._reduced(hi, lo, [ae[r * lo + c] for r in range(hi) for c in src], field))
         B.append(ExactMatrix._reduced(lo, hi, [v for c in src for v in be[c * hi : (c + 1) * hi]], field))
     return QuiverRep(dims, A, B, field)
+
+
+def numbered_pair_dense(delta, field, b_before=None) -> tuple:
+    """(A, B, the b-letter numbers of each row) as abdiagrams._numbered_pair
+    gave them before it returned index maps: A and B filled as dense 0/1
+    lists, each a-letter numbered by the b-letter at its place in the
+    matched row of b_before."""
+    a_rows: List[range] = []
+    b_rows: List[range] = []
+    ai = bi = 0
+    for row in delta.rows:
+        a_rows.append(range(ai, ai + row.a_count))
+        b_rows.append(range(bi, bi + row.b_count))
+        ai += row.a_count
+        bi += row.b_count
+    if b_before is not None:
+        for ra, rb in zip(_longest_first(a_rows), _longest_first(b_before)):
+            a_rows[ra] = b_before[rb]
+    n, nb = ai, bi
+    a_entries = [0] * (nb * n)
+    b_entries = [0] * (n * nb)
+    for row, a_idx, b_idx in zip(delta.rows, a_rows, b_rows):
+        lead = int(row.leading_b)  # a-letter j is followed by b-letter j + lead
+        for a, b in zip(a_idx, b_idx[lead:]):
+            a_entries[b * n + a] = 1
+        for b, a in zip(b_idx, a_idx[1 - lead :]):
+            b_entries[a * nb + b] = 1
+    return ExactMatrix._reduced(nb, n, a_entries, field), ExactMatrix._reduced(n, nb, b_entries, field), b_rows
+
+
+def build_from_chain_dense(deltas, field) -> QuiverRep:
+    """The point build_from_chain glued before it glued index maps: the
+    dense pairs of numbered_pair_dense, re-checked as a point by one
+    relations pass and the Jordan type of every A_i B_i (_interface_types),
+    which must be the b-parts of the chain."""
+    deltas = list(deltas)
+    if not deltas:
+        raise ValueError("chain must contain at least one diagram")
+    first_a = deltas[0].a_part
+    if any(p != 1 for p in first_a.parts):
+        raise ValueError(
+            f"first diagram must have all-ones a-part, got {first_a.to_list()}"
+        )
+    dims = [deltas[0].total_a]
+    for delta in deltas:
+        dims.append(delta.total_b)
+    for i in range(len(deltas) - 1):
+        if deltas[i + 1].a_part != deltas[i].b_part:
+            raise ValueError(
+                f"chain mismatch at interface {i + 1}: b-part {deltas[i].b_part.to_list()} "
+                f"vs a-part {deltas[i + 1].a_part.to_list()}"
+            )
+    A = []
+    B = []
+    b_rows = None
+    for delta in deltas:
+        Ai, Bi, b_rows = numbered_pair_dense(delta, field, b_rows)
+        A.append(Ai)
+        B.append(Bi)
+    z = QuiverRep(tuple(dims), A, B, field)
+    if _interface_types(z) != [delta.b_part for delta in deltas]:
+        raise CertificateError(f"build_from_chain: the point glued for {dims} fails its re-check")
+    return z
 
 
 def pair_types_by_brute_force(n: int, a: int, p: int) -> dict:

@@ -34,8 +34,10 @@ from quiverz.quiverrep import (
     QuiverRep,
     _certified,
     _flag_point,
+    _glued_maps,
     _interface_types,
     _lowering_endo,
+    _map_recheck,
     _sample_stable,
     act,
     alpha,
@@ -56,6 +58,7 @@ from quiverz.verify import strictly_monotone_vectors
 from oracles import (
     _chain_order,
     build_from_chain_by_chain_order,
+    build_from_chain_dense,
     build_from_chain_by_conjugators,
     mat_pow,
     nilpotency_by_powers,
@@ -586,11 +589,13 @@ def test_build_from_chain_takes_conjugator_inverse_from_bases(monkeypatch):
 
 
 def test_build_from_chain_computes_nothing_before_its_recheck(monkeypatch):
-    """The glue forms no product, reads no chain and builds no pair with
-    build_pair: every _mul_flat and _chains call that build_from_chain makes
-    comes from inside its one _interface_types pass, which forms the t - 1
-    products of the relations and theta and types each A_i B_i off its
-    chains."""
+    """The glue forms no product and no matrix, reads no chain and builds
+    no pair with build_pair before its one re-check, _map_recheck, which
+    composes the index maps and reads the chains of each A_i B_i
+    (_index_chains).  Then each of the 2 (t - 1) maps is written once as
+    its matrix (_index_matrix) and read back once (_partial_permutation),
+    and no product is formed at all, where the re-check of the point once
+    formed the 2 (t - 1) products of the relations and theta."""
     calls = []
     depth = [0]
 
@@ -601,19 +606,20 @@ def test_build_from_chain_computes_nothing_before_its_recheck(monkeypatch):
 
         return wrapper
 
-    def rechecking(z):
-        calls.append(("_interface_types", depth[0]))
+    def rechecking(*args):
+        calls.append(("_map_recheck", depth[0]))
         depth[0] += 1
         try:
-            return real_types(z)
+            return real_recheck(*args)
         finally:
             depth[0] -= 1
 
-    real_types = quiverrep._interface_types
-    monkeypatch.setattr(quiverrep, "_interface_types", rechecking)
-    monkeypatch.setattr(quiverrep, "_mul_flat", recording("_mul_flat", quiverrep._mul_flat))
-    monkeypatch.setattr(exactmat, "_mul_flat", recording("_mul_flat", exactmat._mul_flat))
-    monkeypatch.setattr(exactmat, "_chains", recording("_chains", exactmat._chains))
+    real_recheck = quiverrep._map_recheck
+    monkeypatch.setattr(quiverrep, "_map_recheck", rechecking)
+    for name in ("_mul_flat", "_index_chains", "_index_matrix", "_partial_permutation"):
+        monkeypatch.setattr(quiverrep, name, recording(name, getattr(quiverrep, name)))
+    for name in ("_mul_flat", "_chains"):
+        monkeypatch.setattr(exactmat, name, recording(name, getattr(exactmat, name)))
     monkeypatch.setattr(abdiagrams, "build_pair", recording("build_pair", abdiagrams.build_pair))
     rng = random.Random(31)
     for dims in ((1, 4, 5), (1, 2, 5, 8, 12), (4, 8, 9), (12, 27, 40)):
@@ -621,8 +627,12 @@ def test_build_from_chain_computes_nothing_before_its_recheck(monkeypatch):
             calls.clear()
             build_from_chain(chain, F)
             t = len(dims)
-            assert calls[0] == ("_interface_types", 0)
-            assert sorted(calls[1:]) == [("_chains", 1)] * (t - 1) + [("_mul_flat", 1)] * (2 * (t - 1))
+            assert calls == (
+                [("_map_recheck", 0)]
+                + [("_index_chains", 1)] * (t - 1)
+                + [("_index_matrix", 0)] * (2 * (t - 1))
+                + [("_partial_permutation", 0)] * (2 * (t - 1))
+            )
 
 
 def test_build_from_chain_certifies_every_interface(monkeypatch):
@@ -639,7 +649,7 @@ def test_build_from_chain_certifies_every_interface(monkeypatch):
     swap = {id(good): bad for good, bad in zip(right, wrong)}
     real = quiverrep._numbered_pair
     monkeypatch.setattr(
-        quiverrep, "_numbered_pair", lambda delta, field, b_before=None: real(swap[id(delta)], field, b_before)
+        quiverrep, "_numbered_pair", lambda delta, b_before=None: real(swap[id(delta)], b_before)
     )
     with pytest.raises(CertificateError, match="build_from_chain"):
         build_from_chain(right, F)
@@ -724,6 +734,142 @@ def test_build_from_chain_matches_chain_order_oracle():
         assert z == build_from_chain_by_chain_order(chain, field), (dims, field, chain)
         count += 1
     assert count == 3 * 4 * 120 + 6 + 2 * 4 * 247 + 3 * 20 + 1
+
+
+def test_build_from_chain_matches_dense_oracle():
+    """The glue of index maps against the glue that filled dense 0/1 lists
+    and re-checked the point by products and Jordan types
+    (build_from_chain_dense): on the greedy chain and five seeded random
+    chains of every strictly monotone vector with last entry at most 7,
+    over F_2 and F_32003, the points are equal entry for entry, and the
+    types the map re-check reads are the types _interface_types finds on
+    the point."""
+    count = 0
+    for field in (F2, F):
+        rng = random.Random(41)
+        for dims in strictly_monotone_vectors(7):
+            for chain in [greedy_chain(dims)] + [random_chain(dims, rng) for _ in range(5)]:
+                z = build_from_chain(chain, field)
+                oracle = build_from_chain_dense(chain, field)
+                assert z == oracle, (dims, field, chain)
+                assert [M.entries for M in z.A + z.B] == [M.entries for M in oracle.A + oracle.B]
+                glued_dims, A, B = _glued_maps(chain)
+                assert glued_dims == dims
+                assert _map_recheck(chain, A, B) == _interface_types(z) == [delta.b_part for delta in chain]
+                count += 1
+    assert count == 2 * 120 * 6
+
+
+def _dense_point(dims, A, B, field):
+    """The point whose maps are the 0/1 matrices with a 1 at (image[c], c),
+    built entry by entry."""
+    def matrix(image, rows):
+        return ExactMatrix(rows, len(image), [int(image[c] == r) for r in range(rows) for c in range(len(image))], field)
+
+    forward = [matrix(image, dims[i + 1]) for i, image in enumerate(A)]
+    backward = [matrix(image, dims[i]) for i, image in enumerate(B)]
+    return QuiverRep(dims, forward, backward, field)
+
+
+def _changed_maps(A, B, dims):
+    """Every (A', B') that differs from (A, B) in one image of one map: the
+    image of a letter dropped, redirected to each other letter of the
+    target space, or added where there was none."""
+    maps = list(A) + list(B)
+    t = len(A) + 1
+    for k, image in enumerate(maps):
+        rows = dims[k + 1] if k < t - 1 else dims[k - (t - 1)]
+        for c, old in enumerate(image):
+            for new in [-1] + list(range(rows)):
+                if new != old:
+                    changed = [list(m) for m in maps]
+                    changed[k][c] = new
+                    yield changed[: t - 1], changed[t - 1 :]
+
+
+def test_map_recheck_matches_point_recheck_on_changed_maps():
+    """One image of one map dropped, redirected or added, at every letter,
+    on the greedy chain and two random chains of every strictly monotone
+    vector with last entry at most 5: the map re-check passes exactly when
+    every map is still a 0/1 partial permutation and the point of the
+    changed maps passes the point re-check, its relations and the Jordan
+    type of every A_i B_i (_interface_types).  Changes that keep the
+    relations and every type pass both: 572 of the 2742 changes, 389 of
+    them in A_{t-1} or B_{t-1}, which only the type of theta constrains.
+    The other 2170 fail both, or leave a map that is not a partial
+    permutation."""
+    rng = random.Random(43)
+    outcomes = {True: 0, False: 0}
+    for dims in strictly_monotone_vectors(5):
+        for chain in (greedy_chain(dims), random_chain(dims, rng), random_chain(dims, rng)):
+            _, A, B = _glued_maps(chain)
+            parts = [delta.b_part for delta in chain]
+            for A2, B2 in _changed_maps(A, B, dims):
+                injective = all(len(set(m) - {-1}) == len(m) - m.count(-1) for m in A2 + B2)
+                expect = injective and _interface_types(_dense_point(dims, A2, B2, F2)) == parts
+                try:
+                    _map_recheck(chain, A2, B2)
+                    passed = True
+                except CertificateError:
+                    passed = False
+                assert passed == expect, (dims, chain, A2, B2)
+                outcomes[passed] += 1
+    assert outcomes == {True: 572, False: 2170}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_map_recheck_refuses_changed_letter_maps(flags):
+    """On the greedy chain of (1, 4, 5), A_1 = [1] (a0 -> b1) and B_1 = [0,
+    -1, -1, -1] (b0 -> a0).  Three changes of one image each make the maps
+    glue no point of the chain, and the map re-check raises
+    CertificateError, also under python -O; so does build_from_chain when
+    the glue hands it those maps, and the theta-image instance when it
+    re-checks them:
+    - A_1's image redirected to b2, a letter no map reaches: A_1 B_1 keeps
+      its type (2, 1, 1), but B_2 A_2 = A_1 B_1 fails;
+    - A_1's image dropped: A_1 B_1 = 0 has type (1, 1, 1, 1);
+    - B_1 = [-1, 0, -1, -1]: b1 -> a0, so B_1 A_1 sends a0 to itself."""
+    script = textwrap.dedent(
+        """
+        from quiverz import exactmat, quiverrep, verify
+        chain = quiverrep.greedy_chain((1, 4, 5))
+        dims, A, B = quiverrep._glued_maps(chain)
+        if (A, B) != ([[1], [1, 2, 4, -1]], [[0, -1, -1, -1], [0, 1, -1, 2, -1]]):
+            raise SystemExit(f"unexpected maps {A} {B}")
+        real_glue = quiverrep._numbered_pair
+        changes = {
+            "redirected": ([[2], A[1]], B),
+            "dropped": ([[-1], A[1]], B),
+            "b1a1": (A, [[-1, 0, -1, -1], B[1]]),
+        }
+        for name, (A2, B2) in changes.items():
+            def glue(delta, b_before=None):
+                a_map, b_map, b_rows = real_glue(delta, b_before)
+                k = chain.index(delta)
+                return A2[k], B2[k], b_rows
+
+            calls = (
+                lambda: quiverrep._map_recheck(chain, A2, B2),
+                lambda: quiverrep.build_from_chain(chain, exactmat.FieldSpec()),
+                lambda: verify._theta_image_instance((1, 4, 5), 32003, 0, 0),
+            )
+            quiverrep._numbered_pair = glue
+            for call in calls:
+                try:
+                    call()
+                    print(name, "passed")
+                except exactmat.CertificateError as exc:
+                    print(name, "raised in", str(exc).split(":")[0])
+            quiverrep._numbered_pair = real_glue
+        """
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        f"{name} raised in build_from_chain" for name in ("redirected", "dropped", "b1a1") for _ in range(3)
+    ]
 
 
 def _nilpotent_partial_permutations(n):
@@ -857,14 +1003,18 @@ def test_witness_no_obstruction():
 def test_certificate_checks_survive_optimisation():
     """Under python -O a failing re-check still raises CertificateError: the
     checks in build_from_chain, sample_stable and witness_reducible are not
-    asserts.  The relations fail when _point_products, which every
-    relations check runs, reports them failed.  witness_reducible emits
-    relations: true only after its builders' re-checks, so with the
-    relations failing it raises in build_from_chain.  The matching of one
-    interface reversed, each a-letter numbered by the b-letter at the
-    mirrored place of its matched row, glues a point off the variety, and
-    build_from_chain raises too: at the one interface of (1, 4, 5), and at
-    the second of the three of (1, 2, 5, 8, 12), the others glued right."""
+    asserts.  The relations of a sample fail when _point_products, which
+    every relations pass of a point runs, reports them failed: then
+    sample_stable raises, and witness_reducible, which emits relations: true
+    only after its builders' re-checks, raises in its stable sample.  Its
+    chain witness is re-checked on its index maps, which do not go through
+    _point_products; with the matching of one interface reversed, each
+    a-letter numbered by the b-letter at the mirrored place of its matched
+    row, the maps glue a point off the variety and build_from_chain raises:
+    at the one interface of (1, 4, 5), and at the second of the three of
+    (1, 2, 5, 8, 12), the others glued right.  A matrix written with its
+    first column zeroed reads back as another map than the one that passed,
+    and build_from_chain raises too."""
     script = textwrap.dedent(
         """
         import random
@@ -881,7 +1031,6 @@ def test_certificate_checks_survive_optimisation():
 
         real_products = quiverrep._point_products
         quiverrep._point_products = lambda *args: None  # no point satisfies the relations
-        attempt(lambda: quiverrep.build_from_chain(quiverrep.greedy_chain((1, 4, 5)), F))
         attempt(lambda: quiverrep.sample_stable((1, 4, 5), F, random.Random(0)))
         attempt(lambda: quiverrep.witness_reducible((1, 4, 5), F, random.Random(0)))
         quiverrep._point_products = real_products
@@ -892,11 +1041,11 @@ def test_certificate_checks_survive_optimisation():
         def reversing(interface):
             calls = []
 
-            def numbered_pair(delta, field, b_before=None):  # b_before is None for the first diagram
+            def numbered_pair(delta, b_before=None):  # b_before is None for the first diagram
                 calls.append(delta)
                 if len(calls) == interface + 1:
                     b_before = [rows[::-1] for rows in b_before]
-                return real_pair(delta, field, b_before)
+                return real_pair(delta, b_before)
 
             return numbered_pair
 
@@ -906,6 +1055,9 @@ def test_certificate_checks_survive_optimisation():
         attempt(lambda: quiverrep.build_from_chain(quiverrep.greedy_chain((1, 2, 5, 8, 12)), F))
         quiverrep._numbered_pair = real_pair
         attempt(lambda: quiverrep.build_from_chain(quiverrep.greedy_chain((1, 2, 5, 8, 12)), F))
+        real_matrix = quiverrep._index_matrix
+        quiverrep._index_matrix = lambda image, rows, field: real_matrix([-1] + image[1:], rows, field)
+        attempt(lambda: quiverrep.build_from_chain(quiverrep.greedy_chain((1, 4, 5)), F))
         """
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -915,11 +1067,11 @@ def test_certificate_checks_survive_optimisation():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
-        "raised in build_from_chain",
         "raised in sample_stable",
-        "raised in build_from_chain",
+        "raised in sample_stable",
         "raised in witness_reducible",
         "raised in build_from_chain",
         "raised in build_from_chain",
         "passed",
+        "raised in build_from_chain",
     ]
