@@ -19,7 +19,7 @@ import itertools
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from quiverz.exactmat import CertificateError, ExactMatrix, FieldSpec, _index_matrix
+from quiverz.exactmat import CertificateError, ExactMatrix, FieldSpec, _draws, _index_matrix
 from quiverz.partitions import Partition, _FrozenRecord, add
 
 
@@ -67,7 +67,10 @@ class ABRow(_FrozenRecord):
 
 
 def _row_sort_key(row: ABRow) -> tuple:
-    return (-row.length, -row.a_count, row.to_string())
+    """Longest first, then most a's, then the row's string: rows that tie
+    on both differ at most by which end holds their one end b, and "a..."
+    sorts before "b..."."""
+    return (-row.length, -row.a_count, row.leading_b)
 
 
 class ABDiagram:
@@ -169,10 +172,10 @@ def random_diagram(eta: Partition, a: int, rng) -> ABDiagram:
     in-row budget), for sampling arbitrary points of the pair variety."""
     s = len(eta)
     while True:
-        jvec = [rng.randrange(3) for _ in range(s)]
+        jvec = _draws(rng, 3, s)
         if sum(jvec) <= s + a:
             break
-    return _placement(eta, a, jvec, [bool(rng.randrange(2)) for _ in range(s)])
+    return _placement(eta, a, jvec, [bool(v) for v in _draws(rng, 2, s)])
 
 
 def build_pair(delta: ABDiagram, field: FieldSpec) -> Tuple[ExactMatrix, ExactMatrix]:

@@ -62,7 +62,8 @@ the chain tops of each height from one more _rref.
 Kernel results are wrapped by ExactMatrix._reduced, which skips the checks
 and the reduction of the public constructor.  Its precondition: exactly
 rows * cols Python ints, each already in [0, p).  random_matrix takes its
-entries from randrange(p), so they meet it too.
+entries from _draws, randrange(p)'s stream drawn inline, so they meet it
+too.
 """
 
 from __future__ import annotations
@@ -509,10 +510,26 @@ def solve(M: ExactMatrix, C: ExactMatrix) -> ExactMatrix:
     return ExactMatrix._reduced(n, C.cols, [v for row in aug[:n] for v in row[n:]], M.field)
 
 
+def _draws(rng, n: int, count: int) -> List[int]:
+    """[rng.randrange(n) for _ in range(count)], leaving rng in the same
+    state: randrange's own loop, which keeps getrandbits(k) for
+    k = n.bit_length() once it falls below n, run inline without the
+    argument checks and the three calls per draw of randrange."""
+    k = n.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        v = bits(k)
+        while v >= n:
+            v = bits(k)
+        out.append(v)
+    return out
+
+
 def random_matrix(rows: int, cols: int, field: FieldSpec, rng) -> ExactMatrix:
     if rows < 0 or cols < 0:
         raise ValueError(f"negative shape ({rows}, {cols})")
-    return ExactMatrix._reduced(rows, cols, [rng.randrange(field.p) for _ in range(rows * cols)], field)
+    return ExactMatrix._reduced(rows, cols, _draws(rng, field.p, rows * cols), field)
 
 
 def _random_invertible_pair(n: int, field: FieldSpec, rng) -> tuple:

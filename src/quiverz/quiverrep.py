@@ -35,6 +35,7 @@ from quiverz.exactmat import (
     CertificateError,
     ExactMatrix,
     FieldSpec,
+    _draws,
     _index_chains,
     _index_matrix,
     _jordan_flat,
@@ -248,9 +249,12 @@ def _lowering_endo(dims: Sequence[int], field: FieldSpec, rng) -> ExactMatrix:
         for c in range(lower, n):
             bound[c] = lower
         lower = n
-    for c in range(nt):
-        for r in range(bound[c]):
-            entries[r * nt + c] = rng.randrange(field.p)
+    heights = [bound[c] for c in range(nt)]
+    values = _draws(rng, field.p, sum(heights))
+    start = 0
+    for c, h in enumerate(heights):  # column by column, top to bottom
+        entries[c : h * nt : nt] = values[start : start + h]
+        start += h
     return ExactMatrix._reduced(nt, nt, entries, field)
 
 
@@ -277,22 +281,32 @@ def _sample_stable(dims: Sequence[int], field: FieldSpec, rng) -> tuple:
     return _certified(_moved(z0, g, ginv))
 
 
-def _flag_point(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
-    """The coordinate-flag point of a drawn _lowering_endo, unchecked: A_i is
-    the inclusion of the first n_i coordinates and B_i the top-left
-    n_i x n_{i+1} block of the endomorphism, its restriction to the
-    (i+1)-th coordinate subspace landing in the i-th.  So A_i B_i is the
-    leading n_{i+1} x n_{i+1} block of the endomorphism, theta all of it.
-
-    sample_stable's point for the same endomorphism lies in the base-change
-    orbit of this one, so a caller whose checks are orbit invariants (the
-    relations, stability, the type of every A_i B_i) can re-check this point
-    and skip the base change."""
+def _flag_endo(dims: Sequence[int], field: FieldSpec, rng) -> tuple:
+    """The flat entries of a drawn _lowering_endo, re-checked to lower the
+    coordinate flag: column c of block j (n_{j-1} <= c < n_j) vanishes from
+    row n_{j-1} down, else CertificateError.  On the coordinate-flag point
+    (_flag_point) every A_i is an inclusion, so this is exactly B_1 A_1 = 0,
+    B_i A_i = A_{i-1} B_{i-1} and theta = endo."""
     dims = as_dim_vector(dims)
     if not is_strictly_monotone(dims):
         raise ValueError(f"stable sampling needs a strictly increasing dimension vector: {dims}")
     nt = dims[-1]
     endo = _lowering_endo(dims, field, rng).entries
+    if any(any(endo[low * nt + c :: nt]) for low, n in zip((0,) + dims, dims) for c in range(low, n)):
+        raise CertificateError(f"sample_stable: the endomorphism drawn for {dims} does not lower the flag")
+    return endo
+
+
+def _flag_point(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
+    """The coordinate-flag point of _flag_endo's endomorphism: A_i is the
+    inclusion of the first n_i coordinates and B_i the top-left
+    n_i x n_{i+1} block of the endomorphism, its restriction to the
+    (i+1)-th coordinate subspace landing in the i-th.  So A_i B_i is the
+    leading n_{i+1} x n_{i+1} block of the endomorphism, theta all of it.
+    sample_stable moves it by a random base change."""
+    endo = _flag_endo(dims, field, rng)
+    dims = as_dim_vector(dims)
+    nt = dims[-1]
     A = []
     B = []
     for i in range(len(dims) - 1):

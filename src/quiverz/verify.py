@@ -14,13 +14,14 @@ B11 per Jordan type, types BA once per row space and AB once per column
 space beside it, and pairs the types that share the corner block.  In the
 same way the image sweep checks each stable sample at its coordinate-flag
 point, without the random base change: every check it makes is invariant
-under base change.  There the forward maps are coordinate inclusions, each
-read once off the matrices, which also certifies stability, since an
-inclusion is injective; by the relations they carry each A_i B_i to theta
-restricted to the span of the first n_{i+1} coordinates (the flag
-correspondence of Kraft and Procesi), so one pass over theta types every
-interface.  The stability check solves its last relation by lookup, listing
-every last backward map under its product with the normal form, and, since
+under base change.  There the forward maps are coordinate inclusions, which
+are injective, and the relations with theta = endo say only that the
+endomorphism lowers the flag, so the sample is re-checked on the
+endomorphism and no point is built; A_i B_i is theta restricted to the
+span of the first n_{i+1} coordinates (the flag correspondence of Kraft
+and Procesi), so one pass over theta types every interface.  The
+stability check solves its last relation by lookup, listing every last
+backward map under its product with the normal form, and, since
 neither criterion reads that map, evaluates both once per run of points
 that differ in it alone.  Failures
 carry a re-checkable counterexample payload.
@@ -46,12 +47,10 @@ except ImportError:  # 3.12 and later: hashlib, which loads OpenSSL
 
 from quiverz.exactmat import (
     DEFAULT_PRIME,
-    CertificateError,
     ExactMatrix,
     FieldSpec,
     _jordan_flat,
     _mul_flat,
-    _partial_permutation,
     all_subspaces,
     canonical_nilpotent,
     is_injective,
@@ -69,10 +68,9 @@ from quiverz.partitions import (
 from quiverz.quiverrep import (
     QuiverRep,
     _degrees_bounded,
-    _flag_point,
+    _flag_endo,
     _glued_maps,
     _point_products,
-    _rep_products,
     _subspace_criterion,
     greedy_chain,
     is_stable,
@@ -429,21 +427,14 @@ def _theta_image_instance(d: tuple, p: int, seed: int, trials: int) -> dict:
     rng = derive_rng(seed, "theta-image", d)
     lam = theta_image(d)
     mu = mu_of(d)
-    # The glue's re-check certifies the relations and a chain's type at
-    # every interface (the b-parts of its chain, theta's last) on its index
-    # maps, and no matrix is built for the chain; the checks read those
-    # types.  A stable sample is the coordinate-flag point of its
-    # endomorphism, without sample_stable's random base change: that would
-    # move it inside its orbit, which keeps every check below.  It is
-    # re-checked here, by one relations pass and one read of each forward
-    # map, which must be the inclusion of the first coordinates and so is
-    # injective: the point is stable.  Its types are read off theta alone.
-    # The forward maps A_{t-1} ... A_{i+1} embed V_{i+1} as the flag space
-    # E_{i+1}, and by the relations A_{i+1} (A_i B_i) = (A_{i+1} B_{i+1})
-    # A_{i+1}, so they carry A_i B_i to theta restricted to E_{i+1}, the
-    # span of the first n_{i+1} coordinates, and one pass over theta types
-    # every interface.  A theta that is not nilpotent types none, which
-    # fails the checks.
+    # The glue's re-check certifies a chain's relations and its type at
+    # every interface (the b-parts of its chain) on its index maps.  A
+    # stable sample is checked at the coordinate-flag point of its
+    # endomorphism, without sample_stable's base change, which keeps every
+    # check below.  There each A_i is an inclusion, so injective, and the
+    # relations with theta = endo say that the endomorphism lowers the flag
+    # (_flag_endo's re-check); A_i B_i is then the endomorphism on the first
+    # n_{i+1} coordinates, so one pass over it types every interface.
     checks = [("lambda_dominates_mu", dominates(lam, mu))]
     chain = greedy_chain(d)
     _glued_maps(chain)
@@ -455,15 +446,7 @@ def _theta_image_instance(d: tuple, p: int, seed: int, trials: int) -> dict:
         checks.append((f"chain{k}_bounded_by_lambda", dominates(lam, chain[-1].b_part)))
         checks.append((f"chain{k}_nilpotency", _degrees_bounded([delta.b_part for delta in chain])))
     for k in range(trials):
-        z = _flag_point(d, field, rng)
-        products = _rep_products(z)
-        if products is None:
-            raise CertificateError(f"sample_stable: the flag sample for {d} is not a stable point")
-        if any(_partial_permutation(A.entries, A.rows, A.cols) != list(range(A.cols)) for A in z.A):
-            raise CertificateError(
-                f"theta-image: a forward map of the flag point for {d} is not a coordinate inclusion"
-            )
-        types = _jordan_flat(products[-1], d[-1], p, d[1:])
+        types = _jordan_flat(_flag_endo(d, field, rng), d[-1], p, d[1:])
         checks.append((f"stable{k}_bounded_by_mu", types is not None and dominates(mu, types[-1])))
         checks.append((f"stable{k}_nilpotency", types is not None and _degrees_bounded(types)))
     failed = sorted(name for name, ok in checks if not ok)

@@ -30,6 +30,8 @@ across each interface.  build_from_chain_dense is that numbering as it was
 before the glue gave index maps: it fills each pair as dense 0/1 lists and
 re-checks the point by products and Jordan types, where build_from_chain
 re-checks the maps by composing them and reading their chains.
+flag_sample_by_point is the check theta-image made of a stable sample on
+its coordinate-flag point, which it now makes on the endomorphism alone.
 
 The helpers at the end were public names of the package that only tests
 called: mat_pow, is_nilpotent, random_invertible and transpose (once in
@@ -51,6 +53,7 @@ from quiverz.exactmat import (
     _jordan_basis,
     _jordan_flat,
     _mul_flat,
+    _partial_permutation,
     _random_invertible_pair,
     _rref,
     identity,
@@ -74,6 +77,7 @@ from quiverz.quiverrep import (
     _interface_types,
     _lowering_endo,
     _point_products,
+    _rep_products,
     _subspace_criterion,
     is_stable,
 )
@@ -292,6 +296,38 @@ def build_from_chain_dense(deltas, field) -> QuiverRep:
     if _interface_types(z) != [delta.b_part for delta in deltas]:
         raise CertificateError(f"build_from_chain: the point glued for {dims} fails its re-check")
     return z
+
+
+def flag_sample_by_point(dims: Sequence[int], field: FieldSpec, endo: ExactMatrix) -> tuple:
+    """(point, prefix types) of the stable-sample check theta-image made on
+    the coordinate-flag point of endo before it read the endomorphism
+    alone: the point as _flag_point built it, unchecked, one relations pass
+    (_rep_products), a read of each forward map, which must be a coordinate
+    inclusion, and the types of every A_i B_i off theta.  CertificateError
+    where the check fails.  The point reads only the top n_{t-1} rows of
+    endo, so its theta is endo exactly when the rest are zero."""
+    dims = as_dim_vector(dims)
+    if not is_strictly_monotone(dims):
+        raise ValueError(f"stable sampling needs a strictly increasing dimension vector: {dims}")
+    nt = dims[-1]
+    endo = endo.entries
+    A = []
+    B = []
+    for i in range(len(dims) - 1):
+        lo, hi = dims[i], dims[i + 1]
+        inclusion = [0] * (hi * lo)
+        inclusion[: lo * (lo + 1) : lo + 1] = [1] * lo  # entry (c, c) for c < n_i
+        A.append(ExactMatrix._reduced(hi, lo, inclusion, field))
+        B.append(ExactMatrix._reduced(lo, hi, [endo[r * nt + c] for r in range(lo) for c in range(hi)], field))
+    z = QuiverRep(dims, A, B, field)
+    products = _rep_products(z)
+    if products is None:
+        raise CertificateError(f"sample_stable: the flag sample for {dims} is not a stable point")
+    if any(_partial_permutation(A.entries, A.rows, A.cols) != list(range(A.cols)) for A in z.A):
+        raise CertificateError(
+            f"theta-image: a forward map of the flag point for {dims} is not a coordinate inclusion"
+        )
+    return z, _jordan_flat(products[-1], dims[-1], field.p, dims[1:])
 
 
 def pair_types_by_brute_force(n: int, a: int, p: int) -> dict:

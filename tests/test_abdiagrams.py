@@ -7,6 +7,7 @@ import pytest
 from quiverz.abdiagrams import (
     ABDiagram,
     ABRow,
+    _row_sort_key,
     build_pair,
     enumerate_b_parts,
     max_diagram,
@@ -97,6 +98,22 @@ def test_diagram_row_order_is_canonical():
     d2 = ABDiagram.from_strings(["babab", "a", "bab"])
     assert d1 == d2
     assert hash(d1) == hash(d2)
+
+
+def test_row_sort_key_orders_as_the_string_key():
+    """_row_sort_key, which ends on leading_b, orders every pair of rows
+    with at most 8 a's as the key that ended on the row's string did, and
+    ties exactly the equal rows."""
+    rows = [ABRow(0, True, False)] + [
+        ABRow(a, lead, trail) for a in range(1, 9) for lead in (False, True) for trail in (False, True)
+    ]
+
+    def by_string(row):
+        return (-row.length, -row.a_count, row.to_string())
+
+    for x, y in itertools.product(rows, repeat=2):
+        assert (_row_sort_key(x) < _row_sort_key(y)) == (by_string(x) < by_string(y)), (x, y)
+        assert (_row_sort_key(x) == _row_sort_key(y)) == (x == y), (x, y)
 
 
 # --- enumeration -----------------------------------------------------------------

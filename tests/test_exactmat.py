@@ -16,6 +16,7 @@ from quiverz.exactmat import (
     ExactMatrix,
     FieldSpec,
     _chains,
+    _draws,
     _jordan_flat,
     _inverse_flat,
     _is_prime,
@@ -562,32 +563,37 @@ def test_inverse():
         inverse(zeros(3, 3, F))
 
 
-class CountingRandom(random.Random):
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.draws = 0
-
-    def randrange(self, *args):
-        self.draws += 1
-        return super().randrange(*args)
-
-
 def test_random_invertible_pair_matches_random_invertible():
     """The pair's g is random_invertible's draw from the same rng state, it
     leaves the rng in the same state, and its second element is g^-1.  Over
-    F_2 singular draws are common, so the redraw loop runs."""
+    F_2 singular draws are common, so the redraw loop runs: the rng then
+    ends past the state that n * n draws of randrange leave."""
     redrawn = False
     for field in (F2, F3, F):
         for n in (0, 1, 2, 3, 5, 12):
             for seed in range(6):
-                rng_pair, rng_one = CountingRandom(seed), random.Random(seed)
+                rng_pair, rng_one, once = random.Random(seed), random.Random(seed), random.Random(seed)
                 g, ginv = _random_invertible_pair(n, field, rng_pair)
                 assert g == random_invertible(n, field, rng_one)
                 assert rng_pair.getstate() == rng_one.getstate()
                 assert mul(g, ginv) == identity(n, field) == mul(ginv, g)
                 assert ginv == inverse(g)
-                redrawn |= rng_pair.draws > n * n
+                for _ in range(n * n):
+                    once.randrange(field.p)
+                redrawn |= rng_pair.getstate() != once.getstate()
     assert redrawn
+
+
+def test_draws_match_randrange():
+    """_draws gives randrange's values from the same stream and leaves the
+    rng in the same state, for moduli with every share of rejected words
+    (n = 1 rejects half, 2^31 - 1 almost none) and counts up to 300."""
+    for n in (1, 2, 3, 5, 32003, 2**31 - 1):
+        for count in (0, 1, 17, 300):
+            for seed in range(50):
+                rng, twin = random.Random(seed), random.Random(seed)
+                assert _draws(rng, n, count) == [twin.randrange(n) for _ in range(count)], (n, count, seed)
+                assert rng.getstate() == twin.getstate(), (n, count, seed)
 
 
 def _slot_edge_prime(rows):

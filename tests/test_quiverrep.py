@@ -33,6 +33,7 @@ from quiverz.quiverrep import (
     FlagPoint,
     QuiverRep,
     _certified,
+    _flag_endo,
     _flag_point,
     _glued_maps,
     _interface_types,
@@ -60,6 +61,7 @@ from oracles import (
     build_from_chain_by_chain_order,
     build_from_chain_dense,
     build_from_chain_by_conjugators,
+    flag_sample_by_point,
     mat_pow,
     nilpotency_by_powers,
     random_group_element,
@@ -399,54 +401,103 @@ def _endo_with_one_at(r, c):
 
 
 def test_flag_sample_rejects_endo_outside_lowering_pattern(monkeypatch):
-    """The flag point reads the top n_{t-1} rows of the endomorphism.  An
-    entry outside the lowering pattern there breaks a relation, so the flag
-    sample raises CertificateError; each such position is tried, and an entry
-    inside the pattern passes.  The last n_t - n_{t-1} rows enter no map.
-    Under python -O the flag sample, and the theta-image instance that draws
-    it, still raise."""
-    for d in ((1, 2), (1, 4, 5), (2, 3, 5), (1, 2, 4, 6)):
+    """An entry outside the lowering pattern, at any position, makes the
+    flag sample raise CertificateError, and an entry inside it passes.  In
+    the top n_{t-1} rows such an entry breaks a relation of the
+    coordinate-flag point; in the last n_t - n_{t-1} rows, which enter no
+    map of that point, it breaks theta = endo.  In a plain and in a
+    python -O interpreter the theta-image instance that draws the sample
+    refuses every position outside the pattern and passes every one
+    inside it."""
+    vectors = ((1, 2), (1, 4, 5), (2, 3, 5), (1, 2, 4, 6))
+    cases = []  # (d, r, c, whether (r, c) is inside the pattern)
+    for d in vectors:
         bound = [low for low, n in zip((0,) + d, d) for _ in range(low, n)]
-        for r in range(d[-2]):
-            for c in range(d[-1]):
-                monkeypatch.setattr(quiverrep, "_lowering_endo", _endo_with_one_at(r, c))
-                if r < bound[c]:
-                    _certified(_flag_point(d, F, random.Random(r)))
-                else:
-                    with pytest.raises(CertificateError, match="sample_stable"):
-                        _certified(_flag_point(d, F, random.Random(r)))
+        cases += [(d, r, c, r < bound[c]) for r in range(d[-1]) for c in range(d[-1])]
+    for d, r, c, inside in cases:
+        monkeypatch.setattr(quiverrep, "_lowering_endo", _endo_with_one_at(r, c))
+        if inside:
+            _certified(_flag_point(d, F, random.Random(r)))
+        else:
+            with pytest.raises(CertificateError, match="sample_stable"):
+                _certified(_flag_point(d, F, random.Random(r)))
     script = textwrap.dedent(
         """
-        import random
         from quiverz import exactmat, quiverrep, verify
-        F = exactmat.FieldSpec()
         real = quiverrep._lowering_endo
 
-        def patched(dims, field, rng):  # entry (0, 0), outside the pattern
-            endo = real(dims, field, rng)
-            entries = list(endo.entries)
-            entries[0] = 1
-            return exactmat.ExactMatrix(endo.rows, endo.cols, entries, field)
+        def one_at(r, c):
+            def patched(dims, field, rng):
+                endo = real(dims, field, rng)
+                entries = list(endo.entries)
+                entries[r * endo.cols + c] = 1
+                return exactmat.ExactMatrix(endo.rows, endo.cols, entries, field)
 
-        quiverrep._lowering_endo = patched
-        for call in (
-            lambda: quiverrep._certified(quiverrep._flag_point((1, 4, 5), F, random.Random(0))),
-            lambda: verify._theta_image_instance((1, 4, 5), F.p, 0, 1),
-        ):
-            try:
-                call()
-                print("passed")
-            except exactmat.CertificateError as exc:
-                print("raised in", str(exc).split(":")[0])
+            return patched
+
+        for d in %r:
+            for r in range(d[-1]):
+                for c in range(d[-1]):
+                    quiverrep._lowering_endo = one_at(r, c)
+                    try:
+                        ok = verify._theta_image_instance(d, exactmat.DEFAULT_PRIME, r, 1)["ok"]
+                        print(d, r, c, "passed" if ok else "failed")
+                    except exactmat.CertificateError as exc:
+                        print(d, r, c, "raised in", str(exc).split(":")[0])
         """
+        % (vectors,)
     )
+    expected = [f"{d} {r} {c} " + ("passed" if inside else "raised in sample_stable") for d, r, c, inside in cases]
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["raised in sample_stable", "raised in sample_stable"]
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == expected, flags
+
+
+def test_flag_endo_matches_flag_point_oracle(monkeypatch):
+    """_flag_endo against the check theta-image made on the coordinate-flag
+    point (flag_sample_by_point), for every strictly monotone d with last
+    entry at most 5 over F_2 and F_32003 and every single-entry change of
+    the drawn endomorphism, and the endomorphism unchanged.  _flag_endo
+    passes exactly when the oracle passes and the point's theta is the
+    endomorphism, which the point's check did not read in its last
+    n_t - n_{t-1} rows; where both pass, the prefix types _flag_endo's
+    caller reads off the endomorphism equal the oracle's and
+    _interface_types of the flag point."""
+    seen = {"passed": 0, "refused": 0, "theta_only": 0}
+    for p in (2, 32003):
+        field = FieldSpec(p)
+        for d in strictly_monotone_vectors(5):
+            n = d[-1]
+            drawn = list(_lowering_endo(d, field, random.Random(p + n)).entries)
+            for slot in [None] + list(range(n * n)):
+                entries = list(drawn)
+                if slot is not None:
+                    entries[slot] = (entries[slot] + 1) % p
+                endo = ExactMatrix(n, n, entries, field)
+                monkeypatch.setattr(quiverrep, "_lowering_endo", lambda dims, field, rng: endo)
+                try:
+                    z, types = flag_sample_by_point(d, field, endo)
+                    oracle_ok = theta(z) == endo
+                    seen["theta_only"] += not oracle_ok
+                except CertificateError:
+                    oracle_ok = False
+                try:
+                    fast = _flag_endo(d, field, None)
+                except CertificateError:
+                    assert not oracle_ok, (p, d, slot)
+                    seen["refused"] += 1
+                    continue
+                assert oracle_ok, (p, d, slot)
+                assert list(fast) == entries
+                fast_types = _jordan_flat(fast, n, p, d[1:])
+                assert fast_types == types == _interface_types(_flag_point(d, field, None)), (p, d, slot)
+                seen["passed"] += 1
+    assert all(seen.values()), seen
 
 
 # --- flags -----------------------------------------------------------------------

@@ -706,34 +706,37 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     it, and the inversions apart from the eliminations (_rref), though an
     inversion below the packing gate is one elimination of [g | I] too.
     Per instance of (1, 4, 5) over F_32003 with one trial:
-    - relations: 1, in sample_stable, whose pass forms every A_i B_i, theta
-      last, and hands them on to type the sample.  The two chains are
-      re-checked on their index maps (maps: 2, one _map_recheck each), which
-      compose them; when each chain was glued into a point, its re-check
-      was one relations pass of matrix products, and the count was 3; when
-      the sample was typed by a pass of its own it was 4, and re-checking
-      every point in nilpotency_degrees made 6;
+    - relations: 0.  The two chains are re-checked on their index maps
+      (maps: 2, one _map_recheck each), which compose them; when each chain
+      was glued into a point, its re-check was one relations pass of matrix
+      products, 3 with the stable sample's.  The stable sample is re-checked
+      on its endomorphism (flag_endo: 1), which must lower the coordinate
+      flag; with every forward map an inclusion that is the relations of
+      its flag point, which took 1 relations pass when the point was built;
+      when the sample was typed by a pass of its own it was 4, and
+      re-checking every point in nilpotency_degrees made 6;
     - Jordan types: 1, for the stable sample.  A chain's types are read off
       the chains of its composed maps, where a glued point took two calls,
       A_1 B_1 and theta, 5 in all.  A chain's nilpotency check reads the
-      b-parts its re-check certified.  The stable sample's forward maps are
-      checked to be coordinate inclusions, so A_1 B_1 is theta restricted
-      to the first 4 coordinates, and one call types both off theta's
-      powers; typed one product at a time, the sample took 2 calls;
+      b-parts its re-check certified.  A_1 B_1 of the flag point is the
+      endomorphism restricted to the first 4 coordinates, and one call
+      types both off the endomorphism's powers; typed one product at a
+      time, the sample took 2 calls;
     - chain matrices: 0.  No map of a chain is written as a matrix; each
       glued point wrote 4 (_index_matrix), and filled them as dense lists
       before that;
     - eliminations: 3, none on a chain.  The stable sample takes 3, one per
-      power of theta (type (3, 1, 1)), whose RREFs give A_1 B_1's ranks as
-      their pivots below 4; eliminating A_1 B_1 on its own took 2 more.
-      Its forward maps are read once each, as index maps that must be
-      coordinate inclusions and so injective, which also certifies
-      stability; is_stable, which read them again, ranked them by counting
-      their ones, and when rank eliminated every matrix, that took 2 more;
-    - inversions: 0.  The stable sample is the coordinate-flag point of its
-      endomorphism, without the random base change, which keeps every check
-      of the instance; sampled with it, it took 3 inversions, one per
-      vertex, and before those 3 eliminations of [g | I]."""
+      power of the endomorphism (type (3, 1, 1)), whose RREFs give A_1 B_1's
+      ranks as their pivots below 4; eliminating A_1 B_1 on its own took 2
+      more.  The forward maps of the flag point are inclusions, injective
+      by construction, and no matrix is built for them; when they were
+      built, they were read once each, and is_stable, which ranked them
+      by eliminations, took 2 more;
+    - inversions: 0.  The stable sample is checked at the coordinate-flag
+      point of its endomorphism, without the random base change, which
+      keeps every check of the instance; sampled with it, it took 3
+      inversions, one per vertex, and before those 3 eliminations of
+      [g | I]."""
     counts = {}
 
     def counting(name, real):
@@ -760,11 +763,16 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     monkeypatch.setattr(exactmat, "_inverse_flat", counting("inversions", exactmat._inverse_flat))
     monkeypatch.setattr(exactmat, "canonical_nilpotent", counting("canonical", canonical_nilpotent))
 
-    reset()
+    flag_endo = counting("flag_endo", quiverrep._flag_endo)
+    monkeypatch.setattr(quiverrep, "_flag_endo", flag_endo)
+    monkeypatch.setattr(verify, "_flag_endo", flag_endo)
+
+    reset(flag_endo=0)
     inst = verify._theta_image_instance((1, 4, 5), 32003, 0, 1)
     assert inst["ok"]
     assert counts == {
-        "relations": 1, "maps": 2, "jordan": 1, "matrices": 0, "eliminations": 3, "inversions": 0, "canonical": 0
+        "relations": 0, "maps": 2, "jordan": 1, "matrices": 0, "eliminations": 3, "inversions": 0, "canonical": 0,
+        "flag_endo": 1,
     }
 
     # The chain witness: one map re-check, its four maps written as
@@ -774,15 +782,17 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     # their ones, where eliminating them took 2.  The stable witness: one
     # relations check, 2 ranks of its base-changed forward maps and 3
     # inversions in sample_stable, and the type of its theta (3
-    # eliminations) from the products of that check.  The inversions are
+    # eliminations) from the products of that check; its endomorphism is
+    # checked to lower the flag before the base change (flag_endo: 1).  The inversions are
     # of sizes 1, 4 and 5, below the packing gate, so each is also one
     # elimination of [g | I]: 8 in all, where the inversion's own list loop
     # made 5.
-    reset()
+    reset(flag_endo=0)
     report = quiverrep.witness_reducible((1, 4, 5), FieldSpec(), random.Random(0))
     assert [w["relations"] for w in report.witnesses] == [True, True]
     assert counts == {
-        "relations": 1, "maps": 1, "jordan": 1, "matrices": 4, "eliminations": 8, "inversions": 3, "canonical": 0
+        "relations": 1, "maps": 1, "jordan": 1, "matrices": 4, "eliminations": 8, "inversions": 3, "canonical": 0,
+        "flag_endo": 1,
     }
 
     # conjugator re-checks only its own rank(g) and g N2 == N1 g;
@@ -824,12 +834,17 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
 
 
 def test_theta_image_reads_each_forward_map_once(monkeypatch):
-    """Each forward map of a flag sample is read once, as an index map that
-    must be a coordinate inclusion; an inclusion is injective, so that read
-    certifies stability too.  For (1, 4, 5) with two samples: 4 reads of the
-    2 forward maps of each, and no is_stable and no rank, where is_stable
-    ranked each map by a read of its own before the inclusion check."""
-    counts = {"reads": 0, "is_stable": 0, "rank": 0}
+    """The theta-image instance builds no flag point for its stable
+    samples: each is re-checked on its endomorphism (_flag_endo), so no
+    forward map is built or read.  For (1, 4, 5) with two samples: 2
+    _flag_endo checks, and 0 _flag_point calls, 0 relations passes
+    (_rep_products), 0 reads of forward maps (_partial_permutation), 0
+    is_stable and 0 ranks.  When it checked the flag point, it built 2,
+    made 2 relations passes and read each of the 2 forward maps of each
+    once, 4 reads; before that, is_stable ranked each map by a read of its
+    own.  The reads counted are those of quiverrep and verify; exactmat's
+    own, inside _jordan_flat, are of the endomorphism and its powers."""
+    counts = {"flag_endo": 0, "flag_point": 0, "products": 0, "reads": 0, "is_stable": 0, "rank": 0}
 
     def counting(name, real):
         def wrapper(*args):
@@ -838,54 +853,20 @@ def test_theta_image_reads_each_forward_map_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(verify, "_partial_permutation", counting("reads", exactmat._partial_permutation))
-    stable = counting("is_stable", quiverrep.is_stable)
-    monkeypatch.setattr(quiverrep, "is_stable", stable)
-    monkeypatch.setattr(verify, "is_stable", stable)
-    ranked = counting("rank", exactmat.rank)
-    monkeypatch.setattr(exactmat, "rank", ranked)
-    monkeypatch.setattr(quiverrep, "rank", ranked)
+    for name, key in (
+        ("_flag_endo", "flag_endo"),
+        ("_flag_point", "flag_point"),
+        ("_rep_products", "products"),
+        ("_partial_permutation", "reads"),
+        ("is_stable", "is_stable"),
+        ("rank", "rank"),
+    ):
+        real = getattr(exactmat, name, None) or getattr(quiverrep, name)
+        for module in (quiverrep, verify) if key == "reads" else (exactmat, quiverrep, verify):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(key, real))
     assert verify._theta_image_instance((1, 4, 5), 32003, 0, 2)["ok"]
-    assert counts == {"reads": 4, "is_stable": 0, "rank": 0}
-
-
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_theta_image_refuses_flag_points_off_the_coordinate_flag(flags):
-    """A flag point whose vertex-2 coordinates are permuted by a cycle lies
-    in the orbit of the coordinate-flag point, so it passes the relations
-    and stability and its theta has the same prefix types; but A_1 and A_2
-    are no longer coordinate inclusions, so theta's leading blocks no longer
-    stand for the products A_i B_i, and the theta-image instance refuses it
-    with a CertificateError, also under python -O."""
-    script = textwrap.dedent(
-        """
-        from quiverz import quiverrep, verify
-        from quiverz.exactmat import CertificateError, ExactMatrix, identity
-
-        real = quiverrep._flag_point
-
-        def permuted(dims, field, rng):
-            z = real(dims, field, rng)
-            n = z.dims[1]
-            cycle = ExactMatrix(n, n, [int(j == (i + 1) % n) for i in range(n) for j in range(n)], field)
-            g = [identity(z.dims[0], field), cycle, identity(z.dims[2], field)]
-            moved = quiverrep.act(g, z)
-            print("relations", quiverrep.check_relations(moved), "stable", quiverrep.is_stable(moved))
-            return moved
-
-        verify._flag_point = permuted
-        try:
-            verify._theta_image_instance((1, 4, 5), 32003, 0, 1)
-            print("accepted")
-        except CertificateError as exc:
-            print("refused", "coordinate inclusion" in str(exc))
-        """
-    )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["relations True stable True", "refused True"]
+    assert counts == {"flag_endo": 2, "flag_point": 0, "products": 0, "reads": 0, "is_stable": 0, "rank": 0}
 
 
 def test_stability_report_checks_relations_once(monkeypatch):
