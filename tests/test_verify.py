@@ -869,6 +869,49 @@ def test_theta_image_reads_each_forward_map_once(monkeypatch):
     assert counts == {"flag_endo": 2, "flag_point": 0, "products": 0, "reads": 0, "is_stable": 0, "rank": 0}
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_theta_image_refuses_flag_points_off_the_coordinate_flag(flags):
+    """An endomorphism conjugated by a cycle P of the last vertex's
+    coordinates lowers the flag P(coordinate flag), not the coordinate
+    flag.  The flag point it makes with that flag lies in the orbit of the
+    coordinate-flag point, so it passes the relations and stability and its
+    theta has the same type; but the endomorphism's leading blocks no longer
+    stand for the products A_i B_i, and the theta-image instance refuses it
+    with a CertificateError, also under python -O."""
+    script = textwrap.dedent(
+        """
+        from quiverz import quiverrep, verify
+        from quiverz.exactmat import CertificateError, ExactMatrix, inverse, jordan_type, mul
+
+        real = quiverrep._lowering_endo
+
+        def permuted(dims, field, rng):
+            endo = real(dims, field, rng)
+            n = endo.rows
+            cycle = ExactMatrix(n, n, [int(i == (j + 1) % n) for i in range(n) for j in range(n)], field)
+            moved = mul(mul(cycle, endo), inverse(cycle))
+            flag = [mul(cycle, ExactMatrix(n, k, [int(i == j) for i in range(n) for j in range(k)], field))
+                    for k in dims[:-1]]
+            z = quiverrep.from_flag_point(quiverrep.FlagPoint(flag, moved))
+            print("relations", quiverrep.check_relations(z), "stable", quiverrep.is_stable(z),
+                  "same type", jordan_type(quiverrep.theta(z)) == jordan_type(endo))
+            return moved
+
+        quiverrep._lowering_endo = permuted
+        try:
+            verify._theta_image_instance((1, 4, 5), 32003, 0, 1)
+            print("accepted")
+        except CertificateError as exc:
+            print("refused", "does not lower the flag" in str(exc))
+        """
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["relations True stable True same type True", "refused True"]
+
+
 def test_stability_report_checks_relations_once(monkeypatch):
     """_enumerate_z_points solves the last relation by lookup: per rank of
     the normal form it lists every B_{t-1} under its product B_{t-1} A_{t-1}
