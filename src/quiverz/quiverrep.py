@@ -249,12 +249,10 @@ def _lowering_endo(dims: Sequence[int], field: FieldSpec, rng) -> ExactMatrix:
         for c in range(lower, n):
             bound[c] = lower
         lower = n
-    heights = [bound[c] for c in range(nt)]
-    values = _draws(rng, field.p, sum(heights))
-    start = 0
-    for c, h in enumerate(heights):  # column by column, top to bottom
-        entries[c : h * nt : nt] = values[start : start + h]
-        start += h
+    values = iter(_draws(rng, field.p, sum(bound.values())))
+    for c in range(nt):
+        for r in range(bound[c]):
+            entries[r * nt + c] = next(values)
     return ExactMatrix._reduced(nt, nt, entries, field)
 
 
@@ -304,8 +302,8 @@ def _flag_point(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
     (i+1)-th coordinate subspace landing in the i-th.  So A_i B_i is the
     leading n_{i+1} x n_{i+1} block of the endomorphism, theta all of it.
     sample_stable moves it by a random base change."""
-    endo = _flag_endo(dims, field, rng)
-    dims = as_dim_vector(dims)
+    endo = _flag_endo(dims, field, rng)  # checks dims
+    dims = tuple(dims)
     nt = dims[-1]
     A = []
     B = []
@@ -315,7 +313,7 @@ def _flag_point(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
         inclusion[: lo * (lo + 1) : lo + 1] = [1] * lo  # entry (c, c) for c < n_i
         A.append(ExactMatrix._reduced(hi, lo, inclusion, field))
         B.append(ExactMatrix._reduced(lo, hi, [endo[r * nt + c] for r in range(lo) for c in range(hi)], field))
-    return QuiverRep(dims, A, B, field)
+    return QuiverRep._unchecked(dims, tuple(A), tuple(B), field)
 
 
 def _certified(z: QuiverRep) -> tuple:

@@ -458,6 +458,73 @@ def test_flag_sample_rejects_endo_outside_lowering_pattern(monkeypatch):
         assert done.stdout.splitlines() == expected, flags
 
 
+_MOVED_BREAKS = textwrap.dedent(
+    """
+    from quiverz import exactmat, quiverrep
+
+
+    def broken_relation(z, g, ginv):  # the flag point with B_1 A_1 = 1 at (0, 0)
+        B = list(z.B)
+        entries = list(B[0].entries)
+        entries[0] = 1
+        B[0] = exactmat.ExactMatrix(B[0].rows, B[0].cols, entries, z.field)
+        return quiverrep.QuiverRep(z.dims, z.A, B, z.field)
+
+
+    def unstable(z, g, ginv):  # the zero point: on the variety, A_1 not injective
+        A = [exactmat.zeros(M.rows, M.cols, z.field) for M in z.A]
+        B = [exactmat.zeros(M.rows, M.cols, z.field) for M in z.B]
+        return quiverrep.QuiverRep(z.dims, A, B, z.field)
+    """
+)
+
+
+def test_sample_stable_rechecks_the_base_changed_point(monkeypatch):
+    """sample_stable's one re-check of the base-changed point (_certified)
+    refuses a point that breaks a relation and a point on the variety with
+    a forward map that is not injective: with _moved patched to return
+    either, sample_stable raises CertificateError, in-process and in a plain
+    and a python -O interpreter.  Each patched point breaks only the
+    condition named, so each branch of the re-check is tried alone."""
+    moved = {}
+    exec(_MOVED_BREAKS, moved)
+    vectors = ((1, 2), (1, 4, 5), (2, 3, 5), (1, 2, 4, 6))
+    for d in vectors:
+        z0 = _flag_point(d, F, random.Random(0))
+        assert is_stable(moved["broken_relation"](z0, None, None))
+        assert not check_relations(moved["broken_relation"](z0, None, None))
+        assert check_relations(moved["unstable"](z0, None, None))
+        assert not is_stable(moved["unstable"](z0, None, None))
+        for name in ("broken_relation", "unstable"):
+            monkeypatch.setattr(quiverrep, "_moved", moved[name])
+            with pytest.raises(CertificateError, match="sample_stable"):
+                sample_stable(d, F, random.Random(0))
+    script = _MOVED_BREAKS + textwrap.dedent(
+        """
+        import random
+
+        for d in %r:
+            for patch in (broken_relation, unstable):
+                quiverrep._moved = patch
+                try:
+                    quiverrep.sample_stable(d, exactmat.FieldSpec(), random.Random(0))
+                    print(d, patch.__name__, "passed")
+                except exactmat.CertificateError as exc:
+                    print(d, patch.__name__, "raised in", str(exc).split(":")[0])
+        """
+        % (vectors,)
+    )
+    expected = [f"{d} {name} raised in sample_stable" for d in vectors for name in ("broken_relation", "unstable")]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == expected, flags
+
+
 def test_flag_endo_matches_flag_point_oracle(monkeypatch):
     """_flag_endo against the check theta-image made on the coordinate-flag
     point (flag_sample_by_point), for every strictly monotone d with last
