@@ -26,7 +26,8 @@ packed rows, at most m (p - 1)^2 per slot, unpacked and reduced once.  Below
 the gate the row loop skips zero entries and suits the tiny dense matrices
 of the exhaustive drivers.  rank needs no elimination of a 0/1 partial
 permutation: _partial_permutation reads it, and its rank is its count of
-ones.
+ones.  Any other rank counts the pivots of an echelon form: _rref with
+reduced False eliminates only below each pivot and writes nothing back.
 
 _rref is the one list-form elimination: rank, kernel_basis, the Jordan
 type, the Jordan basis and every inverse below the gate run on it, and
@@ -41,20 +42,23 @@ column.  Both give the same RREF.  _inverse_flat inverts a matrix past the
 gate in place on packed n-wide rows: the elimination row carries inv + 1 in
 its pivot slot, so each row step stays one multiply-add.  Below the gate it
 is one _rref of [M | I], which the same gate, on the left block, keeps in
-lists.
+lists.  Both packed loops read column c of every row once per step
+(_column), through the shorter side of each row.
 
 _jordan_flat, the one Jordan-type routine, reads a 0/1 partial permutation
 off its chains and eliminates nothing: each chain is a Jordan block.
 _chains reads the index map (_partial_permutation) and walks it with
 _index_chains, the one chain reader, which also types the composed index
-maps of a glued chain point (quiverrep) without any matrix.  Any other input runs one elimination per power, and multiplies each
-reduced basis R = [I | R'] by N.  When R is more than half zero, which
-sends the full product to its row loop, and R' passes the _packs gate for
-its n - r columns, R N is N at the pivot rows plus one packed product of
-R' (_times_rowspace).  The same pass types N on every coordinate prefix E_k
-it keeps, the span of the first k coordinates: rank((N|E_k)^j) is the count
-of pivots below k of the RREF of N^j, and a chain meets E_k in its indices
-below k.  So theta alone types every interface of a flag point.
+maps of a glued chain point (quiverrep) without any matrix.  Any other input
+runs one elimination per power on its rank factor: with R the RREF of N,
+of rank r and pivot columns P, N = N[:, P] R, so N^{j+1} = N[:, P] M^j R
+has the rank of M^j for the r x r matrix M = R N[:, P] = N[P, P] +
+R' N[free, P], R' the free columns of R; then M takes N's place.  The same
+pass types N on every coordinate prefix E_k it keeps, the span of the
+first k coordinates: rank((N|E_k)^j) is the rank of the first k columns of
+N^j, which is that of the first (pivots of N below k) columns of M^{j-1},
+and a chain meets E_k in its indices below k.  So theta alone types every
+interface of a flag point.
 _jordan_basis needs nothing more: its type comes
 from _jordan_flat, ker N^j from one _rref of N^j formed by _mul_flat, and
 the chain tops of each height from one more _rref.
@@ -72,6 +76,7 @@ import itertools
 import operator
 import sys
 from array import array
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Union
 
@@ -285,7 +290,7 @@ def _mul_flat(xe: Sequence[int], ye: Sequence[int], n: int, m: int, k: int, p: i
         packed = [_pack(ye[l * k : (l + 1) * k]) for l in range(m)]
         out = []
         for i in range(n):
-            out.extend(v % p for v in _unpack(sum(map(operator.mul, xe[i * m : (i + 1) * m], packed)), k))
+            out += [v % p for v in _unpack(sum(map(operator.mul, xe[i * m : (i + 1) * m], packed)), k)]
         return out
     out = [0] * (n * k)
     for i in range(n):
@@ -323,7 +328,7 @@ def hstack(X: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(X.rows, X.cols + Y.cols, out, X.field)
 
 
-def _rref(rows: List[List[int]], p: int, pivot_cols: Optional[int] = None) -> List[int]:
+def _rref(rows: List[List[int]], p: int, pivot_cols: Optional[int] = None, reduced: bool = True) -> List[int]:
     """In-place reduced row echelon form; returns the pivot column list.
     The package's one list-form elimination.
 
@@ -334,13 +339,15 @@ def _rref(rows: List[List[int]], p: int, pivot_cols: Optional[int] = None) -> Li
     first pivot_cols columns zero, the rows are eliminated packed
     (_rref_packed); otherwise in lists, reading entries mod p and skipping
     rows with a zero in the pivot column, where a row that no step touches
-    keeps its entries as given."""
+    keeps its entries as given.  With reduced False only the rows below each
+    pivot are eliminated, an echelon form that gives the same pivots, and
+    rows is left in no particular state: all a rank needs."""
     nrows = len(rows)
     width = len(rows[0]) if nrows else 0
     if pivot_cols is None:
         pivot_cols = width
     if _packs(nrows, p) and 2 * sum(row[:pivot_cols].count(0) for row in rows) <= nrows * pivot_cols:
-        return _rref_packed(rows, p, pivot_cols)
+        return _rref_packed(rows, p, pivot_cols, reduced)
     pivots: List[int] = []
     r = 0
     for c in range(pivot_cols):
@@ -350,7 +357,7 @@ def _rref(rows: List[List[int]], p: int, pivot_cols: Optional[int] = None) -> Li
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = pow(rows[r][c] % p, p - 2, p)
         rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(nrows):
+        for i in range(0 if reduced else r + 1, nrows):
             if i != r and rows[i][c] % p:
                 f = rows[i][c] % p
                 ri, rr = rows[i], rows[r]
@@ -362,11 +369,23 @@ def _rref(rows: List[List[int]], p: int, pivot_cols: Optional[int] = None) -> Li
     return pivots
 
 
-def _rref_packed(rows: List[List[int]], p: int, pivot_cols: int) -> List[int]:
+def _column(packed: Sequence[int], c: int, width: int, p: int) -> List[int]:
+    """Slot c of each packed row of the given width, mod p, read through the
+    shorter side of the row: its low c + 1 slots shifted down while c is in
+    the lower half, the row shifted down and masked after."""
+    shift = 64 * c
+    if 2 * c < width:
+        low = (1 << shift + 64) - 1
+        return [((x & low) >> shift) % p for x in packed]
+    return [(x >> shift & _SLOT_MASK) % p for x in packed]
+
+
+def _rref_packed(rows: List[List[int]], p: int, pivot_cols: int, reduced: bool) -> List[int]:
     """_rref on packed rows, for inputs that pass the _packs gate.
 
     Rows are reduced when packed, when they become the pivot row and once
-    at the end; between, row i += (p - f) * pivot row only adds, at most
+    at the end, when the lists are written back (not when reduced is
+    False); between, row i += (p - f) * pivot row only adds, at most
     (p - 1)^2 per slot and pivot, so no slot reaches 2^64."""
     nrows = len(rows)
     width = len(rows[0])
@@ -374,34 +393,36 @@ def _rref_packed(rows: List[List[int]], p: int, pivot_cols: int) -> List[int]:
     pivots: List[int] = []
     r = 0
     for c in range(pivot_cols):
-        shift = 64 * c
-        pivot = next((i for i in range(r, nrows) if (packed[i] >> shift & _SLOT_MASK) % p), None)
+        lo = 0 if reduced else r  # the rows to eliminate start here
+        col = [0] * lo + _column(packed[lo:], c, width, p)
+        pivot = next((i for i in range(r, nrows) if col[i]), None)
         if pivot is None:
             continue
         row = _unpack(packed[pivot], width)
         packed[pivot] = packed[r]
+        col[pivot] = col[r]
         inv = pow(row[c] % p, p - 2, p)
         pivot_row = packed[r] = _pack([v * inv % p for v in row])
-        for i in range(nrows):
-            if i != r:
-                f = (packed[i] >> shift & _SLOT_MASK) % p
-                if f:
-                    packed[i] += (p - f) * pivot_row
+        for i, f in enumerate(col):
+            if f and i != r:
+                packed[i] += (p - f) * pivot_row
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    rows[:] = [[v % p for v in _unpack(x, width)] for x in packed]
+    if reduced:
+        rows[:] = [[v % p for v in _unpack(x, width)] for x in packed]
     return pivots
 
 
 def rank(M: ExactMatrix) -> int:
     """The rank: the count of ones of a 0/1 partial permutation
-    (_partial_permutation), one elimination (_rref) of anything else."""
+    (_partial_permutation), the pivot count of one echelon form (_rref with
+    reduced False) of anything else."""
     image = _partial_permutation(M.entries, M.rows, M.cols)
     if image is not None:
         return M.cols - image.count(-1)
-    return len(_rref(M.to_rows(), M.field.p))
+    return len(_rref(M.to_rows(), M.field.p, reduced=False))
 
 
 def is_injective(M: ExactMatrix) -> bool:
@@ -460,8 +481,7 @@ def _inverse_flat(entries: Sequence[int], n: int, p: int) -> Optional[List[int]]
     rows = [_pack(entries[i * n : (i + 1) * n]) for i in range(n)]
     swaps = []
     for c in range(n):
-        shift = 64 * c
-        col = [(x >> shift & _SLOT_MASK) % p for x in rows]
+        col = _column(rows, c, n, p)
         pivot = next((i for i in range(c, n) if col[i]), None)
         if pivot is None:
             return None
@@ -472,7 +492,7 @@ def _inverse_flat(entries: Sequence[int], n: int, p: int) -> Optional[List[int]]
         row = [v * inv % p for v in _unpack(rows[c], n)]
         row[c] = inv
         rows[c] = _pack(row)
-        elim = rows[c] + (1 << shift)
+        elim = rows[c] + (1 << 64 * c)
         for i, f in enumerate(col):
             if f and i != c:
                 rows[i] += (p - f) * elim
@@ -619,28 +639,6 @@ def _chains(entries: Sequence[int], n: int) -> Optional[List[List[int]]]:
     return None if below is None else _index_chains(below)
 
 
-def _times_rowspace(rows: List[List[int]], pivots: List[int], entries: Sequence[int], n: int, p: int) -> List[int]:
-    """Flat entries of R N, for R the first len(pivots) rows of an RREF of
-    width n with these pivot columns and N the flat n x n matrix.
-
-    Up to column order R is [I | R'].  When R is more than half zero, which
-    sends the full product to its row loop, and R' passes the _packs gate
-    for its n - r columns, R N is N at the pivot rows plus R' times N at
-    the free rows: one packed product over the free columns.  Otherwise, as
-    for every n <= 8, the full product."""
-    r = len(pivots)
-    flat = [v for row in rows[:r] for v in row]
-    if not _packs(n - r, p) or 2 * flat.count(0) <= r * n:
-        return _mul_flat(flat, entries, r, n, n, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    r_free = [row[c] for row in rows[:r] for c in free]
-    n_free = [v for c in free for v in entries[c * n : (c + 1) * n]]
-    tail = _mul_flat(r_free, n_free, r, len(free), n, p)
-    head = [v for c in pivots for v in entries[c * n : (c + 1) * n]]
-    return [(x + y) % p for x, y in zip(head, tail)]
-
-
 def _jordan_flat(
     entries: Sequence[int], n: int, p: int, prefixes: Optional[Sequence[int]] = None
 ) -> Union[Partition, List[Partition], None]:
@@ -648,19 +646,24 @@ def _jordan_flat(
 
     A 0/1 partial permutation N is read off its chains: their lengths are
     the type, and an index left on a cycle means N is not nilpotent.
-    Otherwise an RREF basis of rowspace(N^j) times N spans rowspace(N^{j+1}),
-    so each power costs one elimination of ever fewer rows.  The ranks reach
-    0 exactly when N is nilpotent; a rank that stalls above 0 means it is
-    not.  The rank drops are the kernel-dimension increments, whose dual is
-    the type.
+    Otherwise each power costs one elimination of an ever smaller matrix:
+    with R the RREF of N, rank r and pivot columns P, rank(N^{j+1}) is the
+    rank of M^j for the r x r rank factor M = R N[:, P], which is N[P, P]
+    plus the free columns of R times N[free, P]; then M takes N's place.
+    The ranks reach 0 exactly when N is nilpotent; a rank that stalls above
+    0 means it is not.  The rank drops are the kernel-dimension increments,
+    whose dual is the type.
 
     With prefixes, the list of the types of N restricted to E_k, the span
     of the first k coordinates, for each k in prefixes, from the same pass;
     None if N is not nilpotent.  N must keep each E_k: an N with a nonzero
     entry in a row >= k of a column < k raises ValueError.  Then
-    rank((N|E_k)^j) is the rank of the first k columns of N^j, the number
-    of pivots below k of its RREF, and the chain of a partial permutation
-    meets E_k in its indices below k, a tail of the chain."""
+    rank((N|E_k)^j) is the rank of the first k columns of N^j.  The first k
+    columns of R vanish below its rows with pivots below k, so those of
+    N^{j+1} have the rank of the first w columns of M^j, w the number of
+    pivots below k: the width maps through the pivots of each step.  The
+    chain of a partial permutation meets E_k in its indices below k, a
+    tail of the chain."""
     ks = (n,) if prefixes is None else tuple(prefixes)
     if prefixes is not None:
         for k in ks:
@@ -674,30 +677,28 @@ def _jordan_flat(
             return Partition._sorted(tuple(sorted(map(len, chains), reverse=True)))
         meets = ([sum(i < k for i in chain) for chain in chains] for k in ks)
         return [Partition._sorted(tuple(sorted(filter(None, counts), reverse=True))) for counts in meets]
-    powers = []  # the pivot columns of the RREF of each power N^j
-    prev = n
-    rows = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
-    while prev:
+    widths = list(ks)  # rank((N|E_k)^j) at the power reached, for each k
+    drops: List[List[int]] = [[] for _ in ks]
+    m, cur = n, entries
+    while m:
+        rows = [list(cur[i * m : (i + 1) * m]) for i in range(m)]
         pivots = _rref(rows, p)
         r = len(pivots)
-        if r == prev:
+        if r == m:
             return None
-        powers.append(pivots)
-        prev = r
-        if r:
-            out = _times_rowspace(rows, pivots, entries, n, p)
-            rows = [out[i * n : (i + 1) * n] for i in range(r)]
-    types = []
-    for k in ks:
-        drops = []
-        prev = k
-        for pivots in powers:
-            if not prev:
-                break
-            r = sum(c < k for c in pivots)
-            drops.append(prev - r)
-            prev = r
-        types.append(dual(Partition(drops)))
+        for t, w in enumerate(widths):
+            if w:
+                widths[t] = bisect_left(pivots, w)
+                drops[t].append(w - widths[t])
+        if r:  # the next matrix: R N[:, P] = N[P, P] + R' N[free, P]
+            pivot_set = set(pivots)
+            free = [c for c in range(m) if c not in pivot_set]
+            head = [cur[c * m + d] for c in pivots for d in pivots]
+            r_free = [row[c] for row in rows[:r] for c in free]
+            tail = _mul_flat(r_free, [cur[f * m + c] for f in free for c in pivots], r, m - r, r, p)
+            cur = [(x + y) % p for x, y in zip(head, tail)]
+        m = r
+    types = [dual(Partition(d)) for d in drops]
     return types if prefixes is not None else types[0]
 
 

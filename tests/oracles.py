@@ -19,7 +19,9 @@ sparse and small operands, inverse_by_augmenting the elimination of [M | I]
 that exactmat._inverse_flat runs below the packing gate and replaced with an
 inversion in place above it, jordan_type_by_power_ranks the Jordan type from
 the ranks of every power, which exactmat._jordan_flat reads off chains or
-eliminations of ever fewer rows, and nilpotency_by_powers the power loop
+eliminations of ever smaller rank factors, jordan_flat_by_rowspace its
+power loop as it was, on ever fewer n-wide rows (times_rowspace), and
+nilpotency_by_powers the power loop
 that quiverrep.nilpotency_degrees replaced.  solutions_by_search lists
 every X with M X = C, which exactmat.solve finds by one elimination when it
 is unique.  build_from_chain_by_conjugators
@@ -53,6 +55,7 @@ from quiverz.exactmat import (
     _jordan_basis,
     _jordan_flat,
     _mul_flat,
+    _packs,
     _partial_permutation,
     _random_invertible_pair,
     _rref,
@@ -160,6 +163,66 @@ def jordan_type_by_power_ranks(m: ExactMatrix) -> tuple:
     nilpotent = powers[n].is_zero()
     increments = [ranks[k - 1] - ranks[k] for k in range(1, n + 1) if ranks[k - 1] > ranks[k]]
     return nilpotent, dual(Partition(increments)) if nilpotent else None
+
+
+def times_rowspace(rows: List[List[int]], pivots: List[int], entries: Sequence[int], n: int, p: int) -> List[int]:
+    """Flat entries of R N, for R the first len(pivots) rows of an RREF of
+    width n with these pivot columns and N the flat n x n matrix.
+
+    Up to column order R is [I | R'].  When R is more than half zero, which
+    sends the full product to its row loop, and R' passes the _packs gate
+    for its n - r columns, R N is N at the pivot rows plus R' times N at
+    the free rows: one packed product over the free columns.  Otherwise, as
+    for every n <= 8, the full product."""
+    r = len(pivots)
+    flat = [v for row in rows[:r] for v in row]
+    if not _packs(n - r, p) or 2 * flat.count(0) <= r * n:
+        return _mul_flat(flat, entries, r, n, n, p)
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
+    r_free = [row[c] for row in rows[:r] for c in free]
+    n_free = [v for c in free for v in entries[c * n : (c + 1) * n]]
+    tail = _mul_flat(r_free, n_free, r, len(free), n, p)
+    head = [v for c in pivots for v in entries[c * n : (c + 1) * n]]
+    return [(x + y) % p for x, y in zip(head, tail)]
+
+
+def jordan_flat_by_rowspace(entries: Sequence[int], n: int, p: int, prefixes: Optional[Sequence[int]] = None):
+    """exactmat._jordan_flat as an RREF basis of rowspace(N^j) times N, by
+    times_rowspace, spanning rowspace(N^{j+1}): one elimination of ever
+    fewer n-wide rows per power, with the prefix types counted as pivots
+    below k of the RREF of each power, and no chain reading.  _jordan_flat
+    now eliminates the r x r rank factor R N[:, P] instead."""
+    ks = (n,) if prefixes is None else tuple(prefixes)
+    if prefixes is not None:
+        for k in ks:
+            if not 0 <= k <= n or any(any(entries[r * n : r * n + k]) for r in range(k, n)):
+                raise ValueError(f"N does not keep the span of the first {k} of {n} coordinates")
+    powers = []  # the pivot columns of the RREF of each power N^j
+    prev = n
+    rows = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
+    while prev:
+        pivots = _rref(rows, p)
+        r = len(pivots)
+        if r == prev:
+            return None
+        powers.append(pivots)
+        prev = r
+        if r:
+            out = times_rowspace(rows, pivots, entries, n, p)
+            rows = [out[i * n : (i + 1) * n] for i in range(r)]
+    types = []
+    for k in ks:
+        drops = []
+        prev = k
+        for pivots in powers:
+            if not prev:
+                break
+            r = sum(c < k for c in pivots)
+            drops.append(prev - r)
+            prev = r
+        types.append(dual(Partition(drops)))
+    return types if prefixes is not None else types[0]
 
 
 def nilpotency_by_powers(z) -> bool:

@@ -25,7 +25,6 @@ from quiverz.exactmat import (
     _partial_permutation,
     _random_invertible_pair,
     _rref,
-    _times_rowspace,
     all_subspaces,
     canonical_nilpotent,
     conjugator,
@@ -50,6 +49,7 @@ from oracles import (
     _chain_order,
     inverse_by_augmenting,
     is_nilpotent,
+    jordan_flat_by_rowspace,
     jordan_type_by_power_ranks,
     mat_pow,
     mul_by_rows,
@@ -871,34 +871,106 @@ def test_chain_branch_leaves_entries_of_two_to_elimination():
         assert jordan_type_by_power_ranks(ExactMatrix(2, 2, [0, 2, 1, 0], field)) == (False, None)
 
 
+def _nilpotent_of_rank(n, r, field, rng):
+    """A random conjugate of a nilpotent of rank r < n: n - r Jordan blocks,
+    one long and the rest of size 1 for even r, of near-equal sizes for odd
+    r."""
+    k = n - r
+    if r % 2:
+        parts = [n // k + (i < n % k) for i in range(k)]
+    else:
+        parts = [r + 1] + [1] * (k - 1)
+    g, ginv = _random_invertible_pair(n, field, rng)
+    return mul(mul(g, canonical_nilpotent(Partition(parts), field)), ginv)
+
+
 @pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
-def test_rowspace_product_matches_full_product(p):
-    """_times_rowspace equals the full product of R and N for ranks from 0
-    to n, whether it forms R N as N at the pivot rows plus R' times N at the
-    free rows (R' passes the _packs gate and R is more than half zero)
-    or as the full product.  Where p allows packing, n = 40 takes the split
-    path."""
+def test_rank_factor_step_matches_full_product(p, monkeypatch):
+    """After its first, each elimination of _jordan_flat is of the rank
+    factor R N[:, P] of the matrix N it eliminated before, R the RREF of N
+    and P its pivot columns, as the full product (mul_by_rows) forms it,
+    and N = N[:, P] R; the last one reaches rank 0 or stalls.  For ranks
+    from 1 to n and for nilpotents, which take one step per power.  Where p
+    allows packing, n = 40 forms the factor on the packed path of _mul_flat
+    (at least 8 free columns and at most half of R' zero)."""
     field = FieldSpec(p)
     rng = random.Random(p)
-    split = set()
+    cases = []
     for n in (7, 8, 9, 16, 40):
-        N = random_matrix(n, n, field, rng)
-        cases = [zeros(n, n, field), _random_invertible_pair(n, field, rng)[0]]
+        cases.append(_random_invertible_pair(n, field, rng)[0])
         for r in (1, n // 3, n // 2, 3 * n // 4, n - 1):
             cases.append(mul(random_matrix(n, r, field, rng), random_matrix(r, n, field, rng)))
-        ranks = set()
+            cases.append(_nilpotent_of_rank(n, r, field, rng))
+    steps = []
+    real = exactmat._rref
+
+    def spy(rows, *args):
+        given = [row[:] for row in rows]
+        pivots = real(rows, *args)
+        steps.append((given, rows, pivots))
+        return pivots
+
+    monkeypatch.setattr(exactmat, "_rref", spy)
+    packed = set()
+    for M in cases:
+        n = M.rows
+        steps.clear()
+        _jordan_flat(M.entries, n, p)
+        for (N, R, pivots), (following, _, _) in zip(steps, steps[1:]):
+            m, r = len(N), len(pivots)
+            flat = [v for row in N for v in row]
+            r_flat = [v for row in R[:r] for v in row]
+            n_p = [row[c] for row in N for c in pivots]
+            assert mul_by_rows(n_p, r_flat, m, r, m, p) == flat
+            assert [v for row in following for v in row] == mul_by_rows(r_flat, n_p, r, m, r, p)
+            r_free = [row[c] for row in R[:r] for c in range(m) if c not in pivots]
+            if _packs(m - r, p) and 2 * r_free.count(0) <= len(r_free):
+                packed.add(n)
+        last, _, pivots = steps[-1]
+        assert len(pivots) in (0, len(last))
+    assert (40 in packed) == _packs(8, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_jordan_flat_matches_rowspace_oracle(p):
+    """_jordan_flat on the rank factor against the power loop it replaced
+    (jordan_flat_by_rowspace), for n in 0..12, 16, 24 and 40: products of
+    random n x r and r x n factors for every rank r from 0 to n, mostly not
+    nilpotent (None); nilpotents of every rank below n (of a stride of
+    ranks at 24 and 40); and flag-lowering nilpotents typed on their kept
+    prefixes, while a prefix one of them does not keep raises ValueError
+    on both."""
+    field = FieldSpec(p)
+    rng = random.Random(61 + p)
+    nones = 0
+    for n in list(range(13)) + [16, 24, 40]:
+        cases = [mul(random_matrix(n, r, field, rng), random_matrix(r, n, field, rng)) for r in range(n + 1)]
+        cases += [_nilpotent_of_rank(n, r, field, rng) for r in range(0, n, 1 if n <= 16 else n // 8)]
         for M in cases:
-            rows = M.to_rows()
-            pivots = _rref(rows, p)
-            r = len(pivots)
-            ranks.add(r)
-            flat = [v for row in rows[:r] for v in row]
-            if _packs(n - r, p) and 2 * flat.count(0) > r * n:
-                split.add(n)
-            full = _mul_flat(flat, N.entries, r, n, n, p)
-            assert _times_rowspace(rows, pivots, N.entries, n, p) == full, (n, r)
-        assert {0, n} <= ranks
-    assert (40 in split) == _packs(8, p)
+            expect = jordan_flat_by_rowspace(M.entries, n, p)
+            assert _jordan_flat(M.entries, n, p) == expect, (n, M.entries)
+            nones += expect is None
+        for _ in range(2):
+            prefixes = sorted(set(rng.sample(range(n + 1), min(n + 1, 3))) | {n})
+            T = ExactMatrix(n, n, [rng.randrange(p) if c > r else 0 for r in range(n) for c in range(n)], field)
+            g = [0] * (n * n)
+            lo = 0
+            for hi in prefixes:  # block upper triangular: g keeps every prefix
+                block, _ = _random_invertible_pair(hi - lo, field, rng)
+                for r in range(lo, hi):
+                    g[r * n + lo : r * n + hi] = block.entries[(r - lo) * (hi - lo) : (r - lo + 1) * (hi - lo)]
+                    g[r * n + hi : r * n + n] = [rng.randrange(p) for _ in range(n - hi)]
+                lo = hi
+            g = ExactMatrix(n, n, g, field)
+            entries = mul(mul(g, T), inverse(g)).entries
+            expect = jordan_flat_by_rowspace(entries, n, p, prefixes)
+            assert _jordan_flat(entries, n, p, prefixes) == expect and None not in expect, (n, prefixes)
+            lost = [k for k in range(1, n) if any(entries[r * n + c] for r in range(k, n) for c in range(k))]
+            for typing in (jordan_flat_by_rowspace, _jordan_flat):
+                for k in lost[:1]:
+                    with pytest.raises(ValueError):
+                        typing(entries, n, p, [k])
+    assert nones > 0
 
 
 def test_random_matrix_matches_checked_constructor():

@@ -110,3 +110,26 @@ def test_inverse_examples_straddle_the_gate():
         with mock.patch.object(exactmat, "_pack", wraps=exactmat._pack) as spy:
             exactmat._inverse_flat(M.entries, M.rows, M.field.p)
         assert spy.called == packs
+
+
+def test_echelon_rank_matches_rref_and_sympy():
+    """The echelon form that rank counts (_rref with reduced False) has the
+    pivots of the RREF, and its pivot count is sympy's rank: at n = 7, 8
+    and 9, dense, sparse, swapping and of low rank, with n - 3, n and n + 5
+    columns, so on both sides of the _packs gate; at n = 40; and on shapes
+    with no rows or no columns."""
+    sides = set()
+    for p in PRIMES:
+        cases = [_matrix(r, c, p, "dense", 0) for r, c in ((0, 0), (0, 5), (5, 0), (0, 40), (40, 0))]
+        for n in (7, 8, 9, 40):
+            for kind in ("dense", "sparse", "swapping", "low rank"):
+                cases += [_matrix(n, cols, p, kind, n * cols) for cols in (n - 3, n, n + 5)]
+        for M in cases:
+            with mock.patch.object(exactmat, "_rref_packed", wraps=exactmat._rref_packed) as spy:
+                pivots = exactmat._rref(M.to_rows(), p, reduced=False)
+            sides.add((p, M.rows, spy.called))
+            assert pivots == exactmat._rref(M.to_rows(), p), (p, M.shape)
+            assert len(pivots) == rank(M) == _domain(M).rank(), (p, M.shape)
+    for p in (2, 3, 32003):
+        assert {(p, 7, False), (p, 8, False), (p, 8, True), (p, 40, True)} <= sides
+    assert not any(packed for p, _, packed in sides if p == 2**31 - 1)
