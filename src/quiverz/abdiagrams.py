@@ -10,7 +10,8 @@ a pair (A, B) with Jordan types: type(BA) = the partition of per-row a-counts
 Rows with a fixed a-part are enumerated by how many extra b's each row
 absorbs at its ends (0, 1 or 2) plus any number of singleton-b rows; over all
 placements the achievable b-parts form a dominance-bounded family whose
-maximum is add(a_part, extra).
+maximum is add(a_part, extra).  Placed diagrams (_placement) are built in
+canonical order from their row keys, with one row object per shape.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ def _row_sort_key(row: ABRow) -> tuple:
 class ABDiagram:
     """Multiset of ABRows, kept in a canonical order (longest first).  The
     a-part, the b-part and the letter totals are computed once, when the
-    diagram is made."""
+    diagram is made; a placed diagram (_placement) comes sorted from its
+    row keys and takes them from its placement."""
 
     __slots__ = ("rows", "a_part", "b_part", "total_a", "total_b")
 
@@ -121,17 +123,36 @@ def _placement_table(parts: tuple) -> tuple:
     return tuple((used, counts, jvec) for (used, counts), jvec in table.items())
 
 
+@lru_cache(maxsize=None)
+def _row(key: tuple) -> ABRow:
+    """The one row whose _row_sort_key is key: its b-count is the length
+    less the a-count, and a trailing b is what the b-count leaves over."""
+    a = -key[1]
+    b = key[1] - key[0]
+    return ABRow(a, key[2], a > 0 and b - a + 1 - key[2] == 1)
+
+
 def _placement(eta: Partition, a: int, jvec: Sequence[int], leads: Sequence[bool] = ()) -> ABDiagram:
     """The diagram whose i-th row has eta's i-th part and jvec[i] end b's (a
     single one leading unless leads[i] is False), plus singleton-b rows for
-    the rest of the len(eta) + a extra b's."""
+    the rest of the len(eta) + a extra b's.
+
+    Built in canonical order without the checks of ABDiagram: the sort keys
+    come from (part, j, lead) directly, one shared row per key (_row), and
+    the a-part is eta itself."""
     leads = leads or [True] * len(jvec)
-    rows = [
-        ABRow(p, j == 2 or (j == 1 and lead), j == 2 or (j == 1 and not lead))
-        for p, j, lead in zip(eta.parts, jvec, leads)
-    ]
-    rows.extend(ABRow(0, True, False) for _ in range(len(eta) + a - sum(jvec)))
-    return ABDiagram(rows)
+    keys = [(1 - 2 * p - j, -p, j == 2 or (j == 1 and lead)) for p, j, lead in zip(eta.parts, jvec, leads)]
+    singles = len(eta) + a - sum(jvec)
+    keys.extend([(-1, 0, True)] * singles)
+    keys.sort()
+    b_counts = sorted((p - 1 + j for p, j in zip(eta.parts, jvec) if p - 1 + j), reverse=True)
+    delta = ABDiagram.__new__(ABDiagram)
+    delta.rows = tuple(map(_row, keys))
+    delta.a_part = eta
+    delta.b_part = Partition._sorted(tuple(b_counts) + (1,) * singles)
+    delta.total_a = eta.weight
+    delta.total_b = eta.weight + a
+    return delta
 
 
 def enumerate_b_parts(eta: Partition, a: int, witnesses: bool = False):

@@ -37,13 +37,14 @@ an augmented system is judged by its left block.  Past the gate it reduces
 the entries as it packs them; then row i += (p - f) * pivot row adds at
 most (p - 1)^2 per slot for each pivot, a row is reduced again only when it
 becomes the pivot row, and every row once at the end, when the lists are
-written back.  Below it, the list loop skips rows with a zero in the pivot
-column.  Both give the same RREF.  _inverse_flat inverts a matrix past the
-gate in place on packed n-wide rows: the elimination row carries inv + 1 in
-its pivot slot, so each row step stays one multiply-add.  Below the gate it
-is one _rref of [M | I], which the same gate, on the left block, keeps in
-lists.  Both packed loops read column c of every row once per step
-(_column), through the shorter side of each row.
+written back.  Below it, the list loop finds the pivot with a plain loop
+and forms each row step over the zipped rows, skipping rows with a zero in
+the pivot column.  Both give the same RREF.  _inverse_flat inverts a matrix
+past the gate in place on packed n-wide rows: the elimination row carries
+inv + 1 in its pivot slot, so each row step stays one multiply-add.  Below
+the gate it is one _rref of [M | I], which the same gate, on the left
+block, keeps in lists.  Both packed loops read column c of every row once
+per step (_column), through the shorter side of each row.
 
 _jordan_flat, the one Jordan-type routine, reads a 0/1 partial permutation
 off its chains and eliminates nothing: each chain is a Jordan block.
@@ -87,6 +88,7 @@ _SLOT_LIMIT = 1 << 64
 _SLOT_MASK = _SLOT_LIMIT - 1
 
 
+@lru_cache(maxsize=32)
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -351,17 +353,20 @@ def _rref(rows: List[List[int]], p: int, pivot_cols: Optional[int] = None, reduc
     pivots: List[int] = []
     r = 0
     for c in range(pivot_cols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] % p), None)
-        if pivot is None:
+        for pivot in range(r, nrows):
+            if rows[pivot][c] % p:
+                break
+        else:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c] % p, p - 2, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
+        rr = rows[pivot]
+        rows[pivot] = rows[r]
+        inv = pow(rr[c] % p, p - 2, p)
+        rows[r] = rr = [(v * inv) % p for v in rr]
         for i in range(0 if reduced else r + 1, nrows):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c] % p
-                ri, rr = rows[i], rows[r]
-                rows[i] = [(ri[j] - f * rr[j]) % p for j in range(width)]
+            ri = rows[i]
+            f = ri[c] % p
+            if f and i != r:
+                rows[i] = [(x - f * y) % p for x, y in zip(ri, rr)]
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -7,6 +7,8 @@ import pytest
 from quiverz.abdiagrams import (
     ABDiagram,
     ABRow,
+    _placement,
+    _row,
     _row_sort_key,
     build_pair,
     enumerate_b_parts,
@@ -256,6 +258,45 @@ def test_random_diagram_is_valid():
         assert delta.a_part == eta
         assert delta.total_b == eta.weight + a
         assert delta.b_part in enumerate_b_parts(eta, a)
+
+
+def _fields(delta):
+    rows = [(row.a_count, row.leading_b, row.trailing_b) for row in delta.rows]
+    return rows, delta.a_part.parts, delta.b_part.parts, delta.total_a, delta.total_b
+
+
+def test_placement_matches_checked_diagram():
+    """_placement, built in canonical order from its row keys without the
+    checks of ABDiagram, equals ABDiagram of the rows it places in rows,
+    parts and totals, for every eta of weight <= 7, a <= 3 and placement
+    jvec; the leads run over every vector on the rows with one end b (the
+    only rows a lead places) and are random on the rest.  So do the
+    diagrams of max_diagram, random_diagram and the witnesses, against
+    ABDiagram of their rows reversed; and rows of one shape are one object."""
+    rng = random.Random(5)
+    for eta in partitions_up_to_weight(7):
+        s = len(eta)
+        for a in range(4):
+            for jvec in itertools.product((0, 1, 2), repeat=s):
+                if sum(jvec) > s + a:
+                    continue
+                ones = [i for i in range(s) if jvec[i] == 1]
+                leads = [rng.random() < 0.5 for _ in range(s)]
+                for lone in itertools.product((True, False), repeat=len(ones)):
+                    for i, lead in zip(ones, lone):
+                        leads[i] = lead
+                    rows = [
+                        ABRow(p, j == 2 or (j == 1 and lead), j == 2 or (j == 1 and not lead))
+                        for p, j, lead in zip(eta.parts, jvec, leads)
+                    ]
+                    rows += [ABRow(0, True, False)] * (s + a - sum(jvec))
+                    got = _placement(eta, a, jvec, leads)
+                    assert _fields(got) == _fields(ABDiagram(rows)), (eta, a, jvec, leads)
+            outputs = [max_diagram(eta, a)] + list(enumerate_b_parts(eta, a, witnesses=True).values())
+            outputs += [random_diagram(eta, a, random.Random(seed)) for seed in range(50)]
+            for delta in outputs:
+                assert _fields(delta) == _fields(ABDiagram(delta.rows[::-1])), (eta, a, delta)
+                assert all(row is _row(_row_sort_key(row)) for row in delta.rows)
 
 
 # --- matrix pairs ------------------------------------------------------------------

@@ -43,7 +43,7 @@ from quiverz.exactmat import (
 )
 from quiverz.partitions import Partition
 from quiverz.quiverrep import QuiverRep, _flag_point, sample_stable, theta
-from quiverz.verify import strictly_monotone_vectors
+from quiverz.verify import strictly_monotone_vectors, theta_image_report
 
 from oracles import (
     _chain_order,
@@ -120,6 +120,20 @@ def test_field_validation():
     for big in (2**31, 1000000000000000003):  # the latter is prime
         with pytest.raises(ValueError, match="below 2\\^31"):
             FieldSpec(big)
+
+
+def test_field_tests_primality_once_per_modulus():
+    """_is_prime is cached: a theta sweep at p = 2^31 - 1 builds a FieldSpec
+    per instance but runs one trial division, and a cached refusal still
+    refuses."""
+    _is_prime.cache_clear()
+    theta_image_report(max_last=5, p=2**31 - 1, trials=1, jobs=1)
+    assert _is_prime.cache_info().misses == 1
+    for _ in range(2):
+        for bad in (-7, 0, 1, 4, 2**31 - 3, 32003 * 3):
+            with pytest.raises(ValueError, match="prime"):
+                FieldSpec(bad)
+    assert [p for p in range(30) if _is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_matrix_construction():
@@ -297,12 +311,32 @@ def _rref_inputs(nrows, p, rng):
             yield rows, (cols if augment else None)
 
 
+def _small_rref_inputs(p, rng):
+    """(rows, pivot_cols) for _rref with 1 to 7 rows, all on the list loop:
+    widths 1, nrows and nrows + 3, pivot blocks of the full width and one
+    column narrower, entries zero or not about half the time and shifted by
+    -2p to 2p (so many are negative, >= p or nonzero multiples of p), and
+    from 3 rows on the last row a multiple of the first plus p."""
+    for nrows in range(1, 8):
+        for width in sorted({1, nrows, nrows + 3}):
+            for pivot_cols in (None, width - 1) if width > 1 else (None,):
+                rows = [
+                    [rng.choice((0, rng.randrange(p))) + p * rng.randrange(-2, 3) for _ in range(width)]
+                    for _ in range(nrows)
+                ]
+                if nrows >= 3:
+                    rows[-1] = [3 * x + p for x in rows[0]]
+                yield rows, pivot_cols
+
+
 def test_rref_matches_list_loop_oracle(monkeypatch):
     """The packed elimination gives the pivots of the list loop it keeps for
     inputs with fewer than 8 rows, more than half of the pivot block zero,
     or p too wide for a 64-bit slot (2^31 - 1, where both sides run the list
     loop, so its largest size is left out), and the same rows reduced mod p
-    (the list loop leaves rows that no operation touches unreduced)."""
+    (the list loop leaves rows that no operation touches unreduced).  The
+    list loop gives the oracle's rows exactly, unreduced ones included, and
+    reduced False gives the same pivots on both paths."""
     packed_runs = _counting(monkeypatch, "_rref_packed")
     rng = random.Random(37)
     sides = set()
@@ -310,18 +344,24 @@ def test_rref_matches_list_loop_oracle(monkeypatch):
         cases = [([[] for _ in range(nrows)], None) for nrows in (0, 7, 8)]
         for nrows in (7, 8, 9, 16, 40) if p < 1 << 16 else (7, 8, 9, 16):
             cases += _rref_inputs(nrows, p, rng)
+        cases += _small_rref_inputs(p, rng)
         for rows, pivot_cols in cases:
             expect = [row[:] for row in rows]
             expect_pivots = rref_by_rows(expect, p, pivot_cols)
+            assert _rref([row[:] for row in rows], p, pivot_cols, reduced=False) == expect_pivots
             before = len(packed_runs)
             pivots = _rref(rows, p, pivot_cols)
-            sides.add((p, len(rows), len(packed_runs) > before))
+            packed = len(packed_runs) > before
+            sides.add((p, len(rows), packed))
             assert pivots == expect_pivots, (p, len(rows), pivot_cols)
-            assert [[v % p for v in row] for row in rows] == [[v % p for v in row] for row in expect]
-            if len(packed_runs) > before:
+            if packed:
+                assert [[v % p for v in row] for row in rows] == [[v % p for v in row] for row in expect]
                 assert all(0 <= v < p for row in rows for v in row)
+            else:
+                assert rows == expect, (p, len(rows), pivot_cols)
     for p in (2, 3, 32003):
         assert {(p, 7, False), (p, 8, False), (p, 8, True), (p, 40, False), (p, 40, True)} <= sides
+    assert {(p, n, False) for p in (2, 3, 32003, 2**31 - 1) for n in range(1, 8)} <= sides
     assert not any(packed for p, _, packed in sides if p == 2**31 - 1)
 
 
