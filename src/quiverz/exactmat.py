@@ -176,6 +176,8 @@ class ExactMatrix:
     ) -> "ExactMatrix":
         nrows = len(rows)
         if nrows:
+            if cols not in (None, len(rows[0])):  # cols is needed only when there are no rows
+                raise ValueError(f"rows of length {len(rows[0])} given with cols={cols}")
             cols = len(rows[0])
             if any(len(row) != cols for row in rows):
                 raise ValueError(f"ragged rows: lengths {[len(row) for row in rows]}")
@@ -360,7 +362,7 @@ def _rref(rows: List[List[int]], p: int, pivot_cols: Optional[int] = None, reduc
             continue
         rr = rows[pivot]
         rows[pivot] = rows[r]
-        inv = pow(rr[c] % p, p - 2, p)
+        inv = pow(rr[c] % p, -1, p)
         rows[r] = rr = [(v * inv) % p for v in rr]
         for i in range(0 if reduced else r + 1, nrows):
             ri = rows[i]
@@ -406,7 +408,7 @@ def _rref_packed(rows: List[List[int]], p: int, pivot_cols: int, reduced: bool) 
         row = _unpack(packed[pivot], width)
         packed[pivot] = packed[r]
         col[pivot] = col[r]
-        inv = pow(row[c] % p, p - 2, p)
+        inv = pow(row[c] % p, -1, p)
         pivot_row = packed[r] = _pack([v * inv % p for v in row])
         for i, f in enumerate(col):
             if f and i != r:
@@ -493,7 +495,7 @@ def _inverse_flat(entries: Sequence[int], n: int, p: int) -> Optional[List[int]]
         swaps.append(pivot)
         rows[c], rows[pivot] = rows[pivot], rows[c]
         col[c], col[pivot] = col[pivot], col[c]
-        inv = pow(col[c], p - 2, p)
+        inv = pow(col[c], -1, p)
         row = [v * inv % p for v in _unpack(rows[c], n)]
         row[c] = inv
         rows[c] = _pack(row)

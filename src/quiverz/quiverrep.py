@@ -386,11 +386,13 @@ class FlagPoint(_Record):
 
 
 def alpha(z: QuiverRep) -> FlagPoint:
-    """Flag of images of the composed forward maps together with theta(z);
-    defined exactly on the stable points of the variety."""
+    """Flag of images of the composed forward maps together with theta(z),
+    the last product of the relations pass; defined exactly on the stable
+    points of the variety."""
     if z.t < 2:
         raise ValueError("alpha needs at least two vertices")
-    if not check_relations(z):
+    products = _rep_products(z)
+    if products is None:
         raise ValueError("alpha is only defined on the relation variety")
     if not is_stable(z):
         raise ValueError("alpha needs a stable point (all forward maps injective)")
@@ -398,14 +400,17 @@ def alpha(z: QuiverRep) -> FlagPoint:
     for i in range(z.t - 3, -1, -1):
         composed.append(mul(composed[-1], z.A[i]))
     composed.reverse()  # composed[i] = A_{t-1} ... A_{i+1}
-    x = FlagPoint(tuple(composed), theta(z))
+    x = FlagPoint(tuple(composed), ExactMatrix._reduced(z.dims[-1], z.dims[-1], products[-1], z.field))
     x.validate()
     return x
 
 
 def from_flag_point(x: FlagPoint) -> QuiverRep:
     """The stable point whose flag of images is x: forward maps express each
-    basis inside the next, backward maps express the lowered endomorphism."""
+    basis inside the next, backward maps express the lowered endomorphism,
+    and one relations pass re-checks the point and gives its theta."""
+    if not x.flag:
+        raise ValueError("from_flag_point needs at least two vertices")
     x.validate()
     field = x.field
     t = len(x.flag) + 1
@@ -414,7 +419,8 @@ def from_flag_point(x: FlagPoint) -> QuiverRep:
     A = [solve(basis[i + 1], basis[i]) for i in range(t - 1)]
     B = [solve(basis[i], mul(x.endo, basis[i + 1])) for i in range(t - 1)]
     z = QuiverRep(x.dims, A, B, field)
-    if not (check_relations(z) and is_stable(z) and theta(z) == x.endo):
+    products = _rep_products(z)
+    if products is None or not is_stable(z) or products[-1] != list(x.endo.entries):
         raise CertificateError("from_flag_point: the result is not a stable point over the flag")
     return z
 

@@ -20,10 +20,10 @@ endomorphism lowers the flag, so the sample is re-checked on the
 endomorphism and no point is built; A_i B_i is theta restricted to the
 span of the first n_{i+1} coordinates (the flag correspondence of Kraft
 and Procesi), so one pass over theta types every interface.  The
-stability check solves its last relation by lookup, listing every last
-backward map under its product with the normal form, and, since
-neither criterion reads that map, evaluates both once per run of points
-that differ in it alone.  Failures
+stability check solves its last relation in closed form: against the
+normal form, B_{t-1} A_{t-1} is B_{t-1}'s first r columns, so the other
+maps fix those and leave the rest free.  Since neither criterion reads
+B_{t-1}, it evaluates both once per fibre of the other maps.  Failures
 carry a re-checkable counterexample payload.
 All randomness is derived per instance from a master seed, so reports are
 byte-stable across runs and across worker counts: with jobs > 1 the
@@ -50,7 +50,6 @@ from quiverz.exactmat import (
     ExactMatrix,
     FieldSpec,
     _jordan_flat,
-    _mul_flat,
     all_subspaces,
     canonical_nilpotent,
     is_injective,
@@ -504,9 +503,10 @@ def theta_image_report(
 
 
 def _enumerate_z_points(dims: tuple, field: FieldSpec) -> Iterator[Tuple[int, QuiverRep]]:
-    """One (weight, point) per point of the relation variety over a tiny
-    field whose last forward map A_{t-1} is in rank normal form; the weight
-    is the number of variety points the point stands for.
+    """One (weight, point) per fibre of the relation variety over a tiny
+    field, the points with the same A and B_1..B_{t-2}, where the last
+    forward map A_{t-1} is in rank normal form: the fibre's first point in
+    itertools.product order, and the number of variety points it stands for.
 
     Base change at the last two vertices takes A_{t-1} of rank r to
     [[I_r, 0], [0, 0]] and carries the completions of one rank-r matrix by
@@ -514,14 +514,14 @@ def _enumerate_z_points(dims: tuple, field: FieldSpec) -> Iterator[Tuple[int, Qu
     injectivity and the subspace criterion.  So each completion of the normal
     form stands for _rank_count(d_t, d_{t-1}, r, p) points.
 
-    The last relation B_{t-1} A_{t-1} = A_{t-2} B_{t-2} (= 0 when t = 2) is
-    solved by lookup: for each normal form every B_{t-1} is listed, in
-    itertools.product order, under its product B_{t-1} A_{t-1}.  The loop
-    runs over the other maps only: one relations pass on the first t - 1
-    vertices (_point_products) checks them and ends with A_{t-2} B_{t-2},
-    and the loop takes the B_{t-1} listed under that.  B_{t-1} is the last
-    block of the enumeration, so the points come in the order of a filter
-    over every completion."""
+    The last relation B_{t-1} A_{t-1} = C = A_{t-2} B_{t-2} (C = 0 when
+    t = 2) is solved in closed form: B_{t-1} A_{t-1} is B_{t-1}'s first r
+    columns followed by zeros, so it has a solution exactly when C is zero
+    from column r on, and then p^(d_{t-1} (d_t - r)) of them, the first with
+    C's first r columns and zeros elsewhere.  The loop runs over the other
+    maps only: one relations pass on the first t - 1 vertices
+    (_point_products) checks them and ends with C.  So the fibres come in
+    the order of a filter over every completion."""
     p = field.p
     dims = as_dim_vector(dims)  # validated once: each point is built unchecked
     t = len(dims)
@@ -535,27 +535,22 @@ def _enumerate_z_points(dims: tuple, field: FieldSpec) -> Iterator[Tuple[int, Qu
     for r, c in outer:
         offsets.append(offsets[-1] + r * c)
     rows, cols = a_shapes[-1]
-    zero = (0,) * (cols * cols)
     for rank in range(min(rows, cols) + 1):
-        weight = _rank_count(rows, cols, rank, p)
-        normal = _rank_normal_form(rows, cols, rank)
-        A_last = ExactMatrix._reduced(rows, cols, normal, field)
-        solutions: Dict[tuple, List[ExactMatrix]] = {}
-        for entries in itertools.product(range(p), repeat=rows * cols):
-            key = tuple(_mul_flat(entries, normal, cols, rows, cols, p))
-            solutions.setdefault(key, []).append(ExactMatrix._reduced(cols, rows, entries, field))
+        weight = _rank_count(rows, cols, rank, p) * p ** (cols * (rows - rank))
+        A_last = ExactMatrix._reduced(rows, cols, _rank_normal_form(rows, cols, rank), field)
         for entries in itertools.product(range(p), repeat=offsets[-1]):
             mats = [entries[offsets[k] : offsets[k + 1]] for k in range(len(outer))]
             A_flat, B_flat = mats[: t - 2], mats[t - 2 :]
             products = _point_products(dims[:-1], A_flat, B_flat, p)
             if products is None:
                 continue
-            listed = solutions.get(tuple(products[-1]) if products else zero)
-            if listed:
-                A = tuple(ExactMatrix._reduced(r, c, m, field) for (r, c), m in zip(a_shapes, A_flat)) + (A_last,)
-                B = tuple(ExactMatrix._reduced(r, c, m, field) for (r, c), m in zip(b_shapes, B_flat))
-                for B_last in listed:
-                    yield weight, QuiverRep._unchecked(dims, A, B + (B_last,), field)
+            C = products[-1] if products else [0] * (cols * cols)
+            if any(C[i] for i in range(cols * cols) if i % cols >= rank):
+                continue
+            B_flat.append([C[i * cols + j] if j < rank else 0 for i in range(cols) for j in range(rows)])
+            A = tuple(ExactMatrix._reduced(r, c, m, field) for (r, c), m in zip(a_shapes, A_flat)) + (A_last,)
+            B = tuple(ExactMatrix._reduced(r, c, m, field) for (r, c), m in zip(b_shapes, B_flat))
+            yield weight, QuiverRep._unchecked(dims, A, B, field)
 
 
 def stability_report(
@@ -571,11 +566,10 @@ def stability_report(
     Neither criterion reads B_{t-1}: injectivity reads the A_i, and the
     subspace criterion takes subspaces W_i of the first t-1 spaces only, so
     B_{t-1}, which maps out of the last space, enters none of its
-    conditions.  So both are evaluated once per fibre, a run of
-    consecutive points of _enumerate_z_points with the same A and
-    B_1..B_{t-2} (the B_{t-1} listed under one outer tuple), on its first
-    point, which is the point a mismatching fibre reports; each count adds
-    the weight times the fibre's size."""
+    conditions.  So both are evaluated once per fibre, the points with the
+    same A and B_1..B_{t-2}, on the first point that _enumerate_z_points
+    yields for it, which is the point a mismatching fibre reports; each
+    count adds the fibre's weight."""
     field = FieldSpec(p)
     instances = []
     counterexample = None
@@ -587,10 +581,7 @@ def stability_report(
         total += size
         mismatches = []
         variety_count = stable_count = 0
-        points = _enumerate_z_points(dims, field)
-        for _, fibre in itertools.groupby(points, key=lambda point: (point[1].A, point[1].B[:-1])):
-            weight, z = next(fibre)
-            weight *= 1 + sum(1 for _ in fibre)
+        for weight, z in _enumerate_z_points(dims, field):
             fast = is_stable(z)
             slow = _subspace_criterion(z)  # _enumerate_z_points checked the relations
             variety_count += weight

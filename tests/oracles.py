@@ -10,10 +10,10 @@ where _pair_types takes one canonical nilpotent corner block per class and
 types the blocks beside it once per row or column space; and
 z_points_by_filter keeps them
 but filters every completion by the relations, where the stability
-enumeration now solves its last relation by lookup; stability_by_point
-evaluates both stability criteria on every point of that enumeration, where
-stability_report evaluates them once per run of points that differ in
-B_{t-1} alone.  mul_by_rows and
+enumeration now solves its last relation in closed form and yields one
+point per fibre; stability_by_point evaluates both stability criteria on
+every point of that filter, where stability_report evaluates them once per
+fibre of points that differ in B_{t-1} alone.  mul_by_rows and
 rref_by_rows are the product and elimination loops that exactmat._mul_flat and exactmat._rref keep for
 sparse and small operands, inverse_by_augmenting the elimination of [M | I]
 that exactmat._inverse_flat runs below the packing gate and replaced with an
@@ -88,7 +88,6 @@ from quiverz.verify import (
     DEFAULT_BUDGET,
     VerifyReport,
     _budgeted,
-    _enumerate_z_points,
     _rank_count,
     _rank_normal_form,
 )
@@ -480,9 +479,10 @@ def z_points_by_brute_force(dims: tuple, field) -> tuple:
 
 def z_points_by_filter(dims: tuple, field: FieldSpec) -> Iterator[Tuple[int, QuiverRep]]:
     """quiverz.verify._enumerate_z_points as it was before it solved the last
-    relation by lookup: A_{t-1} in rank normal form, every other map over
-    every matrix, each candidate filtered by the relations; the same
-    (weight, point) sequence, in the same order."""
+    relation: A_{t-1} in rank normal form, every other map over every
+    matrix, each candidate filtered by the relations; every point of each
+    fibre that _enumerate_z_points yields, in its order, with the weight of
+    its normal form."""
     p = field.p
     t = len(dims)
     if t < 2:
@@ -519,7 +519,7 @@ def stability_by_point(
 ) -> VerifyReport:
     """quiverz.verify.stability_report as it was before it evaluated the
     criteria once per fibre: both are evaluated on every point of
-    _enumerate_z_points; the same report."""
+    z_points_by_filter; the same report."""
     field = FieldSpec(p)
     instances = []
     counterexample = None
@@ -531,9 +531,9 @@ def stability_by_point(
         total += size
         mismatches = []
         variety_count = stable_count = 0
-        for weight, z in _enumerate_z_points(dims, field):
+        for weight, z in z_points_by_filter(dims, field):
             fast = is_stable(z)
-            slow = _subspace_criterion(z)  # _enumerate_z_points checked the relations
+            slow = _subspace_criterion(z)  # z_points_by_filter checked the relations
             variety_count += weight
             if fast:
                 stable_count += weight

@@ -154,6 +154,19 @@ def test_from_rows_refuses_ragged_rows():
     assert ExactMatrix.from_rows([[], []], F).shape == (2, 0)
 
 
+def test_from_rows_refuses_cols_that_disagree_with_the_rows():
+    """cols is needed only when there are no rows; given with rows, it must
+    be their length, not be dropped in favour of it."""
+    F5 = FieldSpec(5)
+    for rows, cols in (([[1, 2]], 3), ([[1, 2]], 1), ([[1, 2], [3, 4]], 0), ([[], []], 2)):
+        with pytest.raises(ValueError, match=f"cols={cols}"):
+            ExactMatrix.from_rows(rows, F5, cols=cols)
+    assert ExactMatrix.from_rows([[1, 2]], F5, cols=2).entries == (1, 2)
+    assert ExactMatrix.from_rows([[], []], F5, cols=0).shape == (2, 0)
+    assert ExactMatrix.from_rows([], F5, cols=3).shape == (0, 3)
+    assert ExactMatrix.from_rows([], F5).shape == (0, 0)
+
+
 def test_constructor_refuses_non_integral_entries():
     """Entries go through operator.index: ints, bools and other integral
     types are taken mod p, and floats, strings and None raise ValueError

@@ -20,7 +20,7 @@ import pytest
 from quiverz.abdiagrams import enumerate_b_parts, max_diagram, random_diagram
 from quiverz.cli import main
 from quiverz.exactmat import FieldSpec, canonical_nilpotent, inverse, jordan_basis, mul
-from quiverz.verify import pair_type_table
+from quiverz.verify import pair_type_table, stability_report
 
 from oracles import partitions_up_to_weight, random_invertible
 
@@ -35,6 +35,10 @@ def _cli(*argv) -> str:
 def _pair_table() -> str:
     table = pair_type_table(2, 1, p=2)
     return json.dumps(sorted((list(k), sorted(map(list, v))) for k, v in table.items()))
+
+
+def _stability(dims_list: tuple, p: int, budget: int) -> str:
+    return json.dumps(stability_report(dims_list=dims_list, p=p, budget=budget).to_json_dict())
 
 
 def _jordan_bases() -> str:
@@ -95,6 +99,17 @@ CASES = {
     "stability-p3": (
         lambda: _cli("verify", "stability", "--p", "3", "--budget", "100000000"),
         "3dd9fe70199627e71bbc2aa5dc799864d10dfffeae744418d179de4cbf4811b6",
+    ),
+    # Shapes the CLI cannot reach: t = 2 up to rank 3 and t = 4 over F_2,
+    # and a last map of rank up to 3 over F_3; recorded before the
+    # enumeration solved its last relation in closed form.
+    "stability-api-p2": (
+        lambda: _stability(((3, 4), (1, 1, 2, 4), (2, 3)), 2, 10**8),
+        "bfe5d3c0287e464aa9076a58a41ea401b9d7571b6539c60c41bfb0e945628d45",
+    ),
+    "stability-api-p3": (
+        lambda: _stability(((2, 3), (1, 2, 4)), 3, 10**10),
+        "b5091a2a8fd368886f23e97d9669d10cc1b2cfa589b1b628eb952747e692b365",
     ),
     "verdict-1,4,5-p2": (
         lambda: _cli("dimvec", "verdict", "1,4,5", "--p", "2"),

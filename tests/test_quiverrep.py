@@ -644,6 +644,34 @@ def test_alpha_errors():
         alpha(bad)
 
 
+def test_alpha_and_from_flag_point_form_theta_once(monkeypatch):
+    """alpha and from_flag_point take theta from the last product of their
+    one relations pass: each makes one _point_products call and no theta
+    call, and both still round-trip.  A flag of length one has no theta and
+    is refused."""
+    calls = {"_point_products": 0, "theta": 0}
+    for name in calls:
+
+        def counting(*args, name=name, real=getattr(quiverrep, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(quiverrep, name, counting)
+    rng = random.Random(11)
+    for d in ((1, 2), (1, 4, 5), (2, 3, 5), (1, 2, 4, 6)):
+        x = sample_flag_point(d, F, rng)
+        z = from_flag_point(x)
+        assert calls == {"_point_products": 1, "theta": 0}, d
+        back = alpha(z)
+        assert calls == {"_point_products": 2, "theta": 0}, d
+        calls.update(_point_products=0)
+        assert back.endo == x.endo == mul(z.A[-1], z.B[-1])
+        for got, want in zip(back.flag, x.flag):
+            assert same_subspace(got, want)
+    with pytest.raises(ValueError, match="two vertices"):
+        from_flag_point(FlagPoint((), zeros(3, 3, F)))
+
+
 # --- chains ---------------------------------------------------------------------
 
 
