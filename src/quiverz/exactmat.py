@@ -59,7 +59,9 @@ pass types N on every coordinate prefix E_k it keeps, the span of the
 first k coordinates: rank((N|E_k)^j) is the rank of the first k columns of
 N^j, which is that of the first (pivots of N below k) columns of M^{j-1},
 and a chain meets E_k in its indices below k.  So theta alone types every
-interface of a flag point.
+interface of a flag point.  Beside it, _composite_ranks ranks F_1,
+F_2 F_1, ..., each composite formed on the pivot columns of the one before;
+the backward maps of a stable point type theta so (quiverrep._certified).
 _jordan_basis needs nothing more: its type comes
 from _jordan_flat, ker N^j from one _rref of N^j formed by _mul_flat, and
 the chain tops of each height from one more _rref.
@@ -434,6 +436,22 @@ def rank(M: ExactMatrix) -> int:
 
 def is_injective(M: ExactMatrix) -> bool:
     return rank(M) == M.cols
+
+
+def _composite_ranks(factors: Sequence[Sequence[int]], dims: Sequence[int], p: int) -> List[int]:
+    """[rank(F_1), rank(F_2 F_1), ...] for the flat F_j of shape dims[j] x
+    dims[j - 1]: one echelon form (_rref, reduced False) per composite.
+    Q = Q[:, P] R for P the pivot columns of Q and R its RREF, of full row
+    rank, so F Q has the rank of F Q[:, P], the next composite formed."""
+    ranks: List[int] = []
+    cur, width = (), dims[0]
+    for j, factor in enumerate(factors):
+        m = dims[j + 1]
+        cur = _mul_flat(factor, cur, m, dims[j], width, p) if j else factor
+        pivots = _rref([list(cur[i * width : (i + 1) * width]) for i in range(m)], p, reduced=False)
+        ranks.append(len(pivots))
+        cur, width = [cur[i * width + c] for i in range(m) for c in pivots], len(pivots)
+    return ranks
 
 
 def _null_vectors(rows: List[List[int]], pivots: List[int], width: int, p: int) -> List[List[int]]:

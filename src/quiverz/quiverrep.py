@@ -35,6 +35,7 @@ from quiverz.exactmat import (
     CertificateError,
     ExactMatrix,
     FieldSpec,
+    _composite_ranks,
     _draws,
     _index_chains,
     _index_matrix,
@@ -56,6 +57,7 @@ from quiverz.partitions import (
     _Record,
     as_dim_vector,
     dominates,
+    dual,
     is_strictly_monotone,
     mu_of,
     theta_image,
@@ -265,15 +267,14 @@ def sample_stable(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
     g a random invertible matrix at each vertex, drawn after the
     endomorphism with its inverse by _random_invertible_pair.  h_{i+1} times
     the inclusion A_i is a gather (_mul_flat).  The base-changed point is
-    re-checked by one relations pass and the ranks of its forward maps
-    (_certified)."""
+    re-checked by one relations pass that forms no theta, the ranks of its
+    forward maps and those of its backward composites (_certified)."""
     return _sample_stable(dims, field, rng)[0]
 
 
 def _sample_stable(dims: Sequence[int], field: FieldSpec, rng) -> tuple:
-    """(sample_stable's point, the flat A_i B_i of its relations pass, theta
-    last): callers type the point from these products, without a second
-    relations pass."""
+    """(sample_stable's point, the Jordan type of its theta): the type is
+    read off the ranks of its re-check, with no second pass."""
     z0 = _flag_point(dims, field, rng)
     g, ginv = zip(*(_random_invertible_pair(n, field, rng) for n in z0.dims))
     return _certified(_moved(z0, g, ginv))
@@ -317,12 +318,27 @@ def _flag_point(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
 
 
 def _certified(z: QuiverRep) -> tuple:
-    """(z, its flat A_i B_i, theta last) if z is a stable point of the
-    variety, else CertificateError: the one re-check of a stable sample."""
-    products = _rep_products(z)
-    if products is None or not is_stable(z):
+    """(z, the Jordan type of its theta) if z is a stable point of the
+    variety, else CertificateError: the one re-check of a stable sample.
+
+    Relations: one pass on the first t - 1 vertices (_point_products), then
+    B_{t-1} A_{t-1} against its last product (0 when t = 2); theta is never
+    formed.  On a stable point theta^j = (A_{t-1} ... A_{t-j}) (B_{t-j} ...
+    B_{t-1}), the left factor injective, and theta^t = 0: the type is the
+    dual of the rank drops of the backward composites (_composite_ranks).
+    With one vertex, no theta: (z, None)."""
+    dims, p = z.dims, z.field.p
+    if len(dims) < 2:
+        return z, None
+    A = [M.entries for M in z.A]
+    B = [M.entries for M in z.B]
+    lo, hi = dims[-2], dims[-1]
+    products = _point_products(dims[:-1], A[:-1], B[:-1], p)
+    last = products[-1] if products else [0] * (lo * lo)
+    if products is None or _mul_flat(B[-1], A[-1], lo, hi, lo, p) != last or not is_stable(z):
         raise CertificateError(f"sample_stable: the sample for {z.dims} is not a stable point")
-    return z, products
+    ranks = [hi] + _composite_ranks(B[::-1], dims[::-1], p) + [0]
+    return z, dual(Partition([r - s for r, s in zip(ranks, ranks[1:]) if r > s]))
 
 
 class FlagPoint(_Record):
@@ -584,8 +600,8 @@ def witness_reducible(dims: Sequence[int], field: FieldSpec, rng) -> Reducibilit
     lambda is the type of a point of the variety, not in general the largest
     type in the image of theta (see theta_image); lambda != mu is what the
     certificate needs.  The relations fields and the chain type record the
-    re-checks of the builders; the stable sample's theta is typed from the
-    products of its re-check."""
+    re-checks of the builders; the stable sample's theta type is the one its
+    re-check reads off the ranks of its backward composites, theta unformed."""
     dims = as_dim_vector(dims)
     if not is_strictly_monotone(dims):
         raise ValueError(f"obstruction needs a strictly increasing dimension vector: {dims}")
@@ -594,9 +610,8 @@ def witness_reducible(dims: Sequence[int], field: FieldSpec, rng) -> Reducibilit
     if lam == mu:
         return ReducibilityReport(dims, lam, mu, "no_obstruction")
     z1 = build_from_chain(greedy_chain(dims), field)
-    z2, products = _sample_stable(dims, field, rng)
-    t2 = _jordan_flat(products[-1], dims[-1], field.p)
-    if t2 is None or not dominates(mu, t2):
+    z2, t2 = _sample_stable(dims, field, rng)
+    if not dominates(mu, t2):
         raise CertificateError(f"witness_reducible: the witnesses for {dims} fail their re-check")
     witnesses = [
         {

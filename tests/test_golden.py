@@ -127,6 +127,17 @@ CASES = {
         lambda: _cli("dimvec", "verdict", "4,7,13,16"),
         "17037b664fea10f1e097267aae38fa98d9abce90960946532e011fdc86df2278",
     ),
+    # t = 5 and t = 6, where the stable witness's type takes the most
+    # backward composites; recorded before that type was read off their
+    # ranks instead of theta's powers.
+    "verdict-8,16,25,33,40": (
+        lambda: _cli("dimvec", "verdict", "8,16,25,33,40"),
+        "4a85a6201b06020eb67cd5b95b328be5fc2675919531010c77b48c16556cd40a",
+    ),
+    "verdict-2,5,8,12,13,16": (
+        lambda: _cli("dimvec", "verdict", "2,5,8,12,13,16"),
+        "a953ab16a49196b4c2581229bb693b8707a448c12da51e9330e69d28e8adbe6c",
+    ),
     # The ab-step pair tables of (3,1) over F_2 and (2,2) over F_3 reach
     # rank 2 and 3, where B's blocks interleave in the witness order;
     # recorded before the pair loop typed B's blocks apart.

@@ -39,6 +39,7 @@ from quiverz.quiverrep import (
     _interface_types,
     _lowering_endo,
     _map_recheck,
+    _rep_products,
     _sample_stable,
     act,
     alpha,
@@ -369,22 +370,23 @@ def test_flag_sample_base_changes_to_sample_stable():
     """The re-checked flag point, base-changed by act (the generic base
     change) with the group element drawn after it from the same stream, is
     _sample_stable's point, for every strictly monotone vector with last
-    entry at most 6.  Both points have the same interface types, which the
-    products of the flag point's re-check give: theta-image checks the flag
-    point, and sample_stable keeps its draws and its bytes."""
+    entry at most 6.  Both points have the same interface types, and the
+    type the flag point's re-check returns is _jordan_flat of its theta:
+    theta-image checks the flag point, and sample_stable keeps its draws
+    and its bytes."""
     for p in (2, 3, 32003):
         field = FieldSpec(p)
         for r in range(2, 7):
             for d in itertools.combinations(range(1, 7), r):
                 for seed in range(2):
                     rng_flag, rng_stable = random.Random(seed), random.Random(seed)
-                    z0, products = _certified(_flag_point(d, field, rng_flag))
+                    z0, typ = _certified(_flag_point(d, field, rng_flag))
                     z, _ = _sample_stable(d, field, rng_stable)
                     assert act(random_group_element(d, field, rng_flag), z0) == z
                     assert rng_flag.getstate() == rng_stable.getstate()
                     types = _interface_types(z0)
                     assert types == _interface_types(z)
-                    assert types == [_jordan_flat(ab, n, p) for ab, n in zip(products, d[1:])]
+                    assert types[-1] == typ == _jordan_flat(theta(z0).entries, d[-1], p)
 
 
 def _endo_with_one_at(r, c):
@@ -523,6 +525,66 @@ def test_sample_stable_rechecks_the_base_changed_point(monkeypatch):
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == expected, flags
+
+
+def test_certified_type_matches_jordan_type_of_theta():
+    """The type _certified reads off the ranks of the backward composites
+    is _jordan_flat of theta, formed here by a relations pass
+    (_rep_products), on the stable samples of every strictly monotone
+    vector with last entry at most 7, over F_2, F_3, F_32003 and
+    F_(2^31 - 1), three seeds each.  The vectors with t = 2 are among them,
+    and over F_2 and F_3 many samples are not generic (not of type mu_of(d)),
+    also at t = 2.  With one vertex there is no theta: the type is None."""
+    non_generic = set()
+    for p in (2, 3, 32003, 2**31 - 1):
+        field = FieldSpec(p)
+        for d in strictly_monotone_vectors(7):
+            for seed in range(3):
+                z, typ = _sample_stable(d, field, random.Random(seed))
+                assert typ == _jordan_flat(_rep_products(z)[-1], d[-1], p), (p, d, seed)
+                if typ != mu_of(d):
+                    non_generic.add((p, len(d)))
+    assert {(2, 2), (3, 2), (2, 4), (3, 4)} <= non_generic
+    assert _certified(_flag_point((3,), F, random.Random(0))) == (_flag_point((3,), F, random.Random(0)), None)
+
+
+def test_certified_refuses_a_point_that_breaks_only_the_last_relation():
+    """The flag point with 1 added to entry (0, n_{t-1} - 1) of B_{t-1}, a
+    column that the inclusion A_{t-1} keeps, meets every relation but
+    B_{t-1} A_{t-1} = A_{t-2} B_{t-2} (B_1 A_1 = 0 when t = 2) and stays
+    stable; _certified refuses it with CertificateError, in a plain and in
+    a python -O interpreter."""
+    vectors = ((1, 2), (1, 4, 5), (2, 3, 5), (1, 2, 4, 6), (2, 5, 8, 12, 13, 16))
+    script = textwrap.dedent(
+        """
+        import random
+        from quiverz import exactmat, quiverrep
+
+        for d in %r:
+            z = quiverrep._flag_point(d, exactmat.FieldSpec(), random.Random(0))
+            last = list(z.B[-1].entries)
+            last[d[-2] - 1] = (last[d[-2] - 1] + 1) %% z.field.p
+            B = z.B[:-1] + (exactmat.ExactMatrix(d[-2], d[-1], last, z.field),)
+            broken = quiverrep.QuiverRep(d, z.A, B, z.field)
+            A_flat, B_flat = [M.entries for M in z.A], [M.entries for M in B]
+            assert quiverrep.is_stable(broken) and not quiverrep.check_relations(broken)
+            assert quiverrep._point_products(d[:-1], A_flat[:-1], B_flat[:-1], z.field.p) is not None
+            try:
+                quiverrep._certified(broken)
+                print(d, "passed")
+            except exactmat.CertificateError as exc:
+                print(d, "raised in", str(exc).split(":")[0])
+        """
+        % (vectors,)
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [f"{d} raised in sample_stable" for d in vectors], flags
 
 
 def test_flag_endo_matches_flag_point_oracle(monkeypatch):

@@ -133,3 +133,34 @@ def test_echelon_rank_matches_rref_and_sympy():
     for p in (2, 3, 32003):
         assert {(p, 7, False), (p, 8, False), (p, 8, True), (p, 40, True)} <= sides
     assert not any(packed for p, _, packed in sides if p == 2**31 - 1)
+
+
+def test_composite_ranks_match_sympy():
+    """_composite_ranks gives sympy's rank of every composite F_1, F_2 F_1,
+    ... of factors drawn as _matrix draws them, over each prime: dense,
+    sparse, swapping and of low rank, on chains whose composites pass the
+    _packs gate (from 8 rows, dense, over F_2, F_3 and F_32003) and fall
+    below it; with a zero factor, after which every rank is 0; and with a
+    factor of no rows or no columns."""
+    chains = [(12, 10, 9, 8), (5, 12, 11, 3), (3, 5, 2), (9, 4, 9, 12), (7, 0, 3), (0, 4, 6), (4, 1, 6, 2)]
+    sides = set()
+    for p in PRIMES:
+        for dims in chains:
+            for kind in ("dense", "sparse", "swapping", "low rank", "zero"):
+                factors = [
+                    ExactMatrix(m, n, [0] * (m * n), FieldSpec(p)) if kind == "zero" and j == 1
+                    else _matrix(m, n, p, "dense" if kind == "zero" else kind, 31 * j)
+                    for j, (n, m) in enumerate(zip(dims, dims[1:]))
+                ]
+                expect = []
+                for F in factors:
+                    Q = _domain(F) if not expect else _domain(F) * Q
+                    expect.append(Q.rank())
+                with mock.patch.object(exactmat, "_rref_packed", wraps=exactmat._rref_packed) as spy:
+                    ranks = exactmat._composite_ranks([F.entries for F in factors], dims, p)
+                assert ranks == expect, (p, dims, kind)
+                sides.add((p, spy.called))
+                if kind == "zero":
+                    assert ranks[1:] == [0] * (len(dims) - 2)
+    assert {(p, packed) for p in (2, 3, 32003) for packed in (False, True)} <= sides
+    assert (2**31 - 1, True) not in sides

@@ -781,18 +781,31 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     # products; its is_stable ranks 0/1 partial permutations by counting
     # their ones, where eliminating them took 2.  The stable witness: one
     # relations check, 2 ranks of its base-changed forward maps and 3
-    # inversions in sample_stable, and the type of its theta (3
-    # eliminations) from the products of that check; its endomorphism is
-    # checked to lower the flag before the base change (flag_endo: 1).  The inversions are
-    # of sizes 1, 4 and 5, below the packing gate, so each is also one
-    # elimination of [g | I]: 8 in all, where the inversion's own list loop
-    # made 5.
-    reset(flag_endo=0)
-    report = quiverrep.witness_reducible((1, 4, 5), FieldSpec(), random.Random(0))
+    # inversions in sample_stable, and no Jordan type: the type of its theta
+    # is read off the ranks of B_2 and B_1 B_2 (2 eliminations), where
+    # _jordan_flat of theta took 3; its endomorphism is checked to lower the
+    # flag before the base change (flag_endo: 1).  The inversions are of
+    # sizes 1, 4 and 5, below the packing gate, so each is also one
+    # elimination of [g | I]: 7 in all, 8 when theta was typed, and 5 with
+    # the inversion's own list loop before that.  No 5 x 5 product is
+    # formed (squares: 0): the relation at the last vertex compares
+    # B_2 A_2 with A_1 B_1, where the relations pass formed theta = A_2 B_2.
+    def squares(real):
+        def wrapper(xe, ye, n, m, k, p):
+            counts["squares"] += n == k == 5
+            return real(xe, ye, n, m, k, p)
+
+        return wrapper
+
+    reset(flag_endo=0, squares=0)
+    with monkeypatch.context() as patch:
+        for module in (exactmat, quiverrep):
+            patch.setattr(module, "_mul_flat", squares(module._mul_flat))
+        report = quiverrep.witness_reducible((1, 4, 5), FieldSpec(), random.Random(0))
     assert [w["relations"] for w in report.witnesses] == [True, True]
     assert counts == {
-        "relations": 1, "maps": 1, "jordan": 1, "matrices": 4, "eliminations": 8, "inversions": 3, "canonical": 0,
-        "flag_endo": 1,
+        "relations": 1, "maps": 1, "jordan": 0, "matrices": 4, "eliminations": 7, "inversions": 3, "canonical": 0,
+        "flag_endo": 1, "squares": 0,
     }
 
     # conjugator re-checks only its own rank(g) and g N2 == N1 g;
