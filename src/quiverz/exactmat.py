@@ -10,8 +10,8 @@ The dense kernels work on packed rows: one Python int per row, entry j in
 the 64-bit slot at bits 64j to 64j + 63 (_pack and _unpack hold the
 format), so a row operation is one C-level multiply-add of big ints.  Slots
 only ever grow between reductions, so every slot has to stay below 2^64.
-One gate decides for the three packed loops, of _mul_flat, _rref and
-_inverse_flat: at least 8 rows to combine, (p - 1)^2 * (rows + 1) + p <
+One gate decides for the four packed loops, of _mul_flat, _rref, _echelon
+and _inverse_flat: at least 8 rows to combine, (p - 1)^2 * (rows + 1) + p <
 2^64 (_packs; it holds for p = 32003 and fails for p near 2^31), and at
 most half of the entries that select the work zero.
 
@@ -24,27 +24,22 @@ the rows of its right operand; the gate counts the m rows of ye and the
 zeros of xe.  Each output row is the sum of its entries of xe times those
 packed rows, at most m (p - 1)^2 per slot, unpacked and reduced once.  Below
 the gate the row loop skips zero entries and suits the tiny dense matrices
-of the exhaustive drivers.  rank needs no elimination of a 0/1 partial
-permutation: _partial_permutation reads it, and its rank is its count of
-ones.  Any other rank counts the pivots of an echelon form: _rref with
-reduced False eliminates only below each pivot and writes nothing back.
+of the exhaustive drivers.  rank reads a 0/1 partial permutation's rank as
+its count of ones, and counts the pivots of the rank echelon, _echelon, of
+anything else: it eliminates only below each pivot, and past the gate it
+packs rows straight from the entries and shifts each spent column out.
 
-_rref is the one list-form elimination: rank, kernel_basis, the Jordan
-type, the Jordan basis and every inverse below the gate run on it, and
-solve, the unique X with M X = C, runs on one _rref of [M | C].
-It counts its rows and the zeros of the columns it searches for pivots, so
-an augmented system is judged by its left block.  Past the gate it reduces
-the entries as it packs them; then row i += (p - f) * pivot row adds at
-most (p - 1)^2 per slot for each pivot, a row is reduced again only when it
-becomes the pivot row, and every row once at the end, when the lists are
-written back.  Below it, the list loop finds the pivot with a plain loop
-and forms each row step over the zipped rows, skipping rows with a zero in
-the pivot column.  Both give the same RREF.  _inverse_flat inverts a matrix
-past the gate in place on packed n-wide rows: the elimination row carries
-inv + 1 in its pivot slot, so each row step stays one multiply-add.  Below
-the gate it is one _rref of [M | I], which the same gate, on the left
-block, keeps in lists.  Both packed loops read column c of every row once
-per step (_column), through the shorter side of each row.
+_rref is the one list-form elimination: kernel_basis, the Jordan type, the
+Jordan basis and every inverse below its gate run on it, and solve, the
+unique X with M X = C, runs on one _rref of [M | C].  It counts its rows
+and the zeros of the columns it searches for pivots, so an augmented
+system is judged by its left block.  Past the gate it packs
+(_rref_packed); below it, the list loop skips rows with a zero in the pivot
+column.  Both give the same RREF.  _inverse_flat inverts in place on packed
+n-wide rows past the gate for the 2n rows of [M | I]: the elimination row
+carries inv + 1 in its pivot slot, so each row step stays one multiply-add.
+Below it, it is one _rref of [M | I].  The packed RREF and inverse read
+column c once per step (_column), through the shorter side of each row.
 
 _jordan_flat, the one Jordan-type routine, reads a 0/1 partial permutation
 off its chains and eliminates nothing: each chain is a Jordan block.
@@ -334,7 +329,7 @@ def hstack(X: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(X.rows, X.cols + Y.cols, out, X.field)
 
 
-def _rref(rows: List[List[int]], p: int, pivot_cols: Optional[int] = None, reduced: bool = True) -> List[int]:
+def _rref(rows: List[List[int]], p: int, pivot_cols: Optional[int] = None) -> List[int]:
     """In-place reduced row echelon form; returns the pivot column list.
     The package's one list-form elimination.
 
@@ -345,15 +340,13 @@ def _rref(rows: List[List[int]], p: int, pivot_cols: Optional[int] = None, reduc
     first pivot_cols columns zero, the rows are eliminated packed
     (_rref_packed); otherwise in lists, reading entries mod p and skipping
     rows with a zero in the pivot column, where a row that no step touches
-    keeps its entries as given.  With reduced False only the rows below each
-    pivot are eliminated, an echelon form that gives the same pivots, and
-    rows is left in no particular state: all a rank needs."""
+    keeps its entries as given.  A rank needs only the pivots: _echelon."""
     nrows = len(rows)
     width = len(rows[0]) if nrows else 0
     if pivot_cols is None:
         pivot_cols = width
     if _packs(nrows, p) and 2 * sum(row[:pivot_cols].count(0) for row in rows) <= nrows * pivot_cols:
-        return _rref_packed(rows, p, pivot_cols, reduced)
+        return _rref_packed(rows, p, pivot_cols)
     pivots: List[int] = []
     r = 0
     for c in range(pivot_cols):
@@ -366,8 +359,7 @@ def _rref(rows: List[List[int]], p: int, pivot_cols: Optional[int] = None, reduc
         rows[pivot] = rows[r]
         inv = pow(rr[c] % p, -1, p)
         rows[r] = rr = [(v * inv) % p for v in rr]
-        for i in range(0 if reduced else r + 1, nrows):
-            ri = rows[i]
+        for i, ri in enumerate(rows):
             f = ri[c] % p
             if f and i != r:
                 rows[i] = [(x - f * y) % p for x, y in zip(ri, rr)]
@@ -389,21 +381,20 @@ def _column(packed: Sequence[int], c: int, width: int, p: int) -> List[int]:
     return [(x >> shift & _SLOT_MASK) % p for x in packed]
 
 
-def _rref_packed(rows: List[List[int]], p: int, pivot_cols: int, reduced: bool) -> List[int]:
+def _rref_packed(rows: List[List[int]], p: int, pivot_cols: int) -> List[int]:
     """_rref on packed rows, for inputs that pass the _packs gate.
 
     Rows are reduced when packed, when they become the pivot row and once
-    at the end, when the lists are written back (not when reduced is
-    False); between, row i += (p - f) * pivot row only adds, at most
-    (p - 1)^2 per slot and pivot, so no slot reaches 2^64."""
+    at the end, when the lists are written back; between, row i += (p - f)
+    * pivot row only adds, at most (p - 1)^2 per slot and pivot, so no slot
+    reaches 2^64."""
     nrows = len(rows)
     width = len(rows[0])
     packed = [_pack([v % p for v in row]) for row in rows]
     pivots: List[int] = []
     r = 0
     for c in range(pivot_cols):
-        lo = 0 if reduced else r  # the rows to eliminate start here
-        col = [0] * lo + _column(packed[lo:], c, width, p)
+        col = _column(packed, c, width, p)
         pivot = next((i for i in range(r, nrows) if col[i]), None)
         if pivot is None:
             continue
@@ -419,19 +410,48 @@ def _rref_packed(rows: List[List[int]], p: int, pivot_cols: int, reduced: bool) 
         r += 1
         if r == nrows:
             break
-    if reduced:
-        rows[:] = [[v % p for v in _unpack(x, width)] for x in packed]
+    rows[:] = [[v % p for v in _unpack(x, width)] for x in packed]
+    return pivots
+
+
+def _echelon(entries: Sequence[int], nrows: int, ncols: int, p: int) -> List[int]:
+    """Pivot columns of the flat nrows x ncols matrix, entries in [0, p): the
+    one rank echelon.  Each pivot row, the first row left with a nonzero h
+    in its column, is removed and f / h times it taken off each row left
+    with f there.  Past the _packs gate, rows are packed from the entries
+    and shed each spent column: a column is slot 0 masked, a row step
+    (x >> 64) + (p - f) * tail, at most (p - 1)^2 per slot and pivot."""
+    packed = _packs(nrows, p) and 2 * entries.count(0) <= len(entries)
+    rows = [entries[i * ncols : (i + 1) * ncols] for i in range(nrows)]
+    rows = [_pack(row) for row in rows] if packed else rows
+    pivots: List[int] = []
+    for c in range(ncols):
+        col = [(x & _SLOT_MASK) % p for x in rows] if packed else [row[c] for row in rows]
+        head = next(filter(None, col), 0)
+        if head:
+            pivot = col.index(head)
+            del col[pivot]
+            inv = pow(head, -1, p)
+            if packed:  # tail: the pivot row past its pivot, times 1 / head
+                tail = _pack([v * inv % p for v in _unpack(rows.pop(pivot) >> 64, ncols - c - 1)])
+                rows = [(x >> 64) + (p - f) * tail if f else x >> 64 for x, f in zip(rows, col)]
+            else:
+                row = rows.pop(pivot)
+                rows = [[(x - g * y) % p for x, y in zip(r, row)] if (g := f * inv) else r for r, f in zip(rows, col)]
+            pivots.append(c)
+        elif packed:
+            rows = [x >> 64 for x in rows]
     return pivots
 
 
 def rank(M: ExactMatrix) -> int:
     """The rank: the count of ones of a 0/1 partial permutation
-    (_partial_permutation), the pivot count of one echelon form (_rref with
-    reduced False) of anything else."""
+    (_partial_permutation), the pivot count of the rank echelon (_echelon)
+    of anything else."""
     image = _partial_permutation(M.entries, M.rows, M.cols)
     if image is not None:
         return M.cols - image.count(-1)
-    return len(_rref(M.to_rows(), M.field.p, reduced=False))
+    return len(_echelon(M.entries, M.rows, M.cols, M.field.p))
 
 
 def is_injective(M: ExactMatrix) -> bool:
@@ -440,7 +460,7 @@ def is_injective(M: ExactMatrix) -> bool:
 
 def _composite_ranks(factors: Sequence[Sequence[int]], dims: Sequence[int], p: int) -> List[int]:
     """[rank(F_1), rank(F_2 F_1), ...] for the flat F_j of shape dims[j] x
-    dims[j - 1]: one echelon form (_rref, reduced False) per composite.
+    dims[j - 1]: one rank echelon (_echelon) per composite.
     Q = Q[:, P] R for P the pivot columns of Q and R its RREF, of full row
     rank, so F Q has the rank of F Q[:, P], the next composite formed."""
     ranks: List[int] = []
@@ -448,7 +468,7 @@ def _composite_ranks(factors: Sequence[Sequence[int]], dims: Sequence[int], p: i
     for j, factor in enumerate(factors):
         m = dims[j + 1]
         cur = _mul_flat(factor, cur, m, dims[j], width, p) if j else factor
-        pivots = _rref([list(cur[i * width : (i + 1) * width]) for i in range(m)], p, reduced=False)
+        pivots = _echelon(cur, m, width, p)
         ranks.append(len(pivots))
         cur, width = [cur[i * width + c] for i in range(m) for c in pivots], len(pivots)
     return ranks
@@ -485,8 +505,8 @@ def _inverse_flat(entries: Sequence[int], n: int, p: int) -> Optional[List[int]]
     """Flat entries of the inverse of the flat n x n matrix, entries in
     [0, p), or None if it is singular.
 
-    Below the _packs gate for the n rows, or with more than half of the
-    entries zero, one _rref of [M | I] both tests M and inverts it.
+    Below the _packs gate for the 2n rows of [M | I], or with more than half
+    of the entries zero, one _rref of [M | I] both tests M and inverts it.
     Otherwise Gauss-Jordan runs in place on packed n-wide rows.  Step c swaps
     a pivot into row c, or finds the matrix singular when column c has none
     from row c down, and scales that row by inv = 1 / pivot with inv in the
@@ -498,7 +518,7 @@ def _inverse_flat(entries: Sequence[int], n: int, p: int) -> Optional[List[int]]
     elimination row adds at most (p - 1)^2 per slot and step, (p - 1) p at
     the one step with inv + 1.  The row swaps come back as column swaps at
     the end, the last first."""
-    if not _packs(n, p) or 2 * entries.count(0) > len(entries):
+    if not _packs(2 * n, p) or 2 * entries.count(0) > len(entries):
         aug = [list(entries[i * n : (i + 1) * n]) + [int(j == i) for j in range(n)] for i in range(n)]
         if len(_rref(aug, p, pivot_cols=n)) != n:
             return None

@@ -43,15 +43,18 @@ quiverz.exactmat), zero_rep, random_group_element and sample_flag_point
 """
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from quiverz.abdiagrams import _longest_first, build_pair, enumerate_b_parts
 from quiverz.exactmat import (
+    _SLOT_LIMIT,
     CertificateError,
     ExactMatrix,
     FieldSpec,
     _chains,
+    _is_prime,
     _jordan_basis,
     _jordan_flat,
     _mul_flat,
@@ -140,6 +143,14 @@ def rref_by_rows(rows: list, p: int, pivot_cols=None) -> list:
         if r == nrows:
             break
     return pivots
+
+
+def slot_edge_prime(rows: int) -> int:
+    """The largest prime that passes the _packs gate for this many rows."""
+    p = math.isqrt((_SLOT_LIMIT - 1) // (rows + 1)) + 2
+    while not (_packs(rows, p) and _is_prime(p)):
+        p -= 1
+    return p
 
 
 def inverse_by_augmenting(entries, n: int, p: int):

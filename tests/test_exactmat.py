@@ -1,5 +1,4 @@
 import itertools
-import math
 import os
 import random
 import subprocess
@@ -10,13 +9,13 @@ import pytest
 
 from quiverz import exactmat
 from quiverz.exactmat import (
-    _SLOT_LIMIT,
     DEFAULT_PRIME,
     CertificateError,
     ExactMatrix,
     FieldSpec,
     _chains,
     _draws,
+    _echelon,
     _jordan_flat,
     _inverse_flat,
     _is_prime,
@@ -56,6 +55,7 @@ from oracles import (
     partitions_up_to_weight,
     random_invertible,
     rref_by_rows,
+    slot_edge_prime,
     solutions_by_search,
     transpose,
 )
@@ -261,9 +261,9 @@ def _counting(monkeypatch, name):
     real = getattr(exactmat, name)
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(exactmat, name, counting)
     return calls
@@ -349,7 +349,8 @@ def test_rref_matches_list_loop_oracle(monkeypatch):
     loop, so its largest size is left out), and the same rows reduced mod p
     (the list loop leaves rows that no operation touches unreduced).  The
     list loop gives the oracle's rows exactly, unreduced ones included, and
-    reduced False gives the same pivots on both paths."""
+    the rank echelon (_echelon) of the pivot block, reduced mod p, gives
+    the same pivots."""
     packed_runs = _counting(monkeypatch, "_rref_packed")
     rng = random.Random(37)
     sides = set()
@@ -361,7 +362,9 @@ def test_rref_matches_list_loop_oracle(monkeypatch):
         for rows, pivot_cols in cases:
             expect = [row[:] for row in rows]
             expect_pivots = rref_by_rows(expect, p, pivot_cols)
-            assert _rref([row[:] for row in rows], p, pivot_cols, reduced=False) == expect_pivots
+            k = pivot_cols if pivot_cols is not None else len(rows[0]) if rows else 0
+            block = [v % p for row in rows for v in row[:k]]
+            assert _echelon(block, len(rows), k, p) == expect_pivots
             before = len(packed_runs)
             pivots = _rref(rows, p, pivot_cols)
             packed = len(packed_runs) > before
@@ -494,6 +497,37 @@ def test_rank_against_span_count():
         for _ in range(25):
             m = random_matrix(rng.randrange(1, 4), rng.randrange(1, 5), field, rng)
             assert rank(m) == rank_by_span_count(m)
+
+
+def test_rank_echelon_touches_only_the_trailing_block(monkeypatch):
+    """A dense rank past the _packs gate runs the rank echelon alone, on
+    12 x 12, 20 x 12 and 12 x 20 matrices over F_32003 and a 16 x 12 one
+    with column 3 twice column 2 and row 5 zero: each input row is packed
+    once, as given, and each pivot row once more; only pivot rows are
+    unpacked, each without its pivot slot and the columns before it (width
+    cols - c - 1 at pivot c); _column is never called, no RREF runs, and
+    the entries, given as a list, are left as they are."""
+    rng = random.Random(61)
+    calls = {name: _counting(monkeypatch, name) for name in ("_pack", "_unpack", "_column", "_rref", "_rref_packed")}
+    cases = [random_matrix(r, c, F, rng) for r, c in ((12, 12), (20, 12), (12, 20))]
+    deficient = [rng.randrange(1, F.p) for _ in range(16 * 12)]
+    for i in range(16):
+        deficient[i * 12 + 3] = 2 * deficient[i * 12 + 2] % F.p
+    deficient[5 * 12 : 6 * 12] = [0] * 12
+    cases.append(ExactMatrix(16, 12, deficient, F))
+    for m in cases:
+        pivots = rref_by_rows(m.to_rows(), F.p)
+        for got in calls.values():
+            got.clear()
+        assert rank(m) == len(pivots)
+        assert [list(args[0]) for args in calls["_pack"][: m.rows]] == m.to_rows()
+        assert len(calls["_pack"]) == m.rows + len(pivots)
+        assert [args[1] for args in calls["_unpack"]] == [m.cols - c - 1 for c in pivots]
+        assert calls["_column"] == calls["_rref"] == calls["_rref_packed"] == []
+        entries = list(m.entries)
+        assert _echelon(entries, m.rows, m.cols, F.p) == pivots
+        assert entries == list(m.entries)
+    assert 3 not in rref_by_rows(cases[-1].to_rows(), F.p)
 
 
 def test_kernel_dim_against_vector_count():
@@ -649,14 +683,6 @@ def test_draws_match_randrange():
                 assert rng.getstate() == twin.getstate(), (n, count, seed)
 
 
-def _slot_edge_prime(rows):
-    """The largest prime that passes the _packs gate for this many rows."""
-    p = math.isqrt((_SLOT_LIMIT - 1) // (rows + 1)) + 2
-    while not (_packs(rows, p) and _is_prime(p)):
-        p -= 1
-    return p
-
-
 def _inverse_inputs(n, p, rng):
     """(kind, flat n x n entries) for _inverse_flat: dense, half zero, a
     reversed upper-triangular matrix whose every column has its pivot on
@@ -688,23 +714,27 @@ def _inverse_inputs(n, p, rng):
 
 def test_inverse_matches_augmented_elimination_oracle(monkeypatch):
     """_inverse_flat against the RREF of [M | I], which it runs itself below
-    the packing gate and replaced with an inversion in place above it, on
-    every input of _inverse_inputs for n in {0, 1, 2, 3, 7, 8, 9, 16, 40}
-    and p in {2, 3, 5, 32003, 2^31 - 1} and the largest prime that packs 8
-    rows (the slot-bound edge, packed at n = 8 and in lists from n = 9):
-    the same entries, or None exactly when the oracle finds M singular."""
+    the packing gate for the 2n rows of [M | I] and replaced with an
+    inversion in place above it, on every input of _inverse_inputs for n in
+    {0, 1, 2, 3, 4, 7, 8, 9, 16, 40} and p in {2, 3, 5, 32003, 2^31 - 1}
+    and the largest prime that packs 16 rows (the slot-bound edge for 2n
+    rows, in place at n = 8 and on [M | I] from n = 9); over F_32003 it
+    runs in place from n = 4: the same entries, or None exactly when the
+    oracle finds M singular.  A side runs in place when it calls no _rref."""
     packs = _counting(monkeypatch, "_pack")
+    eliminations = _counting(monkeypatch, "_rref")
     rng = random.Random(47)
-    edge = _slot_edge_prime(8)
-    assert not _packs(8, next(q for q in itertools.count(edge + 1) if _is_prime(q))) and not _packs(9, edge)
-    sides = set()
+    edge = slot_edge_prime(16)
+    assert not _packs(16, next(q for q in itertools.count(edge + 1) if _is_prime(q))) and not _packs(18, edge)
+    sides, packed_primes = set(), set()
     for p in (2, 3, 5, 32003, 2**31 - 1, edge):
-        for n in (0, 1, 2, 3, 7, 8, 9, 16, 40):
+        for n in (0, 1, 2, 3, 4, 7, 8, 9, 16, 40):
             for kind, entries in _inverse_inputs(n, p, rng):
                 expect = inverse_by_augmenting(entries, n, p)
-                before = len(packs)
+                before = len(eliminations), len(packs)
                 got = _inverse_flat(entries, n, p)
-                sides.add((p, n, len(packs) > before))
+                sides.add((p, n, len(eliminations) == before[0]))
+                packed_primes.update([p] if len(packs) > before[1] else [])
                 assert got == expect, (p, n, kind)
                 assert _inverse_flat(tuple(entries), n, p) == expect
                 if kind.startswith("no pivot") or kind == "zero row":
@@ -713,8 +743,10 @@ def test_inverse_matches_augmented_elimination_oracle(monkeypatch):
                     assert got is not None
                 if got is not None:
                     assert all(0 <= v < p for v in got)
-    assert {(32003, 8, True), (32003, 40, True), (32003, 7, False), (edge, 8, True), (edge, 9, False)} <= sides
-    assert not any(packed for p, _, packed in sides if p == 2**31 - 1)
+    assert {(32003, 3, False), (32003, 4, True), (32003, 7, True), (32003, 40, True)} <= sides
+    assert {(edge, 8, True), (edge, 9, False)} <= sides
+    assert not any(in_place for p, _, in_place in sides if p == 2**31 - 1)
+    assert 2**31 - 1 not in packed_primes
 
 
 # --- nilpotents ----------------------------------------------------------------

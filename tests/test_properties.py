@@ -128,12 +128,15 @@ def rectangular_partial_permutations(draw):
 @hypothesis.given(rectangular_partial_permutations())
 def test_rank_of_partial_permutation_counts_ones(case):
     """rank reads a 0/1 partial permutation, square or not, as its count of
-    ones without eliminating, and that is the rank _rref finds."""
+    ones without eliminating (no _rref and no rank echelon, _echelon), and
+    that is the rank _rref finds."""
     field, rows, cols, entries, ones = case
     M = ExactMatrix(rows, cols, entries, field)
-    with mock.patch.object(exactmat, "_rref", wraps=exactmat._rref) as spy:
+    with mock.patch.object(exactmat, "_rref", wraps=exactmat._rref) as spy, mock.patch.object(
+        exactmat, "_echelon", wraps=exactmat._echelon
+    ) as echelon:
         assert rank(M) == ones
-    assert spy.call_count == 0
+    assert spy.call_count == echelon.call_count == 0
     assert len(_rref(M.to_rows(), field.p)) == ones
 
 
@@ -161,11 +164,14 @@ def near_misses(draw):
 @hypothesis.given(near_misses())
 def test_rank_of_near_miss_eliminates(M):
     """A matrix that is not a 0/1 partial permutation by one entry falls
-    through to one elimination and gets the rank of the list-loop oracle."""
+    through to one elimination, a rank echelon (_echelon) and no _rref, and
+    gets the rank of the list-loop oracle."""
     assert exactmat._partial_permutation(M.entries, M.rows, M.cols) is None
-    with mock.patch.object(exactmat, "_rref", wraps=exactmat._rref) as spy:
+    with mock.patch.object(exactmat, "_rref", wraps=exactmat._rref) as spy, mock.patch.object(
+        exactmat, "_echelon", wraps=exactmat._echelon
+    ) as echelon:
         got = rank(M)
-    assert spy.call_count == 1
+    assert (spy.call_count, echelon.call_count) == (0, 1)
     assert got == len(rref_by_rows(M.to_rows(), M.field.p))
 
 

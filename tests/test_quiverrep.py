@@ -756,12 +756,12 @@ def test_build_from_chain_single_row():
 
 
 def test_build_from_chain_takes_conjugator_inverse_from_bases(monkeypatch):
-    """build_from_chain eliminates nothing: no inverse and no RREF, neither
-    to glue nor in its re-check, which reads the type of every interface off
-    its chains.  conjugator takes g = g1 g2^-1 from the Jordan bases with one
+    """build_from_chain eliminates nothing: no inverse, no RREF and no rank
+    echelon, neither to glue nor in its re-check, which reads the type of
+    every interface off its chains.  conjugator takes g = g1 g2^-1 from the Jordan bases with one
     inverse, of g2, and g2 g1^-1, the g^-1 the conjugator oracle of the
     chains glues with, is inverse(g)."""
-    counted = {"_inverse_flat": [], "_rref": []}
+    counted = {"_inverse_flat": [], "_rref": [], "_echelon": []}
 
     def counting(name):
         real = getattr(exactmat, name)
@@ -779,7 +779,7 @@ def test_build_from_chain_takes_conjugator_inverse_from_bases(monkeypatch):
             for name in counted:
                 m.setattr(exactmat, name, counting(name))
             assert build_from_chain(chain, F) == expected
-        assert counted == {"_inverse_flat": [], "_rref": []}
+        assert counted == {"_inverse_flat": [], "_rref": [], "_echelon": []}
     rng = random.Random(19)
     for eta in (P(1), P(2, 1), P(4, 2, 2, 1), P(6, 3, 3, 2)):
         n = exactmat.canonical_nilpotent(eta, F)

@@ -3,6 +3,7 @@ elimination written apart from this package, on matrices up to 12 x 12 over
 F_2, F_3, F_32003 and F_(2^31 - 1), drawn by hypothesis under the profile of
 conftest.py.  Without sympy or hypothesis these tests skip themselves."""
 
+import contextlib
 import random
 from unittest import mock
 
@@ -18,6 +19,8 @@ from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from quiverz import exactmat
 from quiverz.exactmat import ExactMatrix, FieldSpec, inverse, kernel_basis, rank
+
+from oracles import slot_edge_prime
 
 PRIMES = (2, 3, 32003, 2**31 - 1)
 
@@ -112,12 +115,30 @@ def test_inverse_examples_straddle_the_gate():
         assert spy.called == packs
 
 
+@contextlib.contextmanager
+def _echelon_sides():
+    """Within the block, each call of exactmat._echelon appends to the list
+    it yields whether it packed its rows (called _pack), so a caller that
+    also packs for its products (_mul_flat) is told apart."""
+    sides = []
+    real = exactmat._echelon
+
+    def echelon(*args):
+        with mock.patch.object(exactmat, "_pack", wraps=exactmat._pack) as spy:
+            pivots = real(*args)
+        sides.append(spy.called)
+        return pivots
+
+    with mock.patch.object(exactmat, "_echelon", echelon):
+        yield sides
+
+
 def test_echelon_rank_matches_rref_and_sympy():
-    """The echelon form that rank counts (_rref with reduced False) has the
-    pivots of the RREF, and its pivot count is sympy's rank: at n = 7, 8
-    and 9, dense, sparse, swapping and of low rank, with n - 3, n and n + 5
-    columns, so on both sides of the _packs gate; at n = 40; and on shapes
-    with no rows or no columns."""
+    """The rank echelon that rank counts (_echelon) has the pivots of the
+    RREF, and its pivot count is sympy's rank: at n = 7, 8 and 9, dense,
+    sparse, swapping and of low rank, with n - 3, n and n + 5 columns, so
+    on both sides of the _packs gate; at n = 40; and on shapes with no rows
+    or no columns."""
     sides = set()
     for p in PRIMES:
         cases = [_matrix(r, c, p, "dense", 0) for r, c in ((0, 0), (0, 5), (5, 0), (0, 40), (40, 0))]
@@ -125,14 +146,65 @@ def test_echelon_rank_matches_rref_and_sympy():
             for kind in ("dense", "sparse", "swapping", "low rank"):
                 cases += [_matrix(n, cols, p, kind, n * cols) for cols in (n - 3, n, n + 5)]
         for M in cases:
-            with mock.patch.object(exactmat, "_rref_packed", wraps=exactmat._rref_packed) as spy:
-                pivots = exactmat._rref(M.to_rows(), p, reduced=False)
-            sides.add((p, M.rows, spy.called))
+            with _echelon_sides() as packed:
+                pivots = exactmat._echelon(M.entries, M.rows, M.cols, p)
+            sides.add((p, M.rows, packed == [True]))
             assert pivots == exactmat._rref(M.to_rows(), p), (p, M.shape)
             assert len(pivots) == rank(M) == _domain(M).rank(), (p, M.shape)
     for p in (2, 3, 32003):
         assert {(p, 7, False), (p, 8, False), (p, 8, True), (p, 40, True)} <= sides
     assert not any(packed for p, _, packed in sides if p == 2**31 - 1)
+
+
+def _echelon_inputs(p, rng):
+    """(kind, rows, cols, flat entries) for the rank echelon: wide, tall and
+    square shapes with 3, 7, 8, 9 and 16 rows, dense, half zero, column 1 a
+    multiple of column 0, a zero row, and zero; then 0 x k and k x 0."""
+    for rows in (3, 7, 8, 9, 16):
+        for cols in (rows + 5, max(rows - 2, 2), rows):
+            size = rows * cols
+            dense = [rng.randrange(p) for _ in range(size)]
+            half = [rng.randrange(1, p) for _ in range(size)]
+            for i in rng.sample(range(size), size // 2):
+                half[i] = 0
+            multiple, zero_row, factor = dense[:], dense[:], rng.randrange(p)
+            for i in range(rows):
+                multiple[i * cols + 1] = factor * multiple[i * cols] % p
+            zero_row[(rows // 2) * cols : (rows // 2 + 1) * cols] = [0] * cols
+            yield from (
+                ("dense", rows, cols, dense), ("half zero", rows, cols, half),
+                ("column multiple", rows, cols, multiple), ("zero row", rows, cols, zero_row),
+                ("zero", rows, cols, [0] * size),
+            )
+    for k in (1, 8, 12):
+        yield "no rows", 0, k, []
+        yield "no columns", k, 0, []
+
+
+def test_rank_echelon_matches_rref_pivots_and_sympy_rank():
+    """_echelon gives the pivot columns of the RREF (_rref) and sympy's rank
+    over GF(p), for every input of _echelon_inputs, given as a list and as
+    a tuple, over p in {2, 3, 32003, 2^31 - 1} and the largest prime that
+    packs 8 rows.  Both sides of the gate are reached over every prime but
+    2^31 - 1, which packs nothing."""
+    rng = random.Random(71)
+    edge = slot_edge_prime(8)
+    sides = set()
+    for p in PRIMES + (edge,):
+        for kind, rows, cols, entries in _echelon_inputs(p, rng):
+            M = ExactMatrix(rows, cols, entries, FieldSpec(p))
+            with _echelon_sides() as packed:
+                pivots = exactmat._echelon(entries, rows, cols, p)
+            sides.add((p, packed == [True]))
+            assert pivots == exactmat._rref(M.to_rows(), p), (p, kind, rows, cols)
+            assert len(pivots) == _domain(M).rank(), (p, kind, rows, cols)
+            assert exactmat._echelon(tuple(entries), rows, cols, p) == pivots
+            if kind == "column multiple":
+                assert 1 not in pivots
+            elif kind == "zero":
+                assert pivots == []
+    assert {(p, packed) for p in (2, 3, 32003, edge) for packed in (False, True)} <= sides
+    assert (2**31 - 1, True) not in sides
 
 
 def test_composite_ranks_match_sympy():
@@ -156,10 +228,10 @@ def test_composite_ranks_match_sympy():
                 for F in factors:
                     Q = _domain(F) if not expect else _domain(F) * Q
                     expect.append(Q.rank())
-                with mock.patch.object(exactmat, "_rref_packed", wraps=exactmat._rref_packed) as spy:
+                with _echelon_sides() as packed:
                     ranks = exactmat._composite_ranks([F.entries for F in factors], dims, p)
                 assert ranks == expect, (p, dims, kind)
-                sides.add((p, spy.called))
+                sides.add((p, any(packed)))
                 if kind == "zero":
                     assert ranks[1:] == [0] * (len(dims) - 2)
     assert {(p, packed) for p in (2, 3, 32003) for packed in (False, True)} <= sides
