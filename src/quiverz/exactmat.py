@@ -49,14 +49,12 @@ maps of a glued chain point (quiverrep) without any matrix.  Any other input
 runs one elimination per power on its rank factor: with R the RREF of N,
 of rank r and pivot columns P, N = N[:, P] R, so N^{j+1} = N[:, P] M^j R
 has the rank of M^j for the r x r matrix M = R N[:, P] = N[P, P] +
-R' N[free, P], R' the free columns of R; then M takes N's place.  The same
-pass types N on every coordinate prefix E_k it keeps, the span of the
-first k coordinates: rank((N|E_k)^j) is the rank of the first k columns of
-N^j, which is that of the first (pivots of N below k) columns of M^{j-1},
-and a chain meets E_k in its indices below k.  So theta alone types every
-interface of a flag point.  Beside it, _composite_ranks ranks F_1,
-F_2 F_1, ..., each composite formed on the pivot columns of the one before;
-the backward maps of a stable point type theta so (quiverrep._certified).
+R' N[free, P], R' the free columns of R; then M takes N's place.  Beside
+it, _composite_ranks ranks the first w columns of F_1, F_2 F_1, ..., each
+composite formed on the pivot columns of the one before: the backward maps
+of a stable point type theta so (quiverrep._certified), and the leading
+blocks of a flag-lowering endomorphism type it on each E_{n_i} of its flag
+(the image sweep).
 _jordan_basis needs nothing more: its type comes
 from _jordan_flat, ker N^j from one _rref of N^j formed by _mul_flat, and
 the chain tops of each height from one more _rref.
@@ -76,7 +74,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence
 
 from quiverz.partitions import Partition, dual
 
@@ -418,28 +416,36 @@ def _echelon(entries: Sequence[int], nrows: int, ncols: int, p: int) -> List[int
     """Pivot columns of the flat nrows x ncols matrix, entries in [0, p): the
     one rank echelon.  Each pivot row, the first row left with a nonzero h
     in its column, is removed and f / h times it taken off each row left
-    with f there.  Past the _packs gate, rows are packed from the entries
-    and shed each spent column: a column is slot 0 masked, a row step
-    (x >> 64) + (p - f) * tail, at most (p - 1)^2 per slot and pivot."""
-    packed = _packs(nrows, p) and 2 * entries.count(0) <= len(entries)
+    with f there.  Below the _packs gate the rows are lists, and the pivot
+    search stops at that first row.  Past it, rows are packed from the
+    entries and shed each spent column: a column is slot 0 masked, a row
+    step (x >> 64) + (p - f) * tail, at most (p - 1)^2 per slot and pivot."""
     rows = [entries[i * ncols : (i + 1) * ncols] for i in range(nrows)]
-    rows = [_pack(row) for row in rows] if packed else rows
     pivots: List[int] = []
+    if not (_packs(nrows, p) and 2 * entries.count(0) <= len(entries)):
+        for c in range(ncols):
+            for pivot, row in enumerate(rows):
+                if row[c]:
+                    break
+            else:
+                continue
+            del rows[pivot]
+            inv = pow(row[c], -1, p)
+            rows = [[(x - g * y) % p for x, y in zip(r, row)] if (g := r[c] * inv) else r for r in rows]
+            pivots.append(c)
+        return pivots
+    rows = [_pack(row) for row in rows]
     for c in range(ncols):
-        col = [(x & _SLOT_MASK) % p for x in rows] if packed else [row[c] for row in rows]
+        col = [(x & _SLOT_MASK) % p for x in rows]
         head = next(filter(None, col), 0)
         if head:
             pivot = col.index(head)
             del col[pivot]
-            inv = pow(head, -1, p)
-            if packed:  # tail: the pivot row past its pivot, times 1 / head
-                tail = _pack([v * inv % p for v in _unpack(rows.pop(pivot) >> 64, ncols - c - 1)])
-                rows = [(x >> 64) + (p - f) * tail if f else x >> 64 for x, f in zip(rows, col)]
-            else:
-                row = rows.pop(pivot)
-                rows = [[(x - g * y) % p for x, y in zip(r, row)] if (g := f * inv) else r for r, f in zip(rows, col)]
+            inv = pow(head, -1, p)  # tail: the pivot row past its pivot, times 1 / head
+            tail = _pack([v * inv % p for v in _unpack(rows.pop(pivot) >> 64, ncols - c - 1)])
+            rows = [(x >> 64) + (p - f) * tail if f else x >> 64 for x, f in zip(rows, col)]
             pivots.append(c)
-        elif packed:
+        else:
             rows = [x >> 64 for x in rows]
     return pivots
 
@@ -458,18 +464,25 @@ def is_injective(M: ExactMatrix) -> bool:
     return rank(M) == M.cols
 
 
-def _composite_ranks(factors: Sequence[Sequence[int]], dims: Sequence[int], p: int) -> List[int]:
-    """[rank(F_1), rank(F_2 F_1), ...] for the flat F_j of shape dims[j] x
-    dims[j - 1]: one rank echelon (_echelon) per composite.
-    Q = Q[:, P] R for P the pivot columns of Q and R its RREF, of full row
-    rank, so F Q has the rank of F Q[:, P], the next composite formed."""
-    ranks: List[int] = []
-    cur, width = (), dims[0]
+def _composite_ranks(
+    factors: Sequence[Sequence[int]], dims: Sequence[int], p: int, widths: Sequence[int]
+) -> List[List[int]]:
+    """For each w in widths, the ranks of the first w columns of F_1,
+    F_2 F_1, ... for the flat F_j of shape dims[j] x dims[j - 1]: one rank
+    echelon (_echelon) per composite.  Q = Q[:, P] R for P the pivot
+    columns of Q and R its RREF, of full row rank, whose first w columns
+    vanish below its first bisect_left(P, w) rows: so the first w columns
+    of F Q have the rank of the first that many of F Q[:, P], the next
+    composite formed."""
+    ranks: List[List[int]] = [[] for _ in widths]
+    ws, cur, width = widths, (), dims[0]
     for j, factor in enumerate(factors):
         m = dims[j + 1]
         cur = _mul_flat(factor, cur, m, dims[j], width, p) if j else factor
         pivots = _echelon(cur, m, width, p)
-        ranks.append(len(pivots))
+        ws = [bisect_left(pivots, w) for w in ws]
+        for out, w in zip(ranks, ws):
+            out.append(w)
         cur, width = [cur[i * width + c] for i in range(m) for c in pivots], len(pivots)
     return ranks
 
@@ -684,9 +697,7 @@ def _chains(entries: Sequence[int], n: int) -> Optional[List[List[int]]]:
     return None if below is None else _index_chains(below)
 
 
-def _jordan_flat(
-    entries: Sequence[int], n: int, p: int, prefixes: Optional[Sequence[int]] = None
-) -> Union[Partition, List[Partition], None]:
+def _jordan_flat(entries: Sequence[int], n: int, p: int) -> Optional[Partition]:
     """Jordan type of the flat n x n matrix N, or None if N is not nilpotent.
 
     A 0/1 partial permutation N is read off its chains: their lengths are
@@ -697,33 +708,13 @@ def _jordan_flat(
     plus the free columns of R times N[free, P]; then M takes N's place.
     The ranks reach 0 exactly when N is nilpotent; a rank that stalls above
     0 means it is not.  The rank drops are the kernel-dimension increments,
-    whose dual is the type.
-
-    With prefixes, the list of the types of N restricted to E_k, the span
-    of the first k coordinates, for each k in prefixes, from the same pass;
-    None if N is not nilpotent.  N must keep each E_k: an N with a nonzero
-    entry in a row >= k of a column < k raises ValueError.  Then
-    rank((N|E_k)^j) is the rank of the first k columns of N^j.  The first k
-    columns of R vanish below its rows with pivots below k, so those of
-    N^{j+1} have the rank of the first w columns of M^j, w the number of
-    pivots below k: the width maps through the pivots of each step.  The
-    chain of a partial permutation meets E_k in its indices below k, a
-    tail of the chain."""
-    ks = (n,) if prefixes is None else tuple(prefixes)
-    if prefixes is not None:
-        for k in ks:
-            if not 0 <= k <= n or any(any(entries[r * n : r * n + k]) for r in range(k, n)):
-                raise ValueError(f"N does not keep the span of the first {k} of {n} coordinates")
+    whose dual is the type."""
     chains = _chains(entries, n)
     if chains is not None:
         if sum(map(len, chains)) != n:
             return None
-        if prefixes is None:
-            return Partition._sorted(tuple(sorted(map(len, chains), reverse=True)))
-        meets = ([sum(i < k for i in chain) for chain in chains] for k in ks)
-        return [Partition._sorted(tuple(sorted(filter(None, counts), reverse=True))) for counts in meets]
-    widths = list(ks)  # rank((N|E_k)^j) at the power reached, for each k
-    drops: List[List[int]] = [[] for _ in ks]
+        return Partition._sorted(tuple(sorted(map(len, chains), reverse=True)))
+    drops: List[int] = []
     m, cur = n, entries
     while m:
         rows = [list(cur[i * m : (i + 1) * m]) for i in range(m)]
@@ -731,10 +722,7 @@ def _jordan_flat(
         r = len(pivots)
         if r == m:
             return None
-        for t, w in enumerate(widths):
-            if w:
-                widths[t] = bisect_left(pivots, w)
-                drops[t].append(w - widths[t])
+        drops.append(m - r)
         if r:  # the next matrix: R N[:, P] = N[P, P] + R' N[free, P]
             pivot_set = set(pivots)
             free = [c for c in range(m) if c not in pivot_set]
@@ -743,8 +731,7 @@ def _jordan_flat(
             tail = _mul_flat(r_free, [cur[f * m + c] for f in free for c in pivots], r, m - r, r, p)
             cur = [(x + y) % p for x, y in zip(head, tail)]
         m = r
-    types = [dual(Partition(d)) for d in drops]
-    return types if prefixes is not None else types[0]
+    return dual(Partition(drops))
 
 
 def jordan_type(N: ExactMatrix) -> Partition:

@@ -57,7 +57,6 @@ from quiverz.partitions import (
     _Record,
     as_dim_vector,
     dominates,
-    dual,
     is_strictly_monotone,
     mu_of,
     theta_image,
@@ -296,25 +295,48 @@ def _flag_endo(dims: Sequence[int], field: FieldSpec, rng) -> tuple:
     return endo
 
 
+def _flag_blocks(dims: Sequence[int], field: FieldSpec, rng) -> List[list]:
+    """The flat leading blocks B_i = endo[:n_i, :n_{i+1}], i < t, of
+    _flag_endo's endomorphism: the backward maps of its coordinate-flag
+    point."""
+    endo = _flag_endo(dims, field, rng)  # checks dims
+    nt = dims[-1]
+    return [[v for r in range(0, lo * nt, nt) for v in endo[r : r + hi]] for lo, hi in zip(dims, dims[1:])]
+
+
 def _flag_point(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
     """The coordinate-flag point of _flag_endo's endomorphism: A_i is the
     inclusion of the first n_i coordinates and B_i the top-left
-    n_i x n_{i+1} block of the endomorphism, its restriction to the
-    (i+1)-th coordinate subspace landing in the i-th.  So A_i B_i is the
-    leading n_{i+1} x n_{i+1} block of the endomorphism, theta all of it.
-    sample_stable moves it by a random base change."""
-    endo = _flag_endo(dims, field, rng)  # checks dims
+    n_i x n_{i+1} block of the endomorphism (_flag_blocks), its restriction
+    to the (i+1)-th coordinate subspace landing in the i-th.  So A_i B_i is
+    the leading n_{i+1} x n_{i+1} block of the endomorphism, theta all of
+    it.  sample_stable moves it by a random base change."""
+    blocks = _flag_blocks(dims, field, rng)
     dims = tuple(dims)
-    nt = dims[-1]
     A = []
     B = []
-    for i in range(len(dims) - 1):
-        lo, hi = dims[i], dims[i + 1]
+    for (lo, hi), block in zip(zip(dims, dims[1:]), blocks):
         inclusion = [0] * (hi * lo)
         inclusion[: lo * (lo + 1) : lo + 1] = [1] * lo  # entry (c, c) for c < n_i
         A.append(ExactMatrix._reduced(hi, lo, inclusion, field))
-        B.append(ExactMatrix._reduced(lo, hi, [endo[r * nt + c] for r in range(lo) for c in range(hi)], field))
+        B.append(ExactMatrix._reduced(lo, hi, block, field))
     return QuiverRep._unchecked(dims, tuple(A), tuple(B), field)
+
+
+def _backward_types(B: Sequence[Sequence[int]], dims: Sequence[int], p: int, widths: Sequence[int]) -> List[Partition]:
+    """For each w in widths, the Jordan type of the nilpotent whose j-th
+    power has rank r_j, that of the first w columns of B_{t-j} ... B_{t-1}
+    (_composite_ranks; r_0 = w, r_t = 0): r_{j-1} - 2 r_j + r_{j+1} blocks
+    of size j.  Width n_t types theta of a stable point (_certified).  For
+    B_i = N[:n_i, :n_{i+1}] of a flag-lowering N, (N|E_{n_i})^j has the
+    rank of the first n_i columns of B_{t-j} ... B_{t-1}: width n_i types N
+    on E_{n_i}, the span of the first n_i coordinates."""
+    types = []
+    for w, ranks in zip(widths, _composite_ranks(B[::-1], dims[::-1], p, widths)):
+        r = [w, *ranks, 0, 0]
+        parts = (j for j in range(len(r) - 2, 0, -1) for _ in range(r[j - 1] - 2 * r[j] + r[j + 1]))
+        types.append(Partition._sorted(tuple(parts)))
+    return types
 
 
 def _certified(z: QuiverRep) -> tuple:
@@ -324,8 +346,8 @@ def _certified(z: QuiverRep) -> tuple:
     Relations: one pass on the first t - 1 vertices (_point_products), then
     B_{t-1} A_{t-1} against its last product (0 when t = 2); theta is never
     formed.  On a stable point theta^j = (A_{t-1} ... A_{t-j}) (B_{t-j} ...
-    B_{t-1}), the left factor injective, and theta^t = 0: the type is the
-    dual of the rank drops of the backward composites (_composite_ranks).
+    B_{t-1}), the left factor injective, and theta^t = 0: the type is read
+    off the ranks of the backward composites (_backward_types).
     With one vertex, no theta: (z, None)."""
     dims, p = z.dims, z.field.p
     if len(dims) < 2:
@@ -337,8 +359,7 @@ def _certified(z: QuiverRep) -> tuple:
     last = products[-1] if products else [0] * (lo * lo)
     if products is None or _mul_flat(B[-1], A[-1], lo, hi, lo, p) != last or not is_stable(z):
         raise CertificateError(f"sample_stable: the sample for {z.dims} is not a stable point")
-    ranks = [hi] + _composite_ranks(B[::-1], dims[::-1], p) + [0]
-    return z, dual(Partition([r - s for r, s in zip(ranks, ranks[1:]) if r > s]))
+    return z, _backward_types(B, dims, p, [hi])[0]
 
 
 class FlagPoint(_Record):

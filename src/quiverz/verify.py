@@ -19,12 +19,12 @@ are injective, and the relations with theta = endo say only that the
 endomorphism lowers the flag, so the sample is re-checked on the
 endomorphism and no point is built; A_i B_i is theta restricted to the
 span of the first n_{i+1} coordinates (the flag correspondence of Kraft
-and Procesi), so one pass over theta types every interface.  The
-stability check solves its last relation in closed form: against the
-normal form, B_{t-1} A_{t-1} is B_{t-1}'s first r columns, so the other
-maps fix those and leave the rest free.  Since neither criterion reads
-B_{t-1}, it evaluates both once per fibre of the other maps.  Failures
-carry a re-checkable counterexample payload.
+and Procesi), so the ranks of the composites of theta's leading blocks
+type every interface.  The stability check solves its last relation in
+closed form: against the normal form, B_{t-1} A_{t-1} is B_{t-1}'s first
+r columns, so the other maps fix those and leave the rest free.  Since
+neither criterion reads B_{t-1}, it evaluates both once per fibre of the
+other maps.  Failures carry a re-checkable counterexample payload.
 All randomness is derived per instance from a master seed, so reports are
 byte-stable across runs and across worker counts: with jobs > 1 the
 independent tasks run on forked worker processes, which the parent feeds
@@ -66,8 +66,9 @@ from quiverz.partitions import (
 )
 from quiverz.quiverrep import (
     QuiverRep,
+    _backward_types,
     _degrees_bounded,
-    _flag_endo,
+    _flag_blocks,
     _glued_maps,
     _point_products,
     _subspace_criterion,
@@ -433,7 +434,7 @@ def _theta_image_instance(d: tuple, p: int, seed: int, trials: int) -> dict:
     # check below.  There each A_i is an inclusion, so injective, and the
     # relations with theta = endo say that the endomorphism lowers the flag
     # (_flag_endo's re-check); A_i B_i is then the endomorphism on the first
-    # n_{i+1} coordinates, so one pass over it types every interface.
+    # n_{i+1} coordinates, typed off the composites of its leading blocks.
     checks = [("lambda_dominates_mu", dominates(lam, mu))]
     chain = greedy_chain(d)
     _glued_maps(chain)
@@ -445,9 +446,9 @@ def _theta_image_instance(d: tuple, p: int, seed: int, trials: int) -> dict:
         checks.append((f"chain{k}_bounded_by_lambda", dominates(lam, chain[-1].b_part)))
         checks.append((f"chain{k}_nilpotency", _degrees_bounded([delta.b_part for delta in chain])))
     for k in range(trials):
-        types = _jordan_flat(_flag_endo(d, field, rng), d[-1], p, d[1:])
-        checks.append((f"stable{k}_bounded_by_mu", types is not None and dominates(mu, types[-1])))
-        checks.append((f"stable{k}_nilpotency", types is not None and _degrees_bounded(types)))
+        types = _backward_types(_flag_blocks(d, field, rng), d, p, d[1:])
+        checks.append((f"stable{k}_bounded_by_mu", dominates(mu, types[-1])))
+        checks.append((f"stable{k}_nilpotency", _degrees_bounded(types)))
     failed = sorted(name for name, ok in checks if not ok)
     return {
         "d": list(d),

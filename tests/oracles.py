@@ -20,8 +20,10 @@ that exactmat._inverse_flat runs below the packing gate and replaced with an
 inversion in place above it, jordan_type_by_power_ranks the Jordan type from
 the ranks of every power, which exactmat._jordan_flat reads off chains or
 eliminations of ever smaller rank factors, jordan_flat_by_rowspace its
-power loop as it was, on ever fewer n-wide rows (times_rowspace), and
-nilpotency_by_powers the power loop
+power loop as it was, on ever fewer n-wide rows (times_rowspace), with the
+prefix types that the image sweep now reads off the backward composites of
+a flag sample (quiverrep._backward_types), and nilpotency_by_powers the
+power loop
 that quiverrep.nilpotency_degrees replaced.  solutions_by_search lists
 every X with M X = C, which exactmat.solve finds by one elimination when it
 is unique.  build_from_chain_by_conjugators
@@ -162,6 +164,33 @@ def inverse_by_augmenting(entries, n: int, p: int):
     return [v for row in aug for v in row[n:]]
 
 
+def leading_blocks(entries: Sequence[int], dims: Sequence[int]) -> List[list]:
+    """The flat blocks N[:n_i, :n_{i+1}], i < t, of the flat n_t x n_t
+    matrix N, entry by entry: the backward maps of its coordinate-flag
+    point, which quiverrep._flag_blocks slices row by row."""
+    n = dims[-1]
+    return [[entries[r * n + c] for r in range(lo) for c in range(hi)] for lo, hi in zip(dims, dims[1:])]
+
+
+def flag_conjugate(entries: Sequence[int], dims: Sequence[int], field: FieldSpec, rng) -> list:
+    """Flat entries of g N g^-1 for the flat n_t x n_t matrix N and g block
+    upper triangular along dims, its diagonal blocks invertible
+    (_random_invertible_pair) and the blocks above them uniform.  g keeps
+    each E_{n_i}, the span of the first n_i coordinates, so g N g^-1 keeps
+    or lowers the coordinate flag of dims when N does."""
+    n = dims[-1]
+    g = [0] * (n * n)
+    lo = 0
+    for hi in dims:
+        block, _ = _random_invertible_pair(hi - lo, field, rng)
+        for r in range(lo, hi):
+            g[r * n + lo : r * n + hi] = block.entries[(r - lo) * (hi - lo) : (r - lo + 1) * (hi - lo)]
+            g[r * n + hi : r * n + n] = [rng.randrange(field.p) for _ in range(n - hi)]
+        lo = hi
+    g = ExactMatrix(n, n, g, field)
+    return list(mul(mul(g, ExactMatrix(n, n, entries, field)), inverse(g)).entries)
+
+
 def jordan_type_by_power_ranks(m: ExactMatrix) -> tuple:
     """(nilpotent, Jordan type or None) of the square matrix m from the ranks
     of m^0, ..., m^n, each power one product from the one before."""
@@ -202,7 +231,9 @@ def jordan_flat_by_rowspace(entries: Sequence[int], n: int, p: int, prefixes: Op
     times_rowspace, spanning rowspace(N^{j+1}): one elimination of ever
     fewer n-wide rows per power, with the prefix types counted as pivots
     below k of the RREF of each power, and no chain reading.  _jordan_flat
-    now eliminates the r x r rank factor R N[:, P] instead."""
+    now eliminates the r x r rank factor R N[:, P] instead, and the prefix
+    types of a flag-lowering N come from its leading blocks
+    (quiverrep._backward_types)."""
     ks = (n,) if prefixes is None else tuple(prefixes)
     if prefixes is not None:
         for k in ks:
@@ -400,7 +431,7 @@ def flag_sample_by_point(dims: Sequence[int], field: FieldSpec, endo: ExactMatri
         raise CertificateError(
             f"theta-image: a forward map of the flag point for {dims} is not a coordinate inclusion"
         )
-    return z, _jordan_flat(products[-1], dims[-1], field.p, dims[1:])
+    return z, jordan_flat_by_rowspace(products[-1], dims[-1], field.p, dims[1:])
 
 
 def pair_types_by_brute_force(n: int, a: int, p: int) -> dict:

@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from quiverz import exactmat
+from quiverz import exactmat, quiverrep, verify
 from quiverz.exactmat import (
     DEFAULT_PRIME,
     CertificateError,
@@ -41,15 +41,25 @@ from quiverz.exactmat import (
     zeros,
 )
 from quiverz.partitions import Partition
-from quiverz.quiverrep import QuiverRep, _flag_point, sample_stable, theta
+from quiverz.quiverrep import (
+    QuiverRep,
+    _backward_types,
+    _flag_blocks,
+    _flag_point,
+    _lowering_endo,
+    sample_stable,
+    theta,
+)
 from quiverz.verify import strictly_monotone_vectors, theta_image_report
 
 from oracles import (
     _chain_order,
+    flag_conjugate,
     inverse_by_augmenting,
     is_nilpotent,
     jordan_flat_by_rowspace,
     jordan_type_by_power_ranks,
+    leading_blocks,
     mat_pow,
     mul_by_rows,
     partitions_up_to_weight,
@@ -896,47 +906,127 @@ def test_chain_branch_rejects_partial_permutations_with_cycles():
 
 
 def test_prefix_types_match_leading_blocks():
-    """Theta of every flag point drawn for each strictly monotone d with
-    last entry at most 6, over F_2, F_3 and F_32003: typed at every
-    coordinate prefix in one call, it gives the type _jordan_flat finds for
-    each leading block on its own.  A lowering endomorphism is strictly
-    upper triangular, so it keeps every prefix.  Some F_2 draws are 0/1
-    partial permutations other than 0, read off their chains."""
+    """The types read off the backward maps of every flag point drawn for
+    each strictly monotone d with last entry at most 6, over F_2, F_3 and
+    F_32003 (_backward_types), at every coordinate prefix: each is the type
+    _jordan_flat finds for that leading block of theta on its own.  A
+    lowering endomorphism is strictly upper triangular, so it keeps every
+    prefix.  Some F_2 draws are 0/1 partial permutations other than 0,
+    whose blocks _jordan_flat reads off their chains."""
     chain_reads = 0
     for p in (2, 3, 32003):
         field = FieldSpec(p)
         rng = random.Random(53 + p)
         for d in strictly_monotone_vectors(6):
             for _ in range(3):
-                entries = theta(_flag_point(d, field, rng)).entries
+                z = _flag_point(d, field, rng)
+                entries = theta(z).entries
                 n = d[-1]
-                types = _jordan_flat(entries, n, p, range(n + 1))
+                B = [M.entries for M in z.B]
+                types = _backward_types(B, d, p, range(n + 1))
                 blocks = [[entries[r * n + c] for r in range(k) for c in range(k)] for k in range(n + 1)]
                 assert types == [_jordan_flat(block, k, p) for k, block in enumerate(blocks)], (p, d, entries)
-                assert _jordan_flat(entries, n, p, d) == [types[k] for k in d]
+                assert _backward_types(B, d, p, d) == [types[k] for k in d]
                 chain_reads += any(entries) and _chains(entries, n) is not None
         if p == 2:
             assert chain_reads > 0
 
 
-def test_prefix_types_refuse_what_they_cannot_read():
-    """A requested prefix that N does not keep, or one outside 0..n, raises
-    ValueError, for a partial permutation and for a matrix the elimination
-    would type; a non-nilpotent N that keeps every requested prefix gives
-    None."""
+def test_prefix_types_refuse_what_they_cannot_read(monkeypatch):
+    """The backward composites type an endomorphism on its prefixes only
+    when it lowers the flag, and _flag_blocks refuses one that does not.
+    [[0, 1, 0], [0, 0, 1], [0, 0, 0]] keeps every prefix but does not lower
+    the flag of (1, 3): the prefix oracle types it (3) on E_3, while its
+    blocks read (2, 1), since B_1 drops its entry e_2 -> e_1.  _flag_blocks
+    raises CertificateError on it, as on e_0 -> e_1, which does not keep
+    E_1, and so does the theta-image instance that draws either.
+    [[0, 1, 1], [0, 0, 0], [0, 0, 0]] lowers the flag: its blocks type it
+    as the oracle does on E_0, E_1 and E_3, and on no width at all."""
+    keeps = [0, 1, 0, 0, 0, 1, 0, 0, 0]
+    lowers = [0, 1, 1, 0, 0, 0, 0, 0, 0]
+    d = (1, 3)
     for p in (2, 3, 32003):
-        down = [0, 0, 1, 0]  # e_0 -> e_1: the first coordinate is not kept
-        assert _jordan_flat(down, 2, p, [2]) == [Partition((2,))]
-        with pytest.raises(ValueError):
-            _jordan_flat(down, 2, p, [1])
-        with pytest.raises(ValueError):
-            _jordan_flat([0, 0, 1, 1], 2, p, [0, 1])  # two ones in a row: no partial permutation
-        with pytest.raises(ValueError):
-            _jordan_flat([0, 1, 0, 0], 2, p, [3])
-        assert _jordan_flat([0, 1, 0, 0], 2, p, [0, 1, 2]) == [Partition(), Partition((1,)), Partition((2,))]
-        assert _jordan_flat([1, 0, 0, 0], 2, p, [1, 2]) is None  # a 0/1 partial permutation with a fixed point
-        assert _jordan_flat([1, 1, 0, 0], 2, p, [1, 2]) is None  # eliminated: rank 1 at every power
-        assert _jordan_flat([0, 1, 0, 0], 2, p, []) == []
+        field = FieldSpec(p)
+        assert jordan_flat_by_rowspace(keeps, 3, p, [3]) == [Partition((3,))]
+        assert _backward_types(leading_blocks(keeps, d), d, p, [3]) == [Partition((2, 1))]
+        for entries in (keeps, [0, 0, 0, 1, 0, 0, 0, 0, 0]):
+            monkeypatch.setattr(quiverrep, "_lowering_endo", lambda dims, f, rng, e=entries: ExactMatrix(3, 3, e, f))
+            with pytest.raises(CertificateError, match="sample_stable"):
+                _flag_blocks(d, field, None)
+            with pytest.raises(CertificateError, match="sample_stable"):
+                verify._theta_image_instance(d, p, 0, 1)
+        monkeypatch.setattr(quiverrep, "_lowering_endo", lambda dims, f, rng: ExactMatrix(3, 3, lowers, f))
+        blocks = _flag_blocks(d, field, None)
+        assert blocks == leading_blocks(lowers, d)
+        expect = jordan_flat_by_rowspace(lowers, 3, p, [0, 1, 3])
+        assert _backward_types(blocks, d, p, [0, 1, 3]) == expect == [Partition(), Partition((1,)), Partition((2, 1))]
+        assert _backward_types(blocks, d, p, []) == []
+        assert verify._theta_image_instance(d, p, 0, 1)["ok"]
+
+
+def _lowering(d, p, kind, rng):
+    """Flat entries of an n_t x n_t endomorphism that lowers the coordinate
+    flag of d: column c of block j (n_{j-1} <= c < n_j) is zero from row
+    n_{j-1} down.  Above that, every entry is uniform ("dense"), nonzero
+    for about one in four ("sparse") or zero ("zero"); or, for a 0/1
+    partial permutation, about three in four columns take a 1 in a row no
+    column before them took."""
+    n = d[-1]
+    entries = [0] * (n * n)
+    free = set(range(n))
+    for low, hi in zip((0,) + d, d):
+        for c in range(low, hi):
+            if kind == "partial permutation":
+                rows = sorted(r for r in free if r < low)
+                if rows and rng.random() < 0.75:
+                    r = rng.choice(rows)
+                    free.discard(r)
+                    entries[r * n + c] = 1
+            elif kind != "zero":
+                for r in range(low):
+                    entries[r * n + c] = rng.randrange(p) if kind == "dense" or rng.random() < 0.25 else 0
+    return entries
+
+
+def test_composite_prefix_types_match_rowspace_oracle(monkeypatch):
+    """The types the image sweep reads off a flag sample's backward
+    composites, _backward_types on _flag_blocks at the widths d[1:],
+    against the prefix types of the whole endomorphism by its power loop
+    (jordan_flat_by_rowspace): for every strictly monotone d with last
+    entry at most 7 and for (3, 8, 12, 20) and (10, 20, 30, 40), with
+    dense, sparse, zero and 0/1 partial-permutation endomorphisms that
+    lower the flag of d, over F_2, F_3, F_32003, F_(2^31 - 1) and the
+    largest prime that packs 12 rows.  The rank echelon runs on both sides
+    of its _packs gate over every prime but 2^31 - 1, which never packs."""
+    packs = _counting(monkeypatch, "_pack")
+    real = exactmat._echelon
+    sides = set()
+
+    def echelon(entries, nrows, ncols, p):
+        before = len(packs)
+        pivots = real(entries, nrows, ncols, p)
+        sides.add((p, len(packs) > before))
+        return pivots
+
+    monkeypatch.setattr(exactmat, "_echelon", echelon)
+    edge = slot_edge_prime(12)
+    primes = (2, 3, 32003, 2**31 - 1, edge)
+    kinds = ("dense", "sparse", "zero", "partial permutation")
+    vectors = strictly_monotone_vectors(7) + [(3, 8, 12, 20), (10, 20, 30, 40)]
+    for p in primes:
+        field = FieldSpec(p)
+        rng = random.Random(71 + p)
+        for d in vectors:
+            n = d[-1]
+            for kind in kinds:
+                entries = _lowering(d, p, kind, rng)
+                monkeypatch.setattr(quiverrep, "_lowering_endo", lambda dims, f, r: ExactMatrix(n, n, entries, f))
+                blocks = _flag_blocks(d, field, None)
+                assert blocks == leading_blocks(entries, d)
+                expect = jordan_flat_by_rowspace(entries, n, p, d[1:])
+                assert _backward_types(blocks, d, p, d[1:]) == expect, (p, d, kind, entries)
+    assert {(p, packed) for p in (2, 3, 32003, edge) for packed in (False, True)} <= sides
+    assert (2**31 - 1, True) not in sides
 
 
 def test_chain_branch_leaves_entries_of_two_to_elimination():
@@ -1023,8 +1113,13 @@ def test_jordan_flat_matches_rowspace_oracle(p):
     random n x r and r x n factors for every rank r from 0 to n, mostly not
     nilpotent (None); nilpotents of every rank below n (of a stride of
     ranks at 24 and 40); and flag-lowering nilpotents typed on their kept
-    prefixes, while a prefix one of them does not keep raises ValueError
-    on both."""
+    prefixes, while a prefix one of them does not keep raises ValueError.
+    The prefix types of a flag-lowering N, g T g^-1 for T that lowers the
+    coordinate flag of d and g that keeps it (flag_conjugate), now come
+    from its leading blocks (_backward_types), which need N to lower the
+    flag, not only to keep it: the oracle types such an N on d[1:] as they
+    do, and the prefix it does not keep raises ValueError in the oracle
+    alone."""
     field = FieldSpec(p)
     rng = random.Random(61 + p)
     nones = 0
@@ -1035,26 +1130,15 @@ def test_jordan_flat_matches_rowspace_oracle(p):
             expect = jordan_flat_by_rowspace(M.entries, n, p)
             assert _jordan_flat(M.entries, n, p) == expect, (n, M.entries)
             nones += expect is None
-        for _ in range(2):
-            prefixes = sorted(set(rng.sample(range(n + 1), min(n + 1, 3))) | {n})
-            T = ExactMatrix(n, n, [rng.randrange(p) if c > r else 0 for r in range(n) for c in range(n)], field)
-            g = [0] * (n * n)
-            lo = 0
-            for hi in prefixes:  # block upper triangular: g keeps every prefix
-                block, _ = _random_invertible_pair(hi - lo, field, rng)
-                for r in range(lo, hi):
-                    g[r * n + lo : r * n + hi] = block.entries[(r - lo) * (hi - lo) : (r - lo + 1) * (hi - lo)]
-                    g[r * n + hi : r * n + n] = [rng.randrange(p) for _ in range(n - hi)]
-                lo = hi
-            g = ExactMatrix(n, n, g, field)
-            entries = mul(mul(g, T), inverse(g)).entries
-            expect = jordan_flat_by_rowspace(entries, n, p, prefixes)
-            assert _jordan_flat(entries, n, p, prefixes) == expect and None not in expect, (n, prefixes)
+        for _ in range(2 if n >= 2 else 0):
+            d = tuple(sorted(set(rng.sample(range(1, n), rng.randint(1, min(n - 1, 3)))) | {n}))
+            entries = flag_conjugate(_lowering_endo(d, field, rng).entries, d, field, rng)
+            expect = jordan_flat_by_rowspace(entries, n, p, d[1:])
+            assert _backward_types(leading_blocks(entries, d), d, p, d[1:]) == expect and None not in expect, (n, d)
             lost = [k for k in range(1, n) if any(entries[r * n + c] for r in range(k, n) for c in range(k))]
-            for typing in (jordan_flat_by_rowspace, _jordan_flat):
-                for k in lost[:1]:
-                    with pytest.raises(ValueError):
-                        typing(entries, n, p, [k])
+            for k in lost[:1]:
+                with pytest.raises(ValueError):
+                    jordan_flat_by_rowspace(entries, n, p, [k])
     assert nones > 0
 
 
@@ -1078,7 +1162,7 @@ def test_jordan_basis_recheck_survives_optimisation():
     raise: the re-check is not an assert."""
     script = textwrap.dedent(
         """
-        from quiverz import exactmat
+        from quiverz import exactmat, quiverrep, verify
         from quiverz.partitions import Partition
         F = exactmat.FieldSpec()
         N = exactmat.canonical_nilpotent(Partition((2, 1)), F)
@@ -1278,7 +1362,7 @@ def test_singular_jordan_basis_is_a_certificate_error(monkeypatch):
 def test_conjugator_runs_two_jordan_passes(monkeypatch):
     """One Jordan-type pass per matrix: the bases carry the types.  g is
     the product of the first basis and the inverse of the second."""
-    from quiverz import exactmat
+    from quiverz import exactmat, quiverrep, verify
 
     real = exactmat._jordan_flat
     calls = []

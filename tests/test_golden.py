@@ -93,6 +93,13 @@ CASES = {
         lambda: _cli("verify", "theta-image", "--max-last", "6", "--p", "3", "--seed", "3"),
         "743b33925bfe21a31fde66573023bbbbea74bb135d9351ac2350963989d9949e",
     ),
+    # t up to 8 over F_2, where many stable samples are not generic and the
+    # sweep types them at every interface; recorded before those types were
+    # read off the ranks of the endomorphism's leading blocks.
+    "theta-image-p2-max8": (
+        lambda: _cli("verify", "theta-image", "--max-last", "8", "--p", "2", "--seed", "5"),
+        "b707c939630980f5f832a339818645ac7feb6c4422d5b9dc572f63ca55174634",
+    ),
     # Over F_3 the (1,2,3) check stands for 3^16 tuples, so every weight and
     # count of the stability enumeration shows; recorded before it solved
     # its last relation by lookup.

@@ -26,9 +26,17 @@ from quiverz.exactmat import (
     solve,
 )
 from quiverz.partitions import Partition, add, dominates, dual, partitions_of_weight
+from quiverz.quiverrep import _backward_types
 from quiverz.verify import _pair_types
 
-from oracles import _chain_order, jordan_type_by_power_ranks, pair_types_by_normal_form, rref_by_rows
+from oracles import (
+    _chain_order,
+    flag_conjugate,
+    jordan_type_by_power_ranks,
+    leading_blocks,
+    pair_types_by_normal_form,
+    rref_by_rows,
+)
 
 
 @st.composite
@@ -198,51 +206,43 @@ def test_rank_plus_nullity_is_column_count(M):
 
 
 @st.composite
-def prefix_keeping_nilpotents(draw):
-    """(p, n, flat n x n nilpotent N, prefixes): N is g T g^-1 for T strictly
-    upper triangular, its entries drawn from {0, 1} or from the whole field,
-    and g block upper triangular along the prefixes, invertible diagonal
-    blocks from _random_invertible_pair, or g = 1.  So N keeps the span of
-    the first k coordinates for each k in prefixes, and with g = 1 it keeps
-    every prefix and may be a 0/1 partial permutation."""
+def flag_lowering_nilpotents(draw):
+    """(p, d, flat n x n nilpotent N) for d strictly monotone with last entry
+    n: N is g T g^-1 for T that lowers the coordinate flag of d, its
+    entries in the lowering pattern drawn from {0, 1} or from the whole
+    field, and g block upper triangular along d (flag_conjugate) or g = 1.
+    So N lowers the coordinate flag of d, and with g = 1 it may be a 0/1
+    partial permutation."""
     p = draw(st.sampled_from([2, 3, 32003]))
     field = FieldSpec(p)
-    n = draw(st.integers(0, 10))
-    prefixes = sorted(set(draw(st.lists(st.integers(0, n), max_size=4))) | {n})
+    n = draw(st.integers(1, 10))
+    d = tuple(sorted(set(draw(st.lists(st.integers(1, n), max_size=4))) | {n}))
     top = draw(st.sampled_from([1, p - 1]))
     T = [0] * (n * n)
-    for r in range(n):
-        for c in range(r + 1, n):
-            T[r * n + c] = draw(st.integers(0, top))
-    T = ExactMatrix(n, n, T, field)
+    for low, hi in zip((0,) + d, d):
+        for c in range(low, hi):
+            for r in range(low):
+                T[r * n + c] = draw(st.integers(0, top))
     if not draw(st.booleans()):
-        return p, n, list(T.entries), range(n + 1)
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    g = [0] * (n * n)
-    lo = 0
-    for hi in prefixes:
-        block, _ = _random_invertible_pair(hi - lo, field, rng)
-        for r in range(lo, hi):
-            g[r * n + lo : r * n + hi] = block.entries[(r - lo) * (hi - lo) : (r - lo + 1) * (hi - lo)]
-            g[r * n + hi : r * n + n] = [rng.randrange(p) for _ in range(n - hi)]
-        lo = hi
-    g = ExactMatrix(n, n, g, field)
-    return p, n, list(mul(mul(g, T), inverse(g)).entries), prefixes
+        return p, d, T
+    return p, d, flag_conjugate(T, d, field, random.Random(draw(st.integers(0, 2**32 - 1))))
 
 
-@hypothesis.given(prefix_keeping_nilpotents())
+@hypothesis.given(flag_lowering_nilpotents())
 def test_prefix_types_match_power_ranks_of_leading_blocks(case):
-    """One pass of _jordan_flat with prefixes types N restricted to each kept
-    prefix as the ranks of the powers of its leading block do."""
-    p, n, entries, prefixes = case
+    """The types read off the leading blocks of a flag-lowering N
+    (_backward_types), at every entry n_i of d, are those of N restricted
+    to E_{n_i} by the ranks of the powers of its leading block."""
+    p, d, entries = case
+    n = d[-1]
     field = FieldSpec(p)
     expect = []
-    for k in prefixes:
+    for k in d:
         block = ExactMatrix(k, k, [entries[r * n + c] for r in range(k) for c in range(k)], field)
         nilpotent, typ = jordan_type_by_power_ranks(block)
         assert nilpotent
         expect.append(typ)
-    assert _jordan_flat(entries, n, p, prefixes) == expect
+    assert _backward_types(leading_blocks(entries, d), d, p, d) == expect
 
 
 @st.composite

@@ -32,7 +32,9 @@ from quiverz.partitions import Partition, dominates, mu_of, theta_image
 from quiverz.quiverrep import (
     FlagPoint,
     QuiverRep,
+    _backward_types,
     _certified,
+    _flag_blocks,
     _flag_endo,
     _flag_point,
     _glued_maps,
@@ -594,9 +596,10 @@ def test_flag_endo_matches_flag_point_oracle(monkeypatch):
     the drawn endomorphism, and the endomorphism unchanged.  _flag_endo
     passes exactly when the oracle passes and the point's theta is the
     endomorphism, which the point's check did not read in its last
-    n_t - n_{t-1} rows; where both pass, the prefix types _flag_endo's
-    caller reads off the endomorphism equal the oracle's and
-    _interface_types of the flag point."""
+    n_t - n_{t-1} rows; where both pass, the prefix types the image sweep
+    reads off the endomorphism's leading blocks (_backward_types on
+    _flag_blocks) equal the oracle's and _interface_types of the flag
+    point."""
     seen = {"passed": 0, "refused": 0, "theta_only": 0}
     for p in (2, 32003):
         field = FieldSpec(p)
@@ -623,7 +626,7 @@ def test_flag_endo_matches_flag_point_oracle(monkeypatch):
                     continue
                 assert oracle_ok, (p, d, slot)
                 assert list(fast) == entries
-                fast_types = _jordan_flat(fast, n, p, d[1:])
+                fast_types = _backward_types(_flag_blocks(d, field, None), d, p, d[1:])
                 assert fast_types == types == _interface_types(_flag_point(d, field, None)), (p, d, slot)
                 seen["passed"] += 1
     assert all(seen.values()), seen

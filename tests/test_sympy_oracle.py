@@ -213,7 +213,9 @@ def test_composite_ranks_match_sympy():
     sparse, swapping and of low rank, on chains whose composites pass the
     _packs gate (from 8 rows, dense, over F_2, F_3 and F_32003) and fall
     below it; with a zero factor, after which every rank is 0; and with a
-    factor of no rows or no columns."""
+    factor of no rows or no columns: one list for the width dims[0], and
+    one list per width w of sympy's ranks of the first w columns of each
+    composite, for every w from 0 to dims[0] in one call."""
     chains = [(12, 10, 9, 8), (5, 12, 11, 3), (3, 5, 2), (9, 4, 9, 12), (7, 0, 3), (0, 4, 6), (4, 1, 6, 2)]
     sides = set()
     for p in PRIMES:
@@ -224,15 +226,18 @@ def test_composite_ranks_match_sympy():
                     else _matrix(m, n, p, "dense" if kind == "zero" else kind, 31 * j)
                     for j, (n, m) in enumerate(zip(dims, dims[1:]))
                 ]
-                expect = []
+                composites = []
                 for F in factors:
-                    Q = _domain(F) if not expect else _domain(F) * Q
-                    expect.append(Q.rank())
+                    composites.append(_domain(F) if not composites else _domain(F) * composites[-1])
+                expect = [Q.rank() for Q in composites]
                 with _echelon_sides() as packed:
-                    ranks = exactmat._composite_ranks([F.entries for F in factors], dims, p)
-                assert ranks == expect, (p, dims, kind)
+                    ranks = exactmat._composite_ranks([F.entries for F in factors], dims, p, dims[:1])
+                assert ranks == [expect], (p, dims, kind)
                 sides.add((p, any(packed)))
                 if kind == "zero":
-                    assert ranks[1:] == [0] * (len(dims) - 2)
+                    assert expect[1:] == [0] * (len(dims) - 2)
+                widths = range(dims[0] + 1)
+                by_width = [[Q[:, :w].rank() for Q in composites] for w in widths]
+                assert exactmat._composite_ranks([F.entries for F in factors], dims, p, widths) == by_width
     assert {(p, packed) for p in (2, 3, 32003) for packed in (False, True)} <= sides
     assert (2**31 - 1, True) not in sides

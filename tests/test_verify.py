@@ -716,20 +716,24 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
       its flag point, which took 1 relations pass when the point was built;
       when the sample was typed by a pass of its own it was 4, and
       re-checking every point in nilpotency_degrees made 6;
-    - Jordan types: 1, for the stable sample.  A chain's types are read off
-      the chains of its composed maps, where a glued point took two calls,
-      A_1 B_1 and theta, 5 in all.  A chain's nilpotency check reads the
-      b-parts its re-check certified.  A_1 B_1 of the flag point is the
-      endomorphism restricted to the first 4 coordinates, and one call
-      types both off the endomorphism's powers; typed one product at a
-      time, the sample took 2 calls;
+    - Jordan types: 0.  A chain's types are read off the chains of its
+      composed maps, where a glued point took two calls, A_1 B_1 and theta,
+      5 in all.  A chain's nilpotency check reads the b-parts its re-check
+      certified.  A_1 B_1 of the flag point is the endomorphism restricted
+      to the first 4 coordinates, and both it and theta are typed off the
+      ranks of the endomorphism's leading blocks (_backward_types), with no
+      _jordan_flat call.  One call typed both off the endomorphism's powers
+      (1 in all) before that; typed one product at a time, the sample took
+      2 calls;
     - chain matrices: 0.  No map of a chain is written as a matrix; each
       glued point wrote 4 (_index_matrix), and filled them as dense lists
       before that;
-    - eliminations: 3, none on a chain.  The stable sample takes 3, one per
-      power of the endomorphism (type (3, 1, 1)), whose RREFs give A_1 B_1's
-      ranks as their pivots below 4; eliminating A_1 B_1 on its own took 2
-      more.  The forward maps of the flag point are inclusions, injective
+    - eliminations: 2, none on a chain.  The stable sample takes 2 rank
+      echelons, of B_2, the endomorphism's first 4 rows, and of B_1 B_2 on
+      B_2's pivot columns, whose pivots below 4 give A_1 B_1's ranks.  One
+      RREF per power of the endomorphism (type (3, 1, 1)) took 3, where
+      eliminating A_1 B_1 on its own took 2 more.  The forward maps of the
+      flag point are inclusions, injective
       by construction, and no matrix is built for them; when they were
       built, they were read once each, and is_stable, which ranked them
       by eliminations, took 2 more;
@@ -767,13 +771,12 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
 
     flag_endo = counting("flag_endo", quiverrep._flag_endo)
     monkeypatch.setattr(quiverrep, "_flag_endo", flag_endo)
-    monkeypatch.setattr(verify, "_flag_endo", flag_endo)
 
     reset(flag_endo=0)
     inst = verify._theta_image_instance((1, 4, 5), 32003, 0, 1)
     assert inst["ok"]
     assert counts == {
-        "relations": 0, "maps": 2, "jordan": 1, "matrices": 0, "eliminations": 3, "inversions": 0, "canonical": 0,
+        "relations": 0, "maps": 2, "jordan": 0, "matrices": 0, "eliminations": 2, "inversions": 0, "canonical": 0,
         "flag_endo": 1,
     }
 
@@ -862,7 +865,7 @@ def test_theta_image_reads_each_forward_map_once(monkeypatch):
     made 2 relations passes and read each of the 2 forward maps of each
     once, 4 reads; before that, is_stable ranked each map by a read of its
     own.  The reads counted are those of quiverrep and verify; exactmat's
-    own, inside _jordan_flat, are of the endomorphism and its powers."""
+    own, inside _composite_ranks, are of the factors of its products."""
     counts = {"flag_endo": 0, "flag_point": 0, "products": 0, "reads": 0, "is_stable": 0, "rank": 0}
 
     def counting(name, real):
@@ -886,6 +889,38 @@ def test_theta_image_reads_each_forward_map_once(monkeypatch):
                 monkeypatch.setattr(module, name, counting(key, real))
     assert verify._theta_image_instance((1, 4, 5), 32003, 0, 2)["ok"]
     assert counts == {"flag_endo": 2, "flag_point": 0, "products": 0, "reads": 0, "is_stable": 0, "rank": 0}
+
+
+def test_sweep_sample_is_typed_by_rank_echelons_alone(monkeypatch):
+    """Each stable sample of the image sweep is typed off the ranks of the
+    backward composites of its flag point: for every strictly monotone d
+    with last entry at most 6, over F_2, F_3 and F_32003, an instance with
+    two samples makes no _jordan_flat call and no _rref call (no RREF, no
+    rank factor and no power of the endomorphism), and at most t - 1 rank
+    echelons (_echelon) per sample, one per composite; the chains it
+    re-checks eliminate nothing.  Typed by _jordan_flat on the prefixes of
+    the endomorphism, each sample took one call and one RREF per power."""
+    counts = {}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    jordan = counting("jordan", exactmat._jordan_flat)
+    for module in (exactmat, quiverrep, verify, abdiagrams, partitions, cli):
+        if hasattr(module, "_jordan_flat"):
+            monkeypatch.setattr(module, "_jordan_flat", jordan)
+    monkeypatch.setattr(exactmat, "_rref", counting("rref", exactmat._rref))
+    monkeypatch.setattr(exactmat, "_echelon", counting("echelon", exactmat._echelon))
+    for p in (2, 3, 32003):
+        for d in strictly_monotone_vectors(6):
+            counts.update(jordan=0, rref=0, echelon=0)
+            assert verify._theta_image_instance(d, p, 1, 2)["ok"], (p, d)
+            assert counts["jordan"] == counts["rref"] == 0, (p, d, counts)
+            assert 0 < counts["echelon"] <= 2 * (len(d) - 1), (p, d, counts)
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
