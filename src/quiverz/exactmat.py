@@ -10,10 +10,10 @@ The dense kernels work on packed rows: one Python int per row, entry j in
 the 64-bit slot at bits 64j to 64j + 63 (_pack and _unpack hold the
 format), so a row operation is one C-level multiply-add of big ints.  Slots
 only ever grow between reductions, so every slot has to stay below 2^64.
-One gate decides for the four packed loops, of _mul_flat, _rref, _echelon
-and _inverse_flat: at least 8 rows to combine, (p - 1)^2 * (rows + 1) + p <
-2^64 (_packs; it holds for p = 32003 and fails for p near 2^31), and at
-most half of the entries that select the work zero.
+One gate decides for the three packed loops, of _mul_flat, _rref and
+_echelon: at least 8 rows to combine, (p - 1)^2 * (rows + 1) + p < 2^64
+(_packs; it holds for p = 32003 and fails for p near 2^31), and at most
+half of the entries that select the work zero.
 
 _mul_flat, the one product, has three paths.  When either factor is a 0/1
 partial permutation (_partial_permutation reads it, and _chains too), the
@@ -29,17 +29,18 @@ its count of ones, and counts the pivots of the rank echelon, _echelon, of
 anything else: it eliminates only below each pivot, and past the gate it
 packs rows straight from the entries and shifts each spent column out.
 
-_rref is the one list-form elimination: kernel_basis, the Jordan type, the
-Jordan basis and every inverse below its gate run on it, and solve, the
-unique X with M X = C, runs on one _rref of [M | C].  It counts its rows
-and the zeros of the columns it searches for pivots, so an augmented
-system is judged by its left block.  Past the gate it packs
-(_rref_packed); below it, the list loop skips rows with a zero in the pivot
-column.  Both give the same RREF.  _inverse_flat inverts in place on packed
-n-wide rows past the gate for the 2n rows of [M | I]: the elimination row
-carries inv + 1 in its pivot slot, so each row step stays one multiply-add.
-Below it, it is one _rref of [M | I].  The packed RREF and inverse read
-column c once per step (_column), through the shorter side of each row.
+_rref is the one Gauss-Jordan, in place: every column but the pivot
+columns ends as the RREF's, and each pivot column holds the in-place entry,
+which on a nonsingular square block is its inverse, columns in the order
+of the row swaps _rref reports.  kernel_basis, the Jordan type and the
+kernels of the Jordan basis read its free columns, solve, the unique X
+with M X = C, the augmented columns of one _rref of [M | C], and
+_inverse_flat its pivot columns, swapped back.  It counts its rows and the
+zeros of the columns it searches for pivots, so an augmented system is
+judged by its left block.  Past the gate it packs (_rref_packed) and reads
+column c once per step (_column), through the shorter side of each row;
+below it, the list loop skips rows with a zero in the pivot column.  Both
+give the same entries.
 
 _jordan_flat, the one Jordan-type routine, reads a 0/1 partial permutation
 off its chains and eliminates nothing: each chain is a Jordan block.
@@ -54,10 +55,10 @@ it, _composite_ranks ranks the first w columns of F_1, F_2 F_1, ..., each
 composite formed on the pivot columns of the one before: the backward maps
 of a stable point type theta so (quiverrep._certified), and the leading
 blocks of a flag-lowering endomorphism type it on each E_{n_i} of its flag
-(the image sweep).
-_jordan_basis needs nothing more: its type comes
-from _jordan_flat, ker N^j from one _rref of N^j formed by _mul_flat, and
-the chain tops of each height from one more _rref.
+(the image sweep).  Both read the type off the ranks of the powers by one
+helper, _rank_type.  _jordan_basis needs nothing more: its type comes from
+_jordan_flat, ker N^j from one _rref of N^j formed by _mul_flat, and the
+chain tops of each height from one rank echelon.
 
 Kernel results are wrapped by ExactMatrix._reduced, which skips the checks
 and the reduction of the public constructor.  Its precondition: exactly
@@ -76,7 +77,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence
 
-from quiverz.partitions import Partition, dual
+from quiverz.partitions import Partition
 
 DEFAULT_PRIME = 32003
 _SLOT_LIMIT = 1 << 64
@@ -327,18 +328,29 @@ def hstack(X: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(X.rows, X.cols + Y.cols, out, X.field)
 
 
-def _rref(rows: List[List[int]], p: int, pivot_cols: Optional[int] = None) -> List[int]:
-    """In-place reduced row echelon form; returns the pivot column list.
-    The package's one list-form elimination.
+def _rref(rows: List[Sequence[int]], p: int, pivot_cols: Optional[int] = None) -> tuple:
+    """In-place Gauss-Jordan to reduced row echelon form: the package's one
+    Gauss-Jordan.  Returns (pivots, swaps): the pivot columns, and for the
+    k-th pivot the row swapped into row k.  The entries must be in [0, p).
+    No row given is written to: a step that changes a row puts a new list
+    in its place.
 
     Pivots are searched only in the first pivot_cols columns; row operations
     always span the full width, so augmented columns ride along, and a
     column is a pivot exactly when it is not in the span of the columns
-    before it.  Past the _packs gate for its rows, with at most half of the
-    first pivot_cols columns zero, the rows are eliminated packed
-    (_rref_packed); otherwise in lists, reading entries mod p and skipping
-    rows with a zero in the pivot column, where a row that no step touches
-    keeps its entries as given.  A rank needs only the pivots: _echelon."""
+    before it.  Every other column ends as the RREF's.  A pivot column ends
+    as the in-place entry instead: step c scales the pivot row by inv = 1 /
+    pivot with inv in the pivot slot, and every other row takes f times the
+    elimination row, the pivot row with inv + 1 in the pivot slot, where f
+    is its entry in column c, so that slot ends at f - f (inv + 1) = -f inv.
+    On a nonsingular square block that is its inverse, columns in swap
+    order (_inverse_flat).  Past the _packs gate for its rows, with at most
+    half of the first pivot_cols columns zero, the rows are eliminated
+    packed (_rref_packed), where a row step adds at most (p - 1) p to a
+    slot at the in-place step and (p - 1)^2 at every other, so _packs for
+    the rows keeps every slot below 2^64; otherwise in lists, skipping rows
+    with a zero in the pivot column.  A rank needs only the pivots:
+    _echelon."""
     nrows = len(rows)
     width = len(rows[0]) if nrows else 0
     if pivot_cols is None:
@@ -346,26 +358,30 @@ def _rref(rows: List[List[int]], p: int, pivot_cols: Optional[int] = None) -> Li
     if _packs(nrows, p) and 2 * sum(row[:pivot_cols].count(0) for row in rows) <= nrows * pivot_cols:
         return _rref_packed(rows, p, pivot_cols)
     pivots: List[int] = []
+    swaps: List[int] = []
     r = 0
     for c in range(pivot_cols):
         for pivot in range(r, nrows):
-            if rows[pivot][c] % p:
+            if rows[pivot][c]:
                 break
         else:
             continue
         rr = rows[pivot]
         rows[pivot] = rows[r]
-        inv = pow(rr[c] % p, -1, p)
-        rows[r] = rr = [(v * inv) % p for v in rr]
+        inv = pow(rr[c], -1, p)
+        rows[r] = rr = [v * inv % p for v in rr]
+        rr[c] = inv + 1  # the elimination row
         for i, ri in enumerate(rows):
-            f = ri[c] % p
+            f = ri[c]
             if f and i != r:
                 rows[i] = [(x - f * y) % p for x, y in zip(ri, rr)]
+        rr[c] = inv
         pivots.append(c)
+        swaps.append(pivot)
         r += 1
         if r == nrows:
             break
-    return pivots
+    return pivots, swaps
 
 
 def _column(packed: Sequence[int], c: int, width: int, p: int) -> List[int]:
@@ -379,37 +395,40 @@ def _column(packed: Sequence[int], c: int, width: int, p: int) -> List[int]:
     return [(x >> shift & _SLOT_MASK) % p for x in packed]
 
 
-def _rref_packed(rows: List[List[int]], p: int, pivot_cols: int) -> List[int]:
-    """_rref on packed rows, for inputs that pass the _packs gate.
+def _rref_packed(rows: List[Sequence[int]], p: int, pivot_cols: int) -> tuple:
+    """_rref on packed rows, for inputs that pass the _packs gate; column c
+    is read once per step (_column).
 
-    Rows are reduced when packed, when they become the pivot row and once
-    at the end, when the lists are written back; between, row i += (p - f)
-    * pivot row only adds, at most (p - 1)^2 per slot and pivot, so no slot
-    reaches 2^64."""
+    Rows are reduced when they become the pivot row and once at the end,
+    when the lists are written back; between, row i += (p - f) *
+    elimination row only adds, within the slot bound of _rref."""
     nrows = len(rows)
     width = len(rows[0])
-    packed = [_pack([v % p for v in row]) for row in rows]
+    packed = [_pack(row) for row in rows]
     pivots: List[int] = []
+    swaps: List[int] = []
     r = 0
     for c in range(pivot_cols):
         col = _column(packed, c, width, p)
-        pivot = next((i for i in range(r, nrows) if col[i]), None)
+        pivot = r if col[r] else next((i for i in range(r + 1, nrows) if col[i]), None)
         if pivot is None:
             continue
-        row = _unpack(packed[pivot], width)
-        packed[pivot] = packed[r]
-        col[pivot] = col[r]
-        inv = pow(row[c] % p, -1, p)
-        pivot_row = packed[r] = _pack([v * inv % p for v in row])
+        inv = pow(col[pivot], -1, p)
+        row = [v * inv % p for v in _unpack(packed[pivot], width)]
+        row[c] = inv
+        packed[pivot], col[pivot] = packed[r], col[r]
+        packed[r] = _pack(row)
+        elim = packed[r] + (1 << 64 * c)
         for i, f in enumerate(col):
             if f and i != r:
-                packed[i] += (p - f) * pivot_row
+                packed[i] += (p - f) * elim
         pivots.append(c)
+        swaps.append(pivot)
         r += 1
         if r == nrows:
             break
     rows[:] = [[v % p for v in _unpack(x, width)] for x in packed]
-    return pivots
+    return pivots, swaps
 
 
 def _echelon(entries: Sequence[int], nrows: int, ncols: int, p: int) -> List[int]:
@@ -510,51 +529,22 @@ def _from_columns(vectors: Sequence[Sequence[int]], rows: int, field: FieldSpec)
 def kernel_basis(M: ExactMatrix) -> ExactMatrix:
     """Matrix whose columns form a basis of {x : Mx = 0}; cols - rank of them."""
     R = M.to_rows()
-    pivots = _rref(R, M.field.p)
+    pivots, _ = _rref(R, M.field.p)
     return _from_columns(_null_vectors(R, pivots, M.cols, M.field.p), M.cols, M.field)
 
 
 def _inverse_flat(entries: Sequence[int], n: int, p: int) -> Optional[List[int]]:
     """Flat entries of the inverse of the flat n x n matrix, entries in
-    [0, p), or None if it is singular.
-
-    Below the _packs gate for the 2n rows of [M | I], or with more than half
-    of the entries zero, one _rref of [M | I] both tests M and inverts it.
-    Otherwise Gauss-Jordan runs in place on packed n-wide rows.  Step c swaps
-    a pivot into row c, or finds the matrix singular when column c has none
-    from row c down, and scales that row by inv = 1 / pivot with inv in the
-    pivot slot.  Every other row takes f times the elimination row, the
-    pivot row with inv + 1 in the pivot slot, where f is its entry in column
-    c: that slot becomes f - f (inv + 1) = -f inv, the entry the inverse
-    needs there, so a row step is one multiply-add.  Rows are reduced when
-    they become the pivot row and once at the end, and row i += (p - f) *
-    elimination row adds at most (p - 1)^2 per slot and step, (p - 1) p at
-    the one step with inv + 1.  The row swaps come back as column swaps at
-    the end, the last first."""
-    if not _packs(2 * n, p) or 2 * entries.count(0) > len(entries):
-        aug = [list(entries[i * n : (i + 1) * n]) + [int(j == i) for j in range(n)] for i in range(n)]
-        if len(_rref(aug, p, pivot_cols=n)) != n:
-            return None
-        return [v for row in aug for v in row[n:]]
-    rows = [_pack(entries[i * n : (i + 1) * n]) for i in range(n)]
-    swaps = []
-    for c in range(n):
-        col = _column(rows, c, n, p)
-        pivot = next((i for i in range(c, n) if col[i]), None)
-        if pivot is None:
-            return None
-        swaps.append(pivot)
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        col[c], col[pivot] = col[pivot], col[c]
-        inv = pow(col[c], -1, p)
-        row = [v * inv % p for v in _unpack(rows[c], n)]
-        row[c] = inv
-        rows[c] = _pack(row)
-        elim = rows[c] + (1 << 64 * c)
-        for i, f in enumerate(col):
-            if f and i != c:
-                rows[i] += (p - f) * elim
-    rows = [[v % p for v in _unpack(x, n)] for x in rows]
+    [0, p), or None if it is singular: one in-place _rref of the n-wide
+    rows, which finds M singular when it has fewer than n pivots and
+    otherwise leaves the inverse of the row-swapped M in place, packed past
+    _rref's gate for the n rows (inside it a slot takes at most (p - 1) p
+    at the in-place step and (p - 1)^2 at every other).  The row swaps come
+    back as column swaps, the last first."""
+    rows = [entries[i * n : (i + 1) * n] for i in range(n)]
+    pivots, swaps = _rref(rows, p)
+    if len(pivots) < n:
+        return None
     order = list(range(n))
     for c in range(n - 1, -1, -1):
         order[c], order[swaps[c]] = order[swaps[c]], order[c]
@@ -580,7 +570,7 @@ def solve(M: ExactMatrix, C: ExactMatrix) -> ExactMatrix:
         raise ValueError(f"shape mismatch: solving {M.shape} * X = {C.shape}")
     n = M.cols
     aug = [list(M.row(i)) + list(C.row(i)) for i in range(M.rows)]
-    pivots = _rref(aug, M.field.p, pivot_cols=n)
+    pivots, _ = _rref(aug, M.field.p, pivot_cols=n)
     if any(any(row[n:]) for row in aug[len(pivots) :]):
         raise ValueError("no solution")
     if len(pivots) < n:
@@ -697,6 +687,18 @@ def _chains(entries: Sequence[int], n: int) -> Optional[List[List[int]]]:
     return None if below is None else _index_chains(below)
 
 
+def _rank_type(ranks: Sequence[int]) -> Partition:
+    """The Jordan type of the nilpotent whose j-th power has rank ranks[j],
+    ranks[0] its size and every power past the list of rank 0: the one
+    rank-to-type reader.  r_{j-1} - 2 r_j + r_{j+1} blocks of size j, the
+    largest size first."""
+    r = [*ranks, 0, 0]
+    parts: List[int] = []
+    for j in range(len(r) - 2, 0, -1):
+        parts += [j] * (r[j - 1] - 2 * r[j] + r[j + 1])
+    return Partition._sorted(tuple(parts))
+
+
 def _jordan_flat(entries: Sequence[int], n: int, p: int) -> Optional[Partition]:
     """Jordan type of the flat n x n matrix N, or None if N is not nilpotent.
 
@@ -707,22 +709,22 @@ def _jordan_flat(entries: Sequence[int], n: int, p: int) -> Optional[Partition]:
     rank of M^j for the r x r rank factor M = R N[:, P], which is N[P, P]
     plus the free columns of R times N[free, P]; then M takes N's place.
     The ranks reach 0 exactly when N is nilpotent; a rank that stalls above
-    0 means it is not.  The rank drops are the kernel-dimension increments,
-    whose dual is the type."""
+    0 means it is not.  The ranks of the powers give the type
+    (_rank_type)."""
     chains = _chains(entries, n)
     if chains is not None:
         if sum(map(len, chains)) != n:
             return None
         return Partition._sorted(tuple(sorted(map(len, chains), reverse=True)))
-    drops: List[int] = []
+    ranks = [n]
     m, cur = n, entries
     while m:
         rows = [list(cur[i * m : (i + 1) * m]) for i in range(m)]
-        pivots = _rref(rows, p)
+        pivots, _ = _rref(rows, p)
         r = len(pivots)
         if r == m:
             return None
-        drops.append(m - r)
+        ranks.append(r)
         if r:  # the next matrix: R N[:, P] = N[P, P] + R' N[free, P]
             pivot_set = set(pivots)
             free = [c for c in range(m) if c not in pivot_set]
@@ -731,12 +733,11 @@ def _jordan_flat(entries: Sequence[int], n: int, p: int) -> Optional[Partition]:
             tail = _mul_flat(r_free, [cur[f * m + c] for f in free for c in pivots], r, m - r, r, p)
             cur = [(x + y) % p for x, y in zip(head, tail)]
         m = r
-    return dual(Partition(drops))
+    return _rank_type(ranks)
 
 
 def jordan_type(N: ExactMatrix) -> Partition:
-    """Jordan type of a nilpotent matrix: dual of the kernel-dimension
-    increments of its powers."""
+    """Jordan type of a nilpotent matrix, from the ranks of its powers."""
     if not N.is_square():
         raise ValueError("nilpotency of a non-square matrix")
     typ = _jordan_flat(N.entries, N.rows, N.field.p)
@@ -752,10 +753,10 @@ def _jordan_basis(N: ExactMatrix) -> tuple:
     complete ker N^{j-1} plus the images of the longer chains to a basis of
     ker N^j.  ker N^j is the null vectors of one _rref of N^j, whose RREF,
     and so basis, is unique.  The tops are the pivot columns past the span
-    block of one _rref of [ker N^{j-1} | longer chains at height j | ker N^j]
-    with the vectors as columns: each vector of ker N^j, in order, outside
-    the span of those before it.  Unchecked: the public callers re-check
-    what they return."""
+    block of one rank echelon (_echelon) of [ker N^{j-1} | longer chains at
+    height j | ker N^j] with the vectors as columns: each vector of ker N^j,
+    in order, outside the span of those before it.  Unchecked: the public
+    callers re-check what they return."""
     if not N.is_square():
         raise ValueError("nilpotency of a non-square matrix")
     n = N.rows
@@ -769,7 +770,7 @@ def _jordan_basis(N: ExactMatrix) -> tuple:
         if j:
             power = _mul_flat(power, N.entries, n, n, n, p)
         rows = [list(power[i * n : (i + 1) * n]) for i in range(n)]
-        kernels.append(_null_vectors(rows, _rref(rows, p), n, p))
+        kernels.append(_null_vectors(rows, _rref(rows, p)[0], n, p))
     chains: List[list] = []  # chain[i] = N^i applied to the top
     for j in range(len(kernels), 0, -1):
         if chains:  # the longer chains, one height down: one product
@@ -779,8 +780,8 @@ def _jordan_basis(N: ExactMatrix) -> tuple:
                 chain.append(out[t::k])
         span = (kernels[j - 2] if j >= 2 else []) + [chain[-1] for chain in chains]
         block = span + kernels[j - 1]
-        rows = [[v[i] for v in block] for i in range(n)]
-        chains.extend([block[c]] for c in _rref(rows, p) if c >= len(span))
+        flat = [v[i] for i in range(n) for v in block]
+        chains.extend([block[c]] for c in _echelon(flat, n, len(block), p) if c >= len(span))
     columns: list = []
     for chain in chains:  # built longest first
         columns.extend(reversed(chain))

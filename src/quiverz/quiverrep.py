@@ -43,6 +43,7 @@ from quiverz.exactmat import (
     _mul_flat,
     _partial_permutation,
     _random_invertible_pair,
+    _rank_type,
     all_subspaces,
     hstack,
     identity,
@@ -326,17 +327,12 @@ def _flag_point(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
 def _backward_types(B: Sequence[Sequence[int]], dims: Sequence[int], p: int, widths: Sequence[int]) -> List[Partition]:
     """For each w in widths, the Jordan type of the nilpotent whose j-th
     power has rank r_j, that of the first w columns of B_{t-j} ... B_{t-1}
-    (_composite_ranks; r_0 = w, r_t = 0): r_{j-1} - 2 r_j + r_{j+1} blocks
-    of size j.  Width n_t types theta of a stable point (_certified).  For
-    B_i = N[:n_i, :n_{i+1}] of a flag-lowering N, (N|E_{n_i})^j has the
-    rank of the first n_i columns of B_{t-j} ... B_{t-1}: width n_i types N
-    on E_{n_i}, the span of the first n_i coordinates."""
-    types = []
-    for w, ranks in zip(widths, _composite_ranks(B[::-1], dims[::-1], p, widths)):
-        r = [w, *ranks, 0, 0]
-        parts = (j for j in range(len(r) - 2, 0, -1) for _ in range(r[j - 1] - 2 * r[j] + r[j + 1]))
-        types.append(Partition._sorted(tuple(parts)))
-    return types
+    (_composite_ranks; r_0 = w, r_t = 0), read by _rank_type.  Width n_t
+    types theta of a stable point (_certified).  For B_i = N[:n_i, :n_{i+1}]
+    of a flag-lowering N, (N|E_{n_i})^j has the rank of the first n_i
+    columns of B_{t-j} ... B_{t-1}: width n_i types N on E_{n_i}, the span
+    of the first n_i coordinates."""
+    return [_rank_type([w, *ranks]) for w, ranks in zip(widths, _composite_ranks(B[::-1], dims[::-1], p, widths))]
 
 
 def _certified(z: QuiverRep) -> tuple:

@@ -13,11 +13,13 @@ but filters every completion by the relations, where the stability
 enumeration now solves its last relation in closed form and yields one
 point per fibre; stability_by_point evaluates both stability criteria on
 every point of that filter, where stability_report evaluates them once per
-fibre of points that differ in B_{t-1} alone.  mul_by_rows and
-rref_by_rows are the product and elimination loops that exactmat._mul_flat and exactmat._rref keep for
-sparse and small operands, inverse_by_augmenting the elimination of [M | I]
-that exactmat._inverse_flat runs below the packing gate and replaced with an
-inversion in place above it, jordan_type_by_power_ranks the Jordan type from
+fibre of points that differ in B_{t-1} alone.  mul_by_rows is the product
+loop that exactmat._mul_flat keeps for sparse and small operands, and
+rref_by_rows the plain RREF that exactmat._rref runs in place, leaving the
+in-place entry in each pivot column; the oracles that eliminate run on it,
+never on an elimination of exactmat.  inverse_by_augmenting is the
+elimination of [M | I] that exactmat._inverse_flat replaced with one
+in-place _rref of M, jordan_type_by_power_ranks the Jordan type from
 the ranks of every power, which exactmat._jordan_flat reads off chains or
 eliminations of ever smaller rank factors, jordan_flat_by_rowspace its
 power loop as it was, on ever fewer n-wide rows (times_rowspace), with the
@@ -63,7 +65,6 @@ from quiverz.exactmat import (
     _packs,
     _partial_permutation,
     _random_invertible_pair,
-    _rref,
     identity,
     inverse,
     mul,
@@ -159,7 +160,7 @@ def inverse_by_augmenting(entries, n: int, p: int):
     """Flat entries of the inverse of the flat n x n matrix, or None if it is
     singular: one RREF of [M | I] both tests M and inverts it."""
     aug = [list(entries[i * n : (i + 1) * n]) + [int(j == i) for j in range(n)] for i in range(n)]
-    if len(_rref(aug, p, pivot_cols=n)) != n:
+    if len(rref_by_rows(aug, p, pivot_cols=n)) != n:
         return None
     return [v for row in aug for v in row[n:]]
 
@@ -243,7 +244,7 @@ def jordan_flat_by_rowspace(entries: Sequence[int], n: int, p: int, prefixes: Op
     prev = n
     rows = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
     while prev:
-        pivots = _rref(rows, p)
+        pivots = rref_by_rows(rows, p)
         r = len(pivots)
         if r == prev:
             return None

@@ -314,21 +314,24 @@ def _rref_inputs(nrows, p, rng):
     """(rows, pivot_cols) for _rref: pivot blocks of width nrows - 3, nrows
     and nrows + 5, and [M | I] with pivot_cols = nrows; zero counts of the
     pivot block one below, at and one above half; then, at half, a rank
-    deficient matrix, zero rows and entries that are negative or >= p."""
+    deficient matrix and zero rows; and a nonsingular square block whose
+    every pivot is on another row, a reversed upper-triangular matrix.
+    Entries in [0, p), as _rref needs."""
     for cols, augment in ((nrows - 3, False), (nrows, False), (nrows + 5, False), (nrows, True)):
         size = nrows * cols
-        for z in (size // 2 - 1, size // 2, size // 2 + 1, "deficient", "zero rows", "unreduced"):
+        kinds = (size // 2 - 1, size // 2, size // 2 + 1, "deficient", "zero rows") + ("swapping",) * (cols == nrows)
+        for z in kinds:
             block = _with_zeros(size, z if isinstance(z, int) else size // 2, p, rng)
             rows = [block[i * cols : (i + 1) * cols] for i in range(nrows)]
-            if z == "deficient":  # the last third are combinations of rows 0 and 1
+            if z == "swapping":
+                rows = [[rng.randrange(1, p) if j >= i else 0 for j in range(cols)] for i in reversed(range(nrows))]
+            elif z == "deficient":  # the last third are combinations of rows 0 and 1
                 for i in range(2 * nrows // 3, nrows):
                     a, b = rng.randrange(p), rng.randrange(p)
-                    rows[i] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+                    rows[i] = [(a * x + b * y) % p for x, y in zip(rows[0], rows[1])]
             elif z == "zero rows":
                 rows[1] = [0] * cols
                 rows[-1] = [0] * cols
-            elif z == "unreduced":
-                rows = [[v + p * rng.choice((-2, -1, 1, 2)) if v else v for v in row] for row in rows]
             if augment:
                 rows = [row + [int(j == i) for j in range(nrows)] for i, row in enumerate(rows)]
             yield rows, (cols if augment else None)
@@ -337,33 +340,40 @@ def _rref_inputs(nrows, p, rng):
 def _small_rref_inputs(p, rng):
     """(rows, pivot_cols) for _rref with 1 to 7 rows, all on the list loop:
     widths 1, nrows and nrows + 3, pivot blocks of the full width and one
-    column narrower, entries zero or not about half the time and shifted by
-    -2p to 2p (so many are negative, >= p or nonzero multiples of p), and
-    from 3 rows on the last row a multiple of the first plus p."""
+    column narrower, entries zero or not about half the time, and from 3
+    rows on the last row 3 times the first."""
     for nrows in range(1, 8):
         for width in sorted({1, nrows, nrows + 3}):
             for pivot_cols in (None, width - 1) if width > 1 else (None,):
-                rows = [
-                    [rng.choice((0, rng.randrange(p))) + p * rng.randrange(-2, 3) for _ in range(width)]
-                    for _ in range(nrows)
-                ]
+                rows = [[rng.choice((0, rng.randrange(p))) for _ in range(width)] for _ in range(nrows)]
                 if nrows >= 3:
-                    rows[-1] = [3 * x + p for x in rows[0]]
+                    rows[-1] = [3 * x % p for x in rows[0]]
                 yield rows, pivot_cols
 
 
+def _unswapped(rows, pivots, swaps):
+    """The entries of the pivot columns of an in-place _rref, one pivot per
+    row, columns swapped back as _inverse_flat does: the inverse of the
+    pivot block when it is square and nonsingular."""
+    order = list(range(len(pivots)))
+    for c in range(len(pivots) - 1, -1, -1):
+        order[c], order[swaps[c]] = order[swaps[c]], order[c]
+    return [[row[pivots[j]] for j in order] for row in rows[: len(pivots)]]
+
+
 def test_rref_matches_list_loop_oracle(monkeypatch):
-    """The packed elimination gives the pivots of the list loop it keeps for
-    inputs with fewer than 8 rows, more than half of the pivot block zero,
-    or p too wide for a 64-bit slot (2^31 - 1, where both sides run the list
-    loop, so its largest size is left out), and the same rows reduced mod p
-    (the list loop leaves rows that no operation touches unreduced).  The
-    list loop gives the oracle's rows exactly, unreduced ones included, and
-    the rank echelon (_echelon) of the pivot block, reduced mod p, gives
-    the same pivots."""
+    """The in-place elimination, packed or in lists, gives the pivots of the
+    plain RREF (rref_by_rows) and every column but the pivot columns
+    exactly, all entries in [0, p), on inputs reduced mod p.  It packs past
+    the _packs gate for its rows with at most half of the pivot block zero,
+    and never for p = 2^31 - 1, too wide for a 64-bit slot (its largest
+    size is left out).  The k-th swap names a row from k down.  Where the
+    pivot block is square and nonsingular, its pivot columns, swapped
+    back, are its inverse, the right block of the oracle's [M | I].  The
+    rank echelon (_echelon) of the pivot block gives the same pivots."""
     packed_runs = _counting(monkeypatch, "_rref_packed")
     rng = random.Random(37)
-    sides = set()
+    sides, inverted = set(), set()
     for p in (2, 3, 32003, 2**31 - 1):
         cases = [([[] for _ in range(nrows)], None) for nrows in (0, 7, 8)]
         for nrows in (7, 8, 9, 16, 40) if p < 1 << 16 else (7, 8, 9, 16):
@@ -373,20 +383,28 @@ def test_rref_matches_list_loop_oracle(monkeypatch):
             expect = [row[:] for row in rows]
             expect_pivots = rref_by_rows(expect, p, pivot_cols)
             k = pivot_cols if pivot_cols is not None else len(rows[0]) if rows else 0
-            block = [v % p for row in rows for v in row[:k]]
+            given = [row[:k] for row in rows]
+            block = [v for row in given for v in row]
             assert _echelon(block, len(rows), k, p) == expect_pivots
             before = len(packed_runs)
-            pivots = _rref(rows, p, pivot_cols)
+            pivots, swaps = _rref(rows, p, pivot_cols)
             packed = len(packed_runs) > before
             sides.add((p, len(rows), packed))
+            assert packed == (_packs(len(rows), p) and 2 * block.count(0) <= len(block)), (p, len(rows), pivot_cols)
             assert pivots == expect_pivots, (p, len(rows), pivot_cols)
-            if packed:
-                assert [[v % p for v in row] for row in rows] == [[v % p for v in row] for row in expect]
-                assert all(0 <= v < p for row in rows for v in row)
-            else:
-                assert rows == expect, (p, len(rows), pivot_cols)
+            assert len(swaps) == len(pivots) and all(k <= s < len(rows) for k, s in enumerate(swaps))
+            free = [c for c in range(len(rows[0]) if rows else 0) if c not in pivots]
+            assert [[row[c] for c in free] for row in rows] == [[row[c] for c in free] for row in expect]
+            assert all(0 <= v < p for row in rows for v in row)
+            if len(pivots) == len(rows) == k:
+                aug = [row + [int(j == i) for j in range(k)] for i, row in enumerate(given)]
+                assert len(rref_by_rows(aug, p, k)) == k
+                assert _unswapped(rows, pivots, swaps) == [row[k:] for row in aug], (p, k)
+                inverted.add((p, k, packed))
     for p in (2, 3, 32003):
         assert {(p, 7, False), (p, 8, False), (p, 8, True), (p, 40, False), (p, 40, True)} <= sides
+        assert {(p, 7, False), (p, 8, True), (p, 40, True)} <= inverted
+    assert (2**31 - 1, 8, False) in inverted
     assert {(p, n, False) for p in (2, 3, 32003, 2**31 - 1) for n in range(1, 8)} <= sides
     assert not any(packed for p, _, packed in sides if p == 2**31 - 1)
 
@@ -652,6 +670,44 @@ def test_solve_matches_search_oracle():
     assert {(p, False, 2) for p in (2, 3)} <= outcomes
 
 
+def test_solve_rank_deficient_systems_match_rref_oracle(monkeypatch):
+    """solve on [M | C] for M = A B of rank at most r below its 8, 9 or 16
+    rows, r = cols (tall, of full column rank) or r < cols (with a kernel),
+    over F_2, F_3, F_32003 and F_(2^31 - 1), with C = M X0 and with C drawn
+    at random: as the oracle's RREF of [M | C] (rref_by_rows) finds, no
+    solution when it leaves a nonzero augmented entry below its pivots,
+    else X0 when M has full column rank and not unique otherwise.  The
+    elimination packs (_rref_packed) over F_32003 and never over
+    F_(2^31 - 1)."""
+    packed_runs = _counting(monkeypatch, "_rref_packed")
+    rng = random.Random(53)
+    outcomes, sides = set(), set()
+    for p in (2, 3, 32003, 2**31 - 1):
+        field = FieldSpec(p)
+        for rows in (8, 9, 16):
+            for cols, r in ((rows - 3, rows - 3), (rows - 3, rows // 2), (rows, rows - 2)):
+                m = mul(random_matrix(rows, r, field, rng), random_matrix(r, cols, field, rng))
+                x0 = random_matrix(cols, 3, field, rng)
+                for c in (mul(m, x0), random_matrix(rows, 3, field, rng)):
+                    aug = [list(m.row(i)) + list(c.row(i)) for i in range(rows)]
+                    pivots = rref_by_rows(aug, p, cols)
+                    before = len(packed_runs)
+                    if any(any(row[cols:]) for row in aug[len(pivots) :]):
+                        outcome = "no solution"
+                    else:
+                        outcome = "unique" if len(pivots) == cols else "not unique"
+                    if outcome == "unique":
+                        x = solve(m, c)
+                        assert mul(m, x) == c and (c != mul(m, x0) or x == x0)
+                    else:
+                        with pytest.raises(ValueError, match=outcome):
+                            solve(m, c)
+                    outcomes.add((p, outcome))
+                    sides.add((p, len(packed_runs) > before))
+    assert {(p, o) for p in (3, 32003, 2**31 - 1) for o in ("no solution", "unique", "not unique")} <= outcomes
+    assert {(32003, True), (2**31 - 1, False)} <= sides and (2**31 - 1, True) not in sides
+
+
 def test_inverse():
     rng = random.Random(10)
     m = random_invertible(5, F, rng)
@@ -696,16 +752,20 @@ def test_draws_match_randrange():
 def _inverse_inputs(n, p, rng):
     """(kind, flat n x n entries) for _inverse_flat: dense, half zero, a
     reversed upper-triangular matrix whose every column has its pivot on
-    another row, and singular ones: a zero row, column 1 a multiple of
-    column 0 (no pivot in column 1), and the last column a combination of
-    the others (no pivot in the last column)."""
+    another row, p - 1 off the diagonal and 0 on it (-(J - I), nonsingular
+    unless p divides n - 1), and singular ones: every entry p - 1, a zero row,
+    column 1 a multiple of column 0 (no pivot in column 1), and the last
+    column a combination of the others (no pivot in the last column)."""
     size = n * n
     yield "dense", [rng.randrange(p) for _ in range(size)]
     yield "half zero", _with_zeros(size, size // 2, p, rng)
     upper = [rng.randrange(1, p) if j >= i else 0 for i in range(n) for j in range(n)]
     yield "row swapping", [v for i in reversed(range(n)) for v in upper[i * n : (i + 1) * n]]
+    yield "p - 1 off the diagonal", [0 if i == j else p - 1 for i in range(n) for j in range(n)]
     if not n:
         return
+    if n >= 2:
+        yield "every entry p - 1", [p - 1] * size
     dense = [rng.randrange(p) for _ in range(size)]
     zero_row = dense[:]
     zero_row[(n // 2) * n : (n // 2 + 1) * n] = [0] * n
@@ -723,40 +783,47 @@ def _inverse_inputs(n, p, rng):
 
 
 def test_inverse_matches_augmented_elimination_oracle(monkeypatch):
-    """_inverse_flat against the RREF of [M | I], which it runs itself below
-    the packing gate for the 2n rows of [M | I] and replaced with an
-    inversion in place above it, on every input of _inverse_inputs for n in
+    """_inverse_flat, one in-place _rref of M, against the RREF of [M | I]
+    (inverse_by_augmenting), on every input of _inverse_inputs for n in
     {0, 1, 2, 3, 4, 7, 8, 9, 16, 40} and p in {2, 3, 5, 32003, 2^31 - 1}
-    and the largest prime that packs 16 rows (the slot-bound edge for 2n
-    rows, in place at n = 8 and on [M | I] from n = 9); over F_32003 it
-    runs in place from n = 4: the same entries, or None exactly when the
-    oracle finds M singular.  A side runs in place when it calls no _rref."""
-    packs = _counting(monkeypatch, "_pack")
+    and the largest primes that pack 8, 9 and 16 rows (slot_edge_prime,
+    the slot-bound edge of the n rows of M): the same entries, or None
+    exactly when the oracle finds M singular.  Each call is one _rref,
+    packed (_rref_packed) exactly past the _packs gate for the n rows with
+    at most half of M zero: over F_2, F_3 and F_32003 from n = 8, and at
+    an edge prime at its own n but not at the next n, and never over
+    F_(2^31 - 1)."""
     eliminations = _counting(monkeypatch, "_rref")
+    packed_runs = _counting(monkeypatch, "_rref_packed")
     rng = random.Random(47)
-    edge = slot_edge_prime(16)
-    assert not _packs(16, next(q for q in itertools.count(edge + 1) if _is_prime(q))) and not _packs(18, edge)
-    sides, packed_primes = set(), set()
-    for p in (2, 3, 5, 32003, 2**31 - 1, edge):
+    edges = {rows: slot_edge_prime(rows) for rows in (8, 9, 16)}
+    for rows, edge in edges.items():
+        assert not _packs(rows, next(q for q in itertools.count(edge + 1) if _is_prime(q))) and not _packs(rows + 1, edge)
+    sides = set()
+    for p in (2, 3, 5, 32003, 2**31 - 1, *edges.values()):
         for n in (0, 1, 2, 3, 4, 7, 8, 9, 16, 40):
             for kind, entries in _inverse_inputs(n, p, rng):
                 expect = inverse_by_augmenting(entries, n, p)
-                before = len(eliminations), len(packs)
+                before = len(eliminations), len(packed_runs)
                 got = _inverse_flat(entries, n, p)
-                sides.add((p, n, len(eliminations) == before[0]))
-                packed_primes.update([p] if len(packs) > before[1] else [])
+                packed = len(packed_runs) > before[1]
+                sides.add((p, n, packed))
+                assert len(eliminations) == before[0] + 1
+                assert packed == (_packs(n, p) and 2 * entries.count(0) <= n * n), (p, n, kind)
                 assert got == expect, (p, n, kind)
                 assert _inverse_flat(tuple(entries), n, p) == expect
-                if kind.startswith("no pivot") or kind == "zero row":
+                if kind.startswith("no pivot") or kind in ("zero row", "every entry p - 1"):
                     assert got is None, (p, n, kind)
-                elif kind == "row swapping":
-                    assert got is not None
+                elif kind == "row swapping" or kind == "p - 1 off the diagonal" and (n - 1) % p:
+                    assert got is not None, (p, n, kind)
                 if got is not None:
                     assert all(0 <= v < p for v in got)
-    assert {(32003, 3, False), (32003, 4, True), (32003, 7, True), (32003, 40, True)} <= sides
-    assert {(edge, 8, True), (edge, 9, False)} <= sides
-    assert not any(in_place for p, _, in_place in sides if p == 2**31 - 1)
-    assert 2**31 - 1 not in packed_primes
+    for p in (2, 3, 32003):
+        assert {(p, 7, False), (p, 8, True), (p, 40, True)} <= sides
+    for rows, edge in edges.items():
+        assert (edge, rows, True) in sides and (edge, 40, False) in sides
+    assert {(edges[8], 9, False), (edges[9], 16, False)} <= sides
+    assert not any(packed for p, _, packed in sides if p == 2**31 - 1)
 
 
 # --- nilpotents ----------------------------------------------------------------
@@ -1064,7 +1131,9 @@ def test_rank_factor_step_matches_full_product(p, monkeypatch):
     """After its first, each elimination of _jordan_flat is of the rank
     factor R N[:, P] of the matrix N it eliminated before, R the RREF of N
     and P its pivot columns, as the full product (mul_by_rows) forms it,
-    and N = N[:, P] R; the last one reaches rank 0 or stalls.  For ranks
+    and N = N[:, P] R; the last one reaches rank 0 or stalls.  R is read
+    off the in-place _rref as its free columns, with unit vectors in the
+    pivot columns, where _rref leaves the in-place entries.  For ranks
     from 1 to n and for nilpotents, which take one step per power.  Where p
     allows packing, n = 40 forms the factor on the packed path of _mul_flat
     (at least 8 free columns and at most half of R' zero)."""
@@ -1081,9 +1150,9 @@ def test_rank_factor_step_matches_full_product(p, monkeypatch):
 
     def spy(rows, *args):
         given = [row[:] for row in rows]
-        pivots = real(rows, *args)
+        pivots, swaps = real(rows, *args)
         steps.append((given, rows, pivots))
-        return pivots
+        return pivots, swaps
 
     monkeypatch.setattr(exactmat, "_rref", spy)
     packed = set()
@@ -1094,7 +1163,8 @@ def test_rank_factor_step_matches_full_product(p, monkeypatch):
         for (N, R, pivots), (following, _, _) in zip(steps, steps[1:]):
             m, r = len(N), len(pivots)
             flat = [v for row in N for v in row]
-            r_flat = [v for row in R[:r] for v in row]
+            unit = {c: k for k, c in enumerate(pivots)}
+            r_flat = [int(unit[c] == k) if c in unit else row[c] for k, row in enumerate(R[:r]) for c in range(m)]
             n_p = [row[c] for row in N for c in pivots]
             assert mul_by_rows(n_p, r_flat, m, r, m, p) == flat
             assert [v for row in following for v in row] == mul_by_rows(r_flat, n_p, r, m, r, p)
@@ -1260,13 +1330,14 @@ def _jordan_basis_reference(N):
 
 
 def test_jordan_basis_matches_power_loop_oracle(monkeypatch):
-    """The kernels from one _rref of each power and the tops from one _rref
-    per height give the same g, byte for byte, as a kernel_basis of every
-    power and tops picked by rank.  The cases: conjugated nilpotents up to
+    """The kernels from one _rref of each power and the tops from one rank
+    echelon (_echelon) per height give the same g, byte for byte, as a
+    kernel_basis of every power and tops picked by rank.  The cases: conjugated nilpotents up to
     size 7 over F_2, F_3 and F_32003 and of sizes 8, 12 and 16 over
     F_32003, and every nilpotent 0/1 partial permutation up to size 5 over
     F_2 and F_32003, whose types are read off their chains.  Between them
-    the powers and the tops are each eliminated both packed and in lists."""
+    the powers and the tops are each eliminated both packed and in lists,
+    and outside the type pass every _rref is of a power."""
     rng = random.Random(15)
     cases = []
     for field in (F2, F3, F):
@@ -1281,22 +1352,37 @@ def test_jordan_basis_matches_power_loop_oracle(monkeypatch):
     for field in (F2, F):
         for n in range(6):
             cases += [ExactMatrix(n, n, entries, field) for entries in _nilpotent_partial_permutations(n)]
-    # Each _rref call outside the type pass, as [stage, packed]: a power's
-    # RREF goes on to _null_vectors, a height's tops do not.
-    calls, in_type = [], []
-    rref, rref_packed, null_vectors, jordan_flat = (
-        exactmat._rref, exactmat._rref_packed, exactmat._null_vectors, exactmat._jordan_flat
+    # Each elimination outside the type pass, as [stage, packed]: a power's
+    # RREF (_rref) goes on to _null_vectors; a height's tops are a rank
+    # echelon, packed when it calls _pack.
+    calls, in_type, in_echelon = [], [], []
+    rref, rref_packed, echelon, pack, null_vectors, jordan_flat = (
+        exactmat._rref, exactmat._rref_packed, exactmat._echelon, exactmat._pack,
+        exactmat._null_vectors, exactmat._jordan_flat,
     )
 
     def spy_rref(*args):
         if not in_type:
-            calls.append(["tops", False])
+            calls.append(["rref", False])
         return rref(*args)
 
     def spy_rref_packed(*args):
         if not in_type:
             calls[-1][1] = True
         return rref_packed(*args)
+
+    def spy_echelon(*args):
+        calls.append(["tops", False])
+        in_echelon.append(1)
+        try:
+            return echelon(*args)
+        finally:
+            in_echelon.pop()
+
+    def spy_pack(*args):
+        if in_echelon:
+            calls[-1][1] = True
+        return pack(*args)
 
     def spy_null_vectors(*args):
         calls[-1][0] = "power"
@@ -1309,7 +1395,7 @@ def test_jordan_basis_matches_power_loop_oracle(monkeypatch):
         finally:
             in_type.pop()
 
-    spies = {"_rref": spy_rref, "_rref_packed": spy_rref_packed,
+    spies = {"_rref": spy_rref, "_rref_packed": spy_rref_packed, "_echelon": spy_echelon, "_pack": spy_pack,
              "_null_vectors": spy_null_vectors, "_jordan_flat": spy_jordan_flat}
     for n in cases:
         with monkeypatch.context() as m:

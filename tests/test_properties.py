@@ -145,7 +145,7 @@ def test_rank_of_partial_permutation_counts_ones(case):
     ) as echelon:
         assert rank(M) == ones
     assert spy.call_count == echelon.call_count == 0
-    assert len(_rref(M.to_rows(), field.p)) == ones
+    assert len(_rref(M.to_rows(), field.p)[0]) == ones
 
 
 @st.composite

@@ -209,3 +209,26 @@ def test_package_has_no_unused_imports():
                     if name not in read and name not in exported:
                         found.append(f"{path.name}:{node.lineno}:{name}")
     assert found == []
+
+
+def test_oracles_run_no_elimination_of_exactmat():
+    """An oracle that ran the kernel it checks would agree with it by
+    construction: tests/oracles.py eliminates on its own loops
+    (rref_by_rows), so it imports none of exactmat's elimination loops,
+    _rref, _rref_packed, _echelon and _inverse_flat, and reads none of them
+    as an attribute."""
+    loops = {"_rref", "_rref_packed", "_echelon", "_inverse_flat"}
+    path = PACKAGE.parent.parent / "tests" / "oracles.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"oracles.py:{node.lineno}:{name}"
+        for node in ast.walk(tree)
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else [node.id] if isinstance(node, ast.Name)
+            else []
+        )
+        if name in loops
+    ]
+    assert found == []

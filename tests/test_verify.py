@@ -704,8 +704,8 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     """The builders re-check each point once and the callers read their
     results.  _jordan_flat is counted in every quiverz module that imports
     it, and the inversions apart from the eliminations (_rref and the rank
-    echelon, _echelon), though an inversion below the packing gate for the
-    2n rows of [g | I] is one elimination of [g | I] too.
+    echelon, _echelon), though each inversion is one in-place _rref of its
+    n-wide rows too.
     Per instance of (1, 4, 5) over F_32003 with one trial:
     - relations: 0.  The two chains are re-checked on their index maps
       (maps: 2, one _map_recheck each), which compose them; when each chain
@@ -790,12 +790,13 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     # is read off the ranks of B_2 and B_1 B_2 (2 eliminations), where
     # _jordan_flat of theta took 3; its endomorphism is checked to lower the
     # flag before the base change (flag_endo: 1).  The inversions are of
-    # sizes 1, 4 and 5.  Sizes 4 and 5 pass the packing gate for the 2n
-    # rows of [g | I] and run in place; size 1 is one elimination of
-    # [g | I]: 5 in all.  Gated on n rows, all three were: 7, 8 when theta
-    # was typed, and 5 with the inversion's own list loop before that.  The
-    # ranks count as eliminations whether by _rref or by the rank echelon
-    # (_echelon).  No 5 x 5 product is
+    # sizes 1, 4 and 5, each one in-place _rref of its n-wide rows: 2 + 2 +
+    # 3 = 7 in all.  When the inversion had a packed loop of its own, gated
+    # on the 2n rows of [g | I], sizes 4 and 5 ran on it and size 1 was one
+    # elimination of [g | I]: 5; gated on n rows, all three were
+    # eliminations of [g | I]: 7, 8 when theta was typed, and 5 with the
+    # inversion's own list loop before that.  The ranks count as
+    # eliminations whether by _rref or by the rank echelon (_echelon).  No 5 x 5 product is
     # formed (squares: 0): the relation at the last vertex compares
     # B_2 A_2 with A_1 B_1, where the relations pass formed theta = A_2 B_2.
     def squares(real):
@@ -812,7 +813,7 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
         report = quiverrep.witness_reducible((1, 4, 5), FieldSpec(), random.Random(0))
     assert [w["relations"] for w in report.witnesses] == [True, True]
     assert counts == {
-        "relations": 1, "maps": 1, "jordan": 0, "matrices": 4, "eliminations": 5, "inversions": 3, "canonical": 0,
+        "relations": 1, "maps": 1, "jordan": 0, "matrices": 4, "eliminations": 7, "inversions": 3, "canonical": 0,
         "flag_endo": 1, "squares": 0,
     }
 
@@ -820,12 +821,15 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     # jordan_basis re-checks against the canonical form.  A Jordan basis of
     # type (3, 2, 2) takes its type from _jordan_flat, one elimination per
     # power of the conjugated m (3) and none for the partial permutation n,
-    # then one elimination per power for ker N^j (3) and one per height for
-    # the chain tops (3); when the kernels came from the type pass, each
-    # basis took 3.  conjugator adds one inversion for g2^-1, of size 7 and
-    # so in place (one elimination of [g2 | I] when the gate counted n
-    # rows), and each rank(g) one elimination (a rank echelon):
-    # 6 + 9 + 1 and 9 + 1, where they took 7 and 4.
+    # then one elimination per power for ker N^j (3) and one rank echelon
+    # per height for the chain tops (3, each an _rref before); when the
+    # kernels came from the type pass, each basis took 3.  conjugator adds
+    # one inversion for g2^-1, of size 7, which is one in-place _rref of
+    # its rows (it ran on the inversion's own packed loop, no elimination,
+    # when that loop was gated on the 14 rows of [g2 | I]), and each
+    # rank(g) one elimination (a rank echelon): 6 + 9 + 1 + 1 = 17, where
+    # the conjugator took 16 with that loop, and 9 + 1 = 10; before the
+    # kernels were eliminated apart, 7 and 4.
     field = FieldSpec()
     n = canonical_nilpotent(Partition((3, 2, 2)), field)
     h = random_invertible(7, field, random.Random(3))
@@ -833,7 +837,7 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     reset()
     conjugator(n, m)
     assert counts == {
-        "relations": 0, "maps": 0, "jordan": 2, "matrices": 0, "eliminations": 16, "inversions": 1, "canonical": 0
+        "relations": 0, "maps": 0, "jordan": 2, "matrices": 0, "eliminations": 17, "inversions": 1, "canonical": 0
     }
     reset()
     jordan_basis(m)
