@@ -11,23 +11,23 @@ the 64-bit slot at bits 64j to 64j + 63 (_pack and _unpack hold the
 format), so a row operation is one C-level multiply-add of big ints.  Slots
 only ever grow between reductions, so every slot has to stay below 2^64.
 One gate decides for the three packed loops, of _mul_flat, _rref and
-_echelon: at least 8 rows to combine, (p - 1)^2 * (rows + 1) + p < 2^64
-(_packs; it holds for p = 32003 and fails for p near 2^31), and at most
-half of the entries that select the work zero.
+_echelon, on the size alone: at least 8 rows to combine and
+(p - 1)^2 * (rows + 1) + p < 2^64 (_packs; it holds for p = 32003 and
+fails for p near 2^31).  Zeros do not count: a matrix more than half zero
+packs as a dense one does.
 
-_mul_flat, the one product, has three paths.  When either factor is a 0/1
-partial permutation (_partial_permutation reads it, and _chains too), the
-product is a gather of rows or columns of the other factor, at any size and
-ahead of the gate: so are both products of every glued chain point and of
-every flag point, whose forward maps are such matrices.  Otherwise it packs
-the rows of its right operand; the gate counts the m rows of ye and the
-zeros of xe.  Each output row is the sum of its entries of xe times those
-packed rows, at most m (p - 1)^2 per slot, unpacked and reduced once.  Below
-the gate the row loop skips zero entries and suits the tiny dense matrices
-of the exhaustive drivers.  rank reads a 0/1 partial permutation's rank as
-its count of ones, and counts the pivots of the rank echelon, _echelon, of
-anything else: it eliminates only below each pivot, and past the gate it
-packs rows straight from the entries and shifts each spent column out.
+_mul_flat, the one product, has three paths.  When its right factor is a
+0/1 partial permutation (_partial_permutation reads it, and _chains too),
+the product is a gather of columns of the left factor, at any size and
+ahead of the gate: so is h A_i when _moved changes the base of a point
+whose forward map A_i is an inclusion.  Otherwise, past the gate for the m
+rows of ye, it packs those rows, and each output row is the sum of its
+entries of xe times them, at most m (p - 1)^2 per slot, unpacked and
+reduced once.  Below the gate the row loop skips zero entries and suits the
+tiny dense matrices of the exhaustive drivers.  rank counts the pivots of
+the rank echelon, _echelon, of every input: it eliminates only below each
+pivot, and past the gate it packs rows straight from the entries and
+shifts each spent column out.
 
 _rref is the one Gauss-Jordan, in place: every column but the pivot
 columns ends as the RREF's, and each pivot column holds the in-place entry,
@@ -35,12 +35,10 @@ which on a nonsingular square block is its inverse, columns in the order
 of the row swaps _rref reports.  kernel_basis, the Jordan type and the
 kernels of the Jordan basis read its free columns, solve, the unique X
 with M X = C, the augmented columns of one _rref of [M | C], and
-_inverse_flat its pivot columns, swapped back.  It counts its rows and the
-zeros of the columns it searches for pivots, so an augmented system is
-judged by its left block.  Past the gate it packs (_rref_packed) and reads
-column c once per step (_column), through the shorter side of each row;
-below it, the list loop skips rows with a zero in the pivot column.  Both
-give the same entries.
+_inverse_flat its pivot columns, swapped back.  Past the gate for its rows
+it packs (_rref_packed) and reads column c once per step (_column); below
+it, the list loop skips rows with a zero in the pivot column.  Both give
+the same entries.
 
 _jordan_flat, the one Jordan-type routine, reads a 0/1 partial permutation
 off its chains and eliminates nothing: each chain is a Jordan block.
@@ -248,9 +246,8 @@ def identity(n: int, field: FieldSpec) -> ExactMatrix:
 
 
 def _packs(count: int, p: int) -> bool:
-    """The gate of the packed loops, before their zero counts: at least 8
-    rows to combine, and count + 1 products of residues plus a residue fit
-    in a 64-bit slot."""
+    """The one gate of the packed loops: at least 8 rows to combine, and
+    count + 1 products of residues plus a residue fit in a 64-bit slot."""
     return count >= 8 and (p - 1) ** 2 * (count + 1) + p < _SLOT_LIMIT
 
 
@@ -269,24 +266,16 @@ def _mul_flat(xe: Sequence[int], ye: Sequence[int], n: int, m: int, k: int, p: i
     """Row-major entries of the n x k product of the flat n x m matrix xe and
     the flat m x k matrix ye, both with entries in [0, p), reduced mod p.
 
-    When either factor is a 0/1 partial permutation (_partial_permutation),
-    the product is a gather, at any size: for x, row x(l) of the product is
-    row l of ye; for y, column j is column y(j) of xe; the rows and columns
-    they miss are zero.  Otherwise, past the _packs gate for the m rows of
-    ye, with at most half of xe zero, each output row is the sum of its
-    entries times the packed rows of ye, unpacked once.  Otherwise each row
+    When ye is a 0/1 partial permutation (_partial_permutation), the
+    product is a gather, at any size: column j is column y(j) of xe, zero
+    where y kills e_j, and all zero when m is 0.  Otherwise, past the _packs
+    gate for the m rows of ye, each output row is the sum of its entries
+    times the packed rows of ye, unpacked once; below it each row
     accumulates only its nonzero entries times the matching rows of ye."""
-    xmap = _partial_permutation(xe, n, m)
-    if xmap is not None:
-        out = [0] * (n * k)
-        for l, i in enumerate(xmap):
-            if i >= 0:
-                out[i * k : (i + 1) * k] = ye[l * k : (l + 1) * k]
-        return out
     ymap = _partial_permutation(ye, m, k)
-    if ymap is not None:
-        return [xe[i + l] if l >= 0 else 0 for i in range(0, n * m, m) for l in ymap]
-    if _packs(m, p) and 2 * xe.count(0) <= len(xe):
+    if ymap is not None:  # with m = 0 every l is -1, and any n row starts do
+        return [xe[i + l] if l >= 0 else 0 for i in (range(0, n * m, m) if m else range(n)) for l in ymap]
+    if _packs(m, p):
         packed = [_pack(ye[l * k : (l + 1) * k]) for l in range(m)]
         out = []
         for i in range(n):
@@ -344,18 +333,17 @@ def _rref(rows: List[Sequence[int]], p: int, pivot_cols: Optional[int] = None) -
     elimination row, the pivot row with inv + 1 in the pivot slot, where f
     is its entry in column c, so that slot ends at f - f (inv + 1) = -f inv.
     On a nonsingular square block that is its inverse, columns in swap
-    order (_inverse_flat).  Past the _packs gate for its rows, with at most
-    half of the first pivot_cols columns zero, the rows are eliminated
-    packed (_rref_packed), where a row step adds at most (p - 1) p to a
-    slot at the in-place step and (p - 1)^2 at every other, so _packs for
-    the rows keeps every slot below 2^64; otherwise in lists, skipping rows
-    with a zero in the pivot column.  A rank needs only the pivots:
-    _echelon."""
+    order (_inverse_flat).  Past the _packs gate for its rows the rows are
+    eliminated packed (_rref_packed), where a row step adds at most
+    (p - 1) p to a slot at the in-place step and (p - 1)^2 at every other,
+    so _packs for the rows keeps every slot below 2^64; below it in lists,
+    skipping rows with a zero in the pivot column.  A rank needs only the
+    pivots: _echelon."""
     nrows = len(rows)
     width = len(rows[0]) if nrows else 0
     if pivot_cols is None:
         pivot_cols = width
-    if _packs(nrows, p) and 2 * sum(row[:pivot_cols].count(0) for row in rows) <= nrows * pivot_cols:
+    if _packs(nrows, p):
         return _rref_packed(rows, p, pivot_cols)
     pivots: List[int] = []
     swaps: List[int] = []
@@ -384,14 +372,9 @@ def _rref(rows: List[Sequence[int]], p: int, pivot_cols: Optional[int] = None) -
     return pivots, swaps
 
 
-def _column(packed: Sequence[int], c: int, width: int, p: int) -> List[int]:
-    """Slot c of each packed row of the given width, mod p, read through the
-    shorter side of the row: its low c + 1 slots shifted down while c is in
-    the lower half, the row shifted down and masked after."""
+def _column(packed: Sequence[int], c: int, p: int) -> List[int]:
+    """Slot c of each packed row, mod p."""
     shift = 64 * c
-    if 2 * c < width:
-        low = (1 << shift + 64) - 1
-        return [((x & low) >> shift) % p for x in packed]
     return [(x >> shift & _SLOT_MASK) % p for x in packed]
 
 
@@ -409,7 +392,7 @@ def _rref_packed(rows: List[Sequence[int]], p: int, pivot_cols: int) -> tuple:
     swaps: List[int] = []
     r = 0
     for c in range(pivot_cols):
-        col = _column(packed, c, width, p)
+        col = _column(packed, c, p)
         pivot = r if col[r] else next((i for i in range(r + 1, nrows) if col[i]), None)
         if pivot is None:
             continue
@@ -441,7 +424,7 @@ def _echelon(entries: Sequence[int], nrows: int, ncols: int, p: int) -> List[int
     step (x >> 64) + (p - f) * tail, at most (p - 1)^2 per slot and pivot."""
     rows = [entries[i * ncols : (i + 1) * ncols] for i in range(nrows)]
     pivots: List[int] = []
-    if not (_packs(nrows, p) and 2 * entries.count(0) <= len(entries)):
+    if not _packs(nrows, p):
         for c in range(ncols):
             for pivot, row in enumerate(rows):
                 if row[c]:
@@ -470,12 +453,7 @@ def _echelon(entries: Sequence[int], nrows: int, ncols: int, p: int) -> List[int
 
 
 def rank(M: ExactMatrix) -> int:
-    """The rank: the count of ones of a 0/1 partial permutation
-    (_partial_permutation), the pivot count of the rank echelon (_echelon)
-    of anything else."""
-    image = _partial_permutation(M.entries, M.rows, M.cols)
-    if image is not None:
-        return M.cols - image.count(-1)
+    """The rank: the pivot count of the rank echelon (_echelon)."""
     return len(_echelon(M.entries, M.rows, M.cols, M.field.p))
 
 

@@ -283,12 +283,11 @@ def theta_image(d: Sequence[int]) -> Partition:
     iterate add along the difference sequence, starting from the all-ones
     partition of n_1.
 
-    It is not in general the largest type in the image of theta.  add is
-    dominance-monotone only where it adds a whole column, which every step
-    does when the differences of d weakly increase (the Kraft-Procesi
-    class); elsewhere another chain can end higher.  A glued point of
-    (4, 8, 9) has theta-type (3, 3, 3), which strictly dominates
-    theta_image((4, 8, 9)) = (3, 3, 2, 1)."""
+    It is not in general the largest type in the image of theta, which is
+    theta_image_max(d).  add is dominance-monotone only where it adds a
+    whole column, which every step does when the differences of d weakly
+    increase (the Kraft-Procesi class); elsewhere another chain can end
+    higher: at (3, 3, 3) for (4, 8, 9), above (3, 3, 2, 1)."""
     d = as_dim_vector(d)
     eta = Partition((1,) * d[0])
     for i in range(len(d) - 1):
@@ -297,6 +296,23 @@ def theta_image(d: Sequence[int]) -> Partition:
             raise ValueError(f"decreasing step at position {i + 1}: {d}")
         eta = add(eta, step)
     return eta
+
+
+def theta_image_max(d: Sequence[int]) -> Partition:
+    """M(d), the largest theta-type of the relation variety of the strictly
+    increasing d: mu_of of the greatest integer convex minorant of
+    (0, n_1, ..., n_t) with both ends fixed, zeros dropped.  Of the d' <= d
+    with the same last entry and weakly increasing differences, which index
+    the strata of the variety (Nakajima), it is the greatest, with the
+    largest mu_of.  Lowering each inner entry to the floor of the mean of
+    its neighbours until none moves reaches it."""
+    d = as_dim_vector(d)
+    if not is_strictly_monotone(d):
+        raise ValueError(f"dimension vector must be strictly increasing: {d}")
+    c = [0, *d]
+    while any(2 * c[i] > c[i - 1] + c[i + 1] for i in range(1, len(c) - 1)):
+        c[1:-1] = [min(c[i], (c[i - 1] + c[i + 1]) // 2) for i in range(1, len(c) - 1)]
+    return mu_of([v for v in c if v])
 
 
 def zss_density_obstruction(d: Sequence[int]) -> str:

@@ -38,6 +38,8 @@ re-checks the point by products and Jordan types, where build_from_chain
 re-checks the maps by composing them and reading their chains.
 flag_sample_by_point is the check theta-image made of a stable sample on
 its coordinate-flag point, which it now makes on the endomorphism alone.
+theta_image_max_by_strata is M(d) by brute force over every stratum
+vector d', where partitions.theta_image_max takes the greatest one.
 
 The helpers at the end were public names of the package that only tests
 called: mat_pow, is_nilpotent, random_invertible and transpose (once in
@@ -78,6 +80,7 @@ from quiverz.partitions import (
     dominates,
     dual,
     is_strictly_monotone,
+    mu_of,
     partitions_of_weight,
 )
 from quiverz.quiverrep import (
@@ -148,6 +151,33 @@ def rref_by_rows(rows: list, p: int, pivot_cols=None) -> list:
     return pivots
 
 
+def theta_image_max_by_strata(d: Sequence[int]) -> Partition:
+    """The largest mu_of(d') over every d' <= d entrywise with the same last
+    entry and weakly increasing differences (n'_0 = 0, so zeros only in
+    front), leading zeros dropped: each d' is built entry by entry, entry
+    i + 1 at least 2 n'_i - n'_{i-1}.  Raises CertificateError when no
+    type found dominates all the others."""
+    t = len(d)
+    found = set()
+
+    def extend(prefix):
+        i = len(prefix) - 1  # entries n'_1..n'_i chosen
+        if i == t:
+            found.add(mu_of([v for v in prefix[1:] if v]))
+            return
+        lo = max(0, 2 * prefix[-1] - prefix[-2]) if i else 0
+        for v in (d[-1],) if i == t - 1 else range(lo, d[i] + 1):
+            if v >= lo:
+                extend(prefix + [v])
+
+    extend([0])
+    top = [eta for eta in found if all(dominates(eta, nu) for nu in found)]
+    if len(top) != 1:
+        types = sorted(eta.parts for eta in found)
+        raise CertificateError(f"theta_image_max_by_strata: no largest type for {tuple(d)}: {types}")
+    return top[0]
+
+
 def slot_edge_prime(rows: int) -> int:
     """The largest prime that passes the _packs gate for this many rows."""
     p = math.isqrt((_SLOT_LIMIT - 1) // (rows + 1)) + 2
@@ -209,11 +239,10 @@ def times_rowspace(rows: List[List[int]], pivots: List[int], entries: Sequence[i
     """Flat entries of R N, for R the first len(pivots) rows of an RREF of
     width n with these pivot columns and N the flat n x n matrix.
 
-    Up to column order R is [I | R'].  When R is more than half zero, which
-    sends the full product to its row loop, and R' passes the _packs gate
-    for its n - r columns, R N is N at the pivot rows plus R' times N at
-    the free rows: one packed product over the free columns.  Otherwise, as
-    for every n <= 8, the full product."""
+    Up to column order R is [I | R'].  When R is more than half zero and R'
+    passes the _packs gate for its n - r columns, R N is N at the pivot
+    rows plus R' times N at the free rows: one packed product over the free
+    columns.  Otherwise, as for every n <= 8, the full product."""
     r = len(pivots)
     flat = [v for row in rows[:r] for v in row]
     if not _packs(n - r, p) or 2 * flat.count(0) <= r * n:

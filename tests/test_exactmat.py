@@ -280,11 +280,13 @@ def _counting(monkeypatch, name):
 
 
 def test_mul_flat_matches_row_loop_oracle(monkeypatch):
-    """Both sides of the packed switch (m >= 8, at most half of xe zero, and
-    m + 1 products of residues within a 64-bit slot): inner dimension 7 and
-    8, zero counts around one half, mat-vecs (k = 1), dense products with
-    k >= 8, every zero dimension, and p = 2, 32003 and 2^31 - 1, whose
-    products are too wide to pack."""
+    """Both sides of the packed switch (m >= 8 and m + 1 products of
+    residues within a 64-bit slot, whatever the zeros of xe): inner
+    dimension 7 and 8, zero counts around one half and every entry zero,
+    mat-vecs (k = 1), dense products with k >= 8, every zero dimension, and
+    p = 2, 32003 and 2^31 - 1, whose products are too wide to pack.  A
+    product packs exactly when ye is no 0/1 partial permutation and _packs
+    holds for its m rows."""
     packs = _counting(monkeypatch, "_pack")
     rng = random.Random(31)
     shapes = [
@@ -301,13 +303,40 @@ def test_mul_flat_matches_row_loop_oracle(monkeypatch):
                 ye = [rng.randrange(p) for _ in range(m * k)]
                 before = len(packs)
                 assert _mul_flat(xe, ye, n, m, k, p) == mul_by_rows(xe, ye, n, m, k, p), (p, n, m, k, z)
-                sides.add((p, m, k >= 8, len(packs) > before))
+                packed = len(packs) > before
+                assert packed == (_packs(m, p) and _partial_permutation(ye, m, k) is None), (p, n, m, k, z)
+                sides.add((p, m, k >= 8, 2 * z > size, packed))
                 assert _mul_flat(tuple(xe), tuple(ye), n, m, k, p) == mul_by_rows(xe, ye, n, m, k, p)
-    assert {(7, False), (8, False), (8, True), (16, False), (16, True)} <= {(m, packed) for p, m, _, packed in sides}
-    assert {(32003, True, True), (32003, True, False), (2**31 - 1, True, False)} <= {
-        (p, wide, packed) for p, _, wide, packed in sides
+    assert {(7, False), (8, False), (8, True), (16, False), (16, True)} <= {(m, packed) for p, m, _, _, packed in sides}
+    assert {(32003, True, True, True), (32003, True, False, True), (2**31 - 1, True, False, False)} <= {
+        (p, wide, sparse, packed) for p, _, wide, sparse, packed in sides
     }
-    assert not any(packed for p, _, _, packed in sides if p == 2**31 - 1)
+    assert not any(packed for p, _, _, _, packed in sides if p == 2**31 - 1)
+
+
+def test_empty_products_match_row_loop_oracle(monkeypatch):
+    """Products with n, m or k equal to 0 give mul_by_rows's entries on each
+    path of _mul_flat.  An empty ye is a 0/1 partial permutation, so m = 0
+    and k = 0 take the gather, m = 0 with n > 0 too, where the product is
+    all zero; n = 0 takes the gather, the packed loop or the row loop as ye
+    decides."""
+    packs = _counting(monkeypatch, "_pack")
+    rng = random.Random(53)
+    sides = set()
+    for p in (2, 3, 32003, 2**31 - 1):
+        for n, m, k in ((0, 3, 4), (0, 8, 5), (0, 12, 12), (0, 5, 0), (0, 0, 7), (0, 0, 0),
+                        (3, 0, 4), (9, 0, 9), (1, 0, 1), (5, 0, 0), (4, 8, 0), (9, 9, 0), (7, 3, 0)):
+            for ye in ([rng.randrange(p) for _ in range(m * k)], _random_partial_permutation(m, k, rng, 0)):
+                xe = [rng.randrange(p) for _ in range(n * m)]
+                gathered = _partial_permutation(ye, m, k) is not None
+                before = len(packs)
+                assert _mul_flat(xe, ye, n, m, k, p) == mul_by_rows(xe, ye, n, m, k, p) == [0] * (n * k)
+                packed = len(packs) > before
+                assert packed == (not gathered and _packs(m, p)), (p, n, m, k)
+                sides.add((n, m, k, "gather" if gathered else "packed" if packed else "rows"))
+    assert {(0, 8, 5, "gather"), (0, 8, 5, "packed"), (0, 3, 4, "rows")} <= sides
+    assert all(path == "gather" for n, m, k, path in sides if not m or not k)
+    assert {(3, 0, 4, "gather"), (9, 0, 9, "gather"), (1, 0, 1, "gather")} <= sides
 
 
 def _rref_inputs(nrows, p, rng):
@@ -364,16 +393,17 @@ def _unswapped(rows, pivots, swaps):
 def test_rref_matches_list_loop_oracle(monkeypatch):
     """The in-place elimination, packed or in lists, gives the pivots of the
     plain RREF (rref_by_rows) and every column but the pivot columns
-    exactly, all entries in [0, p), on inputs reduced mod p.  It packs past
-    the _packs gate for its rows with at most half of the pivot block zero,
-    and never for p = 2^31 - 1, too wide for a 64-bit slot (its largest
-    size is left out).  The k-th swap names a row from k down.  Where the
-    pivot block is square and nonsingular, its pivot columns, swapped
-    back, are its inverse, the right block of the oracle's [M | I].  The
-    rank echelon (_echelon) of the pivot block gives the same pivots."""
+    exactly, all entries in [0, p), on inputs reduced mod p.  It packs
+    exactly past the _packs gate for its rows, however many zeros the pivot
+    block holds, and never for p = 2^31 - 1, too wide for a 64-bit slot
+    (its largest size is left out).  The k-th swap names a row from k
+    down.  Where the pivot block is square and nonsingular, its pivot
+    columns, swapped back, are its inverse, the right block of the
+    oracle's [M | I].  The rank echelon (_echelon) of the pivot block gives
+    the same pivots."""
     packed_runs = _counting(monkeypatch, "_rref_packed")
     rng = random.Random(37)
-    sides, inverted = set(), set()
+    sides, sparse_sides, inverted = set(), set(), set()
     for p in (2, 3, 32003, 2**31 - 1):
         cases = [([[] for _ in range(nrows)], None) for nrows in (0, 7, 8)]
         for nrows in (7, 8, 9, 16, 40) if p < 1 << 16 else (7, 8, 9, 16):
@@ -390,7 +420,8 @@ def test_rref_matches_list_loop_oracle(monkeypatch):
             pivots, swaps = _rref(rows, p, pivot_cols)
             packed = len(packed_runs) > before
             sides.add((p, len(rows), packed))
-            assert packed == (_packs(len(rows), p) and 2 * block.count(0) <= len(block)), (p, len(rows), pivot_cols)
+            sparse_sides.add((p, len(rows), 2 * block.count(0) > len(block), packed))
+            assert packed == _packs(len(rows), p), (p, len(rows), pivot_cols)
             assert pivots == expect_pivots, (p, len(rows), pivot_cols)
             assert len(swaps) == len(pivots) and all(k <= s < len(rows) for k, s in enumerate(swaps))
             free = [c for c in range(len(rows[0]) if rows else 0) if c not in pivots]
@@ -402,7 +433,8 @@ def test_rref_matches_list_loop_oracle(monkeypatch):
                 assert _unswapped(rows, pivots, swaps) == [row[k:] for row in aug], (p, k)
                 inverted.add((p, k, packed))
     for p in (2, 3, 32003):
-        assert {(p, 7, False), (p, 8, False), (p, 8, True), (p, 40, False), (p, 40, True)} <= sides
+        assert {(p, 7, False), (p, 8, True), (p, 40, True)} <= sides
+        assert {(p, 7, True, False), (p, 8, True, True), (p, 40, True, True)} <= sparse_sides
         assert {(p, 7, False), (p, 8, True), (p, 40, True)} <= inverted
     assert (2**31 - 1, 8, False) in inverted
     assert {(p, n, False) for p in (2, 3, 32003, 2**31 - 1) for n in range(1, 8)} <= sides
@@ -424,7 +456,7 @@ def test_partial_permutation_products_match_row_loop(monkeypatch):
     """Two 0/1 partial permutations multiply as a gather at every inner
     dimension: square and rectangular shapes, with and without killed
     columns, at m = 7, 8, 9 and 40, give the row loop's entries.  The
-    reader is called once, on the left factor, whose index map makes the
+    reader is called once, on the right factor, whose index map makes the
     product."""
     reads = _counting(monkeypatch, "_partial_permutation")
     rng = random.Random(41)
@@ -436,15 +468,17 @@ def test_partial_permutation_products_match_row_loop(monkeypatch):
                     ye = _random_partial_permutation(m, k, rng, (kills + 1) % 3)
                     reads.clear()
                     assert _mul_flat(xe, ye, n, m, k, p) == mul_by_rows(xe, ye, n, m, k, p), (p, n, m, k)
-                    assert reads == [(xe, n, m)]
+                    assert reads == [(ye, m, k)]
 
 
 def test_gather_products_match_row_loop(monkeypatch):
     """Either factor a 0/1 partial permutation, the other drawn over F_p
     with and without zeros: square and rectangular shapes and killed
     columns, m = 1 to 9 and 40, p = 2, 3, 32003 and 2^31 - 1.  The product
-    is the row loop's, made by a gather: the last read of the reader found
-    a partial permutation, and no row was packed."""
+    is the row loop's.  The reader is called once, on ye: a right factor
+    partial permutation makes the product by a gather, with no row packed;
+    a left one takes the packed loop past the _packs gate for the m rows
+    and the row loop below it, as any other left factor does."""
     results = []
     real = exactmat._partial_permutation
 
@@ -467,11 +501,14 @@ def test_gather_products_match_row_loop(monkeypatch):
                         y_other = _with_zeros(m * k, (m * k) // 2 if half else 0, p, rng)
                         for left, xe, ye in ((True, x_perm, y_other), (False, x_other, y_perm)):
                             results.clear()
+                            packs.clear()
                             assert _mul_flat(xe, ye, n, m, k, p) == mul_by_rows(xe, ye, n, m, k, p), (p, n, m, k)
-                            assert len(results) <= 2 and results[-1] is not None
-                            sides.add((left, len(results)))
-    assert packs == []
-    assert {(True, 1), (False, 2)} <= sides
+                            gathered = results[-1] is not None
+                            assert len(results) == 1 and gathered == (not left or real(ye, m, k) is not None)
+                            assert bool(packs) == (not gathered and _packs(m, p)), (p, n, m, k)
+                            sides.add((left, gathered, bool(packs)))
+    assert {(False, True, False), (True, False, True), (True, False, False)} <= sides
+    assert all(gathered for left, gathered, _ in sides if not left)
 
 
 def test_partial_permutation_near_misses_fall_through():
@@ -789,8 +826,8 @@ def test_inverse_matches_augmented_elimination_oracle(monkeypatch):
     and the largest primes that pack 8, 9 and 16 rows (slot_edge_prime,
     the slot-bound edge of the n rows of M): the same entries, or None
     exactly when the oracle finds M singular.  Each call is one _rref,
-    packed (_rref_packed) exactly past the _packs gate for the n rows with
-    at most half of M zero: over F_2, F_3 and F_32003 from n = 8, and at
+    packed (_rref_packed) exactly past the _packs gate for the n rows,
+    however many zeros M holds: over F_2, F_3 and F_32003 from n = 8, and at
     an edge prime at its own n but not at the next n, and never over
     F_(2^31 - 1)."""
     eliminations = _counting(monkeypatch, "_rref")
@@ -809,7 +846,7 @@ def test_inverse_matches_augmented_elimination_oracle(monkeypatch):
                 packed = len(packed_runs) > before[1]
                 sides.add((p, n, packed))
                 assert len(eliminations) == before[0] + 1
-                assert packed == (_packs(n, p) and 2 * entries.count(0) <= n * n), (p, n, kind)
+                assert packed == _packs(n, p), (p, n, kind)
                 assert got == expect, (p, n, kind)
                 assert _inverse_flat(tuple(entries), n, p) == expect
                 if kind.startswith("no pivot") or kind in ("zero row", "every entry p - 1"):
@@ -1136,7 +1173,7 @@ def test_rank_factor_step_matches_full_product(p, monkeypatch):
     pivot columns, where _rref leaves the in-place entries.  For ranks
     from 1 to n and for nilpotents, which take one step per power.  Where p
     allows packing, n = 40 forms the factor on the packed path of _mul_flat
-    (at least 8 free columns and at most half of R' zero)."""
+    (at least 8 free columns)."""
     field = FieldSpec(p)
     rng = random.Random(p)
     cases = []
@@ -1168,8 +1205,7 @@ def test_rank_factor_step_matches_full_product(p, monkeypatch):
             n_p = [row[c] for row in N for c in pivots]
             assert mul_by_rows(n_p, r_flat, m, r, m, p) == flat
             assert [v for row in following for v in row] == mul_by_rows(r_flat, n_p, r, m, r, p)
-            r_free = [row[c] for row in R[:r] for c in range(m) if c not in pivots]
-            if _packs(m - r, p) and 2 * r_free.count(0) <= len(r_free):
+            if _packs(m - r, p):
                 packed.add(n)
         last, _, pivots = steps[-1]
         assert len(pivots) in (0, len(last))

@@ -25,11 +25,12 @@ from quiverz.partitions import (
     partitions_of_weight,
     render_young,
     theta_image,
+    theta_image_max,
     zss_density_obstruction,
 )
 from quiverz.quiverrep import QuiverRep, sample_stable
 
-from oracles import partitions_up_to_weight
+from oracles import partitions_up_to_weight, theta_image_max_by_strata
 
 
 def P(*parts):
@@ -343,6 +344,42 @@ def test_image_dominates_stable_type():
     for r in range(1, 11):
         for d in itertools.combinations(range(1, 11), r):
             assert dominates(theta_image(d), mu_of(d))
+
+
+def test_theta_image_max_examples():
+    """M(d) where it exceeds lambda = theta_image(d), and where the two meet."""
+    for d, top, lam in (
+        ((4, 8, 9), P(3, 3, 3), P(3, 3, 2, 1)),
+        ((1, 5, 9, 10), P(4, 3, 3), P(4, 3, 2, 1)),
+        ((2, 6, 10, 11), P(4, 4, 3), P(4, 4, 2, 1)),
+    ):
+        assert theta_image_max(d) == top and theta_image(d) == lam
+    assert theta_image_max((1, 4, 5)) == theta_image((1, 4, 5)) == P(3, 2)
+    assert theta_image_max((1, 2, 5, 8, 12)) == classify((1, 2, 5, 8, 12)).eta
+    assert theta_image_max((3,)) == P(1, 1, 1)
+    for bad in ((2, 2), (2, 1), ()):
+        with pytest.raises(ValueError):
+            theta_image_max(bad)
+
+
+def test_theta_image_max_matches_strata_oracle():
+    """The convex minorant gives the largest mu_of over every stratum vector
+    (theta_image_max_by_strata) on all 2036 strictly monotone vectors with
+    last entry <= 11.  M(d) dominates lambda and mu; it exceeds lambda on 21
+    of them, each with last entry >= 9, so a sweep through --max-last 8
+    keeps its bytes; and it differs from mu exactly where lambda does, so
+    no reducibility verdict changes."""
+    above = []
+    for r in range(2, 12):
+        for d in itertools.combinations(range(1, 12), r):
+            top, lam, mu = theta_image_max(d), theta_image(d), mu_of(d)
+            assert top == theta_image_max_by_strata(d), d
+            assert dominates(top, lam) and dominates(top, mu), d
+            assert (top != mu) == (lam != mu), d
+            if top != lam:
+                above.append(d)
+    assert len(above) == 21 and min(d[-1] for d in above) == 9
+    assert (4, 8, 9) in above and (1, 5, 9, 10) in above
 
 
 def test_obstruction_examples():

@@ -78,13 +78,14 @@ def test_kernel_basis_matches_sympy(M):
 
 
 # Both sides of the _packs gate for sure: 12 x 12 over F_32003, dense,
-# swapping and singular, pass it; a dense one over F_(2^31 - 1) and a
-# sparse one over F_3 do not.
+# swapping and singular, and a sparse one over F_3 pass it; a dense one
+# over F_(2^31 - 1) and a dense 7 x 7 over F_32003 do not.
 @hypothesis.example(_matrix(12, 12, 32003, "dense", 0))
 @hypothesis.example(_matrix(12, 12, 32003, "swapping", 0))
 @hypothesis.example(_matrix(12, 12, 32003, "low rank", 0))
 @hypothesis.example(_matrix(12, 12, 2**31 - 1, "dense", 0))
 @hypothesis.example(_matrix(12, 12, 3, "sparse", 0))
+@hypothesis.example(_matrix(7, 7, 32003, "dense", 0))
 @hypothesis.given(square_matrices)
 def test_inverse_matches_sympy(M):
     """inverse gives sympy's inverse entry for entry, or refuses M as
@@ -102,13 +103,15 @@ def test_inverse_matches_sympy(M):
 def test_inverse_examples_straddle_the_gate():
     """The explicit examples of test_inverse_matches_sympy fall on the sides
     of the _packs gate that its comment gives them: the inversion packs rows
-    exactly for the three over F_32003."""
+    exactly for the three 12 x 12 over F_32003 and the sparse one over F_3,
+    whose zeros do not count."""
     for M, packs in (
         (_matrix(12, 12, 32003, "dense", 0), True),
         (_matrix(12, 12, 32003, "swapping", 0), True),
         (_matrix(12, 12, 32003, "low rank", 0), True),
         (_matrix(12, 12, 2**31 - 1, "dense", 0), False),
-        (_matrix(12, 12, 3, "sparse", 0), False),
+        (_matrix(12, 12, 3, "sparse", 0), True),
+        (_matrix(7, 7, 32003, "dense", 0), False),
     ):
         with mock.patch.object(exactmat, "_pack", wraps=exactmat._pack) as spy:
             exactmat._inverse_flat(M.entries, M.rows, M.field.p)
@@ -137,8 +140,8 @@ def test_echelon_rank_matches_rref_and_sympy():
     """The rank echelon that rank counts (_echelon) has the pivots of the
     RREF, and its pivot count is sympy's rank: at n = 7, 8 and 9, dense,
     sparse, swapping and of low rank, with n - 3, n and n + 5 columns, so
-    on both sides of the _packs gate; at n = 40; and on shapes with no rows
-    or no columns."""
+    on both sides of the _packs gate, which counts rows alone; at n = 40;
+    and on shapes with no rows or no columns."""
     sides = set()
     for p in PRIMES:
         cases = [_matrix(r, c, p, "dense", 0) for r, c in ((0, 0), (0, 5), (5, 0), (0, 40), (40, 0))]
@@ -149,10 +152,11 @@ def test_echelon_rank_matches_rref_and_sympy():
             with _echelon_sides() as packed:
                 pivots = exactmat._echelon(M.entries, M.rows, M.cols, p)
             sides.add((p, M.rows, packed == [True]))
+            assert (packed == [True]) == exactmat._packs(M.rows, p), (p, M.shape)
             assert pivots == exactmat._rref(M.to_rows(), p)[0], (p, M.shape)
             assert len(pivots) == rank(M) == _domain(M).rank(), (p, M.shape)
     for p in (2, 3, 32003):
-        assert {(p, 7, False), (p, 8, False), (p, 8, True), (p, 40, True)} <= sides
+        assert {(p, 7, False), (p, 8, True), (p, 40, True)} <= sides
     assert not any(packed for p, _, packed in sides if p == 2**31 - 1)
 
 

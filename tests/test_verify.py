@@ -177,6 +177,28 @@ def test_theta_image_sweep_small():
     assert report.counterexample is None
 
 
+def test_theta_image_chain_bound_is_theta_image_max(monkeypatch):
+    """A random chain of (4, 8, 9) may end at (3, 3, 3) = M(d), above lambda
+    = (3, 3, 2, 1): at seed 512 chain 2 does, and the instance passes.  M(d)
+    is formed once, for that chain alone, where lambda misses; bounded by
+    lambda alone, the instance fails on chain2_bounded_by_lambda, as the
+    sweep did at --max-last 9 --seed 512."""
+    calls = []
+    real = verify.theta_image_max
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(verify, "theta_image_max", counting)
+    inst = verify._theta_image_instance((4, 8, 9), 32003, 512, 3)
+    assert inst["ok"] and inst["failed"] == []
+    assert inst["lambda"] == [3, 3, 2, 1] and inst["mu"] == [3, 2, 2, 2]
+    assert calls == [(4, 8, 9)]
+    monkeypatch.setattr(verify, "theta_image_max", verify.theta_image)
+    assert verify._theta_image_instance((4, 8, 9), 32003, 512, 3)["failed"] == ["chain2_bounded_by_lambda"]
+
+
 @pytest.mark.parametrize("max_last", [1, 0, -3])
 def test_theta_image_refuses_empty_sweep(max_last):
     """Below 2 no strictly monotone vector of length >= 2 is swept; such a
@@ -783,22 +805,24 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     # The chain witness: one map re-check, its four maps written as
     # matrices, and no relations pass and no Jordan type, where its point
     # took one relations check and two types read off the chains of its
-    # products; its is_stable ranks 0/1 partial permutations by counting
-    # their ones, where eliminating them took 2.  The stable witness: one
-    # relations check, 2 ranks of its base-changed forward maps and 3
-    # inversions in sample_stable, and no Jordan type: the type of its theta
-    # is read off the ranks of B_2 and B_1 B_2 (2 eliminations), where
-    # _jordan_flat of theta took 3; its endomorphism is checked to lower the
-    # flag before the base change (flag_endo: 1).  The inversions are of
-    # sizes 1, 4 and 5, each one in-place _rref of its n-wide rows: 2 + 2 +
-    # 3 = 7 in all.  When the inversion had a packed loop of its own, gated
+    # products; its is_stable ranks its two 0/1 partial permutations by one
+    # rank echelon each (2), where counting their ones took none.  The
+    # stable witness: one relations check, 2 ranks of its base-changed
+    # forward maps and 3 inversions in sample_stable, and no Jordan type:
+    # the type of its theta is read off the ranks of B_2 and B_1 B_2
+    # (2 eliminations), where _jordan_flat of theta took 3; its endomorphism
+    # is checked to lower the flag before the base change (flag_endo: 1).
+    # The inversions are of sizes 1, 4 and 5, each one in-place _rref of its
+    # n-wide rows: 2 + 2 + 2 + 3 = 9 in all, 7 when the chain witness
+    # counted ones.  When the inversion had a packed loop of its own, gated
     # on the 2n rows of [g | I], sizes 4 and 5 ran on it and size 1 was one
     # elimination of [g | I]: 5; gated on n rows, all three were
     # eliminations of [g | I]: 7, 8 when theta was typed, and 5 with the
     # inversion's own list loop before that.  The ranks count as
-    # eliminations whether by _rref or by the rank echelon (_echelon).  No 5 x 5 product is
-    # formed (squares: 0): the relation at the last vertex compares
-    # B_2 A_2 with A_1 B_1, where the relations pass formed theta = A_2 B_2.
+    # eliminations whether by _rref or by the rank echelon (_echelon).  No
+    # 5 x 5 product is formed (squares: 0): the relation at the last vertex
+    # compares B_2 A_2 with A_1 B_1, where the relations pass formed
+    # theta = A_2 B_2.
     def squares(real):
         def wrapper(xe, ye, n, m, k, p):
             counts["squares"] += n == k == 5
@@ -813,7 +837,7 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
         report = quiverrep.witness_reducible((1, 4, 5), FieldSpec(), random.Random(0))
     assert [w["relations"] for w in report.witnesses] == [True, True]
     assert counts == {
-        "relations": 1, "maps": 1, "jordan": 0, "matrices": 4, "eliminations": 7, "inversions": 3, "canonical": 0,
+        "relations": 1, "maps": 1, "jordan": 0, "matrices": 4, "eliminations": 9, "inversions": 3, "canonical": 0,
         "flag_endo": 1, "squares": 0,
     }
 
