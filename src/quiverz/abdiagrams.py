@@ -141,17 +141,18 @@ def _placement(eta: Partition, a: int, jvec: Sequence[int], leads: Sequence[bool
     come from (part, j, lead) directly, one shared row per key (_row), and
     the a-part is eta itself."""
     leads = leads or [True] * len(jvec)
-    keys = [(1 - 2 * p - j, -p, j == 2 or (j == 1 and lead)) for p, j, lead in zip(eta.parts, jvec, leads)]
-    singles = len(eta) + a - sum(jvec)
-    keys.extend([(-1, 0, True)] * singles)
+    parts = eta.parts
+    keys = [(1 - 2 * p - j, -p, j == 2 or (j == 1 and lead)) for p, j, lead in zip(parts, jvec, leads)]
     keys.sort()
-    b_counts = sorted((p - 1 + j for p, j in zip(eta.parts, jvec) if p - 1 + j), reverse=True)
+    singles = len(parts) + a - sum(jvec)
+    b_counts = [p - 1 + j for p, j in zip(parts, jvec) if p - 1 + j]
+    b_counts.sort(reverse=True)
     delta = ABDiagram.__new__(ABDiagram)
-    delta.rows = tuple(map(_row, keys))
+    delta.rows = tuple(map(_row, keys)) + (_row((-1, 0, True)),) * singles  # the singletons "b" sort last
     delta.a_part = eta
     delta.b_part = Partition._sorted(tuple(b_counts) + (1,) * singles)
-    delta.total_a = eta.weight
-    delta.total_b = eta.weight + a
+    delta.total_a = sum(parts)
+    delta.total_b = delta.total_a + a
     return delta
 
 
@@ -179,7 +180,7 @@ def max_diagram(eta: Partition, a: int) -> ABDiagram:
     add(eta, a)."""
     if a < 0:
         raise ValueError(f"extra b-count must be nonnegative: {a}")
-    s = len(eta)
+    s = len(eta.parts)
     twos = min(s, (s + a) // 2)
     ones = int(a < s and (s + a) % 2)
     delta = _placement(eta, a, [2] * twos + [1] * ones + [0] * (s - twos - ones))
@@ -191,12 +192,12 @@ def max_diagram(eta: Partition, a: int) -> ABDiagram:
 def random_diagram(eta: Partition, a: int, rng) -> ABDiagram:
     """A uniformly random end-placement of the extra b's (rejection on the
     in-row budget), for sampling arbitrary points of the pair variety."""
-    s = len(eta)
+    s = len(eta.parts)
     while True:
         jvec = _draws(rng, 3, s)
         if sum(jvec) <= s + a:
             break
-    return _placement(eta, a, jvec, [bool(v) for v in _draws(rng, 2, s)])
+    return _placement(eta, a, jvec, list(map(bool, _draws(rng, 2, s))))
 
 
 def build_pair(delta: ABDiagram, field: FieldSpec) -> Tuple[ExactMatrix, ExactMatrix]:
@@ -210,53 +211,47 @@ def build_pair(delta: ABDiagram, field: FieldSpec) -> Tuple[ExactMatrix, ExactMa
     return _index_matrix(a_map, delta.total_b, field), _index_matrix(b_map, delta.total_a, field)
 
 
-def _numbered_pair(delta: ABDiagram, b_before: Optional[Sequence[range]] = None) -> tuple:
-    """(A, B, the b-letter numbers of each row) for delta's letters numbered
-    as build_pair numbers them, but with b_before, the b-letter numbers of
-    the diagram glued before it, its a-letters numbered by the matching.
-    A and B are index maps (_partial_permutation): A[a] is the number of the
-    b-letter after a-letter a in its row, B[b] that of the a-letter after
-    b-letter b, and -1 at the end of a row.
+def _numbered_pair(delta: ABDiagram, a_starts: Optional[Sequence[int]] = None) -> tuple:
+    """(A, B, the b-row starts) for delta's letters, each kind numbered in
+    reading order, row after row, as build_pair numbers them; with a_starts,
+    the b-row starts of the diagram glued before it, the a-letters of its
+    k-th row take the numbers from a_starts[k] on.  A and B are index maps
+    (_partial_permutation): A[a] is the number of the b-letter after
+    a-letter a in its row, B[b] that of the a-letter after b-letter b, and
+    -1 at the end of a row.  The b-row starts come longest row first, equal
+    lengths in row order: the order in which the next diagram's a-rows meet
+    them.
 
-    The matching pairs the k-th longest row of b_before with the k-th
-    longest row of a-letters of delta, equal lengths in row order, and each
-    a-letter takes the number of the b-letter at its place in the matched
-    row.  The letters of one kind in a row are a chain of the composition
-    on that kind, so B A of the renumbered pair moves the b-letter numbers
-    as A B of the diagram before does; the rows are taken in the order a
-    Jordan basis takes chains.  b_before must have delta's a-part as its row
-    lengths."""
-    a_rows: List[range] = []
-    b_rows: List[range] = []
-    ai = bi = 0
-    for row in delta.rows:
-        a_rows.append(range(ai, ai + row.a_count))
-        b_rows.append(range(bi, bi + row.b_count))
-        ai += row.a_count
-        bi += row.b_count
-    if b_before is not None:
-        for ra, rb in zip(_longest_first(a_rows), _longest_first(b_before)):
-            a_rows[ra] = b_before[rb]
-    a_map = [-1] * ai
-    b_map = [-1] * bi
-    for row, a_idx, b_idx in zip(delta.rows, a_rows, b_rows):
-        # Each letter maps to the next one in its row: after a leading b,
-        # b-letter j to a-letter j and a-letter j to b-letter j + 1; else
-        # a-letter j to b-letter j and b-letter j to a-letter j + 1.
+    The letters of each kind in a row have consecutive numbers, so each row
+    is two slice assignments: a-letter j goes to b-letter j + lead and
+    b-letter j to a-letter j + 1 - lead, lead 1 after a leading b, while
+    that letter exists.  The a-counts never increase in the canonical row
+    order, so the a-rows come longest first as they are; the k-th of them
+    meets the k-th longest b-row before, and the letters of one kind in a
+    row are a chain of the composition on that kind: B A of the renumbered
+    pair moves the b-letter numbers as A B of the diagram before does, with
+    the rows taken in the order a Jordan basis takes chains.  a_starts must
+    hold a start for each part of delta's a-part, longest first."""
+    rows = delta.rows[: len(delta.a_part.parts)]  # the rows with an a, the singletons "b" after them
+    if a_starts is None:
+        a_starts = [0, *itertools.accumulate([row.a_count for row in rows])]
+    a_map = [-1] * delta.total_a
+    b_map = [-1] * delta.total_b
+    b_rows = []  # (-length, start) of each nonempty b-row
+    b0 = 0
+    for row, a0 in zip(rows, a_starts):
+        na = row.a_count
         if row.leading_b:
-            for j, a in enumerate(a_idx):
-                b_map[b_idx[j]] = a
-                if j + 1 < len(b_idx):
-                    a_map[a] = b_idx[j + 1]
+            nb = na + row.trailing_b
+            a_map[a0 : a0 + nb - 1] = range(b0 + 1, b0 + nb)
+            b_map[b0 : b0 + na] = range(a0, a0 + na)
         else:
-            for j, b in enumerate(b_idx):
-                a_map[a_idx[j]] = b
-                if j + 1 < len(a_idx):
-                    b_map[b] = a_idx[j + 1]
-    return a_map, b_map, b_rows
-
-
-def _longest_first(rows: Sequence[range]) -> List[int]:
-    """The indices of the nonempty rows, longest first, equal lengths in
-    row order."""
-    return sorted((r for r in range(len(rows)) if rows[r]), key=lambda r: -len(rows[r]))
+            nb = na - 1 + row.trailing_b
+            a_map[a0 : a0 + nb] = range(b0, b0 + nb)
+            b_map[b0 : b0 + na - 1] = range(a0 + 1, a0 + na)
+        if nb:
+            b_rows.append((-nb, b0))
+        b0 += nb
+    b_rows.sort()  # longest first, equal lengths by start: in row order
+    # The singletons "b" come last: of length 1, and last in row order.
+    return a_map, b_map, [b for _, b in b_rows] + list(range(b0, delta.total_b))

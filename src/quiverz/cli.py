@@ -3,7 +3,8 @@ the verification drivers.
 
 Structured output is a single JSON document on stdout; human-readable notes
 go to stderr (suppressed by --json).  Exit codes: 0 success, 1 a verification
-found a counterexample, 2 usage or domain error, 141 stdout closed by its
+found a counterexample, 2 usage or domain error (a part or dimvec answer
+past verify.DEFAULT_BUDGET boxes and entries too), 141 stdout closed by its
 reader before the output was written (128 + SIGPIPE, as a shell reports a
 process that SIGPIPE ends).
 """
@@ -43,8 +44,18 @@ def _note(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _within_budget(size: int) -> None:
+    """Refuse (exit 2) a part or dimvec answer that would hold more than
+    verify.DEFAULT_BUDGET boxes and matrix entries before any is built, as
+    the verify statements refuse their larger sweeps."""
+    if size > verify.DEFAULT_BUDGET:
+        raise ValueError(f"an answer of {size} boxes and entries exceeds the budget of {verify.DEFAULT_BUDGET}")
+
+
 def _cmd_part(args) -> int:
     eta = Partition.parse(args.partition)
+    if args.op != "dom":  # the others answer with eta's boxes, or with its boxes added to
+        _within_budget(eta.weight + (args.boxes if args.op == "add" else 0))
     if args.op == "dual":
         _emit(dual(eta).to_list())
     elif args.op == "add":
@@ -64,6 +75,8 @@ def _cmd_part(args) -> int:
 
 def _cmd_dimvec(args) -> int:
     d = parse_dim_vector(args.dims)
+    if args.op != "slack":  # the others build partitions of n_t, a verdict four maps per edge
+        _within_budget(d[-1] + (4 * sum(lo * hi for lo, hi in zip(d, d[1:])) if args.op == "verdict" else 0))
     if args.op == "classify":
         result = classify(d)
         payload = {"tag": result.tag}

@@ -27,7 +27,9 @@ reduced once.  Below the gate the row loop skips zero entries and suits the
 tiny dense matrices of the exhaustive drivers.  rank counts the pivots of
 the rank echelon, _echelon, of every input: it eliminates only below each
 pivot, and past the gate it packs rows straight from the entries and
-shifts each spent column out.
+shifts each spent column out.  is_injective reads a 0/1 partial
+permutation off its index map, with no elimination: the forward maps of a
+glued chain point are such.
 
 _rref is the one Gauss-Jordan, in place: every column but the pivot
 columns ends as the RREF's, and each pivot column holds the in-place entry,
@@ -458,6 +460,12 @@ def rank(M: ExactMatrix) -> int:
 
 
 def is_injective(M: ExactMatrix) -> bool:
+    """rank(M) == M.cols: a 0/1 partial permutation (_partial_permutation)
+    is injective exactly when it kills no unit vector, and any other matrix
+    is ranked by the rank echelon."""
+    image = _partial_permutation(M.entries, M.rows, M.cols)
+    if image is not None:
+        return -1 not in image
     return rank(M) == M.cols
 
 

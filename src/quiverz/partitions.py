@@ -10,6 +10,7 @@ dominance-maximal way.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -99,13 +100,10 @@ def dominates(eta: Partition, nu: Partition) -> bool:
         raise ValueError(
             f"incomparable weights: {eta.weight} vs {nu.weight}"
         )
-    se = sn = 0
-    for i in range(max(len(eta), len(nu))):
-        se += eta.parts[i] if i < len(eta.parts) else 0
-        sn += nu.parts[i] if i < len(nu.parts) else 0
-        if se < sn:
-            return False
-    return True
+    # zip stops at the shorter partition: past a shorter eta its sums stay at
+    # the weight, which bounds nu's; a shorter nu reaches the weight at its
+    # last part, where eta's sum falls short, inside the zip.
+    return all(map(operator.ge, itertools.accumulate(eta.parts), itertools.accumulate(nu.parts)))
 
 
 def add(eta: Partition, a: int) -> Partition:

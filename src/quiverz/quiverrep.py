@@ -15,12 +15,15 @@ the k-th longest row meeting the k-th longest.  So B_i A_i is A_{i-1}
 B_{i-1} by construction, and no product, chain or permutation is formed to
 glue.  Every map of a glued point is a 0/1 partial permutation of the
 letters, and the glue gives each as its index map, the letter each letter
-goes to.  What certifies the glued point is the re-check that follows, on
-those maps (_map_recheck): composed, they must meet the relations, and the
-Jordan type of every A_i B_i, theta last, read off its chains, must be the
-b-part of its diagram.  It forms no matrix and eliminates nothing, so the
-image sweep re-checks its chains without building points.  build_from_chain
-then writes each map as its 0/1 matrix and reads it back
+goes to.  One walk places, numbers and re-checks a chain (_walk_chain):
+each diagram is numbered as soon as it is placed, and its interface is
+re-checked at once (_interface_recheck): its maps composed must meet the
+relation, and the Jordan type of A_i B_i, theta last, read off its chains,
+must be the b-part of the diagram.  Between diagrams the walk keeps only
+the last A B and the last diagram's b-row starts.  The re-check forms no
+matrix and eliminates nothing, so the image sweep re-checks its chains
+without building points.  build_from_chain walks a given chain the same
+way, then writes each map as its 0/1 matrix and reads it back
 (_partial_permutation) against the map that passed.
 """
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import functools
 import itertools
 
 from quiverz.abdiagrams import ABDiagram, _numbered_pair, max_diagram, random_diagram
@@ -458,31 +462,46 @@ def from_flag_point(x: FlagPoint) -> QuiverRep:
     return z
 
 
-def _walk_chain(dims: Sequence[int], place) -> List[ABDiagram]:
-    """Placements place(eta, step) along the difference sequence, each eta
-    the b-part of the previous placement."""
+def _walk_chain(dims: Sequence[int], place) -> Tuple[List[ABDiagram], List[List[int]], List[List[int]]]:
+    """(the chain, its forward maps A, its backward maps B) of placements
+    place(eta, step) along the difference sequence of dims, each eta the
+    b-part of the placement before: the one walk and glue of a chain.
+
+    Each diagram is numbered onto the one before (_numbered_pair) and its
+    interface re-checked (_interface_recheck) as soon as it is placed; the
+    maps are index maps (_partial_permutation).  Between diagrams the walk
+    keeps A B of the last interface and the b-row starts of the last
+    diagram."""
     dims = as_dim_vector(dims)
-    eta = Partition((1,) * dims[0])
-    chain = []
+    eta = Partition._sorted((1,) * dims[0])
+    chain, A, B = [], [], []
+    ab = [-1] * dims[0]  # A_0 B_0 = 0
+    starts = None
     for i in range(len(dims) - 1):
         step = dims[i + 1] - dims[i]
         if step < 0:
             raise ValueError(f"decreasing step at position {i + 1}: {dims}")
         delta = place(eta, step)
+        a, b, starts = _numbered_pair(delta, starts)
+        ab = _interface_recheck(a, b, ab, delta)
         chain.append(delta)
+        A.append(a)
+        B.append(b)
         eta = delta.b_part
-    return chain
+    return chain, A, B
 
 
 def greedy_chain(dims: Sequence[int]) -> List[ABDiagram]:
-    """The chain of top placements along the difference sequence; its final
-    b-part is theta_image(dims)."""
-    return _walk_chain(dims, max_diagram)
+    """The chain of top placements along the difference sequence, glued and
+    re-checked as it is placed (_walk_chain); its final b-part is
+    theta_image(dims)."""
+    return _walk_chain(dims, max_diagram)[0]
 
 
 def random_chain(dims: Sequence[int], rng) -> List[ABDiagram]:
-    """A random compatible chain of placements along the difference sequence."""
-    return _walk_chain(dims, lambda eta, step: random_diagram(eta, step, rng))
+    """A random compatible chain of placements along the difference
+    sequence, glued and re-checked as it is placed (_walk_chain)."""
+    return _walk_chain(dims, functools.partial(random_diagram, rng=rng))[0]
 
 
 def build_from_chain(deltas: Sequence[ABDiagram], field: FieldSpec) -> QuiverRep:
@@ -494,33 +513,15 @@ def build_from_chain(deltas: Sequence[ABDiagram], field: FieldSpec) -> QuiverRep
     quotient-map value of the result has Jordan type b_part of the last
     diagram.
 
-    The glue numbers letters and gives index maps (_glued_maps): the pair
-    of each diagram has its letters as basis, b-letters numbered row after
-    row, and the a-letters of a later diagram take the numbers of the
-    b-letters they meet across the interface (_numbered_pair): the k-th
-    longest b-row of diagram i - 1 meets the k-th longest a-row of diagram
-    i, equal lengths in row order.  So B_i A_i, which sends each a-letter
-    to the next one in its row, is A_{i-1} B_{i-1}, which sends each
-    b-letter to the next one in its row, and no product, chain or
-    permutation is formed to glue.  The maps are then re-checked
-    (_map_recheck): composed, they must meet the relations, and the type of
-    every A_i B_i, theta last, read off its chains, must be the b-part of
-    diagram i.  That re-check is the certificate.  Each map becomes its
-    0/1 matrix, which must read back (_partial_permutation) as the map that
-    passed."""
-    dims, A, B = _glued_maps(deltas)
-    forward = tuple(_index_matrix(image, dims[i + 1], field) for i, image in enumerate(A))
-    backward = tuple(_index_matrix(image, dims[i], field) for i, image in enumerate(B))
-    for M, image in zip(forward + backward, A + B):
-        if _partial_permutation(M.entries, M.rows, M.cols) != image:
-            raise CertificateError(f"build_from_chain: a matrix of the point glued for {dims} is not its map")
-    return QuiverRep._unchecked(dims, forward, backward, field)
-
-
-def _glued_maps(deltas: Sequence[ABDiagram]) -> Tuple[tuple, List[List[int]], List[List[int]]]:
-    """(dims, A, B) for the point build_from_chain glues from deltas, A and
-    B the lists of its forward and backward maps as index maps, re-checked
-    by _map_recheck; ValueError on a chain that does not glue."""
+    The chain is walked with its own diagrams as the placements
+    (_walk_chain): each diagram's letters are numbered onto the one before,
+    the k-th a-row of diagram i taking the numbers of the k-th longest
+    b-row of diagram i - 1 (_numbered_pair), and that interface is
+    re-checked at once (_interface_recheck): its maps must be index maps,
+    B_i A_i must be A_{i-1} B_{i-1}, and the type of A_i B_i, theta last,
+    read off its chains, must be the b-part of diagram i.  That re-check is
+    the certificate.  Each map then becomes its 0/1 matrix, which must read
+    back (_partial_permutation) as the map that passed (_chain_point)."""
     deltas = list(deltas)
     if not deltas:
         raise ValueError("chain must contain at least one diagram")
@@ -535,45 +536,44 @@ def _glued_maps(deltas: Sequence[ABDiagram]) -> Tuple[tuple, List[List[int]], Li
                 f"chain mismatch at interface {i + 1}: b-part {deltas[i].b_part.to_list()} "
                 f"vs a-part {deltas[i + 1].a_part.to_list()}"
             )
-    dims = as_dim_vector([deltas[0].total_a] + [delta.total_b for delta in deltas])
-    A = []
-    B = []
-    b_rows = None
-    for delta in deltas:
-        a_map, b_map, b_rows = _numbered_pair(delta, b_rows)
-        A.append(a_map)
-        B.append(b_map)
-    _map_recheck(deltas, A, B)
-    return dims, A, B
+    dims = (deltas[0].total_a,) + tuple(delta.total_b for delta in deltas)  # checked by the walk
+    rest = iter(deltas)
+    _, A, B = _walk_chain(dims, lambda eta, step: next(rest))
+    return _chain_point(dims, A, B, field)
 
 
-def _map_recheck(deltas: Sequence[ABDiagram], A: Sequence[List[int]], B: Sequence[List[int]]) -> List[Partition]:
-    """The types of A_i B_i, theta last, of the point whose maps are the
-    index maps A_i and B_i (_partial_permutation) glued from deltas, else
-    CertificateError: the one re-check of a glued point.
+def _chain_point(dims: tuple, A: List[List[int]], B: List[List[int]], field: FieldSpec) -> QuiverRep:
+    """The point whose maps are the index maps A and B of a walked chain
+    (_walk_chain), each written as its 0/1 matrix and read back
+    (_partial_permutation) against the map that passed, else
+    CertificateError."""
+    forward = tuple(_index_matrix(image, dims[i + 1], field) for i, image in enumerate(A))
+    backward = tuple(_index_matrix(image, dims[i], field) for i, image in enumerate(B))
+    for M, image in zip(forward + backward, A + B):
+        if _partial_permutation(M.entries, M.rows, M.cols) != image:
+            raise CertificateError(f"build_from_chain: a matrix of the point glued for {dims} is not its map")
+    return QuiverRep._unchecked(dims, forward, backward, field)
 
-    Each map must be a partial permutation between the letters of its
-    shape.  Composed, B_1 A_1 must vanish and B_i A_i must be A_{i-1}
-    B_{i-1}; the composition of such maps is their matrix product.  The
-    type of each A_i B_i is read off its chains (_index_chains) and must be
-    the b-part of diagram i."""
-    dims = [deltas[0].total_a] + [delta.total_b for delta in deltas]
-    types: List[Partition] = []
-    ab = [-1] * dims[0]  # A_0 B_0 = 0
-    if len(A) == len(B) == len(deltas):
-        for i, delta in enumerate(deltas):
-            a, b = A[i], B[i]
-            if not (_is_index_map(a, dims[i], dims[i + 1]) and _is_index_map(b, dims[i + 1], dims[i])):
-                break
-            if [b[x] if x >= 0 else -1 for x in a] != ab:
-                break
-            ab = [a[y] if y >= 0 else -1 for y in b]
-            if tuple(sorted(map(len, _index_chains(ab)), reverse=True)) != delta.b_part.parts:
-                break
-            types.append(delta.b_part)
-    if len(types) != len(deltas):
-        raise CertificateError(f"build_from_chain: the point glued for {tuple(dims)} fails its re-check")
-    return types
+
+def _interface_recheck(a: List[int], b: List[int], ab: List[int], delta: ABDiagram) -> List[int]:
+    """A_i B_i as an index map, for a = A_i and b = B_i the index maps
+    (_partial_permutation) glued for delta and ab = A_{i-1} B_{i-1} (all -1
+    at the first interface), else CertificateError: the one re-check of a
+    glued interface.
+
+    Both maps must be partial permutations between the letters of their
+    shapes, B_i A_i must be ab (the composition of such maps is their
+    matrix product), and the type of A_i B_i, read off its chains
+    (_index_chains), must be the b-part of delta."""
+    lo, hi = len(ab), delta.total_b
+    if _is_index_map(a, lo, hi) and _is_index_map(b, hi, lo):
+        b_end = b + [-1]  # so that index -1, the end of a row, maps to -1
+        if list(map(b_end.__getitem__, a)) == ab:
+            a_end = a + [-1]
+            ab = list(map(a_end.__getitem__, b))
+            if tuple(sorted(map(len, _index_chains(ab)), reverse=True)) == delta.b_part.parts:
+                return ab
+    raise CertificateError(f"build_from_chain: the maps glued for {delta} fail their re-check")
 
 
 def _is_index_map(image: Sequence[int], cols: int, rows: int) -> bool:
@@ -626,7 +626,7 @@ def witness_reducible(dims: Sequence[int], field: FieldSpec, rng) -> Reducibilit
     mu = mu_of(dims)
     if lam == mu:
         return ReducibilityReport(dims, lam, mu, "no_obstruction")
-    z1 = build_from_chain(greedy_chain(dims), field)
+    z1 = _chain_point(dims, *_walk_chain(dims, max_diagram)[1:], field)
     z2, t2 = _sample_stable(dims, field, rng)
     if not dominates(mu, t2):
         raise CertificateError(f"witness_reducible: the witnesses for {dims} fail their re-check")

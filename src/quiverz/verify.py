@@ -70,7 +70,6 @@ from quiverz.quiverrep import (
     _backward_types,
     _degrees_bounded,
     _flag_blocks,
-    _glued_maps,
     _point_products,
     _subspace_criterion,
     greedy_chain,
@@ -428,22 +427,20 @@ def _theta_image_instance(d: tuple, p: int, seed: int, trials: int) -> dict:
     rng = derive_rng(seed, "theta-image", d)
     lam = theta_image(d)
     mu = mu_of(d)
-    # The glue's re-check certifies a chain's relations and its type at
-    # every interface (the b-parts of its chain) on its index maps.  A
-    # stable sample is checked at the coordinate-flag point of its
-    # endomorphism, without sample_stable's base change, which keeps every
-    # check below.  There each A_i is an inclusion, so injective, and the
+    # The walk that places a chain glues it and re-checks its relations
+    # and its type at each interface (the b-parts of its chain) on its
+    # index maps as it goes.  A stable sample is checked at the
+    # coordinate-flag point of its endomorphism, without sample_stable's
+    # base change, which keeps every check below.  There each A_i is an inclusion, so injective, and the
     # relations with theta = endo say that the endomorphism lowers the flag
     # (_flag_endo's re-check); A_i B_i is then the endomorphism on the first
     # n_{i+1} coordinates, typed off the composites of its leading blocks.
     checks = [("lambda_dominates_mu", dominates(lam, mu))]
     chain = greedy_chain(d)
-    _glued_maps(chain)
     checks.append(("greedy_nilpotency", _degrees_bounded([delta.b_part for delta in chain])))
     checks.append(("greedy_type_is_lambda", chain[-1].b_part == lam))
     for k in range(trials):
         chain = random_chain(d, rng)
-        _glued_maps(chain)
         end = chain[-1].b_part  # bounded by M(d) >= lambda, formed where lambda misses
         checks.append((f"chain{k}_bounded_by_lambda", dominates(lam, end) or dominates(theta_image_max(d), end)))
         checks.append((f"chain{k}_nilpotency", _degrees_bounded([delta.b_part for delta in chain])))

@@ -36,6 +36,11 @@ across each interface.  build_from_chain_dense is that numbering as it was
 before the glue gave index maps: it fills each pair as dense 0/1 lists and
 re-checks the point by products and Jordan types, where build_from_chain
 re-checks the maps by composing them and reading their chains.
+glued_maps_two_pass is the glue of index maps as it was before the walk
+glued each chain as it placed it (quiverrep._walk_chain): it numbers the
+letters of every diagram first, each row letter by letter, with the a-rows
+sorted longest first (numbered_pair_two_pass), then re-checks the whole
+chain in a second pass (map_recheck_two_pass).
 flag_sample_by_point is the check theta-image made of a stable sample on
 its coordinate-flag point, which it now makes on the endomorphism alone.
 theta_image_max_by_strata is M(d) by brute force over every stratum
@@ -53,13 +58,14 @@ import math
 from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from quiverz.abdiagrams import _longest_first, build_pair, enumerate_b_parts
+from quiverz.abdiagrams import ABDiagram, build_pair, enumerate_b_parts
 from quiverz.exactmat import (
     _SLOT_LIMIT,
     CertificateError,
     ExactMatrix,
     FieldSpec,
     _chains,
+    _index_chains,
     _is_prime,
     _jordan_basis,
     _jordan_flat,
@@ -87,6 +93,7 @@ from quiverz.quiverrep import (
     FlagPoint,
     QuiverRep,
     _interface_types,
+    _is_index_map,
     _lowering_endo,
     _point_products,
     _rep_products,
@@ -369,6 +376,117 @@ def build_from_chain_by_chain_order(deltas, field) -> QuiverRep:
     return QuiverRep(dims, A, B, field)
 
 
+def numbered_pair_two_pass(delta: ABDiagram, b_before: Optional[Sequence[range]] = None) -> tuple:
+    """(A, B, the b-letter numbers of each row) for delta's letters numbered
+    as build_pair numbers them, but with b_before, the b-letter numbers of
+    the diagram glued before it, its a-letters numbered by the matching.
+    A and B are index maps (_partial_permutation): A[a] is the number of the
+    b-letter after a-letter a in its row, B[b] that of the a-letter after
+    b-letter b, and -1 at the end of a row.
+
+    The matching pairs the k-th longest row of b_before with the k-th
+    longest row of a-letters of delta, equal lengths in row order, and each
+    a-letter takes the number of the b-letter at its place in the matched
+    row.  The letters of one kind in a row are a chain of the composition
+    on that kind, so B A of the renumbered pair moves the b-letter numbers
+    as A B of the diagram before does; the rows are taken in the order a
+    Jordan basis takes chains.  b_before must have delta's a-part as its row
+    lengths."""
+    a_rows: List[range] = []
+    b_rows: List[range] = []
+    ai = bi = 0
+    for row in delta.rows:
+        a_rows.append(range(ai, ai + row.a_count))
+        b_rows.append(range(bi, bi + row.b_count))
+        ai += row.a_count
+        bi += row.b_count
+    if b_before is not None:
+        for ra, rb in zip(longest_first(a_rows), longest_first(b_before)):
+            a_rows[ra] = b_before[rb]
+    a_map = [-1] * ai
+    b_map = [-1] * bi
+    for row, a_idx, b_idx in zip(delta.rows, a_rows, b_rows):
+        # Each letter maps to the next one in its row: after a leading b,
+        # b-letter j to a-letter j and a-letter j to b-letter j + 1; else
+        # a-letter j to b-letter j and b-letter j to a-letter j + 1.
+        if row.leading_b:
+            for j, a in enumerate(a_idx):
+                b_map[b_idx[j]] = a
+                if j + 1 < len(b_idx):
+                    a_map[a] = b_idx[j + 1]
+        else:
+            for j, b in enumerate(b_idx):
+                a_map[a_idx[j]] = b
+                if j + 1 < len(a_idx):
+                    b_map[b] = a_idx[j + 1]
+    return a_map, b_map, b_rows
+
+
+def longest_first(rows: Sequence[range]) -> List[int]:
+    """The indices of the nonempty rows, longest first, equal lengths in
+    row order."""
+    return sorted((r for r in range(len(rows)) if rows[r]), key=lambda r: -len(rows[r]))
+
+
+def glued_maps_two_pass(deltas: Sequence[ABDiagram]) -> Tuple[tuple, List[List[int]], List[List[int]]]:
+    """(dims, A, B) for the point build_from_chain glues from deltas, A and
+    B the lists of its forward and backward maps as index maps, re-checked
+    by _map_recheck; ValueError on a chain that does not glue."""
+    deltas = list(deltas)
+    if not deltas:
+        raise ValueError("chain must contain at least one diagram")
+    first_a = deltas[0].a_part
+    if any(p != 1 for p in first_a.parts):
+        raise ValueError(
+            f"first diagram must have all-ones a-part, got {first_a.to_list()}"
+        )
+    for i in range(len(deltas) - 1):
+        if deltas[i + 1].a_part != deltas[i].b_part:
+            raise ValueError(
+                f"chain mismatch at interface {i + 1}: b-part {deltas[i].b_part.to_list()} "
+                f"vs a-part {deltas[i + 1].a_part.to_list()}"
+            )
+    dims = as_dim_vector([deltas[0].total_a] + [delta.total_b for delta in deltas])
+    A = []
+    B = []
+    b_rows = None
+    for delta in deltas:
+        a_map, b_map, b_rows = numbered_pair_two_pass(delta, b_rows)
+        A.append(a_map)
+        B.append(b_map)
+    map_recheck_two_pass(deltas, A, B)
+    return dims, A, B
+
+
+def map_recheck_two_pass(deltas: Sequence[ABDiagram], A: Sequence[List[int]], B: Sequence[List[int]]) -> List[Partition]:
+    """The types of A_i B_i, theta last, of the point whose maps are the
+    index maps A_i and B_i (_partial_permutation) glued from deltas, else
+    CertificateError: the one re-check of a glued point.
+
+    Each map must be a partial permutation between the letters of its
+    shape.  Composed, B_1 A_1 must vanish and B_i A_i must be A_{i-1}
+    B_{i-1}; the composition of such maps is their matrix product.  The
+    type of each A_i B_i is read off its chains (_index_chains) and must be
+    the b-part of diagram i."""
+    dims = [deltas[0].total_a] + [delta.total_b for delta in deltas]
+    types: List[Partition] = []
+    ab = [-1] * dims[0]  # A_0 B_0 = 0
+    if len(A) == len(B) == len(deltas):
+        for i, delta in enumerate(deltas):
+            a, b = A[i], B[i]
+            if not (_is_index_map(a, dims[i], dims[i + 1]) and _is_index_map(b, dims[i + 1], dims[i])):
+                break
+            if [b[x] if x >= 0 else -1 for x in a] != ab:
+                break
+            ab = [a[y] if y >= 0 else -1 for y in b]
+            if tuple(sorted(map(len, _index_chains(ab)), reverse=True)) != delta.b_part.parts:
+                break
+            types.append(delta.b_part)
+    if len(types) != len(deltas):
+        raise CertificateError(f"build_from_chain: the point glued for {tuple(dims)} fails its re-check")
+    return types
+
+
 def numbered_pair_dense(delta, field, b_before=None) -> tuple:
     """(A, B, the b-letter numbers of each row) as abdiagrams._numbered_pair
     gave them before it returned index maps: A and B filled as dense 0/1
@@ -383,7 +501,7 @@ def numbered_pair_dense(delta, field, b_before=None) -> tuple:
         ai += row.a_count
         bi += row.b_count
     if b_before is not None:
-        for ra, rb in zip(_longest_first(a_rows), _longest_first(b_before)):
+        for ra, rb in zip(longest_first(a_rows), longest_first(b_before)):
             a_rows[ra] = b_before[rb]
     n, nb = ai, bi
     a_entries = [0] * (nb * n)

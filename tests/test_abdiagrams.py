@@ -7,6 +7,7 @@ import pytest
 from quiverz.abdiagrams import (
     ABDiagram,
     ABRow,
+    _numbered_pair,
     _placement,
     _row,
     _row_sort_key,
@@ -19,7 +20,7 @@ from quiverz.exactmat import FieldSpec, jordan_type, mul
 from quiverz.partitions import Partition, add, dominates
 from quiverz.verify import ab_step_report, pair_type_table
 
-from oracles import max_b_part, partitions_up_to_weight
+from oracles import longest_first, max_b_part, numbered_pair_two_pass, partitions_up_to_weight
 
 F = FieldSpec()
 
@@ -297,6 +298,45 @@ def test_placement_matches_checked_diagram():
             for delta in outputs:
                 assert _fields(delta) == _fields(ABDiagram(delta.rows[::-1])), (eta, a, delta)
                 assert all(row is _row(_row_sort_key(row)) for row in delta.rows)
+
+
+def _every_placement(max_weight, max_a):
+    """(eta, a, jvec, leads) for every distinct placement (_placement) of
+    every eta of weight at most max_weight and a <= max_a: per part value,
+    every multiset of row kinds (no end b, one leading, one trailing, two).
+    Rows with equal parts and kinds are the same row, so nothing repeats."""
+    kinds = ((0, True), (1, True), (1, False), (2, True))
+    for eta in partitions_up_to_weight(max_weight):
+        groups = [len(list(g)) for _, g in itertools.groupby(eta.parts)]
+        choices = [itertools.combinations_with_replacement(kinds, m) for m in groups]
+        for pick in itertools.product(*choices):
+            row_kinds = [kind for group in pick for kind in group]
+            jvec = [j for j, _ in row_kinds]
+            leads = [lead for _, lead in row_kinds]
+            for a in range(max_a + 1):
+                if sum(jvec) <= len(eta) + a:
+                    yield eta, a, jvec, leads
+
+
+def test_placement_a_counts_never_increase():
+    """In the canonical row order the a-counts never increase, on every
+    placement of weight at most 8 with a <= 4, so the a-rows of a diagram
+    come longest first as they stand: _numbered_pair relies on it.  On each
+    of them its numbering gives the maps of the numbering that sorted the
+    a-rows and numbered each row letter by letter
+    (oracles.numbered_pair_two_pass), and the b-row starts of its
+    longest-first b-rows."""
+    count = 0
+    for eta, a, jvec, leads in _every_placement(8, 4):
+        delta = _placement(eta, a, jvec, leads)
+        a_counts = [row.a_count for row in delta.rows]
+        assert a_counts == sorted(a_counts, reverse=True), delta
+        A, B, starts = _numbered_pair(delta)
+        A2, B2, b_rows = numbered_pair_two_pass(delta)
+        assert (A, B) == (A2, B2), delta
+        assert starts == [b_rows[r].start for r in longest_first(b_rows)], delta
+        count += 1
+    assert count == 20652  # as many distinct diagrams as the 538130 placements of the 3^s jvec and leads give
 
 
 # --- matrix pairs ------------------------------------------------------------------

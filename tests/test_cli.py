@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -76,6 +77,66 @@ def test_domain_error_exit_code(capsys):
     assert code == 2
     code = main(["dimvec", "mu", "2,2"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["part", "dual", "1000000000"],
+        ["part", "add", "5", "100000000"],
+        ["part", "young", "100000000"],
+        ["part", "nvec", "100000000"],
+        ["dimvec", "mu", "1,2,100000000"],
+        ["dimvec", "lambda", "1,2,100000000"],
+        ["dimvec", "classify", "1,2,100000000"],
+        ["dimvec", "obstruction", "1,2,100000000"],
+        ["dimvec", "verdict", "1000,2000,3000"],
+    ],
+)
+def test_long_answers_are_refused(argv):
+    """A part or dimvec answer of more than DEFAULT_BUDGET boxes and matrix
+    entries exits 2 before any is built: each of these ran past 20 s when
+    it was built (a partition of 10^8 or 10^9 parts, or a verdict's maps of
+    about 3.2 * 10^7 entries).  Each runs in its own process, which must
+    end within 5 s."""
+    src = os.path.dirname(os.path.dirname(quiverz.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "quiverz.cli", *argv], capture_output=True, text=True, env=env, timeout=5
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: an answer of ") and "exceeds the budget of 10000000" in done.stderr
+
+
+def test_answers_within_the_budget_keep_their_bytes():
+    """The budget leaves the answers below it as they were: the verdicts of
+    (100, 200, 300, 400), (40, 80, 120) and (2, 40, 41) keep their bytes
+    (digests of stdout), a box is added to a partition of weight
+    DEFAULT_BUDGET - 1 but not to one of weight DEFAULT_BUDGET, and dom
+    compares partitions past the budget, since its
+    answer is one word."""
+    src = os.path.dirname(os.path.dirname(quiverz.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cli_out(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "quiverz.cli", *argv], capture_output=True, env=env, timeout=30
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    digests = {
+        "100,200,300,400": "4c9d0ce336b50b51",
+        "40,80,120": "afa334a8a314ec9a",
+        "2,40,41": "17795cbd00cef1b7",
+    }
+    for dims, digest in digests.items():
+        assert hashlib.sha256(cli_out("dimvec", "verdict", dims)).hexdigest()[:16] == digest, dims
+    budget = verify.DEFAULT_BUDGET
+    assert cli_out("part", "add", f"{budget - 1}", "1") == b"[10000000]\n"
+    assert cli_out("part", "dom", "1000000000", "999999999,1") == b"true\n"
+    assert main(["part", "add", f"{budget}", "1"]) == 2
 
 
 def test_usage_error_exit_code():

@@ -609,6 +609,37 @@ def test_is_injective():
     assert is_injective(zeros(3, 0, F))
 
 
+def test_is_injective_matches_rank(monkeypatch):
+    """is_injective reads a 0/1 partial permutation off its index map and
+    ranks every other matrix: it agrees with rank(M) == M.cols on every 0/1
+    matrix of at most 3 x 3 over F_2, on seeded 40 x 40, 40 x 30 and 30 x 40
+    partial permutations over F_32003 with 0, 1 or 5 columns killed, and on
+    seeded dense matrices of those shapes; it eliminates (_echelon) exactly
+    for the inputs that are not partial permutations."""
+    cases = []
+    for rows, cols in itertools.product(range(4), repeat=2):
+        for entries in itertools.product((0, 1), repeat=rows * cols):
+            cases.append(ExactMatrix(rows, cols, entries, F2))
+    rng = random.Random(47)
+    for rows, cols in ((40, 40), (40, 30), (30, 40)):
+        for kills in (0, 1, 5):
+            for _ in range(3):
+                cases.append(ExactMatrix(rows, cols, _random_partial_permutation(rows, cols, rng, kills), F))
+        for _ in range(3):
+            cases.append(random_matrix(rows, cols, F, rng))
+    expected = [rank(m) == m.cols for m in cases]
+    eliminations = _counting(monkeypatch, "_echelon")
+    got = []
+    for m in cases:
+        eliminations.clear()
+        got.append(is_injective(m))
+        permutation = exactmat._partial_permutation(m.entries, m.rows, m.cols) is not None
+        assert len(eliminations) == (not permutation), m
+    assert got == expected
+    assert len(cases) == sum(2 ** (r * c) for r in range(4) for c in range(4)) + 3 * 12
+    assert expected.count(True) > 30 and expected.count(False) > 30
+
+
 # --- solve ---------------------------------------------------------------------
 
 

@@ -163,6 +163,26 @@ def test_dominates_weight_mismatch():
         dominates(P(2, 1), P(2, 2))
 
 
+def test_dominates_matches_padded_prefix_sums():
+    """dominates, which zips the prefix sums and stops at the shorter
+    partition, agrees with the loop that pads the shorter one with zeros
+    and compares every prefix sum, on every pair of partitions of equal
+    weight up to 10."""
+    count = 0
+    for w in range(11):
+        parts = list(partitions_of_weight(w))
+        for x, y in itertools.product(parts, parts):
+            se = sn = 0
+            padded = True
+            for i in range(max(len(x), len(y))):
+                se += x.parts[i] if i < len(x) else 0
+                sn += y.parts[i] if i < len(y) else 0
+                padded = padded and se >= sn
+            assert dominates(x, y) == padded, (x, y)
+            count += 1
+    assert count == sum(len(list(partitions_of_weight(w))) ** 2 for w in range(11))
+
+
 def test_dominates_is_partial_order():
     for w in range(9):
         parts = list(partitions_of_weight(w))

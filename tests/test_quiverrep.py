@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import pickle
@@ -9,7 +10,7 @@ import textwrap
 import pytest
 
 from quiverz import abdiagrams, exactmat, quiverrep
-from quiverz.abdiagrams import ABDiagram, enumerate_b_parts
+from quiverz.abdiagrams import ABDiagram, enumerate_b_parts, max_diagram, random_diagram
 from quiverz.exactmat import (
     CertificateError,
     ExactMatrix,
@@ -17,6 +18,7 @@ from quiverz.exactmat import (
     _jordan_basis,
     _jordan_flat,
     _mul_flat,
+    _partial_permutation,
     conjugator,
     hstack,
     identity,
@@ -37,12 +39,12 @@ from quiverz.quiverrep import (
     _flag_blocks,
     _flag_endo,
     _flag_point,
-    _glued_maps,
+    _interface_recheck,
     _interface_types,
     _lowering_endo,
-    _map_recheck,
     _rep_products,
     _sample_stable,
+    _walk_chain,
     act,
     alpha,
     build_from_chain,
@@ -65,6 +67,7 @@ from oracles import (
     build_from_chain_dense,
     build_from_chain_by_conjugators,
     flag_sample_by_point,
+    glued_maps_two_pass,
     mat_pow,
     nilpotency_by_powers,
     random_group_element,
@@ -801,12 +804,16 @@ def test_build_from_chain_takes_conjugator_inverse_from_bases(monkeypatch):
 
 def test_build_from_chain_computes_nothing_before_its_recheck(monkeypatch):
     """The glue forms no product and no matrix, reads no chain and builds
-    no pair with build_pair before its one re-check, _map_recheck, which
-    composes the index maps and reads the chains of each A_i B_i
-    (_index_chains).  Then each of the 2 (t - 1) maps is written once as
-    its matrix (_index_matrix) and read back once (_partial_permutation),
-    and no product is formed at all, where the re-check of the point once
-    formed the 2 (t - 1) products of the relations and theta."""
+    no pair with build_pair before its re-check.  A chain is walked once
+    (_walk_chain), and at each of its t - 1 interfaces the walk numbers the
+    diagram (_numbered_pair) and re-checks that interface at once
+    (_interface_recheck), which composes the index maps and reads the chains
+    of A_i B_i (_index_chains).  Then each of the 2 (t - 1) maps is written
+    once as its matrix (_index_matrix) and read back once
+    (_partial_permutation), and no product is formed at all, where the
+    re-check of the point once formed the 2 (t - 1) products of the
+    relations and theta.  When the maps of the whole chain were re-checked
+    in a second pass, one re-check followed every numbering."""
     calls = []
     depth = [0]
 
@@ -817,17 +824,20 @@ def test_build_from_chain_computes_nothing_before_its_recheck(monkeypatch):
 
         return wrapper
 
-    def rechecking(*args):
-        calls.append(("_map_recheck", depth[0]))
-        depth[0] += 1
-        try:
-            return real_recheck(*args)
-        finally:
-            depth[0] -= 1
+    def nesting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append((name, depth[0]))
+            depth[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
 
-    real_recheck = quiverrep._map_recheck
-    monkeypatch.setattr(quiverrep, "_map_recheck", rechecking)
-    for name in ("_mul_flat", "_index_chains", "_index_matrix", "_partial_permutation"):
+        return wrapper
+
+    for name in ("_walk_chain", "_interface_recheck"):
+        monkeypatch.setattr(quiverrep, name, nesting(name, getattr(quiverrep, name)))
+    for name in ("_numbered_pair", "_mul_flat", "_index_chains", "_index_matrix", "_partial_permutation"):
         monkeypatch.setattr(quiverrep, name, recording(name, getattr(quiverrep, name)))
     for name in ("_mul_flat", "_chains"):
         monkeypatch.setattr(exactmat, name, recording(name, getattr(exactmat, name)))
@@ -839,8 +849,8 @@ def test_build_from_chain_computes_nothing_before_its_recheck(monkeypatch):
             build_from_chain(chain, F)
             t = len(dims)
             assert calls == (
-                [("_map_recheck", 0)]
-                + [("_index_chains", 1)] * (t - 1)
+                [("_walk_chain", 0)]
+                + [("_numbered_pair", 1), ("_interface_recheck", 1), ("_index_chains", 2)] * (t - 1)
                 + [("_index_matrix", 0)] * (2 * (t - 1))
                 + [("_partial_permutation", 0)] * (2 * (t - 1))
             )
@@ -850,8 +860,9 @@ def test_build_from_chain_certifies_every_interface(monkeypatch):
     """Glued from the pairs of another chain with the same last b-part, a
     point of (1, 3, 4) meets the relations and theta has the claimed type,
     which was all the re-check read before; but A_1 B_1 has type (2, 1), not
-    the (1, 1, 1) its chain claims, and build_from_chain raises.  The pairs
-    are swapped where the glue numbers the letters of each diagram."""
+    the (1, 1, 1) its chain claims, and build_from_chain raises at the
+    first interface's re-check, before the second diagram is numbered.  The
+    pairs are swapped where the walk numbers the letters of each diagram."""
     first = enumerate_b_parts(P(1), 2, witnesses=True)
     right = [first[P(1, 1, 1)], enumerate_b_parts(P(1, 1, 1), 1, witnesses=True)[P(2, 2)]]
     wrong = [first[P(2, 1)], enumerate_b_parts(P(2, 1), 1, witnesses=True)[P(2, 2)]]
@@ -859,11 +870,16 @@ def test_build_from_chain_certifies_every_interface(monkeypatch):
     assert check_relations(z) and jordan_type(theta(z)) == right[-1].b_part
     swap = {id(good): bad for good, bad in zip(right, wrong)}
     real = quiverrep._numbered_pair
-    monkeypatch.setattr(
-        quiverrep, "_numbered_pair", lambda delta, b_before=None: real(swap[id(delta)], b_before)
-    )
+    numbered = []
+
+    def numbering(delta, a_starts=None):
+        numbered.append(delta)
+        return real(swap[id(delta)], a_starts)
+
+    monkeypatch.setattr(quiverrep, "_numbered_pair", numbering)
     with pytest.raises(CertificateError, match="build_from_chain"):
         build_from_chain(right, F)
+    assert numbered == right[:1]
 
 
 def test_lowering_endo_matches_checked_constructor():
@@ -900,6 +916,68 @@ def _chains_to_compare():
     for dims in ((4, 11, 16), (4, 7, 13, 16), (12, 27, 40)):
         yield dims, F, greedy_chain(dims)
         yield dims, F, random_chain(dims, rng)
+
+
+def _replayed(chain):
+    """(dims, A, B) of the walk that takes the diagrams of chain as its
+    placements, as build_from_chain walks it."""
+    dims = (chain[0].total_a,) + tuple(delta.total_b for delta in chain)
+    rest = iter(chain)
+    walked, A, B = _walk_chain(dims, lambda eta, step: next(rest))
+    assert walked == list(chain)
+    return dims, A, B
+
+
+def _rechecked(chain, A, B):
+    """A_i B_i of every interface, theta last, as index maps, if the maps A
+    and B pass _interface_recheck at each interface of chain in turn, else
+    CertificateError."""
+    products = []
+    ab = [-1] * chain[0].total_a
+    for delta, a, b in zip(chain, A, B):
+        ab = _interface_recheck(a, b, ab, delta)
+        products.append(ab)
+    return products
+
+
+def test_walk_glue_matches_two_pass_oracle():
+    """The walk that numbers and re-checks each diagram as it places it
+    gives the (dims, A, B) of the glue that numbered every diagram first and
+    re-checked the chain in a second pass (oracles.glued_maps_two_pass): on
+    every chain of _chains_to_compare, replayed as build_from_chain walks
+    it, and on the greedy chain and three seeded random chains of every
+    strictly monotone vector with last entry at most 8, as the walk places
+    them."""
+    count = 0
+    for dims, _, chain in _chains_to_compare():
+        assert _replayed(chain) == glued_maps_two_pass(chain), (dims, chain)
+        count += 1
+    rng = random.Random(53)
+    for dims in strictly_monotone_vectors(8):
+        walks = [_walk_chain(dims, max_diagram)] + [_walk_chain(dims, lambda eta, step: random_diagram(eta, step, rng)) for _ in range(3)]
+        for chain, A, B in walks:
+            assert (dims, A, B) == glued_maps_two_pass(chain), (dims, chain)
+            count += 1
+    assert count == 3 * 4 * 120 + 6 + 4 * 247
+
+
+def test_random_chain_draws_as_placed_one_by_one():
+    """random_chain draws exactly what random_diagram draws along the chain,
+    one placement after the other, the glue drawing nothing: the chains and
+    the rng state after them are those of a twin rng that places the same
+    chain diagram by diagram, and both are pinned by digest."""
+    rng, twin = random.Random(59), random.Random(59)
+    out = []
+    for d in strictly_monotone_vectors(7):
+        chain = random_chain(d, rng)
+        eta = P(*([1] * d[0]))
+        for delta, lo, hi in zip(chain, d, d[1:]):
+            assert delta == random_diagram(eta, hi - lo, twin), (d, chain)
+            eta = delta.b_part
+        assert rng.getstate() == twin.getstate()
+        out.append((d, [delta.to_strings() for delta in chain]))
+    digest = lambda x: hashlib.sha256(repr(x).encode()).hexdigest()[:16]  # noqa: E731
+    assert (digest(rng.getstate()), digest(out)) == ("c77f0c5dedde9c78", "a1c547842690bc60")
 
 
 def test_build_from_chain_matches_conjugator_oracle():
@@ -952,8 +1030,9 @@ def test_build_from_chain_matches_dense_oracle():
     and re-checked the point by products and Jordan types
     (build_from_chain_dense): on the greedy chain and five seeded random
     chains of every strictly monotone vector with last entry at most 7,
-    over F_2 and F_32003, the points are equal entry for entry, and the
-    types the map re-check reads are the types _interface_types finds on
+    over F_2 and F_32003, the points are equal entry for entry, the A_i B_i
+    the interface re-checks compose are the products of the point, and
+    their types are the b-parts of the chain, as _interface_types finds on
     the point."""
     count = 0
     for field in (F2, F):
@@ -964,9 +1043,11 @@ def test_build_from_chain_matches_dense_oracle():
                 oracle = build_from_chain_dense(chain, field)
                 assert z == oracle, (dims, field, chain)
                 assert [M.entries for M in z.A + z.B] == [M.entries for M in oracle.A + oracle.B]
-                glued_dims, A, B = _glued_maps(chain)
+                glued_dims, A, B = _replayed(chain)
                 assert glued_dims == dims
-                assert _map_recheck(chain, A, B) == _interface_types(z) == [delta.b_part for delta in chain]
+                products = [_partial_permutation(ab, n, n) for ab, n in zip(_rep_products(z), dims[1:])]
+                assert _rechecked(chain, A, B) == products
+                assert _interface_types(z) == [delta.b_part for delta in chain]
                 count += 1
     assert count == 2 * 120 * 6
 
@@ -1001,8 +1082,9 @@ def _changed_maps(A, B, dims):
 def test_map_recheck_matches_point_recheck_on_changed_maps():
     """One image of one map dropped, redirected or added, at every letter,
     on the greedy chain and two random chains of every strictly monotone
-    vector with last entry at most 5: the map re-check passes exactly when
-    every map is still a 0/1 partial permutation and the point of the
+    vector with last entry at most 5: the map re-check, _interface_recheck
+    at each interface in turn, passes exactly when every map is still a
+    0/1 partial permutation and the point of the
     changed maps passes the point re-check, its relations and the Jordan
     type of every A_i B_i (_interface_types).  Changes that keep the
     relations and every type pass both: 572 of the 2742 changes, 389 of
@@ -1013,13 +1095,13 @@ def test_map_recheck_matches_point_recheck_on_changed_maps():
     outcomes = {True: 0, False: 0}
     for dims in strictly_monotone_vectors(5):
         for chain in (greedy_chain(dims), random_chain(dims, rng), random_chain(dims, rng)):
-            _, A, B = _glued_maps(chain)
+            _, A, B = _replayed(chain)
             parts = [delta.b_part for delta in chain]
             for A2, B2 in _changed_maps(A, B, dims):
                 injective = all(len(set(m) - {-1}) == len(m) - m.count(-1) for m in A2 + B2)
                 expect = injective and _interface_types(_dense_point(dims, A2, B2, F2)) == parts
                 try:
-                    _map_recheck(chain, A2, B2)
+                    _rechecked(chain, A2, B2)
                     passed = True
                 except CertificateError:
                     passed = False
@@ -1032,10 +1114,11 @@ def test_map_recheck_matches_point_recheck_on_changed_maps():
 def test_map_recheck_refuses_changed_letter_maps(flags):
     """On the greedy chain of (1, 4, 5), A_1 = [1] (a0 -> b1) and B_1 = [0,
     -1, -1, -1] (b0 -> a0).  Three changes of one image each make the maps
-    glue no point of the chain, and the map re-check raises
+    glue no point of the chain, and the interface re-check
+    (_interface_recheck), run at each interface in turn, raises
     CertificateError, also under python -O; so does build_from_chain when
-    the glue hands it those maps, and the theta-image instance when it
-    re-checks them:
+    the numbering of its walk hands it those maps, and the theta-image
+    instance when its walk re-checks them:
     - A_1's image redirected to b2, a letter no map reaches: A_1 B_1 keeps
       its type (2, 1, 1), but B_2 A_2 = A_1 B_1 fails;
     - A_1's image dropped: A_1 B_1 = 0 has type (1, 1, 1, 1);
@@ -1043,8 +1126,7 @@ def test_map_recheck_refuses_changed_letter_maps(flags):
     script = textwrap.dedent(
         """
         from quiverz import exactmat, quiverrep, verify
-        chain = quiverrep.greedy_chain((1, 4, 5))
-        dims, A, B = quiverrep._glued_maps(chain)
+        chain, A, B = quiverrep._walk_chain((1, 4, 5), quiverrep.max_diagram)
         if (A, B) != ([[1], [1, 2, 4, -1]], [[0, -1, -1, -1], [0, 1, -1, 2, -1]]):
             raise SystemExit(f"unexpected maps {A} {B}")
         real_glue = quiverrep._numbered_pair
@@ -1053,14 +1135,20 @@ def test_map_recheck_refuses_changed_letter_maps(flags):
             "dropped": ([[-1], A[1]], B),
             "b1a1": (A, [[-1, 0, -1, -1], B[1]]),
         }
+
+        def recheck(A2, B2):
+            ab = [-1] * chain[0].total_a
+            for delta, a, b in zip(chain, A2, B2):
+                ab = quiverrep._interface_recheck(a, b, ab, delta)
+
         for name, (A2, B2) in changes.items():
-            def glue(delta, b_before=None):
-                a_map, b_map, b_rows = real_glue(delta, b_before)
+            def glue(delta, a_starts=None):
+                a_map, b_map, starts = real_glue(delta, a_starts)
                 k = chain.index(delta)
-                return A2[k], B2[k], b_rows
+                return A2[k], B2[k], starts
 
             calls = (
-                lambda: quiverrep._map_recheck(chain, A2, B2),
+                lambda: recheck(A2, B2),
                 lambda: quiverrep.build_from_chain(chain, exactmat.FieldSpec()),
                 lambda: verify._theta_image_instance((1, 4, 5), 32003, 0, 0),
             )
@@ -1219,11 +1307,11 @@ def test_certificate_checks_survive_optimisation():
     sample_stable raises, and witness_reducible, which emits relations: true
     only after its builders' re-checks, raises in its stable sample.  Its
     chain witness is re-checked on its index maps, which do not go through
-    _point_products; with the matching of one interface reversed, each
-    a-letter numbered by the b-letter at the mirrored place of its matched
-    row, the maps glue a point off the variety and build_from_chain raises:
-    at the one interface of (1, 4, 5), and at the second of the three of
-    (1, 2, 5, 8, 12), the others glued right.  A matrix written with its
+    _point_products; with the matching of one interface reversed, the k-th
+    a-row of the later diagram meeting the k-th shortest b-row where it
+    should meet the k-th longest, the maps glue a point off the variety and
+    build_from_chain raises: at the one interface of (1, 4, 5), and at the
+    second of the three of (1, 2, 5, 8, 12), the others glued right.  A matrix written with its
     first column zeroed reads back as another map than the one that passed,
     and build_from_chain raises too."""
     script = textwrap.dedent(
@@ -1248,27 +1336,29 @@ def test_certificate_checks_survive_optimisation():
         quiverrep.mu_of = lambda d: Partition((1,) * d[-1])  # a bound no stable sample meets
         attempt(lambda: quiverrep.witness_reducible((1, 4, 5), F, random.Random(0)))
         real_pair = quiverrep._numbered_pair
+        short = quiverrep.greedy_chain((1, 4, 5))
+        long = quiverrep.greedy_chain((1, 2, 5, 8, 12))
 
         def reversing(interface):
             calls = []
 
-            def numbered_pair(delta, b_before=None):  # b_before is None for the first diagram
+            def numbered_pair(delta, a_starts=None):  # a_starts is None for the first diagram
                 calls.append(delta)
                 if len(calls) == interface + 1:
-                    b_before = [rows[::-1] for rows in b_before]
-                return real_pair(delta, b_before)
+                    a_starts = a_starts[::-1]
+                return real_pair(delta, a_starts)
 
             return numbered_pair
 
         quiverrep._numbered_pair = reversing(1)
-        attempt(lambda: quiverrep.build_from_chain(quiverrep.greedy_chain((1, 4, 5)), F))
+        attempt(lambda: quiverrep.build_from_chain(short, F))
         quiverrep._numbered_pair = reversing(2)
-        attempt(lambda: quiverrep.build_from_chain(quiverrep.greedy_chain((1, 2, 5, 8, 12)), F))
+        attempt(lambda: quiverrep.build_from_chain(long, F))
         quiverrep._numbered_pair = real_pair
-        attempt(lambda: quiverrep.build_from_chain(quiverrep.greedy_chain((1, 2, 5, 8, 12)), F))
+        attempt(lambda: quiverrep.build_from_chain(long, F))
         real_matrix = quiverrep._index_matrix
         quiverrep._index_matrix = lambda image, rows, field: real_matrix([-1] + image[1:], rows, field)
-        attempt(lambda: quiverrep.build_from_chain(quiverrep.greedy_chain((1, 4, 5)), F))
+        attempt(lambda: quiverrep.build_from_chain(short, F))
         """
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -730,9 +730,12 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     n-wide rows too.
     Per instance of (1, 4, 5) over F_32003 with one trial:
     - relations: 0.  The two chains are re-checked on their index maps
-      (maps: 2, one _map_recheck each), which compose them; when each chain
-      was glued into a point, its re-check was one relations pass of matrix
-      products, 3 with the stable sample's.  The stable sample is re-checked
+      as they are walked (walks: 2, one _walk_chain each), at each of
+      their two interfaces (maps: 4, one _interface_recheck each), which
+      composes them; when each chain was numbered first, one _map_recheck
+      of the whole chain followed (2); when each chain was glued into a
+      point, its re-check was one relations pass of matrix products, 3
+      with the stable sample's.  The stable sample is re-checked
       on its endomorphism (flag_endo: 1), which must lower the coordinate
       flag; with every forward map an inclusion that is the relations of
       its flag point, which took 1 relations pass when the point was built;
@@ -775,10 +778,13 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
 
     def reset(**extra):
         counts.clear()
-        counts.update(relations=0, maps=0, jordan=0, matrices=0, eliminations=0, inversions=0, canonical=0, **extra)
+        counts.update(
+            relations=0, walks=0, maps=0, jordan=0, matrices=0, eliminations=0, inversions=0, canonical=0, **extra
+        )
 
     monkeypatch.setattr(quiverrep, "_point_products", counting("relations", quiverrep._point_products))
-    monkeypatch.setattr(quiverrep, "_map_recheck", counting("maps", quiverrep._map_recheck))
+    monkeypatch.setattr(quiverrep, "_walk_chain", counting("walks", quiverrep._walk_chain))
+    monkeypatch.setattr(quiverrep, "_interface_recheck", counting("maps", quiverrep._interface_recheck))
     jordan = counting("jordan", exactmat._jordan_flat)
     matrices = counting("matrices", exactmat._index_matrix)
     for module in (exactmat, quiverrep, verify, abdiagrams, partitions, cli):
@@ -798,23 +804,27 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     inst = verify._theta_image_instance((1, 4, 5), 32003, 0, 1)
     assert inst["ok"]
     assert counts == {
-        "relations": 0, "maps": 2, "jordan": 0, "matrices": 0, "eliminations": 2, "inversions": 0, "canonical": 0,
-        "flag_endo": 1,
+        "relations": 0, "walks": 2, "maps": 4, "jordan": 0, "matrices": 0, "eliminations": 2, "inversions": 0,
+        "canonical": 0, "flag_endo": 1,
     }
 
-    # The chain witness: one map re-check, its four maps written as
-    # matrices, and no relations pass and no Jordan type, where its point
-    # took one relations check and two types read off the chains of its
-    # products; its is_stable ranks its two 0/1 partial permutations by one
-    # rank echelon each (2), where counting their ones took none.  The
+    # The chain witness: one walk, re-checked at its two interfaces, its four
+    # maps written as matrices, and no relations pass and no Jordan type,
+    # where its point took one relations check and two types read off the
+    # chains of its products; when it was glued from greedy_chain's chain,
+    # that chain was walked and re-checked first, and then glued and
+    # re-checked again.  Its is_stable reads its two 0/1 partial
+    # permutations off their index maps (is_injective) and eliminates
+    # nothing, where ranking them took one rank echelon each (2) and
+    # counting their ones took none.  The
     # stable witness: one relations check, 2 ranks of its base-changed
     # forward maps and 3 inversions in sample_stable, and no Jordan type:
     # the type of its theta is read off the ranks of B_2 and B_1 B_2
     # (2 eliminations), where _jordan_flat of theta took 3; its endomorphism
     # is checked to lower the flag before the base change (flag_endo: 1).
     # The inversions are of sizes 1, 4 and 5, each one in-place _rref of its
-    # n-wide rows: 2 + 2 + 2 + 3 = 9 in all, 7 when the chain witness
-    # counted ones.  When the inversion had a packed loop of its own, gated
+    # n-wide rows: 2 + 2 + 3 = 7 in all, 9 when the chain witness's maps
+    # were ranked, 7 when it counted ones.  When the inversion had a packed loop of its own, gated
     # on the 2n rows of [g | I], sizes 4 and 5 ran on it and size 1 was one
     # elimination of [g | I]: 5; gated on n rows, all three were
     # eliminations of [g | I]: 7, 8 when theta was typed, and 5 with the
@@ -837,8 +847,8 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
         report = quiverrep.witness_reducible((1, 4, 5), FieldSpec(), random.Random(0))
     assert [w["relations"] for w in report.witnesses] == [True, True]
     assert counts == {
-        "relations": 1, "maps": 1, "jordan": 0, "matrices": 4, "eliminations": 9, "inversions": 3, "canonical": 0,
-        "flag_endo": 1, "squares": 0,
+        "relations": 1, "walks": 1, "maps": 2, "jordan": 0, "matrices": 4, "eliminations": 7, "inversions": 3,
+        "canonical": 0, "flag_endo": 1, "squares": 0,
     }
 
     # conjugator re-checks only its own rank(g) and g N2 == N1 g;
@@ -861,12 +871,14 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     reset()
     conjugator(n, m)
     assert counts == {
-        "relations": 0, "maps": 0, "jordan": 2, "matrices": 0, "eliminations": 17, "inversions": 1, "canonical": 0
+        "relations": 0, "walks": 0, "maps": 0, "jordan": 2, "matrices": 0, "eliminations": 17, "inversions": 1,
+        "canonical": 0,
     }
     reset()
     jordan_basis(m)
     assert counts == {
-        "relations": 0, "maps": 0, "jordan": 1, "matrices": 0, "eliminations": 10, "inversions": 0, "canonical": 1
+        "relations": 0, "walks": 0, "maps": 0, "jordan": 1, "matrices": 0, "eliminations": 10, "inversions": 0,
+        "canonical": 1,
     }
 
     # nilpotency_degrees reuses the products A_i B_i that its relation check
@@ -878,8 +890,8 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     monkeypatch.setattr(quiverrep, "mul", counting("products", quiverrep.mul))
     assert quiverrep.nilpotency_degrees(z)
     assert counts == {
-        "relations": 1, "maps": 0, "jordan": 2, "matrices": 0, "eliminations": 0, "inversions": 0, "canonical": 0,
-        "products": 4,
+        "relations": 1, "walks": 0, "maps": 0, "jordan": 2, "matrices": 0, "eliminations": 0, "inversions": 0,
+        "canonical": 0, "products": 4,
     }
 
 
