@@ -4,7 +4,8 @@ the verification drivers.
 Structured output is a single JSON document on stdout; human-readable notes
 go to stderr (suppressed by --json).  Exit codes: 0 success, 1 a verification
 found a counterexample, 2 usage or domain error (a part or dimvec answer
-past verify.DEFAULT_BUDGET boxes and entries too), 141 stdout closed by its
+past verify.DEFAULT_BUDGET boxes and entries too, and a verdict whose
+stable sample would take more than that many steps), 141 stdout closed by its
 reader before the output was written (128 + SIGPIPE, as a shell reports a
 process that SIGPIPE ends).
 """
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Optional
 
 from quiverz import verify
 from quiverz.exactmat import DEFAULT_PRIME, FieldSpec
@@ -44,12 +46,13 @@ def _note(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _within_budget(size: int) -> None:
+def _within_budget(size: int, what: str = "an answer of {} boxes and entries") -> None:
     """Refuse (exit 2) a part or dimvec answer that would hold more than
-    verify.DEFAULT_BUDGET boxes and matrix entries before any is built, as
-    the verify statements refuse their larger sweeps."""
+    verify.DEFAULT_BUDGET boxes and matrix entries, or take more steps,
+    before any is built, as the verify statements refuse their larger
+    sweeps."""
     if size > verify.DEFAULT_BUDGET:
-        raise ValueError(f"an answer of {size} boxes and entries exceeds the budget of {verify.DEFAULT_BUDGET}")
+        raise ValueError(f"{what.format(size)} exceeds the budget of {verify.DEFAULT_BUDGET}")
 
 
 def _cmd_part(args) -> int:
@@ -92,6 +95,8 @@ def _cmd_dimvec(args) -> int:
     elif args.op == "obstruction":
         _emit(zss_density_obstruction(d))
     elif args.op == "verdict":
+        if theta_image(d) != mu_of(d):  # a stable sample inverts an n_i x n_i matrix at each vertex
+            _within_budget(sum(n**3 for n in d), "a stable sample of {} steps (the sum of n_i^3)")
         field = FieldSpec(args.p)
         rng = verify.derive_rng(args.seed, "verdict", d)
         report = witness_reducible(d, field, rng)
@@ -158,7 +163,68 @@ _VERIFY_STATEMENTS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _part_args(sp: argparse.ArgumentParser, name: str) -> None:
+    sp.add_argument("partition", help='comma-separated parts, e.g. "5,3,3,1"')
+    if name == "add":
+        sp.add_argument("boxes", type=int, help="number of boxes to add")
+    elif name == "dom":
+        sp.add_argument("other", help="second partition")
+    sp.set_defaults(func=_cmd_part)
+
+
+def _dimvec_args(sp: argparse.ArgumentParser, name: str) -> None:
+    sp.add_argument("dims", help='comma-separated dimensions, e.g. "1,4,5"')
+    if name == "verdict":
+        sp.add_argument("--p", type=int, default=DEFAULT_PRIME, help="field modulus")
+        sp.add_argument("--seed", type=int, default=0, help="master seed")
+    sp.set_defaults(func=_cmd_dimvec)
+
+
+def _verify_args(sp: argparse.ArgumentParser, statement: str) -> None:
+    _, driver, defaults = next(entry for entry in _VERIFY_STATEMENTS if entry[0] == statement)
+    for name, default in defaults.items():
+        kind, text = _VERIFY_FLAGS[name]
+        sp.add_argument("--" + name.replace("_", "-"), type=kind, default=default, help=f"{text} (default {default})")
+    sp.set_defaults(func=_cmd_verify, driver=driver, flags=tuple(defaults))
+
+
+# Each command: its help text, the name its op is parsed into, its ops and
+# the function that adds an op's arguments.
+_COMMANDS = {
+    "part": ("partition operations", "op", ("dual", "add", "dom", "nvec", "young"), _part_args),
+    "dimvec": (
+        "dimension-vector operations",
+        "op",
+        ("classify", "mu", "lambda", "slack", "obstruction", "verdict"),
+        _dimvec_args,
+    ),
+    "verify": ("verification drivers", "statement", tuple(entry[0] for entry in _VERIFY_STATEMENTS), _verify_args),
+}
+
+
+def _named_branch(argv) -> Optional[tuple]:
+    """(command, op) if the first two positional tokens of argv are a
+    command and one of its ops or statements, with no token before them
+    but --json; else None."""
+    names = []
+    for token in argv:
+        if not token.startswith("-"):
+            names.append(token)
+            if len(names) == 2:
+                command, op = names
+                return (command, op) if command in _COMMANDS and op in _COMMANDS[command][2] else None
+        elif token != "--json":
+            return None
+    return None
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every command; for an argv whose first two positional
+    tokens name a command and its op (_named_branch), the parser of that
+    branch alone, which parses that argv as the full one does.  The other
+    commands are still registered, without their ops, so that the usage line
+    and the errors of the top level keep their text."""
+    branch = _named_branch(argv) if argv is not None else None
     parser = argparse.ArgumentParser(
         prog="quiverz",
         description="Exact partition and quiver-variety calculations with verification drivers.",
@@ -169,45 +235,19 @@ def build_parser() -> argparse.ArgumentParser:
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help="machine output only")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    part = sub.add_parser("part", parents=[json_flag], help="partition operations")
-    part_sub = part.add_subparsers(dest="op", required=True)
-    for name in ("dual", "add", "dom", "nvec", "young"):
-        sp = part_sub.add_parser(name, parents=[json_flag])
-        sp.add_argument("partition", help='comma-separated parts, e.g. "5,3,3,1"')
-        if name == "add":
-            sp.add_argument("boxes", type=int, help="number of boxes to add")
-        elif name == "dom":
-            sp.add_argument("other", help="second partition")
-        sp.set_defaults(func=_cmd_part)
-
-    dimvec = sub.add_parser("dimvec", parents=[json_flag], help="dimension-vector operations")
-    dim_sub = dimvec.add_subparsers(dest="op", required=True)
-    for name in ("classify", "mu", "lambda", "slack", "obstruction", "verdict"):
-        sp = dim_sub.add_parser(name, parents=[json_flag])
-        sp.add_argument("dims", help='comma-separated dimensions, e.g. "1,4,5"')
-        if name == "verdict":
-            sp.add_argument("--p", type=int, default=DEFAULT_PRIME, help="field modulus")
-            sp.add_argument("--seed", type=int, default=0, help="master seed")
-        sp.set_defaults(func=_cmd_dimvec)
-
-    ver = sub.add_parser("verify", parents=[json_flag], help="verification drivers")
-    ver_sub = ver.add_subparsers(dest="statement", required=True)
-    for statement, driver, defaults in _VERIFY_STATEMENTS:
-        sp = ver_sub.add_parser(statement, parents=[json_flag])
-        for name, default in defaults.items():
-            kind, text = _VERIFY_FLAGS[name]
-            sp.add_argument(
-                "--" + name.replace("_", "-"), type=kind, default=default, help=f"{text} (default {default})"
-            )
-        sp.set_defaults(func=_cmd_verify, driver=driver, flags=tuple(defaults))
-
+    for command, (text, dest, ops, add_args) in _COMMANDS.items():
+        cmd = sub.add_parser(command, parents=[json_flag], help=text)
+        if branch is not None and command != branch[0]:
+            continue
+        ops_sub = cmd.add_subparsers(dest=dest, required=True)
+        for name in ops if branch is None else branch[1:]:
+            add_args(ops_sub.add_parser(name, parents=[json_flag]), name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit

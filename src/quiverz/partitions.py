@@ -147,7 +147,7 @@ def as_dim_vector(values: Sequence[int]) -> tuple:
         raise ValueError(f"dimension vector entries must be integers: {values!r}") from None
     if not dims:
         raise ValueError("dimension vector must be nonempty")
-    if any(v <= 0 for v in dims):
+    if min(dims) <= 0:
         raise ValueError(f"dimension vector entries must be positive: {dims}")
     return dims
 
@@ -229,7 +229,7 @@ class DimVecClass(_FrozenRecord):
 
 
 def is_strictly_monotone(d: Sequence[int]) -> bool:
-    return all(d[i] < d[i + 1] for i in range(len(d) - 1))
+    return all(map(operator.lt, d, d[1:]))
 
 
 def classify(d: Sequence[int]) -> DimVecClass:

@@ -15,16 +15,24 @@ the k-th longest row meeting the k-th longest.  So B_i A_i is A_{i-1}
 B_{i-1} by construction, and no product, chain or permutation is formed to
 glue.  Every map of a glued point is a 0/1 partial permutation of the
 letters, and the glue gives each as its index map, the letter each letter
-goes to.  One walk places, numbers and re-checks a chain (_walk_chain):
-each diagram is numbered as soon as it is placed, and its interface is
-re-checked at once (_interface_recheck): its maps composed must meet the
-relation, and the Jordan type of A_i B_i, theta last, read off its chains,
-must be the b-part of the diagram.  Between diagrams the walk keeps only
-the last A B and the last diagram's b-row starts.  The re-check forms no
-matrix and eliminates nothing, so the image sweep re-checks its chains
-without building points.  build_from_chain walks a given chain the same
-way, then writes each map as its 0/1 matrix and reads it back
-(_partial_permutation) against the map that passed.
+goes to.  One step places, numbers and re-checks each diagram
+(_glued_step): the diagram is numbered as soon as it is placed, and its
+interface is re-checked at once (_interface_recheck): its maps composed
+must meet the relation, and the Jordan type of A_i B_i, theta last, read
+off its chains, must be the b-part of the diagram.  Between diagrams a
+walk keeps only the last A B and the last diagram's b-row starts.
+_walk_chain takes the step along a whole chain; the image sweep takes it
+along the prefixes of its sorted vectors (_greedy_on_path), keeping one
+entry per vertex of the vector walked last, so a greedy chain whose
+prefix was walked costs one step.  The re-check forms no matrix and
+eliminates nothing, so the image sweep re-checks its chains without
+building points.  build_from_chain walks a given chain the same way, then
+writes each map as its 0/1 matrix and reads it back (_partial_permutation)
+against the map that passed.
+
+A stable sample draws only the first n_{t-1} rows of its flag-lowering
+endomorphism, the rows that can be nonzero (_lowering_rows), re-checks
+them and cuts its backward maps from them (_flag_blocks).
 """
 
 from __future__ import annotations
@@ -244,22 +252,20 @@ def _moved(z: QuiverRep, g: Sequence[ExactMatrix], ginv: Sequence[ExactMatrix]) 
     return QuiverRep(z.dims, A, B, z.field)
 
 
-def _lowering_endo(dims: Sequence[int], field: FieldSpec, rng) -> ExactMatrix:
-    """Random endomorphism of the last space mapping the span of the first
-    n_i coordinates into the span of the first n_{i-1} (n_0 = 0)."""
+def _lowering_rows(dims: tuple, p: int, rng) -> List[int]:
+    """The flat first n_{t-1} rows, each n_t wide, of a random endomorphism
+    N of F_p^{n_t} that maps the span of the first n_i coordinates into that
+    of the first n_{i-1} (n_0 = 0): the rows of N that can be nonzero, its
+    last n_t - n_{t-1} rows being 0.  Column c of block j (n_{j-1} <= c <
+    n_j) is drawn in its first n_{j-1} rows, column after column, straight
+    into them as one strided slice.  dims has t >= 2 entries."""
     nt = dims[-1]
-    entries = [0] * (nt * nt)
-    bound = {}
-    lower = 0
-    for n in dims:
-        for c in range(lower, n):
-            bound[c] = lower
-        lower = n
-    values = iter(_draws(rng, field.p, sum(bound.values())))
-    for c in range(nt):
-        for r in range(bound[c]):
-            entries[r * nt + c] = next(values)
-    return ExactMatrix._reduced(nt, nt, entries, field)
+    rows = [0] * (dims[-2] * nt)
+    for low, n in zip(dims, dims[1:]):
+        end = low * nt
+        for c in range(low, n):
+            rows[c:end:nt] = _draws(rng, p, low)
+    return rows
 
 
 def sample_stable(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
@@ -284,34 +290,38 @@ def _sample_stable(dims: Sequence[int], field: FieldSpec, rng) -> tuple:
     return _certified(_moved(z0, g, ginv))
 
 
-def _flag_endo(dims: Sequence[int], field: FieldSpec, rng) -> tuple:
-    """The flat entries of a drawn _lowering_endo, re-checked to lower the
-    coordinate flag: column c of block j (n_{j-1} <= c < n_j) vanishes from
-    row n_{j-1} down, else CertificateError.  On the coordinate-flag point
-    (_flag_point) every A_i is an inclusion, so this is exactly B_1 A_1 = 0,
-    B_i A_i = A_{i-1} B_{i-1} and theta = endo."""
+def _flag_blocks(dims: Sequence[int], field: FieldSpec, rng) -> List[list]:
+    """The flat leading blocks B_i = N[:n_i, :n_{i+1}], i < t, of a drawn
+    flag-lowering N (_lowering_rows): the backward maps of its
+    coordinate-flag point.  The drawn rows are re-checked to lower the
+    coordinate flag: row r (n_{j-1} <= r < n_j) vanishes in its first n_j
+    columns, else CertificateError.  On the coordinate-flag point
+    (_flag_point) every A_i is an inclusion, so this is exactly B_1 A_1 = 0
+    and B_i A_i = A_{i-1} B_{i-1}, and theta is N."""
     dims = as_dim_vector(dims)
     if not is_strictly_monotone(dims):
         raise ValueError(f"stable sampling needs a strictly increasing dimension vector: {dims}")
+    if len(dims) < 2:
+        return []  # no map, and nothing is drawn
+    rows = _lowering_rows(dims, field.p, rng)
     nt = dims[-1]
-    endo = _lowering_endo(dims, field, rng).entries
-    if any(any(endo[low * nt + c :: nt]) for low, n in zip((0,) + dims, dims) for c in range(low, n)):
-        raise CertificateError(f"sample_stable: the endomorphism drawn for {dims} does not lower the flag")
-    return endo
-
-
-def _flag_blocks(dims: Sequence[int], field: FieldSpec, rng) -> List[list]:
-    """The flat leading blocks B_i = endo[:n_i, :n_{i+1}], i < t, of
-    _flag_endo's endomorphism: the backward maps of its coordinate-flag
-    point."""
-    endo = _flag_endo(dims, field, rng)  # checks dims
-    nt = dims[-1]
-    return [[v for r in range(0, lo * nt, nt) for v in endo[r : r + hi]] for lo, hi in zip(dims, dims[1:])]
+    for low, n in zip((0,) + dims, dims[:-1]):
+        for r in range(low * nt, n * nt, nt):
+            if any(rows[r : r + n]):
+                raise CertificateError(f"sample_stable: the endomorphism drawn for {dims} does not lower the flag")
+    blocks = []
+    for lo, hi in zip(dims, dims[1:-1]):
+        block = []
+        for r in range(0, lo * nt, nt):
+            block += rows[r : r + hi]
+        blocks.append(block)
+    blocks.append(rows)  # B_{t-1}: all the drawn rows
+    return blocks
 
 
 def _flag_point(dims: Sequence[int], field: FieldSpec, rng) -> QuiverRep:
-    """The coordinate-flag point of _flag_endo's endomorphism: A_i is the
-    inclusion of the first n_i coordinates and B_i the top-left
+    """The coordinate-flag point of a drawn flag-lowering endomorphism: A_i
+    is the inclusion of the first n_i coordinates and B_i the top-left
     n_i x n_{i+1} block of the endomorphism (_flag_blocks), its restriction
     to the (i+1)-th coordinate subspace landing in the i-th.  So A_i B_i is
     the leading n_{i+1} x n_{i+1} block of the endomorphism, theta all of
@@ -465,13 +475,9 @@ def from_flag_point(x: FlagPoint) -> QuiverRep:
 def _walk_chain(dims: Sequence[int], place) -> Tuple[List[ABDiagram], List[List[int]], List[List[int]]]:
     """(the chain, its forward maps A, its backward maps B) of placements
     place(eta, step) along the difference sequence of dims, each eta the
-    b-part of the placement before: the one walk and glue of a chain.
-
-    Each diagram is numbered onto the one before (_numbered_pair) and its
-    interface re-checked (_interface_recheck) as soon as it is placed; the
-    maps are index maps (_partial_permutation).  Between diagrams the walk
-    keeps A B of the last interface and the b-row starts of the last
-    diagram."""
+    b-part of the placement before: the one walk and glue of a chain, one
+    _glued_step per diagram.  Between diagrams the walk keeps A B of the
+    last interface and the b-row starts of the last diagram."""
     dims = as_dim_vector(dims)
     eta = Partition._sorted((1,) * dims[0])
     chain, A, B = [], [], []
@@ -481,14 +487,56 @@ def _walk_chain(dims: Sequence[int], place) -> Tuple[List[ABDiagram], List[List[
         step = dims[i + 1] - dims[i]
         if step < 0:
             raise ValueError(f"decreasing step at position {i + 1}: {dims}")
-        delta = place(eta, step)
-        a, b, starts = _numbered_pair(delta, starts)
-        ab = _interface_recheck(a, b, ab, delta)
+        delta, a, b, ab, starts = _glued_step(place, eta, step, ab, starts)
         chain.append(delta)
         A.append(a)
         B.append(b)
         eta = delta.b_part
     return chain, A, B
+
+
+def _glued_step(place, eta: Partition, step: int, ab: List[int], starts: Optional[List[int]]) -> tuple:
+    """(delta, A_i, B_i, A_i B_i, delta's b-row starts) for the placement
+    delta = place(eta, step), glued after the interface whose A B is ab (all
+    -1 at the first) and whose diagram's b-row starts are starts (None at
+    the first): delta is numbered onto the diagram before (_numbered_pair)
+    as soon as it is placed, and its interface re-checked at once
+    (_interface_recheck).  The maps are index maps (_partial_permutation).
+    The one step of every walk: _walk_chain's and the image sweep's walk
+    along its prefixes (_greedy_on_path)."""
+    delta = place(eta, step)
+    a, b, starts = _numbered_pair(delta, starts)
+    return delta, a, b, _interface_recheck(a, b, ab, delta), starts
+
+
+def _greedy_on_path(dims: tuple, path: list) -> List[ABDiagram]:
+    """greedy_chain(dims), walked on from the longest prefix of dims that
+    path walked before.  path is the stack of the vector walked last, one
+    (n_i, the diagram placed to reach n_i, A_i B_i, its b-row starts) per
+    vertex, (n_1, None, all -1, None) first: the entries that disagree with
+    dims are popped, then one greedy _glued_step is pushed per entry of dims
+    past the kept prefix.  An entry is never changed once pushed, so each
+    interface is re-checked once, when its prefix is first walked, and path
+    never holds more entries than the vector walked last.  For vectors in
+    sorted order, the depth-first preorder of their prefix tree, each vector
+    whose prefix came before it costs one step."""
+    keep = 0
+    for entry, n in zip(path, dims):
+        if entry[0] != n:
+            break
+        keep += 1
+    del path[keep:]
+    for n in dims[keep:]:
+        if not path:
+            path.append((n, None, [-1] * n, None))  # A_0 B_0 = 0
+            continue
+        low, delta, ab, starts = path[-1]
+        if n < low:
+            raise ValueError(f"decreasing step at position {len(path)}: {dims}")
+        eta = delta.b_part if delta else Partition._sorted((1,) * low)
+        delta, _, _, ab, starts = _glued_step(max_diagram, eta, n - low, ab, starts)
+        path.append((n, delta, ab, starts))
+    return [entry[1] for entry in path[1:]]
 
 
 def greedy_chain(dims: Sequence[int]) -> List[ABDiagram]:

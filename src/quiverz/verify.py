@@ -16,11 +16,13 @@ same way the image sweep checks each stable sample at its coordinate-flag
 point, without the random base change: every check it makes is invariant
 under base change.  There the forward maps are coordinate inclusions, which
 are injective, and the relations with theta = endo say only that the
-endomorphism lowers the flag, so the sample is re-checked on the
-endomorphism and no point is built; A_i B_i is theta restricted to the
-span of the first n_{i+1} coordinates (the flag correspondence of Kraft
-and Procesi), so the ranks of the composites of theta's leading blocks
-type every interface.  The stability check solves its last relation in
+endomorphism lowers the flag, so the sample is re-checked on the rows
+of the endomorphism it draws and no point is built; A_i B_i is theta
+restricted to the span of the first n_{i+1} coordinates (the flag
+correspondence of Kraft and Procesi), so the ranks of the composites of
+theta's leading blocks type every interface.  The sweep's greedy chains
+are walked along the prefixes of its sorted vectors, one step for each
+vector whose prefix was swept before it.  The stability check solves its last relation in
 closed form: against the normal form, B_{t-1} A_{t-1} is B_{t-1}'s first
 r columns, so the other maps fix those and leave the rest free.  Since
 neither criterion reads B_{t-1}, it evaluates both once per fibre of the
@@ -70,9 +72,9 @@ from quiverz.quiverrep import (
     _backward_types,
     _degrees_bounded,
     _flag_blocks,
+    _greedy_on_path,
     _point_products,
     _subspace_criterion,
-    greedy_chain,
     is_stable,
     random_chain,
     witness_reducible,
@@ -422,21 +424,27 @@ def strictly_monotone_vectors(max_last: int) -> List[tuple]:
     return sorted(out)
 
 
-def _theta_image_instance(d: tuple, p: int, seed: int, trials: int) -> dict:
+def _theta_image_instance(d: tuple, p: int, seed: int, trials: int, path: Optional[list] = None) -> dict:
+    """One vector of the image sweep.  path is the greedy walk's prefix
+    stack (_greedy_on_path) that the sweep's tasks share; a fresh one walks
+    the greedy chain from n_1."""
     field = FieldSpec(p)
     rng = derive_rng(seed, "theta-image", d)
     lam = theta_image(d)
     mu = mu_of(d)
     # The walk that places a chain glues it and re-checks its relations
     # and its type at each interface (the b-parts of its chain) on its
-    # index maps as it goes.  A stable sample is checked at the
+    # index maps as it goes; the greedy chain is walked on from the longest
+    # prefix of d that the sweep walked last, whose interfaces passed when
+    # that prefix was first walked.  A stable sample is checked at the
     # coordinate-flag point of its endomorphism, without sample_stable's
-    # base change, which keeps every check below.  There each A_i is an inclusion, so injective, and the
-    # relations with theta = endo say that the endomorphism lowers the flag
-    # (_flag_endo's re-check); A_i B_i is then the endomorphism on the first
-    # n_{i+1} coordinates, typed off the composites of its leading blocks.
+    # base change, which keeps every check below.  There each A_i is an
+    # inclusion, so injective, and the relations with theta = endo say that
+    # the endomorphism lowers the flag (_flag_blocks's re-check of its drawn
+    # rows); A_i B_i is then the endomorphism on the first n_{i+1}
+    # coordinates, typed off the composites of its leading blocks.
     checks = [("lambda_dominates_mu", dominates(lam, mu))]
-    chain = greedy_chain(d)
+    chain = _greedy_on_path(d, [] if path is None else path)
     checks.append(("greedy_nilpotency", _degrees_bounded([delta.b_part for delta in chain])))
     checks.append(("greedy_type_is_lambda", chain[-1].b_part == lam))
     for k in range(trials):
@@ -462,12 +470,16 @@ def _theta_image_tasks(max_last: int, p: int, seed: int, trials: int) -> list:
     """One task per swept vector of theta_image_report.  The vectors are
     subsets of 1..max_last, so 2^max_last bounds their number; past the
     default budget the sweep is refused before any is built.  Below 2 there
-    is no vector to sweep, and an empty sweep is refused, not passed."""
+    is no vector to sweep, and an empty sweep is refused, not passed.  The
+    tasks share one prefix stack of the greedy walk (_greedy_on_path), so
+    each greedy chain is walked on from the prefix walked before it; a
+    forked worker grows its own copy."""
     if max_last < 2:
         raise ValueError(f"max_last must be at least 2 for a nonempty sweep, got {max_last}")
     _budgeted(2, max_last, DEFAULT_BUDGET, f"subsets of 1..{max_last} to sweep")
+    path: list = []
     return [
-        functools.partial(_theta_image_instance, d, p, seed, trials)
+        functools.partial(_theta_image_instance, d, p, seed, trials, path)
         for d in strictly_monotone_vectors(max_last)
     ]
 

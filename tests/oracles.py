@@ -42,7 +42,12 @@ letters of every diagram first, each row letter by letter, with the a-rows
 sorted longest first (numbered_pair_two_pass), then re-checks the whole
 chain in a second pass (map_recheck_two_pass).
 flag_sample_by_point is the check theta-image made of a stable sample on
-its coordinate-flag point, which it now makes on the endomorphism alone.
+its coordinate-flag point, which it then made on the endomorphism alone.
+_lowering_endo, _flag_endo and _flag_blocks are that draw and check as
+they were, moved here unchanged: a whole n_t x n_t endomorphism, re-checked
+column by column, its leading blocks copied row by row, where
+quiverrep._flag_blocks draws only its first n_{t-1} rows, re-checks them
+row by row and cuts the blocks from them.
 theta_image_max_by_strata is M(d) by brute force over every stratum
 vector d', where partitions.theta_image_max takes the greatest one.
 
@@ -65,6 +70,7 @@ from quiverz.exactmat import (
     ExactMatrix,
     FieldSpec,
     _chains,
+    _draws,
     _index_chains,
     _is_prime,
     _jordan_basis,
@@ -94,7 +100,6 @@ from quiverz.quiverrep import (
     QuiverRep,
     _interface_types,
     _is_index_map,
-    _lowering_endo,
     _point_products,
     _rep_products,
     _subspace_criterion,
@@ -548,6 +553,49 @@ def build_from_chain_dense(deltas, field) -> QuiverRep:
     if _interface_types(z) != [delta.b_part for delta in deltas]:
         raise CertificateError(f"build_from_chain: the point glued for {dims} fails its re-check")
     return z
+
+
+def _lowering_endo(dims: Sequence[int], field: FieldSpec, rng) -> ExactMatrix:
+    """Random endomorphism of the last space mapping the span of the first
+    n_i coordinates into the span of the first n_{i-1} (n_0 = 0)."""
+    nt = dims[-1]
+    entries = [0] * (nt * nt)
+    bound = {}
+    lower = 0
+    for n in dims:
+        for c in range(lower, n):
+            bound[c] = lower
+        lower = n
+    values = iter(_draws(rng, field.p, sum(bound.values())))
+    for c in range(nt):
+        for r in range(bound[c]):
+            entries[r * nt + c] = next(values)
+    return ExactMatrix._reduced(nt, nt, entries, field)
+
+
+def _flag_endo(dims: Sequence[int], field: FieldSpec, rng) -> tuple:
+    """The flat entries of a drawn _lowering_endo, re-checked to lower the
+    coordinate flag: column c of block j (n_{j-1} <= c < n_j) vanishes from
+    row n_{j-1} down, else CertificateError.  On the coordinate-flag point
+    (_flag_point) every A_i is an inclusion, so this is exactly B_1 A_1 = 0,
+    B_i A_i = A_{i-1} B_{i-1} and theta = endo."""
+    dims = as_dim_vector(dims)
+    if not is_strictly_monotone(dims):
+        raise ValueError(f"stable sampling needs a strictly increasing dimension vector: {dims}")
+    nt = dims[-1]
+    endo = _lowering_endo(dims, field, rng).entries
+    if any(any(endo[low * nt + c :: nt]) for low, n in zip((0,) + dims, dims) for c in range(low, n)):
+        raise CertificateError(f"sample_stable: the endomorphism drawn for {dims} does not lower the flag")
+    return endo
+
+
+def _flag_blocks(dims: Sequence[int], field: FieldSpec, rng) -> List[list]:
+    """The flat leading blocks B_i = endo[:n_i, :n_{i+1}], i < t, of
+    _flag_endo's endomorphism: the backward maps of its coordinate-flag
+    point."""
+    endo = _flag_endo(dims, field, rng)  # checks dims
+    nt = dims[-1]
+    return [[v for r in range(0, lo * nt, nt) for v in endo[r : r + hi]] for lo, hi in zip(dims, dims[1:])]
 
 
 def flag_sample_by_point(dims: Sequence[int], field: FieldSpec, endo: ExactMatrix) -> tuple:

@@ -1,5 +1,8 @@
+import argparse
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -137,6 +140,101 @@ def test_answers_within_the_budget_keep_their_bytes():
     assert cli_out("part", "add", f"{budget - 1}", "1") == b"[10000000]\n"
     assert cli_out("part", "dom", "1000000000", "999999999,1") == b"true\n"
     assert main(["part", "add", f"{budget}", "1"]) == 2
+
+
+def test_verdict_work_is_bounded():
+    """A verdict whose stable sample would take more than DEFAULT_BUDGET
+    steps, the sum of n_i^3 of its inversions, exits 2 before any matrix
+    is built: (2, 1000, 1001) ran past 25 s, (2, 400, 401) took 2.6 s.
+    Each runs in its own process, which must end within 5 s.  A vector
+    whose verdict needs no stable sample (lambda = mu) is not bounded by
+    it: (100, 200, 300, 400) keeps its bytes in
+    test_answers_within_the_budget_keep_their_bytes."""
+    src = os.path.dirname(os.path.dirname(quiverz.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for dims, work in (("2,1000,1001", 2003003009), ("2,400,401", 128481209)):
+        done = subprocess.run(
+            [sys.executable, "-m", "quiverz.cli", "dimvec", "verdict", dims],
+            capture_output=True, text=True, env=env, timeout=5,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert done.stderr == f"error: a stable sample of {work} steps (the sum of n_i^3) exceeds the budget of 10000000\n"
+
+
+def _parsed(parser, argv):
+    """(stdout, stderr, exit code, namespace) of parser.parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    ns, code = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ns = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code, ns
+
+
+def _argv_corpus():
+    """argv for every op and statement, with --json on either side of the
+    command and after the op, -h at each level, bad values, unknown names,
+    missing tokens and extra args."""
+    valid = [
+        ["part", "dual", "5,3,3,1"], ["part", "add", "2,1", "3"], ["part", "dom", "3,2", "3,1,1"],
+        ["part", "nvec", "3,1"], ["part", "young", "2,1"],
+        ["dimvec", "classify", "1,4,5"], ["dimvec", "mu", "1,4,5"], ["dimvec", "lambda", "1,4,5"],
+        ["dimvec", "slack", "1,4,5"], ["dimvec", "obstruction", "1,4,5"],
+        ["dimvec", "verdict", "1,4,5", "--p", "3", "--seed", "2"],
+        ["verify", "ab-step", "--n", "1", "--a", "2"], ["verify", "theta-image", "--max-last", "4", "--jobs", "2"],
+        ["verify", "stability", "--p", "3"], ["verify", "reducible", "--seed", "4"],
+        ["verify", "all", "--jobs", "2", "--trials", "1"],
+    ]
+    corpus = []
+    for argv in valid:
+        command, op, rest = argv[0], argv[1], argv[2:]
+        corpus += [
+            argv, ["--json", *argv], [command, "--json", op, *rest], [*argv, "--json"], [command, op, "-h"],
+            [command, op], [*argv, "extra"], [*argv, "--bogus"], ["--json", command, "--json", op, "--help", *rest],
+        ]
+    corpus += [
+        [], ["-h"], ["--help"], ["--json"], ["--json", "-h"], ["part"], ["part", "-h"], ["dimvec", "--help"],
+        ["verify"], ["verify", "-h"], ["frob"], ["frob", "dual", "1"], ["part", "frob", "1"], ["verify", "frob"],
+        ["part", "mu", "1,4,5"], ["dimvec", "dual", "3"], ["verify", "dual", "3"], ["-h", "part", "dual", "3"],
+        ["part", "-h", "dual", "3"], ["--js", "part", "dual", "3"], ["--", "part", "dual", "3"],
+        ["part", "add", "2,1", "x"], ["part", "add", "2,1", "-3"], ["part", "dom", "3,2"],
+        ["dimvec", "verdict", "1,4,5", "--p", "x"], ["dimvec", "verdict", "1,4,5", "--seed"],
+        ["verify", "all", "--jobs", "0"], ["verify", "theta-image", "--max-last", "1"],
+        ["verify", "ab-step", "--max-last", "4"], ["verify", "stability", "--seed", "1"],
+        ["verify", "all", "--trials", "-1"], ["verify", "all", "--jobs"], ["--json", "verify", "all", "--json", "x"],
+        ["part", "--json", "--json", "young", "1"], ["part", "dual", "--", "3"], ["part", "dual", "-", "3"],
+    ]
+    return corpus
+
+
+def test_branch_parser_matches_full_parser(monkeypatch):
+    """The parser build_parser gives for an argv, which is the branch that
+    argv names alone where its first two positional tokens are a command
+    and its op or statement, parses every argv of the corpus as the full
+    parser does: the same stdout, stderr, exit code and namespace.  A named
+    branch builds 6 ArgumentParsers, where the full parser builds 21."""
+    monkeypatch.setenv("COLUMNS", "80")
+    corpus = _argv_corpus()
+    branches = 0
+    for argv in corpus:
+        branches += cli._named_branch(argv) is not None
+        assert _parsed(cli.build_parser(argv), argv) == _parsed(cli.build_parser(), argv), argv
+    assert branches == 16 * 9 + 15  # every variant of a valid argv, and 15 of the others
+    built = [0]
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv, count in ((None, 21), (["--json", "verify", "all", "--jobs", "2"], 6), (["verify", "-h"], 21)):
+        built[0] = 0
+        cli.build_parser(argv)
+        assert built[0] == count, argv
 
 
 def test_usage_error_exit_code():

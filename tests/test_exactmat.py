@@ -46,7 +46,6 @@ from quiverz.quiverrep import (
     _backward_types,
     _flag_blocks,
     _flag_point,
-    _lowering_endo,
     sample_stable,
     theta,
 )
@@ -54,6 +53,7 @@ from quiverz.verify import strictly_monotone_vectors, theta_image_report
 
 from oracles import (
     _chain_order,
+    _lowering_endo,
     flag_conjugate,
     inverse_by_augmenting,
     is_nilpotent,
@@ -1067,16 +1067,26 @@ def test_prefix_types_match_leading_blocks():
             assert chain_reads > 0
 
 
+def _drawing(entries, d):
+    """A stand-in for the flag draw (quiverrep._lowering_rows) that gives the
+    first n_{t-1} rows of the flat n_t x n_t matrix entries, the rows a
+    draw fills."""
+    return lambda dims, p, rng: list(entries[: d[-2] * d[-1]])
+
+
 def test_prefix_types_refuse_what_they_cannot_read(monkeypatch):
     """The backward composites type an endomorphism on its prefixes only
-    when it lowers the flag, and _flag_blocks refuses one that does not.
-    [[0, 1, 0], [0, 0, 1], [0, 0, 0]] keeps every prefix but does not lower
-    the flag of (1, 3): the prefix oracle types it (3) on E_3, while its
-    blocks read (2, 1), since B_1 drops its entry e_2 -> e_1.  _flag_blocks
-    raises CertificateError on it, as on e_0 -> e_1, which does not keep
-    E_1, and so does the theta-image instance that draws either.
-    [[0, 1, 1], [0, 0, 0], [0, 0, 0]] lowers the flag: its blocks type it
-    as the oracle does on E_0, E_1 and E_3, and on no width at all."""
+    when it lowers the flag, and _flag_blocks refuses drawn rows that do
+    not.  [[0, 1, 0], [0, 0, 1], [0, 0, 0]] keeps every prefix but does
+    not lower the flag of (1, 3): the prefix oracle types it (3) on E_3,
+    while its blocks read (2, 1), since B_1 drops its entry e_2 -> e_1.
+    That entry lies in a row past n_{t-1} = 1, which no draw fills: the
+    draw holds the first row alone, and its rows lower the flag.  A drawn
+    row with e_0 -> e_0, which keeps E_1 but does not lower it, makes
+    _flag_blocks raise CertificateError, and so does the theta-image
+    instance that draws it.  [[0, 1, 1], [0, 0, 0], [0, 0, 0]] lowers the
+    flag: its blocks type it as the oracle does on E_0, E_1 and E_3, and
+    on no width at all."""
     keeps = [0, 1, 0, 0, 0, 1, 0, 0, 0]
     lowers = [0, 1, 1, 0, 0, 0, 0, 0, 0]
     d = (1, 3)
@@ -1084,13 +1094,14 @@ def test_prefix_types_refuse_what_they_cannot_read(monkeypatch):
         field = FieldSpec(p)
         assert jordan_flat_by_rowspace(keeps, 3, p, [3]) == [Partition((3,))]
         assert _backward_types(leading_blocks(keeps, d), d, p, [3]) == [Partition((2, 1))]
-        for entries in (keeps, [0, 0, 0, 1, 0, 0, 0, 0, 0]):
-            monkeypatch.setattr(quiverrep, "_lowering_endo", lambda dims, f, rng, e=entries: ExactMatrix(3, 3, e, f))
-            with pytest.raises(CertificateError, match="sample_stable"):
-                _flag_blocks(d, field, None)
-            with pytest.raises(CertificateError, match="sample_stable"):
-                verify._theta_image_instance(d, p, 0, 1)
-        monkeypatch.setattr(quiverrep, "_lowering_endo", lambda dims, f, rng: ExactMatrix(3, 3, lowers, f))
+        monkeypatch.setattr(quiverrep, "_lowering_rows", _drawing(keeps, d))
+        assert _flag_blocks(d, field, None) == [[0, 1, 0]]
+        monkeypatch.setattr(quiverrep, "_lowering_rows", _drawing([1, 0, 0, 0, 0, 0, 0, 0, 0], d))
+        with pytest.raises(CertificateError, match="sample_stable"):
+            _flag_blocks(d, field, None)
+        with pytest.raises(CertificateError, match="sample_stable"):
+            verify._theta_image_instance(d, p, 0, 1)
+        monkeypatch.setattr(quiverrep, "_lowering_rows", _drawing(lowers, d))
         blocks = _flag_blocks(d, field, None)
         assert blocks == leading_blocks(lowers, d)
         expect = jordan_flat_by_rowspace(lowers, 3, p, [0, 1, 3])
@@ -1155,7 +1166,7 @@ def test_composite_prefix_types_match_rowspace_oracle(monkeypatch):
             n = d[-1]
             for kind in kinds:
                 entries = _lowering(d, p, kind, rng)
-                monkeypatch.setattr(quiverrep, "_lowering_endo", lambda dims, f, r: ExactMatrix(n, n, entries, f))
+                monkeypatch.setattr(quiverrep, "_lowering_rows", _drawing(entries, d))
                 blocks = _flag_blocks(d, field, None)
                 assert blocks == leading_blocks(entries, d)
                 expect = jordan_flat_by_rowspace(entries, n, p, d[1:])

@@ -37,11 +37,11 @@ from quiverz.quiverrep import (
     _backward_types,
     _certified,
     _flag_blocks,
-    _flag_endo,
     _flag_point,
+    _greedy_on_path,
     _interface_recheck,
     _interface_types,
-    _lowering_endo,
+    _lowering_rows,
     _rep_products,
     _sample_stable,
     _walk_chain,
@@ -61,8 +61,10 @@ from quiverz.quiverrep import (
 )
 from quiverz.verify import strictly_monotone_vectors
 
+from oracles import _flag_blocks as flag_blocks_by_endo
 from oracles import (
     _chain_order,
+    _lowering_endo,
     build_from_chain_by_chain_order,
     build_from_chain_dense,
     build_from_chain_by_conjugators,
@@ -394,35 +396,34 @@ def test_flag_sample_base_changes_to_sample_stable():
                     assert types[-1] == typ == _jordan_flat(theta(z0).entries, d[-1], p)
 
 
-def _endo_with_one_at(r, c):
-    """_lowering_endo with entry (r, c) set to 1."""
-    real = _lowering_endo
+def _rows_with_one_at(r, c):
+    """_lowering_rows with entry (r, c) of its rows set to 1."""
+    real = _lowering_rows
 
-    def patched(dims, field, rng):
-        endo = real(dims, field, rng)
-        entries = list(endo.entries)
-        entries[r * endo.cols + c] = 1
-        return ExactMatrix(endo.rows, endo.cols, entries, field)
+    def patched(dims, p, rng):
+        rows = real(dims, p, rng)
+        rows[r * dims[-1] + c] = 1
+        return rows
 
     return patched
 
 
 def test_flag_sample_rejects_endo_outside_lowering_pattern(monkeypatch):
-    """An entry outside the lowering pattern, at any position, makes the
-    flag sample raise CertificateError, and an entry inside it passes.  In
-    the top n_{t-1} rows such an entry breaks a relation of the
-    coordinate-flag point; in the last n_t - n_{t-1} rows, which enter no
-    map of that point, it breaks theta = endo.  In a plain and in a
-    python -O interpreter the theta-image instance that draws the sample
-    refuses every position outside the pattern and passes every one
-    inside it."""
+    """An entry outside the lowering pattern, at any position of the
+    n_{t-1} rows a draw fills, makes the flag sample raise
+    CertificateError, and an entry inside it passes: such an entry breaks
+    a relation of the coordinate-flag point.  The last n_t - n_{t-1} rows
+    of the endomorphism enter no map of that point and are never drawn.
+    In a plain and in a python -O interpreter the theta-image instance
+    that draws the sample refuses every position outside the pattern and
+    passes every one inside it."""
     vectors = ((1, 2), (1, 4, 5), (2, 3, 5), (1, 2, 4, 6))
     cases = []  # (d, r, c, whether (r, c) is inside the pattern)
     for d in vectors:
         bound = [low for low, n in zip((0,) + d, d) for _ in range(low, n)]
-        cases += [(d, r, c, r < bound[c]) for r in range(d[-1]) for c in range(d[-1])]
+        cases += [(d, r, c, r < bound[c]) for r in range(d[-2]) for c in range(d[-1])]
     for d, r, c, inside in cases:
-        monkeypatch.setattr(quiverrep, "_lowering_endo", _endo_with_one_at(r, c))
+        monkeypatch.setattr(quiverrep, "_lowering_rows", _rows_with_one_at(r, c))
         if inside:
             _certified(_flag_point(d, F, random.Random(r)))
         else:
@@ -431,21 +432,20 @@ def test_flag_sample_rejects_endo_outside_lowering_pattern(monkeypatch):
     script = textwrap.dedent(
         """
         from quiverz import exactmat, quiverrep, verify
-        real = quiverrep._lowering_endo
+        real = quiverrep._lowering_rows
 
         def one_at(r, c):
-            def patched(dims, field, rng):
-                endo = real(dims, field, rng)
-                entries = list(endo.entries)
-                entries[r * endo.cols + c] = 1
-                return exactmat.ExactMatrix(endo.rows, endo.cols, entries, field)
+            def patched(dims, p, rng):
+                rows = real(dims, p, rng)
+                rows[r * dims[-1] + c] = 1
+                return rows
 
             return patched
 
         for d in %r:
-            for r in range(d[-1]):
+            for r in range(d[-2]):
                 for c in range(d[-1]):
-                    quiverrep._lowering_endo = one_at(r, c)
+                    quiverrep._lowering_rows = one_at(r, c)
                     try:
                         ok = verify._theta_image_instance(d, exactmat.DEFAULT_PRIME, r, 1)["ok"]
                         print(d, r, c, "passed" if ok else "failed")
@@ -593,46 +593,104 @@ def test_certified_refuses_a_point_that_breaks_only_the_last_relation():
 
 
 def test_flag_endo_matches_flag_point_oracle(monkeypatch):
-    """_flag_endo against the check theta-image made on the coordinate-flag
-    point (flag_sample_by_point), for every strictly monotone d with last
-    entry at most 5 over F_2 and F_32003 and every single-entry change of
-    the drawn endomorphism, and the endomorphism unchanged.  _flag_endo
-    passes exactly when the oracle passes and the point's theta is the
-    endomorphism, which the point's check did not read in its last
-    n_t - n_{t-1} rows; where both pass, the prefix types the image sweep
-    reads off the endomorphism's leading blocks (_backward_types on
-    _flag_blocks) equal the oracle's and _interface_types of the flag
-    point."""
-    seen = {"passed": 0, "refused": 0, "theta_only": 0}
+    """The drawn rows' re-check (_flag_blocks) against the check
+    theta-image made on the coordinate-flag point (flag_sample_by_point),
+    for every strictly monotone d with last entry at most 5 over F_2 and
+    F_32003 and every single-entry change of the n_{t-1} drawn rows, and
+    the rows unchanged.  _flag_blocks passes exactly when the oracle passes
+    on the endomorphism of those rows, its last n_t - n_{t-1} rows zero,
+    whose theta is then that endomorphism; where both pass, the blocks are
+    the oracle point's backward maps and the prefix types the image sweep
+    reads off them (_backward_types) equal the oracle's and
+    _interface_types of the flag point."""
+    seen = {"passed": 0, "refused": 0}
     for p in (2, 32003):
         field = FieldSpec(p)
         for d in strictly_monotone_vectors(5):
-            n = d[-1]
-            drawn = list(_lowering_endo(d, field, random.Random(p + n)).entries)
-            for slot in [None] + list(range(n * n)):
-                entries = list(drawn)
+            n, m = d[-1], d[-2]
+            drawn = _lowering_rows(d, p, random.Random(p + n))
+            for slot in [None] + list(range(m * n)):
+                rows = list(drawn)
                 if slot is not None:
-                    entries[slot] = (entries[slot] + 1) % p
-                endo = ExactMatrix(n, n, entries, field)
-                monkeypatch.setattr(quiverrep, "_lowering_endo", lambda dims, field, rng: endo)
+                    rows[slot] = (rows[slot] + 1) % p
+                endo = ExactMatrix(n, n, rows + [0] * ((n - m) * n), field)
+                monkeypatch.setattr(quiverrep, "_lowering_rows", lambda dims, p, rng, rows=rows: list(rows))
                 try:
                     z, types = flag_sample_by_point(d, field, endo)
-                    oracle_ok = theta(z) == endo
-                    seen["theta_only"] += not oracle_ok
+                    assert theta(z) == endo
+                    oracle_ok = True
                 except CertificateError:
                     oracle_ok = False
                 try:
-                    fast = _flag_endo(d, field, None)
+                    blocks = _flag_blocks(d, field, None)
                 except CertificateError:
                     assert not oracle_ok, (p, d, slot)
                     seen["refused"] += 1
                     continue
                 assert oracle_ok, (p, d, slot)
-                assert list(fast) == entries
-                fast_types = _backward_types(_flag_blocks(d, field, None), d, p, d[1:])
+                assert blocks == [list(M.entries) for M in z.B]
+                fast_types = _backward_types(blocks, d, p, d[1:])
                 assert fast_types == types == _interface_types(_flag_point(d, field, None)), (p, d, slot)
                 seen["passed"] += 1
     assert all(seen.values()), seen
+
+
+def test_flag_blocks_match_parent_draw():
+    """_flag_blocks against the draw it replaced (oracles._flag_blocks,
+    which draws the whole n_t x n_t endomorphism, re-checks it column by
+    column and copies its leading blocks): the same blocks, and rng left
+    in the same state, for every strictly monotone d with last entry at
+    most 8 and for one vertex, over F_2, F_3 and F_32003, several samples
+    from one stream each; and _flag_point's backward maps are those
+    blocks."""
+    for p in (2, 3, 32003):
+        field = FieldSpec(p)
+        for d in [(1,), (4,)] + strictly_monotone_vectors(8):
+            rng, twin = random.Random(p * 7 + len(d)), random.Random(p * 7 + len(d))
+            for _ in range(3):
+                assert _flag_blocks(d, field, rng) == flag_blocks_by_endo(d, field, twin), (p, d)
+                assert rng.getstate() == twin.getstate(), (p, d)
+            assert [list(M.entries) for M in _flag_point(d, field, rng).B] == flag_blocks_by_endo(d, field, twin)
+            assert rng.getstate() == twin.getstate(), (p, d)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_flag_blocks_refuse_each_forbidden_entry(flags):
+    """Each forbidden position of the drawn rows (row r, n_{j-1} <= r <
+    n_j, column c < n_j) set to a nonzero value makes _flag_blocks raise
+    CertificateError, also under python -O, for every strictly monotone d
+    with last entry at most 5; every allowed position passes."""
+    script = textwrap.dedent(
+        """
+        import random
+        from quiverz import exactmat, quiverrep, verify
+        real = quiverrep._lowering_rows
+        field = exactmat.FieldSpec(3)
+        for d in verify.strictly_monotone_vectors(5):
+            for r in range(d[-2]):
+                for c in range(d[-1]):
+                    def patched(dims, p, rng, r=r, c=c):
+                        rows = real(dims, p, rng)
+                        rows[r * dims[-1] + c] = 2
+                        return rows
+                    quiverrep._lowering_rows = patched
+                    try:
+                        quiverrep._flag_blocks(d, field, random.Random(r))
+                        print(d, r, c, "passed")
+                    except exactmat.CertificateError as exc:
+                        print(d, r, c, "does not lower the flag" in str(exc))
+        """
+    )
+    expected = []
+    for d in strictly_monotone_vectors(5):
+        zero = [n for low, n in zip((0,) + d, d[:-1]) for _ in range(low, n)]  # row r vanishes below column zero[r]
+        expected += [f"{d} {r} {c} " + ("passed" if c >= zero[r] else "True") for r in range(d[-2]) for c in range(d[-1])]
+    assert "True" in {line.split()[-1] for line in expected}
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == expected, flags
 
 
 # --- flags -----------------------------------------------------------------------
@@ -680,8 +738,6 @@ def test_from_flag_point_round_trip():
 
 def test_alpha_on_plain_flag_construction():
     """With inclusion forward maps the image flag is the coordinate flag."""
-    from quiverz.quiverrep import _lowering_endo
-
     rng = random.Random(10)
     d = (1, 2, 4)
     nt = d[-1]
@@ -883,20 +939,22 @@ def test_build_from_chain_certifies_every_interface(monkeypatch):
 
 
 def test_lowering_endo_matches_checked_constructor():
-    """_lowering_endo skips the checks of the constructor but draws the same
-    stream, column by column, and gives the same matrix."""
+    """_lowering_rows draws the same stream as randrange, column by column,
+    and gives the first n_{t-1} rows of the lowering endomorphism the
+    checked constructor builds from it, whose other rows are zero."""
     for p in (2, 32003):
         field = FieldSpec(p)
-        for dims in ((3,), (1, 2), (1, 4, 5), (2, 3, 7, 9)):
+        for dims in ((1, 2), (1, 4, 5), (2, 3, 7, 9)):
             rng, twin = random.Random(p), random.Random(p)
-            endo = _lowering_endo(dims, field, rng)
+            rows = _lowering_rows(dims, p, rng)
             nt = dims[-1]
             entries = [0] * (nt * nt)
             for lower, n in zip((0,) + dims, dims):
                 for c in range(lower, n):
                     for r in range(lower):
                         entries[r * nt + c] = twin.randrange(p)
-            assert endo == ExactMatrix(nt, nt, entries, field)
+            endo = ExactMatrix(nt, nt, entries, field)
+            assert rows == list(endo.entries[: dims[-2] * nt]) and not any(endo.entries[dims[-2] * nt :])
             assert rng.getstate() == twin.getstate()
 
 
@@ -959,6 +1017,66 @@ def test_walk_glue_matches_two_pass_oracle():
             assert (dims, A, B) == glued_maps_two_pass(chain), (dims, chain)
             count += 1
     assert count == 3 * 4 * 120 + 6 + 4 * 247
+
+
+def test_prefix_walk_matches_walk_from_n1(monkeypatch):
+    """The greedy chain walked on along a prefix stack (_greedy_on_path)
+    is _walk_chain(d, max_diagram)'s chain for every strictly monotone d
+    with last entry at most 9, whatever vector the stack walked before: in
+    sorted order, reversed and in a seeded shuffle, each on one stack.  The
+    stack holds one entry per vertex of the vector walked last.  In sorted
+    order, the depth-first preorder of the prefix tree, each vector costs
+    one greedy step: at max_last 6, 57 steps (_glued_step), where walking
+    each from n_1 took 129."""
+    vectors = strictly_monotone_vectors(9)
+    want = {d: _walk_chain(d, max_diagram)[0] for d in vectors}
+    shuffled = list(vectors)
+    random.Random(9).shuffle(shuffled)
+    for order in (vectors, vectors[::-1], shuffled):
+        path = []
+        for d in order:
+            assert _greedy_on_path(d, path) == want[d], d
+            assert [entry[0] for entry in path] == list(d)
+    steps = [0]
+    real = quiverrep._glued_step
+
+    def counting(*args):
+        steps[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(quiverrep, "_glued_step", counting)
+    path = []
+    for d in strictly_monotone_vectors(6):
+        _greedy_on_path(d, path)
+    assert steps[0] == len(strictly_monotone_vectors(6)) == 57
+    assert sum(len(d) - 1 for d in strictly_monotone_vectors(6)) == 129
+
+
+def test_prefix_walk_leaves_the_parent_entries_unchanged():
+    """Walking a child keeps every entry of its prefix on the stack as it
+    was: the same objects, equal to a deep copy taken before, for each
+    vector with last entry at most 7 and each of its one-entry extensions;
+    and a vector that leaves the prefix pops the child's entries, with its
+    own n_1 first.  A decreasing step raises ValueError, as _walk_chain
+    does, after the entries of the increasing prefix."""
+    for d in strictly_monotone_vectors(7):
+        path = []
+        _greedy_on_path(d, path)
+        before = pickle.loads(pickle.dumps(path))
+        kept = list(path)
+        for n in range(d[-1] + 1, 9):
+            _greedy_on_path(d + (n,), path)
+            assert len(path) == len(d) + 1
+            assert all(a is b for a, b in zip(path, kept)) and path[: len(d)] == before, (d, n)
+    path = []
+    _greedy_on_path((1, 4, 5), path)
+    _greedy_on_path((2, 3), path)
+    assert [entry[0] for entry in path] == [2, 3]
+    with pytest.raises(ValueError, match="decreasing step"):
+        _walk_chain((2, 5, 4), max_diagram)
+    with pytest.raises(ValueError, match="decreasing step at position 2"):
+        _greedy_on_path((2, 5, 4), path)
+    assert [entry[0] for entry in path] == [2, 5]
 
 
 def test_random_chain_draws_as_placed_one_by_one():

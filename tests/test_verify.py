@@ -730,13 +730,18 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     n-wide rows too.
     Per instance of (1, 4, 5) over F_32003 with one trial:
     - relations: 0.  The two chains are re-checked on their index maps
-      as they are walked (walks: 2, one _walk_chain each), at each of
-      their two interfaces (maps: 4, one _interface_recheck each), which
-      composes them; when each chain was numbered first, one _map_recheck
+      as they are walked, at each of their two interfaces (maps: 4, one
+      _interface_recheck each), which composes them.  The random chain is
+      one _walk_chain (walks: 1); the greedy chain is walked along the
+      sweep's prefix stack (_greedy_on_path), here a fresh one, so from
+      n_1, where it took a _walk_chain of its own (walks: 2).  When each
+      chain was numbered first, one _map_recheck
       of the whole chain followed (2); when each chain was glued into a
       point, its re-check was one relations pass of matrix products, 3
       with the stable sample's.  The stable sample is re-checked
-      on its endomorphism (flag_endo: 1), which must lower the coordinate
+      on the rows of its endomorphism that it draws (flag_rows: 1, one
+      _lowering_rows; it drew and re-checked the whole endomorphism
+      before, flag_endo: 1), which must lower the coordinate
       flag; with every forward map an inclusion that is the relations of
       its flag point, which took 1 relations pass when the point was built;
       when the sample was typed by a pass of its own it was 4, and
@@ -797,15 +802,14 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     monkeypatch.setattr(exactmat, "_inverse_flat", counting("inversions", exactmat._inverse_flat))
     monkeypatch.setattr(exactmat, "canonical_nilpotent", counting("canonical", canonical_nilpotent))
 
-    flag_endo = counting("flag_endo", quiverrep._flag_endo)
-    monkeypatch.setattr(quiverrep, "_flag_endo", flag_endo)
+    monkeypatch.setattr(quiverrep, "_lowering_rows", counting("flag_rows", quiverrep._lowering_rows))
 
-    reset(flag_endo=0)
+    reset(flag_rows=0)
     inst = verify._theta_image_instance((1, 4, 5), 32003, 0, 1)
     assert inst["ok"]
     assert counts == {
-        "relations": 0, "walks": 2, "maps": 4, "jordan": 0, "matrices": 0, "eliminations": 2, "inversions": 0,
-        "canonical": 0, "flag_endo": 1,
+        "relations": 0, "walks": 1, "maps": 4, "jordan": 0, "matrices": 0, "eliminations": 2, "inversions": 0,
+        "canonical": 0, "flag_rows": 1,
     }
 
     # The chain witness: one walk, re-checked at its two interfaces, its four
@@ -821,7 +825,8 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     # forward maps and 3 inversions in sample_stable, and no Jordan type:
     # the type of its theta is read off the ranks of B_2 and B_1 B_2
     # (2 eliminations), where _jordan_flat of theta took 3; its endomorphism
-    # is checked to lower the flag before the base change (flag_endo: 1).
+    # is drawn and checked to lower the flag before the base change
+    # (flag_rows: 1).
     # The inversions are of sizes 1, 4 and 5, each one in-place _rref of its
     # n-wide rows: 2 + 2 + 3 = 7 in all, 9 when the chain witness's maps
     # were ranked, 7 when it counted ones.  When the inversion had a packed loop of its own, gated
@@ -840,7 +845,7 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
 
         return wrapper
 
-    reset(flag_endo=0, squares=0)
+    reset(flag_rows=0, squares=0)
     with monkeypatch.context() as patch:
         for module in (exactmat, quiverrep):
             patch.setattr(module, "_mul_flat", squares(module._mul_flat))
@@ -848,7 +853,7 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     assert [w["relations"] for w in report.witnesses] == [True, True]
     assert counts == {
         "relations": 1, "walks": 1, "maps": 2, "jordan": 0, "matrices": 4, "eliminations": 7, "inversions": 3,
-        "canonical": 0, "flag_endo": 1, "squares": 0,
+        "canonical": 0, "flag_rows": 1, "squares": 0,
     }
 
     # conjugator re-checks only its own rank(g) and g N2 == N1 g;
@@ -895,18 +900,56 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     }
 
 
+def test_theta_image_tasks_share_one_prefix_stack(monkeypatch):
+    """The tasks of one sweep share one prefix stack of the greedy walk, so
+    at max_last 6 the sweep takes 57 greedy steps, one per vector, where
+    walking each greedy chain from n_1 took 129, and the random chains
+    take their own (3 per vector and step here).  Each task gives the
+    instance that a fresh stack gives, run in order or in reverse, and two
+    sweeps do not share a stack."""
+    steps = {"greedy": 0, "all": 0}
+    real_step, real_greedy = quiverrep._glued_step, quiverrep._greedy_on_path
+    depth = [0]
+
+    def step(*args):
+        steps["all"] += 1
+        steps["greedy"] += depth[0]
+        return real_step(*args)
+
+    def greedy(*args):
+        depth[0] += 1
+        try:
+            return real_greedy(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(quiverrep, "_glued_step", step)
+    monkeypatch.setattr(verify, "_greedy_on_path", greedy)
+    tasks = verify._theta_image_tasks(6, 32003, 5, 3)
+    instances = [task() for task in tasks]
+    assert steps == {"greedy": 57, "all": 57 + 3 * 129}
+    assert {id(task.args[-1]) for task in tasks} == {id(tasks[0].args[-1])}
+    assert tasks[0].args[-1] is not verify._theta_image_tasks(6, 32003, 5, 3)[0].args[-1]
+    fresh = [verify._theta_image_instance(task.args[0], 32003, 5, 3) for task in tasks]
+    assert instances == fresh
+    backward = verify._theta_image_tasks(6, 32003, 5, 3)[::-1]
+    assert [task() for task in backward] == fresh[::-1]
+
+
 def test_theta_image_reads_each_forward_map_once(monkeypatch):
     """The theta-image instance builds no flag point for its stable
-    samples: each is re-checked on its endomorphism (_flag_endo), so no
-    forward map is built or read.  For (1, 4, 5) with two samples: 2
-    _flag_endo checks, and 0 _flag_point calls, 0 relations passes
+    samples: each is re-checked on the rows of its endomorphism that it
+    draws (_lowering_rows, re-checked by _flag_blocks), so no forward map
+    is built or read.  For (1, 4, 5) with two samples: 2 draws (2
+    _flag_endo checks of the whole endomorphism before), and 0 _flag_point
+    calls, 0 relations passes
     (_rep_products), 0 reads of forward maps (_partial_permutation), 0
     is_stable and 0 ranks.  When it checked the flag point, it built 2,
     made 2 relations passes and read each of the 2 forward maps of each
     once, 4 reads; before that, is_stable ranked each map by a read of its
     own.  The reads counted are those of quiverrep and verify; exactmat's
     own, inside _composite_ranks, are of the factors of its products."""
-    counts = {"flag_endo": 0, "flag_point": 0, "products": 0, "reads": 0, "is_stable": 0, "rank": 0}
+    counts = {"flag_rows": 0, "flag_point": 0, "products": 0, "reads": 0, "is_stable": 0, "rank": 0}
 
     def counting(name, real):
         def wrapper(*args):
@@ -916,7 +959,7 @@ def test_theta_image_reads_each_forward_map_once(monkeypatch):
         return wrapper
 
     for name, key in (
-        ("_flag_endo", "flag_endo"),
+        ("_lowering_rows", "flag_rows"),
         ("_flag_point", "flag_point"),
         ("_rep_products", "products"),
         ("_partial_permutation", "reads"),
@@ -928,7 +971,7 @@ def test_theta_image_reads_each_forward_map_once(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(key, real))
     assert verify._theta_image_instance((1, 4, 5), 32003, 0, 2)["ok"]
-    assert counts == {"flag_endo": 2, "flag_point": 0, "products": 0, "reads": 0, "is_stable": 0, "rank": 0}
+    assert counts == {"flag_rows": 2, "flag_point": 0, "products": 0, "reads": 0, "is_stable": 0, "rank": 0}
 
 
 def test_sweep_sample_is_typed_by_rank_echelons_alone(monkeypatch):
@@ -970,18 +1013,21 @@ def test_theta_image_refuses_flag_points_off_the_coordinate_flag(flags):
     flag.  The flag point it makes with that flag lies in the orbit of the
     coordinate-flag point, so it passes the relations and stability and its
     theta has the same type; but the endomorphism's leading blocks no longer
-    stand for the products A_i B_i, and the theta-image instance refuses it
-    with a CertificateError, also under python -O."""
+    stand for the products A_i B_i, and the theta-image instance refuses
+    its first n_{t-1} rows, the rows a draw fills (_lowering_rows), with a
+    CertificateError, also under python -O."""
     script = textwrap.dedent(
         """
         from quiverz import quiverrep, verify
-        from quiverz.exactmat import CertificateError, ExactMatrix, inverse, jordan_type, mul
+        from quiverz.exactmat import CertificateError, ExactMatrix, FieldSpec, inverse, jordan_type, mul
 
-        real = quiverrep._lowering_endo
+        real = quiverrep._lowering_rows
 
-        def permuted(dims, field, rng):
-            endo = real(dims, field, rng)
-            n = endo.rows
+        def permuted(dims, p, rng):
+            field = FieldSpec(p)
+            n = dims[-1]
+            rows = real(dims, p, rng)
+            endo = ExactMatrix(n, n, rows + [0] * ((n - dims[-2]) * n), field)
             cycle = ExactMatrix(n, n, [int(i == (j + 1) % n) for i in range(n) for j in range(n)], field)
             moved = mul(mul(cycle, endo), inverse(cycle))
             flag = [mul(cycle, ExactMatrix(n, k, [int(i == j) for i in range(n) for j in range(k)], field))
@@ -989,9 +1035,9 @@ def test_theta_image_refuses_flag_points_off_the_coordinate_flag(flags):
             z = quiverrep.from_flag_point(quiverrep.FlagPoint(flag, moved))
             print("relations", quiverrep.check_relations(z), "stable", quiverrep.is_stable(z),
                   "same type", jordan_type(quiverrep.theta(z)) == jordan_type(endo))
-            return moved
+            return list(moved.entries[: dims[-2] * n])
 
-        quiverrep._lowering_endo = permuted
+        quiverrep._lowering_rows = permuted
         try:
             verify._theta_image_instance((1, 4, 5), 32003, 0, 1)
             print("accepted")
