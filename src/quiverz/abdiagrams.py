@@ -191,13 +191,23 @@ def max_diagram(eta: Partition, a: int) -> ABDiagram:
 
 def random_diagram(eta: Partition, a: int, rng) -> ABDiagram:
     """A uniformly random end-placement of the extra b's (rejection on the
-    in-row budget), for sampling arbitrary points of the pair variety."""
+    in-row budget), for sampling arbitrary points of the pair variety:
+    _placement of the draws of _random_draws."""
+    return _placement(eta, a, *_random_draws(eta, a, rng))
+
+
+def _random_draws(eta: Partition, a: int, rng) -> tuple:
+    """(jvec, leads) of random_diagram: jvec[i] in 0..2 end b's for row i,
+    drawn until they fit the in-row budget, then one lead bit per row, kept
+    only where jvec[i] is 1 (False elsewhere), the one place _placement
+    reads it.  So the draws give the placement, and equal draws the same
+    diagram."""
     s = len(eta.parts)
     while True:
         jvec = _draws(rng, 3, s)
         if sum(jvec) <= s + a:
             break
-    return _placement(eta, a, jvec, list(map(bool, _draws(rng, 2, s))))
+    return jvec, [j == 1 and bit == 1 for j, bit in zip(jvec, _draws(rng, 2, s))]
 
 
 def build_pair(delta: ABDiagram, field: FieldSpec) -> Tuple[ExactMatrix, ExactMatrix]:

@@ -26,7 +26,9 @@ entries of xe times them, at most m (p - 1)^2 per slot, unpacked and
 reduced once.  Below the gate the row loop skips zero entries and suits the
 tiny dense matrices of the exhaustive drivers.  rank counts the pivots of
 the rank echelon, _echelon, of every input: it eliminates only below each
-pivot, and past the gate it packs rows straight from the entries and
+pivot.  Below the gate it copies each row once as a list and updates, in
+place, only the columns past each pivot of the rows with a nonzero entry
+under it; past the gate it packs rows straight from the entries and
 shifts each spent column out.  is_injective reads a 0/1 partial
 permutation off its index map, with no elimination: the forward maps of a
 glued chain point are such.
@@ -420,13 +422,16 @@ def _echelon(entries: Sequence[int], nrows: int, ncols: int, p: int) -> List[int
     """Pivot columns of the flat nrows x ncols matrix, entries in [0, p): the
     one rank echelon.  Each pivot row, the first row left with a nonzero h
     in its column, is removed and f / h times it taken off each row left
-    with f there.  Below the _packs gate the rows are lists, and the pivot
-    search stops at that first row.  Past it, rows are packed from the
-    entries and shed each spent column: a column is slot 0 masked, a row
-    step (x >> 64) + (p - f) * tail, at most (p - 1)^2 per slot and pivot."""
-    rows = [entries[i * ncols : (i + 1) * ncols] for i in range(nrows)]
+    with f there.  Below the _packs gate each row is copied once as a list
+    and changed in place: the pivot search stops at that first row, only
+    the columns past the pivot are updated, in the rows with an f, and the
+    loop stops when no row is left.  Past the gate, rows are packed from
+    the entries and shed each spent column: a column is slot 0 masked, a
+    row step (x >> 64) + (p - f) * tail, at most (p - 1)^2 per slot and
+    pivot."""
     pivots: List[int] = []
     if not _packs(nrows, p):
+        rows = [list(entries[i * ncols : (i + 1) * ncols]) for i in range(nrows)]
         for c in range(ncols):
             for pivot, row in enumerate(rows):
                 if row[c]:
@@ -434,11 +439,18 @@ def _echelon(entries: Sequence[int], nrows: int, ncols: int, p: int) -> List[int
             else:
                 continue
             del rows[pivot]
-            inv = pow(row[c], -1, p)
-            rows = [[(x - g * y) % p for x, y in zip(r, row)] if (g := r[c] * inv) else r for r in rows]
             pivots.append(c)
+            if not rows:
+                break
+            inv = pow(row[c], -1, p)
+            rest = range(c + 1, ncols)
+            for r in rows:
+                if r[c]:
+                    g = r[c] * inv % p
+                    for k in rest:
+                        r[k] = (r[k] - g * row[k]) % p
         return pivots
-    rows = [_pack(row) for row in rows]
+    rows = [_pack(entries[i * ncols : (i + 1) * ncols]) for i in range(nrows)]
     for c in range(ncols):
         col = [(x & _SLOT_MASK) % p for x in rows]
         head = next(filter(None, col), 0)

@@ -24,7 +24,12 @@ walk keeps only the last A B and the last diagram's b-row starts.
 _walk_chain takes the step along a whole chain; the image sweep takes it
 along the prefixes of its sorted vectors (_greedy_on_path), keeping one
 entry per vertex of the vector walked last, so a greedy chain whose
-prefix was walked costs one step.  The re-check forms no matrix and
+prefix was walked costs one step.  Each entry also keeps the random-chain
+states that pass through its prefix, keyed by the draws that reached them
+(_random_on_path): a random step draws first, and only a state not yet
+kept is placed, numbered and re-checked, so each distinct random
+interface is re-checked once per sweep, when first reached, and popping
+the entry drops its states.  The re-check forms no matrix and
 eliminates nothing, so the image sweep re-checks its chains without
 building points.  build_from_chain walks a given chain the same way, then
 writes each map as its 0/1 matrix and reads it back (_partial_permutation)
@@ -42,7 +47,7 @@ from typing import List, Optional, Sequence, Tuple
 import functools
 import itertools
 
-from quiverz.abdiagrams import ABDiagram, _numbered_pair, max_diagram, random_diagram
+from quiverz.abdiagrams import ABDiagram, _numbered_pair, _placement, _random_draws, max_diagram, random_diagram
 from quiverz.exactmat import (
     CertificateError,
     ExactMatrix,
@@ -193,7 +198,10 @@ def _interface_types(z: QuiverRep) -> Optional[List[Optional[Partition]]]:
 def _degrees_bounded(types: Sequence[Optional[Partition]]) -> bool:
     """(A_i B_i)^{i+1} = 0 for the types of _interface_types: each A_i B_i is
     nilpotent with no Jordan block longer than i + 1."""
-    return all(typ is not None and max(typ.parts, default=0) <= i + 1 for i, typ in enumerate(types, start=1))
+    for i, typ in enumerate(types, start=2):
+        if typ is None or typ.parts and typ.parts[0] > i:  # the first part is the longest block
+            return False
+    return True
 
 
 def nilpotency_degrees(z: QuiverRep) -> bool:
@@ -258,13 +266,17 @@ def _lowering_rows(dims: tuple, p: int, rng) -> List[int]:
     of the first n_{i-1} (n_0 = 0): the rows of N that can be nonzero, its
     last n_t - n_{t-1} rows being 0.  Column c of block j (n_{j-1} <= c <
     n_j) is drawn in its first n_{j-1} rows, column after column, straight
-    into them as one strided slice.  dims has t >= 2 entries."""
+    into them as one strided slice, the entries of all columns taken from
+    one _draws call in that order.  dims has t >= 2 entries."""
     nt = dims[-1]
     rows = [0] * (dims[-2] * nt)
+    values = _draws(rng, p, sum(low * (n - low) for low, n in zip(dims, dims[1:])))
+    k = 0
     for low, n in zip(dims, dims[1:]):
         end = low * nt
         for c in range(low, n):
-            rows[c:end:nt] = _draws(rng, p, low)
+            rows[c:end:nt] = values[k : k + low]
+            k += low
     return rows
 
 
@@ -303,7 +315,13 @@ def _flag_blocks(dims: Sequence[int], field: FieldSpec, rng) -> List[list]:
         raise ValueError(f"stable sampling needs a strictly increasing dimension vector: {dims}")
     if len(dims) < 2:
         return []  # no map, and nothing is drawn
-    rows = _lowering_rows(dims, field.p, rng)
+    return _lowering_blocks(dims, field.p, rng)
+
+
+def _lowering_blocks(dims: tuple, p: int, rng) -> List[list]:
+    """_flag_blocks for dims a strictly increasing tuple of t >= 2 positive
+    ints, taken without its checks: the image sweep's vectors are built so."""
+    rows = _lowering_rows(dims, p, rng)
     nt = dims[-1]
     for low, n in zip((0,) + dims, dims[:-1]):
         for r in range(low * nt, n * nt, nt):
@@ -512,14 +530,16 @@ def _glued_step(place, eta: Partition, step: int, ab: List[int], starts: Optiona
 def _greedy_on_path(dims: tuple, path: list) -> List[ABDiagram]:
     """greedy_chain(dims), walked on from the longest prefix of dims that
     path walked before.  path is the stack of the vector walked last, one
-    (n_i, the diagram placed to reach n_i, A_i B_i, its b-row starts) per
-    vertex, (n_1, None, all -1, None) first: the entries that disagree with
-    dims are popped, then one greedy _glued_step is pushed per entry of dims
-    past the kept prefix.  An entry is never changed once pushed, so each
-    interface is re-checked once, when its prefix is first walked, and path
-    never holds more entries than the vector walked last.  For vectors in
-    sorted order, the depth-first preorder of their prefix tree, each vector
-    whose prefix came before it costs one step."""
+    (n_i, the diagram placed to reach n_i, A_i B_i, its b-row starts, the
+    random states at n_i) per vertex, (n_1, None, all -1, None, {}) first:
+    the entries that disagree with dims are popped, with the random states
+    they hold (_random_on_path), then one greedy _glued_step is pushed per
+    entry of dims past the kept prefix.  The greedy fields of an entry are
+    never changed once pushed, so each interface is re-checked once, when
+    its prefix is first walked, and path never holds more entries than the
+    vector walked last.  For vectors in sorted order, the depth-first
+    preorder of their prefix tree, each vector whose prefix came before it
+    costs one step."""
     keep = 0
     for entry, n in zip(path, dims):
         if entry[0] != n:
@@ -528,15 +548,48 @@ def _greedy_on_path(dims: tuple, path: list) -> List[ABDiagram]:
     del path[keep:]
     for n in dims[keep:]:
         if not path:
-            path.append((n, None, [-1] * n, None))  # A_0 B_0 = 0
+            path.append((n, None, [-1] * n, None, {}))  # A_0 B_0 = 0
             continue
-        low, delta, ab, starts = path[-1]
+        low, delta, ab, starts, _ = path[-1]
         if n < low:
             raise ValueError(f"decreasing step at position {len(path)}: {dims}")
         eta = delta.b_part if delta else Partition._sorted((1,) * low)
         delta, _, _, ab, starts = _glued_step(max_diagram, eta, n - low, ab, starts)
-        path.append((n, delta, ab, starts))
+        path.append((n, delta, ab, starts, {}))
     return [entry[1] for entry in path[1:]]
+
+
+def _random_on_path(dims: tuple, path: list, rng) -> List[ABDiagram]:
+    """random_chain(dims, rng), draw for draw, walked along path, which
+    _greedy_on_path(dims, path) first brings to dims.  A random step is
+    fixed by the state it starts from and its draws (_random_draws): jvec
+    and, where a row takes one end b, its lead bit, the others drawn but
+    kept False.  So the entry at n_i keeps each random state reached there,
+    (its index, the diagram placed to reach it, A_i B_i, its b-row starts),
+    keyed by the index of the state before it and those draws, as many of
+    each as that state has rows.  Each step draws first, then looks the
+    state up; only a state not yet kept is placed, numbered and re-checked
+    (_glued_step), and it is kept once its re-check has passed.  The states
+    live as long as their entry, so over a sweep in depth-first preorder
+    each one is glued once, and path holds only the states of the prefixes
+    of the vector walked last."""
+    _greedy_on_path(dims, path)
+    low, _, ab, starts, _ = path[0]
+    eta = Partition._sorted((1,) * low)
+    at = 0
+    chain = []
+    for n, _, _, _, states in path[1:]:
+        jvec, leads = _random_draws(eta, n - low, rng)
+        key = (at, *jvec, *leads)
+        state = states.get(key)
+        if state is None:
+            place = functools.partial(_placement, jvec=jvec, leads=leads)
+            delta, _, _, ab, starts = _glued_step(place, eta, n - low, ab, starts)
+            state = states[key] = (len(states), delta, ab, starts)
+        at, delta, ab, starts = state
+        chain.append(delta)
+        eta, low = delta.b_part, n
+    return chain
 
 
 def greedy_chain(dims: Sequence[int]) -> List[ABDiagram]:

@@ -20,11 +20,13 @@ endomorphism lowers the flag, so the sample is re-checked on the rows
 of the endomorphism it draws and no point is built; A_i B_i is theta
 restricted to the span of the first n_{i+1} coordinates (the flag
 correspondence of Kraft and Procesi), so the ranks of the composites of
-theta's leading blocks type every interface.  The sweep's greedy chains
-are walked along the prefixes of its sorted vectors, one step for each
-vector whose prefix was swept before it.  The stability check solves its last relation in
-closed form: against the normal form, B_{t-1} A_{t-1} is B_{t-1}'s first
-r columns, so the other maps fix those and leave the rest free.  Since
+theta's leading blocks type every interface.  The sweep's chains are
+walked along the prefixes of its sorted vectors: one greedy step for each
+vector whose prefix was swept before it, and a random step only where
+its state and draws were not reached before on that prefix.  The
+stability check solves its last relation in closed form: against the
+normal form, B_{t-1} A_{t-1} is B_{t-1}'s first r columns, so the other
+maps fix those and leave the rest free.  Since
 neither criterion reads B_{t-1}, it evaluates both once per fibre of the
 other maps.  Failures carry a re-checkable counterexample payload.
 All randomness is derived per instance from a master seed, so reports are
@@ -71,12 +73,12 @@ from quiverz.quiverrep import (
     QuiverRep,
     _backward_types,
     _degrees_bounded,
-    _flag_blocks,
     _greedy_on_path,
+    _lowering_blocks,
     _point_products,
+    _random_on_path,
     _subspace_criterion,
     is_stable,
-    random_chain,
     witness_reducible,
 )
 
@@ -425,35 +427,40 @@ def strictly_monotone_vectors(max_last: int) -> List[tuple]:
 
 
 def _theta_image_instance(d: tuple, p: int, seed: int, trials: int, path: Optional[list] = None) -> dict:
-    """One vector of the image sweep.  path is the greedy walk's prefix
-    stack (_greedy_on_path) that the sweep's tasks share; a fresh one walks
-    the greedy chain from n_1."""
+    """One vector of the image sweep, d a strictly increasing tuple as
+    strictly_monotone_vectors builds it, so the chains and the samples take
+    it without checking it again.  path is the prefix stack of the walks
+    (_greedy_on_path, _random_on_path) that the sweep's tasks share; a
+    fresh one walks the chains from n_1."""
     field = FieldSpec(p)
     rng = derive_rng(seed, "theta-image", d)
     lam = theta_image(d)
     mu = mu_of(d)
+    path = [] if path is None else path
     # The walk that places a chain glues it and re-checks its relations
     # and its type at each interface (the b-parts of its chain) on its
-    # index maps as it goes; the greedy chain is walked on from the longest
-    # prefix of d that the sweep walked last, whose interfaces passed when
-    # that prefix was first walked.  A stable sample is checked at the
-    # coordinate-flag point of its endomorphism, without sample_stable's
-    # base change, which keeps every check below.  There each A_i is an
-    # inclusion, so injective, and the relations with theta = endo say that
-    # the endomorphism lowers the flag (_flag_blocks's re-check of its drawn
-    # rows); A_i B_i is then the endomorphism on the first n_{i+1}
-    # coordinates, typed off the composites of its leading blocks.
+    # index maps as it goes; the chains are walked on from the longest
+    # prefix of d that the sweep walked last, and a random step whose
+    # state and draws were walked before is taken from the stack, its
+    # interface having passed when it was first walked.  A stable sample is
+    # checked at the coordinate-flag point of its endomorphism, without
+    # sample_stable's base change, which keeps every check below.  There
+    # each A_i is an inclusion, so injective, and the relations with
+    # theta = endo say that the endomorphism lowers the flag
+    # (_lowering_blocks's re-check of its drawn rows); A_i B_i is then the
+    # endomorphism on the first n_{i+1} coordinates, typed off the
+    # composites of its leading blocks.
     checks = [("lambda_dominates_mu", dominates(lam, mu))]
-    chain = _greedy_on_path(d, [] if path is None else path)
+    chain = _greedy_on_path(d, path)
     checks.append(("greedy_nilpotency", _degrees_bounded([delta.b_part for delta in chain])))
     checks.append(("greedy_type_is_lambda", chain[-1].b_part == lam))
     for k in range(trials):
-        chain = random_chain(d, rng)
+        chain = _random_on_path(d, path, rng)
         end = chain[-1].b_part  # bounded by M(d) >= lambda, formed where lambda misses
         checks.append((f"chain{k}_bounded_by_lambda", dominates(lam, end) or dominates(theta_image_max(d), end)))
         checks.append((f"chain{k}_nilpotency", _degrees_bounded([delta.b_part for delta in chain])))
     for k in range(trials):
-        types = _backward_types(_flag_blocks(d, field, rng), d, p, d[1:])
+        types = _backward_types(_lowering_blocks(d, field.p, rng), d, p, d[1:])
         checks.append((f"stable{k}_bounded_by_mu", dominates(mu, types[-1])))
         checks.append((f"stable{k}_nilpotency", _degrees_bounded(types)))
     failed = sorted(name for name, ok in checks if not ok)
@@ -471,8 +478,10 @@ def _theta_image_tasks(max_last: int, p: int, seed: int, trials: int) -> list:
     subsets of 1..max_last, so 2^max_last bounds their number; past the
     default budget the sweep is refused before any is built.  Below 2 there
     is no vector to sweep, and an empty sweep is refused, not passed.  The
-    tasks share one prefix stack of the greedy walk (_greedy_on_path), so
-    each greedy chain is walked on from the prefix walked before it; a
+    tasks share one prefix stack of the walks, so each greedy chain is
+    walked on from the prefix walked before it (_greedy_on_path), and each
+    random chain takes from the stack every step that an earlier vector
+    with the same prefix walked with the same draws (_random_on_path); a
     forked worker grows its own copy."""
     if max_last < 2:
         raise ValueError(f"max_last must be at least 2 for a nonempty sweep, got {max_last}")

@@ -17,7 +17,10 @@ fibre of points that differ in B_{t-1} alone.  mul_by_rows is the product
 loop that exactmat._mul_flat keeps for sparse and small operands, and
 rref_by_rows the plain RREF that exactmat._rref runs in place, leaving the
 in-place entry in each pivot column; the oracles that eliminate run on it,
-never on an elimination of exactmat.  inverse_by_augmenting is the
+never on an elimination of exactmat.  echelon_by_comprehension is the
+list loop of the rank echelon (exactmat._echelon) as it was, moved here
+unchanged: one comprehension per row left at each pivot, where _echelon
+copies each row once and updates it in place.  inverse_by_augmenting is the
 elimination of [M | I] that exactmat._inverse_flat replaced with one
 in-place _rref of M, jordan_type_by_power_ranks the Jordan type from
 the ranks of every power, which exactmat._jordan_flat reads off chains or
@@ -188,6 +191,26 @@ def theta_image_max_by_strata(d: Sequence[int]) -> Partition:
         types = sorted(eta.parts for eta in found)
         raise CertificateError(f"theta_image_max_by_strata: no largest type for {tuple(d)}: {types}")
     return top[0]
+
+
+def echelon_by_comprehension(entries: Sequence[int], nrows: int, ncols: int, p: int) -> List[int]:
+    """Pivot columns of the flat nrows x ncols matrix, entries in [0, p):
+    each pivot row, the first row left with a nonzero h in its column, is
+    removed and f / h times it taken off each row left with f there, every
+    such row rebuilt by a comprehension."""
+    rows = [entries[i * ncols : (i + 1) * ncols] for i in range(nrows)]
+    pivots: List[int] = []
+    for c in range(ncols):
+        for pivot, row in enumerate(rows):
+            if row[c]:
+                break
+        else:
+            continue
+        del rows[pivot]
+        inv = pow(row[c], -1, p)
+        rows = [[(x - g * y) % p for x, y in zip(r, row)] if (g := r[c] * inv) else r for r in rows]
+        pivots.append(c)
+    return pivots
 
 
 def slot_edge_prime(rows: int) -> int:

@@ -58,6 +58,18 @@ def test_dimvec_classify(capsys):
     assert payload == {"tag": "monotone_only"}
 
 
+def test_package_runs_as_a_module(capsys):
+    """python -m quiverz runs cli.main: part dual 3,1 prints what cli.main
+    prints for it and exits 0, in a process of its own."""
+    assert run(capsys, "part", "dual", "3,1") == (0, "[2,1,1]")
+    src = os.path.dirname(os.path.dirname(quiverz.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "quiverz", "part", "dual", "3,1"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[2,1,1]\n", "")
+
+
 def test_dimvec_mu_lambda_slack(capsys):
     assert run(capsys, "dimvec", "mu", "1,4,5") == (0, "[3,1,1]")
     assert run(capsys, "dimvec", "lambda", "1,4,5") == (0, "[3,2]")

@@ -54,6 +54,7 @@ from quiverz.verify import strictly_monotone_vectors, theta_image_report
 from oracles import (
     _chain_order,
     _lowering_endo,
+    echelon_by_comprehension,
     flag_conjugate,
     inverse_by_augmenting,
     is_nilpotent,
@@ -593,6 +594,40 @@ def test_rank_echelon_touches_only_the_trailing_block(monkeypatch):
         assert _echelon(entries, m.rows, m.cols, F.p) == pivots
         assert entries == list(m.entries)
     assert 3 not in rref_by_rows(cases[-1].to_rows(), F.p)
+
+
+def test_rank_echelon_list_loop_matches_comprehension_oracle():
+    """Below the _packs gate the rank echelon copies each row once and
+    updates it in place; its pivots are those of the comprehension loop it
+    replaced (oracles.echelon_by_comprehension), on tuple and on list
+    input, and the input is left as it was: on every matrix over F_3 up to
+    3 x 3, empty shapes included, and on seeded dense and zero-heavy
+    matrices of every shape up to 7 x 9 over F_2, F_3 and F_32003."""
+
+    def check(entries, rows, cols, p):
+        want = echelon_by_comprehension(tuple(entries), rows, cols, p)
+        for given in (tuple(entries), list(entries)):
+            kept = list(given)
+            assert _echelon(given, rows, cols, p) == want, (entries, rows, cols, p)
+            assert list(given) == kept
+        return want
+
+    count = 0
+    for rows, cols in itertools.product(range(4), repeat=2):
+        for entries in itertools.product(range(3), repeat=rows * cols):
+            check(entries, rows, cols, 3)
+            count += 1
+    assert count == sum(3 ** (r * c) for r in range(4) for c in range(4))
+    rng = random.Random(38)
+    ranks = set()
+    for p in (2, 3, F.p):
+        for rows, cols in itertools.product(range(1, 8), range(1, 10)):
+            assert not _packs(rows, p)
+            for zero_share in (0.0, 0.7):
+                for _ in range(4):
+                    entries = [0 if rng.random() < zero_share else rng.randrange(p) for _ in range(rows * cols)]
+                    ranks.add(len(check(entries, rows, cols, p)))
+    assert ranks == set(range(8))
 
 
 def test_kernel_dim_against_vector_count():

@@ -30,18 +30,20 @@ from quiverz.exactmat import (
     rank,
     zeros,
 )
-from quiverz.partitions import Partition, dominates, mu_of, theta_image
+from quiverz.partitions import Partition, dominates, mu_of, partitions_of_weight, theta_image
 from quiverz.quiverrep import (
     FlagPoint,
     QuiverRep,
     _backward_types,
     _certified,
+    _degrees_bounded,
     _flag_blocks,
     _flag_point,
     _greedy_on_path,
     _interface_recheck,
     _interface_types,
     _lowering_rows,
+    _random_on_path,
     _rep_products,
     _sample_stable,
     _walk_chain,
@@ -229,6 +231,23 @@ def test_nilpotency_degrees_matches_power_loop_oracle(monkeypatch):
     for z in (idempotent, shift):
         assert nilpotency_degrees(z) is False
         assert nilpotency_by_powers(z) is False
+
+
+def test_degrees_bound_reads_each_types_first_part():
+    """_degrees_bounded reads the longest block of each type off its first
+    part: it agrees with the maximum over every part, the check it
+    replaced, on every list of up to three types, each None, the empty
+    partition or a partition of weight at most 5.  Of the 20 types, 12
+    pass the bound 2, 16 the bound 3 and 18 the bound 4, so 8 + (400 -
+    12 * 16) + (8000 - 12 * 16 * 18) = 4760 lists fail."""
+    types = [None, P()] + [eta for w in range(1, 6) for eta in partitions_of_weight(w)]
+    count = 0
+    for k in range(4):
+        for combo in itertools.product(types, repeat=k):
+            want = all(typ is not None and max(typ.parts, default=0) <= i + 1 for i, typ in enumerate(combo, start=1))
+            assert _degrees_bounded(list(combo)) == want, combo
+            count += not want
+    assert count == 4760
 
 
 # --- stability ------------------------------------------------------------------
@@ -1024,7 +1043,8 @@ def test_prefix_walk_matches_walk_from_n1(monkeypatch):
     is _walk_chain(d, max_diagram)'s chain for every strictly monotone d
     with last entry at most 9, whatever vector the stack walked before: in
     sorted order, reversed and in a seeded shuffle, each on one stack.  The
-    stack holds one entry per vertex of the vector walked last.  In sorted
+    stack holds one entry per vertex of the vector walked last, each with
+    its random states (none here, as no random chain is walked).  In sorted
     order, the depth-first preorder of the prefix tree, each vector costs
     one greedy step: at max_last 6, 57 steps (_glued_step), where walking
     each from n_1 took 129."""
@@ -1037,6 +1057,7 @@ def test_prefix_walk_matches_walk_from_n1(monkeypatch):
         for d in order:
             assert _greedy_on_path(d, path) == want[d], d
             assert [entry[0] for entry in path] == list(d)
+            assert [entry[4] for entry in path] == [{}] * len(d)
     steps = [0]
     real = quiverrep._glued_step
 
@@ -1054,29 +1075,140 @@ def test_prefix_walk_matches_walk_from_n1(monkeypatch):
 
 def test_prefix_walk_leaves_the_parent_entries_unchanged():
     """Walking a child keeps every entry of its prefix on the stack as it
-    was: the same objects, equal to a deep copy taken before, for each
-    vector with last entry at most 7 and each of its one-entry extensions;
-    and a vector that leaves the prefix pops the child's entries, with its
-    own n_1 first.  A decreasing step raises ValueError, as _walk_chain
-    does, after the entries of the increasing prefix."""
+    was: the same objects, their greedy fields (n_i, diagram, A_i B_i,
+    b-row starts) equal to a deep copy taken before, and every random state
+    kept there still kept under its key, the same object, for each vector
+    with last entry at most 7, walked by its greedy chain and one random
+    chain, and each of its one-entry extensions, walked by theirs and two
+    random chains.  A vector that leaves the prefix pops the child's
+    entries with the random states they keep, its own n_1 first.  A
+    decreasing step raises ValueError, as _walk_chain does, after the
+    entries of the increasing prefix."""
     for d in strictly_monotone_vectors(7):
         path = []
+        rng = random.Random(repr(d))
         _greedy_on_path(d, path)
-        before = pickle.loads(pickle.dumps(path))
+        _random_on_path(d, path, rng)
+        before = pickle.loads(pickle.dumps([entry[:4] for entry in path]))
         kept = list(path)
+        states = [dict(entry[4]) for entry in path]
         for n in range(d[-1] + 1, 9):
             _greedy_on_path(d + (n,), path)
+            _random_on_path(d + (n,), path, rng)
+            _random_on_path(d + (n,), path, rng)
             assert len(path) == len(d) + 1
-            assert all(a is b for a, b in zip(path, kept)) and path[: len(d)] == before, (d, n)
+            assert all(a is b for a, b in zip(path, kept)), (d, n)
+            assert [entry[:4] for entry in path[: len(d)]] == before, (d, n)
+            for entry, old in zip(path, states):
+                assert all(entry[4][key] is state for key, state in old.items()), (d, n)
     path = []
     _greedy_on_path((1, 4, 5), path)
+    _random_on_path((1, 4, 5), path, random.Random(0))
+    assert [len(entry[4]) for entry in path] == [0, 1, 1]
     _greedy_on_path((2, 3), path)
     assert [entry[0] for entry in path] == [2, 3]
+    assert [entry[4] for entry in path] == [{}, {}]
     with pytest.raises(ValueError, match="decreasing step"):
         _walk_chain((2, 5, 4), max_diagram)
     with pytest.raises(ValueError, match="decreasing step at position 2"):
         _greedy_on_path((2, 5, 4), path)
     assert [entry[0] for entry in path] == [2, 5]
+
+
+def test_random_on_path_draws_as_random_chain():
+    """A random chain walked along the prefix stack (_random_on_path) is
+    random_chain(d, rng), draw for draw: the same diagrams and the same rng
+    state after each of three chains per vector, for every strictly
+    monotone d with last entry at most 8, in sorted, reversed and
+    seeded-shuffle order on one stack, the greedy chain walked first except
+    in the shuffle.  After the sorted sweep the stack keeps only the states
+    of its last vector, (7, 8): at most 3."""
+    vectors = strictly_monotone_vectors(8)
+    shuffled = list(vectors)
+    random.Random(8).shuffle(shuffled)
+    for order in (vectors, vectors[::-1], shuffled):
+        path = []
+        for d in order:
+            rng, twin = random.Random(repr(d)), random.Random(repr(d))
+            if order is not shuffled:
+                _greedy_on_path(d, path)
+            for _ in range(3):
+                assert _random_on_path(d, path, rng) == random_chain(d, twin), d
+                assert rng.getstate() == twin.getstate(), d
+            assert [entry[0] for entry in path] == list(d)
+        if order is vectors:
+            assert [entry[0] for entry in path] == [7, 8]
+            assert sum(len(entry[4]) for entry in path) <= 3
+
+
+class _ScriptedRandom:
+    """An rng whose getrandbits returns the values given, then those of
+    random.Random(seed); used counts the calls."""
+
+    def __init__(self, values, seed):
+        self.values = list(values)
+        self.rest = random.Random(seed)
+        self.used = 0
+
+    def getrandbits(self, k):
+        self.used += 1
+        return self.values.pop(0) if self.values else self.rest.getrandbits(k)
+
+
+def test_random_states_part_where_the_lead_bit_is_read():
+    """A random state is keyed by its jvec and by the lead bit of each row
+    with one end b, the only lead bits _placement reads: a row with one
+    leading end b and a row with two end b's both lead with b but are
+    different rows, so they never share a state.  Every first draw of
+    (1, 3, 5) (one row, two extra b's: j = 0, 1 with either lead, 2) and of
+    (2, 4, 5) (two rows, j in 0..2 each, both lead bits), each followed by
+    the draws of three seeds, walks random_chain's chain on one stack with
+    the same calls to the rng; the states at n_2 are one per distinct key,
+    4 for (1, 3, 5), with 4 distinct diagrams, and 16 = (1 + 2 + 1)^2 for
+    (2, 4, 5), of 36 draws."""
+    for d, rows, want in (((1, 3, 5), 1, 4), ((2, 4, 5), 2, 16)):
+        path = []
+        for jvec, leads, seed in itertools.product(
+            itertools.product(range(3), repeat=rows), itertools.product(range(2), repeat=rows), range(3)
+        ):
+            rng, twin = _ScriptedRandom(jvec + leads, seed), _ScriptedRandom(jvec + leads, seed)
+            assert _random_on_path(d, path, rng) == random_chain(d, twin), (d, jvec, leads)
+            assert rng.used == twin.used
+        states = path[1][4]
+        assert len(states) == want
+        if rows == 1:
+            assert len({state[1] for state in states.values()}) == want
+
+
+def test_random_state_is_kept_only_after_its_recheck(monkeypatch):
+    """A random step not kept on the stack is placed, numbered and
+    re-checked (_interface_recheck) before its state is kept: a refused
+    re-check raises CertificateError and keeps nothing, and the same draws
+    then re-check each interface again.  Once kept, the same draws re-check
+    nothing."""
+    d = (1, 3, 5)
+    want = random_chain(d, random.Random(1))
+    path = []
+    _greedy_on_path(d, path)
+    real = quiverrep._interface_recheck
+    calls = [0]
+
+    def refused(*args):
+        raise CertificateError("refused")
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(quiverrep, "_interface_recheck", refused)
+    with pytest.raises(CertificateError, match="refused"):
+        _random_on_path(d, path, random.Random(1))
+    assert [entry[4] for entry in path] == [{}, {}, {}]
+    monkeypatch.setattr(quiverrep, "_interface_recheck", counting)
+    assert _random_on_path(d, path, random.Random(1)) == want
+    assert calls[0] == 2 and [len(entry[4]) for entry in path] == [0, 1, 1]
+    assert _random_on_path(d, path, random.Random(1)) == want
+    assert calls[0] == 2 and [len(entry[4]) for entry in path] == [0, 1, 1]
 
 
 def test_random_chain_draws_as_placed_one_by_one():

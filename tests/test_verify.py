@@ -731,10 +731,11 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     Per instance of (1, 4, 5) over F_32003 with one trial:
     - relations: 0.  The two chains are re-checked on their index maps
       as they are walked, at each of their two interfaces (maps: 4, one
-      _interface_recheck each), which composes them.  The random chain is
-      one _walk_chain (walks: 1); the greedy chain is walked along the
-      sweep's prefix stack (_greedy_on_path), here a fresh one, so from
-      n_1, where it took a _walk_chain of its own (walks: 2).  When each
+      _interface_recheck each), which composes them.  Both chains are
+      walked along the sweep's prefix stack, here a fresh one, so from n_1:
+      the greedy chain by _greedy_on_path, where it took a _walk_chain of
+      its own (walks: 2), and the random chain by _random_on_path, where it
+      was one _walk_chain (walks: 1); so walks: 0.  When each
       chain was numbered first, one _map_recheck
       of the whole chain followed (2); when each chain was glued into a
       point, its re-check was one relations pass of matrix products, 3
@@ -808,7 +809,7 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     inst = verify._theta_image_instance((1, 4, 5), 32003, 0, 1)
     assert inst["ok"]
     assert counts == {
-        "relations": 0, "walks": 1, "maps": 4, "jordan": 0, "matrices": 0, "eliminations": 2, "inversions": 0,
+        "relations": 0, "walks": 0, "maps": 4, "jordan": 0, "matrices": 0, "eliminations": 2, "inversions": 0,
         "canonical": 0, "flag_rows": 1,
     }
 
@@ -901,12 +902,16 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
 
 
 def test_theta_image_tasks_share_one_prefix_stack(monkeypatch):
-    """The tasks of one sweep share one prefix stack of the greedy walk, so
-    at max_last 6 the sweep takes 57 greedy steps, one per vector, where
-    walking each greedy chain from n_1 took 129, and the random chains
-    take their own (3 per vector and step here).  Each task gives the
-    instance that a fresh stack gives, run in order or in reverse, and two
-    sweeps do not share a stack."""
+    """The tasks of one sweep share one prefix stack of the walks, so at
+    max_last 6 the sweep takes 57 greedy steps, one per vector, where
+    walking each greedy chain from n_1 took 129, and its random chains take
+    275 steps, where walking each from n_1 took 3 x 129 = 387 here: a
+    random step is glued once per distinct prefix of d and draws leading to
+    it, which the replay of each vector's draws (abdiagrams._random_draws
+    along random_chain's diagrams, lead bits read where a row takes one end
+    b) counts independently.  Each task gives the instance that a fresh
+    stack gives, run in order or in reverse, and two sweeps do not share a
+    stack."""
     steps = {"greedy": 0, "all": 0}
     real_step, real_greedy = quiverrep._glued_step, quiverrep._greedy_on_path
     depth = [0]
@@ -927,13 +932,25 @@ def test_theta_image_tasks_share_one_prefix_stack(monkeypatch):
     monkeypatch.setattr(verify, "_greedy_on_path", greedy)
     tasks = verify._theta_image_tasks(6, 32003, 5, 3)
     instances = [task() for task in tasks]
-    assert steps == {"greedy": 57, "all": 57 + 3 * 129}
+    assert steps == {"greedy": 57, "all": 57 + 275}
     assert {id(task.args[-1]) for task in tasks} == {id(tasks[0].args[-1])}
     assert tasks[0].args[-1] is not verify._theta_image_tasks(6, 32003, 5, 3)[0].args[-1]
     fresh = [verify._theta_image_instance(task.args[0], 32003, 5, 3) for task in tasks]
     assert instances == fresh
     backward = verify._theta_image_tasks(6, 32003, 5, 3)[::-1]
     assert [task() for task in backward] == fresh[::-1]
+
+    distinct = set()
+    for d in strictly_monotone_vectors(6):
+        rng = verify.derive_rng(5, "theta-image", d)
+        for _ in range(3):
+            eta, walked = Partition((1,) * d[0]), ()
+            for i, (lo, hi) in enumerate(zip(d, d[1:]), start=2):
+                jvec, leads = abdiagrams._random_draws(eta, hi - lo, rng)
+                walked += ((tuple(jvec), tuple(lead for j, lead in zip(jvec, leads) if j == 1)),)
+                distinct.add((d[:i], walked))
+                eta = abdiagrams._placement(eta, hi - lo, jvec, leads).b_part
+    assert len(distinct) == 275
 
 
 def test_theta_image_reads_each_forward_map_once(monkeypatch):
