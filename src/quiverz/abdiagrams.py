@@ -197,17 +197,17 @@ def random_diagram(eta: Partition, a: int, rng) -> ABDiagram:
 
 
 def _random_draws(eta: Partition, a: int, rng) -> tuple:
-    """(jvec, leads) of random_diagram: jvec[i] in 0..2 end b's for row i,
-    drawn until they fit the in-row budget, then one lead bit per row, kept
-    only where jvec[i] is 1 (False elsewhere), the one place _placement
-    reads it.  So the draws give the placement, and equal draws the same
-    diagram."""
+    """(jvec, leads) of random_diagram, two tuples: jvec[i] in 0..2 end b's
+    for row i, drawn until they fit the in-row budget, then one lead bit per
+    row, kept only where jvec[i] is 1 (False elsewhere), the one place
+    _placement reads it.  So the draws give the placement, and equal draws
+    the same diagram: they key a random step of a walk (quiverrep._walk)."""
     s = len(eta.parts)
     while True:
         jvec = _draws(rng, 3, s)
         if sum(jvec) <= s + a:
             break
-    return jvec, [j == 1 and bit == 1 for j, bit in zip(jvec, _draws(rng, 2, s))]
+    return tuple(jvec), tuple([j == 1 and bit == 1 for j, bit in zip(jvec, _draws(rng, 2, s))])
 
 
 def build_pair(delta: ABDiagram, field: FieldSpec) -> Tuple[ExactMatrix, ExactMatrix]:

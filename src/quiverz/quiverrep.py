@@ -15,25 +15,23 @@ the k-th longest row meeting the k-th longest.  So B_i A_i is A_{i-1}
 B_{i-1} by construction, and no product, chain or permutation is formed to
 glue.  Every map of a glued point is a 0/1 partial permutation of the
 letters, and the glue gives each as its index map, the letter each letter
-goes to.  One step places, numbers and re-checks each diagram
-(_glued_step): the diagram is numbered as soon as it is placed, and its
-interface is re-checked at once (_interface_recheck): its maps composed
-must meet the relation, and the Jordan type of A_i B_i, theta last, read
-off its chains, must be the b-part of the diagram.  Between diagrams a
-walk keeps only the last A B and the last diagram's b-row starts.
-_walk_chain takes the step along a whole chain; the image sweep takes it
-along the prefixes of its sorted vectors (_greedy_on_path), keeping one
-entry per vertex of the vector walked last, so a greedy chain whose
-prefix was walked costs one step.  Each entry also keeps the random-chain
-states that pass through its prefix, keyed by the draws that reached them
-(_random_on_path): a random step draws first, and only a state not yet
-kept is placed, numbered and re-checked, so each distinct random
-interface is re-checked once per sweep, when first reached, and popping
-the entry drops its states.  The re-check forms no matrix and
-eliminates nothing, so the image sweep re-checks its chains without
-building points.  build_from_chain walks a given chain the same way, then
-writes each map as its 0/1 matrix and reads it back (_partial_permutation)
-against the map that passed.
+goes to.  One walk glues every chain (_walk), on a prefix stack that
+keeps one entry per vertex of the vector walked last.  Each entry keeps
+the states reached there, each (index, diagram, A_i, B_i, A_i B_i, b-row
+starts), keyed by the index of the state before and the step's draw: a
+greedy step's own key, or the draws of a random step (_random_draws).  A
+step draws first, and only a state not yet kept is placed, numbered
+(_numbered_pair) and its interface re-checked at once (_interface_recheck):
+its maps composed must meet the relation, and the Jordan type of A_i B_i,
+theta last, read off its chains, must be the b-part of the diagram.  So
+over the sorted vectors of the image sweep, which share one stack, each
+distinct step is re-checked once, when first reached, and popping an
+entry drops its states.  The re-check forms no matrix and eliminates
+nothing, so the image sweep re-checks its chains without building points.
+greedy_chain, random_chain and build_from_chain, which takes its given
+diagrams as the draws, each walk a fresh stack; build_from_chain then
+writes each map as its 0/1 matrix and reads it back
+(_partial_permutation) against the map that passed.
 
 A stable sample draws only the first n_{t-1} rows of its flag-lowering
 endomorphism, the rows that can be nonzero (_lowering_rows), re-checks
@@ -47,7 +45,7 @@ from typing import List, Optional, Sequence, Tuple
 import functools
 import itertools
 
-from quiverz.abdiagrams import ABDiagram, _numbered_pair, _placement, _random_draws, max_diagram, random_diagram
+from quiverz.abdiagrams import ABDiagram, _numbered_pair, _placement, _random_draws, max_diagram
 from quiverz.exactmat import (
     CertificateError,
     ExactMatrix,
@@ -490,56 +488,28 @@ def from_flag_point(x: FlagPoint) -> QuiverRep:
     return z
 
 
-def _walk_chain(dims: Sequence[int], place) -> Tuple[List[ABDiagram], List[List[int]], List[List[int]]]:
-    """(the chain, its forward maps A, its backward maps B) of placements
-    place(eta, step) along the difference sequence of dims, each eta the
-    b-part of the placement before: the one walk and glue of a chain, one
-    _glued_step per diagram.  Between diagrams the walk keeps A B of the
-    last interface and the b-row starts of the last diagram."""
-    dims = as_dim_vector(dims)
-    eta = Partition._sorted((1,) * dims[0])
-    chain, A, B = [], [], []
-    ab = [-1] * dims[0]  # A_0 B_0 = 0
-    starts = None
-    for i in range(len(dims) - 1):
-        step = dims[i + 1] - dims[i]
-        if step < 0:
-            raise ValueError(f"decreasing step at position {i + 1}: {dims}")
-        delta, a, b, ab, starts = _glued_step(place, eta, step, ab, starts)
-        chain.append(delta)
-        A.append(a)
-        B.append(b)
-        eta = delta.b_part
-    return chain, A, B
+def _walk(dims: tuple, path: list, draw, place) -> List[tuple]:
+    """The states of the chain of dims walked on path, the prefix stack of
+    the vector walked last, one (n_i, states) per vertex: the one walk and
+    glue of a chain.  dims is a tuple of positive ints; a fresh stack is [].
 
-
-def _glued_step(place, eta: Partition, step: int, ab: List[int], starts: Optional[List[int]]) -> tuple:
-    """(delta, A_i, B_i, A_i B_i, delta's b-row starts) for the placement
-    delta = place(eta, step), glued after the interface whose A B is ab (all
-    -1 at the first) and whose diagram's b-row starts are starts (None at
-    the first): delta is numbered onto the diagram before (_numbered_pair)
-    as soon as it is placed, and its interface re-checked at once
-    (_interface_recheck).  The maps are index maps (_partial_permutation).
-    The one step of every walk: _walk_chain's and the image sweep's walk
-    along its prefixes (_greedy_on_path)."""
-    delta = place(eta, step)
-    a, b, starts = _numbered_pair(delta, starts)
-    return delta, a, b, _interface_recheck(a, b, ab, delta), starts
-
-
-def _greedy_on_path(dims: tuple, path: list) -> List[ABDiagram]:
-    """greedy_chain(dims), walked on from the longest prefix of dims that
-    path walked before.  path is the stack of the vector walked last, one
-    (n_i, the diagram placed to reach n_i, A_i B_i, its b-row starts, the
-    random states at n_i) per vertex, (n_1, None, all -1, None, {}) first:
-    the entries that disagree with dims are popped, with the random states
-    they hold (_random_on_path), then one greedy _glued_step is pushed per
-    entry of dims past the kept prefix.  The greedy fields of an entry are
-    never changed once pushed, so each interface is re-checked once, when
-    its prefix is first walked, and path never holds more entries than the
-    vector walked last.  For vectors in sorted order, the depth-first
-    preorder of their prefix tree, each vector whose prefix came before it
-    costs one step."""
+    The entries that disagree with dims are popped, with their states, and
+    one empty entry is pushed per vertex of dims past the kept prefix; a
+    decreasing step raises ValueError after the entries before it.  Then
+    each step from eta, the b-part of the diagram before (all ones of n_1 at
+    the first), draws its key, draw(eta, step), and looks up its state,
+    (index, diagram, A_i, B_i, A_i B_i, b-row starts), kept at its entry
+    under (the index of the state before, the key).  Only a state not yet
+    kept is placed, place(eta, step, *key), numbered onto the diagram
+    before (_numbered_pair) and re-checked at once (_interface_recheck); it
+    is kept once its re-check has passed, and its index is the number of
+    states kept before it there.  A greedy step's key is () (_top), placed
+    by max_diagram; a random step's is _random_draws' (jvec, leads), placed
+    by _placement, and never (), so a greedy and a random state never meet;
+    the i-th step of a given chain has key (i,), placed as its i-th
+    diagram.  A state lives as long as its entry, so over vectors in sorted
+    order, the depth-first preorder of their prefix tree, each distinct
+    step is glued and re-checked once."""
     keep = 0
     for entry, n in zip(path, dims):
         if entry[0] != n:
@@ -547,62 +517,44 @@ def _greedy_on_path(dims: tuple, path: list) -> List[ABDiagram]:
         keep += 1
     del path[keep:]
     for n in dims[keep:]:
-        if not path:
-            path.append((n, None, [-1] * n, None, {}))  # A_0 B_0 = 0
-            continue
-        low, delta, ab, starts, _ = path[-1]
-        if n < low:
+        if path and n < path[-1][0]:
             raise ValueError(f"decreasing step at position {len(path)}: {dims}")
-        eta = delta.b_part if delta else Partition._sorted((1,) * low)
-        delta, _, _, ab, starts = _glued_step(max_diagram, eta, n - low, ab, starts)
-        path.append((n, delta, ab, starts, {}))
-    return [entry[1] for entry in path[1:]]
-
-
-def _random_on_path(dims: tuple, path: list, rng) -> List[ABDiagram]:
-    """random_chain(dims, rng), draw for draw, walked along path, which
-    _greedy_on_path(dims, path) first brings to dims.  A random step is
-    fixed by the state it starts from and its draws (_random_draws): jvec
-    and, where a row takes one end b, its lead bit, the others drawn but
-    kept False.  So the entry at n_i keeps each random state reached there,
-    (its index, the diagram placed to reach it, A_i B_i, its b-row starts),
-    keyed by the index of the state before it and those draws, as many of
-    each as that state has rows.  Each step draws first, then looks the
-    state up; only a state not yet kept is placed, numbered and re-checked
-    (_glued_step), and it is kept once its re-check has passed.  The states
-    live as long as their entry, so over a sweep in depth-first preorder
-    each one is glued once, and path holds only the states of the prefixes
-    of the vector walked last."""
-    _greedy_on_path(dims, path)
-    low, _, ab, starts, _ = path[0]
+        path.append((n, {}))
+    low = dims[0]
     eta = Partition._sorted((1,) * low)
-    at = 0
-    chain = []
-    for n, _, _, _, states in path[1:]:
-        jvec, leads = _random_draws(eta, n - low, rng)
-        key = (at, *jvec, *leads)
-        state = states.get(key)
+    at, ab, starts = 0, [-1] * low, None  # A_0 B_0 = 0
+    walked = []
+    for n, states in path[1:]:
+        key = draw(eta, n - low)
+        state = states.get((at, key))
         if state is None:
-            place = functools.partial(_placement, jvec=jvec, leads=leads)
-            delta, _, _, ab, starts = _glued_step(place, eta, n - low, ab, starts)
-            state = states[key] = (len(states), delta, ab, starts)
-        at, delta, ab, starts = state
-        chain.append(delta)
+            delta = place(eta, n - low, *key)
+            a, b, starts = _numbered_pair(delta, starts)
+            state = states[at, key] = (len(states), delta, a, b, _interface_recheck(a, b, ab, delta), starts)
+        at, delta, _, _, ab, starts = state
+        walked.append(state)
         eta, low = delta.b_part, n
-    return chain
+    return walked
+
+
+def _top(eta: Partition, step: int) -> tuple:
+    """(), the draw key of a greedy step, placed by max_diagram."""
+    return ()
 
 
 def greedy_chain(dims: Sequence[int]) -> List[ABDiagram]:
     """The chain of top placements along the difference sequence, glued and
-    re-checked as it is placed (_walk_chain); its final b-part is
+    re-checked as it is placed (_walk); its final b-part is
     theta_image(dims)."""
-    return _walk_chain(dims, max_diagram)[0]
+    return [state[1] for state in _walk(as_dim_vector(dims), [], _top, max_diagram)]
 
 
 def random_chain(dims: Sequence[int], rng) -> List[ABDiagram]:
     """A random compatible chain of placements along the difference
-    sequence, glued and re-checked as it is placed (_walk_chain)."""
-    return _walk_chain(dims, functools.partial(random_diagram, rng=rng))[0]
+    sequence, glued and re-checked as it is placed (_walk): random_diagram's
+    draws at each step."""
+    draw = functools.partial(_random_draws, rng=rng)
+    return [state[1] for state in _walk(as_dim_vector(dims), [], draw, _placement)]
 
 
 def build_from_chain(deltas: Sequence[ABDiagram], field: FieldSpec) -> QuiverRep:
@@ -614,14 +566,14 @@ def build_from_chain(deltas: Sequence[ABDiagram], field: FieldSpec) -> QuiverRep
     quotient-map value of the result has Jordan type b_part of the last
     diagram.
 
-    The chain is walked with its own diagrams as the placements
-    (_walk_chain): each diagram's letters are numbered onto the one before,
-    the k-th a-row of diagram i taking the numbers of the k-th longest
-    b-row of diagram i - 1 (_numbered_pair), and that interface is
-    re-checked at once (_interface_recheck): its maps must be index maps,
-    B_i A_i must be A_{i-1} B_{i-1}, and the type of A_i B_i, theta last,
-    read off its chains, must be the b-part of diagram i.  That re-check is
-    the certificate.  Each map then becomes its 0/1 matrix, which must read
+    The chain is walked with its own diagrams as the draws (_walk): each
+    diagram's letters are numbered onto the one before, the k-th a-row of
+    diagram i taking the numbers of the k-th longest b-row of diagram i - 1
+    (_numbered_pair), and that interface is re-checked at once
+    (_interface_recheck): its maps must be index maps, B_i A_i must be
+    A_{i-1} B_{i-1}, and the type of A_i B_i, theta last, read off its
+    chains, must be the b-part of diagram i.  That re-check is the
+    certificate.  Each map then becomes its 0/1 matrix, which must read
     back (_partial_permutation) as the map that passed (_chain_point)."""
     deltas = list(deltas)
     if not deltas:
@@ -638,16 +590,18 @@ def build_from_chain(deltas: Sequence[ABDiagram], field: FieldSpec) -> QuiverRep
                 f"vs a-part {deltas[i + 1].a_part.to_list()}"
             )
     dims = (deltas[0].total_a,) + tuple(delta.total_b for delta in deltas)  # checked by the walk
-    rest = iter(deltas)
-    _, A, B = _walk_chain(dims, lambda eta, step: next(rest))
-    return _chain_point(dims, A, B, field)
+    steps = itertools.count()
+    walked = _walk(dims, [], lambda eta, step: (next(steps),), lambda eta, step, i: deltas[i])
+    return _chain_point(dims, walked, field)
 
 
-def _chain_point(dims: tuple, A: List[List[int]], B: List[List[int]], field: FieldSpec) -> QuiverRep:
-    """The point whose maps are the index maps A and B of a walked chain
-    (_walk_chain), each written as its 0/1 matrix and read back
+def _chain_point(dims: tuple, walked: List[tuple], field: FieldSpec) -> QuiverRep:
+    """The point whose maps are the index maps A_i and B_i of the states of
+    a walked chain (_walk), each written as its 0/1 matrix and read back
     (_partial_permutation) against the map that passed, else
     CertificateError."""
+    A = [state[2] for state in walked]
+    B = [state[3] for state in walked]
     forward = tuple(_index_matrix(image, dims[i + 1], field) for i, image in enumerate(A))
     backward = tuple(_index_matrix(image, dims[i], field) for i, image in enumerate(B))
     for M, image in zip(forward + backward, A + B):
@@ -727,7 +681,7 @@ def witness_reducible(dims: Sequence[int], field: FieldSpec, rng) -> Reducibilit
     mu = mu_of(dims)
     if lam == mu:
         return ReducibilityReport(dims, lam, mu, "no_obstruction")
-    z1 = _chain_point(dims, *_walk_chain(dims, max_diagram)[1:], field)
+    z1 = _chain_point(dims, _walk(dims, [], _top, max_diagram), field)
     z2, t2 = _sample_stable(dims, field, rng)
     if not dominates(mu, t2):
         raise CertificateError(f"witness_reducible: the witnesses for {dims} fail their re-check")

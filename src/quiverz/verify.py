@@ -21,19 +21,21 @@ of the endomorphism it draws and no point is built; A_i B_i is theta
 restricted to the span of the first n_{i+1} coordinates (the flag
 correspondence of Kraft and Procesi), so the ranks of the composites of
 theta's leading blocks type every interface.  The sweep's chains are
-walked along the prefixes of its sorted vectors: one greedy step for each
-vector whose prefix was swept before it, and a random step only where
-its state and draws were not reached before on that prefix.  The
-stability check solves its last relation in closed form: against the
-normal form, B_{t-1} A_{t-1} is B_{t-1}'s first r columns, so the other
-maps fix those and leave the rest free.  Since
-neither criterion reads B_{t-1}, it evaluates both once per fibre of the
-other maps.  Failures carry a re-checkable counterexample payload.
-All randomness is derived per instance from a master seed, so reports are
-byte-stable across runs and across worker counts: with jobs > 1 the
-independent tasks run on forked worker processes, which the parent feeds
-the indexes of a few contiguous chunks over pipes, at most one per worker
-in flight, and the results come back in task order.
+walked by one walk along the prefixes of its sorted vectors, which keeps
+each step's state under its draw: a step is glued only where its state
+and draw were not reached before on that prefix, so one greedy step for
+each vector whose prefix was swept before it.  The sweep is bounded by
+its work, (1 + 2 trials) n_t^2 per vector.  The stability check solves
+its last relation in closed form: against the normal form, B_{t-1}
+A_{t-1} is B_{t-1}'s first r columns, so the other maps fix those and
+leave the rest free.  Since neither criterion reads B_{t-1}, it
+evaluates both once per fibre of the other maps.  Failures carry a
+re-checkable counterexample payload.  All randomness is derived per
+instance from a master seed, so reports are byte-stable across runs and
+across worker counts: with jobs > 1 the independent tasks run on forked
+worker processes, which the parent feeds the indexes of a few contiguous
+chunks over pipes, at most one per worker in flight, and the results come
+back in task order.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ try:  # the builtin module up to 3.11, as random.py takes its sha512
 except ImportError:  # 3.12 and later: hashlib, which loads OpenSSL
     from hashlib import sha256
 
+from quiverz.abdiagrams import _placement, _random_draws, max_diagram
 from quiverz.exactmat import (
     DEFAULT_PRIME,
     ExactMatrix,
@@ -73,11 +76,11 @@ from quiverz.quiverrep import (
     QuiverRep,
     _backward_types,
     _degrees_bounded,
-    _greedy_on_path,
     _lowering_blocks,
     _point_products,
-    _random_on_path,
     _subspace_criterion,
+    _top,
+    _walk,
     is_stable,
     witness_reducible,
 )
@@ -429,20 +432,20 @@ def strictly_monotone_vectors(max_last: int) -> List[tuple]:
 def _theta_image_instance(d: tuple, p: int, seed: int, trials: int, path: Optional[list] = None) -> dict:
     """One vector of the image sweep, d a strictly increasing tuple as
     strictly_monotone_vectors builds it, so the chains and the samples take
-    it without checking it again.  path is the prefix stack of the walks
-    (_greedy_on_path, _random_on_path) that the sweep's tasks share; a
-    fresh one walks the chains from n_1."""
+    it without checking it again.  path is the prefix stack of the walk
+    (_walk) that the sweep's tasks share; a fresh one walks the chains from
+    n_1."""
     field = FieldSpec(p)
     rng = derive_rng(seed, "theta-image", d)
     lam = theta_image(d)
     mu = mu_of(d)
     path = [] if path is None else path
-    # The walk that places a chain glues it and re-checks its relations
-    # and its type at each interface (the b-parts of its chain) on its
-    # index maps as it goes; the chains are walked on from the longest
-    # prefix of d that the sweep walked last, and a random step whose
-    # state and draws were walked before is taken from the stack, its
-    # interface having passed when it was first walked.  A stable sample is
+    # The walk glues each chain and re-checks its relations and its type at
+    # each interface (the b-parts of its chain) on its index maps as it
+    # goes, on the stack of the prefixes of d that the sweep walked: a step
+    # whose state and draw were walked there before is taken from the
+    # stack, its interface having passed when it was first walked, and a
+    # greedy step never takes a random state.  A stable sample is
     # checked at the coordinate-flag point of its endomorphism, without
     # sample_stable's base change, which keeps every check below.  There
     # each A_i is an inclusion, so injective, and the relations with
@@ -451,14 +454,15 @@ def _theta_image_instance(d: tuple, p: int, seed: int, trials: int, path: Option
     # endomorphism on the first n_{i+1} coordinates, typed off the
     # composites of its leading blocks.
     checks = [("lambda_dominates_mu", dominates(lam, mu))]
-    chain = _greedy_on_path(d, path)
-    checks.append(("greedy_nilpotency", _degrees_bounded([delta.b_part for delta in chain])))
-    checks.append(("greedy_type_is_lambda", chain[-1].b_part == lam))
+    types = [state[1].b_part for state in _walk(d, path, _top, max_diagram)]
+    checks.append(("greedy_nilpotency", _degrees_bounded(types)))
+    checks.append(("greedy_type_is_lambda", types[-1] == lam))
+    draw = functools.partial(_random_draws, rng=rng)
     for k in range(trials):
-        chain = _random_on_path(d, path, rng)
-        end = chain[-1].b_part  # bounded by M(d) >= lambda, formed where lambda misses
+        types = [state[1].b_part for state in _walk(d, path, draw, _placement)]
+        end = types[-1]  # bounded by M(d) >= lambda, formed where lambda misses
         checks.append((f"chain{k}_bounded_by_lambda", dominates(lam, end) or dominates(theta_image_max(d), end)))
-        checks.append((f"chain{k}_nilpotency", _degrees_bounded([delta.b_part for delta in chain])))
+        checks.append((f"chain{k}_nilpotency", _degrees_bounded(types)))
     for k in range(trials):
         types = _backward_types(_lowering_blocks(d, field.p, rng), d, p, d[1:])
         checks.append((f"stable{k}_bounded_by_mu", dominates(mu, types[-1])))
@@ -473,19 +477,29 @@ def _theta_image_instance(d: tuple, p: int, seed: int, trials: int, path: Option
     }
 
 
-def _theta_image_tasks(max_last: int, p: int, seed: int, trials: int) -> list:
-    """One task per swept vector of theta_image_report.  The vectors are
-    subsets of 1..max_last, so 2^max_last bounds their number; past the
-    default budget the sweep is refused before any is built.  Below 2 there
-    is no vector to sweep, and an empty sweep is refused, not passed.  The
-    tasks share one prefix stack of the walks, so each greedy chain is
-    walked on from the prefix walked before it (_greedy_on_path), and each
-    random chain takes from the stack every step that an earlier vector
-    with the same prefix walked with the same draws (_random_on_path); a
-    forked worker grows its own copy."""
+def _theta_image_tasks(max_last: int, p: int, seed: int, trials: int, budget: int = DEFAULT_BUDGET) -> list:
+    """One task per swept vector of theta_image_report, refused before any
+    vector is built past the budget of its work: (1 + 2 trials) n_t^2 per
+    vector, the chains and samples of an instance, so (2^(L - 1) - 1) L^2
+    per last entry L, summed only until it passes the budget, so a huge
+    max_last or trials costs no more than a small one.  Below 2 there is no
+    vector to sweep, and an empty sweep is refused, not passed.  The tasks
+    share one prefix stack of the walk (_walk), so each chain takes from
+    the stack every step that an earlier vector with the same prefix took
+    with the same draw, the greedy chain one step per vector in sorted
+    order; a forked worker grows its own copy."""
     if max_last < 2:
         raise ValueError(f"max_last must be at least 2 for a nonempty sweep, got {max_last}")
-    _budgeted(2, max_last, DEFAULT_BUDGET, f"subsets of 1..{max_last} to sweep")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
+    work = 0
+    for last in range(2, max_last + 1):
+        work += (1 + 2 * trials) * (2 ** (last - 1) - 1) * last * last
+        if work > budget:
+            raise BudgetExceeded(
+                f"the sweep to max_last {max_last} at {trials} trials, (1 + 2 trials) n_t^2 per vector, "
+                f"exceeds the budget of {budget}"
+            )
     path: list = []
     return [
         functools.partial(_theta_image_instance, d, p, seed, trials, path)
@@ -709,7 +723,7 @@ def suite_report(
     tasks = [functools.partial(stability_report, budget=budget)]
     tasks += [functools.partial(ab_step_report, n, a, p=2, budget=budget) for n, a in SUITE_AB_STEP_INSTANCES]
     tasks.append(functools.partial(reducible_report, p=p, seed=seed))
-    tasks += _theta_image_tasks(max_last, p, seed, trials)
+    tasks += _theta_image_tasks(max_last, p, seed, trials, budget)
     results = _map_jobs(tasks, jobs)
     stability, ab_steps, reducible = results[0], results[1 : k + 1], results[k + 1]
     theta = _theta_image_from(results[k + 2 :], max_last, p, seed, trials)

@@ -40,7 +40,7 @@ before the glue gave index maps: it fills each pair as dense 0/1 lists and
 re-checks the point by products and Jordan types, where build_from_chain
 re-checks the maps by composing them and reading their chains.
 glued_maps_two_pass is the glue of index maps as it was before the walk
-glued each chain as it placed it (quiverrep._walk_chain): it numbers the
+glued each chain as it placed it (quiverrep._walk): it numbers the
 letters of every diagram first, each row letter by letter, with the a-rows
 sorted longest first (numbered_pair_two_pass), then re-checks the whole
 chain in a second pass (map_recheck_two_pass).

@@ -280,13 +280,48 @@ def test_verify_budget_refuses_huge_sizes_at_once(capsys):
 
 @pytest.mark.parametrize("statement", ["theta-image", "all"])
 def test_verify_sweep_refuses_huge_max_last_at_once(capsys, statement):
-    """The swept vectors are subsets of 1..max_last: past 2^max_last >
-    DEFAULT_BUDGET the sweep is refused before any vector is built, where
-    --max-last 40 used to try to build 2^40 of them."""
+    """The sweep is bounded by its work, (1 + 2 trials) n_t^2 per swept
+    vector, summed only until it passes the budget: --max-last 40 is
+    refused before any vector is built, where it used to try to build 2^40
+    of them.  theta-image sweeps 3 trials by default and all 2."""
     start = time.perf_counter()
     assert main(["--json", "verify", statement, "--max-last", "40"]) == 2
     assert time.perf_counter() - start < 0.5
-    assert capsys.readouterr().err == "error: 2^40 subsets of 1..40 to sweep exceed the budget of 10000000\n"
+    trials = 3 if statement == "theta-image" else 2
+    assert capsys.readouterr().err == (
+        f"error: the sweep to max_last 40 at {trials} trials, (1 + 2 trials) n_t^2 per vector, "
+        "exceeds the budget of 10000000\n"
+    )
+
+
+@pytest.mark.parametrize("statement", ["theta-image", "all"])
+@pytest.mark.parametrize(
+    "flags", [["--max-last", "23"], ["--max-last", "1000000000"], ["--max-last", "2", "--trials", "1000000000"]]
+)
+def test_verify_sweep_refuses_past_its_work_at_once(capsys, statement, flags):
+    """A sweep whose work passes the budget exits 2 within 0.5 s, however
+    large --max-last or --trials is: --max-last 23 passed the old guard on
+    2^max_last subsets, and --trials had no bound at all."""
+    start = time.perf_counter()
+    assert main(["--json", "verify", statement, *flags]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert "exceeds the budget of 10000000" in capsys.readouterr().err
+
+
+def test_verify_all_budget_reaches_the_sweep(capsys):
+    """verify all passes its --budget to the sweep: at --max-last 9 the
+    sweep's work, 5 x 33504 = 167520, passes a budget of 70000 that the
+    stability check (2^16 = 65536 tuples) meets, and the sweep's message is
+    the refusal.  At the default --max-last 6 (work 8170) that budget
+    prints the bytes of verify all."""
+    assert main(["--json", "verify", "all", "--budget", "70000", "--max-last", "9"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the sweep to max_last 9 at 2 trials, (1 + 2 trials) n_t^2 per vector, exceeds the budget of 70000\n"
+    )
+    assert main(["--json", "verify", "all", "--budget", "70000"]) == 0
+    budgeted = capsys.readouterr().out
+    assert main(["--json", "verify", "all"]) == 0
+    assert capsys.readouterr().out == budgeted
 
 
 # Small sizes for a run of each verify statement.

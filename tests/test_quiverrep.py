@@ -9,8 +9,8 @@ import textwrap
 
 import pytest
 
-from quiverz import abdiagrams, exactmat, quiverrep
-from quiverz.abdiagrams import ABDiagram, enumerate_b_parts, max_diagram, random_diagram
+from quiverz import abdiagrams, exactmat, quiverrep, verify
+from quiverz.abdiagrams import ABDiagram, _placement, _random_draws, enumerate_b_parts, max_diagram, random_diagram
 from quiverz.exactmat import (
     CertificateError,
     ExactMatrix,
@@ -39,14 +39,13 @@ from quiverz.quiverrep import (
     _degrees_bounded,
     _flag_blocks,
     _flag_point,
-    _greedy_on_path,
     _interface_recheck,
     _interface_types,
     _lowering_rows,
-    _random_on_path,
     _rep_products,
     _sample_stable,
-    _walk_chain,
+    _top,
+    _walk,
     act,
     alpha,
     build_from_chain,
@@ -880,7 +879,7 @@ def test_build_from_chain_takes_conjugator_inverse_from_bases(monkeypatch):
 def test_build_from_chain_computes_nothing_before_its_recheck(monkeypatch):
     """The glue forms no product and no matrix, reads no chain and builds
     no pair with build_pair before its re-check.  A chain is walked once
-    (_walk_chain), and at each of its t - 1 interfaces the walk numbers the
+    (_walk), and at each of its t - 1 interfaces the walk numbers the
     diagram (_numbered_pair) and re-checks that interface at once
     (_interface_recheck), which composes the index maps and reads the chains
     of A_i B_i (_index_chains).  Then each of the 2 (t - 1) maps is written
@@ -910,7 +909,7 @@ def test_build_from_chain_computes_nothing_before_its_recheck(monkeypatch):
 
         return wrapper
 
-    for name in ("_walk_chain", "_interface_recheck"):
+    for name in ("_walk", "_interface_recheck"):
         monkeypatch.setattr(quiverrep, name, nesting(name, getattr(quiverrep, name)))
     for name in ("_numbered_pair", "_mul_flat", "_index_chains", "_index_matrix", "_partial_permutation"):
         monkeypatch.setattr(quiverrep, name, recording(name, getattr(quiverrep, name)))
@@ -924,7 +923,7 @@ def test_build_from_chain_computes_nothing_before_its_recheck(monkeypatch):
             build_from_chain(chain, F)
             t = len(dims)
             assert calls == (
-                [("_walk_chain", 0)]
+                [("_walk", 0)]
                 + [("_numbered_pair", 1), ("_interface_recheck", 1), ("_index_chains", 2)] * (t - 1)
                 + [("_index_matrix", 0)] * (2 * (t - 1))
                 + [("_partial_permutation", 0)] * (2 * (t - 1))
@@ -995,12 +994,39 @@ def _chains_to_compare():
         yield dims, F, random_chain(dims, rng)
 
 
+def _maps(walked):
+    """(the chain, its forward maps A, its backward maps B) of the states of
+    a walk (_walk)."""
+    return tuple([state[k] for state in walked] for k in (1, 2, 3))
+
+
+def _greedy(dims, path):
+    """The greedy chain of dims walked on path."""
+    return _maps(_walk(dims, path, _top, max_diagram))[0]
+
+
+def _random(dims, path, rng):
+    """A random chain of dims walked on path, random_diagram's draws from
+    rng at each step."""
+    return _maps(_walk(dims, path, lambda eta, step: _random_draws(eta, step, rng), _placement))[0]
+
+
+def _placed_one_by_one(dims, place):
+    """The chain of dims placed diagram by diagram, place(eta, step) at each
+    step from the b-part before, with no walk and no glue."""
+    eta, chain = P(*([1] * dims[0])), []
+    for lo, hi in zip(dims, dims[1:]):
+        chain.append(place(eta, hi - lo))
+        eta = chain[-1].b_part
+    return chain
+
+
 def _replayed(chain):
     """(dims, A, B) of the walk that takes the diagrams of chain as its
-    placements, as build_from_chain walks it."""
+    draws, as build_from_chain walks it."""
     dims = (chain[0].total_a,) + tuple(delta.total_b for delta in chain)
-    rest = iter(chain)
-    walked, A, B = _walk_chain(dims, lambda eta, step: next(rest))
+    steps = itertools.count()
+    walked, A, B = _maps(_walk(dims, [], lambda eta, step: (next(steps),), lambda eta, step, i: chain[i]))
     assert walked == list(chain)
     return dims, A, B
 
@@ -1031,98 +1057,100 @@ def test_walk_glue_matches_two_pass_oracle():
         count += 1
     rng = random.Random(53)
     for dims in strictly_monotone_vectors(8):
-        walks = [_walk_chain(dims, max_diagram)] + [_walk_chain(dims, lambda eta, step: random_diagram(eta, step, rng)) for _ in range(3)]
-        for chain, A, B in walks:
+        draw = lambda eta, step: _random_draws(eta, step, rng)  # noqa: E731
+        walks = [_walk(dims, [], _top, max_diagram)] + [_walk(dims, [], draw, _placement) for _ in range(3)]
+        for chain, A, B in map(_maps, walks):
             assert (dims, A, B) == glued_maps_two_pass(chain), (dims, chain)
             count += 1
     assert count == 3 * 4 * 120 + 6 + 4 * 247
 
 
 def test_prefix_walk_matches_walk_from_n1(monkeypatch):
-    """The greedy chain walked on along a prefix stack (_greedy_on_path)
-    is _walk_chain(d, max_diagram)'s chain for every strictly monotone d
-    with last entry at most 9, whatever vector the stack walked before: in
-    sorted order, reversed and in a seeded shuffle, each on one stack.  The
-    stack holds one entry per vertex of the vector walked last, each with
-    its random states (none here, as no random chain is walked).  In sorted
-    order, the depth-first preorder of the prefix tree, each vector costs
-    one greedy step: at max_last 6, 57 steps (_glued_step), where walking
-    each from n_1 took 129."""
+    """The greedy chain walked on along a prefix stack (_walk) is the chain
+    of top placements placed one by one (max_diagram), and greedy_chain's on
+    a fresh stack, for every strictly monotone d with last entry at most 9,
+    whatever vector the stack walked before: in sorted order, reversed and
+    in a seeded shuffle, each on one stack.  The stack holds one entry per
+    vertex of the vector walked last, each past n_1 with one state, the
+    greedy one, as no random chain is walked.  In sorted order, the
+    depth-first preorder of the prefix tree, each vector costs one glued
+    step: at max_last 6, 57 steps (_numbered_pair), where walking each from
+    n_1 took 129."""
     vectors = strictly_monotone_vectors(9)
-    want = {d: _walk_chain(d, max_diagram)[0] for d in vectors}
+    want = {d: _placed_one_by_one(d, max_diagram) for d in vectors}
     shuffled = list(vectors)
     random.Random(9).shuffle(shuffled)
     for order in (vectors, vectors[::-1], shuffled):
         path = []
         for d in order:
-            assert _greedy_on_path(d, path) == want[d], d
+            assert _greedy(d, path) == want[d] == greedy_chain(d), d
             assert [entry[0] for entry in path] == list(d)
-            assert [entry[4] for entry in path] == [{}] * len(d)
+            assert [len(entry[1]) for entry in path] == [0] + [1] * (len(d) - 1)
     steps = [0]
-    real = quiverrep._glued_step
+    real = quiverrep._numbered_pair
 
     def counting(*args):
         steps[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(quiverrep, "_glued_step", counting)
+    monkeypatch.setattr(quiverrep, "_numbered_pair", counting)
     path = []
     for d in strictly_monotone_vectors(6):
-        _greedy_on_path(d, path)
+        _greedy(d, path)
     assert steps[0] == len(strictly_monotone_vectors(6)) == 57
     assert sum(len(d) - 1 for d in strictly_monotone_vectors(6)) == 129
 
 
 def test_prefix_walk_leaves_the_parent_entries_unchanged():
     """Walking a child keeps every entry of its prefix on the stack as it
-    was: the same objects, their greedy fields (n_i, diagram, A_i B_i,
-    b-row starts) equal to a deep copy taken before, and every random state
-    kept there still kept under its key, the same object, for each vector
-    with last entry at most 7, walked by its greedy chain and one random
-    chain, and each of its one-entry extensions, walked by theirs and two
-    random chains.  A vector that leaves the prefix pops the child's
-    entries with the random states they keep, its own n_1 first.  A
-    decreasing step raises ValueError, as _walk_chain does, after the
-    entries of the increasing prefix."""
+    was: the same objects, and every state kept there still kept under its
+    key, the same object, equal to a deep copy taken before, for each
+    vector with last entry at most 7, walked by its greedy chain and one
+    random chain, and each of its one-entry extensions, walked by theirs
+    and two random chains.  A vector that leaves the prefix pops the
+    child's entries with the states they keep, its own n_1 first.  A
+    decreasing step raises ValueError, on a fresh stack as on a kept one,
+    after the entries of the increasing prefix."""
     for d in strictly_monotone_vectors(7):
         path = []
         rng = random.Random(repr(d))
-        _greedy_on_path(d, path)
-        _random_on_path(d, path, rng)
-        before = pickle.loads(pickle.dumps([entry[:4] for entry in path]))
+        _greedy(d, path)
+        _random(d, path, rng)
         kept = list(path)
-        states = [dict(entry[4]) for entry in path]
+        states = [dict(entry[1]) for entry in path]
+        before = pickle.loads(pickle.dumps(states))
         for n in range(d[-1] + 1, 9):
-            _greedy_on_path(d + (n,), path)
-            _random_on_path(d + (n,), path, rng)
-            _random_on_path(d + (n,), path, rng)
+            _greedy(d + (n,), path)
+            _random(d + (n,), path, rng)
+            _random(d + (n,), path, rng)
             assert len(path) == len(d) + 1
             assert all(a is b for a, b in zip(path, kept)), (d, n)
-            assert [entry[:4] for entry in path[: len(d)]] == before, (d, n)
-            for entry, old in zip(path, states):
-                assert all(entry[4][key] is state for key, state in old.items()), (d, n)
+            for entry, old, copy in zip(path, states, before):
+                assert all(entry[1][key] is state for key, state in old.items()), (d, n)
+                assert {key: entry[1][key] for key in copy} == copy, (d, n)
     path = []
-    _greedy_on_path((1, 4, 5), path)
-    _random_on_path((1, 4, 5), path, random.Random(0))
-    assert [len(entry[4]) for entry in path] == [0, 1, 1]
-    _greedy_on_path((2, 3), path)
+    _greedy((1, 4, 5), path)
+    _random((1, 4, 5), path, random.Random(0))
+    assert [len(entry[1]) for entry in path] == [0, 2, 2]
+    _greedy((2, 3), path)
     assert [entry[0] for entry in path] == [2, 3]
-    assert [entry[4] for entry in path] == [{}, {}]
-    with pytest.raises(ValueError, match="decreasing step"):
-        _walk_chain((2, 5, 4), max_diagram)
+    assert [len(entry[1]) for entry in path] == [0, 1]
     with pytest.raises(ValueError, match="decreasing step at position 2"):
-        _greedy_on_path((2, 5, 4), path)
+        greedy_chain((2, 5, 4))
+    with pytest.raises(ValueError, match="decreasing step at position 2"):
+        _greedy((2, 5, 4), path)
     assert [entry[0] for entry in path] == [2, 5]
 
 
-def test_random_on_path_draws_as_random_chain():
-    """A random chain walked along the prefix stack (_random_on_path) is
-    random_chain(d, rng), draw for draw: the same diagrams and the same rng
-    state after each of three chains per vector, for every strictly
-    monotone d with last entry at most 8, in sorted, reversed and
-    seeded-shuffle order on one stack, the greedy chain walked first except
-    in the shuffle.  After the sorted sweep the stack keeps only the states
-    of its last vector, (7, 8): at most 3."""
+def test_stack_walk_draws_as_random_chain():
+    """A random chain walked along the prefix stack (_walk) is the chain
+    random_diagram places one by one from a twin rng, draw for draw: the
+    same diagrams and the same rng state after each of three chains per
+    vector, for every strictly monotone d with last entry at most 8, in
+    sorted, reversed and seeded-shuffle order on one stack, the greedy chain
+    walked first except in the shuffle.  After the sorted sweep the stack
+    keeps only the states of its last vector, (7, 8): the greedy one and at
+    most 3 random ones."""
     vectors = strictly_monotone_vectors(8)
     shuffled = list(vectors)
     random.Random(8).shuffle(shuffled)
@@ -1131,14 +1159,15 @@ def test_random_on_path_draws_as_random_chain():
         for d in order:
             rng, twin = random.Random(repr(d)), random.Random(repr(d))
             if order is not shuffled:
-                _greedy_on_path(d, path)
+                _greedy(d, path)
             for _ in range(3):
-                assert _random_on_path(d, path, rng) == random_chain(d, twin), d
+                want = _placed_one_by_one(d, lambda eta, step: random_diagram(eta, step, twin))
+                assert _random(d, path, rng) == want, d
                 assert rng.getstate() == twin.getstate(), d
             assert [entry[0] for entry in path] == list(d)
         if order is vectors:
             assert [entry[0] for entry in path] == [7, 8]
-            assert sum(len(entry[4]) for entry in path) <= 3
+            assert sum(len(entry[1]) for entry in path) <= 4
 
 
 class _ScriptedRandom:
@@ -1172,9 +1201,9 @@ def test_random_states_part_where_the_lead_bit_is_read():
             itertools.product(range(3), repeat=rows), itertools.product(range(2), repeat=rows), range(3)
         ):
             rng, twin = _ScriptedRandom(jvec + leads, seed), _ScriptedRandom(jvec + leads, seed)
-            assert _random_on_path(d, path, rng) == random_chain(d, twin), (d, jvec, leads)
+            assert _random(d, path, rng) == random_chain(d, twin), (d, jvec, leads)
             assert rng.used == twin.used
-        states = path[1][4]
+        states = path[1][1]
         assert len(states) == want
         if rows == 1:
             assert len({state[1] for state in states.values()}) == want
@@ -1183,13 +1212,13 @@ def test_random_states_part_where_the_lead_bit_is_read():
 def test_random_state_is_kept_only_after_its_recheck(monkeypatch):
     """A random step not kept on the stack is placed, numbered and
     re-checked (_interface_recheck) before its state is kept: a refused
-    re-check raises CertificateError and keeps nothing, and the same draws
-    then re-check each interface again.  Once kept, the same draws re-check
-    nothing."""
+    re-check raises CertificateError and keeps nothing beside the greedy
+    states, and the same draws then re-check each interface again.  Once
+    kept, the same draws re-check nothing."""
     d = (1, 3, 5)
     want = random_chain(d, random.Random(1))
     path = []
-    _greedy_on_path(d, path)
+    _greedy(d, path)
     real = quiverrep._interface_recheck
     calls = [0]
 
@@ -1202,13 +1231,76 @@ def test_random_state_is_kept_only_after_its_recheck(monkeypatch):
 
     monkeypatch.setattr(quiverrep, "_interface_recheck", refused)
     with pytest.raises(CertificateError, match="refused"):
-        _random_on_path(d, path, random.Random(1))
-    assert [entry[4] for entry in path] == [{}, {}, {}]
+        _random(d, path, random.Random(1))
+    assert [len(entry[1]) for entry in path] == [0, 1, 1]
     monkeypatch.setattr(quiverrep, "_interface_recheck", counting)
-    assert _random_on_path(d, path, random.Random(1)) == want
-    assert calls[0] == 2 and [len(entry[4]) for entry in path] == [0, 1, 1]
-    assert _random_on_path(d, path, random.Random(1)) == want
-    assert calls[0] == 2 and [len(entry[4]) for entry in path] == [0, 1, 1]
+    assert _random(d, path, random.Random(1)) == want
+    assert calls[0] == 2 and [len(entry[1]) for entry in path] == [0, 2, 2]
+    assert _random(d, path, random.Random(1)) == want
+    assert calls[0] == 2 and [len(entry[1]) for entry in path] == [0, 2, 2]
+
+
+def _top_script(dims):
+    """getrandbits values that make random_diagram draw, at each step of
+    dims, the placement of max_diagram: per step the largest jvec whose
+    placement, with a leading b where one end b is taken, is the top one,
+    which is max_diagram's own (non-increasing) jvec, then lead bits 1."""
+    values = []
+    for top, lo, hi in zip(_placed_one_by_one(dims, max_diagram), dims, dims[1:]):
+        eta = top.a_part
+        jvec = max(
+            jvec
+            for jvec in itertools.product(range(3), repeat=len(eta.parts))
+            if _placement(eta, hi - lo, jvec, [j == 1 for j in jvec]) == top
+        )
+        values += list(jvec) + [1] * len(jvec)
+    return values
+
+
+def test_greedy_and_random_states_stay_apart(monkeypatch):
+    """A greedy step's key, (), is never a random step's: a random chain
+    that draws exactly the top placements, walked first on a stack, is the
+    greedy chain, yet the greedy chain walked after it on that stack still
+    places each step by max_diagram, whose add(eta, a) check runs once per
+    greedy interface, for every strictly monotone d with last entry at most
+    6 and in the sweep's instance on that stack; a max_diagram that raises
+    CertificateError raises there.  Merging the greedy key into the random
+    keys would take the random states and skip max_diagram.  A sorted sweep
+    at max_last 6 calls max_diagram 57 times, once per vector."""
+    calls = [0]
+
+    def counting(eta, a):
+        calls[0] += 1
+        return max_diagram(eta, a)
+
+    def refused(eta, a):
+        raise CertificateError("max_diagram refused")
+
+    for d in strictly_monotone_vectors(6):
+        path = []
+        script = _top_script(d)
+        assert _random(d, path, _ScriptedRandom(script, 0)) == greedy_chain(d), d
+        calls[0] = 0
+        assert _maps(_walk(d, path, _top, counting))[0] == greedy_chain(d)
+        assert calls[0] == len(d) - 1, d
+        assert [len(entry[1]) for entry in path] == [0] + [2] * (len(d) - 1)
+        with monkeypatch.context() as patch:
+            path = []
+            _random(d, path, _ScriptedRandom(script, 0))
+            patch.setattr(verify, "max_diagram", counting)
+            calls[0] = 0
+            assert verify._theta_image_instance(d, 32003, 0, 1, path)["ok"]
+            assert calls[0] == len(d) - 1, d
+            path = []
+            _random(d, path, _ScriptedRandom(script, 0))
+            patch.setattr(verify, "max_diagram", refused)
+            with pytest.raises(CertificateError, match="max_diagram refused"):
+                verify._theta_image_instance(d, 32003, 0, 1, path)
+    monkeypatch.setattr(verify, "max_diagram", counting)
+    calls[0] = 0
+    for task in verify._theta_image_tasks(6, 32003, 5, 3):
+        task()
+    assert calls[0] == len(strictly_monotone_vectors(6)) == 57
 
 
 def test_random_chain_draws_as_placed_one_by_one():
@@ -1376,7 +1468,8 @@ def test_map_recheck_refuses_changed_letter_maps(flags):
     script = textwrap.dedent(
         """
         from quiverz import exactmat, quiverrep, verify
-        chain, A, B = quiverrep._walk_chain((1, 4, 5), quiverrep.max_diagram)
+        walked = quiverrep._walk((1, 4, 5), [], quiverrep._top, quiverrep.max_diagram)
+        chain, A, B = ([state[k] for state in walked] for k in (1, 2, 3))
         if (A, B) != ([[1], [1, 2, 4, -1]], [[0, -1, -1, -1], [0, 1, -1, 2, -1]]):
             raise SystemExit(f"unexpected maps {A} {B}")
         real_glue = quiverrep._numbered_pair

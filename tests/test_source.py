@@ -2,11 +2,13 @@
 
 import ast
 import importlib.util
+import io
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import tokenize
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "quiverz"
 
@@ -232,3 +234,74 @@ def test_oracles_run_no_elimination_of_exactmat():
         if name in loops
     ]
     assert found == []
+
+
+# Private names cited in the package's prose that are not the package's
+# own: builtin modules of the standard library, os._exit, and the check
+# names the image sweep formats, whose {k} is a trial number.
+_CITED_ELSEWHERE = {"_sha256", "_sha512", "_hashlib", "os._exit", "chain{k}_bounded_by_lambda", "stable{k}_nilpotency"}
+
+
+def _prose() -> list:
+    """(where, text) of every docstring and comment of the package and of
+    every backtick span of README."""
+    texts = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        for node in ast.walk(ast.parse(source, filename=str(path))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node):
+                texts.append((path.name, ast.get_docstring(node)))
+        texts += [
+            (path.name, tok.string)
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type == tokenize.COMMENT
+        ]
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    return texts + [("README.md", span) for span in re.findall(r"`([^`]*)`", readme)]
+
+
+def _defined() -> set:
+    """Every name the package binds: functions, classes and methods,
+    assigned names and imported names."""
+    names = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.asname or node.name.split(".")[-1])
+    return names
+
+
+def _stale(texts, defined) -> list:
+    """where:citation for every _private name cited in texts, bare, dotted
+    (quiverrep._walk) or after a {k} placeholder (stable{k}_nilpotency),
+    that defined lacks and _CITED_ELSEWHERE does not list; dunder names are
+    Python's."""
+    cited = re.compile(r"(?<![\w.{}])((?:\w+\.)*|\w*\{\w+\})(_(?!_)\w+)")
+    return [
+        f"{where}:{match.group()}"
+        for where, text in texts
+        for match in cited.finditer(text)
+        if match.group() not in _CITED_ELSEWHERE and match.group(2) not in defined
+    ]
+
+
+def test_cited_private_names_are_defined():
+    """Every _private name that a docstring or comment of the package, or a
+    backtick span of README, cites is defined in the package, so no prose
+    keeps the name of a helper that was removed or renamed.  The check
+    sees such a name bare, dotted and in a span."""
+    defined = _defined()
+    assert _stale(_prose(), defined) == []
+    removed = [
+        ("quiverrep.py", "walked by _walk_chain, one _glued_step each"),
+        ("README.md", "quiverrep._greedy_on_path"),
+    ]
+    assert _stale(removed, defined) == [
+        "quiverrep.py:_walk_chain", "quiverrep.py:_glued_step", "README.md:quiverrep._greedy_on_path"
+    ]
+    assert _stale([("verify.py", "chain{k}_bounded_by_lambda via os._exit and _walk")], defined) == []
+    assert _stale([("verify.py", "chain{k}_walk_chain")], defined) == ["verify.py:chain{k}_walk_chain"]

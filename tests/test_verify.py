@@ -732,10 +732,9 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     - relations: 0.  The two chains are re-checked on their index maps
       as they are walked, at each of their two interfaces (maps: 4, one
       _interface_recheck each), which composes them.  Both chains are
-      walked along the sweep's prefix stack, here a fresh one, so from n_1:
-      the greedy chain by _greedy_on_path, where it took a _walk_chain of
-      its own (walks: 2), and the random chain by _random_on_path, where it
-      was one _walk_chain (walks: 1); so walks: 0.  When each
+      walked along the sweep's prefix stack, here a fresh one, so from n_1,
+      by the one walk (_walk), once each (walks: 2); the random walk once
+      walked the greedy chain first (3).  When each
       chain was numbered first, one _map_recheck
       of the whole chain followed (2); when each chain was glued into a
       point, its re-check was one relations pass of matrix products, 3
@@ -789,7 +788,9 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
         )
 
     monkeypatch.setattr(quiverrep, "_point_products", counting("relations", quiverrep._point_products))
-    monkeypatch.setattr(quiverrep, "_walk_chain", counting("walks", quiverrep._walk_chain))
+    walks = counting("walks", quiverrep._walk)
+    monkeypatch.setattr(quiverrep, "_walk", walks)
+    monkeypatch.setattr(verify, "_walk", walks)
     monkeypatch.setattr(quiverrep, "_interface_recheck", counting("maps", quiverrep._interface_recheck))
     jordan = counting("jordan", exactmat._jordan_flat)
     matrices = counting("matrices", exactmat._index_matrix)
@@ -809,7 +810,7 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
     inst = verify._theta_image_instance((1, 4, 5), 32003, 0, 1)
     assert inst["ok"]
     assert counts == {
-        "relations": 0, "walks": 0, "maps": 4, "jordan": 0, "matrices": 0, "eliminations": 2, "inversions": 0,
+        "relations": 0, "walks": 2, "maps": 4, "jordan": 0, "matrices": 0, "eliminations": 2, "inversions": 0,
         "canonical": 0, "flag_rows": 1,
     }
 
@@ -902,34 +903,27 @@ def test_each_certificate_is_rechecked_once(monkeypatch):
 
 
 def test_theta_image_tasks_share_one_prefix_stack(monkeypatch):
-    """The tasks of one sweep share one prefix stack of the walks, so at
-    max_last 6 the sweep takes 57 greedy steps, one per vector, where
-    walking each greedy chain from n_1 took 129, and its random chains take
-    275 steps, where walking each from n_1 took 3 x 129 = 387 here: a
-    random step is glued once per distinct prefix of d and draws leading to
-    it, which the replay of each vector's draws (abdiagrams._random_draws
-    along random_chain's diagrams, lead bits read where a row takes one end
-    b) counts independently.  Each task gives the instance that a fresh
-    stack gives, run in order or in reverse, and two sweeps do not share a
-    stack."""
+    """The tasks of one sweep share one prefix stack of the walk, so at
+    max_last 6 the sweep takes 57 greedy steps (max_diagram), one per
+    vector, where walking each greedy chain from n_1 took 129, and its
+    random chains take 275 steps, where walking each from n_1 took 3 x 129
+    = 387 here: a random step is glued (_numbered_pair) once per distinct
+    prefix of d and draws leading to it, which the replay of each vector's
+    draws (abdiagrams._random_draws along random_chain's diagrams, lead
+    bits read where a row takes one end b) counts independently.  Each
+    task gives the instance that a fresh stack gives, run in order or in
+    reverse, and two sweeps do not share a stack."""
     steps = {"greedy": 0, "all": 0}
-    real_step, real_greedy = quiverrep._glued_step, quiverrep._greedy_on_path
-    depth = [0]
 
-    def step(*args):
-        steps["all"] += 1
-        steps["greedy"] += depth[0]
-        return real_step(*args)
+    def counting(name, real):
+        def wrapper(*args):
+            steps[name] += 1
+            return real(*args)
 
-    def greedy(*args):
-        depth[0] += 1
-        try:
-            return real_greedy(*args)
-        finally:
-            depth[0] -= 1
+        return wrapper
 
-    monkeypatch.setattr(quiverrep, "_glued_step", step)
-    monkeypatch.setattr(verify, "_greedy_on_path", greedy)
+    monkeypatch.setattr(quiverrep, "_numbered_pair", counting("all", quiverrep._numbered_pair))
+    monkeypatch.setattr(verify, "max_diagram", counting("greedy", verify.max_diagram))
     tasks = verify._theta_image_tasks(6, 32003, 5, 3)
     instances = [task() for task in tasks]
     assert steps == {"greedy": 57, "all": 57 + 275}
@@ -951,6 +945,20 @@ def test_theta_image_tasks_share_one_prefix_stack(monkeypatch):
                 distinct.add((d[:i], walked))
                 eta = abdiagrams._placement(eta, hi - lo, jvec, leads).b_part
     assert len(distinct) == 275
+
+
+def test_sweep_work_bound_accepts_max_last_13_at_3_trials():
+    """At the default budget and 3 trials the work, 7 (2^(L - 1) - 1) L^2
+    summed over the last entries L, is 8366470 at max_last 13 and 19603052
+    at 14: 13 is accepted and 14 refused.  The tasks are built, not run; at
+    max_last 12, one per vector, 4083 of them."""
+    assert 7 * sum((2 ** (last - 1) - 1) * last * last for last in range(2, 14)) == 8366470
+    assert len(verify._theta_image_tasks(12, 32003, 0, 3)) == len(verify.strictly_monotone_vectors(12)) == 4083
+    assert len(verify._theta_image_tasks(13, 32003, 0, 3)) == 8178
+    with pytest.raises(verify.BudgetExceeded, match="max_last 14 at 3 trials"):
+        verify._theta_image_tasks(14, 32003, 0, 3)
+    with pytest.raises(ValueError, match="trials must be nonnegative"):
+        verify._theta_image_tasks(4, 32003, 0, -1)
 
 
 def test_theta_image_reads_each_forward_map_once(monkeypatch):
