@@ -321,16 +321,14 @@ def hstack(X: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(X.rows, X.cols + Y.cols, out, X.field)
 
 
-def _rref(rows: List[Sequence[int]], p: int, pivot_cols: Optional[int] = None) -> tuple:
+def _rref(rows: List[Sequence[int]], p: int) -> tuple:
     """In-place Gauss-Jordan to reduced row echelon form: the package's one
     Gauss-Jordan.  Returns (pivots, swaps): the pivot columns, and for the
     k-th pivot the row swapped into row k.  The entries must be in [0, p).
     No row given is written to: a step that changes a row puts a new list
     in its place.
 
-    Pivots are searched only in the first pivot_cols columns; row operations
-    always span the full width, so augmented columns ride along, and a
-    column is a pivot exactly when it is not in the span of the columns
+    A column is a pivot exactly when it is not in the span of the columns
     before it.  Every other column ends as the RREF's.  A pivot column ends
     as the in-place entry instead: step c scales the pivot row by inv = 1 /
     pivot with inv in the pivot slot, and every other row takes f times the
@@ -345,14 +343,12 @@ def _rref(rows: List[Sequence[int]], p: int, pivot_cols: Optional[int] = None) -
     pivots: _echelon."""
     nrows = len(rows)
     width = len(rows[0]) if nrows else 0
-    if pivot_cols is None:
-        pivot_cols = width
     if _packs(nrows, p):
-        return _rref_packed(rows, p, pivot_cols)
+        return _rref_packed(rows, p)
     pivots: List[int] = []
     swaps: List[int] = []
     r = 0
-    for c in range(pivot_cols):
+    for c in range(width):
         for pivot in range(r, nrows):
             if rows[pivot][c]:
                 break
@@ -382,7 +378,7 @@ def _column(packed: Sequence[int], c: int, p: int) -> List[int]:
     return [(x >> shift & _SLOT_MASK) % p for x in packed]
 
 
-def _rref_packed(rows: List[Sequence[int]], p: int, pivot_cols: int) -> tuple:
+def _rref_packed(rows: List[Sequence[int]], p: int) -> tuple:
     """_rref on packed rows, for inputs that pass the _packs gate; column c
     is read once per step (_column).
 
@@ -395,7 +391,7 @@ def _rref_packed(rows: List[Sequence[int]], p: int, pivot_cols: int) -> tuple:
     pivots: List[int] = []
     swaps: List[int] = []
     r = 0
-    for c in range(pivot_cols):
+    for c in range(width):
         col = _column(packed, c, p)
         pivot = r if col[r] else next((i for i in range(r + 1, nrows) if col[i]), None)
         if pivot is None:
@@ -561,15 +557,16 @@ def inverse(M: ExactMatrix) -> ExactMatrix:
 def solve(M: ExactMatrix, C: ExactMatrix) -> ExactMatrix:
     """The unique X with M X = C, from one elimination (_rref) of [M | C].
 
-    Raises ValueError("no solution") on an inconsistent system and
-    ValueError("not unique") when M has a kernel."""
+    Raises ValueError("no solution") on an inconsistent system, where a
+    pivot lies past M's columns, and ValueError("not unique") when M has a
+    kernel, fewer than n pivots."""
     _require_same_field(M, C)
     if M.rows != C.rows:
         raise ValueError(f"shape mismatch: solving {M.shape} * X = {C.shape}")
     n = M.cols
     aug = [list(M.row(i)) + list(C.row(i)) for i in range(M.rows)]
-    pivots, _ = _rref(aug, M.field.p, pivot_cols=n)
-    if any(any(row[n:]) for row in aug[len(pivots) :]):
+    pivots, _ = _rref(aug, M.field.p)
+    if pivots and pivots[-1] >= n:
         raise ValueError("no solution")
     if len(pivots) < n:
         raise ValueError("not unique")

@@ -33,9 +33,8 @@ evaluates both once per fibre of the other maps.  Failures carry a
 re-checkable counterexample payload.  All randomness is derived per
 instance from a master seed, so reports are byte-stable across runs and
 across worker counts: with jobs > 1 the independent tasks run on forked
-worker processes, which the parent feeds the indexes of a few contiguous
-chunks over pipes, at most one per worker in flight, and the results come
-back in task order.
+worker processes, one contiguous slice each, every worker replies once
+over a pipe of its own, and the results come back in task order.
 """
 
 from __future__ import annotations
@@ -143,40 +142,38 @@ class _WorkerTraceback(Exception):
     back; _map_jobs raises that exception with this one as its cause."""
 
 
-def _serve(conn, others: list, tasks: Sequence[Callable[[], object]], size: int) -> NoReturn:
-    """The loop of a forked worker: close the pipe ends that are not its own,
-    then for each chunk index k read from conn run tasks[k * size : (k + 1)
-    * size] and send back (True, results), or (False, (exception, its
-    formatted traceback)) at the first task that raises.  An exception that
-    does not pickle goes back as a RuntimeError that names it, with the
-    traceback of the original, and results that do not pickle go back as a
-    RuntimeError with no traceback.  On EOF, or on anything else, the
-    worker ends through os._exit: it never returns into the caller's stack,
-    and it flushes none of the caller's buffers."""
+def _serve(out: int, ends: set, tasks: Sequence[Callable[[], object]]) -> NoReturn:
+    """A forked worker: close the pipe ends that are not its own, run its
+    slice of the tasks and write one pickled reply to out, (True, results),
+    or (False, (exception, its formatted traceback)) at the first task that
+    raises.  An exception that does not pickle goes back as a RuntimeError
+    that names it, with the traceback of the original, and results that do
+    not pickle go back as a RuntimeError with no traceback.  The worker
+    ends through os._exit: it never returns into the caller's stack, and it
+    flushes none of the caller's buffers."""
     try:
-        for end in others:
-            end.close()
-        while True:
-            try:
-                k = conn.recv()
-            except EOFError:
-                os._exit(0)
-            try:
-                reply = (True, [task() for task in tasks[k * size : (k + 1) * size]])
-            except Exception as exc:
-                import pickle  # loaded with multiprocessing.connection already
-                import traceback
+        for end in ends - {out}:
+            os.close(end)
+        import pickle  # loaded by _map_jobs before the fork
 
-                text = traceback.format_exc()
-                try:
-                    pickle.loads(pickle.dumps(exc))
-                    reply = (False, (exc, text))
-                except Exception:
-                    reply = (False, (RuntimeError(f"{type(exc).__qualname__} does not pickle: {exc}"), text))
+        try:
+            reply = (True, [task() for task in tasks])
+        except Exception as exc:
+            import traceback
+
+            text = traceback.format_exc()
             try:
-                conn.send(reply)
-            except Exception as exc:
-                conn.send((False, (RuntimeError(f"the results of chunk {k} do not pickle: {exc!r}"), None)))
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__qualname__} does not pickle: {exc}")
+            reply = (False, (exc, text))
+        try:
+            data = pickle.dumps(reply)
+        except Exception as exc:
+            data = pickle.dumps((False, (RuntimeError(f"the results do not pickle: {exc!r}"), None)))
+        with open(out, "wb") as pipe:
+            pipe.write(data)
+        os._exit(0)
     finally:
         os._exit(1)
 
@@ -186,78 +183,56 @@ def _map_jobs(tasks: Sequence[Callable[[], object]], jobs: int) -> list:
     tasks and the cores all allow two or more and os.fork exists.  No more
     workers start than any of the three.  Each worker holds the tasks
     through the fork, so a task need not pickle; its result must.  The
-    serial path forks nothing and imports no multiprocessing.
+    serial path forks nothing.
 
-    The tasks run in about 4 contiguous chunks per worker.  The parent
-    holds one duplex Pipe per worker: it sends a chunk index, the worker
-    sends back its results (see _serve), and only then is that worker sent
-    the next index, so at most one chunk per worker is in flight.  The
-    results are joined in task order.  A task that raises ends its chunk;
-    the chunks already running finish, no later chunk is handed out, and
-    the first failure by chunk order is raised with its type, chained to
-    the worker's formatted traceback as its cause.  A worker
-    that ends without a result raises RuntimeError, never EOFError or
-    BrokenPipeError.  Closing the parent's ends of the pipes stops the
-    workers, and every worker is reaped before _map_jobs returns or raises;
-    the parent starts no thread, and as with any fork, the caller should
-    run no other."""
+    Worker k runs the k-th contiguous slice of ceil(tasks / workers) tasks
+    and writes its one reply to a pipe of its own (see _serve); the parent
+    reads the pipes in slice order and joins the results in task order.
+    The first failure by slice order is raised with its type, chained to
+    the worker's formatted traceback as its cause, and a worker that ends
+    without a reply raises RuntimeError.  However _map_jobs returns or
+    raises, it closes every pipe end and kills and reaps every worker not
+    yet reaped, so the slices after a failure stop; the parent starts no
+    thread, and as with any fork, the caller should run no other."""
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers < 2 or not hasattr(os, "fork"):
         return [task() for task in tasks]
-    from multiprocessing.connection import Pipe, wait
+    import pickle
 
-    size = -(-len(tasks) // (4 * workers))
-    chunks = -(-len(tasks) // size)
-    pipes = [Pipe() for _ in range(workers)]
-    pids: Dict[object, int] = {}  # the parent's end of each pipe -> its worker
-    results: list = [None] * chunks
-    failure: Optional[Tuple[int, tuple]] = None  # the first by chunk order
+    size = -(-len(tasks) // workers)
+    pipes = [os.pipe() for _ in range(-(-len(tasks) // size))]
+    ends = {end for pipe in pipes for end in pipe}  # the ends this process holds open
+    pids: List[int] = []  # the workers not yet reaped
     try:
-        for mine, theirs in pipes:
+        for k, (_, out) in enumerate(pipes):
             pid = os.fork()
             if pid == 0:
-                _serve(theirs, [end for pipe in pipes for end in pipe if end is not theirs], tasks, size)
-            pids[mine] = pid
-            theirs.close()
-        running = {}  # the parent's end -> the chunk its worker runs
-        idle = list(pids)
-        following = 0
-        while True:
-            for conn in idle:
-                if failure is None and following < chunks:
-                    running[conn] = following
-                    following += 1
-                    try:
-                        conn.send(running[conn])
-                    except OSError:  # the worker is gone: its reply reads as EOF
-                        pass
-            if not running:
-                break
-            idle = wait(list(running))
-            for conn in idle:
-                k = running.pop(conn)
-                try:
-                    done, value = conn.recv()
-                except (EOFError, OSError):
-                    status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(conn), 0)[1])
-                    lost = RuntimeError(f"a worker ended with status {status} while running chunk {k}")
-                    done, value = False, (lost, None)
-                if done:
-                    results[k] = value
-                elif failure is None or k < failure[0]:
-                    failure = (k, value)
+                _serve(out, ends, tasks[k * size : (k + 1) * size])
+            pids.append(pid)
+            os.close(out)
+            ends.remove(out)
+        results = []
+        for k, (pid, (read, _)) in enumerate(zip(pids, pipes)):
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                pids.remove(pid)
+                raise RuntimeError(f"a worker ended with status {status} while running slice {k}")
+            done, value = pickle.loads(data)
+            if not done:
+                exc, text = value
+                if text is not None:
+                    exc.__cause__ = _WorkerTraceback(text)
+                raise exc
+            results += value
+        return results
     finally:
-        for pipe in pipes:
-            for end in pipe:
-                end.close()
-        for pid in pids.values():
+        for end in ends:
+            os.close(end)
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL: no import of signal for its name
             os.waitpid(pid, 0)
-    if failure is not None:
-        exc, text = failure[1]
-        if text is not None:
-            exc.__cause__ = _WorkerTraceback(text)
-        raise exc
-    return [result for chunk in results for result in chunk]
 
 
 def derive_rng(seed: int, *key) -> random.Random:
@@ -487,7 +462,8 @@ def _theta_image_tasks(max_last: int, p: int, seed: int, trials: int, budget: in
     share one prefix stack of the walk (_walk), so each chain takes from
     the stack every step that an earlier vector with the same prefix took
     with the same draw, the greedy chain one step per vector in sorted
-    order; a forked worker grows its own copy."""
+    order; a forked worker grows its own copy along its slice, which keeps
+    the sorted order."""
     if max_last < 2:
         raise ValueError(f"max_last must be at least 2 for a nonempty sweep, got {max_last}")
     if trials < 0:

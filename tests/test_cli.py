@@ -378,6 +378,27 @@ def test_serial_verify_imports_no_multiprocessing():
     assert done.stdout.splitlines()[-1] == "0 []"
 
 
+def test_pooled_verify_imports_no_multiprocessing():
+    """--jobs 2 forks its workers with os.fork and talks to them over
+    os.pipe: after `verify all --jobs 2`, with the cores reported as 2 and
+    the two forks counted, a fresh interpreter holds no multiprocessing
+    module."""
+    script = (
+        "import os, sys\n"
+        "from quiverz import cli\n"
+        "os.cpu_count = lambda: 2\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "code = cli.main(['--json', 'verify', 'all', '--max-last', '4', '--trials', '1', '--jobs', '2'])\n"
+        "print(code, len(forks), sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(quiverz.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 2 []"
+
+
 def test_forked_workers_write_nothing():
     """With stdout and stderr piped, so block-buffered, `verify all --jobs 2`
     writes its output once, byte-identical to --jobs 1, in JSON and in human

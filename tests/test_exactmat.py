@@ -341,13 +341,12 @@ def test_empty_products_match_row_loop_oracle(monkeypatch):
 
 
 def _rref_inputs(nrows, p, rng):
-    """(rows, pivot_cols) for _rref: pivot blocks of width nrows - 3, nrows
-    and nrows + 5, and [M | I] with pivot_cols = nrows; zero counts of the
-    pivot block one below, at and one above half; then, at half, a rank
-    deficient matrix and zero rows; and a nonsingular square block whose
-    every pivot is on another row, a reversed upper-triangular matrix.
-    Entries in [0, p), as _rref needs."""
-    for cols, augment in ((nrows - 3, False), (nrows, False), (nrows + 5, False), (nrows, True)):
+    """Rows for _rref: widths nrows - 3, nrows and nrows + 5; zero counts
+    one below, at and one above half; then, at half, a rank deficient
+    matrix and zero rows; and a nonsingular square matrix whose every pivot
+    is on another row, a reversed upper-triangular matrix.  Entries in
+    [0, p), as _rref needs."""
+    for cols in (nrows - 3, nrows, nrows + 5):
         size = nrows * cols
         kinds = (size // 2 - 1, size // 2, size // 2 + 1, "deficient", "zero rows") + ("swapping",) * (cols == nrows)
         for z in kinds:
@@ -362,23 +361,19 @@ def _rref_inputs(nrows, p, rng):
             elif z == "zero rows":
                 rows[1] = [0] * cols
                 rows[-1] = [0] * cols
-            if augment:
-                rows = [row + [int(j == i) for j in range(nrows)] for i, row in enumerate(rows)]
-            yield rows, (cols if augment else None)
+            yield rows
 
 
 def _small_rref_inputs(p, rng):
-    """(rows, pivot_cols) for _rref with 1 to 7 rows, all on the list loop:
-    widths 1, nrows and nrows + 3, pivot blocks of the full width and one
-    column narrower, entries zero or not about half the time, and from 3
-    rows on the last row 3 times the first."""
+    """Rows for _rref with 1 to 7 rows, all on the list loop: widths 1,
+    nrows and nrows + 3, entries zero or not about half the time, and from
+    3 rows on the last row 3 times the first."""
     for nrows in range(1, 8):
         for width in sorted({1, nrows, nrows + 3}):
-            for pivot_cols in (None, width - 1) if width > 1 else (None,):
-                rows = [[rng.choice((0, rng.randrange(p))) for _ in range(width)] for _ in range(nrows)]
-                if nrows >= 3:
-                    rows[-1] = [3 * x % p for x in rows[0]]
-                yield rows, pivot_cols
+            rows = [[rng.choice((0, rng.randrange(p))) for _ in range(width)] for _ in range(nrows)]
+            if nrows >= 3:
+                rows[-1] = [3 * x % p for x in rows[0]]
+            yield rows
 
 
 def _unswapped(rows, pivots, swaps):
@@ -395,35 +390,34 @@ def test_rref_matches_list_loop_oracle(monkeypatch):
     """The in-place elimination, packed or in lists, gives the pivots of the
     plain RREF (rref_by_rows) and every column but the pivot columns
     exactly, all entries in [0, p), on inputs reduced mod p.  It packs
-    exactly past the _packs gate for its rows, however many zeros the pivot
-    block holds, and never for p = 2^31 - 1, too wide for a 64-bit slot
-    (its largest size is left out).  The k-th swap names a row from k
-    down.  Where the pivot block is square and nonsingular, its pivot
-    columns, swapped back, are its inverse, the right block of the
-    oracle's [M | I].  The rank echelon (_echelon) of the pivot block gives
-    the same pivots."""
+    exactly past the _packs gate for its rows, however many zeros they
+    hold, and never for p = 2^31 - 1, too wide for a 64-bit slot (its
+    largest size is left out).  The k-th swap names a row from k down.
+    Where the matrix is square and nonsingular, its pivot columns, swapped
+    back, are its inverse, the right block of the oracle's [M | I].  The
+    rank echelon (_echelon) gives the same pivots."""
     packed_runs = _counting(monkeypatch, "_rref_packed")
     rng = random.Random(37)
     sides, sparse_sides, inverted = set(), set(), set()
     for p in (2, 3, 32003, 2**31 - 1):
-        cases = [([[] for _ in range(nrows)], None) for nrows in (0, 7, 8)]
+        cases = [[[] for _ in range(nrows)] for nrows in (0, 7, 8)]
         for nrows in (7, 8, 9, 16, 40) if p < 1 << 16 else (7, 8, 9, 16):
             cases += _rref_inputs(nrows, p, rng)
         cases += _small_rref_inputs(p, rng)
-        for rows, pivot_cols in cases:
+        for rows in cases:
             expect = [row[:] for row in rows]
-            expect_pivots = rref_by_rows(expect, p, pivot_cols)
-            k = pivot_cols if pivot_cols is not None else len(rows[0]) if rows else 0
-            given = [row[:k] for row in rows]
+            expect_pivots = rref_by_rows(expect, p)
+            k = len(rows[0]) if rows else 0
+            given = [row[:] for row in rows]
             block = [v for row in given for v in row]
             assert _echelon(block, len(rows), k, p) == expect_pivots
             before = len(packed_runs)
-            pivots, swaps = _rref(rows, p, pivot_cols)
+            pivots, swaps = _rref(rows, p)
             packed = len(packed_runs) > before
             sides.add((p, len(rows), packed))
             sparse_sides.add((p, len(rows), 2 * block.count(0) > len(block), packed))
-            assert packed == _packs(len(rows), p), (p, len(rows), pivot_cols)
-            assert pivots == expect_pivots, (p, len(rows), pivot_cols)
+            assert packed == _packs(len(rows), p), (p, len(rows), k)
+            assert pivots == expect_pivots, (p, len(rows), k)
             assert len(swaps) == len(pivots) and all(k <= s < len(rows) for k, s in enumerate(swaps))
             free = [c for c in range(len(rows[0]) if rows else 0) if c not in pivots]
             assert [[row[c] for c in free] for row in rows] == [[row[c] for c in free] for row in expect]

@@ -338,22 +338,22 @@ def _pid_in_turn(k):
 
 @pytest.mark.parametrize("tasks, workers", [(50, 4), (7, 2), (8, 4), (63, 2), (3, 3)])
 def test_pool_chunks_are_contiguous_and_bounded(monkeypatch, tasks, workers):
-    """The tasks run in contiguous chunks of ceil(tasks / (4 workers)):
-    every block of that size runs on one worker, and the first `workers`
-    blocks on `workers` different ones, which pins the size.  Each worker
-    runs its tasks in task order, as it would chunks handed out in order,
-    and the results come back in task order."""
+    """The tasks run in `workers` contiguous slices of ceil(tasks /
+    workers), one per worker: each slice runs on one worker of its own,
+    which runs it in task order and nothing else, counting on from the
+    parent's count at the fork, and the results come back in task order."""
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     results = verify._map_jobs([functools.partial(_pid_in_turn, k) for k in range(tasks)], workers)
     assert [k for k, _, _ in results] == list(range(tasks))
-    size = -(-tasks // (4 * workers))
-    blocks = [{pid for _, pid, _ in results[i : i + size]} for i in range(0, tasks, size)]
-    assert all(len(block) == 1 for block in blocks)
-    assert len(set.union(*blocks[:workers])) == workers
-    assert os.getpid() not in set.union(*blocks)
-    for pid in set.union(*blocks):
-        ran = sorted((n, k) for k, q, n in results if q == pid)
-        assert [k for _, k in ran] == sorted(k for _, k in ran)
+    size = -(-tasks // workers)
+    slices = [results[i : i + size] for i in range(0, tasks, size)]
+    assert len(slices) == workers
+    pids = [{pid for _, pid, _ in part} for part in slices]
+    assert all(len(part) == 1 for part in pids)
+    assert len(set.union(*pids)) == workers and os.getpid() not in set.union(*pids)
+    start = next(_RUN)
+    for part in slices:
+        assert [n for _, _, n in part] == list(range(start, start + len(part)))
 
 
 def _record(k, where, bad=None, held=()):
@@ -367,22 +367,26 @@ def _record(k, where, bad=None, held=()):
     return k
 
 
-def test_pool_submits_no_chunk_after_one_raises(monkeypatch, tmp_path):
-    """Four workers take chunks of 4 of 50 tasks.  The first tasks of
-    chunks 1, 2 and 3 hold their workers for half a second, so chunk 0's
-    worker finishes first and alone is handed chunk 4, where task 18
-    raises: task 19, the rest of its chunk, never runs, chunks 1, 2 and 3
-    finish, and no later chunk starts.  The error reaches the caller with
-    its type, and no worker held up in a chunk is handed a second one."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    calls = [functools.partial(_record, k, tmp_path, 18, (4, 8, 12)) for k in range(50)]
-    with pytest.raises(CertificateError, match="task 18"):
-        verify._map_jobs(calls, 4)
+def test_pool_failure_stops_the_slices_after_it(monkeypatch, tmp_path):
+    """Two workers take slices of 10 of 20 tasks.  Task 0, the first of
+    slice 0, raises, and each task of slice 1 holds its worker for half a
+    second.  The error reaches the caller with its type well before slice
+    1's 5 s are up, the rest of slice 0 never runs, and slice 1's worker is
+    stopped: no task starts after _map_jobs has raised."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    calls = [functools.partial(_record, k, tmp_path, 0, range(10, 20)) for k in range(20)]
+    began = time.perf_counter()
+    with pytest.raises(CertificateError, match="task 0") as info:
+        verify._map_jobs(calls, 2)
+    assert type(info.value) is CertificateError
+    assert time.perf_counter() - began < 2.5
     ran = {int(path.name): int(path.read_text()) for path in tmp_path.iterdir()}
-    assert sorted(ran) == list(range(19))
-    chunks = [{ran[k] for k in range(i, min(i + 4, 19))} for i in range(0, 19, 4)]
-    assert all(len(chunk) == 1 for chunk in chunks)
-    assert chunks[4] == chunks[0] and len(set.union(*chunks)) == 4
+    assert 0 in ran and ran[0] != os.getpid()
+    assert not set(ran) & set(range(1, 10))
+    assert set(ran) <= {0, *range(10, 15)}
+    time.sleep(0.6)
+    assert len(list(tmp_path.iterdir())) == len(ran)
+    _no_child_left()
 
 
 def _exit_worker(k):
@@ -455,6 +459,42 @@ def test_pool_leaves_no_process_or_thread_behind(monkeypatch):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert threading.active_count() == threads
+
+
+def _return_unpicklable(k):
+    return Unpicklable("a", "b") if k == 5 else k
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors in /proc/self/fd")
+def test_pool_cleans_up_after_a_failed_fork_or_an_unloadable_result(monkeypatch):
+    """A fork that fails after the first worker started, and a result that
+    pickles in its worker but does not load in the parent, each raise in
+    the caller, with no child left and no pipe end left open."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    fork, forks = os.fork, []
+
+    def second_fails():
+        forks.append(1)
+        if len(forks) == 2:
+            raise OSError("no second fork")
+        return fork()
+
+    fds = _open_fds()
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", second_fails)
+        with pytest.raises(OSError, match="no second fork"):
+            verify._map_jobs([functools.partial(time.sleep, 0.2) for _ in range(4)], 2)
+    assert len(forks) == 2
+    _no_child_left()
+    assert _open_fds() == fds
+    with pytest.raises(TypeError):
+        verify._map_jobs([functools.partial(_return_unpicklable, k) for k in range(9)], 2)
+    _no_child_left()
+    assert _open_fds() == fds
 
 
 def _raise_certificate_error(tag):
